@@ -181,26 +181,25 @@ def check_bisim(
     lts_a = _Lts(a.model, a.point, labels, options)
     lts_b = _Lts(b.model, b.point, labels, options)
 
-    # joint colour refinement; colours compare structurally across both sides
-    colour: dict = {}
-    for lts in (lts_a, lts_b):
-        for s in lts.states:
-            colour[(id(lts), s)] = lts.atoms[s]
-    history = [dict(colour)]
+    # joint colour refinement: each round numbers the blocks across both sides
+    states = [(lts, s) for lts in (lts_a, lts_b) for s in lts.states]
+    colour = _number_blocks({(id(lts), s): lts.atoms[s] for lts, s in states})
+    history = [colour]
     while True:
-        fresh: dict = {}
-        for lts in (lts_a, lts_b):
-            for s in lts.states:
-                fresh[(id(lts), s)] = (
+        fresh = _number_blocks(
+            {
+                (id(lts), s): (
                     colour[(id(lts), s)],
-                    tuple(
-                        frozenset(colour[(id(lts), t)] for t in lts.moves[s][l]) for l in labels
-                    ),
+                    tuple(frozenset(colour[(id(lts), t)] for t in lts.moves[s][l]) for l in labels),
                 )
-        if _partition_stable(colour, fresh):
+                for lts, s in states
+            }
+        )
+        # refinement only splits blocks, so an unchanged block count is a fixpoint
+        if max(fresh.values()) == max(colour.values()):
             break
         colour = fresh
-        history.append(dict(colour))
+        history.append(colour)
 
     root_a = (id(lts_a), lts_a.root)
     root_b = (id(lts_b), lts_b.root)
@@ -228,14 +227,10 @@ def check_bisim(
     )
 
 
-def _partition_stable(old: dict, new: dict) -> bool:
-    by_old: dict = {}
-    for k, c in old.items():
-        by_old.setdefault(c, set()).add(k)
-    by_new: dict = {}
-    for k, c in new.items():
-        by_new.setdefault(c, set()).add(k)
-    return {frozenset(v) for v in by_old.values()} == {frozenset(v) for v in by_new.values()}
+def _number_blocks(signature: dict) -> dict:
+    """Integer block ids, numbered in order of first appearance of each signature."""
+    ids: dict = {}
+    return {k: ids.setdefault(sig, len(ids)) for k, sig in signature.items()}
 
 
 def _distinguish(lts_a, lts_b, history, labels, atom_names) -> F.Formula:
@@ -274,21 +269,10 @@ def _distinguish(lts_a, lts_b, history, labels, atom_names) -> F.Formula:
                 tb = _pick(moves_b, lts_b, col, extra_b)
                 parts = []
                 for ta in moves_a:
-                    kk = _mirror_level(history, lts_a, lts_b, ta, tb)
-                    parts.append(_mirror_build(build, ta, tb, kk))
+                    # true on the right successor, false on the left
+                    parts.append(F.Not(build(ta, tb, level(ta, tb))))
                 return F.Not(_wrap(label, F.conj(_dedup(parts))))
         raise ModelError("refinement split a pair without a divergent move")
-
-    def _mirror_level(history, lts_a, lts_b, ta, tb):
-        for k, col in enumerate(history):
-            if col[(id(lts_a), ta)] != col[(id(lts_b), tb)]:
-                return k
-        return None
-
-    def _mirror_build(build, ta, tb, k):
-        # formula true on the right successor, false on the left: negate
-        # the left-oriented distinction
-        return F.Not(build(ta, tb, k))
 
     k = level(lts_a.root, lts_b.root)
     return build(lts_a.root, lts_b.root, k)
@@ -302,15 +286,11 @@ def _pick(moves, lts, col, wanted_colours):
 
 
 def _dedup(parts):
-    seen = set()
-    out = []
+    """Distinct formulas in canonical order."""
+    keyed: dict = {}
     for p in parts:
-        key = F.pretty(p)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    out.sort(key=F.canonical_key)
-    return out
+        keyed.setdefault(F.canonical_key(p), p)
+    return [keyed[key] for key in sorted(keyed)]
 
 
 def _wrap(label: str, body: F.Formula) -> F.Formula:

@@ -40,6 +40,7 @@ from itertools import combinations, product
 
 from .model import (
     DEFAULT_OPTIONS,
+    CapExceeded,
     Configuration,
     Intervention,
     ModelError,
@@ -184,7 +185,7 @@ def _ac1(model, q: CauseQuery, cause, mode, options):
             path.append(q.start)
             return True, tuple(reversed(path))
         if len(parent) > 2 * options.max_states:
-            raise ModelError("AC1 path search exceeded the state cap")
+            raise CapExceeded(2 * options.max_states, len(parent), "AC1 path search")
         for g in successors(model, f, options):
             if admissible(f, g):
                 push((g, got_effect or touches_effect(f, g)), state)
@@ -244,7 +245,7 @@ def _first_effect_reachable(model, start, effect, options) -> Configuration | No
         if _satisfies_effect(g, effect):
             return g
         if len(visited) > options.max_states:
-            raise ModelError("counterfactual reachability exceeded the state cap")
+            raise CapExceeded(options.max_states, len(visited), "counterfactual reachability")
         for h in successors(model, g, options):
             if h not in visited:
                 visited.add(h)
@@ -367,24 +368,23 @@ def find_causes(
     """
     model.validate_configuration(q.start)
     model.validate_configuration(q.end)
+    return list(_certified_causes(model, q, mode, options))
+
+
+def _certified_causes(model, q, mode, options):
+    """Inclusion-minimal certified causes in canonical order, lazily."""
     effect = set(q.effect_components)
     names = tuple(n for n in model.component_order if n not in effect)
     memo: dict = {}
     certified: list[CauseCertificate] = []
-
-    def has_certified_subset(cand) -> bool:
-        cs = set(cand)
-        return any(set(c.cause_set) < cs for c in certified)
-
     for k in range(1, len(names) + 1):
-        for combo in combinations(range(len(names)), k):
-            cand = tuple(names[i] for i in combo)
-            if has_certified_subset(cand):
+        for cand in combinations(names, k):
+            if any(set(c.cause_set) < set(cand) for c in certified):
                 continue
             cert = check_cause(model, q, cand, mode=mode, options=options, _memo=memo)
             if cert.is_cause:
                 certified.append(cert)
-    return certified
+                yield cert
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +431,21 @@ class CausalProjection:
         }
 
     def to_dot(self) -> str:
-        idx = {g: i for i, g in enumerate(self.configurations)}
-        lines = ["digraph causal_projection {"]
-        for g, i in idx.items():
-            label = str(g).replace('"', "'")
-            lines.append(f'  n{i} [label="{label}"];')
-        for a, b in self.edges:
-            lines.append(f"  n{idx[a]} -> n{idx[b]};")
-        lines.append("}")
-        return "\n".join(lines)
+        return projection_dot(self.to_dict())
+
+
+def projection_dot(projection: dict) -> str:
+    """DOT rendering of a causal projection in its report form (``to_dict``)."""
+
+    def label(g: dict) -> str:
+        return str(Configuration(tuple(g.items()))).replace('"', "'")
+
+    idx = {label(g): i for i, g in enumerate(projection["configurations"])}
+    lines = ["digraph causal_projection {"]
+    lines += [f'  n{i} [label="{text}"];' for text, i in idx.items()]
+    lines += [f"  n{idx[label(a)]} -> n{idx[label(b)]};" for a, b in projection["edges"]]
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def _changed_components(a: Configuration, b: Configuration) -> tuple[str, ...]:
@@ -458,15 +464,7 @@ def _certify_link(model, a, b, effect_components, mode, options) -> CauseCertifi
     if not effect:
         return None
     q = CauseQuery(start=a, end=b, effect_components=tuple(effect))
-    names = tuple(n for n in model.component_order if n not in set(effect))
-    memo: dict = {}
-    for k in range(1, len(names) + 1):
-        for combo in combinations(range(len(names)), k):
-            cand = tuple(names[i] for i in combo)
-            cert = check_cause(model, q, cand, mode=mode, options=options, _memo=memo)
-            if cert.is_cause:
-                return cert
-    return None
+    return next(_certified_causes(model, q, mode, options), None)
 
 
 def find_causal_chains(

@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 verdict true or success, 1 verdict false, 2 usage, parse or
-resolution error, 3 state-space cap exceeded.
+resolution error or input nested too deeply, 3 state-space cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .bisim import intervention_closure
+from .causality import projection_dot
 from .dsl import DslError, parse_model, parse_query_text
 from .hp import export_hp
 from .model import CapExceeded, ModelError, Options, reachable
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
         stanza = parse_query_text(_stanza_text(args), doc)
         report = run_query(doc, stanza, options, strict_ac1=args.strict_ac1)
         if args.command == "chain" and args.dot:
-            Path(args.dot).write_text(_projection_dot(doc, stanza, options), encoding="utf-8")
+            Path(args.dot).write_text(projection_dot(report.witnesses["projection"]), encoding="utf-8")
         return _emit(report, args)
     except DslError as exc:
         for d in exc.diagnostics:
@@ -190,20 +191,9 @@ def main(argv=None) -> int:
     except (ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _projection_dot(doc, stanza, options) -> str:
-    from .causality import causal_projection, find_causal_chains
-
-    chains = find_causal_chains(
-        doc.model,
-        stanza.start,
-        stanza.end,
-        max_len=stanza.max_len or 4,
-        effect_components=stanza.effect,
-        options=options,
-    )
-    return causal_projection(doc.model, chains, options).to_dot()
+    except RecursionError:
+        print("error: input nested too deeply to evaluate", file=sys.stderr)
+        return 2
 
 
 def _transition_dot(doc, options, reachable_from: str | None) -> str:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import formulas as F
 from .model import (
@@ -270,6 +271,16 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # parser
 
+# prefix formula operators by token; "<" opens a named intervention "<name>"
+PREFIX = {
+    "!": F.Not,
+    "[]": F.Box,
+    "<>": F.Diamond,
+    "[]+": F.BoxPlus,
+    "<>+": F.DiamondPlus,
+    "<?>": F.InterveneExists,
+    "<": F.Intervene,
+}
 _QUERY_HEADS = ("check", "cause", "chain", "decompose", "bisim", "recover", "mincost", "utility")
 
 
@@ -346,32 +357,18 @@ class _Parser:
         return out
 
     def _unary(self) -> F.Formula:
-        t = self.peek()
-        if t.kind == "punct":
-            if t.value == "!":
-                self.next()
-                return F.Not(self._unary())
-            if t.value == "[]":
-                self.next()
-                return F.Box(self._unary())
-            if t.value == "<>":
-                self.next()
-                return F.Diamond(self._unary())
-            if t.value == "[]+":
-                self.next()
-                return F.BoxPlus(self._unary())
-            if t.value == "<>+":
-                self.next()
-                return F.DiamondPlus(self._unary())
-            if t.value == "<?>":
-                self.next()
-                return F.InterveneExists(self._unary())
-            if t.value == "<":
-                self.next()
-                name = self.expect_name("intervention name").value
+        wrappers = []
+        while self.peek().kind == "punct" and self.peek().value in PREFIX:
+            token = self.next().value
+            wrap = PREFIX[token]
+            if token == "<":
+                wrap = partial(wrap, self.expect_name("intervention name").value)
                 self.expect_punct(">")
-                return F.Intervene(name, self._unary())
-        return self._postfix()
+            wrappers.append(wrap)
+        out = self._postfix()
+        for wrap in reversed(wrappers):
+            out = wrap(out)
+        return out
 
     def _postfix(self) -> F.Formula:
         t = self.peek()
@@ -790,52 +787,53 @@ def _parse_query_stanza(p: _Parser) -> _RawQuery:
 # resolution
 
 
-def _resolve_formula(phi: F.Formula, formula_map, model: SystemModel) -> F.Formula:
-    def go(x: F.Formula) -> F.Formula:
-        if isinstance(x, F.Atom):
-            if x.name in formula_map:
-                return formula_map[x.name]
-            if x.name in model.atom_map:
-                return x
-            raise DslError([Diagnostic(0, 0, f"unresolved name {x.name!r} in formula")])
-        if isinstance(x, F.BehaviourAtom):
-            decl = model.component_map.get(x.component)
-            if decl is None:
-                raise DslError([Diagnostic(0, 0, f"behaviour atom names unknown component {x.component!r}")])
-            if x.behaviour not in decl.domain:
-                raise DslError(
-                    [Diagnostic(0, 0, f"behaviour atom names unknown behaviour {x.behaviour!r} of {x.component!r}")]
-                )
-            return x
-        if isinstance(x, (F.Top, F.Bot)):
-            return x
-        if isinstance(x, F.Not):
-            return F.Not(go(x.sub))
-        if isinstance(x, F.And):
-            return F.And(go(x.left), go(x.right))
-        if isinstance(x, F.Or):
-            return F.Or(go(x.left), go(x.right))
-        if isinstance(x, F.Implies):
-            return F.Implies(go(x.left), go(x.right))
-        if isinstance(x, F.Box):
-            return F.Box(go(x.sub))
-        if isinstance(x, F.Diamond):
-            return F.Diamond(go(x.sub))
-        if isinstance(x, F.BoxPlus):
-            return F.BoxPlus(go(x.sub))
-        if isinstance(x, F.DiamondPlus):
-            return F.DiamondPlus(go(x.sub))
-        if isinstance(x, F.Intervene):
-            if x.name not in model.intervention_map:
-                raise DslError([Diagnostic(0, 0, f"unresolved intervention name {x.name!r}")])
-            return F.Intervene(x.name, go(x.sub))
-        if isinstance(x, F.InterveneExists):
-            return F.InterveneExists(go(x.sub))
-        if isinstance(x, F.Star):
-            return F.Star(go(x.left), go(x.right))
-        raise TypeError(x)
+def _resolve_atom(x, formula_map, model):
+    if x.name in formula_map:
+        return formula_map[x.name], None
+    if x.name in model.atom_map:
+        return x, None
+    return x, f"unresolved name {x.name!r} in formula"
 
-    return go(phi)
+
+def _check_behaviour_atom(x, formula_map, model):
+    decl = model.component_map.get(x.component)
+    if decl is None:
+        return x, f"behaviour atom names unknown component {x.component!r}"
+    if x.behaviour not in decl.domain:
+        return x, f"behaviour atom names unknown behaviour {x.behaviour!r} of {x.component!r}"
+    return x, None
+
+
+def _check_intervention(x, formula_map, model):
+    if x.name not in model.intervention_map:
+        return x, f"unresolved intervention name {x.name!r}"
+    return x, None
+
+
+# the node kinds that carry names; each resolves its node or reports an error
+_NAME_CHECKS = {
+    F.Atom: _resolve_atom,
+    F.BehaviourAtom: _check_behaviour_atom,
+    F.Intervene: _check_intervention,
+}
+
+
+def _resolve_formula(phi: F.Formula, formula_map, model: SystemModel) -> F.Formula:
+    """Substitute named formulas and check every name; the diagnostic is the
+    first error in pre-order, a node's own before its subformulas'."""
+
+    def combine(x, results):
+        x = F.rebuild(x, [node for node, _ in results])
+        error = None
+        check = _NAME_CHECKS.get(type(x))
+        if check is not None:
+            x, error = check(x, formula_map, model)
+        return x, error or next((e for _, e in results if e), None)
+
+    resolved, error = F.fold(phi, combine)
+    if error:
+        raise DslError([Diagnostic(0, 0, error)])
+    return resolved
 
 
 def _resolve_config_ref(ref, doc: ModelDocument) -> tuple[str, Configuration]:

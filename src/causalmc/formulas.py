@@ -5,15 +5,39 @@ Concrete syntax (produced by ``pretty`` and read by the DSL parser):
     true false p[comp=behaviour] name
     ! f      [] f      <> f      []+ f      <>+ f      <name> f      <?> f
     (f & g)  (f | g)  (f -> g)  ((f) * (g))
+
+The node classes below are the one source of this syntax: each declares
+``syntax``, a format string over its printed subformulas (``{0}``, ``{1}``)
+and its name fields, and ``modal``, whether it adds one to the modal depth.
+Every walk over a formula is a ``fold``; ``semantics`` evaluates by its own
+dispatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, TypeVar
+
+T = TypeVar("T")
 
 
 class Formula:
     """Base class; all nodes are frozen dataclasses."""
+
+    syntax: ClassVar[str]
+    modal: ClassVar[bool] = False
+    # names of the fields holding subformulas, left to right
+    sub_fields: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = inspect.get_annotations(cls)
+        cls.sub_fields = tuple(name for name, ann in own.items() if ann == "Formula")
+
+    @property
+    def subformulas(self) -> tuple[Formula, ...]:
+        return tuple(map(self.__dict__.__getitem__, self.sub_fields))
 
     def __str__(self) -> str:
         return pretty(self)
@@ -21,65 +45,79 @@ class Formula:
 
 @dataclass(frozen=True)
 class Top(Formula):
-    pass
+    syntax = "true"
 
 
 @dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    syntax = "false"
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
+    syntax = "{name}"
     name: str
 
 
 @dataclass(frozen=True)
 class BehaviourAtom(Formula):
+    syntax = "p[{component}={behaviour}]"
     component: str
     behaviour: str
 
 
 @dataclass(frozen=True)
 class Not(Formula):
+    syntax = "! {0}"
     sub: Formula
 
 
 @dataclass(frozen=True)
 class And(Formula):
+    syntax = "({0} & {1})"
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Or(Formula):
+    syntax = "({0} | {1})"
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Implies(Formula):
+    syntax = "({0} -> {1})"
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Box(Formula):
+    syntax = "[] {0}"
+    modal = True
     sub: Formula
 
 
 @dataclass(frozen=True)
 class Diamond(Formula):
+    syntax = "<> {0}"
+    modal = True
     sub: Formula
 
 
 @dataclass(frozen=True)
 class BoxPlus(Formula):
+    syntax = "[]+ {0}"
+    modal = True
     sub: Formula
 
 
 @dataclass(frozen=True)
 class DiamondPlus(Formula):
+    syntax = "<>+ {0}"
+    modal = True
     sub: Formula
 
 
@@ -87,6 +125,8 @@ class DiamondPlus(Formula):
 class Intervene(Formula):
     """After applying the named intervention and taking one step, the body holds."""
 
+    syntax = "<{name}> {0}"
+    modal = True
     name: str
     sub: Formula
 
@@ -95,6 +135,8 @@ class Intervene(Formula):
 class InterveneExists(Formula):
     """Some declared intervention, applied with one step, makes the body hold."""
 
+    syntax = "<?> {0}"
+    modal = True
     sub: Formula
 
 
@@ -102,6 +144,7 @@ class InterveneExists(Formula):
 class Star(Formula):
     """Separating conjunction across an interface-admitting split."""
 
+    syntax = "(({0}) * ({1}))"
     left: Formula
     right: Formula
 
@@ -135,72 +178,48 @@ def chi(config) -> Formula:
     return conj(BehaviourAtom(c, b) for c, b in config.pairs)
 
 
+def fold(phi: Formula, combine: Callable[[Formula, list[T]], T]) -> T:
+    """Post-order fold: ``combine(node, values)`` receives the folded values
+    of the node's subformulas, left to right.  Iterative, so nesting depth is
+    bounded by memory rather than by the interpreter's recursion limit."""
+    values: list = []
+    stack: list = [phi]  # nodes to expand, or (node, arity) ready to combine
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            node, arity = item
+            args = values[-arity:]
+            del values[-arity:]
+            values.append(combine(node, args))
+            continue
+        subs = item.subformulas
+        if subs:
+            stack.append((item, len(subs)))
+            stack.extend(reversed(subs))
+        else:
+            values.append(combine(item, []))
+    return values[0]
+
+
+def rebuild(node: Formula, subs) -> Formula:
+    """``node`` with its subformulas replaced, left to right, by ``subs``."""
+    return replace(node, **dict(zip(node.sub_fields, subs))) if node.sub_fields else node
+
+
 def pretty(phi: Formula) -> str:
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Bot):
-        return "false"
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, BehaviourAtom):
-        return f"p[{phi.component}={phi.behaviour}]"
-    if isinstance(phi, Not):
-        return f"! {pretty(phi.sub)}"
-    if isinstance(phi, And):
-        return f"({pretty(phi.left)} & {pretty(phi.right)})"
-    if isinstance(phi, Or):
-        return f"({pretty(phi.left)} | {pretty(phi.right)})"
-    if isinstance(phi, Implies):
-        return f"({pretty(phi.left)} -> {pretty(phi.right)})"
-    if isinstance(phi, Box):
-        return f"[] {pretty(phi.sub)}"
-    if isinstance(phi, Diamond):
-        return f"<> {pretty(phi.sub)}"
-    if isinstance(phi, BoxPlus):
-        return f"[]+ {pretty(phi.sub)}"
-    if isinstance(phi, DiamondPlus):
-        return f"<>+ {pretty(phi.sub)}"
-    if isinstance(phi, Intervene):
-        return f"<{phi.name}> {pretty(phi.sub)}"
-    if isinstance(phi, InterveneExists):
-        return f"<?> {pretty(phi.sub)}"
-    if isinstance(phi, Star):
-        return f"(({pretty(phi.left)}) * ({pretty(phi.right)}))"
-    raise TypeError(f"not a formula: {phi!r}")
+    return fold(phi, lambda node, subs: node.syntax.format(*subs, **vars(node)))
 
 
 def modal_depth(phi: Formula) -> int:
-    if isinstance(phi, (Top, Bot, Atom, BehaviourAtom)):
-        return 0
-    if isinstance(phi, Not):
-        return modal_depth(phi.sub)
-    if isinstance(phi, (And, Or, Implies, Star)):
-        return max(modal_depth(phi.left), modal_depth(phi.right))
-    if isinstance(phi, (Box, Diamond, BoxPlus, DiamondPlus, Intervene, InterveneExists)):
-        return 1 + modal_depth(phi.sub)
-    raise TypeError(f"not a formula: {phi!r}")
+    return fold(phi, lambda node, depths: node.modal + max(depths, default=0))
 
 
 def size(phi: Formula) -> int:
-    if isinstance(phi, (Top, Bot, Atom, BehaviourAtom)):
-        return 1
-    if isinstance(phi, (Not, Box, Diamond, BoxPlus, DiamondPlus, Intervene, InterveneExists)):
-        return 1 + size(phi.sub)
-    if isinstance(phi, (And, Or, Implies, Star)):
-        return 1 + size(phi.left) + size(phi.right)
-    raise TypeError(f"not a formula: {phi!r}")
+    return fold(phi, lambda node, sizes: 1 + sum(sizes))
 
 
 def is_star_free(phi: Formula) -> bool:
-    if isinstance(phi, Star):
-        return False
-    if isinstance(phi, (Top, Bot, Atom, BehaviourAtom)):
-        return True
-    if isinstance(phi, (Not, Box, Diamond, BoxPlus, DiamondPlus, Intervene, InterveneExists)):
-        return is_star_free(phi.sub)
-    if isinstance(phi, (And, Or, Implies)):
-        return is_star_free(phi.left) and is_star_free(phi.right)
-    raise TypeError(f"not a formula: {phi!r}")
+    return fold(phi, lambda node, free: not isinstance(node, Star) and all(free))
 
 
 def canonical_key(phi: Formula):

@@ -678,9 +678,6 @@ def interface_violations(model: SystemModel, left, right) -> list[str]:
     allc = set(model.component_order)
     if ls | rs != allc:
         raise ModelError(f"cover {sorted(ls)} + {sorted(rs)} does not equal the component set")
-    unknown = (ls | rs) - allc
-    if unknown:
-        raise UnknownNameError(f"cover names unknown components {sorted(unknown)}")
     interface = ls & rs
     out: list[str] = []
     for c in model.components:

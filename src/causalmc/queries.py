@@ -100,17 +100,7 @@ def min_cost_recovery(
     options: Options = DEFAULT_OPTIONS,
 ) -> Intervention | None:
     """Cheapest qualifying intervention; declaration order breaks ties."""
-    for iv in doc.model.interventions:
-        if iv.cost is None:
-            raise ModelError(f"intervention {iv.name!r} lacks a cost annotation")
-    qualifying = qualifying_interventions(doc, config, fail_formula, options)
-    if not qualifying:
-        return None
-    best = qualifying[0]
-    for iv in qualifying[1:]:
-        if iv.cost < best.cost:
-            best = iv
-    return best
+    return _min_cost(doc, config, fail_formula, options)[0]
 
 
 def best_utility(
@@ -120,17 +110,25 @@ def best_utility(
     options: Options = DEFAULT_OPTIONS,
 ) -> Intervention | None:
     """Qualifying intervention maximizing -cost - penalty; declaration order ties."""
+    return _best_utility(doc, config, fail_formula, options)[0]
+
+
+def _min_cost(doc, config, fail_formula, options):
+    """The cheapest qualifying intervention and all qualifying ones."""
+    for iv in doc.model.interventions:
+        if iv.cost is None:
+            raise ModelError(f"intervention {iv.name!r} lacks a cost annotation")
+    qualifying = qualifying_interventions(doc, config, fail_formula, options)
+    return min(qualifying, key=lambda iv: iv.cost, default=None), qualifying
+
+
+def _best_utility(doc, config, fail_formula, options):
+    """The best-utility qualifying intervention and all qualifying ones."""
     for iv in doc.model.interventions:
         if iv.cost is None or iv.penalty is None:
             raise ModelError(f"intervention {iv.name!r} lacks a cost or penalty annotation")
     qualifying = qualifying_interventions(doc, config, fail_formula, options)
-    if not qualifying:
-        return None
-    best = qualifying[0]
-    for iv in qualifying[1:]:
-        if iv.utility > best.utility:
-            best = iv
-    return best
+    return max(qualifying, key=lambda iv: iv.utility, default=None), qualifying
 
 
 def run_query(
@@ -239,8 +237,7 @@ def _dispatch(doc, stanza, options, strict_ac1):
             {"qualifying": [iv.name for iv in qualifying]},
         )
     if isinstance(stanza, MinCostStanza):
-        chosen = min_cost_recovery(doc, stanza.config, stanza.formula, options)
-        qualifying = qualifying_interventions(doc, stanza.config, stanza.formula, options)
+        chosen, qualifying = _min_cost(doc, stanza.config, stanza.formula, options)
         return (
             "mincost",
             chosen is not None,
@@ -250,8 +247,7 @@ def _dispatch(doc, stanza, options, strict_ac1):
             },
         )
     if isinstance(stanza, UtilityStanza):
-        chosen = best_utility(doc, stanza.config, stanza.formula, options)
-        qualifying = qualifying_interventions(doc, stanza.config, stanza.formula, options)
+        chosen, qualifying = _best_utility(doc, stanza.config, stanza.formula, options)
         return (
             "utility",
             chosen is not None,

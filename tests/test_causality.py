@@ -8,6 +8,7 @@ from oracle import oracle_find_causes
 
 from causalmc.causality import (
     CauseQuery,
+    _first_effect_reachable,
     causal_projection,
     check_cause,
     classify_intervention_effect,
@@ -16,8 +17,10 @@ from causalmc.causality import (
 )
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import (
+    CapExceeded,
     ComponentDecl,
     ModelError,
+    Options,
     RuleRow,
     RuleTable,
     SystemModel,
@@ -33,6 +36,12 @@ def micro_query(micro_f1, micro_f2):
 
 # ---------------------------------------------------------------------------
 # check_cause
+
+
+def test_counterfactual_reachability_cap_names_phase(micro, micro_f1):
+    with pytest.raises(CapExceeded) as err:
+        _first_effect_reachable(micro, micro_f1, {"FrontEnd": "unreached"}, Options(max_states=3))
+    assert err.value.what == "counterfactual reachability"
 
 
 def test_microservice_database_cause(micro, micro_query):

@@ -136,3 +136,28 @@ def test_allow_trivial_split_flag():
     phi = "((p[c1=b12] & p[c3=b31])) * ((p[c2=b22]))"
     lit = "(c1=b12, c2=b22, c3=b31)"
     assert main(["check", EX1, lit, phi, "--allow-trivial-split"]) == 0
+
+
+def test_cause_cap_exceeded_exit_three(capsys):
+    code = main(["cause", MICRO, "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "--max-states", "3"])
+    assert code == 3
+    assert "AC1 path search" in capsys.readouterr().err
+
+
+def test_deep_nesting_exit_two_without_traceback(capsys):
+    assert main(["check", MICRO, "f1", "! " * 3000 + "true"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_chain_dot_matches_report_in_both_modes(tmp_path):
+    dot, out = tmp_path / "proj.dot", tmp_path / "r.json"
+    argv = ["chain", MICRO, "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "--max-len", "2",
+            "--dot", str(dot), "--report", str(out)]
+    for flags, verdict in (([], True), (["--strict-ac1"], False)):
+        assert main(argv + flags) == (0 if verdict else 1)
+        report = json.loads(out.read_text())
+        assert report["verdict"] is verdict
+        nodes = [line for line in dot.read_text().splitlines() if "[label=" in line]
+        assert len(nodes) == len(report["witnesses"]["projection"]["configurations"])
+        assert bool(nodes) is verdict

@@ -1,3 +1,5 @@
+import pytest
+
 from causalmc import formulas as F
 
 
@@ -44,3 +46,15 @@ def test_canonical_key_orders_by_depth_first():
     shallow = F.And(F.Atom("a"), F.Atom("b"))
     deep = F.Diamond(F.Atom("a"))
     assert F.canonical_key(shallow) < F.canonical_key(deep)
+
+
+@pytest.mark.parametrize("prefix, depth", [("! ", 0), ("! [] ", 1500)])
+def test_deep_nesting_folds_without_recursion(ex1_doc, prefix, depth):
+    from causalmc.dsl import parse_formula_text
+
+    text = prefix * (3000 // len(prefix.split())) + "c1_mid"
+    phi = parse_formula_text(text, ex1_doc)
+    assert F.pretty(phi) == text
+    assert F.size(phi) == 3001
+    assert F.modal_depth(phi) == depth
+    assert F.is_star_free(phi)

@@ -131,3 +131,19 @@ def test_chain_stanza_projection(micro_doc):
     report = run_query(micro_doc, stanza)
     assert report.verdict
     assert report.witnesses["projection"]["acyclic"] is True
+
+
+@pytest.mark.parametrize("head", ["mincost", "utility"])
+def test_recovery_choice_evaluates_interventions_once(micro_doc, monkeypatch, head):
+    from causalmc import queries
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return qualifying_interventions(*args)
+
+    monkeypatch.setattr(queries, "qualifying_interventions", counting)
+    report = run_query(micro_doc, parse_query_text(f"{head} f2 avoiding phi_fail", micro_doc))
+    assert report.witnesses["chosen"] == "theta2"
+    assert len(calls) == 1
