@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas as F
+from . import kernel
 from .model import (
     DEFAULT_OPTIONS,
     CapExceeded,
@@ -26,8 +27,8 @@ from .model import (
     Options,
     SystemModel,
     apply_intervention,
-    successors,
 )
+from .semantics import atom_test
 
 STEP = "step"
 
@@ -125,30 +126,32 @@ class BisimResult:
 
 
 class _Lts:
-    """Reachable labelled transition system over (variant, configuration) states."""
+    """Reachable labelled transition system over (variant, state) pairs, a
+    state being a configuration encoded by the variant's compiled kernel."""
 
     def __init__(self, model: SystemModel, point: Configuration, labels, options: Options):
         self.graph = intervention_closure(model)
         edge_map = self.graph.edge_map()
+        self.kernels = [kernel.compile(m) for m in self.graph.models]
         self.labels = labels
-        self.root = (self.graph.root, point)
-        self.moves: dict[tuple[int, Configuration], dict[str, list]] = {}
-        atom_names = sorted(model.atom_map)
-        self.atoms: dict[tuple[int, Configuration], tuple[bool, ...]] = {}
+        self.root = (self.graph.root, self.kernels[0].encode(point))
+        self.moves: dict[tuple[int, int], dict[str, list]] = {}
+        tests = [[atom_test(k, a) for a in sorted(model.atom_map)] for k in self.kernels]
+        self.atoms: dict[tuple[int, int], tuple[bool, ...]] = {}
         frontier = [self.root]
         seen = {self.root}
+        loops = options.self_loops
         while frontier:
             state = frontier.pop()
             variant, f = state
-            m = self.graph.models[variant]
-            self.atoms[state] = tuple(m.atom_map[a].holds(f) for a in atom_names)
+            self.atoms[state] = tuple(t(f) for t in tests[variant])
             row: dict[str, list] = {}
-            row[STEP] = [(variant, g) for g in successors(m, f, options)]
+            row[STEP] = [(variant, g) for g in self.kernels[variant].successors(f, loops)]
             for name in labels:
                 if name == STEP:
                     continue
                 tgt = edge_map[(variant, name)]
-                row[name] = [(tgt, g) for g in successors(self.graph.models[tgt], f, options)]
+                row[name] = [(tgt, g) for g in self.kernels[tgt].successors(f, loops)]
             self.moves[state] = row
             for dests in row.values():
                 for s in dests:
@@ -158,6 +161,10 @@ class _Lts:
             if len(seen) > options.max_states:
                 raise CapExceeded(options.max_states, len(seen), "bisimulation state space")
         self.states = list(self.moves)
+
+    def point(self, state: tuple[int, int]) -> tuple[int, Configuration]:
+        variant, s = state
+        return variant, self.kernels[variant].decode(s)
 
 
 def check_bisim(
@@ -204,8 +211,10 @@ def check_bisim(
     root_a = (id(lts_a), lts_a.root)
     root_b = (id(lts_b), lts_b.root)
     if colour[root_a] == colour[root_b]:
+        points_a = {sa: lts_a.point(sa) for sa in lts_a.states}
+        points_b = {sb: lts_b.point(sb) for sb in lts_b.states}
         pairs = tuple(
-            (sa, sb)
+            (points_a[sa], points_b[sb])
             for sa in lts_a.states
             for sb in lts_b.states
             if colour[(id(lts_a), sa)] == colour[(id(lts_b), sb)]

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from . import kernel
 from .model import (
     DEFAULT_OPTIONS,
     CapExceeded,
@@ -49,8 +50,8 @@ from .model import (
     apply_intervention,
     clamping_intervention,
     reachable,
-    successors,
 )
+from .semantics import atom_test
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,27 @@ class CauseCertificate:
 # clause checks
 
 
-def _satisfies_effect(g: Configuration, effect: dict[str, str]) -> bool:
-    return all(g[c] == b for c, b in effect.items())
+class _Episode:
+    """One cause query on the compiled state space: start and end states, the
+    effect as (weight, radix, code) places of the effect components, and what
+    every candidate checked against the query shares: clause verdicts per
+    subset and effect searches per (witness set, start state)."""
+
+    def __init__(self, model, q: CauseQuery, mode: str, options: Options):
+        self.model, self.q, self.mode, self.options = model, q, mode, options
+        self.verdicts: dict = {}
+        self.searches: dict = {}
+        self.k = k = kernel.compile(model)
+        self.start, self.end = k.encode(q.start), k.encode(q.end)
+        self.start_digits, self.end_digits = k.digits(self.start), k.digits(self.end)
+        self.effect = [self.place(c) for c in q.effect_components]
+
+    def place(self, name: str) -> tuple[int, int, int]:
+        i = self.k.position(name)
+        return self.k.places[i] + (self.end_digits[i],)
 
 
-def _ac1(model, q: CauseQuery, cause, mode, options):
+def _ac1(e: _Episode, cause):
     """Path search over hold-admissible edges.
 
     An edge is admissible when no candidate component abandons its
@@ -149,16 +166,16 @@ def _ac1(model, q: CauseQuery, cause, mode, options):
     (configuration, effect-realized) pairs so that the found path always
     contains an effect-component update.
     """
-    if mode == "strict" and any(q.start[c] != q.end[c] for c in cause):
+    held = [e.place(c) for c in cause]
+    if e.mode == "strict" and any(e.start // w % r != b for w, r, b in held):
         return False, None
-    end_vals = {c: q.end[c] for c in cause}
-    effect = set(q.effect_components)
+    effect = [(w, r) for w, r, _ in e.effect]
 
-    def admissible(f: Configuration, g: Configuration) -> bool:
-        return all(g[c] == b for c, b in end_vals.items() if f[c] == b)
+    def admissible(f: int, g: int) -> bool:
+        return all(g // w % r == b for w, r, b in held if f // w % r == b)
 
-    def touches_effect(f: Configuration, g: Configuration) -> bool:
-        return any(f[c] != g[c] for c in effect)
+    def touches_effect(f: int, g: int) -> bool:
+        return any(f // w % r != g // w % r for w, r in effect)
 
     parent: dict = {}
     queue: list = []
@@ -168,25 +185,25 @@ def _ac1(model, q: CauseQuery, cause, mode, options):
             parent[state] = prev
             queue.append(state)
 
-    for g in successors(model, q.start, options):
-        if admissible(q.start, g):
-            push((g, touches_effect(q.start, g)), None)
+    k, loops, cap = e.k, e.options.self_loops, 2 * e.options.max_states
+    for g in k.successors(e.start, loops):
+        if admissible(e.start, g):
+            push((g, touches_effect(e.start, g)), None)
     i = 0
     while i < len(queue):
         state = queue[i]
         f, got_effect = state
         i += 1
-        if f == q.end and got_effect:
+        if f == e.end and got_effect:
             path = [f]
             cursor = state
             while parent[cursor] is not None:
                 cursor = parent[cursor]
                 path.append(cursor[0])
-            path.append(q.start)
-            return True, tuple(reversed(path))
-        if len(parent) > 2 * options.max_states:
-            raise CapExceeded(2 * options.max_states, len(parent), "AC1 path search")
-        for g in successors(model, f, options):
+            return True, (e.q.start,) + tuple(k.decode(g) for g in reversed(path))
+        if len(parent) > cap:
+            raise CapExceeded(cap, len(parent), "AC1 path search")
+        for g in k.successors(f, loops):
             if admissible(f, g):
                 push((g, got_effect or touches_effect(f, g)), state)
     return False, None
@@ -201,52 +218,21 @@ def _deviations(model, q: CauseQuery, free: tuple[str, ...]):
             yield tuple(zip(free, combo))
 
 
-def _ac2_for_witness(model, q, cause, witness, options):
-    """All-deviations check for one witness set; returns (ok, evidence, clamp)."""
-    free = tuple(c for c in cause if c not in witness)
-    devs = list(_deviations(model, q, free))
-    if not devs:
-        return False, (), None
-    clamp = None
-    checked_model = model
-    if witness:
-        clamp = clamping_intervention(model, witness, {w: q.end[w] for w in witness})
-        checked_model = apply_intervention(model, clamp)
-    effect = q.effect_values()
-    pinned = set(witness) | set(free)
-    evidence = []
-    ok = True
-    for dev in devs:
-        assignment = {c: q.start[c] for c in model.component_order if c not in pinned}
-        assignment.update({w: q.end[w] for w in witness})
-        assignment.update(dict(dev))
-        start = model.configuration(assignment)
-        counterexample = _first_effect_reachable(checked_model, start, effect, options)
-        hit = counterexample is None
-        evidence.append(
-            DeviationCheck(deviation=dev, start=start, ok=hit, counterexample=counterexample)
-        )
-        if not hit:
-            ok = False
-            break
-    return ok, tuple(evidence), clamp
-
-
-def _first_effect_reachable(model, start, effect, options) -> Configuration | None:
-    """First configuration strictly reachable from ``start`` satisfying the effect."""
-    visited = {start}
-    queue = list(successors(model, start, options))
-    for g in queue:
-        visited.add(g)
+def _first_effect_reachable(k, start: int, effect, options) -> int | None:
+    """First state strictly reachable from ``start`` in which every
+    (weight, radix, code) place of ``effect`` holds its code."""
+    loops = options.self_loops
+    queue = list(k.successors(start, loops))
+    visited = {start, *queue}
     i = 0
     while i < len(queue):
         g = queue[i]
         i += 1
-        if _satisfies_effect(g, effect):
+        if all(g // w % r == b for w, r, b in effect):
             return g
         if len(visited) > options.max_states:
             raise CapExceeded(options.max_states, len(visited), "counterfactual reachability")
-        for h in successors(model, g, options):
+        for h in k.successors(g, loops):
             if h not in visited:
                 visited.add(h)
                 queue.append(h)
@@ -262,30 +248,61 @@ def _witness_candidates(model, cause):
             yield combo
 
 
-def _raw_contrast(model, q, cause, options):
+def _ac2(e: _Episode, cause):
+    """AC2 for one candidate: its deviations are enumerated once, and each
+    (witness set, deviated start) effect search runs at most once per query."""
+    k = e.k
+    devs = []  # (deviation, its offset from the start state)
+    for dev in _deviations(e.model, e.q, cause):
+        delta = 0
+        for c, v in dev:
+            i = k.index[c]
+            delta += (k.codes[i][v] - e.start_digits[i]) * k.weights[i]
+        devs.append((dev, delta))
+
+    def blocked(witness, variant, start: int) -> bool:
+        # a witness set always clamps to the same end-state behaviours, so it names the variant
+        key = (witness, start)
+        if key not in e.searches:
+            e.searches[key] = _first_effect_reachable(variant, start, e.effect, e.options)
+        return e.searches[key] is None
+
+    contrast = _raw_contrast(e, devs, blocked)
+    if contrast is None:
+        return False, None, None, (), None
+    for witness in _witness_candidates(e.model, cause):
+        evidence = _ac2_for_witness(e, witness, devs, blocked)
+        if evidence is not None:
+            clamp = None
+            if witness:
+                clamp = clamping_intervention(e.model, witness, {w: e.q.end[w] for w in witness})
+            return True, witness, clamp, evidence, contrast
+    return False, None, None, (), contrast
+
+
+def _raw_contrast(e: _Episode, devs, blocked):
     """First deviation of the whole candidate that, from the unclamped start
     configuration, neither satisfies nor ever reaches the effect."""
-    effect = q.effect_values()
-    for dev in _deviations(model, q, cause):
-        assignment = {c: q.start[c] for c in model.component_order}
-        assignment.update(dict(dev))
-        start = model.configuration(assignment)
-        if _satisfies_effect(start, effect):
+    for dev, delta in devs:
+        start = e.start + delta
+        if all(start // w % r == b for w, r, b in e.effect):
             continue
-        if _first_effect_reachable(model, start, effect, options) is None:
+        if blocked((), e.k, start):
             return dev
     return None
 
 
-def _ac2(model, q, cause, options):
-    contrast = _raw_contrast(model, q, cause, options)
-    if contrast is None:
-        return False, None, None, (), None
-    for witness in _witness_candidates(model, cause):
-        ok, evidence, clamp = _ac2_for_witness(model, q, cause, witness, options)
-        if ok:
-            return True, witness, clamp, evidence, contrast
-    return False, None, None, (), contrast
+def _ac2_for_witness(e: _Episode, witness, devs, blocked):
+    """Evidence that every deviation is blocked with ``witness`` clamped to
+    its end-state behaviours, or None at the first deviation that is not."""
+    k, variant, base = e.k, e.k, e.start
+    if witness:
+        pins = tuple((i, e.end_digits[i]) for i in map(k.index.get, witness))
+        variant = k.clamped(pins)
+        base += sum((b - e.start_digits[i]) * k.weights[i] for i, b in pins)
+    if not all(blocked(witness, variant, base + delta) for _, delta in devs):
+        return None
+    return tuple(DeviationCheck(deviation=dev, start=k.decode(base + delta), ok=True) for dev, delta in devs)
 
 
 def check_cause(
@@ -294,7 +311,7 @@ def check_cause(
     cause,
     mode: str = "example",
     options: Options = DEFAULT_OPTIONS,
-    _memo: dict | None = None,
+    _episode: _Episode | None = None,
 ) -> CauseCertificate:
     """Certificate for one candidate cause, with all three clause verdicts.
 
@@ -311,17 +328,18 @@ def check_cause(
     if mode not in ("example", "strict"):
         raise ModelError(f"unknown cause-check mode {mode!r}")
 
-    memo = _memo if _memo is not None else {}
+    episode = _episode if _episode is not None else _Episode(model, q, mode, options)
+    memo = episode.verdicts
 
     def core(subset):
         key = tuple(sorted(subset))
         if key in memo:
             return memo[key]
-        ok1, path = _ac1(model, q, subset, mode, options)
+        ok1, path = _ac1(episode, subset)
         if not ok1:
             memo[key] = (False, None, False, None, None, (), None)
             return memo[key]
-        ok2, witness, clamp, evidence, contrast = _ac2(model, q, subset, options)
+        ok2, witness, clamp, evidence, contrast = _ac2(episode, subset)
         memo[key] = (True, path, ok2, witness, clamp, evidence, contrast)
         return memo[key]
 
@@ -375,13 +393,13 @@ def _certified_causes(model, q, mode, options):
     """Inclusion-minimal certified causes in canonical order, lazily."""
     effect = set(q.effect_components)
     names = tuple(n for n in model.component_order if n not in effect)
-    memo: dict = {}
+    episode = _Episode(model, q, mode, options)
     certified: list[CauseCertificate] = []
     for k in range(1, len(names) + 1):
         for cand in combinations(names, k):
             if any(set(c.cause_set) < set(cand) for c in certified):
                 continue
-            cert = check_cause(model, q, cand, mode=mode, options=options, _memo=memo)
+            cert = check_cause(model, q, cand, mode=mode, options=options, _episode=episode)
             if cert.is_cause:
                 certified.append(cert)
                 yield cert
@@ -452,13 +470,10 @@ def _changed_components(a: Configuration, b: Configuration) -> tuple[str, ...]:
     return tuple(c for c in a.components if a[c] != b[c])
 
 
-def _in_transitive_closure(model, a, b, options) -> bool:
-    return b in reachable(model, a, options)
-
-
 def _certify_link(model, a, b, effect_components, mode, options) -> CauseCertificate | None:
     """First (canonically smallest) certified cause of b from a, or None."""
-    if a == b or not _in_transitive_closure(model, a, b, options):
+    k = kernel.compile(model)
+    if a == b or k.encode(b) not in k.reachable(k.encode(a), options):
         return None
     effect = effect_components or _changed_components(a, b)
     if not effect:
@@ -511,14 +526,15 @@ def find_causal_chains(
                 return False
         return True
 
-    forward = reachable(model, f_start, options)
-    if f_end not in set(forward):
+    k = kernel.compile(model)
+    start, end = k.encode(f_start), k.encode(f_end)
+    forward = k.reachable(start, options)
+    if end not in forward:
         return []
 
     out: list[CausalChain] = []
     # waypoint middles must sit between the endpoints in the closure
-    middles = [g for g in forward if g not in (f_start, f_end)]
-    middles = [g for g in middles if f_end in set(reachable(model, g, options))]
+    middles = [k.decode(g) for g in forward if g not in (start, end) and end in k.reachable(g, options)]
 
     def emit(seq):
         links = tuple(
@@ -558,14 +574,15 @@ def causal_projection(
         for g in chain.configurations:
             configs[g] = None
     ordered = tuple(configs)
-    members = set(ordered)
+    k = kernel.compile(model)
+    members = {k.encode(g): g for g in ordered}
     edges = []
-    for g in ordered:
-        for h in successors(model, g, options):
+    for s, g in members.items():
+        for h in k.successors(s, options.self_loops):
             if h in members:
-                edges.append((g, h))
+                edges.append((g, members[h]))
     atoms = tuple(
-        (a.name, tuple(g for g in ordered if a.holds(g))) for a in model.atoms
+        (a.name, tuple(g for s, g in members.items() if atom_test(k, a.name)(s))) for a in model.atoms
     )
     return CausalProjection(
         configurations=ordered,

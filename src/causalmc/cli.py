@@ -7,16 +7,17 @@ resolution error or input nested too deeply, 3 state-space cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, kernel
 from .bisim import intervention_closure
 from .causality import projection_dot
 from .dsl import DslError, parse_model, parse_query_text
 from .hp import export_hp
-from .model import CapExceeded, ModelError, Options, reachable
+from .model import CapExceeded, ModelError, Options
 from .queries import run_document, run_query
 
 
@@ -32,7 +33,9 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--report", metavar="PATH", help="write the JSON report here")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every ``main`` call."""
     ap = argparse.ArgumentParser(prog="causalmc", description=__doc__)
     ap.add_argument("--version", action="version", version=f"causalmc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -199,23 +202,20 @@ def main(argv=None) -> int:
 def _transition_dot(doc, options, reachable_from: str | None) -> str:
     from .dsl import parse_config_text
 
-    model = doc.model
+    k = kernel.compile(doc.model)
     if reachable_from:
-        start = parse_config_text(reachable_from, doc)
-        nodes = [start] + [g for g in reachable(model, start, options) if g != start]
+        start = k.encode(parse_config_text(reachable_from, doc))
+        nodes = [start] + [g for g in k.reachable(start, options) if g != start]
     else:
-        nodes = model.enumerate_configurations(options)
-    from .model import successors
-
-    node_set = set(nodes)
+        nodes = k.configurations(options)
     idx = {g: i for i, g in enumerate(nodes)}
     lines = ["digraph transitions {"]
     for g, i in idx.items():
-        label = str(g).replace('"', "'")
+        label = str(k.decode(g)).replace('"', "'")
         lines.append(f'  n{i} [label="{label}"];')
     for g in nodes:
-        for h in successors(model, g, options):
-            if h in node_set:
+        for h in k.successors(g, options.self_loops):
+            if h in idx:
                 lines.append(f"  n{idx[g]} -> n{idx[h]};")
     lines.append("}")
     return "\n".join(lines)

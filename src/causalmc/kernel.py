@@ -1,0 +1,180 @@
+"""Compiled state space of a system model.
+
+A configuration is encoded as the mixed-radix integer sum(code_i * weight_i),
+code_i being the index of component i's behaviour in its domain; the last
+component varies fastest, so ``range(size)`` is the enumeration order.  A
+rule table becomes a map from the integer (own, context) code to the next
+behaviour's code, filled on first lookup; a clamped component is a constant
+code and a free one ranges over its domain.  ``compile(model)`` keeps the
+kernel on the model instance, so its memos live exactly as long as the
+model.  Variants share every rule table they do not replace.
+"""
+
+from __future__ import annotations
+
+import copy
+from itertools import product
+from math import prod
+
+from .model import CapExceeded, Configuration, ModelError, UnknownNameError, apply_intervention
+
+
+def compile(model) -> "Kernel":
+    """The compiled state space of ``model``, built on first use and kept on the instance."""
+    found = model.__dict__.get("_kernel")
+    if found is None:
+        found = model.__dict__["_kernel"] = Kernel(model)
+    return found
+
+
+class Kernel:
+    def __init__(self, model):
+        self.model = model
+        self.validate = model.validate_configuration  # variants share components and domains
+        self.mode = model.mode
+        self.names = model.component_order
+        self.index = {n: i for i, n in enumerate(self.names)}
+        self.domains = tuple(c.domain for c in model.components)
+        self.codes = tuple({b: j for j, b in enumerate(d)} for d in self.domains)
+        self.radices = tuple(len(d) for d in self.domains)
+        self.weights = tuple(prod(self.radices[i + 1 :]) for i in range(len(self.radices)))
+        self.size = prod(self.radices)
+        self.places = tuple(zip(self.weights, self.radices))
+        # (context component, multiplier) pairs: a table key is own + sum(code * multiplier)
+        self.contexts = []
+        for i, c in enumerate(model.components):
+            ctx, m = [], self.radices[i]
+            for j in map(self.position, c.context):
+                ctx.append((j, m))
+                m *= self.radices[j]
+            self.contexts.append(tuple(ctx))
+        # per component: None (free), an int (clamped), or (lazily filled table, rule table)
+        self.rules = [None if c.free else ({}, c.rule) for c in model.components]
+        self.tests: dict = {}  # atom predicates, shared with intervened variants
+        self._fresh()
+
+    def _fresh(self) -> None:
+        self.succ_memo: tuple[dict, dict] = ({}, {})  # indexed by options.self_loops
+        self.reach_memo: tuple[dict, dict] = ({}, {})
+        self.variants: dict = {}
+        self.splits: dict = {}  # semantics' decompositions, by allow_trivial_split
+
+    def position(self, name: str) -> int:
+        try:
+            return self.index[name]
+        except KeyError:
+            raise UnknownNameError(f"configuration has no component {name!r}") from None
+
+    def encode(self, f: Configuration) -> int:
+        self.validate(f)
+        return sum(codes[b] * w for codes, (_, b), w in zip(self.codes, f.pairs, self.weights))
+
+    def decode(self, s: int) -> Configuration:
+        values = (dom[d] for dom, d in zip(self.domains, self.digits(s)))
+        return Configuration(tuple(zip(self.names, values)))
+
+    def digits(self, s: int) -> list[int]:
+        return [s // w % r for w, r in self.places]
+
+    def configurations(self, options) -> range:
+        """Every state, in enumeration order."""
+        if self.size > options.max_states:
+            raise CapExceeded(options.max_states, self.size, "configuration space")
+        return range(self.size)
+
+    def successors(self, s: int, self_loops: bool) -> tuple[int, ...]:
+        """One-step successors in canonical order, memoized per self_loops value."""
+        memo = self.succ_memo[self_loops]
+        out = memo.get(s)
+        if out is None:
+            out = memo[s] = self._expand(s, self_loops)
+        return out
+
+    def _next(self, i: int, digits: list[int]):
+        rule = self.rules[i]
+        if rule is None or rule.__class__ is int:
+            return rule
+        table, rows = rule
+        key = digits[i]
+        for j, m in self.contexts[i]:
+            key += digits[j] * m
+        code = table.get(key)
+        if code is None:
+            dom = self.domains
+            out = rows.apply(dom[i][digits[i]], tuple(dom[j][digits[j]] for j, _ in self.contexts[i]))
+            code = self.codes[i].get(out)
+            if code is None:
+                raise ModelError(f"behaviour {out!r} not in domain of {self.names[i]!r}")
+            table[key] = code
+        return code
+
+    def _expand(self, s: int, self_loops: bool) -> tuple[int, ...]:
+        digits = self.digits(s)
+        nexts = [self._next(i, digits) for i in range(len(digits))]
+        if self.mode == "async":
+            out, stays = [], False
+            for d, b, (w, r) in zip(digits, nexts, self.places):
+                if b is None:  # free: every other behaviour of the domain
+                    out.extend(s + (c - d) * w for c in range(r) if c != d)
+                    stays = True
+                elif b == d:
+                    stays = True
+                else:
+                    out.append(s + (b - d) * w)
+            if self_loops and stays:
+                out.append(s)
+            return tuple(out)
+        if self.mode == "sync":
+            choices = [range(r) if b is None else (b,) for b, r in zip(nexts, self.radices)]
+            found = dict.fromkeys(sum(map(int.__mul__, combo, self.weights)) for combo in product(*choices))
+            if not self_loops:
+                found.pop(s, None)
+            return tuple(found)
+        raise ModelError(f"unknown transition mode {self.mode!r}")
+
+    def reachable(self, s: int, options) -> list[int]:
+        """States strictly reachable from ``s``, breadth-first.  A search raises
+        exactly when its final set exceeds the cap, so a memoized set is reused
+        only when it fits; a larger one is searched again to raise as before."""
+        memo = self.reach_memo[options.self_loops]
+        queue = memo.get(s)
+        if queue is not None and len(queue) <= options.max_states:
+            return queue
+        succ, loops, cap = self.successors, options.self_loops, options.max_states
+        queue = list(succ(s, loops))
+        seen = set(queue)
+        i = 0
+        while i < len(queue):
+            g = queue[i]
+            i += 1
+            if len(queue) > cap:
+                raise CapExceeded(cap, len(queue), "reachable set")
+            for h in succ(g, loops):
+                if h not in seen:
+                    seen.add(h)
+                    queue.append(h)
+        memo[s] = queue
+        return queue
+
+    def clamped(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
+        """Variant pinning each (component, code) pair's component to that code;
+        a free component stays free, as under ``apply_intervention``."""
+        if pins not in self.variants:
+            kept = {i: code for i, code in pins if self.rules[i] is not None}
+            self.variants[pins] = self._variant(None, kept)
+        return self.variants[pins]
+
+    def intervened(self, iv) -> "Kernel":
+        """Kernel of ``apply_intervention(self.model, iv)``; only the targets' tables are new."""
+        if iv not in self.variants:
+            model = apply_intervention(self.model, iv)
+            tables = {i: ({}, iv.rule_for(t)) for t in iv.targets if self.rules[i := self.index[t]] is not None}
+            self.variants[iv] = self._variant(model, tables)
+        return self.variants[iv]
+
+    def _variant(self, model, replaced: dict) -> "Kernel":
+        out = copy.copy(self)
+        out.model = model
+        out.rules = [replaced.get(i, rule) for i, rule in enumerate(self.rules)]
+        out._fresh()
+        return out

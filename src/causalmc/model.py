@@ -9,8 +9,9 @@ either asynchronously (one component updates per step) or synchronously
 (all components update together).
 
 All values in this module are immutable and hashable; every operation is a
-pure function of its inputs, so independent queries can run concurrently
-without coordination.
+pure function of its inputs.  A model instance keeps its compiled state
+space (``kernel``) as a cache that is only ever filled with the same values,
+so independent queries can run concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from math import prod
 
 WILDCARD = "_"
 
@@ -126,10 +127,10 @@ class ComponentDecl:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """Total assignment of behaviours to components, in declaration order."""
-
+class _Assignment:
     pairs: tuple[tuple[str, str], ...]
+
+    _missing = "configuration has no component {!r}"
 
     @cached_property
     def _map(self) -> dict[str, str]:
@@ -139,7 +140,7 @@ class Configuration:
         try:
             return self._map[component]
         except KeyError:
-            raise UnknownNameError(f"configuration has no component {component!r}") from None
+            raise UnknownNameError(self._missing.format(component)) from None
 
     def get(self, component: str, default: str | None = None) -> str | None:
         return self._map.get(component, default)
@@ -151,49 +152,22 @@ class Configuration:
     def as_dict(self) -> dict[str, str]:
         return dict(self.pairs)
 
-    def assign(self, component: str, behaviour: str) -> "Configuration":
-        return Configuration(tuple((c, behaviour if c == component else b) for c, b in self.pairs))
-
-    def restrict(self, subset) -> "PartialConfiguration":
-        return restrict(self, subset)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{c}={b}" for c, b in self.pairs)
         return f"({inner})"
 
 
 @dataclass(frozen=True)
-class PartialConfiguration:
+class Configuration(_Assignment):
+    """Total assignment of behaviours to components, in declaration order."""
+
+
+@dataclass(frozen=True)
+class PartialConfiguration(_Assignment):
     """Assignment of behaviours to a subset of the components."""
 
-    pairs: tuple[tuple[str, str], ...]
-
-    @cached_property
-    def _map(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    @property
-    def domain(self) -> tuple[str, ...]:
-        return tuple(c for c, _ in self.pairs)
-
-    def __getitem__(self, component: str) -> str:
-        try:
-            return self._map[component]
-        except KeyError:
-            raise UnknownNameError(f"partial configuration undefined on {component!r}") from None
-
-    def get(self, component: str, default: str | None = None) -> str | None:
-        return self._map.get(component, default)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    def as_configuration(self) -> Configuration:
-        return Configuration(self.pairs)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{c}={b}" for c, b in self.pairs)
-        return f"({inner})"
+    _missing = "partial configuration undefined on {!r}"
+    domain = _Assignment.components
 
 
 def restrict(f: Configuration, subset) -> PartialConfiguration:
@@ -225,11 +199,6 @@ class AtomDecl:
     @property
     def is_predicate(self) -> bool:
         return self.component is not None
-
-    def holds(self, f) -> bool:
-        if self.is_predicate:
-            return f.get(self.component) == self.behaviour
-        return f in (self.extension or ())
 
 
 @dataclass(frozen=True)
@@ -348,17 +317,6 @@ class SystemModel:
         self.validate_configuration(f)
         return f
 
-    def partial_configuration(self, assignment) -> PartialConfiguration:
-        mapping = dict(assignment)
-        extra = set(mapping) - set(self.component_order)
-        if extra:
-            raise UnknownNameError(f"partial configuration assigns unknown components {sorted(extra)}")
-        pairs = tuple((c.name, mapping[c.name]) for c in self.components if c.name in mapping)
-        for comp, beh in pairs:
-            if beh not in self.component_map[comp].domain:
-                raise ModelError(f"behaviour {beh!r} not in domain of {comp!r}")
-        return PartialConfiguration(pairs)
-
     def validate_configuration(self, f: Configuration) -> None:
         if f.components != self.component_order:
             raise ModelError(
@@ -369,21 +327,12 @@ class SystemModel:
                 raise ModelError(f"behaviour {beh!r} not in domain of {comp!r}")
 
     def configuration_count(self) -> int:
-        n = 1
-        for c in self.components:
-            n *= len(c.domain)
-        return n
+        return prod(len(c.domain) for c in self.components)
 
     def enumerate_configurations(self, options: Options = DEFAULT_OPTIONS) -> list[Configuration]:
         """All configurations, domains varying fastest on the right."""
-        total = self.configuration_count()
-        if total > options.max_states:
-            raise CapExceeded(options.max_states, total, "configuration space")
-        names = self.component_order
-        out = []
-        for combo in product(*(c.domain for c in self.components)):
-            out.append(Configuration(tuple(zip(names, combo))))
-        return out
+        k = kernel.compile(self)
+        return [k.decode(s) for s in k.configurations(options)]
 
     def with_mode(self, mode: str) -> "SystemModel":
         if mode not in MODES:
@@ -463,30 +412,8 @@ def validate_model(model: SystemModel) -> list[Violation]:
                 out.append(Violation(site, f"influence context names unknown component {d!r}"))
     # rule rows are validated once component names are settled
     for c in model.components:
-        ctx_domains = []
-        ok = True
-        for d in c.context:
-            decl = model.component_map.get(d)
-            if decl is None:
-                ok = False
-                break
-            ctx_domains.append(decl.domain)
-        if not ok:
-            continue
-        for idx, row in enumerate(c.rule.rows, start=1):
-            site = f"component {c.name}, rule row {idx}"
-            if len(row.context) != len(c.context):
-                out.append(
-                    Violation(site, f"row has {len(row.context)} context patterns, context has {len(c.context)}")
-                )
-                continue
-            if row.own is not None and row.own not in c.domain:
-                out.append(Violation(site, f"own-behaviour pattern {row.own!r} not in domain"))
-            for pat, dom, dname in zip(row.context, ctx_domains, c.context):
-                if pat is not None and pat not in dom:
-                    out.append(Violation(site, f"context pattern {pat!r} not in domain of {dname!r}"))
-            if row.output not in c.domain:
-                out.append(Violation(site, f"output behaviour {row.output!r} not in domain"))
+        arity = "row has {} context patterns, context has {}"
+        out.extend(_row_violations(model, c, c.rule.rows, f"component {c.name}, rule row ", arity, ""))
     for a in model.atoms:
         site = f"atom {a.name}"
         if a.is_predicate:
@@ -524,37 +451,40 @@ def _intervention_violations(model: SystemModel, iv: Intervention) -> list[Viola
         if t not in table_names:
             out.append(Violation(site, f"no replacement rule for target {t!r}"))
             continue
-        table = iv.rule_for(t)
-        ctx_domains = [model.component_map[d].domain for d in decl.context]
-        for idx, row in enumerate(table.rows, start=1):
-            rsite = f"{site}, rule for {t}, row {idx}"
-            if len(row.context) != len(decl.context):
-                out.append(
-                    Violation(rsite, "replacement rule reads outside the original influence context")
-                )
-                continue
-            if row.own is not None and row.own not in decl.domain:
-                out.append(Violation(rsite, f"own-behaviour pattern {row.own!r} not in domain"))
-            for pat, dom, dname in zip(row.context, ctx_domains, decl.context):
-                if pat is not None and pat not in dom:
-                    out.append(Violation(rsite, f"context pattern {pat!r} not in domain of {dname!r}"))
-            if row.output not in decl.domain:
-                out.append(Violation(rsite, f"output behaviour {row.output!r} not in domain of {t!r}"))
+        arity = "replacement rule reads outside the original influence context"
+        rows = iv.rule_for(t).rows
+        out.extend(_row_violations(model, decl, rows, f"{site}, rule for {t}, row ", arity, f" of {t!r}"))
     for t, _ in iv.rules:
         if t not in iv.targets:
             out.append(Violation(site, f"replacement rule for non-target {t!r}"))
     return out
 
 
+def _row_violations(model, decl, rows, site, arity, output_suffix) -> list[Violation]:
+    """Defects of rule rows for ``decl``; ``site`` is completed by the row number.
+    Rows are not checked while the context names an unknown component, which
+    is reported on the component itself."""
+    out: list[Violation] = []
+    if not all(d in model.component_map for d in decl.context):
+        return out
+    ctx_domains = [model.component_map[d].domain for d in decl.context]
+    for idx, row in enumerate(rows, start=1):
+        rsite = f"{site}{idx}"
+        if len(row.context) != len(decl.context):
+            out.append(Violation(rsite, arity.format(len(row.context), len(decl.context))))
+            continue
+        if row.own is not None and row.own not in decl.domain:
+            out.append(Violation(rsite, f"own-behaviour pattern {row.own!r} not in domain"))
+        for pat, dom, dname in zip(row.context, ctx_domains, decl.context):
+            if pat is not None and pat not in dom:
+                out.append(Violation(rsite, f"context pattern {pat!r} not in domain of {dname!r}"))
+        if row.output not in decl.domain:
+            out.append(Violation(rsite, f"output behaviour {row.output!r} not in domain{output_suffix}"))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # transition semantics
-
-
-def fire(model: SystemModel, f: Configuration, name: str) -> str:
-    """Next behaviour of one component under its rule, given ``f``."""
-    decl = model.component(name)
-    ctx = tuple(f[d] for d in decl.context)
-    return decl.rule.apply(f[name], ctx)
 
 
 def successors(
@@ -566,52 +496,8 @@ def successors(
     mode: the simultaneous rewrite of all components.  Fixpoint self-loops
     are excluded unless ``options.self_loops`` is set.
     """
-    model.validate_configuration(f)
-    out: list[Configuration] = []
-    seen: set[Configuration] = set()
-    self_loop = False
-
-    def push(g: Configuration) -> None:
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-
-    if model.mode == "async":
-        for decl in model.components:
-            current = f[decl.name]
-            if decl.free:
-                for b in decl.domain:
-                    if b != current:
-                        push(f.assign(decl.name, b))
-                self_loop = True
-                continue
-            nxt = decl.rule.apply(current, tuple(f[d] for d in decl.context))
-            if nxt == current:
-                self_loop = True
-            else:
-                push(f.assign(decl.name, nxt))
-        if options.self_loops and self_loop:
-            push(f)
-        return out
-
-    if model.mode == "sync":
-        # free components choose any behaviour; rule components are determined
-        choice_sets = []
-        for decl in model.components:
-            if decl.free:
-                choice_sets.append(decl.domain)
-            else:
-                nxt = decl.rule.apply(f[decl.name], tuple(f[d] for d in decl.context))
-                choice_sets.append((nxt,))
-        names = model.component_order
-        for combo in product(*choice_sets):
-            g = Configuration(tuple(zip(names, combo)))
-            if g == f and not options.self_loops:
-                continue
-            push(g)
-        return out
-
-    raise ModelError(f"unknown transition mode {model.mode!r}")
+    k = kernel.compile(model)
+    return [k.decode(g) for g in k.successors(k.encode(f), options.self_loops)]
 
 
 def reachable(
@@ -621,22 +507,8 @@ def reachable(
 
     Breadth-first, deterministic order.
     """
-    frontier = successors(model, f, options)
-    visited: dict[Configuration, None] = {}
-    queue = list(frontier)
-    for g in frontier:
-        visited[g] = None
-    i = 0
-    while i < len(queue):
-        g = queue[i]
-        i += 1
-        if len(visited) > options.max_states:
-            raise CapExceeded(options.max_states, len(visited), "reachable set")
-        for h in successors(model, g, options):
-            if h not in visited:
-                visited[h] = None
-                queue.append(h)
-    return list(visited)
+    k = kernel.compile(model)
+    return [k.decode(g) for g in k.reachable(k.encode(f), options)]
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +544,6 @@ def clamping_intervention(model: SystemModel, targets, values, name: str | None 
 
 def interface_violations(model: SystemModel, left, right) -> list[str]:
     """Locality defects of a candidate cover; empty iff the cover is an interface split."""
-    left = tuple(dict.fromkeys(left))
-    right = tuple(dict.fromkeys(right))
     ls, rs = set(left), set(right)
     allc = set(model.component_order)
     if ls | rs != allc:
@@ -750,7 +620,6 @@ def _restrict_model(model: SystemModel, side) -> SystemModel:
                 atoms.append(AtomDecl(name=a.name, extension=()))
         else:
             seen: dict[Configuration, None] = {}
-            order = [c.name for c in comps]
             for f in a.extension or ():
                 g = Configuration(tuple(p for p in f.pairs if p[0] in kept))
                 seen[g] = None
@@ -770,3 +639,6 @@ def _restrict_model(model: SystemModel, side) -> SystemModel:
         mode=model.mode,
         partial=True,
     )
+
+
+from . import kernel  # noqa: E402  (the compiled state space builds on the types above)

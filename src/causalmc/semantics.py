@@ -20,20 +20,17 @@ from __future__ import annotations
 from itertools import product
 
 from . import formulas as F
+from . import kernel
 from .model import (
     DEFAULT_OPTIONS,
-    CapExceeded,
     Configuration,
     InterfaceSplit,
     Options,
     PartialConfiguration,
     SystemModel,
     UnknownNameError,
-    apply_intervention,
     check_interface,
     conjugate_decompose,
-    reachable,
-    successors,
 )
 
 
@@ -53,84 +50,95 @@ def evaluate(
     """
     if isinstance(f, PartialConfiguration):
         f = model.configuration(f.as_dict())
+    k = kernel.compile(model)
+    return _eval(k, k.encode(f), phi, options, witnesses)
+
+
+def atom_test(k: kernel.Kernel, key):
+    """Predicate on the states of ``k`` for an atom name or a (component, behaviour) pair."""
+    found = k.tests.get(key)
+    if found is None:
+        found = k.tests[key] = _atom_predicate(k, key)
+    return found
+
+
+def _atom_predicate(k: kernel.Kernel, key):
+    if isinstance(key, tuple):
+        component, behaviour = key
     else:
-        model.validate_configuration(f)
-    return _eval(model, f, phi, options, witnesses)
+        decl = k.model.atom_map.get(key)
+        if decl is None:
+            raise UnknownNameError(f"unresolved atom {key!r}")
+        if not decl.is_predicate:
+            # a configuration of another shape or domain never equals a state of k
+            return {k.encode(g) for g in decl.extension or () if _fits(k, g)}.__contains__
+        component, behaviour = decl.component, decl.behaviour
+    i = k.index.get(component)
+    code = None if i is None else k.codes[i].get(behaviour)
+    if code is None:
+        return lambda s: False
+    w, r = k.places[i]
+    return lambda s: s // w % r == code
 
 
-def _atom_holds(model: SystemModel, f: Configuration, name: str) -> bool:
-    decl = model.atom_map.get(name)
-    if decl is None:
-        raise UnknownNameError(f"unresolved atom {name!r}")
-    return decl.holds(f)
+def _fits(k: kernel.Kernel, g: Configuration) -> bool:
+    return g.components == k.names and all(b in codes for codes, (_, b) in zip(k.codes, g.pairs))
 
 
-def _behaviour_atom_holds(model: SystemModel, f: Configuration, comp: str, beh: str) -> bool:
-    if comp not in model.component_map:
-        if model.partial:
-            return False
-        raise UnknownNameError(f"unresolved atom p[{comp}={beh}]")
-    return f[comp] == beh
-
-
-def _eval(model, f, phi, options, witnesses) -> bool:
+def _eval(k, s, phi, options, witnesses) -> bool:
     if isinstance(phi, F.Top):
         return True
     if isinstance(phi, F.Bot):
         return False
     if isinstance(phi, F.Atom):
-        return _atom_holds(model, f, phi.name)
+        return atom_test(k, phi.name)(s)
     if isinstance(phi, F.BehaviourAtom):
-        return _behaviour_atom_holds(model, f, phi.component, phi.behaviour)
+        if phi.component not in k.index:
+            if k.model.partial:
+                return False
+            raise UnknownNameError(f"unresolved atom p[{phi.component}={phi.behaviour}]")
+        return atom_test(k, (phi.component, phi.behaviour))(s)
     if isinstance(phi, F.Not):
-        return not _eval(model, f, phi.sub, options, witnesses)
+        return not _eval(k, s, phi.sub, options, witnesses)
     if isinstance(phi, F.And):
-        return _eval(model, f, phi.left, options, witnesses) and _eval(
-            model, f, phi.right, options, witnesses
-        )
+        return _eval(k, s, phi.left, options, witnesses) and _eval(k, s, phi.right, options, witnesses)
     if isinstance(phi, F.Or):
-        return _eval(model, f, phi.left, options, witnesses) or _eval(
-            model, f, phi.right, options, witnesses
-        )
+        return _eval(k, s, phi.left, options, witnesses) or _eval(k, s, phi.right, options, witnesses)
     if isinstance(phi, F.Implies):
-        return (not _eval(model, f, phi.left, options, witnesses)) or _eval(
-            model, f, phi.right, options, witnesses
+        return (not _eval(k, s, phi.left, options, witnesses)) or _eval(
+            k, s, phi.right, options, witnesses
         )
     if isinstance(phi, F.Box):
-        return all(_eval(model, g, phi.sub, options, witnesses) for g in successors(model, f, options))
+        return all(_eval(k, g, phi.sub, options, witnesses) for g in k.successors(s, options.self_loops))
     if isinstance(phi, F.Diamond):
-        return any(_eval(model, g, phi.sub, options, witnesses) for g in successors(model, f, options))
+        return any(_eval(k, g, phi.sub, options, witnesses) for g in k.successors(s, options.self_loops))
     if isinstance(phi, F.BoxPlus):
-        return all(_eval(model, g, phi.sub, options, witnesses) for g in reachable(model, f, options))
+        return all(_eval(k, g, phi.sub, options, witnesses) for g in k.reachable(s, options))
     if isinstance(phi, F.DiamondPlus):
-        return any(_eval(model, g, phi.sub, options, witnesses) for g in reachable(model, f, options))
+        return any(_eval(k, g, phi.sub, options, witnesses) for g in k.reachable(s, options))
     if isinstance(phi, F.Intervene):
-        iv = model.intervention_map.get(phi.name)
+        iv = k.model.intervention_map.get(phi.name)
         if iv is None:
             raise UnknownNameError(f"unresolved intervention name {phi.name!r}")
-        intervened = apply_intervention(model, iv)
-        for g in successors(intervened, f, options):
+        intervened = k.intervened(iv)
+        for g in intervened.successors(s, options.self_loops):
             if _eval(intervened, g, phi.sub, options, witnesses):
                 if witnesses is not None:
-                    witnesses.append(
-                        {"op": "intervention", "name": phi.name, "successor": g.as_dict()}
-                    )
+                    successor = intervened.decode(g).as_dict()
+                    witnesses.append({"op": "intervention", "name": phi.name, "successor": successor})
                 return True
         return False
     if isinstance(phi, F.InterveneExists):
-        for iv in model.interventions:
-            if _eval(model, f, F.Intervene(iv.name, phi.sub), options, witnesses):
+        for iv in k.model.interventions:
+            if _eval(k, s, F.Intervene(iv.name, phi.sub), options, witnesses):
                 if witnesses is not None:
                     witnesses.append({"op": "exists-intervention", "name": iv.name})
                 return True
         return False
     if isinstance(phi, F.Star):
-        for split in candidate_splits(model, options):
-            left_m, right_m = conjugate_decompose(model, split)
-            lf = _project(left_m, f, split.left)
-            rf = _project(right_m, f, split.right)
-            if _eval(left_m, lf, phi.left, options, witnesses) and _eval(
-                right_m, rf, phi.right, options, witnesses
+        for split, (left, lf), (right, rf) in _decompositions(k, s, options):
+            if _eval(left, lf, phi.left, options, witnesses) and _eval(
+                right, rf, phi.right, options, witnesses
             ):
                 if witnesses is not None:
                     witnesses.append(
@@ -141,9 +149,25 @@ def _eval(model, f, phi, options, witnesses) -> bool:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _project(side_model: SystemModel, f: Configuration, side) -> Configuration:
-    side_set = set(side)
-    return Configuration(tuple(p for p in f.pairs if p[0] in side_set))
+def _decompositions(k: kernel.Kernel, s: int, options: Options):
+    """Each candidate split of k's model with its two compiled sides and the
+    projections of ``s`` onto them.  Splits and sides are built on first
+    use and kept on ``k``, keyed by the trivial-split flag."""
+    entries = k.splits.get(options.allow_trivial_split)
+    if entries is None:
+        splits = candidate_splits(k.model, options)
+        entries = k.splits[options.allow_trivial_split] = [[split, None] for split in splits]
+    digits = k.digits(s)
+    for entry in entries:
+        split, sides = entry
+        if sides is None:
+            sides = entry[1] = [
+                (kernel.compile(m), [k.index[c] for c in m.component_order])
+                for m in conjugate_decompose(k.model, split)
+            ]
+        yield (split,) + tuple(
+            (side, sum(digits[j] * w for j, w in zip(idx, side.weights))) for side, idx in sides
+        )
 
 
 def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
@@ -170,7 +194,5 @@ def sat_set(
     model: SystemModel, phi: F.Formula, options: Options = DEFAULT_OPTIONS
 ) -> list[Configuration]:
     """All configurations satisfying ``phi``, enumerated from the domain product."""
-    total = model.configuration_count()
-    if total > options.max_states:
-        raise CapExceeded(options.max_states, total, "configuration space")
-    return [f for f in model.enumerate_configurations(options) if _eval(model, f, phi, options, None)]
+    k = kernel.compile(model)
+    return [k.decode(s) for s in k.configurations(options) if _eval(k, s, phi, options, None)]

@@ -16,6 +16,7 @@ from causalmc.causality import (
     find_causes,
 )
 from causalmc.generate import random_configuration, random_system_model
+from causalmc.kernel import compile
 from causalmc.model import (
     CapExceeded,
     ComponentDecl,
@@ -39,8 +40,12 @@ def micro_query(micro_f1, micro_f2):
 
 
 def test_counterfactual_reachability_cap_names_phase(micro, micro_f1):
+    k = compile(micro)
+    front = k.index["FrontEnd"]
+    # FrontEnd=servingCache is set only by an intervention, never by a step
+    effect = [k.places[front] + (k.codes[front]["servingCache"],)]
     with pytest.raises(CapExceeded) as err:
-        _first_effect_reachable(micro, micro_f1, {"FrontEnd": "unreached"}, Options(max_states=3))
+        _first_effect_reachable(k, k.encode(micro_f1), effect, Options(max_states=3))
     assert err.value.what == "counterfactual reachability"
 
 

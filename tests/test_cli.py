@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalmc.cli import main
 
@@ -161,3 +167,68 @@ def test_chain_dot_matches_report_in_both_modes(tmp_path):
         nodes = [line for line in dot.read_text().splitlines() if "[label=" in line]
         assert len(nodes) == len(report["witnesses"]["projection"]["configurations"])
         assert bool(nodes) is verdict
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under generated input
+
+FORMULA_TOKENS = [
+    "true", "false", "!", "&", "|", "->", "[]", "<>", "[]+", "<>+", "<theta1>", "<thetaLog>",
+    "<nope>", "<?>", "*", "(", ")", "((", "))", "phi_fail", "p[FrontEnd=error]", "p[Auth=idle]",
+    "p[Nope=idle]", "p[FrontEnd=nope]", "p[", "]", "=", "<", ">",
+]
+DSL_TOKENS = [
+    "", "component", "domain", "context", "rule", "atom", "config", "intervention", "on",
+    "formula", "check", "cause", "chain", "from", "to", "effect", "maxlen", "decompose",
+    "recover", "mincost", "utility", "avoiding", "sync", "async", "cost", "penalty",
+    "{", "}", "(", ")", ",", "=", "->", ":", "|=", "_", "#", "\n", "idle", "error", "f1",
+    "FrontEnd", "UserDB", "theta1", "-1", "0", "9", '"', "é",
+]
+MICRO_TEXT = (MODELS / "microservice.model").read_text(encoding="utf-8")
+
+
+@st.composite
+def _mutated_model(draw):
+    text = MICRO_TEXT
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 40))
+        text = text[:at] + draw(st.sampled_from(DSL_TOKENS)) + text[at + cut :]
+    return text
+
+
+_formula_text = st.one_of(
+    st.lists(st.sampled_from(FORMULA_TOKENS), max_size=10).map(" ".join),
+    st.text(max_size=16),
+)
+_extra_flags = st.sampled_from([[], ["--sync"], ["--self-loops"], ["--max-states", "4"], ["--max-states", "-1"]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.one_of(st.just(MICRO_TEXT), _mutated_model()),
+    formula=_formula_text,
+    command=st.sampled_from(["check", "recover", "mincost", "run", "cause", "chain", "decompose", "export-dot"]),
+    flags=_extra_flags,
+)
+def test_generated_input_keeps_exit_code_contract(model, formula, command, flags):
+    args = {
+        "check": ["f2", formula],
+        "recover": ["f2", formula],
+        "mincost": ["f2", formula],
+        "run": [],
+        "cause": ["--from", "f1", "--to", "f2", "--effect", "FrontEnd"],
+        "chain": ["--from", "f1", "--to", "f2", "--max-len", "2"],
+        "decompose": ["--left", "Auth", "UserDB", "--right", "UserDB", "ProfileSvc", "Logger", "FrontEnd"],
+        "export-dot": ["--reachable-from", "f1"],
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.model"
+        path.write_text(model, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main([command, str(path), *args, *flags])
+            except SystemExit as exc:  # argparse rejects a command line this way
+                code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,0 +1,211 @@
+"""Differential tests: the compiled state space against the tuple-based
+successor and reachability code it replaced.
+
+``ref_successors`` and ``ref_reachable`` are copies of the engine's
+original bodies, kept here as the reference; they walk ``Configuration``
+values and re-match rule rows on every call.
+"""
+
+import ast
+import random
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from causalmc.generate import random_configuration, random_system_model
+from causalmc.kernel import compile
+from causalmc.model import (
+    CapExceeded,
+    Configuration,
+    ModelError,
+    Options,
+    apply_intervention,
+    clamping_intervention,
+    conjugate_decompose,
+    reachable,
+    successors,
+)
+from causalmc.semantics import candidate_splits
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _assign(f, component, behaviour):
+    return Configuration(tuple((c, behaviour if c == component else b) for c, b in f.pairs))
+
+
+def ref_successors(model, f, options):
+    model.validate_configuration(f)
+    out = []
+    seen = set()
+    self_loop = False
+
+    def push(g):
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+
+    if model.mode == "async":
+        for decl in model.components:
+            current = f[decl.name]
+            if decl.free:
+                for b in decl.domain:
+                    if b != current:
+                        push(_assign(f, decl.name, b))
+                self_loop = True
+                continue
+            nxt = decl.rule.apply(current, tuple(f[d] for d in decl.context))
+            if nxt == current:
+                self_loop = True
+            else:
+                push(_assign(f, decl.name, nxt))
+        if options.self_loops and self_loop:
+            push(f)
+        return out
+
+    if model.mode == "sync":
+        choice_sets = []
+        for decl in model.components:
+            if decl.free:
+                choice_sets.append(decl.domain)
+            else:
+                nxt = decl.rule.apply(f[decl.name], tuple(f[d] for d in decl.context))
+                choice_sets.append((nxt,))
+        names = model.component_order
+        for combo in product(*choice_sets):
+            g = Configuration(tuple(zip(names, combo)))
+            if g == f and not options.self_loops:
+                continue
+            push(g)
+        return out
+
+    raise ModelError(f"unknown transition mode {model.mode!r}")
+
+
+def ref_reachable(model, f, options):
+    frontier = ref_successors(model, f, options)
+    visited = {}
+    queue = list(frontier)
+    for g in frontier:
+        visited[g] = None
+    i = 0
+    while i < len(queue):
+        g = queue[i]
+        i += 1
+        if len(visited) > options.max_states:
+            raise CapExceeded(options.max_states, len(visited), "reachable set")
+        for h in ref_successors(model, g, options):
+            if h not in visited:
+                visited[h] = None
+                queue.append(h)
+    return list(visited)
+
+
+def _outcome(search):
+    try:
+        return search()
+    except CapExceeded as exc:
+        return ("cap", exc.cap, exc.size, exc.what, str(exc))
+
+
+def _agree(ref_model, kernel, starts, rng):
+    """Successor and reachable lists in identical order, and the same cap overrun."""
+    for self_loops in (False, True):
+        options = Options(self_loops=self_loops)
+        for f in starts:
+            s = kernel.encode(f)
+            got = [kernel.decode(g) for g in kernel.successors(s, self_loops)]
+            assert got == ref_successors(ref_model, f, options)
+            want = ref_reachable(ref_model, f, options)
+            assert [kernel.decode(g) for g in kernel.reachable(s, options)] == want
+            for cap in {max(len(want) - 1, 0), len(want), rng.randrange(len(want) + 1)}:
+                capped = Options(self_loops=self_loops, max_states=cap)
+                assert _outcome(lambda: [kernel.decode(g) for g in kernel.reachable(s, capped)]) == _outcome(
+                    lambda: ref_reachable(ref_model, f, capped)
+                )
+
+
+def _models(count):
+    for seed in range(count):
+        rng = random.Random(seed)
+        model = random_system_model(rng, max_components=4, max_behaviours=3, max_rows=4, n_interventions=2)
+        yield rng, model.with_mode(("async", "sync")[seed % 2])
+
+
+def _starts(rng, model, n=4):
+    return [random_configuration(rng, model) for _ in range(n)]
+
+
+def test_kernel_matches_reference_on_random_models():
+    for rng, model in _models(240):
+        _agree(model, compile(model), _starts(rng, model), rng)
+
+
+def test_public_functions_match_reference():
+    for rng, model in _models(60):
+        for self_loops in (False, True):
+            options = Options(self_loops=self_loops)
+            for f in _starts(rng, model, 2):
+                assert successors(model, f, options) == ref_successors(model, f, options)
+                assert reachable(model, f, options) == ref_reachable(model, f, options)
+
+
+def test_partial_models_with_free_components_match_reference():
+    sides = 0
+    for rng, model in _models(200):
+        for split in candidate_splits(model, Options(allow_trivial_split=True))[:3]:
+            for side in conjugate_decompose(model, split):
+                if side.partial:
+                    sides += 1
+                    _agree(side, compile(side), _starts(rng, side, 2), rng)
+    assert sides > 100
+
+
+def test_clamped_variants_match_apply_intervention():
+    for rng, model in _models(200):
+        names = rng.sample(model.component_order, rng.randint(1, len(model.component_order)))
+        values = {n: rng.choice(model.behaviours(n)) for n in names}
+        targets = tuple(n for n in model.component_order if n in values)
+        kernel = compile(model)
+        pins = tuple((kernel.index[t], kernel.codes[kernel.index[t]][values[t]]) for t in targets)
+        ref_model = apply_intervention(model, clamping_intervention(model, targets, values))
+        _agree(ref_model, kernel.clamped(pins), _starts(rng, model, 3), rng)
+        assert kernel.clamped(pins) is kernel.clamped(pins)
+
+
+def test_intervened_variants_share_untouched_tables(micro, micro_f1):
+    kernel = compile(micro)
+    iv = micro.intervention_map["theta1"]
+    variant = kernel.intervened(iv)
+    assert variant is kernel.intervened(iv)
+    target = kernel.index["UserDB"]
+    for i, (a, b) in enumerate(zip(kernel.rules, variant.rules)):
+        assert (a is b) == (i != target)
+    _agree(apply_intervention(micro, iv), variant, [micro_f1], random.Random(0))
+
+
+def test_enumeration_order_is_state_order():
+    for _, model in _models(40):
+        kernel = compile(model)
+        configs = model.enumerate_configurations()
+        assert [kernel.encode(f) for f in configs] == list(range(kernel.size))
+        assert [kernel.decode(s) for s in range(kernel.size)] == configs
+
+
+def test_compile_is_cached_per_instance(micro):
+    assert compile(micro) is compile(micro)
+    assert compile(micro.with_mode("sync")) is not compile(micro)
+
+
+@pytest.mark.parametrize("path", ["src/causalmc/hp.py", "tests/oracle.py"])
+def test_reference_implementations_do_not_import_the_kernel(path):
+    tree = ast.parse((REPO / path).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not any("kernel" in name for name in imported)

@@ -9,6 +9,7 @@ from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import (
     ComponentDecl,
     Configuration,
+    Intervention,
     ModelError,
     Options,
     RuleRow,
@@ -52,6 +53,13 @@ def test_intervention_behaviours_must_be_declared(micro):
     # servingCache and profileStale are pre-declared, so the fixture is clean
     assert "servingCache" in micro.behaviours("FrontEnd")
     assert "profileStale" in micro.behaviours("ProfileSvc")
+
+
+def test_intervention_on_component_with_unknown_context_is_reported():
+    comp = ComponentDecl(name="a", domain=("x",), context=("ghost",))
+    iv = Intervention(name="i", targets=("a",), rules=(("a", RuleTable()),))
+    report = validate_model(SystemModel(components=(comp,), interventions=(iv,)))
+    assert [v.message for v in report] == ["influence context names unknown component 'ghost'"]
 
 
 def test_context_with_self_is_reported():
