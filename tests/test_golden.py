@@ -7,21 +7,26 @@ engine would write, run ``python tests/test_golden.py OUTDIR`` and diff
 OUTDIR against ``tests/golden/``.
 """
 
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from causalmc import formulas as F
 from causalmc.bisim import PointedModel, check_bisim, generate_formula_suite
-from causalmc.dsl import DslError, parse_formula_text, parse_model
+from causalmc.cli import main
+from causalmc.dsl import DslError, parse_formula_text, parse_model, parse_query_text
 from causalmc.generate import perturb_model
 from causalmc.queries import run_query
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MODELS = Path(__file__).resolve().parents[1] / "models"
+REPO = Path(__file__).resolve().parents[1]
+MODELS = REPO / "models"
 
 
 def replay_keys() -> dict:
@@ -57,10 +62,190 @@ def bisim_perturbed() -> list:
     return out
 
 
+# per query kind: document stanzas as (model, stanza), command lines after the
+# subcommand with the model given by file name, and malformed stanzas as
+# (model, stanza); "ex1-uncosted" is ex1.model without its cost annotation
+STANZA_KINDS = {
+    "check": {
+        "document": [
+            ("ex1.model", "check start |= <>+ c2_flipped"),
+            ("ex1.model", "check (c1=b12,c2=b21 , c3=b31) |= <theta_reset> []+ ! c2_flipped"),
+        ],
+        "cli": [
+            ["ex1.model", "(c1=b12,c2=b21 , c3=b31)", "<theta_reset> []+ ! c2_flipped"],
+            ["microservice.model", "f2", "<theta3> [] ! phi_fail"],
+        ],
+        "malformed": [
+            ("ex1.model", "check start <>+ c2_flipped"),
+            ("ex1.model", "check nope |= true"),
+            ("ex1.model", "check start |= nothing"),
+            ("ex1.model", "check (c1=b11) |= true"),
+            ("ex1.model", "check |= true"),
+        ],
+    },
+    "recover": {
+        "document": [("microservice.model", "recover f2 avoiding phi_fail")],
+        "cli": [["microservice.model", "f2", "phi_fail"]],
+        "malformed": [
+            ("microservice.model", "recover f2 phi_fail"),
+            ("microservice.model", "recover f2 avoiding"),
+        ],
+    },
+    "mincost": {
+        "document": [
+            ("microservice.model", "mincost f2 avoiding phi_fail"),
+            ("microservice.model", "mincost f1 avoiding p[Auth=idle]"),
+            ("ex1-uncosted", "mincost start avoiding c2_flipped"),
+        ],
+        "cli": [["microservice.model", "f2", "phi_fail"]],
+        "malformed": [
+            ("microservice.model", "mincost f2 avoiding p[Nope=idle]"),
+            ("microservice.model", "mincost avoiding phi_fail"),
+        ],
+    },
+    "utility": {
+        "document": [
+            ("microservice.model", "utility f2 avoiding phi_fail"),
+            ("ex1.model", "utility start avoiding c2_flipped"),
+        ],
+        "cli": [["microservice.model", "f2", "phi_fail"], ["ex1.model", "start", "c2_flipped"]],
+        "malformed": [("microservice.model", "utility f2 avoiding phi_fail & ")],
+    },
+    "cause": {
+        "document": [("microservice.model", "cause from f1 to f2 effect {FrontEnd}")],
+        "cli": [["microservice.model", "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "Logger"]],
+        "malformed": [
+            ("microservice.model", "cause f1 to f2"),
+            ("microservice.model", "cause from f1 f2"),
+            ("microservice.model", "cause from f1 to f2"),
+            ("microservice.model", "cause from f1 to f2 effect FrontEnd"),
+            ("microservice.model", "cause from f1 to f2 effect {Nope}"),
+        ],
+    },
+    "chain": {
+        "document": [
+            ("microservice.model", "chain from f1 to f2 effect {FrontEnd} maxlen 2"),
+            ("microservice.model", "chain from f1 to f2 maxlen 2 effect {FrontEnd, Logger}"),
+            ("ex1.model", "chain from start to flipped"),
+            ("ex1.model", "chain from start to flipped effect {} maxlen 3 maxlen 2"),
+        ],
+        "cli": [
+            ["microservice.model", "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "--max-len", "2"],
+            ["ex1.model", "--from", "start", "--to", "flipped"],
+        ],
+        "malformed": [
+            ("microservice.model", "chain from f1 to f2 maxlen x"),
+            ("microservice.model", "chain from f1 to f2 effect {Nope}"),
+            ("microservice.model", "chain f1 to f2"),
+        ],
+    },
+    "decompose": {
+        "document": [
+            ("ex1.model", "decompose {c1 c2} {c2 c3}"),
+            ("ex1.model", "decompose {c1, c2} {c3}"),
+        ],
+        "cli": [["ex1.model", "--left", "c1", "c2", "--right", "c2", "c3"]],
+        "malformed": [
+            ("ex1.model", "decompose {c1 c2} c3"),
+            ("ex1.model", "decompose {c1} {c9}"),
+        ],
+    },
+    "bisim": {
+        "document": [
+            ("ex1.model", 'bisim start vs "ex1.model" start'),
+            ("ex1.model", 'bisim (c1=b11, c2=b21, c3=b31) vs "ex1.model" mid'),
+        ],
+        "cli": [["ex1.model", "start", "ex1.model", "start"], ["ex1.model", "start", "ex1.model", "mid"]],
+        "malformed": [
+            ("ex1.model", 'bisim start "x" start'),
+            ("ex1.model", "bisim start vs ex1.model start"),
+            ("ex1.model", 'bisim start vs "ex1.model"'),
+            ("ex1.model", 'bisim nope vs "ex1.model" start'),
+        ],
+    },
+}
+
+
+def _placeholder(text: str) -> str:
+    return text.replace(str(REPO), "<repo>")
+
+
+def _model_text(model: str) -> str:
+    if model == "ex1-uncosted":
+        return _model_text("ex1.model").replace("  cost 1\n", "")
+    return (MODELS / model).read_text(encoding="utf-8")
+
+
+def _first_error(parse) -> str:
+    try:
+        parse()
+    except DslError as exc:
+        return str(exc.diagnostics[0])
+    except Exception as exc:  # noqa: BLE001 - a non-diagnostic error is pinned by type and text
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
+
+
+def _document_stanza(model: str, stanza: str) -> dict:
+    path = MODELS / model
+    doc = parse_model(_model_text(model) + stanza + "\n", path=str(path))
+    q = doc.queries[-1]
+    out = {"model": model, "stanza": stanza, "echo": q.echo()}
+    try:
+        out["replay_key"] = run_query(doc, q).replay_key()
+    except Exception as exc:  # noqa: BLE001
+        out["error"] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def _cli_run(kind: str, args: list) -> dict:
+    argv = [kind] + [str(MODELS / a) if a.endswith(".model") else a for a in args]
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--report", str(report)])
+        payload = json.loads(_placeholder(report.read_text(encoding="utf-8"))) if report.exists() else None
+    if payload is not None:
+        payload.pop("timing_ms")
+    return {
+        "args": args,
+        "exit": code,
+        "stdout": _placeholder(out.getvalue()),
+        "stderr": _placeholder(err.getvalue()),
+        "report": payload,
+    }
+
+
+def _malformed(model: str, stanza: str) -> dict:
+    path = MODELS / model
+    text = _model_text(model)
+    doc = parse_model(text, path=str(path))
+    return {
+        "model": model,
+        "stanza": stanza,
+        "document": _first_error(lambda: parse_model(text + stanza + "\n", path=str(path))),
+        "query_text": _first_error(lambda: parse_query_text(stanza, doc)),
+    }
+
+
+def stanza_kinds() -> dict:
+    """Echo, replay key, command-line report and diagnostics of every query kind."""
+    return {
+        kind: {
+            "document": [_document_stanza(m, s) for m, s in case["document"]],
+            "cli": [_cli_run(kind, args) for args in case["cli"]],
+            "malformed": [_malformed(m, s) for m, s in case["malformed"]],
+        }
+        for kind, case in STANZA_KINDS.items()
+    }
+
+
 FIXTURES = {
     "replay_keys.json": replay_keys,
     "formula_suite.json": formula_suite_keys,
     "bisim_perturbed.json": bisim_perturbed,
+    "stanza_kinds.json": stanza_kinds,
 }
 
 
