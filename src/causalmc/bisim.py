@@ -16,6 +16,7 @@ breaks, satisfied by the left point and refuted by the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import formulas as F
 from . import kernel
@@ -109,8 +110,12 @@ class BisimRelation:
 
     pairs: tuple[tuple[tuple[int, Configuration], tuple[int, Configuration]], ...]
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.pairs)
+
     def __contains__(self, pair) -> bool:
-        return pair in set(self.pairs)
+        return pair in self._members
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -211,13 +216,14 @@ def check_bisim(
     root_a = (id(lts_a), lts_a.root)
     root_b = (id(lts_b), lts_b.root)
     if colour[root_a] == colour[root_b]:
+        # right states grouped by colour, in state order: the related pairs
+        # in (left, right) state order, in time linear in the relation
+        by_colour: dict[int, list] = {}
+        for sb in lts_b.states:
+            by_colour.setdefault(colour[(id(lts_b), sb)], []).append(lts_b.point(sb))
         points_a = {sa: lts_a.point(sa) for sa in lts_a.states}
-        points_b = {sb: lts_b.point(sb) for sb in lts_b.states}
         pairs = tuple(
-            (points_a[sa], points_b[sb])
-            for sa in lts_a.states
-            for sb in lts_b.states
-            if colour[(id(lts_a), sa)] == colour[(id(lts_b), sb)]
+            (points_a[sa], pb) for sa in lts_a.states for pb in by_colour.get(colour[(id(lts_a), sa)], ())
         )
         return BisimResult(
             bisimilar=True,

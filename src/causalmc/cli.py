@@ -15,10 +15,14 @@ from pathlib import Path
 from . import __version__, kernel
 from .bisim import intervention_closure
 from .causality import projection_dot
-from .dsl import DslError, parse_model, parse_query_text
+from .dsl import DslError, parse_model, parse_query_text, render
 from .hp import export_hp
 from .model import CapExceeded, ModelError, Options
 from .queries import run_document, run_query
+
+
+def _absolute(path: str) -> str:
+    return str(Path(path).resolve())
 
 
 def _common_flags(sp: argparse.ArgumentParser) -> None:
@@ -62,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bisim", help="bisimulation under intervention between two pointed models")
     _common_flags(sp)
     sp.add_argument("config")
-    sp.add_argument("other_model")
+    sp.add_argument("other_model", type=_absolute)
     sp.add_argument("other_config")
 
     sp = sub.add_parser("decompose", help="check an interface split and decompose")
@@ -127,27 +131,6 @@ def _emit(report, args) -> int:
     return 0
 
 
-def _stanza_text(args) -> str:
-    if args.command == "check":
-        return f"check {args.config} |= {args.formula}"
-    if args.command == "cause":
-        return f"cause from {args.start} to {args.end} effect {{{' '.join(args.effect)}}}"
-    if args.command == "chain":
-        text = f"chain from {args.start} to {args.end}"
-        if args.effect:
-            text += f" effect {{{' '.join(args.effect)}}}"
-        text += f" maxlen {args.max_len}"
-        return text
-    if args.command == "bisim":
-        other = Path(args.other_model).resolve()
-        return f'bisim {args.config} vs "{other}" {args.other_config}'
-    if args.command in ("recover", "mincost", "utility"):
-        return f"{args.command} {args.config} avoiding {args.formula}"
-    if args.command == "decompose":
-        return f"decompose {{{' '.join(args.left)}}} {{{' '.join(args.right)}}}"
-    raise AssertionError(args.command)
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -179,7 +162,8 @@ def main(argv=None) -> int:
             hp = export_hp(doc.model, init)
             _write_or_print(hp.to_json(), args.output)
             return 0
-        stanza = parse_query_text(_stanza_text(args), doc)
+        # a query subcommand's argument names are the slot fields of its stanza
+        stanza = parse_query_text(render(args.command, vars(args)), doc)
         report = run_query(doc, stanza, options, strict_ac1=args.strict_ac1)
         if args.command == "chain" and args.dot:
             Path(args.dot).write_text(projection_dot(report.witnesses["projection"]), encoding="utf-8")
@@ -191,7 +175,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ModelError, FileNotFoundError) as exc:
+    except (ModelError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

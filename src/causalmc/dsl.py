@@ -13,16 +13,10 @@ A document declares, in any order after the optional mode line:
                                      rule TARGET: OWN (P...) -> OUT ... }
     formula NAME = FORMULA
 
-and query stanzas:
+and query stanzas, whose grammar is the ``QUERIES`` table below, e.g.
 
     check CONFIG |= FORMULA
-    cause from CONFIG to CONFIG effect { C1 C2 ... }
-    chain from CONFIG to CONFIG [effect { ... }] [maxlen N]
-    decompose { C1 C2 ... } { C3 C4 ... }
-    bisim CONFIG vs "path/to/other.model" CONFIG
-    recover CONFIG avoiding FORMULA
-    mincost CONFIG avoiding FORMULA
-    utility CONFIG avoiding FORMULA
+    chain from CONFIG to CONFIG [effect { C1 C2 ... }] [maxlen N]
 
 Rule patterns are behaviours or the wildcard `_`; unmatched inputs keep the
 current behaviour (identity default).  `#` starts a comment.  Formula
@@ -33,8 +27,10 @@ parenthesized.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from . import formulas as F
 from .model import (
@@ -65,112 +61,6 @@ class DslError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-# ---------------------------------------------------------------------------
-# query stanzas
-
-
-@dataclass(frozen=True)
-class CheckStanza:
-    config_label: str
-    config: Configuration
-    formula: F.Formula
-
-    def echo(self) -> str:
-        return f"check {self.config_label} |= {F.pretty(self.formula)}"
-
-
-@dataclass(frozen=True)
-class CauseStanza:
-    start_label: str
-    start: Configuration
-    end_label: str
-    end: Configuration
-    effect: tuple[str, ...]
-
-    def echo(self) -> str:
-        return f"cause from {self.start_label} to {self.end_label} effect {{{' '.join(self.effect)}}}"
-
-
-@dataclass(frozen=True)
-class ChainStanza:
-    start_label: str
-    start: Configuration
-    end_label: str
-    end: Configuration
-    effect: tuple[str, ...] | None = None
-    max_len: int | None = None
-
-    def echo(self) -> str:
-        parts = [f"chain from {self.start_label} to {self.end_label}"]
-        if self.effect is not None:
-            parts.append(f"effect {{{' '.join(self.effect)}}}")
-        if self.max_len is not None:
-            parts.append(f"maxlen {self.max_len}")
-        return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class DecomposeStanza:
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-    def echo(self) -> str:
-        return f"decompose {{{' '.join(self.left)}}} {{{' '.join(self.right)}}}"
-
-
-@dataclass(frozen=True)
-class BisimStanza:
-    config_label: str
-    config: Configuration
-    other_path: str
-    other_config_label: str
-
-    def echo(self) -> str:
-        return f'bisim {self.config_label} vs "{self.other_path}" {self.other_config_label}'
-
-
-@dataclass(frozen=True)
-class RecoverStanza:
-    config_label: str
-    config: Configuration
-    formula: F.Formula
-
-    def echo(self) -> str:
-        return f"recover {self.config_label} avoiding {F.pretty(self.formula)}"
-
-
-@dataclass(frozen=True)
-class MinCostStanza:
-    config_label: str
-    config: Configuration
-    formula: F.Formula
-
-    def echo(self) -> str:
-        return f"mincost {self.config_label} avoiding {F.pretty(self.formula)}"
-
-
-@dataclass(frozen=True)
-class UtilityStanza:
-    config_label: str
-    config: Configuration
-    formula: F.Formula
-
-    def echo(self) -> str:
-        return f"utility {self.config_label} avoiding {F.pretty(self.formula)}"
-
-
-QueryStanza = (
-    CheckStanza
-    | CauseStanza
-    | ChainStanza
-    | DecomposeStanza
-    | BisimStanza
-    | RecoverStanza
-    | MinCostStanza
-    | UtilityStanza
-)
-
-
 @dataclass(frozen=True)
 class ModelDocument:
     model: SystemModel
@@ -180,16 +70,16 @@ class ModelDocument:
     path: str | None = field(default=None, compare=False)
 
     def configuration(self, name: str) -> Configuration:
-        for n, f in self.configurations:
-            if n == name:
-                return f
-        raise DslError([Diagnostic(0, 0, f"unknown configuration {name!r}")])
+        return _lookup(dict(self.configurations), name, "configuration")
 
     def formula(self, name: str) -> F.Formula:
-        for n, phi in self.formulas:
-            if n == name:
-                return phi
-        raise DslError([Diagnostic(0, 0, f"unknown formula {name!r}")])
+        return _lookup(dict(self.formulas), name, "formula")
+
+
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise DslError([Diagnostic(0, 0, f"unknown {what} {name!r}")])
+    return table[name]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +171,6 @@ PREFIX = {
     "<?>": F.InterveneExists,
     "<": F.Intervene,
 }
-_QUERY_HEADS = ("check", "cause", "chain", "decompose", "bisim", "recover", "mincost", "utility")
 
 
 class _Parser:
@@ -462,8 +351,8 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
             name = p.expect_name("formula name").value
             p.expect_punct("=")
             formulas_raw.append((tok, name, p.parse_formula()))
-        elif head in _QUERY_HEADS:
-            queries_raw.append((t, _parse_query_stanza(p)))
+        elif head in QUERIES:
+            queries_raw.append((t, _parse_stanza(p)))
         else:
             p.error(f"unknown declaration {head!r}")
 
@@ -568,17 +457,11 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
     if diags:
         raise DslError(diags)
 
-    doc = ModelDocument(
-        model=model,
-        configurations=tuple(configurations),
-        formulas=tuple(formulas),
-        queries=(),
-        path=path,
-    )
+    scope = _Scope(model, config_map, formula_map)
     queries = []
-    for tok, raw in queries_raw:
+    for tok, (head, raw) in queries_raw:
         try:
-            queries.append(_resolve_query(raw, doc, formula_map))
+            queries.append(_resolve_stanza(head, raw, scope))
         except DslError as exc:
             diags.extend(Diagnostic(tok.line, tok.column, d.message) for d in exc.diagnostics)
     if diags:
@@ -641,14 +524,18 @@ def _parse_atom(p: _Parser):
     name = p.expect_name("atom name").value
     p.expect_punct("=")
     if p.peek().kind == "punct" and p.peek().value == "{":
-        p.next()
-        refs = p.parse_name_list(())
-        p.expect_punct("}")
-        return (tok, name, refs)
+        return (tok, name, _parse_braced_names(p))
     comp = p.expect_name("component name").value
     p.expect_punct("=")
     beh = p.expect_name("behaviour name").value
     return (tok, name, (comp, beh))
+
+
+def _parse_braced_names(p: _Parser) -> list[str]:
+    p.expect_punct("{")
+    names = p.parse_name_list(())
+    p.expect_punct("}")
+    return names
 
 
 def _parse_config_literal(p: _Parser) -> list[tuple[str, str]]:
@@ -699,13 +586,51 @@ def _parse_intervention(p: _Parser):
     return (tok, name, targets, cost, penalty, rules)
 
 
-# raw query stanzas hold labels and unresolved formulas
+# ---------------------------------------------------------------------------
+# query stanzas: one grammar entry per kind, read, resolved and printed by
+# one walker each
 
 
 @dataclass(frozen=True)
-class _RawQuery:
+class Stanza:
+    """A resolved query stanza: its kind (the head word) and, per slot of its
+    grammar entry, the label it is echoed with and the value it resolved to;
+    an absent optional clause has label and value None."""
+
     kind: str
-    parts: tuple
+    labels: tuple
+    values: tuple
+
+    def echo(self) -> str:
+        return render(self.kind, {s.field: label for s, label in zip(_slots(self.kind), self.labels)})
+
+
+class _Scope(NamedTuple):
+    """What a stanza resolves against: the model and its named configurations and formulas."""
+
+    model: SystemModel
+    configs: dict
+    formulas: dict
+
+
+@dataclass(frozen=True)
+class _Type:
+    """How a slot is read (``parse(parser, slot)``), resolved to a (label,
+    value) pair (``resolve(raw, scope)``), and printed from its label."""
+
+    parse: Callable
+    resolve: Callable
+    render: Callable = str
+
+
+@dataclass(frozen=True)
+class Slot:
+    """A typed value of a stanza; with a keyword it is the optional clause
+    ``KEYWORD value``, and such clauses follow the fixed part in any order."""
+
+    field: str
+    type: _Type
+    keyword: str | None = None
 
 
 def _parse_config_ref(p: _Parser) -> tuple[str, object]:
@@ -719,68 +644,105 @@ def _parse_config_ref(p: _Parser) -> tuple[str, object]:
     return name, name
 
 
-def _parse_query_stanza(p: _Parser) -> _RawQuery:
+def _parse_path(p: _Parser) -> str:
+    if p.peek().kind != "string":
+        p.error("expected a quoted path to the other model")
+    return p.next().value
+
+
+def _resolve_config_ref(ref, scope: _Scope) -> tuple[str, Configuration]:
+    label, body = ref
+    if isinstance(body, str):
+        return label, _lookup(scope.configs, body, "configuration")
+    return label, scope.model.configuration(dict(body))
+
+
+def _resolve_formula_slot(phi, scope: _Scope) -> tuple[str, F.Formula]:
+    resolved = _resolve_formula(phi, scope.formulas, scope.model)
+    return F.pretty(resolved), resolved
+
+
+def _resolve_components(names, scope: _Scope) -> tuple[tuple, tuple]:
+    for c in names:
+        scope.model.component(c)
+    return names, names
+
+
+def _unresolved(raw, scope: _Scope):
+    return raw, raw
+
+
+CONFIG = _Type(lambda p, slot: _parse_config_ref(p), _resolve_config_ref)
+FORMULA = _Type(lambda p, slot: p.parse_formula(), _resolve_formula_slot)
+COMPONENTS = _Type(
+    lambda p, slot: tuple(_parse_braced_names(p)), _resolve_components, lambda names: f"{{{' '.join(names)}}}"
+)
+PATH = _Type(lambda p, slot: _parse_path(p), _unresolved, lambda path: f'"{path}"')
+NAME = _Type(lambda p, slot: p.expect_name("configuration name").value, _unresolved)
+NUMBER = _Type(lambda p, slot: int(p.expect_number(slot.keyword).value), _unresolved)
+
+# every query kind: literals (keywords and punctuation) and slots, in order;
+# slot fields are also the argument names of the command line and of the
+# kind's handler in the queries module
+QUERIES = {
+    "check": (Slot("config", CONFIG), "|=", Slot("formula", FORMULA)),
+    "cause": ("from", Slot("start", CONFIG), "to", Slot("end", CONFIG), "effect", Slot("effect", COMPONENTS)),
+    "chain": (
+        "from", Slot("start", CONFIG), "to", Slot("end", CONFIG),
+        Slot("effect", COMPONENTS, "effect"), Slot("max_len", NUMBER, "maxlen"),
+    ),
+    "decompose": (Slot("left", COMPONENTS), Slot("right", COMPONENTS)),
+    "bisim": (Slot("config", CONFIG), "vs", Slot("other_model", PATH), Slot("other_config", NAME)),
+    "recover": (Slot("config", CONFIG), "avoiding", Slot("formula", FORMULA)),
+    "mincost": (Slot("config", CONFIG), "avoiding", Slot("formula", FORMULA)),
+    "utility": (Slot("config", CONFIG), "avoiding", Slot("formula", FORMULA)),
+}
+
+
+def _slots(kind: str) -> list[Slot]:
+    return [item for item in QUERIES[kind] if isinstance(item, Slot)]
+
+
+def _parse_stanza(p: _Parser) -> tuple[str, list]:
+    """The head of the stanza at the parser and one raw value per slot."""
     head = p.next().value
-    if head == "check":
-        ref = _parse_config_ref(p)
-        p.expect_punct("|=")
-        return _RawQuery("check", (ref, p.parse_formula()))
-    if head == "cause":
-        if not p.eat_name("from"):
-            p.error("expected 'from'")
-        start = _parse_config_ref(p)
-        if not p.eat_name("to"):
-            p.error("expected 'to'")
-        end = _parse_config_ref(p)
-        if not p.eat_name("effect"):
-            p.error("expected 'effect'")
-        p.expect_punct("{")
-        effect = p.parse_name_list(())
-        p.expect_punct("}")
-        return _RawQuery("cause", (start, end, tuple(effect)))
-    if head == "chain":
-        if not p.eat_name("from"):
-            p.error("expected 'from'")
-        start = _parse_config_ref(p)
-        if not p.eat_name("to"):
-            p.error("expected 'to'")
-        end = _parse_config_ref(p)
-        effect = None
-        max_len = None
-        while True:
-            if p.eat_name("effect"):
-                p.expect_punct("{")
-                effect = tuple(p.parse_name_list(()))
-                p.expect_punct("}")
-            elif p.eat_name("maxlen"):
-                max_len = int(p.expect_number("maxlen").value)
-            else:
-                break
-        return _RawQuery("chain", (start, end, effect, max_len))
-    if head == "decompose":
-        p.expect_punct("{")
-        left = tuple(p.parse_name_list(()))
-        p.expect_punct("}")
-        p.expect_punct("{")
-        right = tuple(p.parse_name_list(()))
-        p.expect_punct("}")
-        return _RawQuery("decompose", (left, right))
-    if head == "bisim":
-        ref = _parse_config_ref(p)
-        if not p.eat_name("vs"):
-            p.error("expected 'vs'")
-        t = p.peek()
-        if t.kind != "string":
-            p.error("expected a quoted path to the other model")
-        path = p.next().value
-        other = p.expect_name("configuration name").value
-        return _RawQuery("bisim", (ref, path, other))
-    if head in ("recover", "mincost", "utility"):
-        ref = _parse_config_ref(p)
-        if not p.eat_name("avoiding"):
-            p.error("expected 'avoiding'")
-        return _RawQuery(head, (ref, p.parse_formula()))
-    raise AssertionError(head)
+    raw: list = []
+    clauses: dict[str, tuple[int, Slot]] = {}
+    for item in QUERIES[head]:
+        if isinstance(item, Slot) and item.keyword:
+            clauses[item.keyword] = (len(raw), item)
+            raw.append(None)
+        elif isinstance(item, Slot):
+            raw.append(item.type.parse(p, item))
+        elif _NAME_RE.fullmatch(item):
+            if not p.eat_name(item):
+                p.error(f"expected {item!r}")
+        else:
+            p.expect_punct(item)
+    while p.peek().kind == "name" and p.peek().value in clauses:
+        i, slot = clauses[p.next().value]
+        raw[i] = slot.type.parse(p, slot)
+    return head, raw
+
+
+def _resolve_stanza(head: str, raw: list, scope: _Scope) -> Stanza:
+    resolved = [(None, None) if r is None else s.type.resolve(r, scope) for s, r in zip(_slots(head), raw)]
+    labels, values = zip(*resolved)
+    return Stanza(head, labels, values)
+
+
+def render(kind: str, labels: Mapping) -> str:
+    """Query text of a ``kind`` stanza from a mapping of its slot fields to
+    labels; an optional clause whose label is None is left out."""
+    parts = [kind]
+    for item in QUERIES[kind]:
+        if isinstance(item, str):
+            parts.append(item)
+        elif labels[item.field] is not None:
+            if item.keyword:
+                parts.append(item.keyword)
+            parts.append(item.type.render(labels[item.field]))
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -836,49 +798,6 @@ def _resolve_formula(phi: F.Formula, formula_map, model: SystemModel) -> F.Formu
     return resolved
 
 
-def _resolve_config_ref(ref, doc: ModelDocument) -> tuple[str, Configuration]:
-    label, body = ref
-    if isinstance(body, str):
-        return label, doc.configuration(body)
-    return label, doc.model.configuration(dict(body))
-
-
-def _resolve_query(raw: _RawQuery, doc: ModelDocument, formula_map) -> object:
-    model = doc.model
-    if raw.kind == "check":
-        ref, phi = raw.parts
-        label, cfg = _resolve_config_ref(ref, doc)
-        return CheckStanza(label, cfg, _resolve_formula(phi, formula_map, model))
-    if raw.kind == "cause":
-        start, end, effect = raw.parts
-        sl, sc = _resolve_config_ref(start, doc)
-        el, ec = _resolve_config_ref(end, doc)
-        for c in effect:
-            model.component(c)
-        return CauseStanza(sl, sc, el, ec, effect)
-    if raw.kind == "chain":
-        start, end, effect, max_len = raw.parts
-        sl, sc = _resolve_config_ref(start, doc)
-        el, ec = _resolve_config_ref(end, doc)
-        if effect:
-            for c in effect:
-                model.component(c)
-        return ChainStanza(sl, sc, el, ec, effect, max_len)
-    if raw.kind == "decompose":
-        left, right = raw.parts
-        for c in left + right:
-            model.component(c)
-        return DecomposeStanza(left, right)
-    if raw.kind == "bisim":
-        ref, path, other = raw.parts
-        label, cfg = _resolve_config_ref(ref, doc)
-        return BisimStanza(label, cfg, path, other)
-    cls = {"recover": RecoverStanza, "mincost": MinCostStanza, "utility": UtilityStanza}[raw.kind]
-    ref, phi = raw.parts
-    label, cfg = _resolve_config_ref(ref, doc)
-    return cls(label, cfg, _resolve_formula(phi, formula_map, model))
-
-
 # ---------------------------------------------------------------------------
 # single-item parsing for the command line and for report replay
 
@@ -891,23 +810,27 @@ def parse_formula_text(text: str, doc: ModelDocument) -> F.Formula:
     return _resolve_formula(phi, dict(doc.formulas), doc.model)
 
 
+def _scope_of(doc: ModelDocument) -> _Scope:
+    return _Scope(doc.model, dict(doc.configurations), dict(doc.formulas))
+
+
 def parse_config_text(text: str, doc: ModelDocument) -> Configuration:
     p = _Parser(text)
     ref = _parse_config_ref(p)
     if p.peek().kind != "eof":
         p.error("trailing input after configuration")
-    return _resolve_config_ref(ref, doc)[1]
+    return _resolve_config_ref(ref, _scope_of(doc))[1]
 
 
-def parse_query_text(text: str, doc: ModelDocument):
+def parse_query_text(text: str, doc: ModelDocument) -> Stanza:
     p = _Parser(text)
     t = p.peek()
-    if t.kind != "name" or t.value not in _QUERY_HEADS:
+    if t.kind != "name" or t.value not in QUERIES:
         p.error(f"expected a query stanza, found {t.value!r}")
-    raw = _parse_query_stanza(p)
+    head, raw = _parse_stanza(p)
     if p.peek().kind != "eof":
         p.error("trailing input after query")
-    return _resolve_query(raw, doc, dict(doc.formulas))
+    return _resolve_stanza(head, raw, _scope_of(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -23,18 +25,7 @@ from .causality import (
     find_causal_chains,
     find_causes,
 )
-from .dsl import (
-    BisimStanza,
-    CauseStanza,
-    ChainStanza,
-    CheckStanza,
-    DecomposeStanza,
-    MinCostStanza,
-    ModelDocument,
-    RecoverStanza,
-    UtilityStanza,
-    parse_model,
-)
+from .dsl import ModelDocument, Stanza, parse_model
 from .model import (
     DEFAULT_OPTIONS,
     Configuration,
@@ -93,6 +84,12 @@ def qualifying_interventions(
     return out
 
 
+# the declared annotations each recovery choice needs, and how it picks among
+# the qualifying interventions (the first in declaration order on ties)
+_CHEAPEST = (("cost",), partial(min, key=attrgetter("cost")))
+_BEST_UTILITY = (("cost", "penalty"), partial(max, key=attrgetter("utility")))
+
+
 def min_cost_recovery(
     doc: ModelDocument,
     config: Configuration,
@@ -100,7 +97,7 @@ def min_cost_recovery(
     options: Options = DEFAULT_OPTIONS,
 ) -> Intervention | None:
     """Cheapest qualifying intervention; declaration order breaks ties."""
-    return _min_cost(doc, config, fail_formula, options)[0]
+    return _choose(doc, config, fail_formula, options, *_CHEAPEST)[0]
 
 
 def best_utility(
@@ -110,38 +107,31 @@ def best_utility(
     options: Options = DEFAULT_OPTIONS,
 ) -> Intervention | None:
     """Qualifying intervention maximizing -cost - penalty; declaration order ties."""
-    return _best_utility(doc, config, fail_formula, options)[0]
+    return _choose(doc, config, fail_formula, options, *_BEST_UTILITY)[0]
 
 
-def _min_cost(doc, config, fail_formula, options):
-    """The cheapest qualifying intervention and all qualifying ones."""
+def _choose(doc, config, fail_formula, options, needs, pick):
+    """The qualifying intervention ``pick`` selects, and all qualifying ones;
+    every declared intervention must carry the annotations in ``needs``."""
     for iv in doc.model.interventions:
-        if iv.cost is None:
-            raise ModelError(f"intervention {iv.name!r} lacks a cost annotation")
+        if any(getattr(iv, a) is None for a in needs):
+            raise ModelError(f"intervention {iv.name!r} lacks a {' or '.join(needs)} annotation")
     qualifying = qualifying_interventions(doc, config, fail_formula, options)
-    return min(qualifying, key=lambda iv: iv.cost, default=None), qualifying
-
-
-def _best_utility(doc, config, fail_formula, options):
-    """The best-utility qualifying intervention and all qualifying ones."""
-    for iv in doc.model.interventions:
-        if iv.cost is None or iv.penalty is None:
-            raise ModelError(f"intervention {iv.name!r} lacks a cost or penalty annotation")
-    qualifying = qualifying_interventions(doc, config, fail_formula, options)
-    return max(qualifying, key=lambda iv: iv.utility, default=None), qualifying
+    return pick(qualifying, default=None), qualifying
 
 
 def run_query(
     doc: ModelDocument,
-    stanza,
+    stanza: Stanza,
     options: Options = DEFAULT_OPTIONS,
     strict_ac1: bool = False,
 ) -> QueryReport:
     started = time.perf_counter()
-    kind, verdict, witnesses = _dispatch(doc, stanza, options, strict_ac1)
+    mode = "strict" if strict_ac1 else "example"
+    verdict, witnesses = HANDLERS[stanza.kind](doc, options, mode, *stanza.values)
     elapsed = (time.perf_counter() - started) * 1000.0
     return QueryReport(
-        query=stanza.echo(), kind=kind, verdict=verdict, witnesses=witnesses, timing_ms=elapsed
+        query=stanza.echo(), kind=stanza.kind, verdict=verdict, witnesses=witnesses, timing_ms=elapsed
     )
 
 
@@ -151,112 +141,87 @@ def run_document(
     return [run_query(doc, q, options, strict_ac1) for q in doc.queries]
 
 
-def _dispatch(doc, stanza, options, strict_ac1):
+# one handler per query kind: (doc, options, AC1 mode, *slot values of the
+# kind's grammar entry in dsl.QUERIES) -> (verdict, witnesses)
+
+
+def _check(doc, options, mode, config, formula):
+    collected: list = []
+    verdict = evaluate(doc.model, config, formula, options, witnesses=collected)
+    return verdict, {"evidence": collected}
+
+
+def _cause(doc, options, mode, start, end, effect):
+    certs = find_causes(doc.model, CauseQuery(start, end, effect), mode=mode, options=options)
+    return bool(certs), {"mode": mode, "certificates": [c.to_dict() for c in certs]}
+
+
+def _chain(doc, options, mode, start, end, effect, max_len):
+    chains = find_causal_chains(
+        doc.model, start, end, max_len=max_len or 4, effect_components=effect, mode=mode, options=options
+    )
+    projection = causal_projection(doc.model, chains, options)
+    return bool(chains), {
+        "mode": mode,
+        "chains": [c.to_dict() for c in chains],
+        "projection": projection.to_dict(),
+    }
+
+
+def _decompose(doc, options, mode, left, right):
     model = doc.model
-    mode = "strict" if strict_ac1 else "example"
-    if isinstance(stanza, CheckStanza):
-        collected: list = []
-        verdict = evaluate(model, stanza.config, stanza.formula, options, witnesses=collected)
-        return "check", verdict, {"evidence": collected}
-    if isinstance(stanza, CauseStanza):
-        q = CauseQuery(stanza.start, stanza.end, stanza.effect)
-        certs = find_causes(model, q, mode=mode, options=options)
-        return (
-            "cause",
-            bool(certs),
-            {"mode": mode, "certificates": [c.to_dict() for c in certs]},
-        )
-    if isinstance(stanza, ChainStanza):
-        chains = find_causal_chains(
-            model,
-            stanza.start,
-            stanza.end,
-            max_len=stanza.max_len or 4,
-            effect_components=stanza.effect,
-            mode=mode,
-            options=options,
-        )
-        projection = causal_projection(model, chains, options)
-        return (
-            "chain",
-            bool(chains),
-            {
-                "mode": mode,
-                "chains": [c.to_dict() for c in chains],
-                "projection": projection.to_dict(),
-            },
-        )
-    if isinstance(stanza, DecomposeStanza):
-        problems = interface_violations(model, stanza.left, stanza.right)
-        split = check_interface(
-            model, stanza.left, stanza.right, allow_trivial=options.allow_trivial_split
-        )
-        if split is None:
-            detail = problems or ["cover is not a proper split"]
-            return "decompose", False, {"violations": detail}
-        left_m, right_m = conjugate_decompose(model, split)
-        return (
-            "decompose",
-            True,
-            {
-                "interface": list(split.interface),
-                "left": {
-                    "components": list(left_m.component_order),
-                    "free": [c.name for c in left_m.components if c.free],
-                },
-                "right": {
-                    "components": list(right_m.component_order),
-                    "free": [c.name for c in right_m.components if c.free],
-                },
-            },
-        )
-    if isinstance(stanza, BisimStanza):
-        base = Path(doc.path).parent if doc.path else Path(".")
-        other_path = Path(stanza.other_path)
-        if not other_path.is_absolute():
-            other_path = base / other_path
-        other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path))
-        other_cfg = other_doc.configuration(stanza.other_config_label)
-        result = check_bisim(
-            PointedModel(model, stanza.config), PointedModel(other_doc.model, other_cfg), options
-        )
-        payload = {
-            "left_states": result.left_states,
-            "right_states": result.right_states,
+    problems = interface_violations(model, left, right)
+    split = check_interface(model, left, right, allow_trivial=options.allow_trivial_split)
+    if split is None:
+        return False, {"violations": problems or ["cover is not a proper split"]}
+    sides = conjugate_decompose(model, split)
+    payload = {"interface": list(split.interface)}
+    for side, m in zip(("left", "right"), sides):
+        payload[side] = {
+            "components": list(m.component_order),
+            "free": [c.name for c in m.components if c.free],
         }
-        if result.bisimilar:
-            payload["relation_size"] = len(result.relation)
-        else:
-            payload["distinguishing"] = F.pretty(result.distinguishing)
-        return "bisim", result.bisimilar, payload
-    if isinstance(stanza, RecoverStanza):
-        qualifying = qualifying_interventions(doc, stanza.config, stanza.formula, options)
-        return (
-            "recover",
-            bool(qualifying),
-            {"qualifying": [iv.name for iv in qualifying]},
-        )
-    if isinstance(stanza, MinCostStanza):
-        chosen, qualifying = _min_cost(doc, stanza.config, stanza.formula, options)
-        return (
-            "mincost",
-            chosen is not None,
-            {
-                "chosen": chosen.name if chosen else None,
-                "qualifying": [{"name": iv.name, "cost": iv.cost} for iv in qualifying],
-            },
-        )
-    if isinstance(stanza, UtilityStanza):
-        chosen, qualifying = _best_utility(doc, stanza.config, stanza.formula, options)
-        return (
-            "utility",
-            chosen is not None,
-            {
-                "chosen": chosen.name if chosen else None,
-                "qualifying": [
-                    {"name": iv.name, "cost": iv.cost, "penalty": iv.penalty, "utility": iv.utility}
-                    for iv in qualifying
-                ],
-            },
-        )
-    raise TypeError(f"not a query stanza: {stanza!r}")
+    return True, payload
+
+
+def _bisim(doc, options, mode, config, other_model, other_config):
+    other_path = Path(doc.path or ".").parent / other_model
+    other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path))
+    other = PointedModel(other_doc.model, other_doc.configuration(other_config))
+    result = check_bisim(PointedModel(doc.model, config), other, options)
+    payload = {"left_states": result.left_states, "right_states": result.right_states}
+    if result.bisimilar:
+        payload["relation_size"] = len(result.relation)
+    else:
+        payload["distinguishing"] = F.pretty(result.distinguishing)
+    return result.bisimilar, payload
+
+
+def _recover(doc, options, mode, config, formula):
+    qualifying = qualifying_interventions(doc, config, formula, options)
+    return bool(qualifying), {"qualifying": [iv.name for iv in qualifying]}
+
+
+def _choice(choice, fields):
+    """A handler reporting the chosen intervention and, per qualifying one, ``fields``."""
+
+    def handler(doc, options, mode, config, formula):
+        chosen, qualifying = _choose(doc, config, formula, options, *choice)
+        return chosen is not None, {
+            "chosen": chosen.name if chosen else None,
+            "qualifying": [{"name": iv.name, **{f: getattr(iv, f) for f in fields}} for iv in qualifying],
+        }
+
+    return handler
+
+
+HANDLERS = {
+    "check": _check,
+    "cause": _cause,
+    "chain": _chain,
+    "decompose": _decompose,
+    "bisim": _bisim,
+    "recover": _recover,
+    "mincost": _choice(_CHEAPEST, ("cost",)),
+    "utility": _choice(_BEST_UTILITY, ("cost", "penalty", "utility")),
+}

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from causalmc import formulas as F
 from causalmc.bisim import (
+    STEP,
     PointedModel,
     VocabularyMismatch,
+    _Lts,
     check_bisim,
     generate_formula_suite,
     intervention_closure,
@@ -18,7 +20,7 @@ from causalmc.generate import (
     random_system_model,
     rename_component_behaviours,
 )
-from causalmc.model import RuleTable
+from causalmc.model import DEFAULT_OPTIONS, RuleTable
 from causalmc.semantics import evaluate
 
 
@@ -118,3 +120,42 @@ def test_suite_is_star_free_except_star_layer(ex1):
     suite = generate_formula_suite(ex1.atom_map, ex1.intervention_map, depth=2)
     assert any(isinstance(phi, F.Star) for phi in suite)
     assert any(F.modal_depth(phi) == 2 for phi in suite)
+
+
+def _brute_force_pairs(a: PointedModel, b: PointedModel) -> tuple:
+    """Every (left, right) state pair, in state order, whose block in the
+    coarsest stable partition of both sides agrees, by naive refinement and
+    a comparison of every pair."""
+    labels = [STEP] + sorted(a.model.intervention_map)
+    sides = [_Lts(p.model, p.point, labels, DEFAULT_OPTIONS) for p in (a, b)]
+    block = {(i, s): lts.atoms[s] for i, lts in enumerate(sides) for s in lts.states}
+    while True:
+        signature = {
+            (i, s): (block[(i, s)], tuple(frozenset(block[(i, t)] for t in lts.moves[s][l]) for l in labels))
+            for i, lts in enumerate(sides)
+            for s in lts.states
+        }
+        ids: dict = {}
+        refined = {key: ids.setdefault(sig, len(ids)) for key, sig in signature.items()}
+        if len(ids) == len(set(block.values())):
+            break
+        block = refined
+    left, right = sides
+    return tuple(
+        (left.point(sa), right.point(sb))
+        for sa in left.states
+        for sb in right.states
+        if block[(0, sa)] == block[(1, sb)]
+    )
+
+
+def test_relation_pairs_match_brute_force(ex1, ex1_doc, micro, micro_f1):
+    start = ex1_doc.configuration("start")
+    renamed, rencfg = rename_component_behaviours(ex1, "c1")
+    for a, b in (
+        (PointedModel(micro, micro_f1), PointedModel(micro, micro_f1)),
+        (PointedModel(ex1, start), PointedModel(renamed, rencfg(start))),
+    ):
+        r = check_bisim(a, b)
+        assert r.bisimilar
+        assert r.relation.pairs == _brute_force_pairs(a, b)

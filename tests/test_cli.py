@@ -1,13 +1,17 @@
+import argparse
 import contextlib
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalmc.cli import main
+from causalmc.cli import _build_parser, main
+from causalmc.dsl import QUERIES, _slots
+from causalmc.queries import HANDLERS
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 MICRO = str(MODELS / "microservice.model")
@@ -167,6 +171,34 @@ def test_chain_dot_matches_report_in_both_modes(tmp_path):
         nodes = [line for line in dot.read_text().splitlines() if "[label=" in line]
         assert len(nodes) == len(report["witnesses"]["projection"]["configurations"])
         assert bool(nodes) is verdict
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{dir}", "f1", "true"],
+        ["check", "{latin1}", "f1", "true"],
+        ["check", MICRO, "f2", "true", "--report", "{dir}"],
+        ["bisim", EX1, "start", "{dir}", "start"],
+        ["bisim", EX1, "start", "{latin1}", "start"],
+    ],
+    ids=["model-dir", "model-latin1", "report-dir", "other-model-dir", "other-model-latin1"],
+)
+def test_unreadable_input_exit_two_without_traceback(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.model"
+    latin1.write_bytes("component caf\xe9 { domain x }\n".encode("latin-1"))
+    assert main([a.format(dir=tmp_path, latin1=latin1) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_query_subcommands_carry_their_stanza_slots():
+    # a query subcommand's text is rendered from its arguments by slot field
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(QUERIES) == set(HANDLERS)
+    for kind in QUERIES:
+        dests = {a.dest for a in sub.choices[kind]._actions}
+        assert {s.field for s in _slots(kind)} <= dests
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from causalmc.dsl import (
 
 def test_ex1_transcription(ex1_doc):
     assert len(ex1_doc.model.components) == 3
-    assert sum(1 for q in ex1_doc.queries if type(q).__name__ == "DecomposeStanza") == 1
+    assert sum(1 for q in ex1_doc.queries if q.kind == "decompose") == 1
 
 
 def test_empty_file_diagnostic():
