@@ -170,7 +170,7 @@ def main(argv=None) -> int:
         return _emit(report, args)
     except DslError as exc:
         for d in exc.diagnostics:
-            print(f"{args.model}:{d}", file=sys.stderr)
+            print(f"{exc.path or args.model}:{d}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,8 +56,12 @@ class Diagnostic:
 
 
 class DslError(Exception):
-    def __init__(self, diagnostics):
+    """Diagnostics of one input; ``path`` names its file when that is not the
+    model being run (the other model of a bisim query)."""
+
+    def __init__(self, diagnostics, path: str | None = None):
         self.diagnostics = list(diagnostics)
+        self.path = path
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 

@@ -25,7 +25,7 @@ from .causality import (
     find_causal_chains,
     find_causes,
 )
-from .dsl import ModelDocument, Stanza, parse_model
+from .dsl import DslError, ModelDocument, Stanza, parse_model
 from .model import (
     DEFAULT_OPTIONS,
     Configuration,
@@ -157,8 +157,10 @@ def _cause(doc, options, mode, start, end, effect):
 
 
 def _chain(doc, options, mode, start, end, effect, max_len):
+    if max_len is None:
+        max_len = 4
     chains = find_causal_chains(
-        doc.model, start, end, max_len=max_len or 4, effect_components=effect, mode=mode, options=options
+        doc.model, start, end, max_len=max_len, effect_components=effect, mode=mode, options=options
     )
     projection = causal_projection(doc.model, chains, options)
     return bool(chains), {
@@ -186,8 +188,11 @@ def _decompose(doc, options, mode, left, right):
 
 def _bisim(doc, options, mode, config, other_model, other_config):
     other_path = Path(doc.path or ".").parent / other_model
-    other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path))
-    other = PointedModel(other_doc.model, other_doc.configuration(other_config))
+    try:
+        other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path))
+        other = PointedModel(other_doc.model, other_doc.configuration(other_config))
+    except DslError as exc:  # the diagnostics point into the other model's file
+        raise DslError(exc.diagnostics, path=str(other_path)) from None
     result = check_bisim(PointedModel(doc.model, config), other, options)
     payload = {"left_states": result.left_states, "right_states": result.right_states}
     if result.bisimilar:

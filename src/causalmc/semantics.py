@@ -10,14 +10,19 @@ intervention set only.  The separating conjunction searches proper
 interface splits in canonical order and reports the first witnessing
 split.
 
+Within one top-level call, the truth value of each box or diamond
+subformula that holds no intervention or separation operator is kept per
+(compiled variant, state) once computed, so another path reaching the same
+state reuses it.  The witnessing operators are evaluated afresh every
+time, which keeps witness lists exactly as a plain top-down walk builds
+them.
+
 On a partial model, a behaviour atom whose component is outside the
 partial domain evaluates to false rather than raising; this keeps
 separation queries total.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from . import formulas as F
 from . import kernel
@@ -29,7 +34,6 @@ from .model import (
     PartialConfiguration,
     SystemModel,
     UnknownNameError,
-    check_interface,
     conjugate_decompose,
 )
 
@@ -51,7 +55,7 @@ def evaluate(
     if isinstance(f, PartialConfiguration):
         f = model.configuration(f.as_dict())
     k = kernel.compile(model)
-    return _eval(k, k.encode(f), phi, options, witnesses)
+    return _eval(k, k.encode(f), phi, options, witnesses, _labels(phi))
 
 
 def atom_test(k: kernel.Kernel, key):
@@ -85,7 +89,41 @@ def _fits(k: kernel.Kernel, g: Configuration) -> bool:
     return g.components == k.names and all(b in codes for codes, (_, b) in zip(k.codes, g.pairs))
 
 
-def _eval(k, s, phi, options, witnesses) -> bool:
+# the searching modalities: (whether the search is the transitive closure, quantifier)
+_SEARCHES = {F.Box: (False, all), F.Diamond: (False, any), F.BoxPlus: (True, all), F.DiamondPlus: (True, any)}
+_WITNESSING = (F.Intervene, F.InterveneExists, F.Star)
+
+
+def _labels(phi: F.Formula) -> dict:
+    """An empty label table, keyed by id, for each searching subformula of
+    ``phi`` with no witnessing operator inside it.  A table maps
+    (kernel, state) to the subformula's truth value there."""
+    tables: dict = {}
+
+    def visit(node, free):
+        free = all(free) and not isinstance(node, _WITNESSING)
+        if free and node.__class__ in _SEARCHES:
+            tables[id(node)] = {}
+        return free
+
+    F.fold(phi, visit)
+    return tables
+
+
+def _eval(k, s, phi, options, witnesses, labels) -> bool:
+    search = _SEARCHES.get(phi.__class__)
+    if search is not None:
+        table = labels.get(id(phi))
+        if table is not None:
+            found = table.get((k, s))
+            if found is not None:
+                return found
+        closure, quantifier = search
+        states = k.reachable(s, options) if closure else k.successors(s, options.self_loops)
+        out = quantifier(_eval(k, g, phi.sub, options, witnesses, labels) for g in states)
+        if table is not None:
+            table[k, s] = out
+        return out
     if isinstance(phi, F.Top):
         return True
     if isinstance(phi, F.Bot):
@@ -99,30 +137,26 @@ def _eval(k, s, phi, options, witnesses) -> bool:
             raise UnknownNameError(f"unresolved atom p[{phi.component}={phi.behaviour}]")
         return atom_test(k, (phi.component, phi.behaviour))(s)
     if isinstance(phi, F.Not):
-        return not _eval(k, s, phi.sub, options, witnesses)
+        return not _eval(k, s, phi.sub, options, witnesses, labels)
     if isinstance(phi, F.And):
-        return _eval(k, s, phi.left, options, witnesses) and _eval(k, s, phi.right, options, witnesses)
-    if isinstance(phi, F.Or):
-        return _eval(k, s, phi.left, options, witnesses) or _eval(k, s, phi.right, options, witnesses)
-    if isinstance(phi, F.Implies):
-        return (not _eval(k, s, phi.left, options, witnesses)) or _eval(
-            k, s, phi.right, options, witnesses
+        return _eval(k, s, phi.left, options, witnesses, labels) and _eval(
+            k, s, phi.right, options, witnesses, labels
         )
-    if isinstance(phi, F.Box):
-        return all(_eval(k, g, phi.sub, options, witnesses) for g in k.successors(s, options.self_loops))
-    if isinstance(phi, F.Diamond):
-        return any(_eval(k, g, phi.sub, options, witnesses) for g in k.successors(s, options.self_loops))
-    if isinstance(phi, F.BoxPlus):
-        return all(_eval(k, g, phi.sub, options, witnesses) for g in k.reachable(s, options))
-    if isinstance(phi, F.DiamondPlus):
-        return any(_eval(k, g, phi.sub, options, witnesses) for g in k.reachable(s, options))
+    if isinstance(phi, F.Or):
+        return _eval(k, s, phi.left, options, witnesses, labels) or _eval(
+            k, s, phi.right, options, witnesses, labels
+        )
+    if isinstance(phi, F.Implies):
+        return (not _eval(k, s, phi.left, options, witnesses, labels)) or _eval(
+            k, s, phi.right, options, witnesses, labels
+        )
     if isinstance(phi, F.Intervene):
         iv = k.model.intervention_map.get(phi.name)
         if iv is None:
             raise UnknownNameError(f"unresolved intervention name {phi.name!r}")
         intervened = k.intervened(iv)
         for g in intervened.successors(s, options.self_loops):
-            if _eval(intervened, g, phi.sub, options, witnesses):
+            if _eval(intervened, g, phi.sub, options, witnesses, labels):
                 if witnesses is not None:
                     successor = intervened.decode(g).as_dict()
                     witnesses.append({"op": "intervention", "name": phi.name, "successor": successor})
@@ -130,15 +164,15 @@ def _eval(k, s, phi, options, witnesses) -> bool:
         return False
     if isinstance(phi, F.InterveneExists):
         for iv in k.model.interventions:
-            if _eval(k, s, F.Intervene(iv.name, phi.sub), options, witnesses):
+            if _eval(k, s, F.Intervene(iv.name, phi.sub), options, witnesses, labels):
                 if witnesses is not None:
                     witnesses.append({"op": "exists-intervention", "name": iv.name})
                 return True
         return False
     if isinstance(phi, F.Star):
         for split, (left, lf), (right, rf) in _decompositions(k, s, options):
-            if _eval(left, lf, phi.left, options, witnesses) and _eval(
-                right, rf, phi.right, options, witnesses
+            if _eval(left, lf, phi.left, options, witnesses, labels) and _eval(
+                right, rf, phi.right, options, witnesses, labels
             ):
                 if witnesses is not None:
                     witnesses.append(
@@ -174,19 +208,39 @@ def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
     """Valid interface splits in canonical order.
 
     Each component is placed left, right, or on both sides; placements are
-    enumerated in declaration order.  Non-proper covers are admitted only
-    under the trivial-split flag.
+    tried in declaration order, left before right before both, so splits
+    come out in the order of the 3^n product.  A partial placement is
+    abandoned as soon as a component and its whole context are placed and
+    the component breaks the locality rule of ``interface_violations``.
+    Non-proper covers are admitted only under the trivial-split flag.
     """
     names = model.component_order
+    bit = {n: 1 << i for i, n in enumerate(names)}
+    # decided[i]: (component bit, context bits) of each component whose
+    # locality is settled once position i is placed
+    decided: list[list] = [[] for _ in names]
+    for i, c in enumerate(model.components):
+        context = sum(bit[d] for d in set(c.context))
+        decided[max(context.bit_length() - 1, i)].append((1 << i, context))
     out: list[InterfaceSplit] = []
-    for placement in product(("L", "R", "B"), repeat=len(names)):
-        left = tuple(n for n, p in zip(names, placement) if p in ("L", "B"))
-        right = tuple(n for n, p in zip(names, placement) if p in ("R", "B"))
-        if not left or not right:
-            continue
-        split = check_interface(model, left, right, allow_trivial=options.allow_trivial_split)
-        if split is not None:
-            out.append(split)
+
+    def local(c, context, left, right):
+        if c & left and c & right:  # an interface component draws influence from within one side
+            return context & left == context or context & right == context
+        return context & (left if c & left else right) == context
+
+    def extend(i, left, right):
+        if i == len(names):
+            if left and right and (options.allow_trivial_split or left & ~right and right & ~left):
+                sides = [tuple(n for n in names if bit[n] & side) for side in (left, right)]
+                out.append(InterfaceSplit(*sides))
+            return
+        c = 1 << i
+        for placed in ((left | c, right), (left, right | c), (left | c, right | c)):
+            if all(local(j, context, *placed) for j, context in decided[i]):
+                extend(i + 1, *placed)
+
+    extend(0, 0, 0)
     return out
 
 
@@ -195,4 +249,5 @@ def sat_set(
 ) -> list[Configuration]:
     """All configurations satisfying ``phi``, enumerated from the domain product."""
     k = kernel.compile(model)
-    return [k.decode(s) for s in k.configurations(options) if _eval(k, s, phi, options, None)]
+    labels = _labels(phi)
+    return [k.decode(s) for s in k.configurations(options) if _eval(k, s, phi, options, None, labels)]

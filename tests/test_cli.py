@@ -72,6 +72,24 @@ def test_bisim_subcommand(capsys):
     assert main(["bisim", EX1, "start", EX1, "start"]) == 0
 
 
+def test_bisim_diagnostics_name_the_other_model(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text("component a {\n  domain x\n  rule x -> y\n}\nconfig s = (a=x)\n", encoding="utf-8")
+    assert main(["bisim", EX1, "start", str(bad), "s"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:0:0: component a, rule row 1: ") and EX1 not in err
+    assert main(["bisim", EX1, "start", EX1, "nope"]) == 2
+    assert capsys.readouterr().err == f"{EX1}:0:0: unknown configuration 'nope'\n"
+
+
+def test_chain_max_len_is_passed_through(capsys):
+    for max_len in ("0", "1"):
+        assert main(["chain", EX1, "--from", "start", "--to", "flipped", "--max-len", max_len]) == 2
+        assert capsys.readouterr().err == "error: max_len must be at least 2\n"
+    assert main(["chain", EX1, "--from", "start", "--to", "flipped"]) == 1
+    assert "maxlen 4" in capsys.readouterr().out
+
+
 def test_decompose_subcommand():
     assert main(["decompose", EX1, "--left", "c1", "c2", "--right", "c2", "c3"]) == 0
     assert (

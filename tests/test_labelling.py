@@ -9,6 +9,8 @@ Verdicts, witness lists, cap overruns and split lists must agree exactly.
 """
 
 import random
+from dataclasses import replace
+from functools import cache
 from itertools import product
 
 import pytest
@@ -42,27 +44,18 @@ def ref_candidate_splits(model, options):
     return out
 
 
-_REF_SIDES: dict = {}
+@cache  # models are values; this only saves rebuilding the same sides
+def ref_sides(model, allow_trivial_split):
+    splits = ref_candidate_splits(model, Options(allow_trivial_split=allow_trivial_split))
+    return [(split, conjugate_decompose(model, split)) for split in splits]
 
 
 def ref_decompositions(k, s, options):
-    key = (k, options.allow_trivial_split)
-    entries = _REF_SIDES.get(key)
-    if entries is None:
-        entries = _REF_SIDES[key] = [
-            (
-                split,
-                [
-                    (kernel.compile(m), [k.index[c] for c in m.component_order])
-                    for m in conjugate_decompose(k.model, split)
-                ],
-            )
-            for split in ref_candidate_splits(k.model, options)
-        ]
     digits = k.digits(s)
-    for split, sides in entries:
+    for split, models in ref_sides(k.model, options.allow_trivial_split):
+        sides = [kernel.compile(m) for m in models]
         yield (split,) + tuple(
-            (side, sum(digits[j] * w for j, w in zip(idx, side.weights))) for side, idx in sides
+            (side, sum(digits[k.index[c]] * w for c, w in zip(side.names, side.weights))) for side in sides
         )
 
 
@@ -203,7 +196,9 @@ def test_sat_set_matches_reference():
         k = kernel.compile(model)
         for _ in range(3):
             phi = random_formula(rng, model, 3)
-            want = _outcome(lambda w: [k.decode(s) for s in k.configurations(options) if ref_eval(k, s, phi, options, None)])
+            want = _outcome(
+                lambda w: [k.decode(s) for s in k.configurations(options) if ref_eval(k, s, phi, options, None)]
+            )
             assert _outcome(lambda w: sat_set(model, phi, options)) == want
 
 
@@ -237,3 +232,28 @@ def test_candidate_splits_match_reference(ex1, micro):
             found += len(got)
     assert found > 1000
 
+
+def test_nested_reachability_grows_linearly(monkeypatch, micro_doc):
+    """Searches run by ``(<>+)^k false`` at micro's f1 grow by a constant
+    per extra level: each level labels every reachable state once.  Labels
+    are filled lazily, so ``(<>+)^3 true`` stops at its first hit."""
+    calls = []
+    search = kernel.Kernel.reachable
+    monkeypatch.setattr(
+        kernel.Kernel, "reachable", lambda self, s, options: calls.append(s) or search(self, s, options)
+    )
+    f1 = micro_doc.configuration("f1")
+    counts = []
+    for depth in range(1, 7):
+        model = replace(micro_doc.model)  # a fresh instance: no memo from an earlier depth
+        phi = F.FALSE
+        for _ in range(depth):
+            phi = F.DiamondPlus(phi)
+        calls.clear()
+        assert evaluate(model, f1, phi) is False
+        counts.append(len(calls))
+    steps = [b - a for a, b in zip(counts, counts[1:])]
+    assert steps[1:] == [steps[1]] * len(steps[1:]), counts
+    calls.clear()
+    assert evaluate(replace(micro_doc.model), f1, F.DiamondPlus(F.DiamondPlus(F.DiamondPlus(F.TRUE))))
+    assert len(calls) == 3
