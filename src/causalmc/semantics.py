@@ -216,6 +216,8 @@ def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
     """
     names = model.component_order
     bit = {n: 1 << i for i, n in enumerate(names)}
+    if any(d not in bit for c in model.components for d in c.context):
+        return []  # an unknown context component lies on neither side of any cover
     # decided[i]: (component bit, context bits) of each component whose
     # locality is settled once position i is placed
     decided: list[list] = [[] for _ in names]

@@ -221,7 +221,8 @@ def test_bundled_models_match_reference(request, doc_name, trivial):
 
 
 def test_candidate_splits_match_reference(ex1, micro):
-    models = [ex1, micro] + [model for _, model, _ in _cases(200, max_components=6)]
+    unvalidated = replace(ex1, components=(replace(ex1.components[0], context=("nope",)),) + ex1.components[1:])
+    models = [ex1, micro, unvalidated] + [model for _, model, _ in _cases(200, max_components=6)]
     found = 0
     for model in models:
         for trivial in (False, True):
