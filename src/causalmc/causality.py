@@ -36,7 +36,7 @@ Certificates carry replayable evidence for all three clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from . import kernel
 from .model import (
@@ -140,20 +140,80 @@ class _Episode:
     """One cause query on the compiled state space: start and end states, the
     effect as (weight, radix, code) places of the effect components, and what
     every candidate checked against the query shares: clause verdicts per
-    subset and effect searches per (witness set, start state)."""
+    subset, the marks of each state AC1 meets, and one ``_Witness`` per
+    witness set.  Clamped variants live here, so they go with the query."""
 
     def __init__(self, model, q: CauseQuery, mode: str, options: Options):
         self.model, self.q, self.mode, self.options = model, q, mode, options
         self.verdicts: dict = {}
-        self.searches: dict = {}
+        self.witnesses: dict = {}
+        self.memo: dict = {}  # state -> (end mask, effect key)
         self.k = k = kernel.compile(model)
         self.start, self.end = k.encode(q.start), k.encode(q.end)
         self.start_digits, self.end_digits = k.digits(self.start), k.digits(self.end)
-        self.effect = [self.place(c) for c in q.effect_components]
+        self.effect = [k.places[i] + (self.end_digits[i],) for i in map(k.position, q.effect_components)]
 
-    def place(self, name: str) -> tuple[int, int, int]:
-        i = self.k.position(name)
-        return self.k.places[i] + (self.end_digits[i],)
+    def marks(self, s: int) -> tuple[int, int]:
+        """The end mask of ``s``, bit i set when component i has its end-state
+        behaviour, and its effect key, the effect components' part of ``s``."""
+        found = self.memo.get(s)
+        if found is None:
+            mask = sum(1 << i for i, (d, b) in enumerate(zip(self.k.digits(s), self.end_digits)) if d == b)
+            found = self.memo[s] = (mask, sum(s // w % r * w for w, r, _ in self.effect))
+        return found
+
+    def witness(self, names: tuple[str, ...]) -> "_Witness":
+        found = self.witnesses.get(names)
+        if found is None:
+            found = self.witnesses[names] = _Witness(self, names)
+        return found
+
+    def deviation(self, cause, s: int) -> tuple[tuple[str, str], ...]:
+        """The candidate's (name, behaviour) pairs in state ``s``."""
+        k = self.k
+        places = zip(cause, map(k.index.get, cause))
+        return tuple((c, k.domains[i][s // k.weights[i] % k.radices[i]]) for c, i in places)
+
+
+class _Witness(dict):
+    """A witness set's clamped variant and the offset the clamp adds to the
+    start state.  As a dict it maps a deviation's offset to whether the
+    effect is reachable from the start state moved by it under the clamp,
+    and searches on the first lookup, so each search runs once per query."""
+
+    def __init__(self, e: _Episode, names: tuple[str, ...]):
+        k = e.k
+        pins = tuple((i, e.end_digits[i]) for i in map(k.index.get, names))
+        self.variant = k.pinned(pins) if pins else k
+        self.base = e.start + sum((b - e.start_digits[i]) * k.weights[i] for i, b in pins)
+        self.effect, self.options = e.effect, e.options
+
+    def __missing__(self, offset: int) -> bool:
+        found = _first_effect_reachable(self.variant, self.base + offset, self.effect, self.options)
+        self[offset] = reached = found is not None
+        return reached
+
+
+class _Deviations:
+    """Assignments to the candidate components with at least one component off
+    its end-state behaviour, as offsets from the start state (a deviation's
+    behaviours are read back from its state when evidence names them).  They
+    are made on demand, in the product order of the domains, and kept."""
+
+    def __init__(self, e: _Episode, cause):
+        k, positions = e.k, [e.k.index[c] for c in cause]
+        parts = [[(c - e.start_digits[i]) * k.weights[i] for c in range(k.radices[i])] for i in positions]
+        at_end = tuple(p[e.end_digits[i]] for p, i in zip(parts, positions))
+        self.offsets: list[int] = []
+        self._rest = (sum(combo) for combo in product(*parts) if combo != at_end)
+
+    def __iter__(self):
+        return chain(self.offsets, self._more())
+
+    def _more(self):
+        for offset in self._rest:
+            self.offsets.append(offset)
+            yield offset
 
 
 def _ac1(e: _Episode, cause):
@@ -164,31 +224,31 @@ def _ac1(e: _Episode, cause):
     configuration through admissible edges realises the
     hold-from-first-attainment requirement.  The search runs over
     (configuration, effect-realized) pairs so that the found path always
-    contains an effect-component update.
+    contains an effect-component update.  Both tests compare the end masks
+    and effect keys of the edge's two states.
     """
-    held = [e.place(c) for c in cause]
-    if e.mode == "strict" and any(e.start // w % r != b for w, r, b in held):
+    held = sum(1 << e.k.index[c] for c in cause)
+    marks = e.marks
+    if e.mode == "strict" and held & ~marks(e.start)[0]:
         return False, None
-    effect = [(w, r) for w, r, _ in e.effect]
-
-    def admissible(f: int, g: int) -> bool:
-        return all(g // w % r == b for w, r, b in held if f // w % r == b)
-
-    def touches_effect(f: int, g: int) -> bool:
-        return any(f // w % r != g // w % r for w, r in effect)
 
     parent: dict = {}
     queue: list = []
-
-    def push(state, prev):
-        if state not in parent:
-            parent[state] = prev
-            queue.append(state)
-
     k, loops, cap = e.k, e.options.self_loops, 2 * e.options.max_states
-    for g in k.successors(e.start, loops):
-        if admissible(e.start, g):
-            push((g, touches_effect(e.start, g)), None)
+
+    def expand(f: int, got_effect: bool, via) -> None:
+        mask, key = marks(f)
+        kept = held & mask  # candidates at their end behaviour in f must keep it
+        for g in k.successors(f, loops):
+            to_mask, to_key = marks(g)
+            if kept & ~to_mask:
+                continue
+            state = (g, got_effect or key != to_key)
+            if state not in parent:
+                parent[state] = via
+                queue.append(state)
+
+    expand(e.start, False, None)
     i = 0
     while i < len(queue):
         state = queue[i]
@@ -203,19 +263,8 @@ def _ac1(e: _Episode, cause):
             return True, (e.q.start,) + tuple(k.decode(g) for g in reversed(path))
         if len(parent) > cap:
             raise CapExceeded(cap, len(parent), "AC1 path search")
-        for g in k.successors(f, loops):
-            if admissible(f, g):
-                push((g, got_effect or touches_effect(f, g)), state)
+        expand(f, got_effect, state)
     return False, None
-
-
-def _deviations(model, q: CauseQuery, free: tuple[str, ...]):
-    """Assignments to the non-witness candidate components with at least one
-    component off its end-state behaviour."""
-    domains = [model.behaviours(c) for c in free]
-    for combo in product(*domains):
-        if any(v != q.end[c] for c, v in zip(free, combo)):
-            yield tuple(zip(free, combo))
 
 
 def _first_effect_reachable(k, start: int, effect, options) -> int | None:
@@ -249,29 +298,15 @@ def _witness_candidates(model, cause):
 
 
 def _ac2(e: _Episode, cause):
-    """AC2 for one candidate: its deviations are enumerated once, and each
-    (witness set, deviated start) effect search runs at most once per query."""
-    k = e.k
-    devs = []  # (deviation, its offset from the start state)
-    for dev in _deviations(e.model, e.q, cause):
-        delta = 0
-        for c, v in dev:
-            i = k.index[c]
-            delta += (k.codes[i][v] - e.start_digits[i]) * k.weights[i]
-        devs.append((dev, delta))
-
-    def blocked(witness, variant, start: int) -> bool:
-        # a witness set always clamps to the same end-state behaviours, so it names the variant
-        key = (witness, start)
-        if key not in e.searches:
-            e.searches[key] = _first_effect_reachable(variant, start, e.effect, e.options)
-        return e.searches[key] is None
-
-    contrast = _raw_contrast(e, devs, blocked)
+    """AC2 for one candidate: its deviations are made as the checks need them,
+    and each (witness set, deviated start) effect search runs at most once
+    per query."""
+    devs = _Deviations(e, cause)
+    contrast = _raw_contrast(e, cause, devs)
     if contrast is None:
         return False, None, None, (), None
     for witness in _witness_candidates(e.model, cause):
-        evidence = _ac2_for_witness(e, witness, devs, blocked)
+        evidence = _ac2_for_witness(e, cause, witness, devs)
         if evidence is not None:
             clamp = None
             if witness:
@@ -280,29 +315,27 @@ def _ac2(e: _Episode, cause):
     return False, None, None, (), contrast
 
 
-def _raw_contrast(e: _Episode, devs, blocked):
+def _raw_contrast(e: _Episode, cause, devs):
     """First deviation of the whole candidate that, from the unclamped start
     configuration, neither satisfies nor ever reaches the effect."""
-    for dev, delta in devs:
-        start = e.start + delta
-        if all(start // w % r == b for w, r, b in e.effect):
-            continue
-        if blocked((), e.k, start):
-            return dev
+    unclamped, goal = e.witness(()), e.marks(e.end)[1]
+    for offset in devs:
+        start = e.start + offset
+        if e.marks(start)[1] != goal and not unclamped[offset]:
+            return e.deviation(cause, start)
     return None
 
 
-def _ac2_for_witness(e: _Episode, witness, devs, blocked):
+def _ac2_for_witness(e: _Episode, cause, witness, devs):
     """Evidence that every deviation is blocked with ``witness`` clamped to
     its end-state behaviours, or None at the first deviation that is not."""
-    k, variant, base = e.k, e.k, e.start
-    if witness:
-        pins = tuple((i, e.end_digits[i]) for i in map(k.index.get, witness))
-        variant = k.clamped(pins)
-        base += sum((b - e.start_digits[i]) * k.weights[i] for i, b in pins)
-    if not all(blocked(witness, variant, base + delta) for _, delta in devs):
+    clamp = e.witness(witness)
+    if any(map(clamp.__getitem__, devs)):
         return None
-    return tuple(DeviationCheck(deviation=dev, start=k.decode(base + delta), ok=True) for dev, delta in devs)
+    return tuple(
+        DeviationCheck(deviation=e.deviation(cause, s), start=e.k.decode(s), ok=True)
+        for s in (clamp.base + offset for offset in devs.offsets)
+    )
 
 
 def check_cause(
@@ -593,23 +626,22 @@ def causal_projection(
 
 
 def _is_acyclic(nodes, edges) -> bool:
+    """Whether the graph has no cycle: Kahn's topological sort, with an
+    explicit worklist, reaches every node exactly when none lies on a cycle."""
     adj: dict = {n: [] for n in nodes}
+    indegree = dict.fromkeys(nodes, 0)
     for a, b in edges:
         adj[a].append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {n: WHITE for n in nodes}
-
-    def visit(n) -> bool:
-        colour[n] = GREY
-        for m in adj[n]:
-            if colour[m] == GREY:
-                return False
-            if colour[m] == WHITE and not visit(m):
-                return False
-        colour[n] = BLACK
-        return True
-
-    return all(colour[n] != WHITE or visit(n) for n in nodes)
+        indegree[b] += 1
+    ready = [n for n in nodes if indegree[n] == 0]
+    seen = 0
+    while ready:
+        seen += 1
+        for m in adj[ready.pop()]:
+            indegree[m] -= 1
+            if indegree[m] == 0:
+                ready.append(m)
+    return seen == len(adj)
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,16 @@ class Kernel:
         return queue
 
     def clamped(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
-        """Variant pinning each (component, code) pair's component to that code;
-        a free component stays free, as under ``apply_intervention``."""
+        """``pinned(pins)``, memoized on this kernel."""
         if pins not in self.variants:
-            kept = {i: code for i, code in pins if self.rules[i] is not None}
-            self.variants[pins] = self._variant(None, kept)
+            self.variants[pins] = self.pinned(pins)
         return self.variants[pins]
+
+    def pinned(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
+        """Variant pinning each (component, code) pair's component to that code;
+        a free component stays free, as under ``apply_intervention``.  Built
+        afresh: the caller keeps it as long as it needs its memos."""
+        return self._variant(None, {i: code for i, code in pins if self.rules[i] is not None})
 
     def intervened(self, iv) -> "Kernel":
         """Kernel of ``apply_intervention(self.model, iv)``; only the targets' tables are new."""

@@ -9,6 +9,7 @@ from oracle import oracle_find_causes
 from causalmc.causality import (
     CauseQuery,
     _first_effect_reachable,
+    _is_acyclic,
     causal_projection,
     check_cause,
     classify_intervention_effect,
@@ -230,6 +231,14 @@ def test_two_configuration_causal_loop():
     assert len(chains) == 2
     proj = causal_projection(m, chains)
     assert not proj.acyclic
+
+
+def test_acyclicity_of_long_graphs_needs_no_recursion():
+    nodes = list(range(5000))
+    path = [(i, i + 1) for i in range(4999)]
+    assert _is_acyclic(nodes, path)
+    assert not _is_acyclic(nodes, path + [(4999, 0)])
+    assert not _is_acyclic(nodes, path + [(2500, 2500)])
 
 
 def test_projection_dot_output(micro, micro_f1, micro_f2):

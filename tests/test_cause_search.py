@@ -10,12 +10,13 @@ their order and cap overruns (cap, size, phase) must agree exactly.
 """
 
 import random
+import sys
 from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
-from causalmc import kernel
+from causalmc import causality, kernel
 from causalmc.causality import (
     CauseCertificate,
     CauseQuery,
@@ -362,3 +363,40 @@ def test_cap_overruns_match_reference(max_states):
         if isinstance(want, tuple):
             phases.add(want[3])
     assert phases == {"AC1 path search", "counterfactual reachability"}
+
+
+# ---------------------------------------------------------------------------
+# what one query builds
+
+
+def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
+    # nothing is a cause, so every candidate with a contrast tries every witness set
+    model, q = pipeline(6, fault=False)
+    searched = {"engine": [], "reference": []}
+    made = []
+
+    def counted(who, search):
+        return lambda k, start, effect, options: searched[who].append(start) or search(k, start, effect, options)
+
+    class Deviations(causality._Deviations):
+        def __init__(self, e, cause):
+            super().__init__(e, cause)
+            made.append((len(cause), self))
+
+    monkeypatch.setattr(causality, "_first_effect_reachable", counted("engine", _first_effect_reachable))
+    monkeypatch.setattr(causality, "_Deviations", Deviations)
+    monkeypatch.setattr(sys.modules[__name__], "_first_effect_reachable", counted("reference", _first_effect_reachable))
+    assert find_causes(model, q) == [] == ref_find_causes(model, q)
+    assert len(searched["engine"]) == 67
+    assert searched["engine"] == searched["reference"]
+    eager = sum(3**size - 1 for size, _ in made)
+    assert eager == 4**5 - 2**5  # every candidate reaches AC2
+    assert sum(len(devs.offsets) for _, devs in made) == 62
+
+
+def test_clamped_variants_go_with_the_query():
+    model, q = pipeline(4, fault=False)
+    other = CauseQuery(q.start, model.configuration({"s0": "err", "s1": "err", "s2": "idle", "s3": "idle"}), ("s1",))
+    for query in (q, other):
+        find_causes(model, query)
+    assert not any(isinstance(key, tuple) for key in kernel.compile(model).variants)
