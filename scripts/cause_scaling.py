@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Scaling curve of the cause search: ``find_causes`` milliseconds and
+effect searches for the benchmark's pipelines (n stages, with and without a
+fault at the source) and fan-in trees (one or two faulty leaves).
+
+Only the answers are checked, not the times: a spontaneous pipeline and a
+tree with two faulty leaves have no cause, a faulty source is the one cause
+of its pipeline's sink error, and a single faulty leaf that of its tree's
+root error.  Times are best of ``--repeat`` runs, each on a freshly parsed
+model, and vary with the machine.
+"""
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+from causalmc import causality
+from causalmc.causality import CauseQuery, find_causes
+from causalmc.dsl import parse_model
+
+sys.dont_write_bytecode = True  # leave no bytecode cache in the benchmark's directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import families  # noqa: E402
+
+
+def measure(text: str, names: dict, effect: str, repeat: int):
+    """Best milliseconds, effect searches of one run, and the cause sets found."""
+    searches = []
+    search = causality._first_effect_reachable
+
+    def counted(k, start, goal, options):
+        searches.append(start)
+        return search(k, start, goal, options)
+
+    best = float("inf")
+    causality._first_effect_reachable = counted
+    try:
+        for _ in range(repeat):
+            doc = parse_model(text)
+            q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (effect,))
+            searches.clear()
+            started = time.perf_counter()
+            certs = find_causes(doc.model, q)
+            best = min(best, time.perf_counter() - started)
+    finally:
+        causality._first_effect_reachable = search
+    return 1000 * best, len(searches), [c.cause_set for c in certs]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--max-n", type=int, default=10, help="longest pipeline (default 10)")
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args()
+
+    print(f"{'family':<24}{'ms':>10}{'searches':>10}  causes")
+    for n in range(4, args.max_n + 1):
+        for fault in (False, True):
+            text, names = families.pipeline(random.Random(args.seed), n, fault)
+            ms, searches, causes = measure(text, names, names["comps"][-1], args.repeat)
+            print(f"{f'pipeline n={n} ' + ('fault' if fault else 'spontaneous'):<24}{ms:>10.1f}{searches:>10}  {causes}")
+            assert causes == ([(names["comps"][0],)] if fault else []), causes
+    for leaves in (3, 4, 5):
+        for faulty in (1, 2):
+            text, names = families.fanin(random.Random(args.seed), leaves, faulty)
+            ms, searches, causes = measure(text, names, names["comps"][-1], args.repeat)
+            print(f"{f'fan-in {leaves} leaves, {faulty} faulty':<24}{ms:>10.1f}{searches:>10}  {causes}")
+            assert causes == ([(names["comps"][0],)] if faulty == 1 else []), causes
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -146,8 +146,9 @@ class _Episode:
     def __init__(self, model, q: CauseQuery, mode: str, options: Options):
         self.model, self.q, self.mode, self.options = model, q, mode, options
         self.verdicts: dict = {}
-        self.witnesses: dict = {}
-        self.memo: dict = {}  # state -> (end mask, effect key)
+        self.witnesses = _WitnessTable(self)
+        self.state_marks: dict = {}  # state -> (end mask, effect key)
+        self.configurations: dict = {}  # state -> decoded configuration
         self.k = k = kernel.compile(model)
         self.start, self.end = k.encode(q.start), k.encode(q.end)
         self.start_digits, self.end_digits = k.digits(self.start), k.digits(self.end)
@@ -156,16 +157,17 @@ class _Episode:
     def marks(self, s: int) -> tuple[int, int]:
         """The end mask of ``s``, bit i set when component i has its end-state
         behaviour, and its effect key, the effect components' part of ``s``."""
-        found = self.memo.get(s)
+        found = self.state_marks.get(s)
         if found is None:
             mask = sum(1 << i for i, (d, b) in enumerate(zip(self.k.digits(s), self.end_digits)) if d == b)
-            found = self.memo[s] = (mask, sum(s // w % r * w for w, r, _ in self.effect))
+            found = self.state_marks[s] = (mask, sum(s // w % r * w for w, r, _ in self.effect))
         return found
 
-    def witness(self, names: tuple[str, ...]) -> "_Witness":
-        found = self.witnesses.get(names)
+    def decode(self, s: int) -> Configuration:
+        """``k.decode(s)``, once per state: AC1 paths of many candidates share states."""
+        found = self.configurations.get(s)
         if found is None:
-            found = self.witnesses[names] = _Witness(self, names)
+            found = self.configurations[s] = self.k.decode(s)
         return found
 
     def deviation(self, cause, s: int) -> tuple[tuple[str, str], ...]:
@@ -173,6 +175,17 @@ class _Episode:
         k = self.k
         places = zip(cause, map(k.index.get, cause))
         return tuple((c, k.domains[i][s // k.weights[i] % k.radices[i]]) for c, i in places)
+
+
+class _WitnessTable(dict):
+    """The episode's ``_Witness`` per witness set, made on first lookup."""
+
+    def __init__(self, e: _Episode):
+        self.e = e
+
+    def __missing__(self, names: tuple[str, ...]) -> "_Witness":
+        self[names] = found = _Witness(self.e, names)
+        return found
 
 
 class _Witness(dict):
@@ -260,7 +273,7 @@ def _ac1(e: _Episode, cause):
             while parent[cursor] is not None:
                 cursor = parent[cursor]
                 path.append(cursor[0])
-            return True, (e.q.start,) + tuple(k.decode(g) for g in reversed(path))
+            return True, (e.q.start,) + tuple(map(e.decode, reversed(path)))
         if len(parent) > cap:
             raise CapExceeded(cap, len(parent), "AC1 path search")
         expand(f, got_effect, state)
@@ -305,20 +318,21 @@ def _ac2(e: _Episode, cause):
     contrast = _raw_contrast(e, cause, devs)
     if contrast is None:
         return False, None, None, (), None
+    table = e.witnesses
     for witness in _witness_candidates(e.model, cause):
-        evidence = _ac2_for_witness(e, cause, witness, devs)
-        if evidence is not None:
+        # a witness fails at its first deviation from which the effect is reachable
+        if not any(map(table[witness].__getitem__, devs)):
             clamp = None
             if witness:
                 clamp = clamping_intervention(e.model, witness, {w: e.q.end[w] for w in witness})
-            return True, witness, clamp, evidence, contrast
+            return True, witness, clamp, _evidence(e, cause, table[witness], devs), contrast
     return False, None, None, (), contrast
 
 
 def _raw_contrast(e: _Episode, cause, devs):
     """First deviation of the whole candidate that, from the unclamped start
     configuration, neither satisfies nor ever reaches the effect."""
-    unclamped, goal = e.witness(()), e.marks(e.end)[1]
+    unclamped, goal = e.witnesses[()], e.marks(e.end)[1]
     for offset in devs:
         start = e.start + offset
         if e.marks(start)[1] != goal and not unclamped[offset]:
@@ -326,14 +340,10 @@ def _raw_contrast(e: _Episode, cause, devs):
     return None
 
 
-def _ac2_for_witness(e: _Episode, cause, witness, devs):
-    """Evidence that every deviation is blocked with ``witness`` clamped to
-    its end-state behaviours, or None at the first deviation that is not."""
-    clamp = e.witness(witness)
-    if any(map(clamp.__getitem__, devs)):
-        return None
+def _evidence(e: _Episode, cause, clamp: "_Witness", devs):
+    """One check per deviation, each blocked under the certifying clamp."""
     return tuple(
-        DeviationCheck(deviation=e.deviation(cause, s), start=e.k.decode(s), ok=True)
+        DeviationCheck(deviation=e.deviation(cause, s), start=e.decode(s), ok=True)
         for s in (clamp.base + offset for offset in devs.offsets)
     )
 
