@@ -183,7 +183,7 @@ class _WitnessTable(dict):
     def __init__(self, e: _Episode):
         self.e = e
 
-    def __missing__(self, names: tuple[str, ...]) -> "_Witness":
+    def __missing__(self, names: tuple[str, ...]) -> _Witness:
         self[names] = found = _Witness(self.e, names)
         return found
 
@@ -340,7 +340,7 @@ def _raw_contrast(e: _Episode, cause, devs):
     return None
 
 
-def _evidence(e: _Episode, cause, clamp: "_Witness", devs):
+def _evidence(e: _Episode, cause, clamp: _Witness, devs):
     """One check per deviation, each blocked under the certifying clamp."""
     return tuple(
         DeviationCheck(deviation=e.deviation(cause, s), start=e.decode(s), ok=True)
