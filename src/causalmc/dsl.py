@@ -89,76 +89,68 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_FIXED = ("[]+", "<>+", "<?>", "->", "|=", "[]", "<>")
-_PUNCT = "{}()=,:*&|!<>[]"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"\d+(\.\d+)?")
+
+# One match per token, newline or comment, with the blanks before it: the
+# alternatives are tried in this order at each position, the multi-character
+# operators before the single characters they start with, and "bad" takes any
+# other character but a blank, so blanks at the end of the text match nothing.
+# Numbers use \d, which also matches non-ASCII digits.
+_SCAN = re.compile(
+    r"[ \t\r]*(?:"
+    + "|".join(
+        [
+            r"(?P<newline>\n)",
+            r"(?P<comment>#[^\n]*)",
+            r"(?P<punct>\[\]\+|<>\+|<\?>|->|\|=|\[\]|<>|[{}()=,:*&|!<>\[\]])",
+            r'(?P<string>"[^"]*")',
+            r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)",
+            r"(?P<number>\d+(?:\.\d+)?)",
+            r"(?P<bad>[^ \t\r])",
+        ]
+    )
+    + ")"
+)
+_PLAIN = frozenset(("punct", "name", "number"))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # name | number | string | punct | eof
     value: str
     line: int
     column: int
 
 
+# Token((kind, value, line, column)) without the Python-level NamedTuple.__new__
+_token = partial(tuple.__new__, Token)
+
+
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with an ``eof`` token.
+
+    A column is the offset from the start of its line, plus one.  Only a
+    newline between tokens starts a line: a newline inside a string does not,
+    so columns after such a string keep counting from the string's line.
+    """
     out: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    m = None
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind in _PLAIN:
+            out.append(_token((kind, m.group(kind), line, m.start(kind) - line_start + 1)))
+        elif kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for fix in _FIXED:
-            if text.startswith(fix, i):
-                out.append(Token("punct", fix, line, col))
-                i += len(fix)
-                col += len(fix)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise DslError([Diagnostic(line, col, "unterminated string")])
-            out.append(Token("string", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            out.append(Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            out.append(Token("number", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            out.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslError([Diagnostic(line, col, f"unexpected character {ch!r}")])
-    out.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "string":
+            out.append(_token((kind, m.group(kind)[1:-1], line, m.start(kind) - line_start + 1)))
+        elif kind == "bad":
+            ch = m.group(kind)
+            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise DslError([Diagnostic(line, m.start(kind) - line_start + 1, message)])
+    # a trailing comment does not advance the end-of-input column
+    end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(text)
+    out.append(_token(("eof", "", line, end - line_start + 1)))
     return out
 
 
@@ -196,30 +188,41 @@ class _Parser:
         raise DslError([Diagnostic(tok.line, tok.column, message)])
 
     def expect_punct(self, value: str) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != "punct" or t.value != value:
             self.error(f"expected {value!r}, found {t.value or 'end of input'!r}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def expect_name(self, what: str = "name") -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != "name":
             self.error(f"expected {what}, found {t.value or 'end of input'!r}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def expect_number(self, what: str = "number") -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != "number":
             self.error(f"expected {what}, found {t.value or 'end of input'!r}")
-        return self.next()
+        self.pos += 1
+        return t
 
-    def at_name(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind == "name" and t.value == value
+    def at_punct(self, value: str) -> bool:
+        t = self.tokens[self.pos]
+        return t.value == value and t.kind == "punct"
+
+    def eat_punct(self, value: str) -> bool:
+        t = self.tokens[self.pos]
+        if t.value == value and t.kind == "punct":
+            self.pos += 1
+            return True
+        return False
 
     def eat_name(self, value: str) -> bool:
-        if self.at_name(value):
-            self.next()
+        t = self.tokens[self.pos]
+        if t.value == value and t.kind == "name":
+            self.pos += 1
             return True
         return False
 
@@ -230,22 +233,19 @@ class _Parser:
 
     def _implies(self) -> F.Formula:
         left = self._or()
-        if self.peek().kind == "punct" and self.peek().value == "->":
-            self.next()
+        if self.eat_punct("->"):
             return F.Implies(left, self._implies())
         return left
 
     def _or(self) -> F.Formula:
         out = self._and()
-        while self.peek().kind == "punct" and self.peek().value == "|":
-            self.next()
+        while self.eat_punct("|"):
             out = F.Or(out, self._and())
         return out
 
     def _and(self) -> F.Formula:
         out = self._unary()
-        while self.peek().kind == "punct" and self.peek().value == "&":
-            self.next()
+        while self.eat_punct("&"):
             out = F.And(out, self._unary())
         return out
 
@@ -264,10 +264,9 @@ class _Parser:
         return out
 
     def _postfix(self) -> F.Formula:
-        t = self.peek()
-        parenthesized = t.kind == "punct" and t.value == "("
+        parenthesized = self.at_punct("(")
         out = self._primary()
-        while self.peek().kind == "punct" and self.peek().value == "*":
+        while self.at_punct("*"):
             if not parenthesized:
                 self.error("operands of '*' must be parenthesized")
             self.next()
@@ -278,12 +277,11 @@ class _Parser:
         return out
 
     def _primary(self) -> F.Formula:
-        t = self.peek()
-        if t.kind == "punct" and t.value == "(":
-            self.next()
+        if self.eat_punct("("):
             out = self.parse_formula()
             self.expect_punct(")")
             return out
+        t = self.peek()
         if t.kind == "name":
             if t.value == "true":
                 self.next()
@@ -309,14 +307,13 @@ class _Parser:
     def parse_name_list(self, stop_values) -> list[str]:
         names: list[str] = []
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.value == ",":
-                self.next()
+            if self.eat_punct(","):
                 continue
+            t = self.tokens[self.pos]
             if t.kind != "name" or t.value in stop_values:
-                break
-            names.append(self.next().value)
-        return names
+                return names
+            self.pos += 1
+            names.append(t.value)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +483,7 @@ def _parse_component(p: _Parser) -> ComponentDecl:
     domain: list[str] = []
     context: list[str] = []
     rows: list[RuleRow] = []
-    while not (p.peek().kind == "punct" and p.peek().value == "}"):
+    while not p.eat_punct("}"):
         t = p.peek()
         if p.eat_name("domain"):
             domain = p.parse_name_list(("domain", "context", "rule"))
@@ -496,7 +493,6 @@ def _parse_component(p: _Parser) -> ComponentDecl:
             rows.append(_parse_rule_row(p))
         else:
             p.error(f"expected domain, context, rule or '}}', found {t.value!r}")
-    p.expect_punct("}")
     return ComponentDecl(
         name=name, domain=tuple(domain), context=tuple(context), rule=RuleTable(tuple(rows))
     )
@@ -510,14 +506,10 @@ def _parse_pattern(p: _Parser) -> str | None:
 def _parse_rule_row(p: _Parser) -> RuleRow:
     own = _parse_pattern(p)
     context: list[str | None] = []
-    if p.peek().kind == "punct" and p.peek().value == "(":
-        p.next()
-        while not (p.peek().kind == "punct" and p.peek().value == ")"):
-            if p.peek().kind == "punct" and p.peek().value == ",":
-                p.next()
-                continue
-            context.append(_parse_pattern(p))
-        p.expect_punct(")")
+    if p.eat_punct("("):
+        while not p.eat_punct(")"):
+            if not p.eat_punct(","):
+                context.append(_parse_pattern(p))
     p.expect_punct("->")
     out = p.expect_name("output behaviour").value
     return RuleRow(own=own, context=tuple(context), output=out)
@@ -527,7 +519,7 @@ def _parse_atom(p: _Parser):
     tok = p.next()  # atom
     name = p.expect_name("atom name").value
     p.expect_punct("=")
-    if p.peek().kind == "punct" and p.peek().value == "{":
+    if p.at_punct("{"):
         return (tok, name, _parse_braced_names(p))
     comp = p.expect_name("component name").value
     p.expect_punct("=")
@@ -545,15 +537,13 @@ def _parse_braced_names(p: _Parser) -> list[str]:
 def _parse_config_literal(p: _Parser) -> list[tuple[str, str]]:
     p.expect_punct("(")
     pairs: list[tuple[str, str]] = []
-    while not (p.peek().kind == "punct" and p.peek().value == ")"):
-        if p.peek().kind == "punct" and p.peek().value == ",":
-            p.next()
+    while not p.eat_punct(")"):
+        if p.eat_punct(","):
             continue
         comp = p.expect_name("component name").value
         p.expect_punct("=")
         beh = p.expect_name("behaviour name").value
         pairs.append((comp, beh))
-    p.expect_punct(")")
     return pairs
 
 
@@ -574,7 +564,7 @@ def _parse_intervention(p: _Parser):
     p.expect_punct("{")
     cost = penalty = None
     rules = []
-    while not (p.peek().kind == "punct" and p.peek().value == "}"):
+    while not p.eat_punct("}"):
         t = p.peek()
         if p.eat_name("cost"):
             cost = float(p.expect_number("cost").value)
@@ -586,7 +576,6 @@ def _parse_intervention(p: _Parser):
             rules.append((t, target, _parse_rule_row(p)))
         else:
             p.error(f"expected cost, penalty, rule or '}}', found {t.value!r}")
-    p.expect_punct("}")
     return (tok, name, targets, cost, penalty, rules)
 
 
@@ -639,8 +628,7 @@ class Slot:
 
 def _parse_config_ref(p: _Parser) -> tuple[str, object]:
     """A configuration reference: a declared name or an inline literal."""
-    t = p.peek()
-    if t.kind == "punct" and t.value == "(":
+    if p.at_punct("("):
         pairs = _parse_config_literal(p)
         label = "(" + ", ".join(f"{c}={b}" for c, b in pairs) + ")"
         return label, pairs
