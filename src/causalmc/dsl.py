@@ -38,6 +38,7 @@ from .model import (
     ComponentDecl,
     Configuration,
     Intervention,
+    ModelError,
     RuleRow,
     RuleTable,
     SystemModel,
@@ -646,7 +647,10 @@ def _resolve_config_ref(ref, scope: _Scope) -> tuple[str, Configuration]:
     label, body = ref
     if isinstance(body, str):
         return label, _lookup(scope.configs, body, "configuration")
-    return label, scope.model.configuration(dict(body))
+    try:
+        return label, scope.model.configuration(dict(body))
+    except ModelError as exc:
+        raise DslError([Diagnostic(0, 0, str(exc))]) from None
 
 
 def _resolve_formula_slot(phi, scope: _Scope) -> tuple[str, F.Formula]:
@@ -655,8 +659,9 @@ def _resolve_formula_slot(phi, scope: _Scope) -> tuple[str, F.Formula]:
 
 
 def _resolve_components(names, scope: _Scope) -> tuple[tuple, tuple]:
-    for c in names:
-        scope.model.component(c)
+    unknown = next((c for c in names if c not in scope.model.component_map), None)
+    if unknown is not None:
+        raise DslError([Diagnostic(0, 0, f"unknown component {unknown!r}")])
     return names, names
 
 

@@ -46,6 +46,26 @@ def test_unresolved_names_are_diagnosed():
     assert any("unresolved name 'nothing'" in d.message for d in exc.value.diagnostics)
 
 
+def test_stanza_name_errors_are_positioned_and_collected():
+    # unknown components in stanza lists and an incomplete inline
+    # configuration are reported at their stanzas, alongside the other errors
+    text = (
+        "component a { domain x }\ncomponent b { domain y }\nconfig f = (a=x, b=y)\n"
+        "cause from f to f effect {Nope}\n"
+        "decompose {a} {c9}\n"
+        "check (a=x) |= true\n"
+        "check f |= nothing\n"
+    )
+    with pytest.raises(DslError) as exc:
+        parse_model(text)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "4:1: unknown component 'Nope'",
+        "5:1: unknown component 'c9'",
+        "6:1: configuration misses components ['b']",
+        "7:1: unresolved name 'nothing' in formula",
+    ]
+
+
 def test_domain_violations_delegated_to_validation():
     text = "component a { domain x\n rule x -> y }\n"
     with pytest.raises(DslError) as exc:
