@@ -665,6 +665,13 @@ def _resolve_components(names, scope: _Scope) -> tuple[tuple, tuple]:
     return names, names
 
 
+def _parse_count(p: _Parser, slot: Slot) -> int:
+    t = p.expect_number(slot.keyword)
+    if "." in t.value:
+        p.error(f"expected a whole number after {slot.keyword!r}, found {t.value!r}", t)
+    return int(t.value)
+
+
 def _unresolved(raw, scope: _Scope):
     return raw, raw
 
@@ -676,7 +683,7 @@ COMPONENTS = _Type(
 )
 PATH = _Type(lambda p, slot: _parse_path(p), _unresolved, lambda path: f'"{path}"')
 NAME = _Type(lambda p, slot: p.expect_name("configuration name").value, _unresolved)
-NUMBER = _Type(lambda p, slot: int(p.expect_number(slot.keyword).value), _unresolved)
+NUMBER = _Type(_parse_count, _unresolved)
 
 # every query kind: literals (keywords and punctuation) and slots, in order;
 # slot fields are also the argument names of the command line and of the

@@ -90,6 +90,15 @@ def test_chain_max_len_is_passed_through(capsys):
     assert "maxlen 4" in capsys.readouterr().out
 
 
+def test_decimal_maxlen_in_document_is_a_positioned_diagnostic(tmp_path, capsys):
+    text = Path(EX1).read_text(encoding="utf-8")
+    doc = tmp_path / "ex1.model"
+    doc.write_text(text + "chain from start to flipped maxlen 2.5\n", encoding="utf-8")
+    assert main(["run", str(doc)]) == 2
+    line = text.count("\n") + 1
+    assert capsys.readouterr().err == f"{doc}:{line}:36: expected a whole number after 'maxlen', found '2.5'\n"
+
+
 def test_decompose_subcommand():
     assert main(["decompose", EX1, "--left", "c1", "c2", "--right", "c2", "c3"]) == 0
     assert (
