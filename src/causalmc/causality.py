@@ -36,7 +36,7 @@ Certificates carry replayable evidence for all three clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
 from . import kernel
 from .model import (
@@ -593,15 +593,14 @@ def find_causal_chains(
         )
         out.append(CausalChain(configurations=tuple(seq), links=links))
 
-    for n in range(2, max_len + 1):
+    # waypoints are distinct, so no chain is longer than every middle plus the endpoints
+    for n in range(2, min(max_len, len(middles) + 2) + 1):
         if n == 2:
             seq = (f_start, f_end)
             if is_chain(seq):
                 emit(seq)
             continue
-        for interior in product(middles, repeat=n - 2):
-            if len(set(interior)) != len(interior):
-                continue
+        for interior in permutations(middles, n - 2):
             seq = (f_start,) + interior + (f_end,)
             if is_chain(seq) and minimal(seq):
                 emit(seq)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracle import oracle_find_causes
 
+from causalmc.dsl import parse_model
 from causalmc.causality import (
     CauseQuery,
     _first_effect_reachable,
@@ -184,6 +185,22 @@ def test_chain_equal_endpoints_empty(micro, micro_f1):
 def test_chain_inert_model_empty():
     m = SystemModel(components=(ComponentDecl(name="a", domain=("x", "y")),))
     assert find_causal_chains(m, m.configuration({"a": "x"}), m.configuration({"a": "y"})) == []
+
+
+def test_chain_length_is_bounded_by_the_waypoints():
+    # b steps while a is a0, then a steps while b is b2: the only chain runs
+    # through the one waypoint (a=a0, b=b2); a maxlen beyond every waypoint
+    # between the endpoints returns at once with the same chains
+    doc = parse_model(
+        "component a { domain a0 a1 a2 context b rule a2 (_) -> a1 rule a0 (b2) -> a1 }\n"
+        "component b { domain b0 b1 b2 context a rule b0 (a0) -> b2 }\n"
+        "config s = (a=a0, b=b0)\nconfig e = (a=a1, b=b2)\n"
+    )
+    m, start, end = doc.model, doc.configuration("s"), doc.configuration("e")
+    middles = [g for g in reachable(m, start) if g not in (start, end) and end in reachable(m, g)]
+    longest = find_causal_chains(m, start, end, max_len=len(middles) + 2)
+    assert [len(c.configurations) for c in longest] == [3]
+    assert find_causal_chains(m, start, end, max_len=10**23) == longest
 
 
 def test_longer_chains_pruned_when_direct_link_certifies(micro, micro_f1, micro_f2):
