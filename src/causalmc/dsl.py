@@ -105,7 +105,7 @@ _SCAN = re.compile(
             r"(?P<comment>#[^\n]*)",
             r"(?P<punct>\[\]\+|<>\+|<\?>|->|\|=|\[\]|<>|[{}()=,:*&|!<>\[\]])",
             r'(?P<string>"[^"]*")',
-            r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)",
+            rf"(?P<name>{_NAME_RE.pattern})",
             r"(?P<number>\d+(?:\.\d+)?)",
             r"(?P<bad>[^ \t\r])",
         ]
