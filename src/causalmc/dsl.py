@@ -659,9 +659,9 @@ def _resolve_formula_slot(phi, scope: _Scope) -> tuple[str, F.Formula]:
 
 
 def _resolve_components(names, scope: _Scope) -> tuple[tuple, tuple]:
-    unknown = next((c for c in names if c not in scope.model.component_map), None)
-    if unknown is not None:
-        raise DslError([Diagnostic(0, 0, f"unknown component {unknown!r}")])
+    for c in names:
+        if c not in scope.model.component_map:
+            raise DslError([Diagnostic(0, 0, f"unknown component {c!r}")])
     return names, names
 
 
