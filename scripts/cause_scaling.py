@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Scaling curve of the cause search: ``find_causes`` milliseconds and
 effect searches for the benchmark's pipelines (n stages, with and without a
-fault at the source) and fan-in trees (one or two faulty leaves).
+fault at the source) and fan-in trees (one or two faulty leaves), then
+``find_causal_chains`` milliseconds on the microservice model from f1 to f2
+for max-len 3 to 12.
 
 Only the answers are checked, not the times: a spontaneous pipeline and a
 tree with two faulty leaves have no cause, a faulty source is the one cause
 of its pipeline's sink error, and a single faulty leaf that of its tree's
-root error.  Times are best of ``--repeat`` runs, each on a freshly parsed
-model, and vary with the machine.
+root error.  The chains found under a max-len are those of max-len 12 with
+at most that many waypoints.  Times are best of ``--repeat`` runs, each on
+a freshly parsed model, and vary with the machine.
 """
 
 import argparse
@@ -17,11 +20,12 @@ import time
 from pathlib import Path
 
 from causalmc import causality
-from causalmc.causality import CauseQuery, find_causes
+from causalmc.causality import CauseQuery, find_causal_chains, find_causes
 from causalmc.dsl import parse_model
 
+REPO = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave no bytecode cache in the benchmark's directory
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(REPO / "perfbench"))
 
 import families  # noqa: E402
 
@@ -50,6 +54,17 @@ def measure(text: str, names: dict, effect: str, repeat: int):
     return 1000 * best, len(searches), [c.cause_set for c in certs]
 
 
+def measure_chains(text: str, max_len: int, repeat: int):
+    """Best milliseconds of micro's f1-to-f2 chain search, and the chains found."""
+    best = float("inf")
+    for _ in range(repeat):
+        doc = parse_model(text)
+        started = time.perf_counter()
+        chains = find_causal_chains(doc.model, doc.configuration("f1"), doc.configuration("f2"), max_len=max_len)
+        best = min(best, time.perf_counter() - started)
+    return 1000 * best, [c.configurations for c in chains]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=10, help="longest pipeline (default 10)")
@@ -70,6 +85,12 @@ def main() -> int:
             ms, searches, causes = measure(text, names, names["comps"][-1], args.repeat)
             print(f"{f'fan-in {leaves} leaves, {faulty} faulty':<24}{ms:>10.1f}{searches:>10}  {causes}")
             assert causes == ([(names["comps"][0],)] if faulty == 1 else []), causes
+    micro = (REPO / "models" / "microservice.model").read_text(encoding="utf-8")
+    _, longest = measure_chains(micro, 12, 1)
+    for max_len in range(3, 13):
+        ms, chains = measure_chains(micro, max_len, args.repeat)
+        print(f"{f'micro chain max-len {max_len}':<24}{ms:>10.1f}{'':>10}  {len(chains)} chains")
+        assert chains == [c for c in longest if len(c) <= max_len], chains
     return 0
 
 

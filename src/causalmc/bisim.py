@@ -27,11 +27,11 @@ from .model import (
     ModelError,
     Options,
     SystemModel,
-    apply_intervention,
 )
 from .semantics import atom_test
 
 STEP = "step"
+CLOSURE_CAP = 4096  # variants in an intervention closure, whatever --max-states says
 
 
 class VocabularyMismatch(ModelError):
@@ -52,8 +52,8 @@ class VariantGraph:
     """Model variants reachable through declared interventions.
 
     Node 0 is the original model; edges are labelled with intervention
-    names and deduplicated by canonical serialization, so the graph is
-    finite whenever the declared set is.
+    names, and variants are deduplicated by their rule tables, so the graph
+    is finite whenever the declared set is.
     """
 
     models: tuple[SystemModel, ...]
@@ -77,31 +77,31 @@ class VariantGraph:
         return "\n".join(lines)
 
 
-def intervention_closure(model: SystemModel, cap: int = 4096) -> VariantGraph:
-    """All variants reachable by applying declared interventions in sequence."""
-    names = [iv.name for iv in model.interventions]
-    models = [model]
-    index = {model.canonical_json(): 0}
+def intervention_closure(model: SystemModel) -> VariantGraph:
+    """All variants reachable by applying declared interventions in sequence,
+    each built by ``Kernel.intervened``, so compiling a variant returns its kernel."""
+    ivs = [model.intervention_map[iv.name] for iv in model.interventions]  # as `<name>` resolves a name
+    kernels = [kernel.compile(model)]
+    index = {tuple(c.rule for c in model.components): 0}  # variants differ in rule tables only
     edges: list[tuple[int, str, int]] = []
     frontier = [0]
     while frontier:
         nxt: list[int] = []
         for i in frontier:
-            for name in names:
-                iv = models[i].intervention_map[name]
-                variant = apply_intervention(models[i], iv)
-                key = variant.canonical_json()
+            for iv in ivs:
+                variant = kernels[i].intervened(iv)
+                key = tuple(c.rule for c in variant.model.components)
                 j = index.get(key)
                 if j is None:
-                    if len(models) >= cap:
-                        raise CapExceeded(cap, len(models) + 1, "intervention closure")
-                    j = len(models)
+                    if len(kernels) >= CLOSURE_CAP:
+                        raise CapExceeded(CLOSURE_CAP, len(kernels) + 1, "intervention closure")
+                    j = len(kernels)
                     index[key] = j
-                    models.append(variant)
+                    kernels.append(variant)
                     nxt.append(j)
-                edges.append((i, name, j))
+                edges.append((i, iv.name, j))
         frontier = nxt
-    return VariantGraph(models=tuple(models), edges=tuple(edges))
+    return VariantGraph(models=tuple(k.model for k in kernels), edges=tuple(edges))
 
 
 @dataclass(frozen=True)

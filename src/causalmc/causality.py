@@ -36,7 +36,7 @@ Certificates carry replayable evidence for all three clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 
 from . import kernel
 from .model import (
@@ -47,9 +47,7 @@ from .model import (
     ModelError,
     Options,
     SystemModel,
-    apply_intervention,
     clamping_intervention,
-    reachable,
 )
 from .semantics import atom_test
 
@@ -593,17 +591,21 @@ def find_causal_chains(
         )
         out.append(CausalChain(configurations=tuple(seq), links=links))
 
+    def extend(prefix, depth: int) -> None:
+        """Chains with ``depth`` more interior waypoints after ``prefix``, in
+        permutation order; a waypoint whose link fails ends its extensions."""
+        if depth == 0:
+            seq = prefix + (f_end,)
+            if link(prefix[-1], f_end, True) is not None and minimal(seq):
+                emit(seq)
+            return
+        for g in middles:
+            if g not in prefix and link(prefix[-1], g, False) is not None:
+                extend(prefix + (g,), depth - 1)
+
     # waypoints are distinct, so no chain is longer than every middle plus the endpoints
     for n in range(2, min(max_len, len(middles) + 2) + 1):
-        if n == 2:
-            seq = (f_start, f_end)
-            if is_chain(seq):
-                emit(seq)
-            continue
-        for interior in permutations(middles, n - 2):
-            seq = (f_start,) + interior + (f_end,)
-            if is_chain(seq) and minimal(seq):
-                emit(seq)
+        extend((f_start,), n - 2)
     return out
 
 
@@ -703,21 +705,19 @@ def classify_intervention_effect(
         link_cause_union.append(tuple(union))
     targets = set(iv.targets)
     overlaps = [i for i, u in enumerate(link_cause_union) if targets & set(u)]
-    intervened = apply_intervention(model, iv)
+    k = kernel.compile(model).intervened(iv)
 
     if not overlaps:
         recerts = []
         for i in range(len(seq) - 1):
-            if seq[i + 1] not in set(reachable(intervened, seq[i], options)):
+            if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
                 return ChainClassification(
                     verdict="indeterminate",
                     detail=f"no cause overlap, but link {i} is no longer realizable after {iv.name}",
                     link_causes=tuple(link_cause_union),
                     broken_link=i,
                 )
-            cert = _certify_link(
-                intervened, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options
-            )
+            cert = _certify_link(k.model, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options)
             if cert is None:
                 return ChainClassification(
                     verdict="indeterminate",
@@ -734,7 +734,7 @@ def classify_intervention_effect(
         )
 
     for i in overlaps:
-        if seq[i + 1] not in set(reachable(intervened, seq[i], options)):
+        if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
             return ChainClassification(
                 verdict="disrupted",
                 detail=f"link {i} overlaps targets of {iv.name} and is invalidated",

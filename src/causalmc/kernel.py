@@ -7,7 +7,8 @@ rule table becomes a map from the integer (own, context) code to the next
 behaviour's code, filled on first lookup; a clamped component is a constant
 code and a free one ranges over its domain.  ``compile(model)`` keeps the
 kernel on the model instance, so its memos live exactly as long as the
-model.  Variants share every rule table they do not replace.
+model.  Variants share every rule table they do not replace; an intervened
+variant is kept on its intervened model, so compiling that model returns it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class Kernel:
     def _fresh(self) -> None:
         self.succ_memo: tuple[dict, dict] = ({}, {})  # indexed by options.self_loops
         self.reach_memo: tuple[dict, dict] = ({}, {})
-        self.variants: dict = {}
+        self.variants: dict = {}  # intervened variants, by intervention
         self.splits: dict = {}  # semantics' decompositions, by allow_trivial_split
 
     def position(self, name: str) -> int:
@@ -156,12 +157,6 @@ class Kernel:
         memo[s] = queue
         return queue
 
-    def clamped(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
-        """``pinned(pins)``, memoized on this kernel."""
-        if pins not in self.variants:
-            self.variants[pins] = self.pinned(pins)
-        return self.variants[pins]
-
     def pinned(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
         """Variant pinning each (component, code) pair's component to that code;
         a free component stays free, as under ``apply_intervention``.  Built
@@ -169,11 +164,12 @@ class Kernel:
         return self._variant(None, {i: code for i, code in pins if self.rules[i] is not None})
 
     def intervened(self, iv) -> "Kernel":
-        """Kernel of ``apply_intervention(self.model, iv)``; only the targets' tables are new."""
+        """Kernel of ``apply_intervention(self.model, iv)``, memoized here and kept
+        on that model, so ``compile`` returns it; only the targets' tables are new."""
         if iv not in self.variants:
             model = apply_intervention(self.model, iv)
             tables = {i: ({}, iv.rule_for(t)) for t in iv.targets if self.rules[i := self.index[t]] is not None}
-            self.variants[iv] = self._variant(model, tables)
+            self.variants[iv] = model.__dict__["_kernel"] = self._variant(model, tables)
         return self.variants[iv]
 
     def _variant(self, model, replaced: dict) -> "Kernel":

@@ -542,28 +542,32 @@ def clamping_intervention(model: SystemModel, targets, values, name: str | None 
 # interfaces and decomposition
 
 
+def local(at_left, at_right, context, left, right) -> bool:
+    """The locality rule of an interface split, on sets and bitmasks alike: a
+    component on one side draws its influence (``context``) from within that
+    side, and an interface component from within one of the two sides."""
+    if at_left and at_right:
+        return context & left == context or context & right == context
+    return context & (left if at_left else right) == context
+
+
 def interface_violations(model: SystemModel, left, right) -> list[str]:
     """Locality defects of a candidate cover; empty iff the cover is an interface split."""
     ls, rs = set(left), set(right)
     allc = set(model.component_order)
     if ls | rs != allc:
         raise ModelError(f"cover {sorted(ls)} + {sorted(rs)} does not equal the component set")
-    interface = ls & rs
     out: list[str] = []
     for c in model.components:
         inf = set(c.context)
-        if c.name in interface:
-            # interface components must draw influence from within one side
-            if not (inf <= ls or inf <= rs):
-                out.append(
-                    f"interface component {c.name}: context {sorted(inf)} not contained in either side"
-                )
-        elif c.name in ls:
-            if not inf <= ls:
-                out.append(f"component {c.name}: context {sorted(inf)} escapes the left side")
+        at_left, at_right = c.name in ls, c.name in rs
+        if local(at_left, at_right, inf, ls, rs):
+            continue
+        if at_left and at_right:
+            out.append(f"interface component {c.name}: context {sorted(inf)} not contained in either side")
         else:
-            if not inf <= rs:
-                out.append(f"component {c.name}: context {sorted(inf)} escapes the right side")
+            side = "left" if at_left else "right"
+            out.append(f"component {c.name}: context {sorted(inf)} escapes the {side} side")
     return out
 
 

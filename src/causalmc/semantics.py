@@ -35,6 +35,7 @@ from .model import (
     SystemModel,
     UnknownNameError,
     conjugate_decompose,
+    local,
 )
 
 
@@ -211,7 +212,7 @@ def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
     tried in declaration order, left before right before both, so splits
     come out in the order of the 3^n product.  A partial placement is
     abandoned as soon as a component and its whole context are placed and
-    the component breaks the locality rule of ``interface_violations``.
+    the component breaks the locality rule ``model.local``.
     Non-proper covers are admitted only under the trivial-split flag.
     """
     names = model.component_order
@@ -226,11 +227,6 @@ def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
         decided[max(context.bit_length() - 1, i)].append((1 << i, context))
     out: list[InterfaceSplit] = []
 
-    def local(c, context, left, right):
-        if c & left and c & right:  # an interface component draws influence from within one side
-            return context & left == context or context & right == context
-        return context & (left if c & left else right) == context
-
     def extend(i, left, right):
         if i == len(names):
             if left and right and (options.allow_trivial_split or left & ~right and right & ~left):
@@ -238,9 +234,9 @@ def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
                 out.append(InterfaceSplit(*sides))
             return
         c = 1 << i
-        for placed in ((left | c, right), (left, right | c), (left | c, right | c)):
-            if all(local(j, context, *placed) for j, context in decided[i]):
-                extend(i + 1, *placed)
+        for to_left, to_right in ((left | c, right), (left, right | c), (left | c, right | c)):
+            if all(local(j & to_left, j & to_right, context, to_left, to_right) for j, context in decided[i]):
+                extend(i + 1, to_left, to_right)
 
     extend(0, 0, 0)
     return out

@@ -12,7 +12,7 @@ their order and cap overruns (cap, size, phase) must agree exactly.
 import random
 import sys
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -147,7 +147,7 @@ def _ac2_for_witness(e, witness, devs, blocked):
     k, variant, base = e.k, e.k, e.start
     if witness:
         pins = tuple((i, e.end_digits[i]) for i in map(k.index.get, witness))
-        variant = k.clamped(pins)
+        variant = k.pinned(pins)
         base += sum((b - e.start_digits[i]) * k.weights[i] for i, b in pins)
     if not all(blocked(witness, variant, base + delta) for _, delta in devs):
         return None
@@ -400,3 +400,137 @@ def test_clamped_variants_go_with_the_query():
     for query in (q, other):
         find_causes(model, query)
     assert not any(isinstance(key, tuple) for key in kernel.compile(model).variants)
+
+
+# ---------------------------------------------------------------------------
+# chain search
+
+
+def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=None, mode="example", options=Options()):
+    if max_len < 2:
+        raise ModelError("max_len must be at least 2")
+    model.validate_configuration(f_start)
+    model.validate_configuration(f_end)
+    if f_start == f_end:
+        return []
+    effect_components = tuple(effect_components) if effect_components else None
+
+    link_cache = {}
+
+    def link(a, b, final):
+        key = (a, b, final and effect_components is not None)
+        if key not in link_cache:
+            eff = effect_components if (final and effect_components is not None) else None
+            link_cache[key] = causality._certify_link(model, a, b, eff, mode, options)
+        return link_cache[key]
+
+    def is_chain(seq):
+        return all(link(seq[i], seq[i + 1], i == len(seq) - 2) is not None for i in range(len(seq) - 1))
+
+    def minimal(seq):
+        for i in range(1, len(seq) - 1):
+            if is_chain(seq[:i] + seq[i + 1 :]):
+                return False
+        return True
+
+    k = kernel.compile(model)
+    start, end = k.encode(f_start), k.encode(f_end)
+    forward = k.reachable(start, options)
+    if end not in forward:
+        return []
+
+    out = []
+    middles = [k.decode(g) for g in forward if g not in (start, end) and end in k.reachable(g, options)]
+
+    def emit(seq):
+        links = tuple(
+            causality.ChainLink(
+                effect_components=(
+                    effect_components
+                    if (i == len(seq) - 2 and effect_components is not None)
+                    else causality._changed_components(seq[i], seq[i + 1])
+                ),
+                certificate=link(seq[i], seq[i + 1], i == len(seq) - 2),
+            )
+            for i in range(len(seq) - 1)
+        )
+        out.append(causality.CausalChain(configurations=tuple(seq), links=links))
+
+    for n in range(2, min(max_len, len(middles) + 2) + 1):
+        if n == 2:
+            seq = (f_start, f_end)
+            if is_chain(seq):
+                emit(seq)
+            continue
+        for interior in permutations(middles, n - 2):
+            seq = (f_start,) + interior + (f_end,)
+            if is_chain(seq) and minimal(seq):
+                emit(seq)
+    return out
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """The (start, end, effect) of every ``_certify_link`` call, in order."""
+    calls = []
+    certify = causality._certify_link
+
+    def recorded(model, a, b, effect, mode, options):
+        calls.append((a, b, effect))
+        return certify(model, a, b, effect, mode, options)
+
+    monkeypatch.setattr(causality, "_certify_link", recorded)
+    return calls
+
+
+def _chains_and_calls(calls, search, *args, **kwargs):
+    calls.clear()
+    try:
+        found = [c.to_dict() for c in search(*args, **kwargs)]
+    except CapExceeded as err:
+        found = ("cap", err.cap, err.size, err.what)
+    return found, list(calls)
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6])
+def test_micro_chain_search_matches_permutations(certify_calls, micro, micro_f1, micro_f2, max_len):
+    for effect in (None, ("FrontEnd",)):
+        args = (micro, micro_f1, micro_f2, max_len, effect)
+        want = _chains_and_calls(certify_calls, ref_find_causal_chains, *args)
+        assert _chains_and_calls(certify_calls, causality.find_causal_chains, *args) == want
+        assert want[0] or (max_len, effect) == (2, None)
+
+
+def _chain_cases(count):
+    """Searches from a random start to the last state its reachable set
+    lists, on 2- to 5-component models, async and sync, self-loops off and on."""
+    out, seed = [], 0
+    while len(out) < count:
+        rng = random.Random(seed)
+        model = random_system_model(rng, max_components=5, max_behaviours=3).with_mode(("async", "sync")[seed % 2])
+        options = Options(self_loops=bool(seed // 2 % 2))
+        seed += 1
+        f1 = random_configuration(rng, model)
+        reach = reachable(model, f1, options)
+        if reach:
+            out.append((model, f1, reach[-1], options))
+    return out
+
+
+def test_chain_search_matches_permutations_on_generated_models(certify_calls):
+    """Chains, the order of link certifications and cap overruns agree."""
+    searches = [(m, q.start, q.end, 4, q.effect_components, mode, o) for m, q, mode, o in CASES]
+    searches += [(m, f1, f2, 5, None, "example", o) for m, f1, f2, o in _chain_cases(200)]
+    searches += [args[:6] + (replace(args[6], max_states=3),) for args in searches[::5]]
+    tally = {"calls": 0, "chains": 0, "long": 0, "caps": 0}
+    for args in searches:
+        want = _chains_and_calls(certify_calls, ref_find_causal_chains, *args)
+        assert _chains_and_calls(certify_calls, causality.find_causal_chains, *args) == want
+        found, calls = want
+        tally["calls"] += len(calls)
+        if isinstance(found, tuple):
+            tally["caps"] += 1
+        else:
+            tally["chains"] += len(found)
+            tally["long"] += sum(len(c["configurations"]) > 2 for c in found)
+    assert tally["calls"] > 500 and tally["chains"] > 30 and tally["long"] > 0 and tally["caps"] > 0, tally

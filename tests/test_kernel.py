@@ -170,8 +170,7 @@ def test_clamped_variants_match_apply_intervention():
         kernel = compile(model)
         pins = tuple((kernel.index[t], kernel.codes[kernel.index[t]][values[t]]) for t in targets)
         ref_model = apply_intervention(model, clamping_intervention(model, targets, values))
-        _agree(ref_model, kernel.clamped(pins), _starts(rng, model, 3), rng)
-        assert kernel.clamped(pins) is kernel.clamped(pins)
+        _agree(ref_model, kernel.pinned(pins), _starts(rng, model, 3), rng)
 
 
 def test_intervened_variants_share_untouched_tables(micro, micro_f1):
@@ -179,6 +178,7 @@ def test_intervened_variants_share_untouched_tables(micro, micro_f1):
     iv = micro.intervention_map["theta1"]
     variant = kernel.intervened(iv)
     assert variant is kernel.intervened(iv)
+    assert compile(variant.model) is variant
     target = kernel.index["UserDB"]
     for i, (a, b) in enumerate(zip(kernel.rules, variant.rules)):
         assert (a is b) == (i != target)

@@ -4,7 +4,9 @@ top-down evaluator and the 3^n split filter they replaced.
 ``ref_eval`` and ``ref_candidate_splits`` are copies of the engine's
 earlier bodies, kept here as the reference: ``ref_eval`` evaluates every
 subformula afresh on every path that reaches it, and
-``ref_candidate_splits`` runs ``check_interface`` on all 3^n placements.
+``ref_candidate_splits`` filters all 3^n placements with ``ref_local``, a
+copy of the set-based locality rule ``interface_violations`` once spelled
+out, so the engine's one shared rule is not checked against itself.
 Verdicts, witness lists, cap overruns and split lists must agree exactly.
 """
 
@@ -30,16 +32,31 @@ from causalmc.model import (
 from causalmc.semantics import atom_test, candidate_splits, evaluate, sat_set
 
 
+def ref_local(model, left, right):
+    ls, rs = set(left), set(right)
+    for c in model.components:
+        inf = set(c.context)
+        if c.name in ls and c.name in rs:
+            if not (inf <= ls or inf <= rs):
+                return False
+        elif c.name in ls:
+            if not inf <= ls:
+                return False
+        elif not inf <= rs:
+            return False
+    return True
+
+
 def ref_candidate_splits(model, options):
     names = model.component_order
     out = []
     for placement in product(("L", "R", "B"), repeat=len(names)):
         left = tuple(n for n, p in zip(names, placement) if p in ("L", "B"))
         right = tuple(n for n, p in zip(names, placement) if p in ("R", "B"))
-        if not left or not right:
+        if not left or not right or not ref_local(model, left, right):
             continue
-        split = check_interface(model, left, right, allow_trivial=options.allow_trivial_split)
-        if split is not None:
+        split = InterfaceSplit(left, right)
+        if split.proper or options.allow_trivial_split:
             out.append(split)
     return out
 
@@ -232,6 +249,21 @@ def test_candidate_splits_match_reference(ex1, micro):
             assert all(type(split) is InterfaceSplit for split in got)
             found += len(got)
     assert found > 1000
+
+
+def test_check_interface_matches_reference_rule(ex1, micro):
+    """The set form of the shared locality rule, on random covers."""
+    verdicts = []
+    for rng, model, _ in [(random.Random(0), ex1, None), (random.Random(1), micro, None)] + list(_cases(200, 6)):
+        names = model.component_order
+        for _ in range(20):
+            placement = [rng.choice("LRB") for _ in names]
+            left = [n for n, p in zip(names, placement) if p in "LB"]
+            right = [n for n, p in zip(names, placement) if p in "RB"]
+            ok = ref_local(model, left, right)
+            assert (check_interface(model, left, right, allow_trivial=True) is not None) == ok
+            verdicts.append(ok)
+    assert 500 < sum(verdicts) < len(verdicts) - 500
 
 
 def test_nested_reachability_grows_linearly(monkeypatch, micro_doc):
