@@ -9,6 +9,8 @@ from causalmc import bisim
 from causalmc import formulas as F
 from causalmc.bisim import (
     STEP,
+    BisimRelation,
+    BisimResult,
     PointedModel,
     VariantGraph,
     VocabularyMismatch,
@@ -18,6 +20,7 @@ from causalmc.bisim import (
     intervention_closure,
 )
 from causalmc.generate import (
+    perturb_model,
     random_configuration,
     random_system_model,
     rename_component_behaviours,
@@ -27,12 +30,13 @@ from causalmc.model import (
     DEFAULT_OPTIONS,
     CapExceeded,
     Intervention,
+    ModelError,
     RuleRow,
     RuleTable,
     apply_intervention,
     constant_table,
 )
-from causalmc.semantics import evaluate
+from causalmc.semantics import atom_test, evaluate
 
 
 def test_closure_without_interventions_is_single_node(ex1):
@@ -272,3 +276,195 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
         assert built == set(range(1, len(kernels)))
     lts = _Lts(micro, micro_f1, [STEP] + sorted(micro.intervention_map), DEFAULT_OPTIONS)
     assert all(a is compile(m) for a, m in zip(lts.kernels, intervention_closure(micro).models))
+
+
+# ---------------------------------------------------------------------------
+# check_bisim against the tuple-keyed refinement it replaced: states were
+# (variant, state) pairs and colours were keyed by (id(lts), state).  The copy
+# is verbatim except that it reads the closure's root and edges directly.
+
+
+class ref_Lts:
+    def __init__(self, model, point, labels, options):
+        self.graph = intervention_closure(model)
+        edge_map = {(a, name): b for a, name, b in self.graph.edges}
+        self.kernels = [compile(m) for m in self.graph.models]
+        self.labels = labels
+        self.root = (0, self.kernels[0].encode(point))
+        self.moves = {}
+        tests = [[atom_test(k, a) for a in sorted(model.atom_map)] for k in self.kernels]
+        self.atoms = {}
+        frontier = [self.root]
+        seen = {self.root}
+        loops = options.self_loops
+        while frontier:
+            state = frontier.pop()
+            variant, f = state
+            self.atoms[state] = tuple(t(f) for t in tests[variant])
+            row = {}
+            row[STEP] = [(variant, g) for g in self.kernels[variant].successors(f, loops)]
+            for name in labels:
+                if name == STEP:
+                    continue
+                tgt = edge_map[(variant, name)]
+                row[name] = [(tgt, g) for g in self.kernels[tgt].successors(f, loops)]
+            self.moves[state] = row
+            for dests in row.values():
+                for s in dests:
+                    if s not in seen:
+                        seen.add(s)
+                        frontier.append(s)
+            if len(seen) > options.max_states:
+                raise CapExceeded(options.max_states, len(seen), "bisimulation state space")
+        self.states = list(self.moves)
+
+    def point(self, state):
+        variant, s = state
+        return variant, self.kernels[variant].decode(s)
+
+
+def ref_check_bisim(a, b, options=DEFAULT_OPTIONS):
+    left_atoms = sorted(a.model.atom_map)
+    right_atoms = sorted(b.model.atom_map)
+    if left_atoms != right_atoms:
+        raise VocabularyMismatch(f"atom vocabularies differ: {left_atoms} vs {right_atoms}")
+    left_ivs = sorted(a.model.intervention_map)
+    right_ivs = sorted(b.model.intervention_map)
+    if left_ivs != right_ivs:
+        raise VocabularyMismatch(f"declared intervention names differ: {left_ivs} vs {right_ivs}")
+    labels = [STEP] + left_ivs
+    lts_a = ref_Lts(a.model, a.point, labels, options)
+    lts_b = ref_Lts(b.model, b.point, labels, options)
+
+    states = [(lts, s) for lts in (lts_a, lts_b) for s in lts.states]
+    colour = ref_number_blocks({(id(lts), s): lts.atoms[s] for lts, s in states})
+    history = [colour]
+    while True:
+        fresh = ref_number_blocks(
+            {
+                (id(lts), s): (
+                    colour[(id(lts), s)],
+                    tuple(frozenset(colour[(id(lts), t)] for t in lts.moves[s][l]) for l in labels),
+                )
+                for lts, s in states
+            }
+        )
+        if max(fresh.values()) == max(colour.values()):
+            break
+        colour = fresh
+        history.append(colour)
+
+    root_a = (id(lts_a), lts_a.root)
+    root_b = (id(lts_b), lts_b.root)
+    if colour[root_a] == colour[root_b]:
+        by_colour = {}
+        for sb in lts_b.states:
+            by_colour.setdefault(colour[(id(lts_b), sb)], []).append(lts_b.point(sb))
+        points_a = {sa: lts_a.point(sa) for sa in lts_a.states}
+        pairs = tuple(
+            (points_a[sa], pb) for sa in lts_a.states for pb in by_colour.get(colour[(id(lts_a), sa)], ())
+        )
+        return BisimResult(True, BisimRelation(pairs=pairs), None, len(lts_a.states), len(lts_b.states))
+    phi = ref_distinguish(lts_a, lts_b, history, labels, sorted(a.model.atom_map))
+    return BisimResult(False, None, phi, len(lts_a.states), len(lts_b.states))
+
+
+def ref_number_blocks(signature):
+    ids = {}
+    return {k: ids.setdefault(sig, len(ids)) for k, sig in signature.items()}
+
+
+def ref_distinguish(lts_a, lts_b, history, labels, atom_names):
+    def level(sa, sb):
+        for k, col in enumerate(history):
+            if col[(id(lts_a), sa)] != col[(id(lts_b), sb)]:
+                return k
+        return None
+
+    def build(sa, sb, k):
+        if k == 0:
+            va, vb = lts_a.atoms[sa], lts_b.atoms[sb]
+            for name, xa, xb in zip(atom_names, va, vb):
+                if xa != xb:
+                    return F.Atom(name) if xa else F.Not(F.Atom(name))
+            raise ModelError("refinement produced no atomic difference at level 0")
+        col = history[k - 1]
+        for label in labels:
+            moves_a = lts_a.moves[sa][label]
+            moves_b = lts_b.moves[sb][label]
+            cols_a = {col[(id(lts_a), t)] for t in moves_a}
+            cols_b = {col[(id(lts_b), t)] for t in moves_b}
+            extra_a = cols_a - cols_b
+            if extra_a:
+                ta = ref_pick(moves_a, lts_a, col, extra_a)
+                parts = []
+                for tb in moves_b:
+                    kk = level(ta, tb)
+                    parts.append(build(ta, tb, kk))
+                return bisim._wrap(label, F.conj(bisim._dedup(parts)))
+            extra_b = cols_b - cols_a
+            if extra_b:
+                tb = ref_pick(moves_b, lts_b, col, extra_b)
+                parts = []
+                for ta in moves_a:
+                    parts.append(F.Not(build(ta, tb, level(ta, tb))))
+                return F.Not(bisim._wrap(label, F.conj(bisim._dedup(parts))))
+        raise ModelError("refinement split a pair without a divergent move")
+
+    k = level(lts_a.root, lts_b.root)
+    return build(lts_a.root, lts_b.root, k)
+
+
+def ref_pick(moves, lts, col, wanted_colours):
+    for t in moves:
+        if col[(id(lts), t)] in wanted_colours:
+            return t
+    raise ModelError("internal: no successor of the recorded colour")
+
+
+def _bisim_outcome(check, a, b, options):
+    """Everything a report can show of one check: the verdict, the related
+    pairs in order, the printed formula and both state counts, or the cap
+    overrun."""
+    try:
+        r = check(a, b, options)
+    except CapExceeded as exc:
+        return "cap", exc.cap, exc.size, exc.what
+    formula = None if r.distinguishing is None else F.pretty(r.distinguishing)
+    pairs = None if r.relation is None else r.relation.pairs
+    return r.bisimilar, pairs, formula, r.left_states, r.right_states
+
+
+def _bisim_cases(ex1, ex1_doc, micro, micro_f1, count):
+    """(left, right, option settings) per model: ex1 and micro, then sync and
+    async generated models with up to three interventions, each against a
+    renamed and a perturbed copy."""
+    yield PointedModel(micro, micro_f1), PointedModel(micro, micro_f1), 0
+    start = ex1_doc.configuration("start")
+    renamed, rencfg = rename_component_behaviours(ex1, "c1")
+    yield PointedModel(ex1, start), PointedModel(renamed, rencfg(start)), 1
+    mid = ex1_doc.configuration("mid")
+    yield PointedModel(ex1, mid), PointedModel(perturb_model(random.Random(3), ex1), mid), 2
+    for seed in range(count):
+        rng = random.Random(seed)
+        model = random_system_model(rng, max_components=3, max_behaviours=3, n_interventions=3)
+        model = model.with_mode(("async", "sync")[seed % 2])
+        point = random_configuration(rng, model)
+        renamed, rencfg = rename_component_behaviours(model, rng.choice(model.component_order))
+        yield PointedModel(model, point), PointedModel(renamed, rencfg(point)), seed
+        yield PointedModel(model, point), PointedModel(perturb_model(rng, model), point), seed
+
+
+def test_check_bisim_matches_tuple_keyed_reference(ex1, ex1_doc, micro, micro_f1):
+    seen = {"cap": 0, True: 0, False: 0}
+    for a, b, seed in _bisim_cases(ex1, ex1_doc, micro, micro_f1, 400):
+        for options in (
+            DEFAULT_OPTIONS,
+            replace(DEFAULT_OPTIONS, self_loops=True),
+            replace(DEFAULT_OPTIONS, max_states=seed % 6),
+        ):
+            want = _bisim_outcome(ref_check_bisim, a, b, options)
+            assert _bisim_outcome(check_bisim, a, b, options) == want, (seed, options)
+            seen[want[0]] += 1
+    # every outcome occurs: bisimilar, distinguished, and a cap overrun
+    assert min(seen.values()) > 100, seen
