@@ -59,13 +59,6 @@ class VariantGraph:
     models: tuple[SystemModel, ...]
     edges: tuple[tuple[int, str, int], ...]
 
-    @property
-    def root(self) -> int:
-        return 0
-
-    def edge_map(self) -> dict[tuple[int, str], int]:
-        return {(a, name): b for a, name, b in self.edges}
-
     def to_dot(self) -> str:
         lines = ["digraph variants {"]
         for i in range(len(self.models)):
@@ -131,44 +124,47 @@ class BisimResult:
 
 
 class _Lts:
-    """Reachable labelled transition system over (variant, state) pairs, a
-    state being a configuration encoded by the variant's compiled kernel."""
+    """Reachable labelled transition system of one pointed model.
+
+    States are numbered 0, 1, ... in expansion order, state 0 being the
+    point.  ``keys[i]`` is ``variant * size + state``, a state being a
+    configuration encoded by the variant's compiled kernel; ``atoms[i]`` is
+    the valuation of the sorted atoms, and ``moves[i][l]`` lists the numbers
+    of the successors under the l-th label."""
 
     def __init__(self, model: SystemModel, point: Configuration, labels, options: Options):
-        self.graph = intervention_closure(model)
-        edge_map = self.graph.edge_map()
-        self.kernels = [kernel.compile(m) for m in self.graph.models]
-        self.labels = labels
-        self.root = (self.graph.root, self.kernels[0].encode(point))
-        self.moves: dict[tuple[int, int], dict[str, list]] = {}
+        graph = intervention_closure(model)
+        self.kernels = [kernel.compile(m) for m in graph.models]
+        edge = {(a, name): b for a, name, b in graph.edges}
+        targets = [[v if l == STEP else edge[(v, l)] for l in labels] for v in range(len(self.kernels))]
         tests = [[atom_test(k, a) for a in sorted(model.atom_map)] for k in self.kernels]
-        self.atoms: dict[tuple[int, int], tuple[bool, ...]] = {}
-        frontier = [self.root]
-        seen = {self.root}
+        size = self.size = self.kernels[0].size
+        root = self.kernels[0].encode(point)
+        number: dict[int, int | None] = {root: None}  # key -> state number, given on expansion
+        self.keys: list[int] = []
+        self.atoms: list[tuple[bool, ...]] = []
+        rows = []
+        frontier = [root]
         loops = options.self_loops
         while frontier:
-            state = frontier.pop()
-            variant, f = state
-            self.atoms[state] = tuple(t(f) for t in tests[variant])
-            row: dict[str, list] = {}
-            row[STEP] = [(variant, g) for g in self.kernels[variant].successors(f, loops)]
-            for name in labels:
-                if name == STEP:
-                    continue
-                tgt = edge_map[(variant, name)]
-                row[name] = [(tgt, g) for g in self.kernels[tgt].successors(f, loops)]
-            self.moves[state] = row
-            for dests in row.values():
+            key = frontier.pop()
+            number[key] = len(self.keys)
+            self.keys.append(key)
+            variant, f = divmod(key, size)
+            self.atoms.append(tuple(t(f) for t in tests[variant]))
+            row = [[v * size + g for g in self.kernels[v].successors(f, loops)] for v in targets[variant]]
+            rows.append(row)
+            for dests in row:
                 for s in dests:
-                    if s not in seen:
-                        seen.add(s)
+                    if s not in number:
+                        number[s] = None
                         frontier.append(s)
-            if len(seen) > options.max_states:
-                raise CapExceeded(options.max_states, len(seen), "bisimulation state space")
-        self.states = list(self.moves)
+            if len(number) > options.max_states:
+                raise CapExceeded(options.max_states, len(number), "bisimulation state space")
+        self.moves = [[[number[s] for s in dests] for dests in row] for row in rows]
 
-    def point(self, state: tuple[int, int]) -> tuple[int, Configuration]:
-        variant, s = state
+    def point(self, i: int) -> tuple[int, Configuration]:
+        variant, s = divmod(self.keys[i], self.size)
         return variant, self.kernels[variant].decode(s)
 
 
@@ -193,87 +189,78 @@ def check_bisim(
     lts_a = _Lts(a.model, a.point, labels, options)
     lts_b = _Lts(b.model, b.point, labels, options)
 
-    # joint colour refinement: each round numbers the blocks across both sides
-    states = [(lts, s) for lts in (lts_a, lts_b) for s in lts.states]
-    colour = _number_blocks({(id(lts), s): lts.atoms[s] for lts, s in states})
+    # one numbering of both sides: the right side's states follow the left's,
+    # so the roots are 0 and n
+    n = len(lts_a.atoms)
+    atoms = lts_a.atoms + lts_b.atoms
+    moves = lts_a.moves + [[[n + t for t in dests] for dests in row] for row in lts_b.moves]
+    colour = _number_blocks(atoms)
     history = [colour]
     while True:
         fresh = _number_blocks(
-            {
-                (id(lts), s): (
-                    colour[(id(lts), s)],
-                    tuple(frozenset(colour[(id(lts), t)] for t in lts.moves[s][l]) for l in labels),
-                )
-                for lts, s in states
-            }
+            [(c, tuple(frozenset(colour[t] for t in dests) for dests in row)) for c, row in zip(colour, moves)]
         )
         # refinement only splits blocks, so an unchanged block count is a fixpoint
-        if max(fresh.values()) == max(colour.values()):
+        if max(fresh) == max(colour):
             break
         colour = fresh
         history.append(colour)
 
-    root_a = (id(lts_a), lts_a.root)
-    root_b = (id(lts_b), lts_b.root)
-    if colour[root_a] == colour[root_b]:
+    if colour[0] == colour[n]:
         # right states grouped by colour, in state order: the related pairs
         # in (left, right) state order, in time linear in the relation
         by_colour: dict[int, list] = {}
-        for sb in lts_b.states:
-            by_colour.setdefault(colour[(id(lts_b), sb)], []).append(lts_b.point(sb))
-        points_a = {sa: lts_a.point(sa) for sa in lts_a.states}
-        pairs = tuple(
-            (points_a[sa], pb) for sa in lts_a.states for pb in by_colour.get(colour[(id(lts_a), sa)], ())
-        )
+        for i, c in enumerate(colour[n:]):
+            by_colour.setdefault(c, []).append(lts_b.point(i))
+        points_a = [lts_a.point(i) for i in range(n)]
+        pairs = tuple((pa, pb) for pa, c in zip(points_a, colour) for pb in by_colour.get(c, ()))
         return BisimResult(
             bisimilar=True,
             relation=BisimRelation(pairs=pairs),
             distinguishing=None,
-            left_states=len(lts_a.states),
-            right_states=len(lts_b.states),
+            left_states=n,
+            right_states=len(lts_b.atoms),
         )
-    phi = _distinguish(lts_a, lts_b, history, labels, sorted(a.model.atom_map))
+    phi = _distinguish(atoms, moves, history, labels, left_atoms, 0, n)
     return BisimResult(
         bisimilar=False,
         relation=None,
         distinguishing=phi,
-        left_states=len(lts_a.states),
-        right_states=len(lts_b.states),
+        left_states=n,
+        right_states=len(lts_b.atoms),
     )
 
 
-def _number_blocks(signature: dict) -> dict:
+def _number_blocks(signatures: list) -> list[int]:
     """Integer block ids, numbered in order of first appearance of each signature."""
     ids: dict = {}
-    return {k: ids.setdefault(sig, len(ids)) for k, sig in signature.items()}
+    return [ids.setdefault(sig, len(ids)) for sig in signatures]
 
 
-def _distinguish(lts_a, lts_b, history, labels, atom_names) -> F.Formula:
-    """Minimal-depth distinguishing formula from the refinement history."""
+def _distinguish(atoms, moves, history, labels, atom_names, sa, sb) -> F.Formula:
+    """Minimal-depth distinguishing formula for states sa and sb, from the
+    refinement history."""
 
     def level(sa, sb) -> int | None:
         for k, col in enumerate(history):
-            if col[(id(lts_a), sa)] != col[(id(lts_b), sb)]:
+            if col[sa] != col[sb]:
                 return k
         return None
 
     def build(sa, sb, k) -> F.Formula:
         # invariant: colours of sa and sb differ at level k, agree below
         if k == 0:
-            va, vb = lts_a.atoms[sa], lts_b.atoms[sb]
-            for name, xa, xb in zip(atom_names, va, vb):
+            for name, xa, xb in zip(atom_names, atoms[sa], atoms[sb]):
                 if xa != xb:
                     return F.Atom(name) if xa else F.Not(F.Atom(name))
             raise ModelError("refinement produced no atomic difference at level 0")
         col = history[k - 1]
-        for label in labels:
-            moves_a = lts_a.moves[sa][label]
-            moves_b = lts_b.moves[sb][label]
-            cols_a = {col[(id(lts_a), t)] for t in moves_a}
-            cols_b = {col[(id(lts_b), t)] for t in moves_b}
+        for label, moves_a, moves_b in zip(labels, moves[sa], moves[sb]):
+            cols_a = {col[t] for t in moves_a}
+            cols_b = {col[t] for t in moves_b}
             extra_a = cols_a - cols_b
             if extra_a:
-                ta = _pick(moves_a, lts_a, col, extra_a)
+                ta = _pick(moves_a, col, extra_a)
                 parts = []
                 for tb in moves_b:
                     kk = level(ta, tb)
@@ -281,7 +268,7 @@ def _distinguish(lts_a, lts_b, history, labels, atom_names) -> F.Formula:
                 return _wrap(label, F.conj(_dedup(parts)))
             extra_b = cols_b - cols_a
             if extra_b:
-                tb = _pick(moves_b, lts_b, col, extra_b)
+                tb = _pick(moves_b, col, extra_b)
                 parts = []
                 for ta in moves_a:
                     # true on the right successor, false on the left
@@ -289,13 +276,12 @@ def _distinguish(lts_a, lts_b, history, labels, atom_names) -> F.Formula:
                 return F.Not(_wrap(label, F.conj(_dedup(parts))))
         raise ModelError("refinement split a pair without a divergent move")
 
-    k = level(lts_a.root, lts_b.root)
-    return build(lts_a.root, lts_b.root, k)
+    return build(sa, sb, level(sa, sb))
 
 
-def _pick(moves, lts, col, wanted_colours):
+def _pick(moves, col, wanted_colours):
     for t in moves:
-        if col[(id(lts), t)] in wanted_colours:
+        if col[t] in wanted_colours:
             return t
     raise ModelError("internal: no successor of the recorded colour")
 

@@ -143,12 +143,12 @@ def _brute_force_pairs(a: PointedModel, b: PointedModel) -> tuple:
     a comparison of every pair."""
     labels = [STEP] + sorted(a.model.intervention_map)
     sides = [_Lts(p.model, p.point, labels, DEFAULT_OPTIONS) for p in (a, b)]
-    block = {(i, s): lts.atoms[s] for i, lts in enumerate(sides) for s in lts.states}
+    block = {(i, s): atoms for i, lts in enumerate(sides) for s, atoms in enumerate(lts.atoms)}
     while True:
         signature = {
-            (i, s): (block[(i, s)], tuple(frozenset(block[(i, t)] for t in lts.moves[s][l]) for l in labels))
+            (i, s): (block[(i, s)], tuple(frozenset(block[(i, t)] for t in dests) for dests in row))
             for i, lts in enumerate(sides)
-            for s in lts.states
+            for s, row in enumerate(lts.moves)
         }
         ids: dict = {}
         refined = {key: ids.setdefault(sig, len(ids)) for key, sig in signature.items()}
@@ -158,8 +158,8 @@ def _brute_force_pairs(a: PointedModel, b: PointedModel) -> tuple:
     left, right = sides
     return tuple(
         (left.point(sa), right.point(sb))
-        for sa in left.states
-        for sb in right.states
+        for sa in range(len(left.atoms))
+        for sb in range(len(right.atoms))
         if block[(0, sa)] == block[(1, sb)]
     )
 
