@@ -363,7 +363,7 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
         diags.append(Diagnostic(1, 1, "no components declared"))
         raise DslError(diags)
 
-    comp_names = {c.name for c in components}
+    domains = {c.name: c.domain for c in components}
 
     # configurations
     configurations: list[tuple[str, Configuration]] = []
@@ -375,13 +375,14 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
             continue
         mapping = dict(pairs)
         missing = [c for c in order if c not in mapping]
-        extra = [c for c, _ in pairs if c not in comp_names]
-        if missing or extra:
-            msg = []
-            if missing:
-                msg.append(f"missing components {missing}")
-            if extra:
-                msg.append(f"unknown components {extra}")
+        extra = [c for c, _ in pairs if c not in domains]
+        msg = []
+        if missing:
+            msg.append(f"missing components {missing}")
+        if extra:
+            msg.append(f"unknown components {extra}")
+        msg += [f"behaviour {b!r} not in domain of {c!r}" for c, b in pairs if c in domains and b not in domains[c]]
+        if msg:
             diags.append(Diagnostic(tok.line, tok.column, f"configuration {name!r}: " + ", ".join(msg)))
             continue
         f = Configuration(tuple((c, mapping[c]) for c in order))

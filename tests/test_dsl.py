@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalmc import formulas as F
+from causalmc.cli import main
 from causalmc.dsl import (
     DslError,
     parse_formula_text,
@@ -71,6 +72,25 @@ def test_domain_violations_delegated_to_validation():
     with pytest.raises(DslError) as exc:
         parse_model(text)
     assert any("'y' not in domain" in d.message for d in exc.value.diagnostics)
+
+
+def test_configuration_outside_domain_reported_at_declaration(tmp_path, capsys):
+    text = (
+        "component a { domain x y }\ncomponent b { domain u }\n"
+        "config f = (a=zzz, b=u)\nconfig g = (a=w, c=x)\natom p = {f}\ncheck f |= true\n"
+    )
+    with pytest.raises(DslError) as exc:
+        parse_model(text)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "3:1: configuration 'f': behaviour 'zzz' not in domain of 'a'",
+        "4:1: configuration 'g': missing components ['b'], unknown components ['c'], "
+        "behaviour 'w' not in domain of 'a'",
+        "5:1: atom 'p': unknown configuration 'f'",
+    ]
+    doc = tmp_path / "doc.model"
+    doc.write_text(text, encoding="utf-8")
+    assert main(["check", str(doc), "f", "true"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"{doc}:3:1: configuration 'f': behaviour 'zzz' not in domain of 'a'"
 
 
 def test_duplicate_configuration_rejected():
