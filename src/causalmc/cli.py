@@ -121,14 +121,14 @@ def _with_mode(doc, mode):
     return replace(doc, model=doc.model.with_mode(mode))
 
 
-def _emit(report, args) -> int:
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
-    if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if isinstance(payload, dict) and "verdict" in payload:
-        print(f"{payload['kind']}: {'true' if payload['verdict'] else 'false'}  ({payload['query']})")
-        return 0 if payload["verdict"] else 1
-    return 0
+def _emit(reports, payload, path: str | None) -> int:
+    """Write the JSON payload to ``path`` if one is given, print one verdict
+    line per report, and exit 0 only when every verdict is true."""
+    if path:
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for r in reports:
+        print(f"{r.kind}: {'true' if r.verdict else 'false'}  ({r.query})")
+    return 0 if all(r.verdict for r in reports) else 1
 
 
 def main(argv=None) -> int:
@@ -138,16 +138,7 @@ def main(argv=None) -> int:
         doc, options = _load(args)
         if args.command == "run":
             reports = run_document(doc, options, strict_ac1=args.strict_ac1)
-            payload = [r.to_dict() for r in reports]
-            if args.report:
-                Path(args.report).write_text(
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-                )
-            ok = True
-            for r in reports:
-                print(f"{r.kind}: {'true' if r.verdict else 'false'}  ({r.query})")
-                ok = ok and r.verdict
-            return 0 if ok else 1
+            return _emit(reports, [r.to_dict() for r in reports], args.report)
         if args.command == "export-dot":
             if args.variants:
                 dot = intervention_closure(doc.model).to_dot()
@@ -167,7 +158,7 @@ def main(argv=None) -> int:
         report = run_query(doc, stanza, options, strict_ac1=args.strict_ac1)
         if args.command == "chain" and args.dot:
             Path(args.dot).write_text(projection_dot(report.witnesses["projection"]), encoding="utf-8")
-        return _emit(report, args)
+        return _emit([report], report.to_dict(), args.report)
     except DslError as exc:
         for d in exc.diagnostics:
             print(f"{exc.path or args.model}:{d}", file=sys.stderr)
