@@ -172,10 +172,9 @@ def _chain(doc, options, mode, start, end, effect, max_len):
 
 def _decompose(doc, options, mode, left, right):
     model = doc.model
-    problems = interface_violations(model, left, right)
     split = check_interface(model, left, right, allow_trivial=options.allow_trivial_split)
     if split is None:
-        return False, {"violations": problems or ["cover is not a proper split"]}
+        return False, {"violations": interface_violations(model, left, right) or ["cover is not a proper split"]}
     sides = conjugate_decompose(model, split)
     payload = {"interface": list(split.interface)}
     for side, m in zip(("left", "right"), sides):

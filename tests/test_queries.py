@@ -3,6 +3,7 @@ import json
 import pytest
 
 from causalmc import formulas as F
+from causalmc import model, queries
 from causalmc.dsl import parse_query_text
 from causalmc.model import ModelError
 from causalmc.queries import (
@@ -118,6 +119,26 @@ def test_decompose_stanza_reports_sides(ex1_doc):
     assert report.verdict
     assert report.witnesses["interface"] == ["c2"]
     assert report.witnesses["right"]["free"] == ["c2"]
+
+
+def test_decompose_runs_the_locality_check_once_per_use(monkeypatch, ex1_doc):
+    # on success: once to validate the split, once in conjugate_decompose's guard;
+    # on failure: once more, for the message
+    calls = []
+    check = model.interface_violations
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(model, "interface_violations", counted)
+    monkeypatch.setattr(queries, "interface_violations", counted)
+    assert run_query(ex1_doc, parse_query_text("decompose {c1 c2} {c2 c3}", ex1_doc)).verdict
+    assert len(calls) == 2
+    calls.clear()
+    report = run_query(ex1_doc, parse_query_text("decompose {c1} {c2 c3}", ex1_doc))
+    assert not report.verdict and report.witnesses["violations"]
+    assert len(calls) == 2
 
 
 def test_bisim_stanza_against_own_file(ex1_doc):
