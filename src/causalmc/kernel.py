@@ -20,6 +20,57 @@ from math import prod
 from .model import CapExceeded, Configuration, ModelError, UnknownNameError, apply_intervention
 
 
+_COMPLETE = float("inf")  # the preorder number of a node whose component is complete
+
+
+def components(roots, successors, comp: dict, found: list) -> None:
+    """Strongly connected components of the graph reachable from ``roots``
+    (Tarjan, 1972), found with an explicit stack, so a long path needs no
+    recursion.  Each component is appended to ``found`` as a list of its
+    nodes, and ``comp`` maps each of those nodes to its index there.  A node
+    already in ``comp`` lies in a complete component and is not entered, so
+    successive calls grow one decomposition."""
+    number: dict = {}  # preorder number of each node entered
+    path: list = []  # entered nodes whose component is not complete yet
+    for root in roots:
+        if root in comp:
+            continue
+        v, children = root, iter(successors(root))
+        nv = lv = number[v] = len(number)
+        path.append(v)
+        work = []  # (node, children left, preorder number, low link) of v's ancestors
+        while True:
+            for w in children:
+                nw = number.get(w)
+                if nw is None:
+                    if w in comp:
+                        continue
+                    work.append((v, children, nv, lv))
+                    v, children = w, iter(successors(w))
+                    nv = lv = number[w] = len(number)
+                    path.append(w)
+                    break
+                if nw < lv:
+                    lv = nw
+            else:
+                if lv == nv:
+                    c, members = len(found), []
+                    while True:
+                        w = path.pop()
+                        comp[w] = c
+                        number[w] = _COMPLETE
+                        members.append(w)
+                        if w == v:
+                            break
+                    found.append(members)
+                if not work:
+                    break
+                low = lv
+                v, children, nv, lv = work.pop()
+                if low < lv:
+                    lv = low
+
+
 def compile(model) -> "Kernel":
     """The compiled state space of ``model``, built on first use and kept on the instance."""
     found = model.__dict__.get("_kernel")

@@ -11,11 +11,12 @@ interface splits in canonical order and reports the first witnessing
 split.
 
 Within one top-level call, the truth value of each box or diamond
-subformula that holds no intervention or separation operator is kept per
-(compiled variant, state) once computed, so another path reaching the same
-state reuses it.  The witnessing operators are evaluated afresh every
-time, which keeps witness lists exactly as a plain top-down walk builds
-them.
+subformula that holds no intervention or separation operator is kept once
+computed, so another path reaching the same state reuses it: per
+(compiled variant, state) for the one-step modalities, and per strongly
+connected component of the variant's reachable graph for the closures.
+The witnessing operators are evaluated afresh every time, which keeps
+witness lists exactly as a plain top-down walk builds them.
 
 On a partial model, a behaviour atom whose component is outside the
 partial domain evaluates to false rather than raising; this keeps
@@ -56,7 +57,7 @@ def evaluate(
     if isinstance(f, PartialConfiguration):
         f = model.configuration(f.as_dict())
     k = kernel.compile(model)
-    return _eval(k, k.encode(f), phi, options, witnesses, _labels(phi))
+    return _eval(k, k.encode(f), phi, options, witnesses, _Labels(phi))
 
 
 def atom_test(k: kernel.Kernel, key):
@@ -95,36 +96,152 @@ _SEARCHES = {F.Box: (False, all), F.Diamond: (False, any), F.BoxPlus: (True, all
 _WITNESSING = (F.Intervene, F.InterveneExists, F.Star)
 
 
-def _labels(phi: F.Formula) -> dict:
-    """An empty label table, keyed by id, for each searching subformula of
-    ``phi`` with no witnessing operator inside it.  A table maps
-    (kernel, state) to the subformula's truth value there."""
-    tables: dict = {}
+class _Labels:
+    """The labels kept during one call.  ``tables`` has an entry, keyed by
+    id, for each searching subformula with no witnessing operator inside it:
+    for ``[]`` and ``<>``, its truth value by (kernel, state); for ``[]+``
+    and ``<>+``, its ``_Closure`` by kernel.  ``walks`` holds each kernel's
+    ``_Walk``, shared by every closure subformula."""
 
-    def visit(node, free):
-        free = all(free) and not isinstance(node, _WITNESSING)
-        if free and node.__class__ in _SEARCHES:
-            tables[id(node)] = {}
-        return free
+    def __init__(self, phi: F.Formula):
+        self.tables: dict = {}
+        self.walks: dict = {}
 
-    F.fold(phi, visit)
-    return tables
+        def visit(node, free):
+            free = all(free) and not isinstance(node, _WITNESSING)
+            if free and node.__class__ in _SEARCHES:
+                self.tables[id(node)] = {}
+            return free
+
+        F.fold(phi, visit)
+
+
+class _Walk:
+    """The strongly connected components of the states of one kernel walked
+    so far in a call, and the components each one steps to, listed on first
+    use."""
+
+    def __init__(self, k: kernel.Kernel, options: Options):
+        self.k, self.options = k, options
+        self.comp: dict = {}  # state -> component
+        self.members: list = []  # component -> its states
+        self._after: dict = {}
+
+    def successors(self, g: int):
+        return self.k.successors(g, self.options.self_loops)
+
+    def cover(self, s: int) -> int:
+        """The component of ``s``.  A state no earlier walk reached gets the
+        same search from it as a per-state evaluation, so a cap overrun
+        happens at the same point; every state the walk then reaches has a
+        reachable set inside this one, which fits the cap."""
+        c = self.comp.get(s)
+        if c is None:
+            self.k.reachable(s, self.options)
+            kernel.components((s,), self.successors, self.comp, self.members)
+            c = self.comp[s]
+        return c
+
+    def cyclic(self, c: int) -> bool:
+        """Whether component ``c`` has two or more states, or a self-loop."""
+        members = self.members[c]
+        return len(members) > 1 or members[0] in self.successors(members[0])
+
+    def after(self, c: int) -> tuple[int, ...]:
+        """The other components that the states of ``c`` step to."""
+        out = self._after.get(c)
+        if out is None:
+            comp, found = self.comp, {}
+            for g in self.members[c]:
+                for h in self.successors(g):
+                    found[comp[h]] = None
+            found.pop(c, None)
+            out = self._after[c] = tuple(found)
+        return out
+
+
+class _Closure:
+    """The labels of one ``<>+`` or ``[]+`` subformula on one kernel, by
+    component of its walk (Clarke, Emerson & Sistla, 1986).  A target state
+    is one where the body holds under ``<>+`` and fails under ``[]+``.  A
+    target is strictly reachable from a state exactly when one lies in the
+    state's own component and that component is cyclic, or in a successor
+    component or a component reachable from one.  Whether a component holds
+    a target, and whether one is reachable from it, are computed on first
+    use and kept per component, so a query that finds a target early stops
+    early."""
+
+    def __init__(self, walk: _Walk, phi: F.Formula, labels: _Labels):
+        self.walk, self.body, self.labels = walk, phi.sub, labels
+        self.box = phi.__class__ is F.BoxPlus
+        self.held: dict = {}  # component -> whether it holds a target state
+        self.reached: dict = {}  # component -> whether a target is reachable from it, itself included
+
+    def at(self, s: int) -> bool:
+        walk = self.walk
+        c = walk.cover(s)
+        return any(map(self.reaches, (c,) if walk.cyclic(c) else walk.after(c))) != self.box
+
+    def holds(self, c: int) -> bool:
+        out = self.held.get(c)
+        if out is None:
+            walk, body, box, labels = self.walk, self.body, self.box, self.labels
+            k, options = walk.k, walk.options
+            out = self.held[c] = any(_eval(k, g, body, options, None, labels) != box for g in walk.members[c])
+        return out
+
+    def reaches(self, c: int) -> bool:
+        """Depth-first over the component graph, with an explicit stack; the
+        first target found marks every component on the stack."""
+        known = self.reached
+        out = known.get(c)
+        if out is not None:
+            return out
+        if self.holds(c):
+            known[c] = True
+            return True
+        after = self.walk.after
+        stack = [(c, iter(after(c)))]
+        while stack:
+            top, todo = stack[-1]
+            for d in todo:
+                out = known.get(d)
+                if out is None:
+                    if not self.holds(d):
+                        stack.append((d, iter(after(d))))
+                        break
+                    out = known[d] = True
+                if out:
+                    for d, _ in stack:
+                        known[d] = True
+                    return True
+            else:
+                known[top] = False
+                stack.pop()
+        return False
 
 
 def _eval(k, s, phi, options, witnesses, labels) -> bool:
     search = _SEARCHES.get(phi.__class__)
     if search is not None:
-        table = labels.get(id(phi))
-        if table is not None:
-            found = table.get((k, s))
-            if found is not None:
-                return found
         closure, quantifier = search
-        states = k.reachable(s, options) if closure else k.successors(s, options.self_loops)
-        out = quantifier(_eval(k, g, phi.sub, options, witnesses, labels) for g in states)
-        if table is not None:
-            table[k, s] = out
-        return out
+        table = labels.tables.get(id(phi))
+        if table is None:  # a witnessing operator inside: searched afresh
+            states = k.reachable(s, options) if closure else k.successors(s, options.self_loops)
+            return quantifier(_eval(k, g, phi.sub, options, witnesses, labels) for g in states)
+        if closure:
+            found = table.get(k)
+            if found is None:
+                walk = labels.walks.get(k)
+                if walk is None:
+                    walk = labels.walks[k] = _Walk(k, options)
+                found = table[k] = _Closure(walk, phi, labels)
+            return found.at(s)
+        found = table.get((k, s))
+        if found is None:
+            states = k.successors(s, options.self_loops)
+            found = table[k, s] = quantifier(_eval(k, g, phi.sub, options, witnesses, labels) for g in states)
+        return found
     if isinstance(phi, F.Top):
         return True
     if isinstance(phi, F.Bot):
@@ -247,5 +364,5 @@ def sat_set(
 ) -> list[Configuration]:
     """All configurations satisfying ``phi``, enumerated from the domain product."""
     k = kernel.compile(model)
-    labels = _labels(phi)
+    labels = _Labels(phi)
     return [k.decode(s) for s in k.configurations(options) if _eval(k, s, phi, options, None, labels)]

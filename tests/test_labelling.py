@@ -11,14 +11,18 @@ Verdicts, witness lists, cap overruns and split lists must agree exactly.
 """
 
 import random
+import sys
+import time
 from dataclasses import replace
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from causalmc import formulas as F
 from causalmc import kernel
+from causalmc.dsl import parse_model
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import (
     CapExceeded,
@@ -30,6 +34,8 @@ from causalmc.model import (
     conjugate_decompose,
 )
 from causalmc.semantics import atom_test, candidate_splits, evaluate, sat_set
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def ref_local(model, left, right):
@@ -251,6 +257,44 @@ def test_candidate_splits_match_reference(ex1, micro):
     assert found > 1000
 
 
+_NESTING = (F.BoxPlus, F.DiamondPlus, F.Not)
+
+
+def nested_closure(rng, model, depth):
+    """``depth`` nested ``[]+``, ``<>+`` or ``!`` around a small witness-free
+    body, so every closure is labelled from the component walk."""
+    phi = random_formula(rng, model, 0)
+    if rng.random() < 0.5:
+        phi = rng.choice((F.And, F.Or))(phi, random_formula(rng, model, 0))
+    for _ in range(depth):
+        phi = rng.choice(_NESTING)(phi)
+    return phi
+
+
+def test_nested_closures_match_reference():
+    """The random differential above nests ``[]+``/``<>+``/``!`` three deep
+    in only a few formulas; this one nests them three to six deep, with and
+    without self-loops, at single states and over whole ``sat_set`` calls,
+    whose walks grow state by state."""
+    tally = {"witnessed": 0, "cap": 0, "true": 0}
+    seen = set()
+    for rng, model, options in _cases(160):
+        k = kernel.compile(model)
+        capped = Options(options.self_loops, options.allow_trivial_split, max_states=rng.choice((0, 1, 2, 3, 5)))
+        for _ in range(4):
+            phi = nested_closure(rng, model, rng.randint(3, 6))
+            f = random_configuration(rng, model)
+            for opts in (options, capped):
+                _agree(model, f, phi, opts, tally)
+                want = _outcome(
+                    lambda w: [k.decode(s) for s in k.configurations(opts) if ref_eval(k, s, phi, opts, None)]
+                )
+                assert _outcome(lambda w: sat_set(model, phi, opts)) == want, F.pretty(phi)
+            seen.add(options.self_loops)
+    assert seen == {False, True}
+    assert tally["cap"] > 100 and 200 < tally["true"] < 1000
+
+
 def test_check_interface_matches_reference_rule(ex1, micro):
     """The set form of the shared locality rule, on random covers."""
     verdicts = []
@@ -266,15 +310,21 @@ def test_check_interface_matches_reference_rule(ex1, micro):
     assert 500 < sum(verdicts) < len(verdicts) - 500
 
 
-def test_nested_reachability_grows_linearly(monkeypatch, micro_doc):
-    """Searches run by ``(<>+)^k false`` at micro's f1 grow by a constant
-    per extra level: each level labels every reachable state once.  Labels
-    are filled lazily, so ``(<>+)^3 true`` stops at its first hit."""
+def _count_searches(monkeypatch) -> list:
     calls = []
     search = kernel.Kernel.reachable
     monkeypatch.setattr(
         kernel.Kernel, "reachable", lambda self, s, options: calls.append(s) or search(self, s, options)
     )
+    return calls
+
+
+def test_nested_reachability_walks_once(monkeypatch, micro_doc):
+    """``(<>+)^k false`` at micro's f1 runs one search for every k: the
+    search from f1 covers every state the nested closures ask about, and
+    one component walk labels them all.  Labels are filled lazily, so
+    ``(<>+)^3 true`` stops at its first hit."""
+    calls = _count_searches(monkeypatch)
     f1 = micro_doc.configuration("f1")
     counts = []
     for depth in range(1, 7):
@@ -285,8 +335,48 @@ def test_nested_reachability_grows_linearly(monkeypatch, micro_doc):
         calls.clear()
         assert evaluate(model, f1, phi) is False
         counts.append(len(calls))
-    steps = [b - a for a, b in zip(counts, counts[1:])]
-    assert steps[1:] == [steps[1]] * len(steps[1:]), counts
+    assert counts == [1] * 6
     calls.clear()
     assert evaluate(replace(micro_doc.model), f1, F.DiamondPlus(F.DiamondPlus(F.DiamondPlus(F.TRUE))))
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def _ring(n):
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import families
+    finally:
+        sys.path.pop(0)
+    text, names = families.ring(random.Random(0), n)
+    doc = parse_model(text)
+    return doc, names
+
+
+def test_ring_closure_labels_from_one_search(monkeypatch):
+    """``<>+ <>+ false`` at the failing state of a six-node ring labels its
+    48 reachable states from one search, not one search per state."""
+    doc, names = _ring(6)
+    calls = _count_searches(monkeypatch)
+    phi = F.DiamondPlus(F.DiamondPlus(F.FALSE))
+    assert evaluate(doc.model, doc.configuration(names["failing"]), phi) is False
+    assert len(calls) == 1
+
+
+def test_long_chain_needs_no_recursion():
+    """One component stepping through 5,000 behaviours in a line: the
+    component walk and the search over the component graph run without
+    recursion, at the default recursion limit, and in linear time."""
+    n = 5000
+    lines = ["async", "component c {", "  domain " + " ".join(f"b{i}" for i in range(n))]
+    lines += [f"  rule b{i} -> b{i + 1}" for i in range(n - 1)]
+    lines += ["}", f"atom p_last = c = b{n - 1}", "config start = (c=b0)"]
+    doc = parse_model("\n".join(lines) + "\n")
+    start = doc.configuration("start")
+    always = F.BoxPlus(F.DiamondPlus(F.Atom("p_last")))
+    started = time.perf_counter()
+    for self_loops in (False, True):
+        options = Options(self_loops=self_loops)
+        assert evaluate(doc.model, start, F.DiamondPlus(F.DiamondPlus(F.FALSE)), options) is False
+        # the last behaviour reaches itself only through its self-loop
+        assert evaluate(doc.model, start, always, options) is self_loops
+    assert time.perf_counter() - started < 10
