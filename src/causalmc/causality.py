@@ -637,22 +637,16 @@ def causal_projection(
 
 
 def _is_acyclic(nodes, edges) -> bool:
-    """Whether the graph has no cycle: Kahn's topological sort, with an
-    explicit worklist, reaches every node exactly when none lies on a cycle."""
+    """Whether the graph has no cycle: no self-edge, and every strongly
+    connected component is a single node."""
     adj: dict = {n: [] for n in nodes}
-    indegree = dict.fromkeys(nodes, 0)
     for a, b in edges:
+        if a == b:
+            return False
         adj[a].append(b)
-        indegree[b] += 1
-    ready = [n for n in nodes if indegree[n] == 0]
-    seen = 0
-    while ready:
-        seen += 1
-        for m in adj[ready.pop()]:
-            indegree[m] -= 1
-            if indegree[m] == 0:
-                ready.append(m)
-    return seen == len(adj)
+    found: list = []
+    kernel.components(adj, adj.__getitem__, {}, found)
+    return len(found) == len(adj)
 
 
 # ---------------------------------------------------------------------------
