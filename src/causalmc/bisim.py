@@ -239,7 +239,8 @@ def _number_blocks(signatures: list) -> list[int]:
 
 def _distinguish(atoms, moves, history, labels, atom_names, sa, sb) -> F.Formula:
     """Minimal-depth distinguishing formula for states sa and sb, from the
-    refinement history."""
+    refinement history.  Built with an explicit stack, one frame per
+    refinement level, so a difference far from the roots needs no recursion."""
 
     def level(sa, sb) -> int | None:
         for k, col in enumerate(history):
@@ -247,7 +248,9 @@ def _distinguish(atoms, moves, history, labels, atom_names, sa, sb) -> F.Formula
                 return k
         return None
 
-    def build(sa, sb, k) -> F.Formula:
+    def split(sa, sb, k):
+        """An atomic formula for a pair that differs at level 0; otherwise the
+        pairs whose formulas make up this one, and how to combine them."""
         # invariant: colours of sa and sb differ at level k, agree below
         if k == 0:
             for name, xa, xb in zip(atom_names, atoms[sa], atoms[sb]):
@@ -261,22 +264,32 @@ def _distinguish(atoms, moves, history, labels, atom_names, sa, sb) -> F.Formula
             extra_a = cols_a - cols_b
             if extra_a:
                 ta = _pick(moves_a, col, extra_a)
-                parts = []
-                for tb in moves_b:
-                    kk = level(ta, tb)
-                    parts.append(build(ta, tb, kk))
-                return _wrap(label, F.conj(_dedup(parts)))
+                return [(ta, tb) for tb in moves_b], lambda parts: _wrap(label, F.conj(_dedup(parts)))
             extra_b = cols_b - cols_a
             if extra_b:
                 tb = _pick(moves_b, col, extra_b)
-                parts = []
-                for ta in moves_a:
-                    # true on the right successor, false on the left
-                    parts.append(F.Not(build(ta, tb, level(ta, tb))))
-                return F.Not(_wrap(label, F.conj(_dedup(parts))))
+                # each part is true on the right successor, false on the left
+                return [(ta, tb) for ta in moves_a], lambda parts: F.Not(
+                    _wrap(label, F.conj(_dedup([F.Not(p) for p in parts])))
+                )
         raise ModelError("refinement split a pair without a divergent move")
 
-    return build(sa, sb, level(sa, sb))
+    done: list = []  # the finished formula
+    stack = [(iter([(sa, sb)]), done, None)]  # (pairs left, their formulas so far, combine)
+    while stack:
+        pairs, parts, combine = stack[-1]
+        pair = next(pairs, None)
+        if pair is None:
+            stack.pop()
+            if combine is not None:
+                stack[-1][1].append(combine(parts))
+            continue
+        found = split(*pair, level(*pair))
+        if isinstance(found, F.Formula):
+            parts.append(found)
+        else:
+            stack.append((iter(found[0]), [], found[1]))
+    return done[0]
 
 
 def _pick(moves, col, wanted_colours):

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from causalmc.bisim import (
     generate_formula_suite,
     intervention_closure,
 )
+from causalmc.dsl import parse_model
 from causalmc.generate import (
     perturb_model,
     random_configuration,
@@ -468,3 +470,40 @@ def test_check_bisim_matches_tuple_keyed_reference(ex1, ex1_doc, micro, micro_f1
             seen[want[0]] += 1
     # every outcome occurs: bisimilar, distinguished, and a cap overrun
     assert min(seen.values()) > 100, seen
+
+
+def _chain(n: int, loop: bool):
+    """One component stepping through n behaviours in a line; with ``loop``
+    the last one steps back to the first."""
+    lines = ["async", "component c {", "  domain " + " ".join(f"b{i}" for i in range(n))]
+    lines += [f"  rule b{i} -> b{i + 1}" for i in range(n - 1)]
+    lines += [f"  rule b{n - 1} -> b0"] if loop else []
+    lines += ["}", "config start = (c=b0)"]
+    doc = parse_model("\n".join(lines) + "\n")
+    return PointedModel(doc.model, doc.configuration("start"))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_distinguishing_formula_needs_no_recursion():
+    """Two chains whose first difference lies 300 steps from the roots: the
+    formula has one level per step, and building it uses no frame per level."""
+    a, b = _chain(300, False), _chain(300, True)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        result = check_bisim(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not result.bisimilar and F.modal_depth(result.distinguishing) == 300
+    sys.setrecursionlimit(10_000)  # evaluation still takes a few frames per modal level
+    try:
+        assert evaluate(a.model, a.point, result.distinguishing)
+        assert not evaluate(b.model, b.point, result.distinguishing)
+    finally:
+        sys.setrecursionlimit(limit)
