@@ -22,11 +22,11 @@ from . import formulas as F
 from . import kernel
 from .model import (
     DEFAULT_OPTIONS,
-    CapExceeded,
     Configuration,
     ModelError,
     Options,
     SystemModel,
+    exceeded,
 )
 from .semantics import atom_test
 
@@ -87,7 +87,7 @@ def intervention_closure(model: SystemModel) -> VariantGraph:
                 j = index.get(key)
                 if j is None:
                     if len(kernels) >= CLOSURE_CAP:
-                        raise CapExceeded(CLOSURE_CAP, len(kernels) + 1, "intervention closure")
+                        exceeded(CLOSURE_CAP, "intervention closure")
                     j = len(kernels)
                     index[key] = j
                     kernels.append(variant)
@@ -146,7 +146,9 @@ class _Lts:
         rows = []
         frontier = [root]
         loops = options.self_loops
-        while frontier:
+        while frontier:  # every state numbered is on the frontier until expanded
+            if len(number) > options.max_states:
+                exceeded(options.max_states, "bisimulation state space")
             key = frontier.pop()
             number[key] = len(self.keys)
             self.keys.append(key)
@@ -159,8 +161,6 @@ class _Lts:
                     if s not in number:
                         number[s] = None
                         frontier.append(s)
-            if len(number) > options.max_states:
-                raise CapExceeded(options.max_states, len(number), "bisimulation state space")
         self.moves = [[[number[s] for s in dests] for dests in row] for row in rows]
 
     def point(self, i: int) -> tuple[int, Configuration]:
@@ -173,18 +173,13 @@ def check_bisim(
 ) -> BisimResult:
     """Relation when the pointed models are bisimilar, otherwise a star-free
     distinguishing formula (left satisfies it, right does not)."""
-    left_atoms = sorted(a.model.atom_map)
-    right_atoms = sorted(b.model.atom_map)
-    if left_atoms != right_atoms:
-        raise VocabularyMismatch(
-            f"atom vocabularies differ: {left_atoms} vs {right_atoms}"
-        )
-    left_ivs = sorted(a.model.intervention_map)
-    right_ivs = sorted(b.model.intervention_map)
-    if left_ivs != right_ivs:
-        raise VocabularyMismatch(
-            f"declared intervention names differ: {left_ivs} vs {right_ivs}"
-        )
+    left_atoms, left_ivs = sorted(a.model.atom_map), sorted(a.model.intervention_map)
+    for what, left, right in (
+        ("atom vocabularies", left_atoms, sorted(b.model.atom_map)),
+        ("declared intervention names", left_ivs, sorted(b.model.intervention_map)),
+    ):
+        if left != right:
+            raise VocabularyMismatch(f"{what} differ: {left} vs {right}")
     labels = [STEP] + left_ivs
     lts_a = _Lts(a.model, a.point, labels, options)
     lts_b = _Lts(b.model, b.point, labels, options)
@@ -206,6 +201,7 @@ def check_bisim(
         colour = fresh
         history.append(colour)
 
+    relation = phi = None
     if colour[0] == colour[n]:
         # right states grouped by colour, in state order: the related pairs
         # in (left, right) state order, in time linear in the relation
@@ -214,17 +210,12 @@ def check_bisim(
             by_colour.setdefault(c, []).append(lts_b.point(i))
         points_a = [lts_a.point(i) for i in range(n)]
         pairs = tuple((pa, pb) for pa, c in zip(points_a, colour) for pb in by_colour.get(c, ()))
-        return BisimResult(
-            bisimilar=True,
-            relation=BisimRelation(pairs=pairs),
-            distinguishing=None,
-            left_states=n,
-            right_states=len(lts_b.atoms),
-        )
-    phi = _distinguish(atoms, moves, history, labels, left_atoms, 0, n)
+        relation = BisimRelation(pairs=pairs)
+    else:
+        phi = _distinguish(atoms, moves, history, labels, left_atoms, 0, n)
     return BisimResult(
-        bisimilar=False,
-        relation=None,
+        bisimilar=relation is not None,
+        relation=relation,
         distinguishing=phi,
         left_states=n,
         right_states=len(lts_b.atoms),

@@ -41,13 +41,13 @@ from itertools import chain, combinations, product
 from . import kernel
 from .model import (
     DEFAULT_OPTIONS,
-    CapExceeded,
     Configuration,
     Intervention,
     ModelError,
     Options,
     SystemModel,
     clamping_intervention,
+    exceeded,
 )
 from .semantics import atom_test
 
@@ -245,7 +245,8 @@ def _ac1(e: _Episode, cause):
 
     parent: dict = {}
     queue: list = []
-    k, loops, cap = e.k, e.options.self_loops, 2 * e.options.max_states
+    visited = {e.start}  # configurations met: the cap counts these, not pairs
+    k, loops, cap = e.k, e.options.self_loops, e.options.max_states
 
     def expand(f: int, got_effect: bool, via) -> None:
         mask, key = marks(f)
@@ -258,6 +259,9 @@ def _ac1(e: _Episode, cause):
             if state not in parent:
                 parent[state] = via
                 queue.append(state)
+                visited.add(g)
+        if len(visited) > cap:
+            exceeded(cap, "AC1 path search")
 
     expand(e.start, False, None)
     i = 0
@@ -272,30 +276,16 @@ def _ac1(e: _Episode, cause):
                 cursor = parent[cursor]
                 path.append(cursor[0])
             return True, (e.q.start,) + tuple(map(e.decode, reversed(path)))
-        if len(parent) > cap:
-            raise CapExceeded(cap, len(parent), "AC1 path search")
         expand(f, got_effect, state)
     return False, None
 
 
 def _first_effect_reachable(k, start: int, effect, options) -> int | None:
-    """First state strictly reachable from ``start`` in which every
-    (weight, radix, code) place of ``effect`` holds its code."""
-    loops = options.self_loops
-    queue = list(k.successors(start, loops))
-    visited = {start, *queue}
-    i = 0
-    while i < len(queue):
-        g = queue[i]
-        i += 1
-        if all(g // w % r == b for w, r, b in effect):
+    """First state other than ``start`` strictly reachable from it in which
+    every (weight, radix, code) place of ``effect`` holds its code."""
+    for g in k.search(start, options, "counterfactual reachability"):
+        if g != start and all(g // w % r == b for w, r, b in effect):
             return g
-        if len(visited) > options.max_states:
-            raise CapExceeded(options.max_states, len(visited), "counterfactual reachability")
-        for h in k.successors(g, loops):
-            if h not in visited:
-                visited.add(h)
-                queue.append(h)
     return None
 
 

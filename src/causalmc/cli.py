@@ -33,7 +33,7 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--self-loops", action="store_true", help="include fixpoint self-loops")
     sp.add_argument("--allow-trivial-split", action="store_true", help="admit non-proper interface splits")
     sp.add_argument("--strict-ac1", action="store_true", help="literal start-equals-end actuality clause")
-    sp.add_argument("--max-states", type=int, default=100_000, metavar="N", help="state enumeration cap")
+    sp.add_argument("--max-states", type=int, default=100_000, metavar="N", help="states one search may hold")
     sp.add_argument("--report", metavar="PATH", help="write the JSON report here")
 
 

@@ -17,58 +17,58 @@ import copy
 from itertools import product
 from math import prod
 
-from .model import CapExceeded, Configuration, ModelError, UnknownNameError, apply_intervention
+from .model import Configuration, ModelError, UnknownNameError, apply_intervention, exceeded
 
 
 _COMPLETE = float("inf")  # the preorder number of a node whose component is complete
 
 
-def components(roots, successors, comp: dict, found: list) -> None:
+def components(roots, successors, comp: dict, found: list, cap=None) -> None:
     """Strongly connected components of the graph reachable from ``roots``
     (Tarjan, 1972), found with an explicit stack, so a long path needs no
     recursion.  Each component is appended to ``found`` as a list of its
     nodes, and ``comp`` maps each of those nodes to its index there.  A node
     already in ``comp`` lies in a complete component and is not entered, so
-    successive calls grow one decomposition."""
+    successive calls grow one decomposition.  Given a ``cap``, the walk is a
+    reachable-set search over the whole decomposition: it raises once
+    ``comp`` and the nodes it entered are more than ``cap``."""
     number: dict = {}  # preorder number of each node entered
     path: list = []  # entered nodes whose component is not complete yet
-    for root in roots:
-        if root in comp:
-            continue
-        v, children = root, iter(successors(root))
-        nv = lv = number[v] = len(number)
-        path.append(v)
-        work = []  # (node, children left, preorder number, low link) of v's ancestors
-        while True:
-            for w in children:
-                nw = number.get(w)
-                if nw is None:
-                    if w in comp:
-                        continue
-                    work.append((v, children, nv, lv))
-                    v, children = w, iter(successors(w))
-                    nv = lv = number[w] = len(number)
-                    path.append(w)
-                    break
-                if nw < lv:
-                    lv = nw
-            else:
-                if lv == nv:
-                    c, members = len(found), []
-                    while True:
-                        w = path.pop()
-                        comp[w] = c
-                        number[w] = _COMPLETE
-                        members.append(w)
-                        if w == v:
-                            break
-                    found.append(members)
-                if not work:
-                    break
-                low = lv
-                v, children, nv, lv = work.pop()
-                if low < lv:
-                    lv = low
+    room = _COMPLETE if cap is None else cap - len(comp)  # nodes this call may enter
+    work = []  # (node, children left, preorder number, low link) of v's ancestors
+    v, children, nv, lv = None, iter(roots), -1, -1  # the roots are the children of a node never complete
+    while True:
+        for w in children:
+            nw = number.get(w)
+            if nw is None:
+                if w in comp:
+                    continue
+                work.append((v, children, nv, lv))
+                v, children = w, iter(successors(w))
+                nv = lv = number[w] = len(number)
+                if nv >= room:
+                    exceeded(cap, "reachable set")
+                path.append(w)
+                break
+            if nw < lv:
+                lv = nw
+        else:
+            if not work:
+                return
+            if lv == nv:
+                c, members = len(found), []
+                while True:
+                    w = path.pop()
+                    comp[w] = c
+                    number[w] = _COMPLETE
+                    members.append(w)
+                    if w == v:
+                        break
+                found.append(members)
+            low = lv
+            v, children, nv, lv = work.pop()
+            if low < lv:
+                lv = low
 
 
 def compile(model) -> "Kernel":
@@ -131,7 +131,7 @@ class Kernel:
     def configurations(self, options) -> range:
         """Every state, in enumeration order."""
         if self.size > options.max_states:
-            raise CapExceeded(options.max_states, self.size, "configuration space")
+            exceeded(options.max_states, "configuration space", self.size)
         return range(self.size)
 
     def successors(self, s: int, self_loops: bool) -> tuple[int, ...]:
@@ -185,28 +185,38 @@ class Kernel:
         raise ModelError(f"unknown transition mode {self.mode!r}")
 
     def reachable(self, s: int, options) -> list[int]:
-        """States strictly reachable from ``s``, breadth-first.  A search raises
-        exactly when its final set exceeds the cap, so a memoized set is reused
-        only when it fits; a larger one is searched again to raise as before."""
+        """States strictly reachable from ``s``, breadth-first, memoized with
+        how many states the search held; a memoized set that held more than
+        the cap raises as its search would have."""
         memo = self.reach_memo[options.self_loops]
-        queue = memo.get(s)
-        if queue is not None and len(queue) <= options.max_states:
-            return queue
+        found = memo.get(s)
+        if found is None:
+            queue = list(self.search(s, options, "reachable set"))
+            found = memo[s] = (queue, len(queue) + (s not in queue))
+        if found[1] > options.max_states:
+            exceeded(options.max_states, "reachable set")
+        return found[0]
+
+    def search(self, s: int, options, what: str):
+        """The states strictly reachable from ``s``, breadth-first, each
+        yielded when it is dequeued, so a caller may stop early.  The search
+        holds ``s`` and every state it has queued, and raises ``what``'s
+        overrun when they are more than the cap."""
         succ, loops, cap = self.successors, options.self_loops, options.max_states
-        queue = list(succ(s, loops))
-        seen = set(queue)
-        i = 0
-        while i < len(queue):
-            g = queue[i]
-            i += 1
-            if len(queue) > cap:
-                raise CapExceeded(cap, len(queue), "reachable set")
+        queue, seen, i = [], set(), 0
+        g = s
+        while True:
             for h in succ(g, loops):
                 if h not in seen:
                     seen.add(h)
                     queue.append(h)
-        memo[s] = queue
-        return queue
+            if len(seen) + (s not in seen) > cap:
+                exceeded(cap, what)
+            if i == len(queue):
+                return
+            g = queue[i]
+            i += 1
+            yield g
 
     def pinned(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
         """Variant pinning each (component, code) pair's component to that code;

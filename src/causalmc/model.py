@@ -44,6 +44,15 @@ class CapExceeded(ModelError):
         super().__init__(f"{what} size {size} exceeds configured cap {cap}")
 
 
+def exceeded(cap: int, what: str, size: int | None = None):
+    """Raise the overrun of ``what``.  Every state cap follows one rule: a
+    search raises as soon as it holds ``cap`` + 1 distinct states, its root
+    included, counted at insertion, so the size is ``cap`` + 1 (1 when
+    ``cap`` < 0) whatever the walk order.  Only the configuration space,
+    whose size is known before any walk, passes a ``size``."""
+    raise CapExceeded(cap, max(cap, 0) + 1 if size is None else size, what)
+
+
 @dataclass(frozen=True)
 class Options:
     """Evaluation switches shared across the engine.
@@ -51,7 +60,8 @@ class Options:
     self_loops: include transitions f -> f arising from rule fixpoints.
     allow_trivial_split: let separation queries use non-proper covers,
         including the degenerate (C, C) split.
-    max_states: cap on any configuration-set enumeration.
+    max_states: cap on the states any one search holds, its root included
+        (see ``exceeded``); the configuration space is capped by its size.
     """
 
     self_loops: bool = False
@@ -95,10 +105,24 @@ class RuleTable:
     rows: tuple[RuleRow, ...] = ()
 
     def apply(self, own: str, context_values: tuple[str, ...]) -> str:
-        for row in self.rows:
+        index = self._by_own
+        for row in index.get(own, index[None]):
             if row.matches(own, context_values):
                 return row.output
         return own
+
+    @cached_property
+    def _by_own(self) -> dict:
+        """The rows that can match each own behaviour, in row order: those for
+        it and the wildcard rows, which key None lists alone."""
+        index: dict = {None: []}
+        for row in self.rows:
+            if row.own is None:
+                for rows in index.values():
+                    rows.append(row)
+            else:
+                index.setdefault(row.own, list(index[None])).append(row)
+        return index
 
 
 def constant_table(arity: int, output: str) -> RuleTable:
@@ -467,18 +491,19 @@ def _row_violations(model, decl, rows, site, arity, output_suffix) -> list[Viola
     out: list[Violation] = []
     if not all(d in model.component_map for d in decl.context):
         return out
-    ctx_domains = [model.component_map[d].domain for d in decl.context]
+    domain = set(decl.domain)
+    ctx_domains = [set(model.component_map[d].domain) for d in decl.context]
     for idx, row in enumerate(rows, start=1):
         rsite = f"{site}{idx}"
         if len(row.context) != len(decl.context):
             out.append(Violation(rsite, arity.format(len(row.context), len(decl.context))))
             continue
-        if row.own is not None and row.own not in decl.domain:
+        if row.own is not None and row.own not in domain:
             out.append(Violation(rsite, f"own-behaviour pattern {row.own!r} not in domain"))
         for pat, dom, dname in zip(row.context, ctx_domains, decl.context):
             if pat is not None and pat not in dom:
                 out.append(Violation(rsite, f"context pattern {pat!r} not in domain of {dname!r}"))
-        if row.output not in decl.domain:
+        if row.output not in domain:
             out.append(Violation(rsite, f"output behaviour {row.output!r} not in domain{output_suffix}"))
     return out
 
@@ -505,7 +530,9 @@ def reachable(
 ) -> list[Configuration]:
     """Configurations strictly reachable from ``f`` (f itself only if on a cycle).
 
-    Breadth-first, deterministic order.
+    Breadth-first, deterministic order.  Raises ``CapExceeded`` when ``f``
+    and the configurations reachable from it are more than
+    ``options.max_states``.
     """
     k = kernel.compile(model)
     return [k.decode(g) for g in k.reachable(k.encode(f), options)]

@@ -131,14 +131,12 @@ class _Walk:
         return self.k.successors(g, self.options.self_loops)
 
     def cover(self, s: int) -> int:
-        """The component of ``s``.  A state no earlier walk reached gets the
-        same search from it as a per-state evaluation, so a cap overrun
-        happens at the same point; every state the walk then reaches has a
-        reachable set inside this one, which fits the cap."""
+        """The component of ``s``, walked from ``s`` if no earlier walk reached
+        it.  The walks of one call are one search, capped by every state they
+        have entered."""
         c = self.comp.get(s)
         if c is None:
-            self.k.reachable(s, self.options)
-            kernel.components((s,), self.successors, self.comp, self.members)
+            kernel.components((s,), self.successors, self.comp, self.members, self.options.max_states)
             c = self.comp[s]
         return c
 

@@ -283,7 +283,8 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
 # ---------------------------------------------------------------------------
 # check_bisim against the tuple-keyed refinement it replaced: states were
 # (variant, state) pairs and colours were keyed by (id(lts), state).  The copy
-# is verbatim except that it reads the closure's root and edges directly.
+# is verbatim except that it reads the closure's root and edges directly, and
+# checks the state cap at each insertion, the root included.
 
 
 class ref_Lts:
@@ -297,8 +298,15 @@ class ref_Lts:
         tests = [[atom_test(k, a) for a in sorted(model.atom_map)] for k in self.kernels]
         self.atoms = {}
         frontier = [self.root]
-        seen = {self.root}
+        seen = set()
         loops = options.self_loops
+
+        def hold(state):  # the root and every state queued, counted as each is added
+            seen.add(state)
+            if len(seen) > options.max_states:
+                raise CapExceeded(options.max_states, len(seen), "bisimulation state space")
+
+        hold(self.root)
         while frontier:
             state = frontier.pop()
             variant, f = state
@@ -314,10 +322,8 @@ class ref_Lts:
             for dests in row.values():
                 for s in dests:
                     if s not in seen:
-                        seen.add(s)
+                        hold(s)
                         frontier.append(s)
-            if len(seen) > options.max_states:
-                raise CapExceeded(options.max_states, len(seen), "bisimulation state space")
         self.states = list(self.moves)
 
     def point(self, state):

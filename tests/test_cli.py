@@ -181,6 +181,27 @@ def test_cause_cap_exceeded_exit_three(capsys):
     assert "AC1 path search" in capsys.readouterr().err
 
 
+_EX1_CAUSE = ["cause", EX1, "--from", "start", "--to", "flipped", "--effect", "c2"]
+
+
+@pytest.mark.parametrize(
+    "argv, phase, cap",
+    [
+        # the configuration space reports its size, the domain product: 6 for ex1
+        (["export-dot", EX1], "configuration space", 5),
+        (["export-dot", EX1, "--reachable-from", "start"], "reachable set", 2),
+        (["check", EX1, "start", "<>+ c2_flipped"], "reachable set", 2),
+        (_EX1_CAUSE, "AC1 path search", 2),
+        (_EX1_CAUSE, "counterfactual reachability", 3),  # AC1 holds 3 states; a counterfactual search, more
+        (["bisim", EX1, "start", EX1, "start"], "bisimulation state space", 2),
+    ],
+    ids=["export-dot", "export-dot-reachable", "check-closure", "cause-ac1", "cause-counterfactual", "bisim"],
+)
+def test_every_state_cap_reports_its_cap_plus_one(capsys, argv, phase, cap):
+    assert main(argv + ["--max-states", str(cap)]) == 3
+    assert capsys.readouterr().err == f"error: {phase} size {cap + 1} exceeds configured cap {cap}\n"
+
+
 def test_deep_nesting_exit_two_without_traceback(capsys):
     assert main(["check", MICRO, "f1", "! " * 3000 + "true"]) == 2
     err = capsys.readouterr().err

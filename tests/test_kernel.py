@@ -3,16 +3,20 @@ successor and reachability code it replaced.
 
 ``ref_successors`` and ``ref_reachable`` are copies of the engine's
 original bodies, kept here as the reference; they walk ``Configuration``
-values and re-match rule rows on every call.
+values and re-match rule rows on every call.  ``ref_reachable`` checks the
+state cap as each configuration is added, the start included.
 """
 
 import ast
 import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
+import oracle
 import pytest
 
+from causalmc import formulas as F
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.kernel import compile
 from causalmc.model import (
@@ -26,7 +30,7 @@ from causalmc.model import (
     reachable,
     successors,
 )
-from causalmc.semantics import candidate_splits
+from causalmc.semantics import candidate_splits, evaluate
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -84,20 +88,28 @@ def ref_successors(model, f, options):
 
 
 def ref_reachable(model, f, options):
+    held = set()  # f and every configuration queued, counted as each is added
+
+    def hold(g):
+        held.add(g)
+        if len(held) > options.max_states:
+            raise CapExceeded(options.max_states, len(held), "reachable set")
+
+    hold(f)
     frontier = ref_successors(model, f, options)
     visited = {}
     queue = list(frontier)
     for g in frontier:
         visited[g] = None
+        hold(g)
     i = 0
     while i < len(queue):
         g = queue[i]
         i += 1
-        if len(visited) > options.max_states:
-            raise CapExceeded(options.max_states, len(visited), "reachable set")
         for h in ref_successors(model, g, options):
             if h not in visited:
                 visited[h] = None
+                hold(h)
                 queue.append(h)
     return list(visited)
 
@@ -110,7 +122,8 @@ def _outcome(search):
 
 
 def _agree(ref_model, kernel, starts, rng):
-    """Successor and reachable lists in identical order, and the same cap overrun."""
+    """Successor and reachable lists in identical order, and the same cap
+    overrun, also when the capped search is a memo hit."""
     for self_loops in (False, True):
         options = Options(self_loops=self_loops)
         for f in starts:
@@ -119,7 +132,8 @@ def _agree(ref_model, kernel, starts, rng):
             assert got == ref_successors(ref_model, f, options)
             want = ref_reachable(ref_model, f, options)
             assert [kernel.decode(g) for g in kernel.reachable(s, options)] == want
-            for cap in {max(len(want) - 1, 0), len(want), rng.randrange(len(want) + 1)}:
+            held = len(want) + (f not in want)  # the start counts towards the cap
+            for cap in {-1, held - 1, held, rng.randrange(held + 1)}:
                 capped = Options(self_loops=self_loops, max_states=cap)
                 assert _outcome(lambda: [kernel.decode(g) for g in kernel.reachable(s, capped)]) == _outcome(
                     lambda: ref_reachable(ref_model, f, capped)
@@ -183,6 +197,39 @@ def test_intervened_variants_share_untouched_tables(micro, micro_f1):
     for i, (a, b) in enumerate(zip(kernel.rules, variant.rules)):
         assert (a is b) == (i != target)
     _agree(apply_intervention(micro, iv), variant, [micro_f1], random.Random(0))
+
+
+def test_state_cap_counts_the_start_as_the_oracle_does():
+    """With ``--max-states N`` from -1 to 5, ``Kernel.reachable`` and a
+    top-level ``<>+``/``[]+`` raise exactly when ``tests/oracle.py`` counts
+    more than N states in {s} and the states strictly reachable from s, and
+    report N + 1 (1 when N < 0).  Each run compiles a fresh copy of the
+    model, so every search and walk starts from nothing."""
+    outcomes = {"raised": 0, "fits": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        model = random_system_model(rng, max_components=3, max_behaviours=3, max_rows=4)
+        reach = oracle._closure(oracle.states(model), lambda t: oracle.step_successors(model, t))
+        atom = F.Atom(model.atoms[0].name)
+        for f in _starts(rng, model, 3):
+            start = tuple(b for _, b in f.pairs)
+            count = len({start} | reach[start])
+            for cap in range(-1, 6):
+                options = Options(max_states=cap)
+                want = ("reachable set", cap, max(cap, 0) + 1) if count > cap else None
+                for run in (
+                    lambda m: reachable(m, f, options),
+                    lambda m: evaluate(m, f, F.DiamondPlus(atom), options),
+                    lambda m: evaluate(m, f, F.BoxPlus(atom), options),
+                ):
+                    try:
+                        run(replace(model))
+                        got = None
+                    except CapExceeded as exc:
+                        got = (exc.what, exc.cap, exc.size)
+                    assert got == want, (seed, f, cap, count)
+                outcomes["raised" if want else "fits"] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_enumeration_order_is_state_order():

@@ -3,7 +3,8 @@ top-down evaluator and the 3^n split filter they replaced.
 
 ``ref_eval`` and ``ref_candidate_splits`` are copies of the engine's
 earlier bodies, kept here as the reference: ``ref_eval`` evaluates every
-subformula afresh on every path that reaches it, and
+subformula afresh on every path that reaches it, with the one addition
+that it tracks which states the engine's closure walks hold, and
 ``ref_candidate_splits`` filters all 3^n placements with ``ref_local``, a
 copy of the set-based locality rule ``interface_violations`` once spelled
 out, so the engine's one shared rule is not checked against itself.
@@ -76,13 +77,43 @@ def ref_sides(model, allow_trivial_split):
 def ref_decompositions(k, s, options):
     digits = k.digits(s)
     for split, models in ref_sides(k.model, options.allow_trivial_split):
-        sides = [kernel.compile(m) for m in models]
+        # a side over every component is the model itself, and shares its walks
+        sides = [k if m.component_order == k.names else kernel.compile(m) for m in models]
         yield (split,) + tuple(
             (side, sum(digits[k.index[c]] * w for c, w in zip(side.names, side.weights))) for side in sides
         )
 
 
-def ref_eval(k, s, phi, options, witnesses) -> bool:
+@cache
+def witness_free(phi) -> bool:
+    witnessing = (F.Intervene, F.InterveneExists, F.Star)
+    return F.fold(phi, lambda node, subs: all(subs) and not isinstance(node, witnessing))
+
+
+def ref_closure(k, s, phi, options, walked):
+    """The states a ``[]+`` or ``<>+`` at ``s`` ranges over.  A witness-free
+    one is answered from walks: ``walked`` holds, per variant, the states
+    every walk of the call has entered, and asked at a state outside them it
+    walks that state and all it reaches, raising when they hold more than
+    the cap.  Any other closure searches from ``s`` alone."""
+    if not witness_free(phi):
+        return k.reachable(s, options)
+    states = k.reachable(s, replace(options, max_states=sys.maxsize))
+    held = walked.setdefault(k, set())
+    if s not in held:
+        held.add(s)
+        held.update(states)
+        if len(held) > options.max_states:
+            raise CapExceeded(options.max_states, max(options.max_states, 0) + 1, "reachable set")
+    return states
+
+
+def ref_sat_set(k, phi, options):
+    walked: dict = {}
+    return [k.decode(s) for s in k.configurations(options) if ref_eval(k, s, phi, options, None, walked)]
+
+
+def ref_eval(k, s, phi, options, witnesses, walked) -> bool:
     if isinstance(phi, F.Top):
         return True
     if isinstance(phi, F.Bot):
@@ -96,30 +127,38 @@ def ref_eval(k, s, phi, options, witnesses) -> bool:
             raise UnknownNameError(f"unresolved atom p[{phi.component}={phi.behaviour}]")
         return atom_test(k, (phi.component, phi.behaviour))(s)
     if isinstance(phi, F.Not):
-        return not ref_eval(k, s, phi.sub, options, witnesses)
+        return not ref_eval(k, s, phi.sub, options, witnesses, walked)
     if isinstance(phi, F.And):
-        return ref_eval(k, s, phi.left, options, witnesses) and ref_eval(k, s, phi.right, options, witnesses)
+        return ref_eval(k, s, phi.left, options, witnesses, walked) and ref_eval(
+            k, s, phi.right, options, witnesses, walked
+        )
     if isinstance(phi, F.Or):
-        return ref_eval(k, s, phi.left, options, witnesses) or ref_eval(k, s, phi.right, options, witnesses)
+        return ref_eval(k, s, phi.left, options, witnesses, walked) or ref_eval(
+            k, s, phi.right, options, witnesses, walked
+        )
     if isinstance(phi, F.Implies):
-        return (not ref_eval(k, s, phi.left, options, witnesses)) or ref_eval(
-            k, s, phi.right, options, witnesses
+        return (not ref_eval(k, s, phi.left, options, witnesses, walked)) or ref_eval(
+            k, s, phi.right, options, witnesses, walked
         )
     if isinstance(phi, F.Box):
-        return all(ref_eval(k, g, phi.sub, options, witnesses) for g in k.successors(s, options.self_loops))
+        states = k.successors(s, options.self_loops)
+        return all(ref_eval(k, g, phi.sub, options, witnesses, walked) for g in states)
     if isinstance(phi, F.Diamond):
-        return any(ref_eval(k, g, phi.sub, options, witnesses) for g in k.successors(s, options.self_loops))
+        states = k.successors(s, options.self_loops)
+        return any(ref_eval(k, g, phi.sub, options, witnesses, walked) for g in states)
     if isinstance(phi, F.BoxPlus):
-        return all(ref_eval(k, g, phi.sub, options, witnesses) for g in k.reachable(s, options))
+        states = ref_closure(k, s, phi, options, walked)
+        return all(ref_eval(k, g, phi.sub, options, witnesses, walked) for g in states)
     if isinstance(phi, F.DiamondPlus):
-        return any(ref_eval(k, g, phi.sub, options, witnesses) for g in k.reachable(s, options))
+        states = ref_closure(k, s, phi, options, walked)
+        return any(ref_eval(k, g, phi.sub, options, witnesses, walked) for g in states)
     if isinstance(phi, F.Intervene):
         iv = k.model.intervention_map.get(phi.name)
         if iv is None:
             raise UnknownNameError(f"unresolved intervention name {phi.name!r}")
         intervened = k.intervened(iv)
         for g in intervened.successors(s, options.self_loops):
-            if ref_eval(intervened, g, phi.sub, options, witnesses):
+            if ref_eval(intervened, g, phi.sub, options, witnesses, walked):
                 if witnesses is not None:
                     successor = intervened.decode(g).as_dict()
                     witnesses.append({"op": "intervention", "name": phi.name, "successor": successor})
@@ -127,15 +166,15 @@ def ref_eval(k, s, phi, options, witnesses) -> bool:
         return False
     if isinstance(phi, F.InterveneExists):
         for iv in k.model.interventions:
-            if ref_eval(k, s, F.Intervene(iv.name, phi.sub), options, witnesses):
+            if ref_eval(k, s, F.Intervene(iv.name, phi.sub), options, witnesses, walked):
                 if witnesses is not None:
                     witnesses.append({"op": "exists-intervention", "name": iv.name})
                 return True
         return False
     if isinstance(phi, F.Star):
         for split, (left, lf), (right, rf) in ref_decompositions(k, s, options):
-            if ref_eval(left, lf, phi.left, options, witnesses) and ref_eval(
-                right, rf, phi.right, options, witnesses
+            if ref_eval(left, lf, phi.left, options, witnesses, walked) and ref_eval(
+                right, rf, phi.right, options, witnesses, walked
             ):
                 if witnesses is not None:
                     witnesses.append({"op": "star", "left": list(split.left), "right": list(split.right)})
@@ -183,7 +222,7 @@ def _outcome(run):
 def _agree(model, f, phi, options, tally):
     k = kernel.compile(model)
     got = _outcome(lambda w: evaluate(model, f, phi, options, w))
-    want = _outcome(lambda w: ref_eval(k, k.encode(f), phi, options, w))
+    want = _outcome(lambda w: ref_eval(k, k.encode(f), phi, options, w, {}))
     assert got == want, F.pretty(phi)
     verdict, witnesses = got
     tally["witnessed"] += bool(witnesses)
@@ -219,9 +258,7 @@ def test_sat_set_matches_reference():
         k = kernel.compile(model)
         for _ in range(3):
             phi = random_formula(rng, model, 3)
-            want = _outcome(
-                lambda w: [k.decode(s) for s in k.configurations(options) if ref_eval(k, s, phi, options, None)]
-            )
+            want = _outcome(lambda w: ref_sat_set(k, phi, options))
             assert _outcome(lambda w: sat_set(model, phi, options)) == want
 
 
@@ -286,9 +323,7 @@ def test_nested_closures_match_reference():
             f = random_configuration(rng, model)
             for opts in (options, capped):
                 _agree(model, f, phi, opts, tally)
-                want = _outcome(
-                    lambda w: [k.decode(s) for s in k.configurations(opts) if ref_eval(k, s, phi, opts, None)]
-                )
+                want = _outcome(lambda w: ref_sat_set(k, phi, opts))
                 assert _outcome(lambda w: sat_set(model, phi, opts)) == want, F.pretty(phi)
             seen.add(options.self_loops)
     assert seen == {False, True}
@@ -310,21 +345,30 @@ def test_check_interface_matches_reference_rule(ex1, micro):
     assert 500 < sum(verdicts) < len(verdicts) - 500
 
 
-def _count_searches(monkeypatch) -> list:
-    calls = []
-    search = kernel.Kernel.reachable
-    monkeypatch.setattr(
-        kernel.Kernel, "reachable", lambda self, s, options: calls.append(s) or search(self, s, options)
-    )
+def _count_walks(monkeypatch) -> dict:
+    """Calls of ``kernel.components``, the closure walk, and of ``Kernel.reachable``."""
+    calls = {"walks": 0, "searches": 0}
+    walk, search = kernel.components, kernel.Kernel.reachable
+
+    def walked(*args):
+        calls["walks"] += 1
+        return walk(*args)
+
+    def searched(self, s, options):
+        calls["searches"] += 1
+        return search(self, s, options)
+
+    monkeypatch.setattr(kernel, "components", walked)
+    monkeypatch.setattr(kernel.Kernel, "reachable", searched)
     return calls
 
 
 def test_nested_reachability_walks_once(monkeypatch, micro_doc):
-    """``(<>+)^k false`` at micro's f1 runs one search for every k: the
-    search from f1 covers every state the nested closures ask about, and
-    one component walk labels them all.  Labels are filled lazily, so
-    ``(<>+)^3 true`` stops at its first hit."""
-    calls = _count_searches(monkeypatch)
+    """``(<>+)^k false`` at micro's f1 runs one component walk for every k,
+    and no breadth-first search: the walk from f1 covers every state the
+    nested closures ask about and labels them all.  Labels are filled
+    lazily, so ``(<>+)^3 true`` stops at its first hit."""
+    calls = _count_walks(monkeypatch)
     f1 = micro_doc.configuration("f1")
     counts = []
     for depth in range(1, 7):
@@ -332,13 +376,13 @@ def test_nested_reachability_walks_once(monkeypatch, micro_doc):
         phi = F.FALSE
         for _ in range(depth):
             phi = F.DiamondPlus(phi)
-        calls.clear()
+        calls.update(walks=0, searches=0)
         assert evaluate(model, f1, phi) is False
-        counts.append(len(calls))
-    assert counts == [1] * 6
-    calls.clear()
+        counts.append((calls["walks"], calls["searches"]))
+    assert counts == [(1, 0)] * 6
+    calls.update(walks=0, searches=0)
     assert evaluate(replace(micro_doc.model), f1, F.DiamondPlus(F.DiamondPlus(F.DiamondPlus(F.TRUE))))
-    assert len(calls) == 1
+    assert calls == {"walks": 1, "searches": 0}
 
 
 def _ring(n):
@@ -354,12 +398,13 @@ def _ring(n):
 
 def test_ring_closure_labels_from_one_search(monkeypatch):
     """``<>+ <>+ false`` at the failing state of a six-node ring labels its
-    48 reachable states from one search, not one search per state."""
+    48 reachable states from one component walk, not one search per state,
+    and runs no breadth-first search besides."""
     doc, names = _ring(6)
-    calls = _count_searches(monkeypatch)
+    calls = _count_walks(monkeypatch)
     phi = F.DiamondPlus(F.DiamondPlus(F.FALSE))
     assert evaluate(doc.model, doc.configuration(names["failing"]), phi) is False
-    assert len(calls) == 1
+    assert calls == {"walks": 1, "searches": 0}
 
 
 def test_long_chain_needs_no_recursion():

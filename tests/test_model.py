@@ -138,6 +138,43 @@ def test_rule_totality_by_enumeration(seed):
                 assert out in decl.domain
 
 
+def ref_apply(table, own, context_values):
+    """The linear scan ``RuleTable.apply`` replaced: first matching row, else ``own``."""
+    for row in table.rows:
+        if row.matches(own, context_values):
+            return row.output
+    return own
+
+
+def test_rule_index_matches_linear_scan():
+    """Rows indexed by own behaviour, wildcard rows merged in row order,
+    give the first matching row on random tables, including own values no
+    row names and tables of wildcards only."""
+    from itertools import product as iproduct
+
+    rng = random.Random(0)
+    tally = {"wildcard": 0, "literal": 0, "identity": 0}
+    for _ in range(400):
+        domain = [f"b{i}" for i in range(rng.randint(1, 4))]
+        contexts = [[f"x{i}" for i in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 2))]
+        rows = tuple(
+            RuleRow(
+                rng.choice([None, None] + domain),
+                tuple(rng.choice([None] + d) for d in contexts),
+                rng.choice(domain),
+            )
+            for _ in range(rng.randint(0, 8))
+        )
+        table = RuleTable(rows)
+        for own in domain:
+            for ctx in iproduct(*contexts):
+                want = ref_apply(table, own, ctx)
+                assert table.apply(own, ctx) == want, (rows, own, ctx)
+                first = next((row for row in rows if row.matches(own, ctx)), None)
+                tally["identity" if first is None else "wildcard" if first.own is None else "literal"] += 1
+    assert min(tally.values()) > 500, tally
+
+
 # ---------------------------------------------------------------------------
 # reachability
 
