@@ -173,13 +173,18 @@ def check_bisim(
 ) -> BisimResult:
     """Relation when the pointed models are bisimilar, otherwise a star-free
     distinguishing formula (left satisfies it, right does not)."""
-    left_atoms, left_ivs = sorted(a.model.atom_map), sorted(a.model.intervention_map)
-    for what, left, right in (
-        ("atom vocabularies", left_atoms, sorted(b.model.atom_map)),
-        ("declared intervention names", left_ivs, sorted(b.model.intervention_map)),
-    ):
-        if left != right:
-            raise VocabularyMismatch(f"{what} differ: {left} vs {right}")
+    left_atoms = sorted(a.model.atom_map)
+    right_atoms = sorted(b.model.atom_map)
+    if left_atoms != right_atoms:
+        raise VocabularyMismatch(
+            f"atom vocabularies differ: {left_atoms} vs {right_atoms}"
+        )
+    left_ivs = sorted(a.model.intervention_map)
+    right_ivs = sorted(b.model.intervention_map)
+    if left_ivs != right_ivs:
+        raise VocabularyMismatch(
+            f"declared intervention names differ: {left_ivs} vs {right_ivs}"
+        )
     labels = [STEP] + left_ivs
     lts_a = _Lts(a.model, a.point, labels, options)
     lts_b = _Lts(b.model, b.point, labels, options)
@@ -201,7 +206,6 @@ def check_bisim(
         colour = fresh
         history.append(colour)
 
-    relation = phi = None
     if colour[0] == colour[n]:
         # right states grouped by colour, in state order: the related pairs
         # in (left, right) state order, in time linear in the relation
@@ -210,12 +214,17 @@ def check_bisim(
             by_colour.setdefault(c, []).append(lts_b.point(i))
         points_a = [lts_a.point(i) for i in range(n)]
         pairs = tuple((pa, pb) for pa, c in zip(points_a, colour) for pb in by_colour.get(c, ()))
-        relation = BisimRelation(pairs=pairs)
-    else:
-        phi = _distinguish(atoms, moves, history, labels, left_atoms, 0, n)
+        return BisimResult(
+            bisimilar=True,
+            relation=BisimRelation(pairs=pairs),
+            distinguishing=None,
+            left_states=n,
+            right_states=len(lts_b.atoms),
+        )
+    phi = _distinguish(atoms, moves, history, labels, left_atoms, 0, n)
     return BisimResult(
-        bisimilar=relation is not None,
-        relation=relation,
+        bisimilar=False,
+        relation=None,
         distinguishing=phi,
         left_states=n,
         right_states=len(lts_b.atoms),

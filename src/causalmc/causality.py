@@ -281,11 +281,14 @@ def _ac1(e: _Episode, cause):
 
 
 def _first_effect_reachable(k, start: int, effect, options) -> int | None:
-    """First state other than ``start`` strictly reachable from it in which
-    every (weight, radix, code) place of ``effect`` holds its code."""
+    """First state strictly reachable from ``start`` in which every
+    (weight, radix, code) place of ``effect`` holds its code; ``start``
+    itself counts only as its own successor (a self-loop), not at the end of
+    a longer cycle."""
     for g in k.search(start, options, "counterfactual reachability"):
-        if g != start and all(g // w % r == b for w, r, b in effect):
-            return g
+        if all(g // w % r == b for w, r, b in effect):
+            if g != start or start in k.successors(start, options.self_loops):
+                return g
     return None
 
 

@@ -81,35 +81,49 @@ def rename_component_behaviours(model: SystemModel, component: str, suffix: str 
     target = model.component(component)
     mapping = {b: b + suffix for b in target.domain}
 
-    def rename(owner: str, value):
-        return mapping.get(value, value) if owner == component else value
+    def map_own(comp: ComponentDecl, value):
+        if value is None:
+            return None
+        return mapping.get(value, value) if comp.name == component else value
 
-    def rename_table(decl: ComponentDecl, table: RuleTable) -> RuleTable:
-        """``table``, a rule table of ``decl``, with the renamed behaviours in its rows."""
-        rows = tuple(
-            RuleRow(
-                own=rename(decl.name, r.own),
-                context=tuple(map(rename, decl.context, r.context)),
-                output=rename(decl.name, r.output),
-            )
-            for r in table.rows
-        )
-        return RuleTable(rows)
+    def map_ctx(comp: ComponentDecl, i, value):
+        if value is None:
+            return None
+        return mapping.get(value, value) if comp.context[i] == component else value
 
     comps = []
     for c in model.components:
         domain = tuple(mapping[b] for b in c.domain) if c.name == component else c.domain
-        comps.append(replace(c, domain=domain, rule=rename_table(c, c.rule)))
+        rows = tuple(
+            RuleRow(
+                own=map_own(c, r.own),
+                context=tuple(map_ctx(c, i, v) for i, v in enumerate(r.context)),
+                output=mapping[r.output] if c.name == component else r.output,
+            )
+            for r in c.rule.rows
+        )
+        comps.append(replace(c, domain=domain, rule=RuleTable(rows)))
     atoms = tuple(
         replace(a, behaviour=mapping.get(a.behaviour, a.behaviour))
         if a.is_predicate and a.component == component
         else a
         for a in model.atoms
     )
-    ivs = [
-        replace(iv, rules=tuple((t, rename_table(model.component(t), table)) for t, table in iv.rules))
-        for iv in model.interventions
-    ]
+    ivs = []
+    for iv in model.interventions:
+        tables = []
+        for t, table in iv.rules:
+            decl = model.component(t)
+            rows = tuple(
+                RuleRow(
+                    own=map_own(decl, r.own),
+                    context=tuple(map_ctx(decl, i, v) for i, v in enumerate(r.context)),
+                    output=mapping[r.output] if t == component else r.output,
+                )
+                for r in table.rows
+            )
+            tables.append((t, RuleTable(rows)))
+        ivs.append(replace(iv, rules=tuple(tables)))
     renamed = SystemModel(
         components=tuple(comps), atoms=atoms, interventions=tuple(ivs), mode=model.mode
     )

@@ -275,26 +275,13 @@ def _alternates(hp: HPModel, names):
         yield dict(zip(names, combo))
 
 
-def _verdict(candidate: dict, effect: dict, actual, ac2_core) -> HPVerdict:
-    """AC1: the candidate and the effect hold in ``actual``; AC2: ``ac2_core``
-    finds a (witness, mode, alternate) for the candidate; AC3: it finds none
-    for a nonempty proper subset of the candidate, tried smallest first."""
-    if any(actual[n] != v for n, v in (*candidate.items(), *effect.items())):
-        return HPVerdict(ac1=False, ac2=False, ac3=False)
-    hit = ac2_core(candidate)
-    if hit is None:
-        return HPVerdict(ac1=True, ac2=False, ac3=True)
-    witness, mode, alternate = hit
-    ac3 = not any(
-        ac2_core({n: candidate[n] for n in sub})
-        for k in range(1, len(candidate))
-        for sub in combinations(sorted(candidate), k)
-    )
-    return HPVerdict(ac1=True, ac2=True, ac3=ac3, witness=witness, witness_mode=mode, alternate=alternate)
-
-
 def _check_static(hp, candidate, effect) -> HPVerdict:
     actual = solve(hp)
+    ac1 = all(actual[n] == v for n, v in candidate.items()) and all(
+        actual[n] == v for n, v in effect.items()
+    )
+    if not ac1:
+        return HPVerdict(ac1=False, ac2=False, ac3=False)
 
     def ac2_core(cand: dict):
         others = [v.name for v in hp.variables if v.name not in cand]
@@ -306,10 +293,25 @@ def _check_static(hp, candidate, effect) -> HPVerdict:
                         continue
                     values = solve(hp, interventions={**alt, **clamp_w})
                     if any(values[n] != v for n, v in effect.items()):
-                        return w, "static", tuple(sorted(alt.items()))
+                        return w, tuple(sorted(alt.items()))
         return None
 
-    return _verdict(candidate, effect, actual, ac2_core)
+    hit = ac2_core(candidate)
+    if hit is None:
+        return HPVerdict(ac1=True, ac2=False, ac3=True)
+    witness, alternate = hit
+    ac3 = True
+    for k in range(1, len(candidate)):
+        for sub in combinations(sorted(candidate), k):
+            sub_cand = {n: candidate[n] for n in sub}
+            if all(actual[n] == v for n, v in sub_cand.items()) and ac2_core(sub_cand):
+                ac3 = False
+                break
+        if not ac3:
+            break
+    return HPVerdict(
+        ac1=True, ac2=True, ac3=ac3, witness=witness, witness_mode="static", alternate=alternate
+    )
 
 
 def _check_unrolled(hp, path, candidate, effect) -> HPVerdict:
@@ -318,6 +320,11 @@ def _check_unrolled(hp, path, candidate, effect) -> HPVerdict:
         raise ModelError("unrolling path needs at least two configurations")
     fired = _fired_schedule(path)
     final = path[-1]
+    ac1 = all(final[n] == v for n, v in candidate.items()) and all(
+        final[n] == v for n, v in effect.items()
+    )
+    if not ac1:
+        return HPVerdict(ac1=False, ac2=False, ac3=False)
     names = list(path[0].components)
 
     def ac2_core(cand: dict):
@@ -337,4 +344,19 @@ def _check_unrolled(hp, path, candidate, effect) -> HPVerdict:
                             return w, mode, tuple(sorted(alt.items()))
         return None
 
-    return _verdict(candidate, effect, final, ac2_core)
+    hit = ac2_core(candidate)
+    if hit is None:
+        return HPVerdict(ac1=True, ac2=False, ac3=True)
+    witness, mode, alternate = hit
+    ac3 = True
+    for k in range(1, len(candidate)):
+        for sub in combinations(sorted(candidate), k):
+            sub_cand = {n: candidate[n] for n in sub}
+            if ac2_core(sub_cand):
+                ac3 = False
+                break
+        if not ac3:
+            break
+    return HPVerdict(
+        ac1=True, ac2=True, ac3=ac3, witness=witness, witness_mode=mode, alternate=alternate
+    )

@@ -45,11 +45,8 @@ class CapExceeded(ModelError):
 
 
 def exceeded(cap: int, what: str, size: int | None = None):
-    """Raise the overrun of ``what``.  Every state cap follows one rule: a
-    search raises as soon as it holds ``cap`` + 1 distinct states, its root
-    included, counted at insertion, so the size is ``cap`` + 1 (1 when
-    ``cap`` < 0) whatever the walk order.  Only the configuration space,
-    whose size is known before any walk, passes a ``size``."""
+    """Raise the overrun of ``what``: of a search, at the size it reaches
+    first past ``cap`` (see ``Options.max_states``), or of ``size``."""
     raise CapExceeded(cap, max(cap, 0) + 1 if size is None else size, what)
 
 
@@ -60,8 +57,11 @@ class Options:
     self_loops: include transitions f -> f arising from rule fixpoints.
     allow_trivial_split: let separation queries use non-proper covers,
         including the degenerate (C, C) split.
-    max_states: cap on the states any one search holds, its root included
-        (see ``exceeded``); the configuration space is capped by its size.
+    max_states: cap on the states one search holds.  A search raises
+        ``CapExceeded`` as soon as it holds max_states + 1 distinct states,
+        its root included, so the reported size is max_states + 1 (1 when
+        negative) whatever the walk order.  The configuration space, whose
+        size is known before any walk, is capped by and reports that size.
     """
 
     self_loops: bool = False

@@ -1,12 +1,14 @@
 """Differential tests: the cause search against the eager clause checks it
 replaced.
 
-``RefEpisode``, ``_ac1``, ``_deviations``, ``_ac2``, ``_raw_contrast`` and
-``_ac2_for_witness`` below are copies of the engine's earlier bodies, kept
-here as the reference: they build every deviation of a candidate as a
-(name, behaviour) tuple up front, clamp and offset every witness set once per
-candidate, and test AC1 edges with per-component closures.  ``_ac1`` checks
-the state cap as each configuration is added, the start included.
+``RefEpisode``, ``_ac1``, ``_deviations``, ``_ac2``, ``_raw_contrast``,
+``_ac2_for_witness`` and ``ref_first_effect_reachable`` below are copies of
+the engine's earlier bodies, kept here as the reference: they build every
+deviation of a candidate as a (name, behaviour) tuple up front, clamp and
+offset every witness set once per candidate, test AC1 edges with
+per-component closures, and run each counterfactual search with its own
+queue.  ``_ac1`` and ``ref_first_effect_reachable`` check the state cap as
+each configuration is added, the start included.
 Certificates, their order and cap overruns (cap, size, phase) must agree
 exactly.
 """
@@ -24,7 +26,6 @@ from causalmc.causality import (
     CauseQuery,
     DeviationCheck,
     SubsetRefutation,
-    _first_effect_reachable,
     check_cause,
     find_causes,
 )
@@ -98,6 +99,36 @@ def _ac1(e, cause):
     return False, None
 
 
+def ref_first_effect_reachable(k, start, effect, options):
+    """The first state in which every place of ``effect`` holds its code, in
+    breadth-first order from the successors of ``start``.  ``start`` is
+    marked visited before the search, so it is tested only when it is its
+    own successor."""
+    loops, cap = options.self_loops, options.max_states
+    visited: set = set()
+
+    def hold(h):
+        visited.add(h)
+        if len(visited) > cap:
+            raise CapExceeded(cap, len(visited), "counterfactual reachability")
+
+    hold(start)
+    queue = list(k.successors(start, loops))
+    for h in queue:
+        hold(h)
+    i = 0
+    while i < len(queue):
+        g = queue[i]
+        i += 1
+        if all(g // w % r == b for w, r, b in effect):
+            return g
+        for h in k.successors(g, loops):
+            if h not in visited:
+                queue.append(h)
+                hold(h)
+    return None
+
+
 def _deviations(model, q, free):
     domains = [model.behaviours(c) for c in free]
     for combo in product(*domains):
@@ -125,7 +156,7 @@ def _ac2(e, cause):
     def blocked(witness, variant, start: int) -> bool:
         key = (witness, start)
         if key not in e.searches:
-            e.searches[key] = _first_effect_reachable(variant, start, e.effect, e.options)
+            e.searches[key] = ref_first_effect_reachable(variant, start, e.effect, e.options)
         return e.searches[key] is None
 
     contrast = _raw_contrast(e, devs, blocked)
@@ -375,6 +406,46 @@ def test_cap_overruns_match_reference(max_states):
     assert phases == (both if max_states >= 2 else {"AC1 path search"})
 
 
+def test_counterfactual_search_matches_reference():
+    """Every start of generated models and clamped variants, with effects
+    that often hold at the start itself: under self-loops a start may be its
+    own successor, and is then found as the reference finds it; a start met
+    again only at the end of a longer cycle is not."""
+    engine = causality._first_effect_reachable
+
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except CapExceeded as err:
+            return ("cap", err.cap, err.size, err.what)
+
+    outcomes = {"at start": 0, "past start": 0, "elsewhere": 0, "none": 0, "cap": 0}
+    for seed in range(80):
+        rng = random.Random(seed)
+        model = random_system_model(rng, max_components=4, max_behaviours=3).with_mode(("async", "sync")[seed % 2])
+        k = kernel.compile(model)
+        pins = tuple((i, rng.randrange(r)) for i, r in enumerate(k.radices) if rng.random() < 0.5)
+        variant = k.pinned(pins) if pins else k
+        for loops, cap in product((False, True), (-1, 0, 1, 2, 3, 5, 100_000)):
+            options = Options(self_loops=loops, max_states=cap)
+            for start in range(k.size):
+                places = rng.sample(range(len(k.radices)), rng.randint(1, len(k.radices)))
+                at_start = rng.random() < 0.6
+                effect = [(w, r, start // w % r if at_start else rng.randrange(r)) for w, r in map(k.places.__getitem__, places)]
+                want = outcome(ref_first_effect_reachable, variant, start, effect, options)
+                assert outcome(engine, variant, start, effect, options) == want
+                if isinstance(want, tuple):
+                    outcomes["cap"] += 1
+                elif want is None:
+                    outcomes["none"] += 1
+                elif want == start:
+                    outcomes["at start"] += 1
+                else:
+                    holds = all(start // w % r == b for w, r, b in effect)
+                    outcomes["past start" if holds else "elsewhere"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
 # ---------------------------------------------------------------------------
 # what one query builds
 
@@ -393,9 +464,10 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
             super().__init__(e, cause)
             made.append((len(cause), self))
 
-    monkeypatch.setattr(causality, "_first_effect_reachable", counted("engine", _first_effect_reachable))
+    engine, reference = causality._first_effect_reachable, ref_first_effect_reachable
+    monkeypatch.setattr(causality, "_first_effect_reachable", counted("engine", engine))
     monkeypatch.setattr(causality, "_Deviations", Deviations)
-    monkeypatch.setattr(sys.modules[__name__], "_first_effect_reachable", counted("reference", _first_effect_reachable))
+    monkeypatch.setattr(sys.modules[__name__], "ref_first_effect_reachable", counted("reference", reference))
     assert find_causes(model, q) == [] == ref_find_causes(model, q)
     assert len(searched["engine"]) == 67
     assert searched["engine"] == searched["reference"]
