@@ -2,15 +2,17 @@
 """Scaling curve of the cause search: ``find_causes`` milliseconds and
 effect searches for the benchmark's pipelines (n stages, with and without a
 fault at the source) and fan-in trees (one or two faulty leaves), then
-``find_causal_chains`` milliseconds on the microservice model from f1 to f2
-for max-len 3 to 12.
+``find_causal_chains`` milliseconds and effect searches on the microservice
+model from f1 to f2 for max-len 3 to 12.  A chain query's links share their
+clamped variants and verdicts, so each search it counts is one the query
+had not run before.
 
 Only the answers are checked, not the times: a spontaneous pipeline and a
 tree with two faulty leaves have no cause, a faulty source is the one cause
 of its pipeline's sink error, and a single faulty leaf that of its tree's
 root error.  The chains found under a max-len are those of max-len 12 with
-at most that many waypoints.  Times are best of ``--repeat`` runs, each on
-a freshly parsed model, and vary with the machine.
+at most that many waypoints.  Times are best of ``--repeat`` runs, each
+parsing the model afresh, and vary with the machine.
 """
 
 import argparse
@@ -30,8 +32,10 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import families  # noqa: E402
 
 
-def measure(text: str, names: dict, effect: str, repeat: int):
-    """Best milliseconds, effect searches of one run, and the cause sets found."""
+def timed(prepare, repeat: int):
+    """Best milliseconds of ``repeat`` runs, the effect searches of one run,
+    and what the last run returned; ``prepare`` parses the model afresh and
+    returns the run, so the time leaves the parse out."""
     searches = []
     search = causality._first_effect_reachable
 
@@ -43,26 +47,39 @@ def measure(text: str, names: dict, effect: str, repeat: int):
     causality._first_effect_reachable = counted
     try:
         for _ in range(repeat):
-            doc = parse_model(text)
-            q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (effect,))
+            run = prepare()
             searches.clear()
             started = time.perf_counter()
-            certs = find_causes(doc.model, q)
+            found = run()
             best = min(best, time.perf_counter() - started)
     finally:
         causality._first_effect_reachable = search
-    return 1000 * best, len(searches), [c.cause_set for c in certs]
+    return 1000 * best, len(searches), found
+
+
+def measure(text: str, names: dict, effect: str, repeat: int):
+    """Best milliseconds, effect searches of one run, and the cause sets found."""
+
+    def prepare():
+        doc = parse_model(text)
+        q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (effect,))
+        return lambda: find_causes(doc.model, q)
+
+    ms, searches, certs = timed(prepare, repeat)
+    return ms, searches, [c.cause_set for c in certs]
 
 
 def measure_chains(text: str, max_len: int, repeat: int):
-    """Best milliseconds of micro's f1-to-f2 chain search, and the chains found."""
-    best = float("inf")
-    for _ in range(repeat):
+    """Best milliseconds and effect searches of micro's f1-to-f2 chain
+    search, and the chains found."""
+
+    def prepare():
         doc = parse_model(text)
-        started = time.perf_counter()
-        chains = find_causal_chains(doc.model, doc.configuration("f1"), doc.configuration("f2"), max_len=max_len)
-        best = min(best, time.perf_counter() - started)
-    return 1000 * best, [c.configurations for c in chains]
+        f1, f2 = doc.configuration("f1"), doc.configuration("f2")
+        return lambda: find_causal_chains(doc.model, f1, f2, max_len=max_len)
+
+    ms, searches, chains = timed(prepare, repeat)
+    return ms, searches, [c.configurations for c in chains]
 
 
 def main() -> int:
@@ -86,10 +103,10 @@ def main() -> int:
             print(f"{f'fan-in {leaves} leaves, {faulty} faulty':<24}{ms:>10.1f}{searches:>10}  {causes}")
             assert causes == ([(names["comps"][0],)] if faulty == 1 else []), causes
     micro = (REPO / "models" / "microservice.model").read_text(encoding="utf-8")
-    _, longest = measure_chains(micro, 12, 1)
+    _, _, longest = measure_chains(micro, 12, 1)
     for max_len in range(3, 13):
-        ms, chains = measure_chains(micro, max_len, args.repeat)
-        print(f"{f'micro chain max-len {max_len}':<24}{ms:>10.1f}{'':>10}  {len(chains)} chains")
+        ms, searches, chains = measure_chains(micro, max_len, args.repeat)
+        print(f"{f'micro chain max-len {max_len}':<24}{ms:>10.1f}{searches:>10}  {len(chains)} chains")
         assert chains == [c for c in longest if len(c) <= max_len], chains
     return 0
 

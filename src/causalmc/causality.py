@@ -134,23 +134,48 @@ class CauseCertificate:
 # clause checks
 
 
+class _Shared:
+    """What the episodes of one query share, so a chain's links reuse each
+    other's work: clamped variants by (kernel, pins); their effect verdicts
+    by (kernel, pins, effect places), then by absolute start state; and the
+    end marks and AC1 edges of states by (kernel, end state, effect places).
+    A verdict depends only on its variant, start, effect and the query's
+    options, and a search that overran ended the query, so a shared verdict
+    only stands in for a search that finished."""
+
+    def __init__(self):
+        self.variants: dict = {}
+        self.verdicts: dict = {}
+        self.ac1: dict = {}
+
+    def variant(self, k, pins):
+        found = self.variants.get((k, pins))
+        if found is None:
+            found = self.variants[k, pins] = k.pinned(pins) if pins else k
+        return found
+
+
 class _Episode:
     """One cause query on the compiled state space: start and end states, the
     effect as (weight, radix, code) places of the effect components, and what
     every candidate checked against the query shares: clause verdicts per
-    subset, the marks of each state AC1 meets, and one ``_Witness`` per
-    witness set.  Clamped variants live here, so they go with the query."""
+    subset, the marks and AC1 edges of each state, and one ``_Witness`` per
+    witness set.  Clamped variants live in the query's ``_Shared`` table, so
+    they go with the query."""
 
-    def __init__(self, model, q: CauseQuery, mode: str, options: Options):
-        self.model, self.q, self.mode, self.options = model, q, mode, options
+    def __init__(self, model, q: CauseQuery, mode: str, options: Options, shared: _Shared):
+        self.model, self.q, self.mode, self.options, self.shared = model, q, mode, options, shared
         self.verdicts: dict = {}
         self.witnesses = _WitnessTable(self)
-        self.state_marks: dict = {}  # state -> (end mask, effect key)
         self.configurations: dict = {}  # state -> decoded configuration
         self.k = k = kernel.compile(model)
-        self.start, self.end = k.encode(q.start), k.encode(q.end)
+        self.start, self.end = k.encode(q.start), k.encode(q.end)  # encoding validates them
         self.start_digits, self.end_digits = k.digits(self.start), k.digits(self.end)
-        self.effect = [k.places[i] + (self.end_digits[i],) for i in map(k.position, q.effect_components)]
+        self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, q.effect_components))
+        if mode not in ("example", "strict"):
+            raise ModelError(f"unknown cause-check mode {mode!r}")
+        # state -> (end mask, effect key); state -> AC1 edge triples
+        self.state_marks, self.state_edges = shared.ac1.setdefault((k, self.end, self.effect), ({}, {}))
 
     def marks(self, s: int) -> tuple[int, int]:
         """The end mask of ``s``, bit i set when component i has its end-state
@@ -159,6 +184,19 @@ class _Episode:
         if found is None:
             mask = sum(1 << i for i, (d, b) in enumerate(zip(self.k.digits(s), self.end_digits)) if d == b)
             found = self.state_marks[s] = (mask, sum(s // w % r * w for w, r, _ in self.effect))
+        return found
+
+    def edges(self, s: int) -> tuple[tuple[int, int, bool], ...]:
+        """``s``'s successors, each with the end-mask bits the edge loses and
+        whether it changes the effect key."""
+        found = self.state_edges.get(s)
+        if found is None:
+            mask, key = self.marks(s)
+            found = self.state_edges[s] = tuple(
+                (g, mask & ~to_mask, key != to_key)
+                for g in self.k.successors(s, self.options.self_loops)
+                for to_mask, to_key in (self.marks(g),)
+            )
         return found
 
     def decode(self, s: int) -> Configuration:
@@ -189,19 +227,25 @@ class _WitnessTable(dict):
 class _Witness(dict):
     """A witness set's clamped variant and the offset the clamp adds to the
     start state.  As a dict it maps a deviation's offset to whether the
-    effect is reachable from the start state moved by it under the clamp,
-    and searches on the first lookup, so each search runs once per query."""
+    effect is reachable from the start state moved by it under the clamp; on
+    the first lookup it asks the query's verdicts by absolute start, and
+    searches only when they have none, so each search runs once per query."""
 
     def __init__(self, e: _Episode, names: tuple[str, ...]):
         k = e.k
         pins = tuple((i, e.end_digits[i]) for i in map(k.index.get, names))
-        self.variant = k.pinned(pins) if pins else k
+        self.variant = e.shared.variant(k, pins)
         self.base = e.start + sum((b - e.start_digits[i]) * k.weights[i] for i, b in pins)
         self.effect, self.options = e.effect, e.options
+        self.known = e.shared.verdicts.setdefault((k, pins, e.effect), {})
 
     def __missing__(self, offset: int) -> bool:
-        found = _first_effect_reachable(self.variant, self.base + offset, self.effect, self.options)
-        self[offset] = reached = found is not None
+        start = self.base + offset
+        reached = self.known.get(start)
+        if reached is None:
+            found = _first_effect_reachable(self.variant, start, self.effect, self.options)
+            reached = self.known[start] = found is not None
+        self[offset] = reached
         return reached
 
 
@@ -235,27 +279,23 @@ def _ac1(e: _Episode, cause):
     configuration through admissible edges realises the
     hold-from-first-attainment requirement.  The search runs over
     (configuration, effect-realized) pairs so that the found path always
-    contains an effect-component update.  Both tests compare the end masks
-    and effect keys of the edge's two states.
+    contains an effect-component update.  Both tests read the edge's
+    triple: the end-mask bits it loses and whether it changes the effect.
     """
     held = sum(1 << e.k.index[c] for c in cause)
-    marks = e.marks
-    if e.mode == "strict" and held & ~marks(e.start)[0]:
+    if e.mode == "strict" and held & ~e.marks(e.start)[0]:
         return False, None
 
     parent: dict = {}
     queue: list = []
     visited = {e.start}  # configurations met: the cap counts these, not pairs
-    k, loops, cap = e.k, e.options.self_loops, e.options.max_states
+    edges, cap = e.edges, e.options.max_states
 
     def expand(f: int, got_effect: bool, via) -> None:
-        mask, key = marks(f)
-        kept = held & mask  # candidates at their end behaviour in f must keep it
-        for g in k.successors(f, loops):
-            to_mask, to_key = marks(g)
-            if kept & ~to_mask:
+        for g, lost, changed in edges(f):
+            if held & lost:  # a candidate at its end behaviour in f must keep it
                 continue
-            state = (g, got_effect or key != to_key)
+            state = (g, got_effect or changed)
             if state not in parent:
                 parent[state] = via
                 queue.append(state)
@@ -350,19 +390,17 @@ def check_cause(
     """Certificate for one candidate cause, with all three clause verdicts.
 
     ``mode`` is "example" (default) or "strict"; strict adds the literal
-    start-equals-end requirement to AC1.
+    start-equals-end requirement to AC1.  A call inside an episode checks a
+    candidate its query has already validated.
     """
     cause = tuple(dict.fromkeys(cause))
-    if not cause:
-        raise ModelError("empty candidate cause set")
-    for c in cause:
-        model.component(c)
-    model.validate_configuration(q.start)
-    model.validate_configuration(q.end)
-    if mode not in ("example", "strict"):
-        raise ModelError(f"unknown cause-check mode {mode!r}")
-
-    episode = _episode if _episode is not None else _Episode(model, q, mode, options)
+    episode = _episode
+    if episode is None:
+        if not cause:
+            raise ModelError("empty candidate cause set")
+        for c in cause:
+            model.component(c)
+        episode = _Episode(model, q, mode, options, _Shared())
     memo = episode.verdicts
 
     def core(subset):
@@ -418,16 +456,14 @@ def find_causes(
     of the effect would witness counterfactual dependence of the effect on
     itself, which certifies nothing.
     """
-    model.validate_configuration(q.start)
-    model.validate_configuration(q.end)
-    return list(_certified_causes(model, q, mode, options))
+    return list(_certified_causes(model, q, mode, options, _Shared()))
 
 
-def _certified_causes(model, q, mode, options):
+def _certified_causes(model, q, mode, options, shared: _Shared):
     """Inclusion-minimal certified causes in canonical order, lazily."""
     effect = set(q.effect_components)
     names = tuple(n for n in model.component_order if n not in effect)
-    episode = _Episode(model, q, mode, options)
+    episode = _Episode(model, q, mode, options, shared)
     certified: list[CauseCertificate] = []
     for k in range(1, len(names) + 1):
         for cand in combinations(names, k):
@@ -504,8 +540,9 @@ def _changed_components(a: Configuration, b: Configuration) -> tuple[str, ...]:
     return tuple(c for c in a.components if a[c] != b[c])
 
 
-def _certify_link(model, a, b, effect_components, mode, options) -> CauseCertificate | None:
-    """First (canonically smallest) certified cause of b from a, or None."""
+def _certify_link(model, a, b, effect_components, mode, options, shared=None) -> CauseCertificate | None:
+    """First (canonically smallest) certified cause of b from a, or None;
+    the link's episode shares ``shared``, or a fresh table, with the query."""
     k = kernel.compile(model)
     if a == b or k.encode(b) not in k.reachable(k.encode(a), options):
         return None
@@ -513,7 +550,7 @@ def _certify_link(model, a, b, effect_components, mode, options) -> CauseCertifi
     if not effect:
         return None
     q = CauseQuery(start=a, end=b, effect_components=tuple(effect))
-    return next(_certified_causes(model, q, mode, options), None)
+    return next(_certified_causes(model, q, mode, options, shared or _Shared()), None)
 
 
 def find_causal_chains(
@@ -541,12 +578,13 @@ def find_causal_chains(
     effect_components = tuple(effect_components) if effect_components else None
 
     link_cache: dict[tuple[Configuration, Configuration, bool], CauseCertificate | None] = {}
+    shared = _Shared()  # every link's episode reuses the variants and verdicts of the others
 
     def link(a, b, final: bool):
         key = (a, b, final and effect_components is not None)
         if key not in link_cache:
             eff = effect_components if (final and effect_components is not None) else None
-            link_cache[key] = _certify_link(model, a, b, eff, mode, options)
+            link_cache[key] = _certify_link(model, a, b, eff, mode, options, shared)
         return link_cache[key]
 
     def is_chain(seq) -> bool:
@@ -682,11 +720,12 @@ def classify_intervention_effect(
     seq = chain.configurations
     for g in seq:
         model.validate_configuration(g)
+    shared = _Shared()
     link_cause_union: list[tuple[str, ...]] = []
     for i in range(len(seq) - 1):
         q = CauseQuery(seq[i], seq[i + 1], chain.links[i].effect_components)
         union: dict[str, None] = {}
-        for cert in find_causes(model, q, mode=mode, options=options):
+        for cert in _certified_causes(model, q, mode, options, shared):
             for c in cert.cause_set:
                 union[c] = None
         link_cause_union.append(tuple(union))
@@ -704,7 +743,7 @@ def classify_intervention_effect(
                     link_causes=tuple(link_cause_union),
                     broken_link=i,
                 )
-            cert = _certify_link(k.model, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options)
+            cert = _certify_link(k.model, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options, shared)
             if cert is None:
                 return ChainClassification(
                     verdict="indeterminate",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from causalmc.kernel import compile
 from causalmc.model import (
     CapExceeded,
     ComponentDecl,
+    Configuration,
     ModelError,
     Options,
     RuleRow,
@@ -65,6 +67,20 @@ def test_microservice_database_cause(micro, micro_query):
 def test_empty_candidate_rejected(micro, micro_query):
     with pytest.raises(ModelError):
         check_cause(micro, micro_query, ())
+
+
+def test_standalone_check_cause_validates_its_query(micro, micro_query, micro_f1):
+    # the candidate checks inside an episode skip validation; the public call must not
+    with pytest.raises(ModelError, match="unknown component"):
+        check_cause(micro, micro_query, ("UserDB", "Cache"))
+    with pytest.raises(ModelError, match="unknown cause-check mode"):
+        check_cause(micro, micro_query, ("UserDB",), mode="loose")
+    bad_behaviour = Configuration(tuple((c, "down" if c == "UserDB" else b) for c, b in micro_f1.pairs))
+    missing = Configuration(micro_f1.pairs[:-1])
+    for bad in (bad_behaviour, missing):
+        for q in (replace(micro_query, start=bad), replace(micro_query, end=bad)):
+            with pytest.raises(ModelError):
+                check_cause(micro, q, ("UserDB",))
 
 
 def test_unreachable_effect_fails_actuality(micro, micro_f1):

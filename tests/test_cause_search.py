@@ -476,12 +476,44 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
     assert sum(len(devs.offsets) for _, devs in made) == 62
 
 
-def test_clamped_variants_go_with_the_query():
+def test_clamped_variants_go_with_the_query(micro, micro_f1, micro_f2):
     model, q = pipeline(4, fault=False)
     other = CauseQuery(q.start, model.configuration({"s0": "err", "s1": "err", "s2": "idle", "s3": "idle"}), ("s1",))
     for query in (q, other):
         find_causes(model, query)
     assert not any(isinstance(key, tuple) for key in kernel.compile(model).variants)
+    micro = replace(micro)  # a copy, compiled afresh
+    direct = causality.find_causal_chains(micro, micro_f1, micro_f2, 3, ("FrontEnd",))[0]
+    waypoint = causality.find_causal_chains(micro, micro_f1, micro_f2, 3)[0]
+    verdicts = [
+        causality.classify_intervention_effect(micro, chain, micro.intervention_map[name]).verdict
+        for chain in (direct, waypoint)
+        for name in ("theta1", "thetaLog")
+    ]
+    # the preserved verdict re-certifies on the intervened model's kernel
+    assert verdicts == ["disrupted", "preserved", "indeterminate", "indeterminate"]
+    k = kernel.compile(micro)
+    assert list(k.variants) == [micro.intervention_map[name] for name in ("theta1", "thetaLog")]
+    assert all(variant.variants == {} for variant in k.variants.values())
+
+
+def test_chain_links_share_clamped_variants_and_verdicts(monkeypatch, micro, micro_f1, micro_f2):
+    """Each (clamp, start, effect) is searched once per chain query, however
+    many of its links meet it."""
+    searched, pinned = [], []
+    search, pin = causality._first_effect_reachable, kernel.Kernel.pinned
+
+    def counted(k, start, effect, options):
+        clamp = tuple((i, rule) for i, rule in enumerate(k.rules) if rule.__class__ is int)
+        searched.append((clamp, start, tuple(effect)))
+        return search(k, start, effect, options)
+
+    monkeypatch.setattr(causality, "_first_effect_reachable", counted)
+    monkeypatch.setattr(kernel.Kernel, "pinned", lambda k, pins: pinned.append(pins) or pin(k, pins))
+    chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 3, ("FrontEnd",))
+    assert [c.configurations for c in chains] == [(micro_f1, micro_f2)]
+    assert len(searched) == len(set(searched)) == 336
+    assert len(pinned) == len(set(pinned)) == 55
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +585,14 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
 
 @pytest.fixture
 def certify_calls(monkeypatch):
-    """The (start, end, effect) of every ``_certify_link`` call, in order."""
+    """The (start, end, effect) of every ``_certify_link`` call, in order;
+    any further argument, such as the query's shared table, is passed on."""
     calls = []
     certify = causality._certify_link
 
-    def recorded(model, a, b, effect, mode, options):
+    def recorded(model, a, b, effect, mode, options, *rest):
         calls.append((a, b, effect))
-        return certify(model, a, b, effect, mode, options)
+        return certify(model, a, b, effect, mode, options, *rest)
 
     monkeypatch.setattr(causality, "_certify_link", recorded)
     return calls
