@@ -536,21 +536,33 @@ def projection_dot(projection: dict) -> str:
     return "\n".join(lines)
 
 
-def _changed_components(a: Configuration, b: Configuration) -> tuple[str, ...]:
-    return tuple(c for c in a.components if a[c] != b[c])
+class _Links(dict):
+    """The certified links of one query on kernel ``k``, by (start state, end
+    state, explicit effect or None).  A lookup gives the link's ``ChainLink``,
+    or None when it fails: its two states are equal, its end is not reachable
+    from its start, or no cause certifies it.  The default effect is the
+    components whose digits differ between the two states, and the link's
+    cause is the first (canonically smallest) one, certified on the query's
+    ``_Shared`` table."""
 
+    def __init__(self, k, mode: str, options: Options, shared: _Shared):
+        self.k, self.mode, self.options, self.shared = k, mode, options, shared
 
-def _certify_link(model, a, b, effect_components, mode, options, shared=None) -> CauseCertificate | None:
-    """First (canonically smallest) certified cause of b from a, or None;
-    the link's episode shares ``shared``, or a fresh table, with the query."""
-    k = kernel.compile(model)
-    if a == b or k.encode(b) not in k.reachable(k.encode(a), options):
-        return None
-    effect = effect_components or _changed_components(a, b)
-    if not effect:
-        return None
-    q = CauseQuery(start=a, end=b, effect_components=tuple(effect))
-    return next(_certified_causes(model, q, mode, options, shared or _Shared()), None)
+    def realizable(self, a: int, b: int) -> bool:
+        return b in self.k.reachable(a, self.options)
+
+    def __missing__(self, key: tuple[int, int, tuple[str, ...] | None]) -> ChainLink | None:
+        a, b, effect = key
+        found = None
+        if a != b and self.realizable(a, b):
+            k = self.k
+            effect = effect or tuple(n for n, x, y in zip(k.names, k.digits(a), k.digits(b)) if x != y)
+            q = CauseQuery(start=k.decode(a), end=k.decode(b), effect_components=effect)
+            cert = next(_certified_causes(k.model, q, self.mode, self.options, self.shared), None)
+            if cert is not None:
+                found = ChainLink(effect_components=effect, certificate=cert)
+        self[key] = found
+        return found
 
 
 def find_causal_chains(
@@ -571,72 +583,45 @@ def find_causal_chains(
     """
     if max_len < 2:
         raise ModelError("max_len must be at least 2")
-    model.validate_configuration(f_start)
-    model.validate_configuration(f_end)
-    if f_start == f_end:
+    k = kernel.compile(model)
+    start, end = k.encode(f_start), k.encode(f_end)  # encoding validates them
+    if start == end:
         return []
-    effect_components = tuple(effect_components) if effect_components else None
+    final_effect = tuple(effect_components) if effect_components else None
+    links = _Links(k, mode, options, _Shared())  # every link reuses the variants and verdicts of the others
 
-    link_cache: dict[tuple[Configuration, Configuration, bool], CauseCertificate | None] = {}
-    shared = _Shared()  # every link's episode reuses the variants and verdicts of the others
-
-    def link(a, b, final: bool):
-        key = (a, b, final and effect_components is not None)
-        if key not in link_cache:
-            eff = effect_components if (final and effect_components is not None) else None
-            link_cache[key] = _certify_link(model, a, b, eff, mode, options, shared)
-        return link_cache[key]
+    def link(a: int, b: int) -> ChainLink | None:
+        # waypoints are distinct, so only the final link ends at ``end``
+        return links[a, b, final_effect if b == end else None]
 
     def is_chain(seq) -> bool:
-        return all(
-            link(seq[i], seq[i + 1], i == len(seq) - 2) is not None for i in range(len(seq) - 1)
-        )
+        return all(link(a, b) is not None for a, b in zip(seq, seq[1:]))
 
     def minimal(seq) -> bool:
-        for i in range(1, len(seq) - 1):
-            if is_chain(seq[:i] + seq[i + 1 :]):
-                return False
-        return True
+        return not any(is_chain(seq[:i] + seq[i + 1 :]) for i in range(1, len(seq) - 1))
 
-    k = kernel.compile(model)
-    start, end = k.encode(f_start), k.encode(f_end)
-    forward = k.reachable(start, options)
-    if end not in forward:
+    if not links.realizable(start, end):
         return []
-
     out: list[CausalChain] = []
     # waypoint middles must sit between the endpoints in the closure
-    middles = [k.decode(g) for g in forward if g not in (start, end) and end in k.reachable(g, options)]
-
-    def emit(seq):
-        links = tuple(
-            ChainLink(
-                effect_components=(
-                    effect_components
-                    if (i == len(seq) - 2 and effect_components is not None)
-                    else _changed_components(seq[i], seq[i + 1])
-                ),
-                certificate=link(seq[i], seq[i + 1], i == len(seq) - 2),
-            )
-            for i in range(len(seq) - 1)
-        )
-        out.append(CausalChain(configurations=tuple(seq), links=links))
+    middles = [g for g in k.reachable(start, options) if g not in (start, end) and links.realizable(g, end)]
 
     def extend(prefix, depth: int) -> None:
         """Chains with ``depth`` more interior waypoints after ``prefix``, in
         permutation order; a waypoint whose link fails ends its extensions."""
         if depth == 0:
-            seq = prefix + (f_end,)
-            if link(prefix[-1], f_end, True) is not None and minimal(seq):
-                emit(seq)
+            seq = prefix + (end,)
+            if link(prefix[-1], end) is not None and minimal(seq):
+                chain_links = tuple(map(link, seq, seq[1:]))
+                out.append(CausalChain(configurations=tuple(map(k.decode, seq)), links=chain_links))
             return
         for g in middles:
-            if g not in prefix and link(prefix[-1], g, False) is not None:
+            if g not in prefix and link(prefix[-1], g) is not None:
                 extend(prefix + (g,), depth - 1)
 
     # waypoints are distinct, so no chain is longer than every middle plus the endpoints
     for n in range(2, min(max_len, len(middles) + 2) + 1):
-        extend((f_start,), n - 2)
+        extend((start,), n - 2)
     return out
 
 
@@ -717,13 +702,14 @@ def classify_intervention_effect(
     overlapping link whose closure transition disappears, and anything in
     between is reported as indeterminate rather than guessed.
     """
+    k = kernel.compile(model)
     seq = chain.configurations
-    for g in seq:
-        model.validate_configuration(g)
+    states = [k.encode(g) for g in seq]  # encoding validates them
+    effects = [tuple(l.effect_components) for l in chain.links]
     shared = _Shared()
     link_cause_union: list[tuple[str, ...]] = []
     for i in range(len(seq) - 1):
-        q = CauseQuery(seq[i], seq[i + 1], chain.links[i].effect_components)
+        q = CauseQuery(seq[i], seq[i + 1], effects[i])
         union: dict[str, None] = {}
         for cert in _certified_causes(model, q, mode, options, shared):
             for c in cert.cause_set:
@@ -731,44 +717,31 @@ def classify_intervention_effect(
         link_cause_union.append(tuple(union))
     targets = set(iv.targets)
     overlaps = [i for i, u in enumerate(link_cause_union) if targets & set(u)]
-    k = kernel.compile(model).intervened(iv)
+    links = _Links(k.intervened(iv), mode, options, shared)
+
+    def verdict(kind: str, detail: str, broken_link=None, recertified=()) -> ChainClassification:
+        return ChainClassification(
+            verdict=kind,
+            detail=detail,
+            link_causes=tuple(link_cause_union),
+            recertified=tuple(recertified),
+            broken_link=broken_link,
+        )
 
     if not overlaps:
         recerts = []
         for i in range(len(seq) - 1):
-            if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
-                return ChainClassification(
-                    verdict="indeterminate",
-                    detail=f"no cause overlap, but link {i} is no longer realizable after {iv.name}",
-                    link_causes=tuple(link_cause_union),
-                    broken_link=i,
-                )
-            cert = _certify_link(k.model, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options, shared)
-            if cert is None:
-                return ChainClassification(
-                    verdict="indeterminate",
-                    detail=f"no cause overlap, but link {i} fails to re-certify after {iv.name}",
-                    link_causes=tuple(link_cause_union),
-                    broken_link=i,
-                )
-            recerts.append(cert)
-        return ChainClassification(
-            verdict="preserved",
-            detail=f"no link cause overlaps targets of {iv.name}; chain re-certified",
-            link_causes=tuple(link_cause_union),
-            recertified=tuple(recerts),
-        )
+            if not links.realizable(states[i], states[i + 1]):
+                detail = f"no cause overlap, but link {i} is no longer realizable after {iv.name}"
+                return verdict("indeterminate", detail, i)
+            found = links[states[i], states[i + 1], effects[i]]
+            if found is None:
+                detail = f"no cause overlap, but link {i} fails to re-certify after {iv.name}"
+                return verdict("indeterminate", detail, i)
+            recerts.append(found.certificate)
+        return verdict("preserved", f"no link cause overlaps targets of {iv.name}; chain re-certified", None, recerts)
 
     for i in overlaps:
-        if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
-            return ChainClassification(
-                verdict="disrupted",
-                detail=f"link {i} overlaps targets of {iv.name} and is invalidated",
-                link_causes=tuple(link_cause_union),
-                broken_link=i,
-            )
-    return ChainClassification(
-        verdict="indeterminate",
-        detail=f"targets of {iv.name} overlap link causes but every link transition survives",
-        link_causes=tuple(link_cause_union),
-    )
+        if not links.realizable(states[i], states[i + 1]):
+            return verdict("disrupted", f"link {i} overlaps targets of {iv.name} and is invalidated", i)
+    return verdict("indeterminate", f"targets of {iv.name} overlap link causes but every link transition survives")

@@ -10,7 +10,11 @@ per-component closures, and run each counterfactual search with its own
 queue.  ``_ac1`` and ``ref_first_effect_reachable`` check the state cap as
 each configuration is added, the start included.
 Certificates, their order and cap overruns (cap, size, phase) must agree
-exactly.
+exactly.  ``_changed_components``, ``_certify_link`` and
+``ref_classify_intervention_effect`` are copies of the link rule and of
+intervention classification as they were on configurations, before links
+became one table on state numbers; chains, the order of link
+certifications and classifications must agree with them.
 """
 
 import random
@@ -31,7 +35,7 @@ from causalmc.causality import (
 )
 from causalmc.dsl import parse_model
 from causalmc.generate import random_configuration, random_system_model
-from causalmc.model import CapExceeded, ModelError, Options, clamping_intervention, reachable
+from causalmc.model import CapExceeded, Configuration, ModelError, Options, clamping_intervention, reachable
 
 
 class RefEpisode:
@@ -520,6 +524,23 @@ def test_chain_links_share_clamped_variants_and_verdicts(monkeypatch, micro, mic
 # chain search
 
 
+def _changed_components(a, b):
+    return tuple(c for c in a.components if a[c] != b[c])
+
+
+def _certify_link(model, a, b, effect_components, mode, options, shared=None):
+    """First (canonically smallest) certified cause of b from a, or None;
+    the link's episode shares ``shared``, or a fresh table, with the query."""
+    k = kernel.compile(model)
+    if a == b or k.encode(b) not in k.reachable(k.encode(a), options):
+        return None
+    effect = effect_components or _changed_components(a, b)
+    if not effect:
+        return None
+    q = CauseQuery(start=a, end=b, effect_components=tuple(effect))
+    return next(causality._certified_causes(model, q, mode, options, shared or causality._Shared()), None)
+
+
 def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=None, mode="example", options=Options()):
     if max_len < 2:
         raise ModelError("max_len must be at least 2")
@@ -535,7 +556,7 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
         key = (a, b, final and effect_components is not None)
         if key not in link_cache:
             eff = effect_components if (final and effect_components is not None) else None
-            link_cache[key] = causality._certify_link(model, a, b, eff, mode, options)
+            link_cache[key] = _certify_link(model, a, b, eff, mode, options)
         return link_cache[key]
 
     def is_chain(seq):
@@ -562,7 +583,7 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
                 effect_components=(
                     effect_components
                     if (i == len(seq) - 2 and effect_components is not None)
-                    else causality._changed_components(seq[i], seq[i + 1])
+                    else _changed_components(seq[i], seq[i + 1])
                 ),
                 certificate=link(seq[i], seq[i + 1], i == len(seq) - 2),
             )
@@ -585,16 +606,23 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
 
 @pytest.fixture
 def certify_calls(monkeypatch):
-    """The (start, end, effect) of every ``_certify_link`` call, in order;
-    any further argument, such as the query's shared table, is passed on."""
+    """The (start, end, effect) of every link certification, in order: each
+    call of the reference's ``_certify_link``, and each engine ``_Links``
+    lookup that misses, its states decoded to configurations."""
     calls = []
-    certify = causality._certify_link
+    certify, missing = _certify_link, causality._Links.__missing__
 
     def recorded(model, a, b, effect, mode, options, *rest):
         calls.append((a, b, effect))
         return certify(model, a, b, effect, mode, options, *rest)
 
-    monkeypatch.setattr(causality, "_certify_link", recorded)
+    def looked_up(links, key):
+        a, b, effect = key
+        calls.append((links.k.decode(a), links.k.decode(b), effect))
+        return missing(links, key)
+
+    monkeypatch.setattr(sys.modules[__name__], "_certify_link", recorded)
+    monkeypatch.setattr(causality._Links, "__missing__", looked_up)
     return calls
 
 
@@ -649,3 +677,126 @@ def test_chain_search_matches_permutations_on_generated_models(certify_calls):
             tally["chains"] += len(found)
             tally["long"] += sum(len(c["configurations"]) > 2 for c in found)
     assert tally["calls"] > 500 and tally["chains"] > 30 and tally["long"] > 0 and tally["caps"] > 0, tally
+
+
+# ---------------------------------------------------------------------------
+# intervention effect classification
+
+
+def ref_classify_intervention_effect(model, chain, iv, mode="example", options=Options()):
+    seq = chain.configurations
+    for g in seq:
+        model.validate_configuration(g)
+    shared = causality._Shared()
+    link_cause_union = []
+    for i in range(len(seq) - 1):
+        q = CauseQuery(seq[i], seq[i + 1], chain.links[i].effect_components)
+        union = {}
+        for cert in causality._certified_causes(model, q, mode, options, shared):
+            for c in cert.cause_set:
+                union[c] = None
+        link_cause_union.append(tuple(union))
+    targets = set(iv.targets)
+    overlaps = [i for i, u in enumerate(link_cause_union) if targets & set(u)]
+    k = kernel.compile(model).intervened(iv)
+
+    if not overlaps:
+        recerts = []
+        for i in range(len(seq) - 1):
+            if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
+                return causality.ChainClassification(
+                    verdict="indeterminate",
+                    detail=f"no cause overlap, but link {i} is no longer realizable after {iv.name}",
+                    link_causes=tuple(link_cause_union),
+                    broken_link=i,
+                )
+            cert = _certify_link(k.model, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options, shared)
+            if cert is None:
+                return causality.ChainClassification(
+                    verdict="indeterminate",
+                    detail=f"no cause overlap, but link {i} fails to re-certify after {iv.name}",
+                    link_causes=tuple(link_cause_union),
+                    broken_link=i,
+                )
+            recerts.append(cert)
+        return causality.ChainClassification(
+            verdict="preserved",
+            detail=f"no link cause overlaps targets of {iv.name}; chain re-certified",
+            link_causes=tuple(link_cause_union),
+            recertified=tuple(recerts),
+        )
+
+    for i in overlaps:
+        if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
+            return causality.ChainClassification(
+                verdict="disrupted",
+                detail=f"link {i} overlaps targets of {iv.name} and is invalidated",
+                link_causes=tuple(link_cause_union),
+                broken_link=i,
+            )
+    return causality.ChainClassification(
+        verdict="indeterminate",
+        detail=f"targets of {iv.name} overlap link causes but every link transition survives",
+        link_causes=tuple(link_cause_union),
+    )
+
+
+def _classification_cases(model, chains, options):
+    """(model, chain, intervention, options) for each chain under every
+    declared intervention and under a clamp of each link's cause to its
+    behaviours at the link's start."""
+    for chain in chains:
+        ivs = list(model.interventions)
+        for g, link in zip(chain.configurations, chain.links):
+            cause = link.certificate.cause_set
+            ivs.append(clamping_intervention(model, cause, {c: g[c] for c in cause}))
+        for iv in ivs:
+            yield model, chain, iv, options
+
+
+def _verdict(classify, model, chain, iv, options):
+    try:
+        return classify(model, chain, iv, options=options).to_dict()
+    except CapExceeded as err:
+        return ("cap", err.cap, err.size, err.what)
+
+
+def test_classification_matches_reference(micro, micro_f1, micro_f2):
+    """Verdicts, their evidence and cap overruns agree with the earlier
+    function, on micro and on the chains of generated models."""
+    cases = []
+    for effect in (None, ("FrontEnd",)):
+        chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 3, effect)
+        cases += _classification_cases(micro, chains, Options())
+    for model, f1, f2, options in _chain_cases(200):
+        cases += _classification_cases(model, causality.find_causal_chains(model, f1, f2, 5, options=options), options)
+    cases += [case[:3] + (replace(case[3], max_states=3),) for case in cases]
+    tally, log = {}, set()
+    for case in cases:
+        got = _verdict(causality.classify_intervention_effect, *case)
+        assert got == _verdict(ref_classify_intervention_effect, *case)
+        kind = "cap" if isinstance(got, tuple) else got["verdict"]
+        tally[kind] = tally.get(kind, 0) + 1
+        if case[0] is micro and case[2].name == "thetaLog" and case[3].max_states > 3:
+            log.add(kind)
+    assert set(tally) == {"preserved", "disrupted", "indeterminate", "cap"}, tally
+    assert "preserved" in log, log
+
+
+def test_invalid_endpoints_raise_before_any_search(monkeypatch, micro, micro_f1, micro_f2):
+    searched = []
+    search = causality._first_effect_reachable
+    monkeypatch.setattr(causality, "_first_effect_reachable", lambda *args: searched.append(args) or search(*args))
+    bad = Configuration(tuple((c, "nowhere" if c == "Logger" else b) for c, b in micro_f2.pairs))
+    message = "behaviour 'nowhere' not in domain of 'Logger'"
+    for f_start, f_end in ((micro_f1, bad), (bad, micro_f2), (bad, bad)):
+        with pytest.raises(ModelError, match=message):
+            causality.find_causal_chains(micro, f_start, f_end, 3)
+    chain = causality.find_causal_chains(micro, micro_f1, micro_f2, 3)[0]
+    assert len(chain.configurations) == 3
+    searched.clear()
+    # the invalid waypoint ends the chain, so a check made link by link would search its first link
+    chain = replace(chain, configurations=chain.configurations[:2] + (bad,))
+    with pytest.raises(ModelError, match=message):
+        causality.classify_intervention_effect(micro, chain, micro.interventions[0])
+    assert searched == []
