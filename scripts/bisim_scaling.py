@@ -3,7 +3,10 @@
 milliseconds and state counts for the benchmark's pipelines (n = 3 to 7
 stages, a fault at the source) and rings (n = 3 to 5 nodes, one node
 down), each against a copy with one component's behaviours renamed and
-against a perturbed copy.
+against a perturbed copy.  Each row also shows the left model's
+intervention closure size (``variants``), and for both sides together the
+distinct successor lists the checker builds (``lists``) against the
+(state, label) moves that share them (``moves``).
 
 Only the answers are checked, not the times: a renamed copy is bisimilar,
 and the distinguishing formula found against a perturbed copy holds at the
@@ -20,9 +23,10 @@ import time
 from pathlib import Path
 
 from causalmc import formulas as F
-from causalmc.bisim import PointedModel, check_bisim
+from causalmc.bisim import STEP, PointedModel, _Lts, check_bisim
 from causalmc.dsl import parse_model
 from causalmc.generate import perturb_model, rename_component_behaviours
+from causalmc.model import DEFAULT_OPTIONS
 from causalmc.semantics import evaluate
 
 REPO = Path(__file__).resolve().parents[1]
@@ -46,6 +50,16 @@ def measure(text: str, point: str, other, repeat: int):
         result = check_bisim(a, b)
         best = min(best, time.perf_counter() - started)
     return 1000 * best, a, b, result
+
+
+def shape(a: PointedModel, b: PointedModel) -> str:
+    """Variants of the left closure, then distinct successor lists and
+    (state, label) moves over both sides, as table columns."""
+    labels = [STEP] + sorted(a.model.intervention_map)
+    sides = [_Lts(p.model, p.point, labels, DEFAULT_OPTIONS) for p in (a, b)]
+    lists = sum(len(lts.lists) for lts in sides)
+    moves = sum(len(lts.atoms) for lts in sides) * len(labels)
+    return f"{len(sides[0].kernels):>9}{lists:>7}{moves:>7}"
 
 
 def renamed(component: str):
@@ -73,10 +87,13 @@ def main() -> int:
     for n in range(3, 6):
         text, names = families.ring(random.Random(args.seed), n)
         cases.append((f"ring n={n}", text, names["failing"], names["comps"][1]))
-    print(f"{'family':<16}{'copy':<12}{'ms':>10}{'left':>8}{'right':>8}  distinguishing depth")
+    print(
+        f"{'family':<16}{'copy':<12}{'ms':>10}{'left':>8}{'right':>8}{'variants':>9}{'lists':>7}{'moves':>7}"
+        "  distinguishing depth"
+    )
     for label, text, point, component in cases:
-        ms, _, _, result = measure(text, point, renamed(component), args.repeat)
-        print(f"{label:<16}{'renamed':<12}{ms:>10.1f}{result.left_states:>8}{result.right_states:>8}")
+        ms, a, b, result = measure(text, point, renamed(component), args.repeat)
+        print(f"{label:<16}{'renamed':<12}{ms:>10.1f}{result.left_states:>8}{result.right_states:>8}{shape(a, b)}")
         assert result.bisimilar, label
         for seed in range(PERTURB_SEEDS):
             ms, a, b, result = measure(text, point, perturbed(seed), args.repeat)
@@ -86,7 +103,10 @@ def main() -> int:
             raise AssertionError(f"{label}: no perturbation seed below {PERTURB_SEEDS} separates the copy")
         phi = result.distinguishing
         depth = F.modal_depth(phi)
-        print(f"{label:<16}{f'perturb {seed}':<12}{ms:>10.1f}{result.left_states:>8}{result.right_states:>8}  {depth}")
+        print(
+            f"{label:<16}{f'perturb {seed}':<12}{ms:>10.1f}{result.left_states:>8}{result.right_states:>8}"
+            f"{shape(a, b)}  {depth}"
+        )
         assert evaluate(a.model, a.point, phi) and not evaluate(b.model, b.point, phi), (label, F.pretty(phi))
     return 0
 

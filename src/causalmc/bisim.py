@@ -72,25 +72,37 @@ class VariantGraph:
 
 def intervention_closure(model: SystemModel) -> VariantGraph:
     """All variants reachable by applying declared interventions in sequence,
-    each built by ``Kernel.intervened``, so compiling a variant returns its kernel."""
+    each built by ``Kernel.intervened``, so compiling a variant returns its kernel.
+
+    A variant's key is its source's rule tables with the targets' replaced,
+    so a variant is built only for a key not met before.  The root row builds
+    every intervention's variant, which validates it; validation reads only
+    names, domains and contexts, the same in every variant."""
     ivs = [model.intervention_map[iv.name] for iv in model.interventions]  # as `<name>` resolves a name
-    kernels = [kernel.compile(model)]
-    index = {tuple(c.rule for c in model.components): 0}  # variants differ in rule tables only
+    root = kernel.compile(model)
+    kernels = [root]
+    keys = [tuple(c.rule for c in model.components)]  # variants differ in rule tables only
+    index = {keys[0]: 0}
     edges: list[tuple[int, str, int]] = []
     frontier = [0]
     while frontier:
         nxt: list[int] = []
         for i in frontier:
             for iv in ivs:
-                variant = kernels[i].intervened(iv)
-                key = tuple(c.rule for c in variant.model.components)
+                if i == 0:
+                    root.intervened(iv)  # validates iv; the variant is kept on the root
+                tables = list(keys[i])
+                for t in iv.targets:
+                    tables[root.index[t]] = iv.rule_for(t)
+                key = tuple(tables)
                 j = index.get(key)
                 if j is None:
                     if len(kernels) >= CLOSURE_CAP:
                         exceeded(CLOSURE_CAP, "intervention closure")
                     j = len(kernels)
                     index[key] = j
-                    kernels.append(variant)
+                    keys.append(key)
+                    kernels.append(kernels[i].intervened(iv))
                     nxt.append(j)
                 edges.append((i, iv.name, j))
         frontier = nxt
@@ -128,9 +140,11 @@ class _Lts:
 
     States are numbered 0, 1, ... in expansion order, state 0 being the
     point.  ``keys[i]`` is ``variant * size + state``, a state being a
-    configuration encoded by the variant's compiled kernel; ``atoms[i]`` is
-    the valuation of the sorted atoms, and ``moves[i][l]`` lists the numbers
-    of the successors under the l-th label."""
+    configuration encoded by the variant's compiled kernel, and ``atoms[i]``
+    is the valuation of the sorted atoms.  A successor list depends only on
+    the variant a label leads to and the configuration, so ``lists`` holds
+    each distinct list once, as state numbers, and ``rows[i][l]`` is the
+    index there of state i's successors under the l-th label."""
 
     def __init__(self, model: SystemModel, point: Configuration, labels, options: Options):
         graph = intervention_closure(model)
@@ -141,9 +155,11 @@ class _Lts:
         size = self.size = self.kernels[0].size
         root = self.kernels[0].encode(point)
         number: dict[int, int | None] = {root: None}  # key -> state number, given on expansion
+        listed: dict[int, int] = {}  # variant * size + configuration -> index in lists
         self.keys: list[int] = []
         self.atoms: list[tuple[bool, ...]] = []
-        rows = []
+        self.rows: list[list[int]] = []
+        lists = []
         frontier = [root]
         loops = options.self_loops
         while frontier:  # every state numbered is on the frontier until expanded
@@ -154,14 +170,26 @@ class _Lts:
             self.keys.append(key)
             variant, f = divmod(key, size)
             self.atoms.append(tuple(t(f) for t in tests[variant]))
-            row = [[v * size + g for g in self.kernels[v].successors(f, loops)] for v in targets[variant]]
-            rows.append(row)
-            for dests in row:
-                for s in dests:
-                    if s not in number:
-                        number[s] = None
-                        frontier.append(s)
-        self.moves = [[[number[s] for s in dests] for dests in row] for row in rows]
+            row = []
+            for v in targets[variant]:
+                at = v * size + f
+                d = listed.get(at)
+                if d is None:  # a list met before holds no state not numbered yet
+                    d = listed[at] = len(lists)
+                    dests = [v * size + g for g in self.kernels[v].successors(f, loops)]
+                    lists.append(dests)
+                    for s in dests:
+                        if s not in number:
+                            number[s] = None
+                            frontier.append(s)
+                row.append(d)
+            self.rows.append(row)
+        self.lists = [[number[s] for s in dests] for dests in lists]
+
+    @property
+    def moves(self) -> list[list[list[int]]]:
+        """``moves[i][l]``: the numbers of state i's successors under the l-th label."""
+        return [[self.lists[d] for d in row] for row in self.rows]
 
     def point(self, i: int) -> tuple[int, Configuration]:
         variant, s = divmod(self.keys[i], self.size)
@@ -189,22 +217,14 @@ def check_bisim(
     lts_a = _Lts(a.model, a.point, labels, options)
     lts_b = _Lts(b.model, b.point, labels, options)
 
-    # one numbering of both sides: the right side's states follow the left's,
-    # so the roots are 0 and n
-    n = len(lts_a.atoms)
+    # one numbering of both sides: the right side's states and lists follow
+    # the left's, so the roots are 0 and n
+    n, m = len(lts_a.atoms), len(lts_a.lists)
     atoms = lts_a.atoms + lts_b.atoms
-    moves = lts_a.moves + [[[n + t for t in dests] for dests in row] for row in lts_b.moves]
-    colour = _number_blocks(atoms)
-    history = [colour]
-    while True:
-        fresh = _number_blocks(
-            [(c, tuple(frozenset(colour[t] for t in dests) for dests in row)) for c, row in zip(colour, moves)]
-        )
-        # refinement only splits blocks, so an unchanged block count is a fixpoint
-        if max(fresh) == max(colour):
-            break
-        colour = fresh
-        history.append(colour)
+    lists = lts_a.lists + [[n + t for t in dests] for dests in lts_b.lists]
+    rows = lts_a.rows + [[m + d for d in row] for row in lts_b.rows]
+    history = _refine(atoms, rows, lists)
+    colour = history[-1]
 
     if colour[0] == colour[n]:
         # right states grouped by colour, in state order: the related pairs
@@ -221,6 +241,7 @@ def check_bisim(
             left_states=n,
             right_states=len(lts_b.atoms),
         )
+    moves = [[lists[d] for d in row] for row in rows]
     phi = _distinguish(atoms, moves, history, labels, left_atoms, 0, n)
     return BisimResult(
         bisimilar=False,
@@ -229,6 +250,24 @@ def check_bisim(
         left_states=n,
         right_states=len(lts_b.atoms),
     )
+
+
+def _refine(atoms: list, rows: list[list[int]], lists: list[list[int]]) -> list[list[int]]:
+    """The colouring of every round, round 0 being the atom valuations.  A
+    round signs each distinct successor list by the set of its colours,
+    numbered in first-appearance order, and a state by its colour and the
+    numbers of its lists; equal sets get equal numbers, so the blocks are
+    those of signing each state by its colour sets themselves."""
+    colour = _number_blocks(atoms)
+    history = [colour]
+    while True:
+        sets = _number_blocks([frozenset(map(colour.__getitem__, dests)) for dests in lists])
+        fresh = _number_blocks([(c, tuple(map(sets.__getitem__, row))) for c, row in zip(colour, rows)])
+        # refinement only splits blocks, so an unchanged block count is a fixpoint
+        if max(fresh) == max(colour):
+            return history
+        colour = fresh
+        history.append(colour)
 
 
 def _number_blocks(signatures: list) -> list[int]:

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, kernel
@@ -103,22 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     text = Path(args.model).read_text(encoding="utf-8")
     doc = parse_model(text, path=args.model)
-    if args.sync:
-        doc = _with_mode(doc, "sync")
-    elif args.force_async:
-        doc = _with_mode(doc, "async")
     options = Options(
         self_loops=args.self_loops,
         allow_trivial_split=args.allow_trivial_split,
         max_states=args.max_states,
+        mode="sync" if args.sync else "async" if args.force_async else None,
     )
-    return doc, options
-
-
-def _with_mode(doc, mode):
-    from dataclasses import replace
-
-    return replace(doc, model=doc.model.with_mode(mode))
+    return replace(doc, model=options.forced(doc.model)), options
 
 
 def _emit(reports, payload, path: str | None) -> int:

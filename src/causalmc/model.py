@@ -62,11 +62,19 @@ class Options:
         its root included, so the reported size is max_states + 1 (1 when
         negative) whatever the walk order.  The configuration space, whose
         size is known before any walk, is capped by and reports that size.
+    mode: the transition mode forced on every model a query reads from a
+        file, or None to keep each file's declared mode.  It is applied
+        where a file is read (``forced``); the engine itself ignores it.
     """
 
     self_loops: bool = False
     allow_trivial_split: bool = False
     max_states: int = 100_000
+    mode: str | None = None
+
+    def forced(self, model: "SystemModel") -> "SystemModel":
+        """``model`` in the forced transition mode, if one is set."""
+        return model if self.mode is None else model.with_mode(self.mode)
 
 
 DEFAULT_OPTIONS = Options()

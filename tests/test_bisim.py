@@ -1,6 +1,7 @@
 import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from causalmc import bisim
 from causalmc import formulas as F
+from causalmc import kernel as kernel_module
 from causalmc.bisim import (
     STEP,
     BisimRelation,
@@ -39,6 +41,12 @@ from causalmc.model import (
     constant_table,
 )
 from causalmc.semantics import atom_test, evaluate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+try:
+    import families
+finally:
+    sys.path.pop(0)
 
 
 def test_closure_without_interventions_is_single_node(ex1):
@@ -262,6 +270,47 @@ def test_closure_cap_overrun_matches(monkeypatch, micro):
     assert str(got.value) == str(want.value) == "intervention closure size 6 exceeds configured cap 5"
 
 
+def _count_builds(monkeypatch):
+    """A list that gets one entry per ``apply_intervention`` call a kernel makes."""
+    calls = []
+    real = kernel_module.apply_intervention
+    monkeypatch.setattr(kernel_module, "apply_intervention", lambda model, iv: calls.append(iv.name) or real(model, iv))
+    return calls
+
+
+def test_closure_builds_each_new_variant_once(monkeypatch, ex1, micro):
+    calls = _count_builds(monkeypatch)
+    built = edges = 0
+    for model in [ex1, micro] + _closure_models(400):
+        model = replace(model)  # a fresh instance, with no kernel or variants yet
+        calls.clear()
+        got = intervention_closure(model)
+        # the root row builds every intervention's variant; later rows build only new ones
+        assert len(calls) <= len(model.interventions) + len(got.models) - 1
+        assert calls[: len(model.interventions)] == [iv.name for iv in model.interventions]
+        assert _canonical(got) == _canonical(ref_intervention_closure(model))
+        built, edges = built + len(calls), edges + len(got.edges)
+    assert built < edges / 2, (built, edges)
+
+
+def test_closure_rejects_an_invalid_intervention_as_before(ex1):
+    bad = [
+        Intervention("bad", ("nope",), ()),
+        Intervention("bad", ("c2",), ()),
+        Intervention("bad", ("c1",), (("c1", constant_table(0, "b12")), ("c3", constant_table(0, "b31")))),
+    ]
+    for iv in bad:
+        # the invalid intervention comes after a valid one, whose variant is new
+        model = replace(ex1, interventions=ex1.interventions + (iv,))
+        with pytest.raises(ModelError) as want:
+            ref_intervention_closure(model)
+        with pytest.raises(ModelError) as got:
+            intervention_closure(replace(model))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("intervention bad: ")
+
+
 def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
     for model in [micro] + _closure_models(100):
         root = compile(model)
@@ -463,19 +512,108 @@ def _bisim_cases(ex1, ex1_doc, micro, micro_f1, count):
         yield PointedModel(model, point), PointedModel(perturb_model(rng, model), point), seed
 
 
-def test_check_bisim_matches_tuple_keyed_reference(ex1, ex1_doc, micro, micro_f1):
-    seen = {"cap": 0, True: 0, False: 0}
-    for a, b, seed in _bisim_cases(ex1, ex1_doc, micro, micro_f1, 400):
+def _bisim_options(cases):
+    """Each case under the default options, with self-loops, and under a
+    state cap of 0 to 5."""
+    for a, b, seed in cases:
         for options in (
             DEFAULT_OPTIONS,
             replace(DEFAULT_OPTIONS, self_loops=True),
             replace(DEFAULT_OPTIONS, max_states=seed % 6),
         ):
-            want = _bisim_outcome(ref_check_bisim, a, b, options)
-            assert _bisim_outcome(check_bisim, a, b, options) == want, (seed, options)
-            seen[want[0]] += 1
+            yield a, b, seed, options
+
+
+def test_check_bisim_matches_tuple_keyed_reference(ex1, ex1_doc, micro, micro_f1):
+    seen = {"cap": 0, True: 0, False: 0}
+    for a, b, seed, options in _bisim_options(_bisim_cases(ex1, ex1_doc, micro, micro_f1, 400)):
+        want = _bisim_outcome(ref_check_bisim, a, b, options)
+        assert _bisim_outcome(check_bisim, a, b, options) == want, (seed, options)
+        seen[want[0]] += 1
     # every outcome occurs: bisimilar, distinguished, and a cap overrun
     assert min(seen.values()) > 100, seen
+
+
+# ---------------------------------------------------------------------------
+# refinement over shared successor lists against the round loop that signed
+# every (state, label) by its own colour set: verbatim but for the names
+
+
+def ref_refine(atoms, moves):
+    colour = ref_number_list(atoms)
+    history = [colour]
+    while True:
+        fresh = ref_number_list(
+            [(c, tuple(frozenset(colour[t] for t in dests) for dests in row)) for c, row in zip(colour, moves)]
+        )
+        # refinement only splits blocks, so an unchanged block count is a fixpoint
+        if max(fresh) == max(colour):
+            break
+        colour = fresh
+        history.append(colour)
+    return history
+
+
+def ref_number_list(signatures):
+    ids = {}
+    return [ids.setdefault(sig, len(ids)) for sig in signatures]
+
+
+def _bundled_pairs(ex1, ex1_doc, micro, micro_f1):
+    """The bundled models against themselves, ex1 against the perturbed copies
+    of the golden file, and the benchmark's pipelines and ring against
+    renamed and perturbed copies."""
+    yield PointedModel(micro, micro_f1), PointedModel(micro, micro_f1)
+    start = ex1_doc.configuration("start")
+    yield PointedModel(ex1, start), PointedModel(ex1, start)
+    for k in range(20):
+        yield PointedModel(ex1, start), PointedModel(perturb_model(random.Random(k), ex1), start)
+    texts = [families.pipeline(random.Random(n), n, fault) + ("start",) for n in (3, 4) for fault in (True, False)]
+    texts.append(families.ring(random.Random(0), 3) + ("failing",))
+    for text, names, point in texts:
+        doc = parse_model(text)
+        a = PointedModel(doc.model, doc.configuration(names[point]))
+        renamed, rencfg = rename_component_behaviours(doc.model, names["comps"][1])
+        yield a, PointedModel(renamed, rencfg(a.point))
+        for k in range(3):
+            yield a, PointedModel(perturb_model(random.Random(k), doc.model), a.point)
+
+
+def test_refinement_rounds_match_reference(monkeypatch, ex1, ex1_doc, micro, micro_f1):
+    rounds = []
+    real = bisim._refine
+    monkeypatch.setattr(bisim, "_refine", lambda *args: rounds.append(real(*args)) or rounds[-1])
+    cases = [(a, b, options) for a, b, _, options in _bisim_options(_bisim_cases(ex1, ex1_doc, micro, micro_f1, 400))]
+    cases += [(a, b, DEFAULT_OPTIONS) for a, b in _bundled_pairs(ex1, ex1_doc, micro, micro_f1)]
+    assert len(cases) == 2409 + 42
+    refined = distinguished = 0
+    for a, b, options in cases:
+        rounds.clear()
+        try:
+            result = check_bisim(a, b, options)
+        except CapExceeded:
+            assert rounds == []
+            continue
+        labels = [STEP] + sorted(a.model.intervention_map)
+        left, right = (_Lts(p.model, p.point, labels, options) for p in (a, b))
+        n = len(left.atoms)
+        atoms = left.atoms + right.atoms
+        moves = left.moves + [[[n + t for t in dests] for dests in row] for row in right.moves]
+        assert rounds == [ref_refine(atoms, moves)]
+        refined += len(rounds[0]) > 2
+        distinguished += not result.bisimilar
+    assert refined > 100 and distinguished > 150, (refined, distinguished)
+
+
+def test_successor_lists_are_shared(micro, micro_f1):
+    text, names = families.ring(random.Random(0), 4)
+    doc = parse_model(text)
+    for model, point in ((micro, micro_f1), (doc.model, doc.configuration(names["failing"]))):
+        labels = [STEP] + sorted(model.intervention_map)
+        lts = _Lts(model, point, labels, DEFAULT_OPTIONS)
+        assert len(lts.lists) < len(lts.atoms) * len(labels) / 2, (len(lts.lists), len(lts.atoms))
+        # each state's moves are views onto the shared lists
+        assert all(m is lts.lists[d] for moves, row in zip(lts.moves, lts.rows) for m, d in zip(moves, row))
 
 
 def _chain(n: int, loop: bool):

@@ -157,6 +157,38 @@ def test_sync_flag_overrides_mode(capsys):
     assert main(["check", MICRO, "f1", "<> (p[FrontEnd=serving] & p[UserDB=dbError])", "--sync"]) == 0
 
 
+def _sync_ex1(tmp_path) -> str:
+    """A copy of ex1 that declares synchronous transitions."""
+    text = Path(EX1).read_text(encoding="utf-8")
+    assert "\nasync\n" in text
+    path = tmp_path / "ex1sync.model"
+    path.write_text(text.replace("\nasync\n", "\nsync\n"), encoding="utf-8")
+    return str(path)
+
+
+def test_mode_flags_force_both_bisim_models(tmp_path, capsys):
+    sync_ex1 = _sync_ex1(tmp_path)
+    assert main(["bisim", "--sync", EX1, "start", EX1, "start"]) == 0
+    assert main(["bisim", "--async", sync_ex1, "start", sync_ex1, "start"]) == 0
+    assert main(["bisim", "--sync", EX1, "start", sync_ex1, "start"]) == 0
+    # without a flag each file keeps its declared mode
+    assert main(["bisim", EX1, "start", EX1, "start"]) == 0
+    assert main(["bisim", sync_ex1, "start", sync_ex1, "start"]) == 0
+    assert main(["bisim", EX1, "start", sync_ex1, "start"]) == 1
+    assert main(["bisim", sync_ex1, "start", EX1, "start"]) == 1
+
+
+def test_mode_flags_force_both_models_of_a_bisim_stanza(tmp_path, capsys):
+    sync_ex1 = _sync_ex1(tmp_path)
+    doc = tmp_path / "pair.model"
+    body = Path(EX1).read_text(encoding="utf-8").split("\ndecompose ")[0]
+    doc.write_text(body + f'\nbisim start vs "{Path(sync_ex1).name}" start\n', encoding="utf-8")
+    assert main(["run", str(doc)]) == 1
+    assert main(["run", str(doc), "--sync"]) == 0
+    assert main(["run", str(doc), "--async"]) == 0
+    assert capsys.readouterr().out.count("bisim: true") == 2
+
+
 def test_inline_configuration_literal():
     lit = "(Auth=idle, UserDB=idle, ProfileSvc=idle, Logger=idle, FrontEnd=idle)"
     assert main(["check", MICRO, lit, "<>+ phi_fail"]) == 0
