@@ -51,6 +51,25 @@ def test_cause_report_file(tmp_path):
     assert payload["witnesses"]["certificates"][0]["cause_set"] == ["UserDB"]
 
 
+def test_report_replaces_an_existing_file_and_writes_through_a_link(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("x" * 100_000)
+    old_inode = out.stat().st_ino
+    keep = tmp_path / "keep.json"  # holds the old inode, so it cannot be reused
+    keep.hardlink_to(out)
+    assert main(["check", MICRO, "f2", "true", "--report", str(out)]) == 0
+    assert out.stat().st_ino != old_inode
+    assert json.loads(out.read_text())["verdict"] is True
+    assert keep.read_text() == "x" * 100_000
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["check", MICRO, "f2", "true", "--report", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["verdict"] is True
+
+
 def test_strict_flag_changes_cause_verdict(tmp_path):
     code = main(["cause", MICRO, "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "--strict-ac1"])
     assert code == 1
