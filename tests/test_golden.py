@@ -8,9 +8,11 @@ OUTDIR against ``tests/golden/``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,7 +22,7 @@ import pytest
 from causalmc import formulas as F
 from causalmc.bisim import PointedModel, check_bisim, generate_formula_suite
 from causalmc.cli import main
-from causalmc.dsl import DslError, parse_formula_text, parse_model, parse_query_text
+from causalmc.dsl import DslError, parse_formula_text, parse_model, parse_query_text, pretty_document
 from causalmc.generate import perturb_model
 from causalmc.queries import run_query
 
@@ -241,11 +243,98 @@ def stanza_kinds() -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# parse outcomes of token-level mutations
+
+# a token for mutating text, independent of the scanner under test: a string,
+# an operator, a name, a number, a comment (left alone) or any other character
+_MUTATION_TOKEN = re.compile(r'"[^"\n]*"|\[\]\+|<>\+|<\?>|->|\|=|\[\]|<>|[A-Za-z_]\w*|\d+(?:\.\d+)?|#[^\n]*|\S')
+_STRAY = "@$;?~'é²\x0c"
+_MUTATIONS = 2_000
+
+
+def _parse_sources() -> list:
+    """(name, text, model name or None): the bundled models, every document
+    and query text of ``STANZA_KINDS``, and seeded benchmark family
+    documents; a query text is parsed against its model, the rest as
+    documents."""
+    out = [(path.name, path.read_text(encoding="utf-8"), None) for path in sorted(MODELS.glob("*.model"))]
+    for kind, case in STANZA_KINDS.items():
+        for part in ("document", "malformed"):
+            for k, (model, stanza) in enumerate(case[part]):
+                out.append((f"{kind} {part} {k} document", _model_text(model) + stanza + "\n", None))
+                out.append((f"{kind} {part} {k} query", stanza, model))
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import families
+    finally:
+        sys.path.pop(0)
+    for seed in (0, 1):
+        out.append((f"pipeline {seed}", families.pipeline(random.Random(seed), 4, seed == 0)[0], None))
+        out.append((f"fanin {seed}", families.fanin(random.Random(seed), 3, 1 + seed)[0], None))
+        out.append((f"ring {seed}", families.ring(random.Random(seed), 3 + seed)[0], None))
+    return out
+
+
+def _mutate(rng: random.Random, text: str) -> tuple[str, str]:
+    """A description of a random mutation at a random token of ``text``, and
+    the mutated text; a repeated line repeats declarations, whose diagnostics
+    are placed at their first token after the whole document is read."""
+    spans = [m.span() for m in _MUTATION_TOKEN.finditer(text) if m.group()[0] != "#"]
+    kind = rng.randrange(6)
+    if kind == 5:
+        lines = text.split("\n")
+        j = rng.randrange(len(lines))
+        return f"repeat line {j + 1}", "\n".join(lines[: j + 1] + lines[j:])
+    i = rng.randrange(len(spans))
+    s, e = spans[i]
+    if kind == 0:
+        return f"drop {i}", text[:s] + text[e:]
+    if kind == 1:
+        return f"duplicate {i}", text[:e] + " " + text[s:e] + text[e:]
+    if kind == 2 and i + 1 < len(spans):
+        s2, e2 = spans[i + 1]
+        return f"swap {i} {i + 1}", text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:]
+    ch = '"' if kind == 4 else rng.choice(_STRAY)
+    return f"insert {ch!r} before {i}", text[:s] + ch + text[s:]
+
+
+def _parse_outcome(text: str, doc) -> str:
+    """Every diagnostic of a failed parse (``line:column: message``, joined by
+    ``; ``), or for a document that parses the SHA-256 of its
+    ``pretty_document``, for a query text its echo; ``doc`` is the model a
+    query text is parsed against, None for a document."""
+    try:
+        if doc is None:
+            return "pretty " + hashlib.sha256(pretty_document(parse_model(text)).encode()).hexdigest()[:16]
+        return "echo " + parse_query_text(text, doc).echo()
+    except DslError as exc:
+        return str(exc)
+    except Exception as exc:  # noqa: BLE001 - a non-diagnostic error is pinned by type and text
+        return f"{type(exc).__name__}: {exc}"
+
+
+def parse_outcomes() -> dict:
+    """Per source text, the outcome of each of its seeded token mutations: a
+    document is parsed with ``parse_model``, a query text with
+    ``parse_query_text`` against its model."""
+    sources = _parse_sources()
+    docs = {model: parse_model(_model_text(model)) for _, _, model in sources if model}
+    rng = random.Random(20261018)
+    out: dict = {name: [] for name, _, _ in sources}
+    for k in range(_MUTATIONS):
+        name, text, model = sources[k % len(sources)]
+        what, mutated = _mutate(rng, text)
+        out[name].append(f"{what}: {_parse_outcome(mutated, docs.get(model))}")
+    return out
+
+
 FIXTURES = {
     "replay_keys.json": replay_keys,
     "formula_suite.json": formula_suite_keys,
     "bisim_perturbed.json": bisim_perturbed,
     "stanza_kinds.json": stanza_kinds,
+    "parse_outcomes.json": parse_outcomes,
 }
 
 
