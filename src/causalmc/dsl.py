@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from . import formulas as F
@@ -91,28 +91,45 @@ def _lookup(table: dict, name: str, what: str):
 # tokenizer
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-# One match per token, newline or comment, with the blanks before it: the
-# alternatives are tried in this order at each position, the multi-character
-# operators before the single characters they start with, and "bad" takes any
-# other character but a blank, so blanks at the end of the text match nothing.
-# Numbers use \d, which also matches non-ASCII digits.
-_SCAN = re.compile(
-    r"[ \t\r]*(?:"
-    + "|".join(
-        [
-            r"(?P<newline>\n)",
-            r"(?P<comment>#[^\n]*)",
-            r"(?P<punct>\[\]\+|<>\+|<\?>|->|\|=|\[\]|<>|[{}()=,:*&|!<>\[\]])",
-            r'(?P<string>"[^"]*")',
-            rf"(?P<name>{_NAME_RE.pattern})",
-            r"(?P<number>\d+(?:\.\d+)?)",
-            r"(?P<bad>[^ \t\r])",
-        ]
-    )
-    + ")"
+# operators of two and three characters, tried before the single characters they start with
+_OPERATORS = ("[]+", "<>+", "<?>", "->", "|=", "[]", "<>")
+_PUNCT_CHARS = "{}()=,:*&|!<>[]"
+_BLANKS = r" \t\r"
+_NEWLINE = r"\n"
+_COMMENT = r"#[^\n]*"
+
+# The token classes.  Each but "bad" has first characters of its own, so at
+# most one of them matches at a position; "bad", tried last, takes any other
+# character but a blank.  Numbers use \d, which also matches non-ASCII digits.
+_CLASSES = (
+    ("name", _NAME_RE.pattern),
+    ("punct", "|".join(map(re.escape, _OPERATORS)) + f"|[{re.escape(_PUNCT_CHARS)}]"),
+    ("newline", _NEWLINE),
+    ("comment", _COMMENT),
+    ("string", r'"[^"]*"'),
+    ("number", r"\d+(?:\.\d+)?"),
+    ("bad", f"[^{_BLANKS}]"),
 )
+_SKIPPED = ("newline", "comment")
+
+# The positional scan: one match per token, newline or comment, with the
+# blanks before it; blanks at the end of the text match nothing.
+_SCAN = re.compile(f"[{_BLANKS}]*(?:" + "|".join(f"(?P<{kind}>{rx})" for kind, rx in _CLASSES) + ")")
 _PLAIN = frozenset(("punct", "name", "number"))
+
+# The string scan starts after the blanks, newlines and comments that open the
+# text; each match is one token, or the empty end marker, and those after it.
+# A match never starts at a blank, newline or "#", so "bad" there takes
+# exactly the characters the positional scan rejects.
+_SPACE = f"[{_BLANKS}{_NEWLINE}]*"
+_SKIP = re.compile(f"{_SPACE}(?:{_COMMENT}{_SPACE})*")
+_STRINGS = re.compile(
+    "(" + "|".join(rx for kind, rx in _CLASSES if kind not in _SKIPPED) + r"|\Z)" + _SKIP.pattern
+)
+# the one-character tokens that are not an error; any decimal digit is a number
+_ONE_CHAR = frozenset(_PUNCT_CHARS) | _NAME_START
 
 
 class Token(NamedTuple):
@@ -127,7 +144,7 @@ _token = partial(tuple.__new__, Token)
 
 
 def _tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending with an ``eof`` token.
+    """The tokens of ``text`` with their positions, ending with an ``eof`` token.
 
     A column is the offset from the start of its line, plus one.  Only a
     newline between tokens starts a line: a newline inside a string does not,
@@ -155,6 +172,21 @@ def _tokenize(text: str) -> list[Token]:
     return out
 
 
+def _strings(text: str) -> list[str]:
+    """The tokens of ``text`` as they are written, a string with its quotes,
+    ending with the empty string; the i-th is the i-th of ``_tokenize(text)``.
+    A stray character or a lone quote raises ``_tokenize``'s positioned error."""
+    tokens = _STRINGS.findall(text, _SKIP.match(text).end())
+    if any(len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal() for t in set(tokens)):
+        _tokenize(text)
+    return tokens
+
+
+def _value(t: str) -> str:
+    """A token's text without the quotes of a string."""
+    return t[1:-1] if t[:1] == '"' else t
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -171,58 +203,60 @@ PREFIX = {
 
 
 class _Parser:
+    """Reads the tokens of ``_strings``; a token is kept by its index, and
+    positions are looked up only to build a diagnostic."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _strings(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    @cached_property
+    def positions(self) -> list[Token]:
+        return _tokenize(self.text)
+
+    def diagnostic(self, at: int, message: str) -> Diagnostic:
+        t = self.positions[at]
+        return Diagnostic(t.line, t.column, message)
+
+    def error(self, message: str, at: int | None = None):
+        raise DslError([self.diagnostic(self.pos if at is None else at, message)])
+
+    def found(self) -> str:
+        """The next token for a message; "end of input" at the end."""
+        return _value(self.tokens[self.pos]) or "end of input"
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         t = self.tokens[self.pos]
-        if t.kind != "eof":
+        if t:
             self.pos += 1
         return t
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise DslError([Diagnostic(tok.line, tok.column, message)])
+    def expect_punct(self, value: str) -> None:
+        if self.tokens[self.pos] != value:
+            self.error(f"expected {value!r}, found {self.found()!r}")
+        self.pos += 1
 
-    def expect_punct(self, value: str) -> Token:
+    def expect_name(self, what: str = "name") -> str:
         t = self.tokens[self.pos]
-        if t.kind != "punct" or t.value != value:
-            self.error(f"expected {value!r}, found {t.value or 'end of input'!r}")
+        if t[:1] not in _NAME_START:
+            self.error(f"expected {what}, found {self.found()!r}")
         self.pos += 1
         return t
 
-    def expect_name(self, what: str = "name") -> Token:
+    def expect_number(self, what: str = "number") -> str:
         t = self.tokens[self.pos]
-        if t.kind != "name":
-            self.error(f"expected {what}, found {t.value or 'end of input'!r}")
+        if not t[:1].isdecimal():
+            self.error(f"expected {what}, found {self.found()!r}")
         self.pos += 1
         return t
 
-    def expect_number(self, what: str = "number") -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "number":
-            self.error(f"expected {what}, found {t.value or 'end of input'!r}")
-        self.pos += 1
-        return t
-
-    def at_punct(self, value: str) -> bool:
-        t = self.tokens[self.pos]
-        return t.value == value and t.kind == "punct"
-
-    def eat_punct(self, value: str) -> bool:
-        t = self.tokens[self.pos]
-        if t.value == value and t.kind == "punct":
-            self.pos += 1
-            return True
-        return False
-
-    def eat_name(self, value: str) -> bool:
-        t = self.tokens[self.pos]
-        if t.value == value and t.kind == "name":
+    def eat(self, value: str) -> bool:
+        """Skip the next token if it is ``value``, a punctuation or a name."""
+        if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
@@ -234,29 +268,29 @@ class _Parser:
 
     def _implies(self) -> F.Formula:
         left = self._or()
-        if self.eat_punct("->"):
+        if self.eat("->"):
             return F.Implies(left, self._implies())
         return left
 
     def _or(self) -> F.Formula:
         out = self._and()
-        while self.eat_punct("|"):
+        while self.eat("|"):
             out = F.Or(out, self._and())
         return out
 
     def _and(self) -> F.Formula:
         out = self._unary()
-        while self.eat_punct("&"):
+        while self.eat("&"):
             out = F.And(out, self._unary())
         return out
 
     def _unary(self) -> F.Formula:
         wrappers = []
-        while self.peek().kind == "punct" and self.peek().value in PREFIX:
-            token = self.next().value
+        while self.tokens[self.pos] in PREFIX:
+            token = self.next()
             wrap = PREFIX[token]
             if token == "<":
-                wrap = partial(wrap, self.expect_name("intervention name").value)
+                wrap = partial(wrap, self.expect_name("intervention name"))
                 self.expect_punct(">")
             wrappers.append(wrap)
         out = self._postfix()
@@ -265,9 +299,9 @@ class _Parser:
         return out
 
     def _postfix(self) -> F.Formula:
-        parenthesized = self.at_punct("(")
+        parenthesized = self.tokens[self.pos] == "("
         out = self._primary()
-        while self.at_punct("*"):
+        while self.tokens[self.pos] == "*":
             if not parenthesized:
                 self.error("operands of '*' must be parenthesized")
             self.next()
@@ -278,43 +312,38 @@ class _Parser:
         return out
 
     def _primary(self) -> F.Formula:
-        if self.eat_punct("("):
+        if self.eat("("):
             out = self.parse_formula()
             self.expect_punct(")")
             return out
-        t = self.peek()
-        if t.kind == "name":
-            if t.value == "true":
-                self.next()
+        t = self.tokens[self.pos]
+        if t[:1] in _NAME_START:
+            self.pos += 1
+            if t == "true":
                 return F.TRUE
-            if t.value == "false":
-                self.next()
+            if t == "false":
                 return F.FALSE
-            nxt = self.tokens[self.pos + 1]
-            if t.value == "p" and nxt.kind == "punct" and nxt.value == "[":
-                self.next()  # p
-                self.next()  # [
-                comp = self.expect_name("component name").value
+            if t == "p" and self.eat("["):
+                comp = self.expect_name("component name")
                 self.expect_punct("=")
-                beh = self.expect_name("behaviour name").value
+                beh = self.expect_name("behaviour name")
                 self.expect_punct("]")
                 return F.BehaviourAtom(comp, beh)
-            self.next()
-            return F.Atom(t.value)
-        self.error(f"expected a formula, found {t.value or 'end of input'!r}")
+            return F.Atom(t)
+        self.error(f"expected a formula, found {self.found()!r}")
 
     # ---- shared pieces -------------------------------------------------
 
     def parse_name_list(self, stop_values) -> list[str]:
         names: list[str] = []
         while True:
-            if self.eat_punct(","):
+            if self.eat(","):
                 continue
             t = self.tokens[self.pos]
-            if t.kind != "name" or t.value in stop_values:
+            if t[:1] not in _NAME_START or t in stop_values:
                 return names
             self.pos += 1
-            names.append(t.value)
+            names.append(t)
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +355,17 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
     p = _Parser(text)
     mode = "async"
     components: list[ComponentDecl] = []
-    atoms_raw: list[tuple[Token, str, object]] = []
-    configs_raw: list[tuple[Token, str, list[tuple[str, str]]]] = []
+    # each declaration and stanza is kept with the index of its first token
+    atoms_raw: list[tuple[int, str, object]] = []
+    configs_raw: list[tuple[int, str, list[tuple[str, str]]]] = []
     interventions_raw: list = []
-    formulas_raw: list[tuple[Token, str, F.Formula]] = []
-    queries_raw: list[tuple[Token, object]] = []
+    formulas_raw: list[tuple[int, str, F.Formula]] = []
+    queries_raw: list[tuple[int, object]] = []
 
-    while p.peek().kind != "eof":
-        t = p.peek()
-        if t.kind != "name":
-            p.error(f"expected a declaration or query, found {t.value!r}")
-        head = t.value
+    while p.peek():
+        head = p.peek()
+        if head[:1] not in _NAME_START:
+            p.error(f"expected a declaration or query, found {_value(head)!r}")
         if head in ("async", "sync"):
             p.next()
             mode = head
@@ -349,12 +378,14 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
         elif head == "intervention":
             interventions_raw.append(_parse_intervention(p))
         elif head == "formula":
-            tok = p.next()
-            name = p.expect_name("formula name").value
+            at = p.pos
+            p.next()
+            name = p.expect_name("formula name")
             p.expect_punct("=")
-            formulas_raw.append((tok, name, p.parse_formula()))
+            formulas_raw.append((at, name, p.parse_formula()))
         elif head in QUERIES:
-            queries_raw.append((t, _parse_stanza(p)))
+            at = p.pos
+            queries_raw.append((at, _parse_stanza(p)))
         else:
             p.error(f"unknown declaration {head!r}")
 
@@ -369,9 +400,9 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
     configurations: list[tuple[str, Configuration]] = []
     config_map: dict[str, Configuration] = {}
     order = [c.name for c in components]
-    for tok, name, pairs in configs_raw:
+    for at, name, pairs in configs_raw:
         if name in config_map:
-            diags.append(Diagnostic(tok.line, tok.column, f"duplicate configuration name {name!r}"))
+            diags.append(p.diagnostic(at, f"duplicate configuration name {name!r}"))
             continue
         mapping = dict(pairs)
         missing = [c for c in order if c not in mapping]
@@ -383,7 +414,7 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
             msg.append(f"unknown components {extra}")
         msg += [f"behaviour {b!r} not in domain of {c!r}" for c, b in pairs if c in domains and b not in domains[c]]
         if msg:
-            diags.append(Diagnostic(tok.line, tok.column, f"configuration {name!r}: " + ", ".join(msg)))
+            diags.append(p.diagnostic(at, f"configuration {name!r}: " + ", ".join(msg)))
             continue
         f = Configuration(tuple((c, mapping[c]) for c in order))
         config_map[name] = f
@@ -392,9 +423,9 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
     # atoms
     atoms: list[AtomDecl] = []
     atom_names: set[str] = set()
-    for tok, name, body in atoms_raw:
+    for at, name, body in atoms_raw:
         if name in atom_names:
-            diags.append(Diagnostic(tok.line, tok.column, f"duplicate atom name {name!r}"))
+            diags.append(p.diagnostic(at, f"duplicate atom name {name!r}"))
             continue
         atom_names.add(name)
         if isinstance(body, tuple):
@@ -404,20 +435,18 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
             ext = []
             for ref in body:
                 if ref not in config_map:
-                    diags.append(Diagnostic(tok.line, tok.column, f"atom {name!r}: unknown configuration {ref!r}"))
+                    diags.append(p.diagnostic(at, f"atom {name!r}: unknown configuration {ref!r}"))
                 else:
                     ext.append(config_map[ref])
             atoms.append(AtomDecl(name=name, extension=tuple(ext)))
 
     # interventions
     interventions: list[Intervention] = []
-    for tok, name, targets, cost, penalty, rules in interventions_raw:
+    for name, targets, cost, penalty, rules in interventions_raw:
         tables: dict[str, list[RuleRow]] = {t: [] for t in targets}
-        for rtok, target, row in rules:
+        for at, target, row in rules:
             if target not in tables:
-                diags.append(
-                    Diagnostic(rtok.line, rtok.column, f"intervention {name!r}: rule for non-target {target!r}")
-                )
+                diags.append(p.diagnostic(at, f"intervention {name!r}: rule for non-target {target!r}"))
                 continue
             tables[target].append(row)
         interventions.append(
@@ -444,16 +473,14 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
     # named formulas resolve against atoms and earlier formulas
     formula_map: dict[str, F.Formula] = {}
     formulas: list[tuple[str, F.Formula]] = []
-    for tok, name, phi in formulas_raw:
+    for at, name, phi in formulas_raw:
         if name in formula_map or name in atom_names:
-            diags.append(Diagnostic(tok.line, tok.column, f"duplicate formula name {name!r}"))
+            diags.append(p.diagnostic(at, f"duplicate formula name {name!r}"))
             continue
         try:
             resolved = _resolve_formula(phi, formula_map, model)
         except DslError as exc:
-            diags.extend(
-                Diagnostic(tok.line, tok.column, d.message) for d in exc.diagnostics
-            )
+            diags.extend(p.diagnostic(at, d.message) for d in exc.diagnostics)
             continue
         formula_map[name] = resolved
         formulas.append((name, resolved))
@@ -462,11 +489,11 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
 
     scope = _Scope(model, config_map, formula_map)
     queries = []
-    for tok, (head, raw) in queries_raw:
+    for at, (head, raw) in queries_raw:
         try:
             queries.append(_resolve_stanza(head, raw, scope))
         except DslError as exc:
-            diags.extend(Diagnostic(tok.line, tok.column, d.message) for d in exc.diagnostics)
+            diags.extend(p.diagnostic(at, d.message) for d in exc.diagnostics)
     if diags:
         raise DslError(diags)
     return ModelDocument(
@@ -480,21 +507,20 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
 
 def _parse_component(p: _Parser) -> ComponentDecl:
     p.next()  # component
-    name = p.expect_name("component name").value
+    name = p.expect_name("component name")
     p.expect_punct("{")
     domain: list[str] = []
     context: list[str] = []
     rows: list[RuleRow] = []
-    while not p.eat_punct("}"):
-        t = p.peek()
-        if p.eat_name("domain"):
+    while not p.eat("}"):
+        if p.eat("domain"):
             domain = p.parse_name_list(("domain", "context", "rule"))
-        elif p.eat_name("context"):
+        elif p.eat("context"):
             context = p.parse_name_list(("domain", "context", "rule"))
-        elif p.eat_name("rule"):
+        elif p.eat("rule"):
             rows.append(_parse_rule_row(p))
         else:
-            p.error(f"expected domain, context, rule or '}}', found {t.value!r}")
+            p.error(f"expected domain, context, rule or '}}', found {_value(p.peek())!r}")
     return ComponentDecl(
         name=name, domain=tuple(domain), context=tuple(context), rule=RuleTable(tuple(rows))
     )
@@ -502,31 +528,32 @@ def _parse_component(p: _Parser) -> ComponentDecl:
 
 def _parse_pattern(p: _Parser) -> str | None:
     t = p.expect_name("behaviour or '_'")
-    return None if t.value == "_" else t.value
+    return None if t == "_" else t
 
 
 def _parse_rule_row(p: _Parser) -> RuleRow:
     own = _parse_pattern(p)
     context: list[str | None] = []
-    if p.eat_punct("("):
-        while not p.eat_punct(")"):
-            if not p.eat_punct(","):
+    if p.eat("("):
+        while not p.eat(")"):
+            if not p.eat(","):
                 context.append(_parse_pattern(p))
     p.expect_punct("->")
-    out = p.expect_name("output behaviour").value
+    out = p.expect_name("output behaviour")
     return RuleRow(own=own, context=tuple(context), output=out)
 
 
 def _parse_atom(p: _Parser):
-    tok = p.next()  # atom
-    name = p.expect_name("atom name").value
+    at = p.pos
+    p.next()  # atom
+    name = p.expect_name("atom name")
     p.expect_punct("=")
-    if p.at_punct("{"):
-        return (tok, name, _parse_braced_names(p))
-    comp = p.expect_name("component name").value
+    if p.peek() == "{":
+        return (at, name, _parse_braced_names(p))
+    comp = p.expect_name("component name")
     p.expect_punct("=")
-    beh = p.expect_name("behaviour name").value
-    return (tok, name, (comp, beh))
+    beh = p.expect_name("behaviour name")
+    return (at, name, (comp, beh))
 
 
 def _parse_braced_names(p: _Parser) -> list[str]:
@@ -539,46 +566,47 @@ def _parse_braced_names(p: _Parser) -> list[str]:
 def _parse_config_literal(p: _Parser) -> list[tuple[str, str]]:
     p.expect_punct("(")
     pairs: list[tuple[str, str]] = []
-    while not p.eat_punct(")"):
-        if p.eat_punct(","):
+    while not p.eat(")"):
+        if p.eat(","):
             continue
-        comp = p.expect_name("component name").value
+        comp = p.expect_name("component name")
         p.expect_punct("=")
-        beh = p.expect_name("behaviour name").value
+        beh = p.expect_name("behaviour name")
         pairs.append((comp, beh))
     return pairs
 
 
 def _parse_config_decl(p: _Parser):
-    tok = p.next()  # config
-    name = p.expect_name("configuration name").value
+    at = p.pos
+    p.next()  # config
+    name = p.expect_name("configuration name")
     p.expect_punct("=")
     pairs = _parse_config_literal(p)
-    return (tok, name, pairs)
+    return (at, name, pairs)
 
 
 def _parse_intervention(p: _Parser):
-    tok = p.next()  # intervention
-    name = p.expect_name("intervention name").value
-    if not p.eat_name("on"):
+    p.next()  # intervention
+    name = p.expect_name("intervention name")
+    if not p.eat("on"):
         p.error("expected 'on' and a target list")
     targets = p.parse_name_list(())
     p.expect_punct("{")
     cost = penalty = None
     rules = []
-    while not p.eat_punct("}"):
-        t = p.peek()
-        if p.eat_name("cost"):
-            cost = float(p.expect_number("cost").value)
-        elif p.eat_name("penalty"):
-            penalty = float(p.expect_number("penalty").value)
-        elif p.eat_name("rule"):
-            target = p.expect_name("target component").value
+    while not p.eat("}"):
+        at = p.pos
+        if p.eat("cost"):
+            cost = float(p.expect_number("cost"))
+        elif p.eat("penalty"):
+            penalty = float(p.expect_number("penalty"))
+        elif p.eat("rule"):
+            target = p.expect_name("target component")
             p.expect_punct(":")
-            rules.append((t, target, _parse_rule_row(p)))
+            rules.append((at, target, _parse_rule_row(p)))
         else:
-            p.error(f"expected cost, penalty, rule or '}}', found {t.value!r}")
-    return (tok, name, targets, cost, penalty, rules)
+            p.error(f"expected cost, penalty, rule or '}}', found {_value(p.peek())!r}")
+    return (name, targets, cost, penalty, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -630,18 +658,18 @@ class Slot:
 
 def _parse_config_ref(p: _Parser) -> tuple[str, object]:
     """A configuration reference: a declared name or an inline literal."""
-    if p.at_punct("("):
+    if p.peek() == "(":
         pairs = _parse_config_literal(p)
         label = "(" + ", ".join(f"{c}={b}" for c, b in pairs) + ")"
         return label, pairs
-    name = p.expect_name("configuration name").value
+    name = p.expect_name("configuration name")
     return name, name
 
 
 def _parse_path(p: _Parser) -> str:
-    if p.peek().kind != "string":
+    if p.peek()[:1] != '"':
         p.error("expected a quoted path to the other model")
-    return p.next().value
+    return p.next()[1:-1]
 
 
 def _resolve_config_ref(ref, scope: _Scope) -> tuple[str, Configuration]:
@@ -667,10 +695,11 @@ def _resolve_components(names, scope: _Scope) -> tuple[tuple, tuple]:
 
 
 def _parse_count(p: _Parser, slot: Slot) -> int:
+    at = p.pos
     t = p.expect_number(slot.keyword)
-    if "." in t.value:
-        p.error(f"expected a whole number after {slot.keyword!r}, found {t.value!r}", t)
-    return int(t.value)
+    if "." in t:
+        p.error(f"expected a whole number after {slot.keyword!r}, found {t!r}", at)
+    return int(t)
 
 
 def _unresolved(raw, scope: _Scope):
@@ -683,7 +712,7 @@ COMPONENTS = _Type(
     lambda p, slot: tuple(_parse_braced_names(p)), _resolve_components, lambda names: f"{{{' '.join(names)}}}"
 )
 PATH = _Type(lambda p, slot: _parse_path(p), _unresolved, lambda path: f'"{path}"')
-NAME = _Type(lambda p, slot: p.expect_name("configuration name").value, _unresolved)
+NAME = _Type(lambda p, slot: p.expect_name("configuration name"), _unresolved)
 NUMBER = _Type(_parse_count, _unresolved)
 
 # every query kind: literals (keywords and punctuation) and slots, in order;
@@ -710,7 +739,7 @@ def _slots(kind: str) -> list[Slot]:
 
 def _parse_stanza(p: _Parser) -> tuple[str, list]:
     """The head of the stanza at the parser and one raw value per slot."""
-    head = p.next().value
+    head = p.next()
     raw: list = []
     clauses: dict[str, tuple[int, Slot]] = {}
     for item in QUERIES[head]:
@@ -720,12 +749,12 @@ def _parse_stanza(p: _Parser) -> tuple[str, list]:
         elif isinstance(item, Slot):
             raw.append(item.type.parse(p, item))
         elif _NAME_RE.fullmatch(item):
-            if not p.eat_name(item):
+            if not p.eat(item):
                 p.error(f"expected {item!r}")
         else:
             p.expect_punct(item)
-    while p.peek().kind == "name" and p.peek().value in clauses:
-        i, slot = clauses[p.next().value]
+    while p.peek() in clauses:
+        i, slot = clauses[p.next()]
         raw[i] = slot.type.parse(p, slot)
     return head, raw
 
@@ -810,7 +839,7 @@ def _resolve_formula(phi: F.Formula, formula_map, model: SystemModel) -> F.Formu
 def parse_formula_text(text: str, doc: ModelDocument) -> F.Formula:
     p = _Parser(text)
     phi = p.parse_formula()
-    if p.peek().kind != "eof":
+    if p.peek():
         p.error("trailing input after formula")
     return _resolve_formula(phi, dict(doc.formulas), doc.model)
 
@@ -822,18 +851,17 @@ def _scope_of(doc: ModelDocument) -> _Scope:
 def parse_config_text(text: str, doc: ModelDocument) -> Configuration:
     p = _Parser(text)
     ref = _parse_config_ref(p)
-    if p.peek().kind != "eof":
+    if p.peek():
         p.error("trailing input after configuration")
     return _resolve_config_ref(ref, _scope_of(doc))[1]
 
 
 def parse_query_text(text: str, doc: ModelDocument) -> Stanza:
     p = _Parser(text)
-    t = p.peek()
-    if t.kind != "name" or t.value not in QUERIES:
-        p.error(f"expected a query stanza, found {t.value!r}")
+    if p.peek() not in QUERIES:
+        p.error(f"expected a query stanza, found {_value(p.peek())!r}")
     head, raw = _parse_stanza(p)
-    if p.peek().kind != "eof":
+    if p.peek():
         p.error("trailing input after query")
     return _resolve_stanza(head, raw, _scope_of(doc))
 

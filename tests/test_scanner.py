@@ -7,17 +7,23 @@ The reference keeps three quirks the scanner must reproduce: a newline
 inside a ``"..."`` string does not advance the line, the ``eof`` column
 after a trailing comment with no final newline is the column of the ``#``,
 and ``\\d`` in the number rule matches non-ASCII digits.
+
+The parser reads ``dsl._strings``, the tokens as plain strings, and runs
+``_tokenize`` only to place a diagnostic; the last tests check the two
+against each other and count the calls to ``_tokenize``.
 """
 
 import json
 import random
 import re
+import string
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from causalmc import dsl
 from causalmc.dsl import Diagnostic, DslError, _tokenize
 
 REPO = Path(__file__).resolve().parents[1]
@@ -207,3 +213,106 @@ def test_scanner_matches_reference_on_fuzzed_text():
         assert _outcome(_tokenize, text) == expected, text
     # both outcomes must be well represented, or the fuzzing proves little
     assert 0.2 * len(inputs) < errors < 0.8 * len(inputs)
+
+
+# ---------------------------------------------------------------------------
+# the string scan against the positional scan
+
+_CORNER_CASES = [
+    "",
+    "a",
+    '"a\nb" x',
+    'x "unterminated\n y',
+    "a # trailing comment",
+    "a # comment\n",
+    "#",
+    "٣٤ x",
+    "1.5 2. 3.x",
+    "a\x0cb",
+    "a\r\nb\t c",
+    "[]+<>+<?>->|=[]<>[]<|",
+    "café",
+    # non-ASCII digits are numbers, a superscript and a non-ASCII letter are not
+    "٣",
+    "x٣.٤y",
+    "３",
+    "a ３.５ b",
+    "²",
+    "a²",
+    "é",
+    "é x",
+    '"é²" ٣',
+    # blanks, newlines and comments before the first token and after the last
+    "  \n# c\n\t x # d\n\r\n  ",
+    " # only a comment",
+    '""',
+    '"" "',
+]
+
+
+def _kind(t: str) -> str:
+    """A string token's kind, by its first character."""
+    c = t[:1]
+    if c in string.ascii_letters + "_":
+        return "name"
+    if c == '"':
+        return "string"
+    if c.isdecimal():
+        return "number"
+    return "punct"
+
+
+def _string_outcome(text: str):
+    try:
+        tokens = dsl._strings(text)
+    except DslError:
+        return "error"
+    assert tokens[-1] == "" and "" not in tokens[:-1], tokens
+    return [(_kind(t), t[1:-1] if _kind(t) == "string" else t) for t in tokens[:-1]] + [("eof", "")]
+
+
+def _positional_outcome(text: str):
+    try:
+        return [(t.kind, t.value) for t in _tokenize(text)]
+    except DslError:
+        return "error"
+
+
+def test_string_scan_matches_positional_scan():
+    texts = _CORNER_CASES + _model_texts() + _stanza_texts() + _family_texts() + _fuzzed_inputs(20_000)
+    for text in texts:
+        assert _string_outcome(text) == _positional_outcome(text), text
+
+
+def test_positions_are_computed_only_for_diagnostics(monkeypatch, micro_doc):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return _tokenize(text)
+
+    monkeypatch.setattr(dsl, "_tokenize", counted)
+    text = (MODELS / "microservice.model").read_text(encoding="utf-8")
+    doc = dsl.parse_model(text)
+    assert doc == micro_doc
+    dsl.parse_query_text("cause from f1 to f2 effect {FrontEnd}", doc)
+    dsl.parse_formula_text("<theta3> [] ! phi_fail", doc)
+    dsl.parse_config_text(str(doc.configuration("f1")), doc)
+    dsl.parse_config_text("f2", doc)
+    assert calls == []
+
+    # one call per failed parse, however many diagnostics it builds
+    for bad in (
+        text + "config f1 = (Auth=idle)\natom phi_fail = Auth = idle\n",
+        text + "check f1 |= ",
+        text + "check f1 |= ~",
+    ):
+        calls.clear()
+        with pytest.raises(DslError):
+            dsl.parse_model(bad)
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(DslError) as err:
+        dsl.parse_query_text("chain from f1 to f2 maxlen 2.5", doc)
+    assert str(err.value) == "1:28: expected a whole number after 'maxlen', found '2.5'"
+    assert len(calls) == 1
