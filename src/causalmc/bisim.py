@@ -15,7 +15,9 @@ breaks, satisfied by the left point and refuted by the right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import formulas as F
@@ -109,11 +111,19 @@ def intervention_closure(model: SystemModel) -> VariantGraph:
     return VariantGraph(models=tuple(k.model for k in kernels), edges=tuple(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BisimRelation:
-    """Pairs of (variant index, configuration) states related across the two sides."""
+    """Pairs of (variant index, configuration) states related across the two
+    sides, in (left, right) state order: ``size`` of them, which ``listing``
+    returns.  ``pairs`` calls it on first use, so a caller that needs only
+    the number of pairs decodes no state."""
 
-    pairs: tuple[tuple[tuple[int, Configuration], tuple[int, Configuration]], ...]
+    size: int
+    listing: Callable[[], tuple] = field(repr=False)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[tuple[int, Configuration], tuple[int, Configuration]], ...]:
+        return self.listing()
 
     @cached_property
     def _members(self) -> frozenset:
@@ -123,7 +133,7 @@ class BisimRelation:
         return pair in self._members
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.size
 
 
 @dataclass(frozen=True)
@@ -227,16 +237,25 @@ def check_bisim(
     colour = history[-1]
 
     if colour[0] == colour[n]:
-        # right states grouped by colour, in state order: the related pairs
-        # in (left, right) state order, in time linear in the relation
-        by_colour: dict[int, list] = {}
-        for i, c in enumerate(colour[n:]):
-            by_colour.setdefault(c, []).append(lts_b.point(i))
-        points_a = [lts_a.point(i) for i in range(n)]
-        pairs = tuple((pa, pb) for pa, c in zip(points_a, colour) for pb in by_colour.get(c, ()))
+        # a left state is related to every right state of its colour
+        right = Counter(colour[n:])
+
+        def listing():
+            # right states grouped by colour, in state order: the pairs in
+            # (left, right) state order, in time linear in the relation
+            by_colour: dict[int, list] = {}
+            for i, c in enumerate(colour[n:]):
+                by_colour.setdefault(c, []).append(lts_b.point(i))
+            pairs = []
+            for i, c in enumerate(colour[:n]):
+                if c in by_colour:
+                    pa = lts_a.point(i)
+                    pairs.extend((pa, pb) for pb in by_colour[c])
+            return tuple(pairs)
+
         return BisimResult(
             bisimilar=True,
-            relation=BisimRelation(pairs=pairs),
+            relation=BisimRelation(sum(right[c] for c in colour[:n]), listing),
             distinguishing=None,
             left_states=n,
             right_states=len(lts_b.atoms),

@@ -174,6 +174,24 @@ def _brute_force_pairs(a: PointedModel, b: PointedModel) -> tuple:
     )
 
 
+def test_relation_size_decodes_no_state(monkeypatch, ex1, ex1_doc):
+    # the report reads only the relation's size: no state is decoded for it
+    decoded = []
+    decode = kernel_module.Kernel.decode
+
+    def counted(self, s):
+        decoded.append(s)
+        return decode(self, s)
+
+    monkeypatch.setattr(kernel_module.Kernel, "decode", counted)
+    start = ex1_doc.configuration("start")
+    renamed, rencfg = rename_component_behaviours(ex1, "c1")
+    r = check_bisim(PointedModel(ex1, start), PointedModel(renamed, rencfg(start)))
+    assert r.bisimilar and len(r.relation) == 9
+    assert decoded == []
+    assert len(r.relation.pairs) == 9 and decoded
+
+
 def test_relation_pairs_match_brute_force(ex1, ex1_doc, micro, micro_f1):
     start = ex1_doc.configuration("start")
     renamed, rencfg = rename_component_behaviours(ex1, "c1")
@@ -421,7 +439,7 @@ def ref_check_bisim(a, b, options=DEFAULT_OPTIONS):
         pairs = tuple(
             (points_a[sa], pb) for sa in lts_a.states for pb in by_colour.get(colour[(id(lts_a), sa)], ())
         )
-        return BisimResult(True, BisimRelation(pairs=pairs), None, len(lts_a.states), len(lts_b.states))
+        return BisimResult(True, BisimRelation(len(pairs), lambda: pairs), None, len(lts_a.states), len(lts_b.states))
     phi = ref_distinguish(lts_a, lts_b, history, labels, sorted(a.model.atom_map))
     return BisimResult(False, None, phi, len(lts_a.states), len(lts_b.states))
 
@@ -480,16 +498,16 @@ def ref_pick(moves, lts, col, wanted_colours):
 
 
 def _bisim_outcome(check, a, b, options):
-    """Everything a report can show of one check: the verdict, the related
-    pairs in order, the printed formula and both state counts, or the cap
-    overrun."""
+    """Everything a report can show of one check: the verdict, the relation's
+    size and pairs in order, the printed formula and both state counts, or
+    the cap overrun."""
     try:
         r = check(a, b, options)
     except CapExceeded as exc:
         return "cap", exc.cap, exc.size, exc.what
     formula = None if r.distinguishing is None else F.pretty(r.distinguishing)
-    pairs = None if r.relation is None else r.relation.pairs
-    return r.bisimilar, pairs, formula, r.left_states, r.right_states
+    size, pairs = (None, None) if r.relation is None else (len(r.relation), r.relation.pairs)
+    return r.bisimilar, size, pairs, formula, r.left_states, r.right_states
 
 
 def _bisim_cases(ex1, ex1_doc, micro, micro_f1, count):
