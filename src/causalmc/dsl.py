@@ -27,6 +27,7 @@ parenthesized.
 from __future__ import annotations
 
 import re
+import string
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -91,7 +92,7 @@ def _lookup(table: dict, name: str, what: str):
 # tokenizer
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 # operators of two and three characters, tried before the single characters they start with
 _OPERATORS = ("[]+", "<>+", "<?>", "->", "|=", "[]", "<>")
