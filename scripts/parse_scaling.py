@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scaling curve of the model-language front end: milliseconds of the
-string scan the parser reads (``dsl._strings``), of the positional scan
-that places diagnostics (``dsl._tokenize``) and of a whole
+string scan the parser reads (``dsl._strings``), of the same scan with
+line and column, which places diagnostics (``dsl._tokenize``), and of a whole
 ``parse_model``, for ex1, the microservice model, and the benchmark's
 rings (n = 3 to 8 nodes), pipelines (n = 3 to 12 stages, a fault at the
 source) and fan-in trees (3 to 6 leaves, one faulty).  ``tokens`` counts

@@ -160,13 +160,13 @@ class _Episode:
     effect as (weight, radix, code) places of the effect components, and what
     every candidate checked against the query shares: clause verdicts per
     subset, the marks and AC1 edges of each state, and one ``_Witness`` per
-    witness set.  Clamped variants live in the query's ``_Shared`` table, so
-    they go with the query."""
+    witness set, made by ``witness``.  Clamped variants live in the query's
+    ``_Shared`` table, so they go with the query."""
 
     def __init__(self, model, q: CauseQuery, mode: str, options: Options, shared: _Shared):
         self.model, self.q, self.mode, self.options, self.shared = model, q, mode, options, shared
         self.verdicts: dict = {}
-        self.witnesses = _WitnessTable(self)
+        self.witnesses: dict = {}  # witness set -> its _Witness
         self.configurations: dict = {}  # state -> decoded configuration
         self.k = k = kernel.compile(model)
         self.start, self.end = k.encode(q.start), k.encode(q.end)  # encoding validates them
@@ -206,22 +206,18 @@ class _Episode:
             found = self.configurations[s] = self.k.decode(s)
         return found
 
+    def witness(self, names: tuple[str, ...]) -> _Witness:
+        """The ``_Witness`` of a witness set, made on first use."""
+        found = self.witnesses.get(names)
+        if found is None:
+            found = self.witnesses[names] = _Witness(self, names)
+        return found
+
     def deviation(self, cause, s: int) -> tuple[tuple[str, str], ...]:
         """The candidate's (name, behaviour) pairs in state ``s``."""
         k = self.k
         places = zip(cause, map(k.index.get, cause))
         return tuple((c, k.domains[i][s // k.weights[i] % k.radices[i]]) for c, i in places)
-
-
-class _WitnessTable(dict):
-    """The episode's ``_Witness`` per witness set, made on first lookup."""
-
-    def __init__(self, e: _Episode):
-        self.e = e
-
-    def __missing__(self, names: tuple[str, ...]) -> _Witness:
-        self[names] = found = _Witness(self.e, names)
-        return found
 
 
 class _Witness(dict):
@@ -349,21 +345,21 @@ def _ac2(e: _Episode, cause):
     contrast = _raw_contrast(e, cause, devs)
     if contrast is None:
         return False, None, None, (), None
-    table = e.witnesses
     for witness in _witness_candidates(e.model, cause):
         # a witness fails at its first deviation from which the effect is reachable
-        if not any(map(table[witness].__getitem__, devs)):
+        table = e.witness(witness)
+        if not any(map(table.__getitem__, devs)):
             clamp = None
             if witness:
                 clamp = clamping_intervention(e.model, witness, {w: e.q.end[w] for w in witness})
-            return True, witness, clamp, _evidence(e, cause, table[witness], devs), contrast
+            return True, witness, clamp, _evidence(e, cause, table, devs), contrast
     return False, None, None, (), contrast
 
 
 def _raw_contrast(e: _Episode, cause, devs):
     """First deviation of the whole candidate that, from the unclamped start
     configuration, neither satisfies nor ever reaches the effect."""
-    unclamped, goal = e.witnesses[()], e.marks(e.end)[1]
+    unclamped, goal = e.witness(()), e.marks(e.end)[1]
     for offset in devs:
         start = e.start + offset
         if e.marks(start)[1] != goal and not unclamped[offset]:
@@ -606,22 +602,27 @@ def find_causal_chains(
     # waypoint middles must sit between the endpoints in the closure
     middles = [g for g in k.reachable(start, options) if g not in (start, end) and links.realizable(g, end)]
 
-    def extend(prefix, depth: int) -> None:
-        """Chains with ``depth`` more interior waypoints after ``prefix``, in
-        permutation order; a waypoint whose link fails ends its extensions."""
-        if depth == 0:
-            seq = prefix + (end,)
-            if link(prefix[-1], end) is not None and minimal(seq):
-                chain_links = tuple(map(link, seq, seq[1:]))
-                out.append(CausalChain(configurations=tuple(map(k.decode, seq)), links=chain_links))
-            return
-        for g in middles:
-            if g not in prefix and link(prefix[-1], g) is not None:
-                extend(prefix + (g,), depth - 1)
-
     # waypoints are distinct, so no chain is longer than every middle plus the endpoints
     for n in range(2, min(max_len, len(middles) + 2) + 1):
-        extend((start,), n - 2)
+        # prefixes of the chains with n waypoints, depth first in permutation
+        # order, each with the middles it has yet to try; a waypoint whose
+        # link fails ends its extensions
+        stack = [((start,), iter(middles))]
+        while stack:
+            prefix, todo = stack[-1]
+            if len(prefix) == n - 1:
+                stack.pop()
+                seq = prefix + (end,)
+                if link(prefix[-1], end) is not None and minimal(seq):
+                    chain_links = tuple(map(link, seq, seq[1:]))
+                    out.append(CausalChain(configurations=tuple(map(k.decode, seq)), links=chain_links))
+                continue
+            for g in todo:
+                if g not in prefix and link(prefix[-1], g) is not None:
+                    stack.append((prefix + (g,), iter(middles)))
+                    break
+            else:
+                stack.pop()
     return out
 
 

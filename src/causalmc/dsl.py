@@ -101,34 +101,24 @@ _BLANKS = r" \t\r"
 _NEWLINE = r"\n"
 _COMMENT = r"#[^\n]*"
 
-# The token classes.  Each but "bad" has first characters of its own, so at
-# most one of them matches at a position; "bad", tried last, takes any other
-# character but a blank.  Numbers use \d, which also matches non-ASCII digits.
+# The token classes.  Each but the last has first characters of its own, so
+# at most one of them matches at a position; the last, tried last, takes any
+# other character but a blank, which is an error.  Numbers use \d, which also
+# matches non-ASCII digits.
 _CLASSES = (
-    ("name", _NAME_RE.pattern),
-    ("punct", "|".join(map(re.escape, _OPERATORS)) + f"|[{re.escape(_PUNCT_CHARS)}]"),
-    ("newline", _NEWLINE),
-    ("comment", _COMMENT),
-    ("string", r'"[^"]*"'),
-    ("number", r"\d+(?:\.\d+)?"),
-    ("bad", f"[^{_BLANKS}]"),
+    _NAME_RE.pattern,
+    "|".join(map(re.escape, _OPERATORS)) + f"|[{re.escape(_PUNCT_CHARS)}]",
+    r'"[^"]*"',
+    r"\d+(?:\.\d+)?",
+    f"[^{_BLANKS}]",
 )
-_SKIPPED = ("newline", "comment")
 
-# The positional scan: one match per token, newline or comment, with the
-# blanks before it; blanks at the end of the text match nothing.
-_SCAN = re.compile(f"[{_BLANKS}]*(?:" + "|".join(f"(?P<{kind}>{rx})" for kind, rx in _CLASSES) + ")")
-_PLAIN = frozenset(("punct", "name", "number"))
-
-# The string scan starts after the blanks, newlines and comments that open the
-# text; each match is one token, or the empty end marker, and those after it.
-# A match never starts at a blank, newline or "#", so "bad" there takes
-# exactly the characters the positional scan rejects.
+# The scan starts after the blanks, newlines and comments that open the text;
+# each match is one token, or the empty end marker, and the blanks, newlines
+# and comments after it.  A match never starts at a blank, newline or "#".
 _SPACE = f"[{_BLANKS}{_NEWLINE}]*"
 _SKIP = re.compile(f"{_SPACE}(?:{_COMMENT}{_SPACE})*")
-_STRINGS = re.compile(
-    "(" + "|".join(rx for kind, rx in _CLASSES if kind not in _SKIPPED) + r"|\Z)" + _SKIP.pattern
-)
+_STRINGS = re.compile("(" + "|".join(_CLASSES) + r"|\Z)" + _SKIP.pattern)
 # the one-character tokens that are not an error; any decimal digit is a number
 _ONE_CHAR = frozenset(_PUNCT_CHARS) | _NAME_START
 
@@ -140,37 +130,34 @@ class Token(NamedTuple):
     column: int
 
 
-# Token((kind, value, line, column)) without the Python-level NamedTuple.__new__
-_token = partial(tuple.__new__, Token)
-
-
 def _tokenize(text: str) -> list[Token]:
     """The tokens of ``text`` with their positions, ending with an ``eof`` token.
 
-    A column is the offset from the start of its line, plus one.  Only a
-    newline between tokens starts a line: a newline inside a string does not,
-    so columns after such a string keep counting from the string's line.
+    A column is the offset from the start of its line, plus one.  Lines are
+    counted from the newlines between tokens only: a newline inside a string
+    does not start a line, so columns after such a string keep counting from
+    the string's line.  After a trailing comment, ``eof`` is at its "#".
     """
     out: list[Token] = []
-    line, line_start = 1, 0
-    m = None
-    for m in _SCAN.finditer(text):
-        kind = m.lastgroup
-        if kind in _PLAIN:
-            out.append(_token((kind, m.group(kind), line, m.start(kind) - line_start + 1)))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "string":
-            out.append(_token((kind, m.group(kind)[1:-1], line, m.start(kind) - line_start + 1)))
-        elif kind == "bad":
-            ch = m.group(kind)
-            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
-            raise DslError([Diagnostic(line, m.start(kind) - line_start + 1, message)])
-    # a trailing comment does not advance the end-of-input column
-    end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(text)
-    out.append(_token(("eof", "", line, end - line_start + 1)))
-    return out
+    line, line_start, gap = 1, 0, 0  # gap: where the text skipped before the next token starts
+    for m in _STRINGS.finditer(text, _SKIP.match(text).end()):
+        at = m.start()
+        newlines = text.count("\n", gap, at)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", gap, at) + 1
+        t = m.group(1)
+        if not t:
+            comment = text.find("#", max(gap, line_start))
+            out.append(Token("eof", "", line, (at if comment < 0 else comment) - line_start + 1))
+            return out
+        if len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal():
+            message = "unterminated string" if t == '"' else f"unexpected character {t!r}"
+            raise DslError([Diagnostic(line, at - line_start + 1, message)])
+        c = t[0]
+        kind = "name" if c in _NAME_START else "string" if c == '"' else "number" if c.isdecimal() else "punct"
+        out.append(Token(kind, _value(t), line, at - line_start + 1))
+        gap = m.end(1)
 
 
 def _strings(text: str) -> list[str]:
@@ -265,7 +252,13 @@ class _Parser:
     # ---- formulas -----------------------------------------------------
 
     def parse_formula(self) -> F.Formula:
-        return self._implies()
+        """A formula.  The descent recurses per parenthesis, ``*`` operand and
+        ``->``; past the recursion limit, the error is at the token where it
+        stopped."""
+        try:
+            return self._implies()
+        except RecursionError:
+            self.error("formula nested too deeply to parse")
 
     def _implies(self) -> F.Formula:
         left = self._or()
@@ -307,14 +300,14 @@ class _Parser:
                 self.error("operands of '*' must be parenthesized")
             self.next()
             self.expect_punct("(")
-            right = self.parse_formula()
+            right = self._implies()
             self.expect_punct(")")
             out = F.Star(out, right)
         return out
 
     def _primary(self) -> F.Formula:
         if self.eat("("):
-            out = self.parse_formula()
+            out = self._implies()
             self.expect_punct(")")
             return out
         t = self.tokens[self.pos]

@@ -9,8 +9,8 @@ Concrete syntax (produced by ``pretty`` and read by the DSL parser):
 The node classes below are the one source of this syntax: each declares
 ``syntax``, a format string over its printed subformulas (``{0}``, ``{1}``)
 and its name fields, and ``modal``, whether it adds one to the modal depth.
-Every walk over a formula is a ``fold``; ``semantics`` evaluates by its own
-dispatch.
+Every walk over a formula is a ``fold``, evaluation included: ``semantics``
+folds a formula into one function per node before it evaluates it.
 """
 
 from __future__ import annotations

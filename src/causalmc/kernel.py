@@ -5,15 +5,21 @@ code_i being the index of component i's behaviour in its domain; the last
 component varies fastest, so ``range(size)`` is the enumeration order.  A
 rule table becomes a map from the integer (own, context) code to the next
 behaviour's code, filled on first lookup; a clamped component is a constant
-code and a free one ranges over its domain.  ``compile(model)`` keeps the
-kernel on the model instance, so its memos live exactly as long as the
-model.  Variants share every rule table they do not replace; an intervened
-variant is kept on its intervened model, so compiling that model returns it.
+code and a free one ranges over its domain.
+
+Ownership runs one way, so reference counting frees a query's kernels,
+memos and models together.  ``compile(model)`` keeps the kernel on the
+model instance, and the kernel reaches its model only through a weak
+reference.  Variants share every rule table they do not replace.  A kernel
+keeps its intervened models, each of which owns its own kernel, so
+compiling such a model returns that variant.  A pinned variant has no
+model; its caller keeps it as long as it needs its memos.
 """
 
 from __future__ import annotations
 
 import copy
+import weakref
 from itertools import product
 from math import prod
 
@@ -81,8 +87,8 @@ def compile(model) -> "Kernel":
 
 class Kernel:
     def __init__(self, model):
-        self.model = model
-        self.validate = model.validate_configuration  # variants share components and domains
+        self._model = weakref.ref(model)  # a pinned variant's is the model it was pinned from
+        self.is_pinned = False
         self.mode = model.mode
         self.names = model.component_order
         self.index = {n: i for i, n in enumerate(self.names)}
@@ -108,8 +114,13 @@ class Kernel:
     def _fresh(self) -> None:
         self.succ_memo: tuple[dict, dict] = ({}, {})  # indexed by options.self_loops
         self.reach_memo: tuple[dict, dict] = ({}, {})
-        self.variants: dict = {}  # intervened variants, by intervention
+        self.variants: dict = {}  # intervened models, by intervention
         self.splits: dict = {}  # semantics' decompositions, by allow_trivial_split
+
+    @property
+    def model(self):
+        """The model compiled here; None for a pinned variant."""
+        return None if self.is_pinned else self._model()
 
     def position(self, name: str) -> int:
         try:
@@ -118,7 +129,7 @@ class Kernel:
             raise UnknownNameError(f"configuration has no component {name!r}") from None
 
     def encode(self, f: Configuration) -> int:
-        self.validate(f)
+        self._model().validate_configuration(f)  # variants share components and domains
         return sum(codes[b] * w for codes, (_, b), w in zip(self.codes, f.pairs, self.weights))
 
     def decode(self, s: int) -> Configuration:
@@ -221,21 +232,27 @@ class Kernel:
     def pinned(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
         """Variant pinning each (component, code) pair's component to that code;
         a free component stays free, as under ``apply_intervention``.  Built
-        afresh: the caller keeps it as long as it needs its memos."""
+        afresh: the caller keeps it as long as it needs its memos.  It has no
+        model, and ``encode`` validates against the model it was pinned from."""
         return self._variant(None, {i: code for i, code in pins if self.rules[i] is not None})
 
     def intervened(self, iv) -> "Kernel":
-        """Kernel of ``apply_intervention(self.model, iv)``, memoized here and kept
-        on that model, so ``compile`` returns it; only the targets' tables are new."""
-        if iv not in self.variants:
-            model = apply_intervention(self.model, iv)
+        """Kernel of ``apply_intervention(self.model, iv)``.  The intervened model
+        is kept here and owns the kernel, so ``compile`` returns it; only the
+        targets' tables are new."""
+        model = self.variants.get(iv)
+        if model is None:
+            model = self.variants[iv] = apply_intervention(self.model, iv)
             tables = {i: ({}, iv.rule_for(t)) for t in iv.targets if self.rules[i := self.index[t]] is not None}
-            self.variants[iv] = model.__dict__["_kernel"] = self._variant(model, tables)
-        return self.variants[iv]
+            model.__dict__["_kernel"] = self._variant(model, tables)
+        return model.__dict__["_kernel"]
 
     def _variant(self, model, replaced: dict) -> "Kernel":
         out = copy.copy(self)
-        out.model = model
+        if model is None:
+            out.is_pinned = True
+        else:
+            out._model = weakref.ref(model)
         out.rules = [replaced.get(i, rule) for i, rule in enumerate(self.rules)]
         out._fresh()
         return out

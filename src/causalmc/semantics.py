@@ -10,9 +10,11 @@ intervention set only.  The separating conjunction searches proper
 interface splits in canonical order and reports the first witnessing
 split.
 
-Within one top-level call, the truth value of each box or diamond
-subformula that holds no intervention or separation operator is kept once
-computed, so another path reaching the same state reuses it: per
+Each top-level call first folds the formula into one function per node,
+``run(kernel, state)``, over the functions of its subformulas.  Within the
+call, the truth value of each box or diamond subformula that holds no
+intervention or separation operator is kept once computed, inside its
+function, so another path reaching the same state reuses it: per
 (compiled variant, state) for the one-step modalities, and per strongly
 connected component of the variant's reachable graph for the closures.
 The witnessing operators are evaluated afresh every time, which keeps
@@ -57,7 +59,8 @@ def evaluate(
     if isinstance(f, PartialConfiguration):
         f = model.configuration(f.as_dict())
     k = kernel.compile(model)
-    return _eval(k, k.encode(f), phi, options, witnesses, _Labels(phi))
+    s = k.encode(f)
+    return _compile(phi, options, witnesses)(k, s)
 
 
 def atom_test(k: kernel.Kernel, key):
@@ -89,31 +92,6 @@ def _atom_predicate(k: kernel.Kernel, key):
 
 def _fits(k: kernel.Kernel, g: Configuration) -> bool:
     return g.components == k.names and all(b in codes for codes, (_, b) in zip(k.codes, g.pairs))
-
-
-# the searching modalities: (whether the search is the transitive closure, quantifier)
-_SEARCHES = {F.Box: (False, all), F.Diamond: (False, any), F.BoxPlus: (True, all), F.DiamondPlus: (True, any)}
-_WITNESSING = (F.Intervene, F.InterveneExists, F.Star)
-
-
-class _Labels:
-    """The labels kept during one call.  ``tables`` has an entry, keyed by
-    id, for each searching subformula with no witnessing operator inside it:
-    for ``[]`` and ``<>``, its truth value by (kernel, state); for ``[]+``
-    and ``<>+``, its ``_Closure`` by kernel.  ``walks`` holds each kernel's
-    ``_Walk``, shared by every closure subformula."""
-
-    def __init__(self, phi: F.Formula):
-        self.tables: dict = {}
-        self.walks: dict = {}
-
-        def visit(node, free):
-            free = all(free) and not isinstance(node, _WITNESSING)
-            if free and node.__class__ in _SEARCHES:
-                self.tables[id(node)] = {}
-            return free
-
-        F.fold(phi, visit)
 
 
 class _Walk:
@@ -169,9 +147,8 @@ class _Closure:
     use and kept per component, so a query that finds a target early stops
     early."""
 
-    def __init__(self, walk: _Walk, phi: F.Formula, labels: _Labels):
-        self.walk, self.body, self.labels = walk, phi.sub, labels
-        self.box = phi.__class__ is F.BoxPlus
+    def __init__(self, walk: _Walk, body, box: bool):
+        self.walk, self.body, self.box = walk, body, box
         self.held: dict = {}  # component -> whether it holds a target state
         self.reached: dict = {}  # component -> whether a target is reachable from it, itself included
 
@@ -183,9 +160,9 @@ class _Closure:
     def holds(self, c: int) -> bool:
         out = self.held.get(c)
         if out is None:
-            walk, body, box, labels = self.walk, self.body, self.box, self.labels
-            k, options = walk.k, walk.options
-            out = self.held[c] = any(_eval(k, g, body, options, None, labels) != box for g in walk.members[c])
+            walk, body, box = self.walk, self.body, self.box
+            k = walk.k
+            out = self.held[c] = any(body(k, g) != box for g in walk.members[c])
         return out
 
     def reaches(self, c: int) -> bool:
@@ -219,90 +196,204 @@ class _Closure:
         return False
 
 
-def _eval(k, s, phi, options, witnesses, labels) -> bool:
-    search = _SEARCHES.get(phi.__class__)
-    if search is not None:
-        closure, quantifier = search
-        table = labels.tables.get(id(phi))
-        if table is None:  # a witnessing operator inside: searched afresh
-            states = k.reachable(s, options) if closure else k.successors(s, options.self_loops)
-            return quantifier(_eval(k, g, phi.sub, options, witnesses, labels) for g in states)
-        if closure:
-            found = table.get(k)
-            if found is None:
-                walk = labels.walks.get(k)
-                if walk is None:
-                    walk = labels.walks[k] = _Walk(k, options)
-                found = table[k] = _Closure(walk, phi, labels)
-            return found.at(s)
-        found = table.get((k, s))
+class _Call:
+    """What the closures of one call share: its options, its witness list,
+    and one ``_Walk`` per kernel, shared by every closure subformula."""
+
+    def __init__(self, options: Options, witnesses: list | None):
+        self.options, self.witnesses = options, witnesses
+        self.walks: dict = {}
+
+    def walk(self, k: kernel.Kernel) -> _Walk:
+        found = self.walks.get(k)
         if found is None:
-            states = k.successors(s, options.self_loops)
-            found = table[k, s] = quantifier(_eval(k, g, phi.sub, options, witnesses, labels) for g in states)
+            found = self.walks[k] = _Walk(k, self.options)
         return found
-    if isinstance(phi, F.Top):
-        return True
-    if isinstance(phi, F.Bot):
-        return False
-    if isinstance(phi, F.Atom):
-        return atom_test(k, phi.name)(s)
-    if isinstance(phi, F.BehaviourAtom):
-        if phi.component not in k.index:
+
+
+def _compile(phi: F.Formula, options: Options, witnesses: list | None):
+    """``phi`` as a function ``run(k, s)``: whether state ``s`` of kernel ``k``
+    satisfies it.  One fold builds each node's function over its
+    subformulas' functions, by the builder of the node's class, and decides
+    whether the node is free of witnessing operators."""
+    call = _Call(options, witnesses)
+
+    def build(node, subs):
+        builder = _BUILDERS.get(node.__class__)
+        if builder is None:
+            raise TypeError(f"not a formula: {node!r}")
+        return builder(node, call, all(free for _, free in subs), *(run for run, _ in subs))
+
+    return F.fold(phi, build)[0]
+
+
+# Each builder takes the node, the call, whether the node's subformulas are
+# free of witnessing operators, and their functions, and returns the node's
+# function and whether the node itself is free of them.
+
+
+def _constant(value: bool):
+    def build(node, call, free):
+        return (lambda k, s: value), free
+
+    return build
+
+
+def _atom(node, call, free):
+    key = node.name
+    return (lambda k, s: atom_test(k, key)(s)), free
+
+
+def _behaviour_atom(node, call, free):
+    component, key = node.component, (node.component, node.behaviour)
+
+    def run(k, s):
+        if component not in k.index:
             if k.model.partial:
                 return False
-            raise UnknownNameError(f"unresolved atom p[{phi.component}={phi.behaviour}]")
-        return atom_test(k, (phi.component, phi.behaviour))(s)
-    if isinstance(phi, F.Not):
-        return not _eval(k, s, phi.sub, options, witnesses, labels)
-    if isinstance(phi, F.And):
-        return _eval(k, s, phi.left, options, witnesses, labels) and _eval(
-            k, s, phi.right, options, witnesses, labels
-        )
-    if isinstance(phi, F.Or):
-        return _eval(k, s, phi.left, options, witnesses, labels) or _eval(
-            k, s, phi.right, options, witnesses, labels
-        )
-    if isinstance(phi, F.Implies):
-        return (not _eval(k, s, phi.left, options, witnesses, labels)) or _eval(
-            k, s, phi.right, options, witnesses, labels
-        )
-    if isinstance(phi, F.Intervene):
-        iv = k.model.intervention_map.get(phi.name)
+            raise UnknownNameError(f"unresolved atom p[{node.component}={node.behaviour}]")
+        return atom_test(k, key)(s)
+
+    return run, free
+
+
+def _not(node, call, free, sub):
+    return (lambda k, s: not sub(k, s)), free
+
+
+def _and(node, call, free, left, right):
+    return (lambda k, s: left(k, s) and right(k, s)), free
+
+
+def _or(node, call, free, left, right):
+    return (lambda k, s: left(k, s) or right(k, s)), free
+
+
+def _implies(node, call, free, left, right):
+    return (lambda k, s: (not left(k, s)) or right(k, s)), free
+
+
+def _search(closure: bool, quantifier):
+    """The builder of a searching modality: over the one-step successors or,
+    for ``closure``, over the states strictly reachable; ``quantifier`` is
+    ``all`` for a box and ``any`` for a diamond.  A node free of witnessing
+    operators keeps its labels inside its function: truth values by (kernel,
+    state) for ``[]`` and ``<>``, a ``_Closure`` per kernel for ``[]+`` and
+    ``<>+``.  Any other node searches afresh every time."""
+
+    def build(node, call, free, sub):
+        options = call.options
+        loops = options.self_loops
+        if not free:
+            if closure:
+                return (lambda k, s: quantifier(sub(k, g) for g in k.reachable(s, options))), False
+            return (lambda k, s: quantifier(sub(k, g) for g in k.successors(s, loops))), False
+        table: dict = {}
+        if closure:
+            box = quantifier is all
+
+            def run(k, s):
+                found = table.get(k)
+                if found is None:
+                    found = table[k] = _Closure(call.walk(k), sub, box)
+                return found.at(s)
+
+            return run, True
+
+        def run(k, s):
+            found = table.get((k, s))
+            if found is None:
+                found = table[k, s] = quantifier(sub(k, g) for g in k.successors(s, loops))
+            return found
+
+        return run, True
+
+    return build
+
+
+def _step(call: _Call, sub, name: str | None = None):
+    """``step(k, s, iv)``: whether ``sub`` holds after one step from ``s`` in
+    the variant of ``k`` intervened by ``iv``; the first successor found is
+    a witness entry.  Without ``iv``, the step resolves ``name`` in k's
+    model, so it is the function of ``<name> sub``."""
+    loops, witnesses = call.options.self_loops, call.witnesses
+
+    def step(k, s, iv=None) -> bool:
         if iv is None:
-            raise UnknownNameError(f"unresolved intervention name {phi.name!r}")
+            iv = k.model.intervention_map.get(name)
+            if iv is None:
+                raise UnknownNameError(f"unresolved intervention name {name!r}")
         intervened = k.intervened(iv)
-        for g in intervened.successors(s, options.self_loops):
-            if _eval(intervened, g, phi.sub, options, witnesses, labels):
+        for g in intervened.successors(s, loops):
+            if sub(intervened, g):
                 if witnesses is not None:
                     successor = intervened.decode(g).as_dict()
-                    witnesses.append({"op": "intervention", "name": phi.name, "successor": successor})
+                    witnesses.append({"op": "intervention", "name": iv.name, "successor": successor})
                 return True
         return False
-    if isinstance(phi, F.InterveneExists):
-        for iv in k.model.interventions:
-            if _eval(k, s, F.Intervene(iv.name, phi.sub), options, witnesses, labels):
+
+    return step
+
+
+def _intervene(node, call, free, sub):
+    return _step(call, sub, node.name), False
+
+
+def _intervene_exists(node, call, free, sub):
+    step, witnesses = _step(call, sub), call.witnesses
+
+    def run(k, s):
+        model = k.model
+        for iv in model.interventions:
+            # as ``<name>`` resolves the intervention's name
+            if step(k, s, model.intervention_map[iv.name]):
                 if witnesses is not None:
                     witnesses.append({"op": "exists-intervention", "name": iv.name})
                 return True
         return False
-    if isinstance(phi, F.Star):
-        for split, (left, lf), (right, rf) in _decompositions(k, s, options):
-            if _eval(left, lf, phi.left, options, witnesses, labels) and _eval(
-                right, rf, phi.right, options, witnesses, labels
-            ):
+
+    return run, False
+
+
+def _star(node, call, free, left, right):
+    options, witnesses = call.options, call.witnesses
+
+    def run(k, s):
+        for split, (lk, ls), (rk, rs) in _decompositions(k, s, options):
+            if left(lk, ls) and right(rk, rs):
                 if witnesses is not None:
-                    witnesses.append(
-                        {"op": "star", "left": list(split.left), "right": list(split.right)}
-                    )
+                    witnesses.append({"op": "star", "left": list(split.left), "right": list(split.right)})
                 return True
         return False
-    raise TypeError(f"not a formula: {phi!r}")
+
+    return run, False
+
+
+_BUILDERS = {
+    F.Top: _constant(True),
+    F.Bot: _constant(False),
+    F.Atom: _atom,
+    F.BehaviourAtom: _behaviour_atom,
+    F.Not: _not,
+    F.And: _and,
+    F.Or: _or,
+    F.Implies: _implies,
+    F.Box: _search(False, all),
+    F.Diamond: _search(False, any),
+    F.BoxPlus: _search(True, all),
+    F.DiamondPlus: _search(True, any),
+    F.Intervene: _intervene,
+    F.InterveneExists: _intervene_exists,
+    F.Star: _star,
+}
 
 
 def _decompositions(k: kernel.Kernel, s: int, options: Options):
     """Each candidate split of k's model with its two compiled sides and the
-    projections of ``s`` onto them.  Splits and sides are built on first
-    use and kept on ``k``, keyed by the trivial-split flag."""
+    projections of ``s`` onto them.  Splits and side models are built on
+    first use and kept on ``k``, keyed by the trivial-split flag; a side over
+    every component is k's own model, kept as None, so k holds no model
+    that owns it."""
     entries = k.splits.get(options.allow_trivial_split)
     if entries is None:
         splits = candidate_splits(k.model, options)
@@ -311,13 +402,16 @@ def _decompositions(k: kernel.Kernel, s: int, options: Options):
     for entry in entries:
         split, sides = entry
         if sides is None:
+            model = k.model
             sides = entry[1] = [
-                (kernel.compile(m), [k.index[c] for c in m.component_order])
-                for m in conjugate_decompose(k.model, split)
+                (None if m is model else m, [k.index[c] for c in m.component_order])
+                for m in conjugate_decompose(model, split)
             ]
-        yield (split,) + tuple(
-            (side, sum(digits[j] * w for j, w in zip(idx, side.weights))) for side, idx in sides
-        )
+        found = [split]
+        for m, idx in sides:
+            side = k if m is None else kernel.compile(m)
+            found.append((side, sum(digits[j] * w for j, w in zip(idx, side.weights))))
+        yield found
 
 
 def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
@@ -341,19 +435,18 @@ def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
         context = sum(bit[d] for d in set(c.context))
         decided[max(context.bit_length() - 1, i)].append((1 << i, context))
     out: list[InterfaceSplit] = []
-
-    def extend(i, left, right):
+    stack = [(0, 0, 0)]  # (position, left bits, right bits) of the partial placements to extend, last first
+    while stack:
+        i, left, right = stack.pop()
         if i == len(names):
             if left and right and (options.allow_trivial_split or left & ~right and right & ~left):
                 sides = [tuple(n for n in names if bit[n] & side) for side in (left, right)]
                 out.append(InterfaceSplit(*sides))
-            return
+            continue
         c = 1 << i
-        for to_left, to_right in ((left | c, right), (left, right | c), (left | c, right | c)):
+        for to_left, to_right in ((left | c, right | c), (left, right | c), (left | c, right)):
             if all(local(j & to_left, j & to_right, context, to_left, to_right) for j, context in decided[i]):
-                extend(i + 1, to_left, to_right)
-
-    extend(0, 0, 0)
+                stack.append((i + 1, to_left, to_right))
     return out
 
 
@@ -362,5 +455,5 @@ def sat_set(
 ) -> list[Configuration]:
     """All configurations satisfying ``phi``, enumerated from the domain product."""
     k = kernel.compile(model)
-    labels = _Labels(phi)
-    return [k.decode(s) for s in k.configurations(options) if _eval(k, s, phi, options, None, labels)]
+    run = _compile(phi, options, None)
+    return [k.decode(s) for s in k.configurations(options) if run(k, s)]

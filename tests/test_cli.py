@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import tempfile
@@ -259,6 +260,29 @@ def test_deep_nesting_exit_two_without_traceback(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _too_deep_to_parse(err: str, path: str, line: int, text: str) -> None:
+    """``err`` is one diagnostic at ``line`` of ``text``, on a parenthesis."""
+    prefix = f"{path}:{line}:"
+    assert err.startswith(prefix) and err.endswith(": formula nested too deeply to parse\n"), err
+    column = int(err[len(prefix) :].split(":")[0])
+    assert text.splitlines()[line - 1][column - 1] == "("
+
+
+def test_parenthesis_nesting_past_the_limit_is_a_parse_error(capsys):
+    formula = "(" * 3000 + "true" + ")" * 3000
+    assert main(["check", EX1, "start", formula]) == 2
+    _too_deep_to_parse(capsys.readouterr().err, EX1, 1, f"check start |= {formula}")
+
+
+def test_parenthesis_nesting_in_a_model_file_names_its_line(tmp_path, capsys):
+    text = (MODELS / "ex1.model").read_text(encoding="utf-8")
+    text += "formula deep = " + "(" * 3000 + "true" + ")" * 3000 + "\n"
+    path = tmp_path / "deep.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "start", "true"]) == 2
+    _too_deep_to_parse(capsys.readouterr().err, str(path), len(text.splitlines()), text)
+
+
 def test_chain_dot_matches_report_in_both_modes(tmp_path):
     dot, out = tmp_path / "proj.dot", tmp_path / "r.json"
     argv = ["chain", MICRO, "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "--max-len", "2",
@@ -363,3 +387,41 @@ def test_generated_input_keeps_exit_code_contract(model, formula, command, flags
                 code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# one call of each command on the bundled models
+_EVERY_COMMAND = [
+    ["run", MICRO],
+    ["check", MICRO, "f2", "<theta1> [] ! phi_fail"],
+    ["check", EX1, "start", "((c1_mid) * (<> true))", "--allow-trivial-split"],
+    ["cause", MICRO, "--from", "f1", "--to", "f2", "--effect", "FrontEnd"],
+    ["chain", MICRO, "--from", "f1", "--to", "f2"],
+    ["bisim", EX1, "start", EX1, "mid"],
+    ["decompose", EX1, "--left", "c1", "c2", "--right", "c2", "c3"],
+    ["recover", MICRO, "f2", "phi_fail"],
+    ["mincost", MICRO, "f2", "phi_fail"],
+    ["utility", MICRO, "f2", "phi_fail"],
+    ["export-dot", EX1],
+    ["export-dot", EX1, "--variants"],
+    ["export-hp", EX1, "--init", "start"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=" ".join)
+def test_a_command_leaves_no_engine_object_in_a_reference_cycle(argv, tmp_path, capsys):
+    """With the cyclic collector off, reference counting frees every object a
+    command makes: the models, kernels, memo tables and formula closures of
+    a query die with it, and none of them waits for the collector."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv + ["--report", str(tmp_path / "report.json")])
+        gc.collect()
+        left = sorted({type(o).__qualname__ for o in gc.garbage if type(o).__module__.startswith("causalmc")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert code in (0, 1)
+    assert left == []

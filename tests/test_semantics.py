@@ -171,3 +171,17 @@ def test_partial_configuration_accepted_by_evaluate(ex1, ex1_doc):
     left, _ = conjugate_decompose(ex1, split)
     p = restrict(ex1_doc.configuration("flipped"), ("c1", "c2"))
     assert evaluate(left, p, F.BehaviourAtom("c2", "b22"))
+
+
+@pytest.mark.parametrize(
+    "wrap, depth",
+    [(F.Not, 800), (lambda sub: F.And(F.TRUE, sub), 800), (F.Diamond, 250), (F.DiamondPlus, 100)],
+    ids=["!", "&", "<>", "<>+"],
+)
+def test_nesting_depth_floor(ex1_doc, wrap, depth):
+    """Evaluation takes a few frames per level of the formula; these depths get
+    a verdict at the default recursion limit."""
+    phi = F.TRUE
+    for _ in range(depth):
+        phi = wrap(phi)
+    assert evaluate(ex1_doc.model, ex1_doc.configuration("start"), phi) in (True, False)
