@@ -15,10 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, kernel
-from .bisim import intervention_closure
-from .causality import projection_dot
-from .dsl import DslError, parse_model, parse_query_text, render
-from .hp import export_hp
+from .dsl import DslError, parse_config_text, parse_model, parse_query_text, render
 from .model import CapExceeded, ModelError, Options
 from .queries import run_document, run_query
 
@@ -134,13 +131,15 @@ def main(argv=None) -> int:
             return _emit(reports, [r.to_dict() for r in reports], args.report)
         if args.command == "export-dot":
             if args.variants:
+                from .bisim import intervention_closure
+
                 dot = intervention_closure(doc.model).to_dot()
             else:
                 dot = _transition_dot(doc, options, args.reachable_from)
             _write_or_print(dot, args.output)
             return 0
         if args.command == "export-hp":
-            from .dsl import parse_config_text
+            from .hp import export_hp
 
             init = parse_config_text(args.init, doc)
             hp = export_hp(doc.model, init)
@@ -150,6 +149,8 @@ def main(argv=None) -> int:
         stanza = parse_query_text(render(args.command, vars(args)), doc)
         report = run_query(doc, stanza, options, strict_ac1=args.strict_ac1)
         if args.command == "chain" and args.dot:
+            from .causality import projection_dot
+
             _write_file(args.dot, projection_dot(report.witnesses["projection"]))
         return _emit([report], report.to_dict(), args.report)
     except DslError as exc:
@@ -168,8 +169,6 @@ def main(argv=None) -> int:
 
 
 def _transition_dot(doc, options, reachable_from: str | None) -> str:
-    from .dsl import parse_config_text
-
     k = kernel.compile(doc.model)
     if reachable_from:
         start = k.encode(parse_config_text(reachable_from, doc))

@@ -460,7 +460,12 @@ def validate_model(model: SystemModel) -> list[Violation]:
                     model.validate_configuration(f)
                 except ModelError as exc:
                     out.append(Violation(site, f"invalid configuration in extension: {exc}"))
+    seen_interventions: set[str] = set()
     for iv in model.interventions:
+        if iv.name in seen_interventions:
+            out.append(Violation(f"intervention {iv.name}", "duplicate intervention name"))
+            continue
+        seen_interventions.add(iv.name)
         out.extend(_intervention_violations(model, iv))
     return out
 

@@ -18,13 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from . import formulas as F
-from .bisim import PointedModel, check_bisim
-from .causality import (
-    CauseQuery,
-    causal_projection,
-    find_causal_chains,
-    find_causes,
-)
 from .dsl import DslError, ModelDocument, Stanza, parse_model
 from .model import (
     DEFAULT_OPTIONS,
@@ -142,7 +135,8 @@ def run_document(
 
 
 # one handler per query kind: (doc, options, AC1 mode, *slot values of the
-# kind's grammar entry in dsl.QUERIES) -> (verdict, witnesses)
+# kind's grammar entry in dsl.QUERIES) -> (verdict, witnesses); the cause,
+# chain and bisim handlers import their engine module when they first run
 
 
 def _check(doc, options, mode, config, formula):
@@ -152,11 +146,15 @@ def _check(doc, options, mode, config, formula):
 
 
 def _cause(doc, options, mode, start, end, effect):
+    from .causality import CauseQuery, find_causes
+
     certs = find_causes(doc.model, CauseQuery(start, end, effect), mode=mode, options=options)
     return bool(certs), {"mode": mode, "certificates": [c.to_dict() for c in certs]}
 
 
 def _chain(doc, options, mode, start, end, effect, max_len):
+    from .causality import causal_projection, find_causal_chains
+
     if max_len is None:
         max_len = 4
     chains = find_causal_chains(
@@ -186,6 +184,8 @@ def _decompose(doc, options, mode, left, right):
 
 
 def _bisim(doc, options, mode, config, other_model, other_config):
+    from .bisim import PointedModel, check_bisim
+
     other_path = Path(doc.path or ".").parent / other_model
     try:
         other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path))

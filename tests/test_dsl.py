@@ -100,6 +100,18 @@ def test_duplicate_configuration_rejected():
     assert any("duplicate configuration" in d.message for d in exc.value.diagnostics)
 
 
+def test_duplicate_intervention_rejected(tmp_path, capsys):
+    text = (
+        "component c { domain a b }\natom at_b = c = b\nconfig start = (c=a)\n"
+        "intervention fix on c { rule c: a -> b }\nintervention fix on c { rule c: a -> a }\n"
+        "check start |= <?> at_b\n"
+    )
+    doc = tmp_path / "dup.model"
+    doc.write_text(text, encoding="utf-8")
+    assert main(["run", str(doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{doc}:0:0: intervention fix: duplicate intervention name"]
+
+
 def test_formula_precedence():
     doc = parse_model("component a { domain x y }\natom p0 = a = x\natom p1 = a = y\n")
     phi = parse_formula_text("! p0 & p1 -> p0 | p1", doc)

@@ -74,6 +74,15 @@ def test_duplicate_component_names_reported():
     assert any("duplicate" in v.message for v in report)
 
 
+def test_duplicate_intervention_names_reported():
+    # intervention_map keeps the last of two same-named interventions, so the first could never be applied
+    comp = ComponentDecl(name="a", domain=("x", "y"))
+    first = Intervention(name="fix", targets=("a",), rules=(("a", RuleTable((RuleRow("x", (), "y"),))),))
+    second = Intervention(name="fix", targets=("a",), rules=(("a", RuleTable()),))
+    report = validate_model(SystemModel(components=(comp,), interventions=(first, second)))
+    assert [str(v) for v in report] == ["intervention fix: duplicate intervention name"]
+
+
 # ---------------------------------------------------------------------------
 # successors
 
