@@ -329,7 +329,37 @@ def parse_outcomes() -> dict:
     return out
 
 
+# DOT exports as command lines after the program name, the model given by
+# file name; a ``--dot`` export is read back from the file it names
+DOT_EXPORTS = [
+    ["export-dot", "ex1.model"],
+    ["export-dot", "ex1.model", "--reachable-from", "start"],
+    ["export-dot", "microservice.model"],
+    ["export-dot", "microservice.model", "--reachable-from", "f1"],
+    ["export-dot", "ex1.model", "--variants"],
+    ["export-dot", "microservice.model", "--variants"],
+    ["chain", "microservice.model", "--from", "f1", "--to", "f2", "--max-len", "5", "--dot"],
+]
+
+
+def dot_exports() -> dict:
+    """Every DOT export in ``DOT_EXPORTS`` split at its newlines, by command line."""
+    out = {}
+    for args in DOT_EXPORTS:
+        argv = [str(MODELS / a) if a.endswith(".model") else a for a in args]
+        with tempfile.TemporaryDirectory() as tmp:
+            dot = Path(tmp) / "out.dot"
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = main(argv + [str(dot)] if args[-1] == "--dot" else argv)
+            text = dot.read_text(encoding="utf-8") if dot.exists() else printed.getvalue()
+        assert code == 0, args
+        out[" ".join(args)] = text.split("\n")
+    return out
+
+
 FIXTURES = {
+    "dot_exports.json": dot_exports,
     "replay_keys.json": replay_keys,
     "formula_suite.json": formula_suite_keys,
     "bisim_perturbed.json": bisim_perturbed,
