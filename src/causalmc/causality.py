@@ -277,10 +277,11 @@ def _ac1(e: _Episode, cause):
     (configuration, effect-realized) pairs so that the found path always
     contains an effect-component update.  Both tests read the edge's
     triple: the end-mask bits it loses and whether it changes the effect.
+    The path is returned as states, start first; None when there is none.
     """
     held = sum(1 << e.k.index[c] for c in cause)
     if e.mode == "strict" and held & ~e.marks(e.start)[0]:
-        return False, None
+        return None
 
     parent: dict = {}
     queue: list = []
@@ -311,9 +312,9 @@ def _ac1(e: _Episode, cause):
             while parent[cursor] is not None:
                 cursor = parent[cursor]
                 path.append(cursor[0])
-            return True, (e.q.start,) + tuple(map(e.decode, reversed(path)))
+            return (e.start,) + tuple(reversed(path))
         expand(f, got_effect, state)
-    return False, None
+    return None
 
 
 def _first_effect_reachable(k, start: int, effect, options) -> int | None:
@@ -338,41 +339,26 @@ def _witness_candidates(model, cause):
 
 
 def _ac2(e: _Episode, cause):
-    """AC2 for one candidate: its deviations are made as the checks need them,
-    and each (witness set, deviated start) effect search runs at most once
-    per query."""
+    """AC2 for one candidate: the raw contrast, the first deviated start from
+    which the unclamped effect neither holds nor is ever reached, and the
+    certifying witness, the first witness set under which no deviated start
+    reaches the effect, with those starts; either is None when there is
+    none.  Deviations are made as the checks need them, and each (witness
+    set, deviated start) effect search runs at most once per query."""
     devs = _Deviations(e, cause)
-    contrast = _raw_contrast(e, cause, devs)
-    if contrast is None:
-        return False, None, None, (), None
+    unclamped, goal = e.witness(()), e.marks(e.end)[1]
+    for offset in devs:
+        if e.marks(e.start + offset)[1] != goal and not unclamped[offset]:
+            contrast = e.start + offset
+            break
+    else:
+        return None, None
     for witness in _witness_candidates(e.model, cause):
         # a witness fails at its first deviation from which the effect is reachable
         table = e.witness(witness)
         if not any(map(table.__getitem__, devs)):
-            clamp = None
-            if witness:
-                clamp = clamping_intervention(e.model, witness, {w: e.q.end[w] for w in witness})
-            return True, witness, clamp, _evidence(e, cause, table, devs), contrast
-    return False, None, None, (), contrast
-
-
-def _raw_contrast(e: _Episode, cause, devs):
-    """First deviation of the whole candidate that, from the unclamped start
-    configuration, neither satisfies nor ever reaches the effect."""
-    unclamped, goal = e.witness(()), e.marks(e.end)[1]
-    for offset in devs:
-        start = e.start + offset
-        if e.marks(start)[1] != goal and not unclamped[offset]:
-            return e.deviation(cause, start)
-    return None
-
-
-def _evidence(e: _Episode, cause, clamp: _Witness, devs):
-    """One check per deviation, each blocked under the certifying clamp."""
-    return tuple(
-        DeviationCheck(deviation=e.deviation(cause, s), start=e.decode(s), ok=True)
-        for s in (clamp.base + offset for offset in devs.offsets)
-    )
+            return contrast, (witness, [table.base + offset for offset in devs.offsets])
+    return contrast, None
 
 
 def check_cause(
@@ -390,52 +376,44 @@ def check_cause(
     candidate its query has already validated.
     """
     cause = tuple(dict.fromkeys(cause))
-    episode = _episode
-    if episode is None:
+    e = _episode
+    if e is None:
         if not cause:
             raise ModelError("empty candidate cause set")
         for c in cause:
             model.component(c)
-        episode = _Episode(model, q, mode, options, _Shared())
-    memo = episode.verdicts
+        e = _Episode(model, q, mode, options, _Shared())
+    memo = e.verdicts  # subset -> (AC1 path, contrast, witness) on state numbers
 
     def core(subset):
         key = tuple(sorted(subset))
-        if key in memo:
-            return memo[key]
-        ok1, path = _ac1(episode, subset)
-        if not ok1:
-            memo[key] = (False, None, False, None, None, (), None)
-            return memo[key]
-        ok2, witness, clamp, evidence, contrast = _ac2(episode, subset)
-        memo[key] = (True, path, ok2, witness, clamp, evidence, contrast)
-        return memo[key]
+        found = memo.get(key)
+        if found is None:
+            path = _ac1(e, subset)
+            found = memo[key] = (path, *(_ac2(e, subset) if path else (None, None)))
+        return found
 
-    ac1, path, ac2, witness, clamp, evidence, contrast = core(cause)
-    refutations: list[SubsetRefutation] = []
-    ac3 = True
-    if ac1 and ac2:
+    path, contrast, witness = core(cause)
+    refutations = []
+    if path and witness:
         for k in range(1, len(cause)):
             for sub in combinations(cause, k):
-                s1, _, s2, _, _, _, _ = core(sub)
-                if s1 and s2:
-                    ac3 = False
-                    refutations.append(SubsetRefutation(subset=sub, failed_clause="none"))
-                else:
-                    refutations.append(
-                        SubsetRefutation(subset=sub, failed_clause="AC1" if not s1 else "AC2")
-                    )
+                sub_path, _, sub_witness = core(sub)
+                failed = "AC1" if sub_path is None else "AC2" if sub_witness is None else "none"
+                refutations.append(SubsetRefutation(subset=sub, failed_clause=failed))
+    # states become configurations, behaviours and a clamp only here, once per candidate
+    names, blocked = witness or (None, ())
     return CauseCertificate(
         cause_set=cause,
-        witness_set=witness,
-        clamp=clamp,
-        ac1=ac1,
-        ac2=ac2,
-        ac3=ac3,
+        witness_set=names,
+        clamp=clamping_intervention(e.model, names, {w: e.q.end[w] for w in names}) if names else None,
+        ac1=path is not None,
+        ac2=witness is not None,
+        ac3=all(r.failed_clause != "none" for r in refutations),
         mode=mode,
-        ac1_path=path,
-        contrast_deviation=contrast,
-        ac2_checks=evidence,
+        ac1_path=None if path is None else tuple(map(e.decode, path)),
+        contrast_deviation=None if contrast is None else e.deviation(cause, contrast),
+        ac2_checks=tuple(DeviationCheck(deviation=e.deviation(cause, s), start=e.decode(s), ok=True) for s in blocked),
         ac3_refutations=tuple(refutations),
     )
 
