@@ -62,14 +62,8 @@ class VariantGraph:
     edges: tuple[tuple[int, str, int], ...]
 
     def to_dot(self) -> str:
-        lines = ["digraph variants {"]
-        for i in range(len(self.models)):
-            label = "original" if i == 0 else f"variant {i}"
-            lines.append(f'  v{i} [label="{label}"];')
-        for a, name, b in self.edges:
-            lines.append(f'  v{a} -> v{b} [label="{name}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        labels = ["original"] + [f"variant {i}" for i in range(1, len(self.models))]
+        return kernel.digraph("variants", labels, [(a, b, name) for a, name, b in self.edges], node="v")
 
 
 def intervention_closure(model: SystemModel) -> VariantGraph:

@@ -500,14 +500,11 @@ def projection_dot(projection: dict) -> str:
     """DOT rendering of a causal projection in its report form (``to_dict``)."""
 
     def label(g: dict) -> str:
-        return str(Configuration(tuple(g.items()))).replace('"', "'")
+        return str(Configuration(tuple(g.items())))
 
     idx = {label(g): i for i, g in enumerate(projection["configurations"])}
-    lines = ["digraph causal_projection {"]
-    lines += [f'  n{i} [label="{text}"];' for text, i in idx.items()]
-    lines += [f"  n{idx[label(a)]} -> n{idx[label(b)]};" for a, b in projection["edges"]]
-    lines.append("}")
-    return "\n".join(lines)
+    edges = [(idx[label(a)], idx[label(b)]) for a, b in projection["edges"]]
+    return kernel.digraph("causal_projection", idx, edges)
 
 
 class _Links(dict):

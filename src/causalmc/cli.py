@@ -176,16 +176,8 @@ def _transition_dot(doc, options, reachable_from: str | None) -> str:
     else:
         nodes = k.configurations(options)
     idx = {g: i for i, g in enumerate(nodes)}
-    lines = ["digraph transitions {"]
-    for g, i in idx.items():
-        label = str(k.decode(g)).replace('"', "'")
-        lines.append(f'  n{i} [label="{label}"];')
-    for g in nodes:
-        for h in k.successors(g, options.self_loops):
-            if h in idx:
-                lines.append(f"  n{idx[g]} -> n{idx[h]};")
-    lines.append("}")
-    return "\n".join(lines)
+    edges = [(i, idx[h]) for g, i in idx.items() for h in k.successors(g, options.self_loops) if h in idx]
+    return kernel.digraph("transitions", [str(k.decode(g)) for g in nodes], edges)
 
 
 def _write_or_print(text: str, output: str | None) -> None:

@@ -77,6 +77,21 @@ def components(roots, successors, comp: dict, found: list, cap=None) -> None:
                 lv = low
 
 
+def digraph(name: str, labels, edges, node: str = "n") -> str:
+    """The graph ``name`` in the DOT language.  Node i is ``node`` + i,
+    labelled ``labels[i]``; an edge is a pair of node indices, or a triple
+    whose third item labels the edge.  A label's double quotes become single."""
+
+    def label(text: str) -> str:
+        return ' [label="' + text.replace('"', "'") + '"]'
+
+    lines = [f"digraph {name} {{"]
+    lines += [f"  {node}{i}{label(text)};" for i, text in enumerate(labels)]
+    lines += [f"  {node}{a} -> {node}{b}{''.join(map(label, rest))};" for a, b, *rest in edges]
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def compile(model) -> "Kernel":
     """The compiled state space of ``model``, built on first use and kept on the instance."""
     found = model.__dict__.get("_kernel")
