@@ -308,10 +308,9 @@ def _ac1(e: _Episode, cause):
         i += 1
         if f == e.end and got_effect:
             path = [f]
-            cursor = state
-            while parent[cursor] is not None:
-                cursor = parent[cursor]
-                path.append(cursor[0])
+            while parent[state] is not None:
+                state = parent[state]
+                path.append(state[0])
             return (e.start,) + tuple(reversed(path))
         expand(f, got_effect, state)
     return None
@@ -329,15 +328,6 @@ def _first_effect_reachable(k, start: int, effect, options) -> int | None:
     return None
 
 
-def _witness_candidates(model, cause):
-    # witnesses are disjoint from the candidate, mirroring the clamp-versus-
-    # deviate partition of the counterfactual test
-    names = [n for n in model.component_order if n not in set(cause)]
-    for k in range(len(names) + 1):
-        for combo in combinations(names, k):
-            yield combo
-
-
 def _ac2(e: _Episode, cause):
     """AC2 for one candidate: the raw contrast, the first deviated start from
     which the unclamped effect neither holds nor is ever reached, and the
@@ -347,17 +337,17 @@ def _ac2(e: _Episode, cause):
     set, deviated start) effect search runs at most once per query."""
     devs = _Deviations(e, cause)
     unclamped, goal = e.witness(()), e.marks(e.end)[1]
-    for offset in devs:
-        if e.marks(e.start + offset)[1] != goal and not unclamped[offset]:
-            contrast = e.start + offset
-            break
-    else:
+    contrast = next((e.start + o for o in devs if e.marks(e.start + o)[1] != goal and not unclamped[o]), None)
+    if contrast is None:
         return None, None
-    for witness in _witness_candidates(e.model, cause):
+    # witnesses are disjoint from the candidate, mirroring the clamp-versus-
+    # deviate partition of the counterfactual test
+    others = [n for n in e.model.component_order if n not in cause]
+    for witness in chain.from_iterable(combinations(others, k) for k in range(len(others) + 1)):
         # a witness fails at its first deviation from which the effect is reachable
         table = e.witness(witness)
         if not any(map(table.__getitem__, devs)):
-            return contrast, (witness, [table.base + offset for offset in devs.offsets])
+            return contrast, (witness, [table.base + o for o in devs.offsets])
     return contrast, None
 
 
