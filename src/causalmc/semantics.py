@@ -21,8 +21,8 @@ The witnessing operators are evaluated afresh every time, which keeps
 witness lists exactly as a plain top-down walk builds them.
 
 On a partial model, a behaviour atom whose component is outside the
-partial domain evaluates to false rather than raising; this keeps
-separation queries total.
+partial domain, and a named intervention the model does not keep, evaluate
+to false rather than raising; this keeps separation queries total.
 """
 
 from __future__ import annotations
@@ -322,6 +322,8 @@ def _step(call: _Call, sub, name: str | None = None):
         if iv is None:
             iv = k.model.intervention_map.get(name)
             if iv is None:
+                if k.model.partial:  # a side of a split keeps only the interventions it can apply
+                    return False
                 raise UnknownNameError(f"unresolved intervention name {name!r}")
         intervened = k.intervened(iv)
         for g in intervened.successors(s, loops):

@@ -42,6 +42,16 @@ def test_unknown_name_exit_two(capsys):
     assert main(["check", MICRO, "f2", "<missing> true"]) == 2
 
 
+def test_named_intervention_a_split_side_dropped_is_false_there(capsys):
+    # the first split, ({c1, c2}, {c3}), leaves theta_reset's target c1 off
+    # its right side, so <theta_reset> is false there; the third split,
+    # ({c3}, {c1, c2}), keeps theta_reset on its right side
+    assert main(["check", EX1, "mid", "(true) * (<theta_reset> true)"]) == 0
+    assert "check: true" in capsys.readouterr().out
+    assert main(["check", EX1, "mid", "<theta_reset> true"]) == 0
+    assert main(["check", EX1, "mid", "<theta_none> true"]) == 2
+
+
 def test_cause_report_file(tmp_path):
     out = tmp_path / "report.json"
     code = main(

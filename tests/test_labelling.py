@@ -155,6 +155,8 @@ def ref_eval(k, s, phi, options, witnesses, walked) -> bool:
     if isinstance(phi, F.Intervene):
         iv = k.model.intervention_map.get(phi.name)
         if iv is None:
+            if k.model.partial:
+                return False
             raise UnknownNameError(f"unresolved intervention name {phi.name!r}")
         intervened = k.intervened(iv)
         for g in intervened.successors(s, options.self_loops):
