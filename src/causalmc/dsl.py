@@ -43,6 +43,7 @@ from .model import (
     RuleRow,
     RuleTable,
     SystemModel,
+    repeated,
     validate_model,
 )
 
@@ -401,7 +402,7 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
         mapping = dict(pairs)
         missing = [c for c in order if c not in mapping]
         extra = [c for c, _ in pairs if c not in domains]
-        msg = []
+        msg = [f"component {c!r} assigned twice" for c in repeated(c for c, _ in pairs)]
         if missing:
             msg.append(f"missing components {missing}")
         if extra:
@@ -670,6 +671,9 @@ def _resolve_config_ref(ref, scope: _Scope) -> tuple[str, Configuration]:
     label, body = ref
     if isinstance(body, str):
         return label, _lookup(scope.configs, body, "configuration")
+    twice = repeated(c for c, _ in body)
+    if twice:
+        raise DslError([Diagnostic(0, 0, f"component {c!r} assigned twice") for c in twice])
     try:
         return label, scope.model.configuration(dict(body))
     except ModelError as exc:

@@ -17,6 +17,7 @@ so independent queries can run concurrently without coordination.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import prod
@@ -301,8 +302,8 @@ class SystemModel:
     ``mode`` selects the transition relation: "async" rewrites exactly one
     component per step, "sync" rewrites all components simultaneously.
     ``partial`` marks models produced by decomposition; on partial models,
-    behaviour atoms over missing components evaluate to false instead of
-    raising.
+    behaviour atoms over missing components and named interventions the
+    model does not keep evaluate to false instead of raising.
     """
 
     components: tuple[ComponentDecl, ...]
@@ -419,6 +420,11 @@ class SystemModel:
 # validation
 
 
+def repeated(names) -> list[str]:
+    """The names that occur more than once in ``names``, each once, in order."""
+    return [n for n, count in Counter(names).items() if count > 1]
+
+
 def validate_model(model: SystemModel) -> list[Violation]:
     """Well-formedness report; empty iff the model satisfies every invariant."""
     out: list[Violation] = []
@@ -440,8 +446,9 @@ def validate_model(model: SystemModel) -> list[Violation]:
         if c.name in c.context:
             out.append(Violation(site, "influence context contains the component itself"))
         for d in c.context:
-            if d not in {x.name for x in model.components}:
+            if d not in model.component_map:
                 out.append(Violation(site, f"influence context names unknown component {d!r}"))
+        out += [Violation(site, f"influence context names {d!r} twice") for d in repeated(c.context)]
     # rule rows are validated once component names are settled
     for c in model.components:
         arity = "row has {} context patterns, context has {}"
@@ -475,6 +482,7 @@ def _intervention_violations(model: SystemModel, iv: Intervention) -> list[Viola
     site = f"intervention {iv.name}"
     if not iv.targets:
         out.append(Violation(site, "empty target set"))
+    out += [Violation(site, f"target {t!r} named twice") for t in repeated(iv.targets)]
     if iv.cost is not None and iv.cost < 0:
         out.append(Violation(site, "negative cost"))
     if iv.penalty is not None and iv.penalty < 0:

@@ -112,6 +112,29 @@ def test_duplicate_intervention_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"{doc}:0:0: intervention fix: duplicate intervention name"]
 
 
+def test_names_given_twice_are_reported_where_their_peers_are(tmp_path, capsys):
+    text = (
+        "component a { domain x y }\ncomponent b { domain u\n  context a a }\n"
+        "config f = (a=x, b=u, a=y)\nintervention fix on a a { rule a: _ -> x }\n"
+        "check (a=x, b=u, b=u) |= true\n"
+    )
+    with pytest.raises(DslError) as exc:
+        parse_model(text)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "4:1: configuration 'f': component 'a' assigned twice",
+        "0:0: component b: influence context names 'a' twice",
+        "0:0: intervention fix: target 'a' named twice",
+    ]
+    ok = "component a { domain x y }\ncomponent b { domain u }\n"
+    with pytest.raises(DslError) as exc:
+        parse_model(ok + "check (a=x, b=u, b=u) |= true\n")
+    assert [str(d) for d in exc.value.diagnostics] == ["3:1: component 'b' assigned twice"]
+    doc = tmp_path / "doc.model"
+    doc.write_text(ok, encoding="utf-8")
+    assert main(["check", str(doc), "(a=x, b=u, a=y)", "true"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{doc}:0:0: component 'a' assigned twice"]
+
+
 def test_formula_precedence():
     doc = parse_model("component a { domain x y }\natom p0 = a = x\natom p1 = a = y\n")
     phi = parse_formula_text("! p0 & p1 -> p0 | p1", doc)
