@@ -422,6 +422,9 @@ class SystemModel:
 
 def repeated(names) -> list[str]:
     """The names that occur more than once in ``names``, each once, in order."""
+    names = tuple(names)
+    if len(set(names)) == len(names):  # the usual case, answered without counting
+        return []
     return [n for n, count in Counter(names).items() if count > 1]
 
 
