@@ -135,15 +135,16 @@ class CauseCertificate:
 
 
 class _Shared:
-    """What the episodes of one query share, so a chain's links reuse each
-    other's work: clamped variants by (kernel, pins); their effect verdicts
-    by (kernel, pins, effect places), then by absolute start state; and the
-    end marks and AC1 edges of states by (kernel, end state, effect places).
-    A verdict depends only on its variant, start, effect and the query's
+    """One query's mode and options, and the work a chain's links share:
+    clamped variants by (kernel, pins); their effect verdicts by (kernel,
+    pins, effect places), then by absolute start state; and the end marks
+    and AC1 edges of states by (kernel, end state, effect places).  A
+    verdict depends only on its variant, start, effect and the query's
     options, and a search that overran ended the query, so a shared verdict
     only stands in for a search that finished."""
 
-    def __init__(self):
+    def __init__(self, mode: str, options: Options):
+        self.mode, self.options = mode, options
         self.variants: dict = {}
         self.verdicts: dict = {}
         self.ac1: dict = {}
@@ -156,24 +157,23 @@ class _Shared:
 
 
 class _Episode:
-    """One cause query on the compiled state space: start and end states, the
-    effect as (weight, radix, code) places of the effect components, and what
-    every candidate checked against the query shares: clause verdicts per
-    subset, the marks and AC1 edges of each state, and one ``_Witness`` per
-    witness set, made by ``witness``.  Clamped variants live in the query's
-    ``_Shared`` table, so they go with the query."""
+    """One cause query on kernel ``k``, from state ``start`` to state ``end``
+    (both already validated): the effect as (weight, radix, code) places of
+    the effect components, and what every candidate checked against the
+    query shares: clause verdicts per subset, the marks and AC1 edges of each
+    state, and one ``_Witness`` per witness set, made by ``witness``.  The
+    mode, options and clamped variants live in the query's ``_Shared``
+    table, so they go with the query."""
 
-    def __init__(self, model, q: CauseQuery, mode: str, options: Options, shared: _Shared):
-        self.model, self.q, self.mode, self.options, self.shared = model, q, mode, options, shared
+    def __init__(self, k, start: int, end: int, effect_components, shared: _Shared):
+        self.k, self.start, self.end, self.shared = k, start, end, shared
         self.verdicts: dict = {}
         self.witnesses: dict = {}  # witness set -> its _Witness
         self.configurations: dict = {}  # state -> decoded configuration
-        self.k = k = kernel.compile(model)
-        self.start, self.end = k.encode(q.start), k.encode(q.end)  # encoding validates them
-        self.start_digits, self.end_digits = k.digits(self.start), k.digits(self.end)
-        self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, q.effect_components))
-        if mode not in ("example", "strict"):
-            raise ModelError(f"unknown cause-check mode {mode!r}")
+        self.start_digits, self.end_digits = k.digits(start), k.digits(end)
+        self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, effect_components))
+        if shared.mode not in ("example", "strict"):
+            raise ModelError(f"unknown cause-check mode {shared.mode!r}")
         # state -> (end mask, effect key); state -> AC1 edge triples
         self.state_marks, self.state_edges = shared.ac1.setdefault((k, self.end, self.effect), ({}, {}))
 
@@ -194,7 +194,7 @@ class _Episode:
             mask, key = self.marks(s)
             found = self.state_edges[s] = tuple(
                 (g, mask & ~to_mask, key != to_key)
-                for g in self.k.successors(s, self.options.self_loops)
+                for g in self.k.successors(s, self.shared.options.self_loops)
                 for to_mask, to_key in (self.marks(g),)
             )
         return found
@@ -232,7 +232,7 @@ class _Witness(dict):
         pins = tuple((i, e.end_digits[i]) for i in map(k.index.get, names))
         self.variant = e.shared.variant(k, pins)
         self.base = e.start + sum((b - e.start_digits[i]) * k.weights[i] for i, b in pins)
-        self.effect, self.options = e.effect, e.options
+        self.effect, self.options = e.effect, e.shared.options
         self.known = e.shared.verdicts.setdefault((k, pins, e.effect), {})
 
     def __missing__(self, offset: int) -> bool:
@@ -280,13 +280,13 @@ def _ac1(e: _Episode, cause):
     The path is returned as states, start first; None when there is none.
     """
     held = sum(1 << e.k.index[c] for c in cause)
-    if e.mode == "strict" and held & ~e.marks(e.start)[0]:
+    if e.shared.mode == "strict" and held & ~e.marks(e.start)[0]:
         return None
 
     parent: dict = {}
     queue: list = []
     visited = {e.start}  # configurations met: the cap counts these, not pairs
-    edges, cap = e.edges, e.options.max_states
+    edges, cap = e.edges, e.shared.options.max_states
 
     def expand(f: int, got_effect: bool, via) -> None:
         for g, lost, changed in edges(f):
@@ -342,7 +342,7 @@ def _ac2(e: _Episode, cause):
         return None, None
     # witnesses are disjoint from the candidate, mirroring the clamp-versus-
     # deviate partition of the counterfactual test
-    others = [n for n in e.model.component_order if n not in cause]
+    others = [n for n in e.k.names if n not in cause]
     for witness in chain.from_iterable(combinations(others, k) for k in range(len(others) + 1)):
         # a witness fails at its first deviation from which the effect is reachable
         table = e.witness(witness)
@@ -363,7 +363,7 @@ def check_cause(
 
     ``mode`` is "example" (default) or "strict"; strict adds the literal
     start-equals-end requirement to AC1.  A call inside an episode checks a
-    candidate its query has already validated.
+    candidate its query has validated, under the query's mode and options.
     """
     cause = tuple(dict.fromkeys(cause))
     e = _episode
@@ -372,7 +372,8 @@ def check_cause(
             raise ModelError("empty candidate cause set")
         for c in cause:
             model.component(c)
-        e = _Episode(model, q, mode, options, _Shared())
+        k = kernel.compile(model)
+        e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode, options))
     memo = e.verdicts  # subset -> (AC1 path, contrast, witness) on state numbers
 
     def core(subset):
@@ -396,11 +397,11 @@ def check_cause(
     return CauseCertificate(
         cause_set=cause,
         witness_set=names,
-        clamp=clamping_intervention(e.model, names, {w: e.q.end[w] for w in names}) if names else None,
+        clamp=clamping_intervention(e.k.model, names, e.deviation(names, e.end)) if names else None,
         ac1=path is not None,
         ac2=witness is not None,
         ac3=all(r.failed_clause != "none" for r in refutations),
-        mode=mode,
+        mode=e.shared.mode,
         ac1_path=None if path is None else tuple(map(e.decode, path)),
         contrast_deviation=None if contrast is None else e.deviation(cause, contrast),
         ac2_checks=tuple(DeviationCheck(deviation=e.deviation(cause, s), start=e.decode(s), ok=True) for s in blocked),
@@ -420,20 +421,20 @@ def find_causes(
     of the effect would witness counterfactual dependence of the effect on
     itself, which certifies nothing.
     """
-    return list(_certified_causes(model, q, mode, options, _Shared()))
+    k = kernel.compile(model)
+    return list(_certified_causes(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode, options)))
 
 
-def _certified_causes(model, q, mode, options, shared: _Shared):
-    """Inclusion-minimal certified causes in canonical order, lazily."""
-    effect = set(q.effect_components)
-    names = tuple(n for n in model.component_order if n not in effect)
-    episode = _Episode(model, q, mode, options, shared)
+def _certified_causes(k, start: int, end: int, effect_components, shared: _Shared):
+    """Inclusion-minimal certified causes from state ``start`` to ``end`` of ``k``, in canonical order, lazily."""
+    episode = _Episode(k, start, end, effect_components, shared)
+    names = tuple(n for n in k.names if n not in effect_components)
     certified: list[CauseCertificate] = []
-    for k in range(1, len(names) + 1):
-        for cand in combinations(names, k):
+    for size in range(1, len(names) + 1):
+        for cand in combinations(names, size):
             if any(set(c.cause_set) < set(cand) for c in certified):
                 continue
-            cert = check_cause(model, q, cand, mode=mode, options=options, _episode=episode)
+            cert = check_cause(k.model, None, cand, _episode=episode)
             if cert.is_cause:
                 certified.append(cert)
                 yield cert
@@ -506,11 +507,11 @@ class _Links(dict):
     cause is the first (canonically smallest) one, certified on the query's
     ``_Shared`` table."""
 
-    def __init__(self, k, mode: str, options: Options, shared: _Shared):
-        self.k, self.mode, self.options, self.shared = k, mode, options, shared
+    def __init__(self, k, shared: _Shared):
+        self.k, self.shared = k, shared
 
     def realizable(self, a: int, b: int) -> bool:
-        return b in self.k.reachable(a, self.options)
+        return b in self.k.reachable(a, self.shared.options)
 
     def __missing__(self, key: tuple[int, int, tuple[str, ...] | None]) -> ChainLink | None:
         a, b, effect = key
@@ -518,8 +519,7 @@ class _Links(dict):
         if a != b and self.realizable(a, b):
             k = self.k
             effect = effect or tuple(n for n, x, y in zip(k.names, k.digits(a), k.digits(b)) if x != y)
-            q = CauseQuery(start=k.decode(a), end=k.decode(b), effect_components=effect)
-            cert = next(_certified_causes(k.model, q, self.mode, self.options, self.shared), None)
+            cert = next(_certified_causes(k, a, b, effect, self.shared), None)
             if cert is not None:
                 found = ChainLink(effect_components=effect, certificate=cert)
         self[key] = found
@@ -549,7 +549,7 @@ def find_causal_chains(
     if start == end:
         return []
     final_effect = tuple(effect_components) if effect_components else None
-    links = _Links(k, mode, options, _Shared())  # every link reuses the variants and verdicts of the others
+    links = _Links(k, _Shared(mode, options))  # every link reuses the variants and verdicts of the others
 
     def link(a: int, b: int) -> ChainLink | None:
         # waypoints are distinct, so only the final link ends at ``end``
@@ -672,18 +672,17 @@ def classify_intervention_effect(
     seq = chain.configurations
     states = [k.encode(g) for g in seq]  # encoding validates them
     effects = [tuple(l.effect_components) for l in chain.links]
-    shared = _Shared()
+    shared = _Shared(mode, options)
     link_cause_union: list[tuple[str, ...]] = []
     for i in range(len(seq) - 1):
-        q = CauseQuery(seq[i], seq[i + 1], effects[i])
         union: dict[str, None] = {}
-        for cert in _certified_causes(model, q, mode, options, shared):
+        for cert in _certified_causes(k, states[i], states[i + 1], effects[i], shared):
             for c in cert.cause_set:
                 union[c] = None
         link_cause_union.append(tuple(union))
     targets = set(iv.targets)
     overlaps = [i for i, u in enumerate(link_cause_union) if targets & set(u)]
-    links = _Links(k.intervened(iv), mode, options, shared)
+    links = _Links(k.intervened(iv), shared)
 
     def verdict(kind: str, detail: str, broken_link=None, recertified=()) -> ChainClassification:
         return ChainClassification(

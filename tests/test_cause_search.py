@@ -537,8 +537,8 @@ def _certify_link(model, a, b, effect_components, mode, options, shared=None):
     effect = effect_components or _changed_components(a, b)
     if not effect:
         return None
-    q = CauseQuery(start=a, end=b, effect_components=tuple(effect))
-    return next(causality._certified_causes(model, q, mode, options, shared or causality._Shared()), None)
+    shared = shared or causality._Shared(mode, options)
+    return next(causality._certified_causes(k, k.encode(a), k.encode(b), tuple(effect), shared), None)
 
 
 def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=None, mode="example", options=Options()):
@@ -687,18 +687,19 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
     seq = chain.configurations
     for g in seq:
         model.validate_configuration(g)
-    shared = causality._Shared()
+    shared = causality._Shared(mode, options)
     link_cause_union = []
+    k = kernel.compile(model)
     for i in range(len(seq) - 1):
-        q = CauseQuery(seq[i], seq[i + 1], chain.links[i].effect_components)
         union = {}
-        for cert in causality._certified_causes(model, q, mode, options, shared):
+        a, b = k.encode(seq[i]), k.encode(seq[i + 1])
+        for cert in causality._certified_causes(k, a, b, chain.links[i].effect_components, shared):
             for c in cert.cause_set:
                 union[c] = None
         link_cause_union.append(tuple(union))
     targets = set(iv.targets)
     overlaps = [i for i, u in enumerate(link_cause_union) if targets & set(u)]
-    k = kernel.compile(model).intervened(iv)
+    k = k.intervened(iv)
 
     if not overlaps:
         recerts = []
@@ -800,3 +801,19 @@ def test_invalid_endpoints_raise_before_any_search(monkeypatch, micro, micro_f1,
     with pytest.raises(ModelError, match=message):
         causality.classify_intervention_effect(micro, chain, micro.interventions[0])
     assert searched == []
+
+
+def test_configurations_are_encoded_where_they_enter(monkeypatch, micro, micro_f1, micro_f2):
+    """A chain query encodes its two endpoints and a classification its
+    waypoints; links and their episodes run on state numbers."""
+    encoded = []
+    encode = kernel.Kernel.encode
+    monkeypatch.setattr(kernel.Kernel, "encode", lambda k, f: encoded.append(f) or encode(k, f))
+    chains = causality.find_causal_chains(micro, micro_f1, micro_f2, max_len=5)
+    assert encoded == [micro_f1, micro_f2]
+    assert len(chains) > 1 and len(micro.interventions) == 4
+    for chain in chains:
+        for iv in micro.interventions:
+            encoded.clear()
+            causality.classify_intervention_effect(micro, chain, iv)
+            assert encoded == list(chain.configurations)
