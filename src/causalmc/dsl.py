@@ -686,6 +686,9 @@ def _resolve_formula_slot(phi, scope: _Scope) -> tuple[str, F.Formula]:
 
 
 def _resolve_components(names, scope: _Scope) -> tuple[tuple, tuple]:
+    twice = repeated(names)
+    if twice:
+        raise DslError([Diagnostic(0, 0, f"component {c!r} named twice") for c in twice])
     for c in names:
         if c not in scope.model.component_map:
             raise DslError([Diagnostic(0, 0, f"unknown component {c!r}")])

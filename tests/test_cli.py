@@ -98,6 +98,11 @@ def test_chain_with_projection_dot(tmp_path):
     assert dot.read_text().startswith("digraph")
 
 
+def test_effect_named_twice_exit_two(capsys):
+    assert main(["cause", MICRO, "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "FrontEnd"]) == 2
+    assert capsys.readouterr().err == f"{MICRO}:0:0: component 'FrontEnd' named twice\n"
+
+
 def test_bisim_subcommand(capsys):
     assert main(["bisim", EX1, "start", EX1, "start"]) == 0
 

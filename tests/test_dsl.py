@@ -126,9 +126,18 @@ def test_names_given_twice_are_reported_where_their_peers_are(tmp_path, capsys):
         "0:0: intervention fix: target 'a' named twice",
     ]
     ok = "component a { domain x y }\ncomponent b { domain u }\n"
+    stanzas = (
+        "check (a=x, b=u, b=u) |= true\ndecompose {a} {b b}\n"
+        "cause from (a=x, b=u) to (a=y, b=u) effect {a a}\nchain from (a=x, b=u) to (a=y, b=u) effect {a b a}\n"
+    )
     with pytest.raises(DslError) as exc:
-        parse_model(ok + "check (a=x, b=u, b=u) |= true\n")
-    assert [str(d) for d in exc.value.diagnostics] == ["3:1: component 'b' assigned twice"]
+        parse_model(ok + stanzas)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "3:1: component 'b' assigned twice",
+        "4:1: component 'b' named twice",
+        "5:1: component 'a' named twice",
+        "6:1: component 'a' named twice",
+    ]
     doc = tmp_path / "doc.model"
     doc.write_text(ok, encoding="utf-8")
     assert main(["check", str(doc), "(a=x, b=u, a=y)", "true"]) == 2
