@@ -510,10 +510,10 @@ def _intervention_violations(model: SystemModel, iv: Intervention) -> list[Viola
 
 def _row_violations(model, decl, rows, site, arity, output_suffix) -> list[Violation]:
     """Defects of rule rows for ``decl``; ``site`` is completed by the row number.
-    Rows are not checked while the context names an unknown component, which
-    is reported on the component itself."""
+    Rows are not checked while the context names an unknown component or
+    one component twice, which is reported on the component itself."""
     out: list[Violation] = []
-    if not all(d in model.component_map for d in decl.context):
+    if repeated(decl.context) or not all(d in model.component_map for d in decl.context):
         return out
     domain = set(decl.domain)
     ctx_domains = [set(model.component_map[d].domain) for d in decl.context]

@@ -68,6 +68,14 @@ def test_context_with_self_is_reported():
     assert any("itself" in v.message for v in report)
 
 
+def test_context_naming_a_component_twice_is_reported_once(ex1):
+    # c2's one-pattern rows, its own and an intervention's, are not checked against the doubled context
+    comps = tuple(replace(c, context=("c1", "c1")) if c.name == "c2" else c for c in ex1.components)
+    iv = Intervention(name="fix", targets=("c2",), rules=(("c2", RuleTable((RuleRow("b21", ("b12",), "b21"),))),))
+    report = validate_model(replace(ex1, components=comps, interventions=ex1.interventions + (iv,)))
+    assert [str(v) for v in report] == ["component c2: influence context names 'c1' twice"]
+
+
 def test_duplicate_component_names_reported():
     comp = ComponentDecl(name="a", domain=("x",))
     report = validate_model(SystemModel(components=(comp, comp)))
