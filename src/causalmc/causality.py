@@ -387,8 +387,8 @@ def check_cause(
     path, contrast, witness = core(cause)
     refutations = []
     if path and witness:
-        for k in range(1, len(cause)):
-            for sub in combinations(cause, k):
+        for size in range(1, len(cause)):
+            for sub in combinations(cause, size):
                 sub_path, _, sub_witness = core(sub)
                 failed = "AC1" if sub_path is None else "AC2" if sub_witness is None else "none"
                 refutations.append(SubsetRefutation(subset=sub, failed_clause=failed))
