@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Scaling curve of the model-language front end: milliseconds of the
-string scan the parser reads (``dsl._strings``), of the same scan with
-line and column, which places diagnostics (``dsl._tokenize``), and of a whole
+string scan the parser reads (``dsl._strings``), of the line and column
+of its tokens, which place diagnostics (``dsl._positions``), and of a whole
 ``parse_model``, for ex1, the microservice model, and the benchmark's
 rings (n = 3 to 8 nodes), pipelines (n = 3 to 12 stages, a fault at the
 source) and fan-in trees (3 to 6 leaves, one faulty).  ``tokens`` counts
 the tokens of each document.
 
-Only the answers are checked, not the times: both scans give the same
-tokens, each document parses, and parsing its ``pretty_document`` gives the
-same document back.  Times are best of ``--repeat`` rounds of ``--number``
-calls each, and vary with the machine.
+Only the answers are checked, not the times: every token gets a position,
+the positions increase through the text, each document parses, and
+parsing its ``pretty_document`` gives the same document back.  Times are
+best of ``--repeat`` rounds of ``--number`` calls each, and vary with the
+machine.
 """
 
 import argparse
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from causalmc import dsl
@@ -59,14 +61,16 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    print(f"{'document':<20}{'tokens':>8}{'strings ms':>12}{'tokenize ms':>13}{'parse ms':>10}")
+    print(f"{'document':<20}{'tokens':>8}{'strings ms':>12}{'positions ms':>14}{'parse ms':>10}")
     for label, text in documents(args.seed):
-        strings, positioned = dsl._strings(text), dsl._tokenize(text)
-        assert [dsl._value(t) for t in strings] == [t.value for t in positioned], label
+        strings = dsl._strings(text)
+        positions = dsl._positions(text, strings)
+        assert len(positions) == len(strings) and positions == sorted(set(positions)), label
         doc = parse_model(text)
         assert parse_model(pretty_document(doc)) == doc, label
-        times = [best_ms(fn, text, args.number, args.repeat) for fn in (dsl._strings, dsl._tokenize, parse_model)]
-        print(f"{label:<20}{len(strings) - 1:>8}" + "".join(f"{ms:>{w}.3f}" for ms, w in zip(times, (12, 13, 10))))
+        scans = (dsl._strings, partial(dsl._positions, tokens=strings), parse_model)
+        times = [best_ms(fn, text, args.number, args.repeat) for fn in scans]
+        print(f"{label:<20}{len(strings) - 1:>8}" + "".join(f"{ms:>{w}.3f}" for ms, w in zip(times, (12, 14, 10))))
     return 0
 
 

@@ -136,12 +136,12 @@ class CauseCertificate:
 
 class _Shared:
     """One query's mode and options, and the work a chain's links share:
-    clamped variants by (kernel, pins); their effect verdicts by (kernel,
-    pins, effect places), then by absolute start state; and the end marks
-    and AC1 edges of states by (kernel, end state, effect places).  A
-    verdict depends only on its variant, start, effect and the query's
-    options, and a search that overran ended the query, so a shared verdict
-    only stands in for a search that finished."""
+    clamped variants by (kernel, pins); their ``_Verdicts`` by (kernel,
+    pins, effect places); and the end marks and AC1 edges of states by
+    (kernel, end state, effect places).  A verdict depends only on its
+    variant, start, effect and the query's options, and a search that
+    overran ended the query, so a shared verdict only stands in for a
+    search that finished."""
 
     def __init__(self, mode: str, options: Options):
         self.mode, self.options = mode, options
@@ -155,20 +155,38 @@ class _Shared:
             found = self.variants[k, pins] = k.pinned(pins) if pins else k
         return found
 
+    def verdicts_of(self, k, pins, effect) -> _Verdicts:
+        found = self.verdicts.get((k, pins, effect))
+        if found is None:
+            found = self.verdicts[k, pins, effect] = _Verdicts(self.variant(k, pins), effect, self.options)
+        return found
+
+
+class _Verdicts(dict):
+    """Whether the effect is reachable under a clamped variant, by start
+    state; each start is searched on its first lookup, so once per query."""
+
+    def __init__(self, variant, effect, options: Options):
+        self.variant, self.effect, self.options = variant, effect, options
+
+    def __missing__(self, start: int) -> bool:
+        reached = self[start] = _first_effect_reachable(self.variant, start, self.effect, self.options) is not None
+        return reached
+
 
 class _Episode:
     """One cause query on kernel ``k``, from state ``start`` to state ``end``
     (both already validated): the effect as (weight, radix, code) places of
     the effect components, and what every candidate checked against the
     query shares: clause verdicts per subset, the marks and AC1 edges of each
-    state, and one ``_Witness`` per witness set, made by ``witness``.  The
-    mode, options and clamped variants live in the query's ``_Shared``
-    table, so they go with the query."""
+    state, and each witness set's ``_Verdicts`` and base, found by
+    ``witness``.  The mode, options, clamped variants and verdicts live in
+    the query's ``_Shared`` table, so they go with the query."""
 
     def __init__(self, k, start: int, end: int, effect_components, shared: _Shared):
         self.k, self.start, self.end, self.shared = k, start, end, shared
         self.verdicts: dict = {}
-        self.witnesses: dict = {}  # witness set -> its _Witness
+        self.witnesses: dict = {}  # witness set -> its _Verdicts and base state
         self.configurations: dict = {}  # state -> decoded configuration
         self.start_digits, self.end_digits = k.digits(start), k.digits(end)
         self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, effect_components))
@@ -206,11 +224,15 @@ class _Episode:
             found = self.configurations[s] = self.k.decode(s)
         return found
 
-    def witness(self, names: tuple[str, ...]) -> _Witness:
-        """The ``_Witness`` of a witness set, made on first use."""
+    def witness(self, names: tuple[str, ...]) -> tuple[_Verdicts, int]:
+        """A witness set's effect verdicts under its clamp, and its base: the
+        start state moved by the clamp, to which a deviation's offset adds."""
         found = self.witnesses.get(names)
         if found is None:
-            found = self.witnesses[names] = _Witness(self, names)
+            k = self.k
+            pins = tuple((i, self.end_digits[i]) for i in map(k.index.get, names))
+            base = self.start + sum((b - self.start_digits[i]) * k.weights[i] for i, b in pins)
+            found = self.witnesses[names] = (self.shared.verdicts_of(k, pins, self.effect), base)
         return found
 
     def deviation(self, cause, s: int) -> tuple[tuple[str, str], ...]:
@@ -218,31 +240,6 @@ class _Episode:
         k = self.k
         places = zip(cause, map(k.index.get, cause))
         return tuple((c, k.domains[i][s // k.weights[i] % k.radices[i]]) for c, i in places)
-
-
-class _Witness(dict):
-    """A witness set's clamped variant and the offset the clamp adds to the
-    start state.  As a dict it maps a deviation's offset to whether the
-    effect is reachable from the start state moved by it under the clamp; on
-    the first lookup it asks the query's verdicts by absolute start, and
-    searches only when they have none, so each search runs once per query."""
-
-    def __init__(self, e: _Episode, names: tuple[str, ...]):
-        k = e.k
-        pins = tuple((i, e.end_digits[i]) for i in map(k.index.get, names))
-        self.variant = e.shared.variant(k, pins)
-        self.base = e.start + sum((b - e.start_digits[i]) * k.weights[i] for i, b in pins)
-        self.effect, self.options = e.effect, e.shared.options
-        self.known = e.shared.verdicts.setdefault((k, pins, e.effect), {})
-
-    def __missing__(self, offset: int) -> bool:
-        start = self.base + offset
-        reached = self.known.get(start)
-        if reached is None:
-            found = _first_effect_reachable(self.variant, start, self.effect, self.options)
-            reached = self.known[start] = found is not None
-        self[offset] = reached
-        return reached
 
 
 class _Deviations:
@@ -336,8 +333,9 @@ def _ac2(e: _Episode, cause):
     none.  Deviations are made as the checks need them, and each (witness
     set, deviated start) effect search runs at most once per query."""
     devs = _Deviations(e, cause)
-    unclamped, goal = e.witness(()), e.marks(e.end)[1]
-    contrast = next((e.start + o for o in devs if e.marks(e.start + o)[1] != goal and not unclamped[o]), None)
+    (unclamped, _), goal = e.witness(()), e.marks(e.end)[1]
+    starts = (e.start + o for o in devs)
+    contrast = next((s for s in starts if e.marks(s)[1] != goal and not unclamped[s]), None)
     if contrast is None:
         return None, None
     # witnesses are disjoint from the candidate, mirroring the clamp-versus-
@@ -345,9 +343,9 @@ def _ac2(e: _Episode, cause):
     others = [n for n in e.k.names if n not in cause]
     for witness in chain.from_iterable(combinations(others, k) for k in range(len(others) + 1)):
         # a witness fails at its first deviation from which the effect is reachable
-        table = e.witness(witness)
-        if not any(map(table.__getitem__, devs)):
-            return contrast, (witness, [table.base + o for o in devs.offsets])
+        table, base = e.witness(witness)
+        if not any(map(table.__getitem__, map(base.__add__, devs))):
+            return contrast, (witness, [base + o for o in devs.offsets])
     return contrast, None
 
 

@@ -24,7 +24,7 @@ def _absolute(path: str) -> str:
     return str(Path(path).resolve())
 
 
-def _common_flags(sp: argparse.ArgumentParser) -> None:
+def _common_flags(sp: argparse.ArgumentParser, report: bool = True) -> None:
     sp.add_argument("model", help="model file")
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--sync", action="store_true", help="force synchronous transitions")
@@ -32,8 +32,9 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--self-loops", action="store_true", help="include fixpoint self-loops")
     sp.add_argument("--allow-trivial-split", action="store_true", help="admit non-proper interface splits")
     sp.add_argument("--strict-ac1", action="store_true", help="literal start-equals-end actuality clause")
-    sp.add_argument("--max-states", type=int, default=100_000, metavar="N", help="states one search may hold")
-    sp.add_argument("--report", metavar="PATH", help="write the JSON report here")
+    sp.add_argument("--max-states", type=int, default=Options.max_states, metavar="N", help="states one search may hold")
+    if report:
+        sp.add_argument("--report", metavar="PATH", help="write the JSON report here")
 
 
 @functools.cache
@@ -84,13 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("formula")
 
     sp = sub.add_parser("export-dot", help="transition graph or variant graph as DOT")
-    _common_flags(sp)
+    _common_flags(sp, report=False)
     sp.add_argument("--variants", action="store_true", help="export the intervention variant graph")
     sp.add_argument("--reachable-from", metavar="CONFIG", help="restrict to configurations reachable from here")
     sp.add_argument("-o", "--output", metavar="PATH")
 
     sp = sub.add_parser("export-hp", help="structural-equations export")
-    _common_flags(sp)
+    _common_flags(sp, report=False)
     sp.add_argument("--init", required=True, metavar="CONFIG")
     sp.add_argument("-o", "--output", metavar="PATH")
 

@@ -124,51 +124,46 @@ _STRINGS = re.compile("(" + "|".join(_CLASSES) + r"|\Z)" + _SKIP.pattern)
 _ONE_CHAR = frozenset(_PUNCT_CHARS) | _NAME_START
 
 
-class Token(NamedTuple):
-    kind: str  # name | number | string | punct | eof
-    value: str
-    line: int
-    column: int
+def _strings(text: str) -> list[str]:
+    """The tokens of ``text`` as they are written, a string with its quotes,
+    ending with the empty string.  A stray character or a lone quote raises
+    an error at the first one."""
+    tokens = _STRINGS.findall(text, _SKIP.match(text).end())
+    if any(map(_stray, set(tokens))):
+        at = [*map(_stray, tokens)].index(True)
+        message = "unterminated string" if tokens[at] == '"' else f"unexpected character {tokens[at]!r}"
+        raise DslError([Diagnostic(*_positions(text, tokens)[at], message)])
+    return tokens
 
 
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` with their positions, ending with an ``eof`` token.
+def _stray(t: str) -> bool:
+    """Whether a token is an error: a one-character token that is no name,
+    punctuation or digit, such as a lone quote."""
+    return len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal()
+
+
+def _positions(text: str, tokens: list[str]) -> list[tuple[int, int]]:
+    """The (line, column) of each token of ``_strings(text)``.
 
     A column is the offset from the start of its line, plus one.  Lines are
     counted from the newlines between tokens only: a newline inside a string
     does not start a line, so columns after such a string keep counting from
-    the string's line.  After a trailing comment, ``eof`` is at its "#".
+    the string's line.  After a trailing comment, the end of input is at its "#".
     """
-    out: list[Token] = []
+    out: list[tuple[int, int]] = []
     line, line_start, gap = 1, 0, 0  # gap: where the text skipped before the next token starts
-    for m in _STRINGS.finditer(text, _SKIP.match(text).end()):
-        at = m.start()
+    for t in tokens:
+        at = _SKIP.match(text, gap).end()
         newlines = text.count("\n", gap, at)
         if newlines:
             line += newlines
             line_start = text.rindex("\n", gap, at) + 1
-        t = m.group(1)
         if not t:
             comment = text.find("#", max(gap, line_start))
-            out.append(Token("eof", "", line, (at if comment < 0 else comment) - line_start + 1))
-            return out
-        if len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal():
-            message = "unterminated string" if t == '"' else f"unexpected character {t!r}"
-            raise DslError([Diagnostic(line, at - line_start + 1, message)])
-        c = t[0]
-        kind = "name" if c in _NAME_START else "string" if c == '"' else "number" if c.isdecimal() else "punct"
-        out.append(Token(kind, _value(t), line, at - line_start + 1))
-        gap = m.end(1)
-
-
-def _strings(text: str) -> list[str]:
-    """The tokens of ``text`` as they are written, a string with its quotes,
-    ending with the empty string; the i-th is the i-th of ``_tokenize(text)``.
-    A stray character or a lone quote raises ``_tokenize``'s positioned error."""
-    tokens = _STRINGS.findall(text, _SKIP.match(text).end())
-    if any(len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal() for t in set(tokens)):
-        _tokenize(text)
-    return tokens
+            at = at if comment < 0 else comment
+        out.append((line, at - line_start + 1))
+        gap = at + len(t)
+    return out
 
 
 def _value(t: str) -> str:
@@ -201,12 +196,11 @@ class _Parser:
         self.pos = 0
 
     @cached_property
-    def positions(self) -> list[Token]:
-        return _tokenize(self.text)
+    def positions(self) -> list[tuple[int, int]]:
+        return _positions(self.text, self.tokens)
 
     def diagnostic(self, at: int, message: str) -> Diagnostic:
-        t = self.positions[at]
-        return Diagnostic(t.line, t.column, message)
+        return Diagnostic(*self.positions[at], message)
 
     def error(self, message: str, at: int | None = None):
         raise DslError([self.diagnostic(self.pos if at is None else at, message)])

@@ -431,7 +431,8 @@ def test_a_command_leaves_no_engine_object_in_a_reference_cycle(argv, tmp_path, 
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        code = main(argv + ["--report", str(tmp_path / "report.json")])
+        report = [] if argv[0].startswith("export-") else ["--report", str(tmp_path / "report.json")]
+        code = main(argv + report)
         gc.collect()
         left = sorted({type(o).__qualname__ for o in gc.garbage if type(o).__module__.startswith("causalmc")})
     finally:
@@ -440,3 +441,13 @@ def test_a_command_leaves_no_engine_object_in_a_reference_cycle(argv, tmp_path, 
         gc.enable()
     assert code in (0, 1)
     assert left == []
+
+
+@pytest.mark.parametrize("argv", [argv for argv in _EVERY_COMMAND if argv[0].startswith("export-")], ids=" ".join)
+def test_export_commands_take_no_report_flag(argv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--report", str(report)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --report" in capsys.readouterr().err
+    assert not report.exists()

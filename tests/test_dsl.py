@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,14 @@ from causalmc import formulas as F
 from causalmc.cli import main
 from causalmc.dsl import (
     DslError,
+    parse_config_text,
     parse_formula_text,
     parse_model,
     parse_query_text,
     pretty_document,
 )
+
+EX1_TEXT = (Path(__file__).resolve().parents[1] / "models" / "ex1.model").read_text(encoding="utf-8")
 
 
 def test_ex1_transcription(ex1_doc):
@@ -65,6 +69,22 @@ def test_stanza_name_errors_are_positioned_and_collected():
         "6:1: configuration misses components ['b']",
         "7:1: unresolved name 'nothing' in formula",
     ]
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        ("formula c1_mid = true", "38:1: duplicate formula name 'c1_mid'"),
+        ("formula g = nothing", "38:1: unresolved name 'nothing' in formula"),
+        ("formula g = p[c1=zz]", "38:1: behaviour atom names unknown behaviour 'zz' of 'c1'"),
+        ("formula f = true\nformula f = false", "39:1: duplicate formula name 'f'"),
+    ],
+)
+def test_named_formula_errors_are_reported_at_their_declaration(lines, expected):
+    # ex1 has 37 lines, so the first appended line is line 38
+    with pytest.raises(DslError) as exc:
+        parse_model(EX1_TEXT + lines + "\n")
+    assert [str(d) for d in exc.value.diagnostics] == [expected]
 
 
 def test_domain_violations_delegated_to_validation():
@@ -167,6 +187,15 @@ def test_star_requires_parenthesized_operands():
     assert "parenthesized" in str(exc.value)
 
 
+def test_trailing_input_is_reported(ex1_doc):
+    with pytest.raises(DslError) as exc:
+        parse_formula_text("true false", ex1_doc)
+    assert str(exc.value) == "1:6: trailing input after formula"
+    with pytest.raises(DslError) as exc:
+        parse_config_text("start mid", ex1_doc)
+    assert str(exc.value) == "1:7: trailing input after configuration"
+
+
 def test_named_formulas_inline():
     text = (
         "component a { domain x y }\n"
@@ -185,7 +214,10 @@ def test_query_stanza_round_trip(micro_doc):
 
 
 def test_document_round_trip(ex1_doc, micro_doc):
-    for doc in (ex1_doc, micro_doc):
+    # an atom by extension and named formulas, one of them built on another
+    extended = parse_model(EX1_TEXT + "atom both = { start flipped }\nformula f0 = both | false\nformula f1 = [] f0\n")
+    assert extended.formula("f1") == F.Box(F.Or(F.Atom("both"), F.FALSE))
+    for doc in (ex1_doc, micro_doc, extended):
         printed = pretty_document(doc)
         assert parse_model(printed) == parse_model(printed)
         assert parse_model(printed) == doc

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalmc.causality import CauseQuery, find_causes
+from causalmc.dsl import parse_model
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.hp import (
     HPCauseQuery,
@@ -78,6 +79,32 @@ def test_micro_cause_validates_through_export(micro, micro_f1, micro_f2):
     hp = export_hp(micro, micro_f1)
     hq = HPCauseQuery.build({"UserDB": "dbError"}, {"FrontEnd": "error"}, path=cert.ac1_path)
     assert hp_check_actual_cause(hp, hq).is_cause
+
+
+@pytest.mark.parametrize(
+    "rows, verdicts, causes",
+    [
+        # C is set by A or B: either alone keeps the effect, so only both together are a cause
+        ("rule _ (a1, _) -> c1\n  rule _ (_, b1) -> c1", {("A",): (False, True), ("A", "B"): (True, True)}, [("A", "B")]),
+        # C is set by A and B: either alone is a cause, so both together are not minimal
+        ("rule _ (a1, b1) -> c1", {("A",): (True, True), ("A", "B"): (True, False)}, [("A",), ("B",)]),
+    ],
+    ids=["or", "and"],
+)
+def test_equation_oracle_refuses_non_causes(rows, verdicts, causes):
+    doc = parse_model(
+        "component A { domain a0 a1 }\ncomponent B { domain b0 b1 }\n"
+        f"component C {{ domain c0 c1\n  context A B\n  {rows} }}\n"
+        "config run = (A=a1, B=b1, C=c0)\nconfig out = (A=a1, B=b1, C=c1)\n"
+    )
+    start, end = doc.configuration("run"), doc.configuration("out")
+    hp = export_hp(doc.model, start)
+    for candidate, (ac2, ac3) in verdicts.items():
+        for path in (None, (start, end)):  # the static and the unrolled check
+            hq = HPCauseQuery.build({c: end[c] for c in candidate}, {"C": "c1"}, path=path)
+            verdict = hp_check_actual_cause(hp, hq)
+            assert (verdict.ac1, verdict.ac2, verdict.ac3) == (True, ac2, ac3), (candidate, path)
+    assert [cert.cause_set for cert in find_causes(doc.model, CauseQuery(start, end, ("C",)))] == causes
 
 
 @settings(max_examples=25, deadline=None)

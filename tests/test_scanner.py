@@ -1,7 +1,9 @@
 """Token-for-token differential test of the model-language scanner.
 
 ``reference_tokenize`` is a verbatim copy of the character-loop tokenizer
-that ``dsl._tokenize`` replaced.  Every input below must give the same
+that the scanner replaced.  The scanner's side is ``scan``: the tokens of
+``dsl._strings``, each with its kind read from its first character and its
+place from ``dsl._positions``.  Every input below must give the same
 ``(kind, value, line, column)`` list from both, or the same diagnostic text.
 The reference keeps three quirks the scanner must reproduce: a newline
 inside a ``"..."`` string does not advance the line, the ``eof`` column
@@ -9,8 +11,8 @@ after a trailing comment with no final newline is the column of the ``#``,
 and ``\\d`` in the number rule matches non-ASCII digits.
 
 The parser reads ``dsl._strings``, the tokens as plain strings, and runs
-``_tokenize`` only to place a diagnostic; the last tests check the two
-against each other and count the calls to ``_tokenize``.
+``_positions`` only to place a diagnostic; the last tests check the string
+scan's tokens against the reference and count the calls to ``_positions``.
 """
 
 import json
@@ -24,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from causalmc import dsl
-from causalmc.dsl import Diagnostic, DslError, _tokenize
+from causalmc.dsl import Diagnostic, DslError
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "models"
@@ -194,14 +196,14 @@ def _fuzzed_inputs(count: int, seed: int = 20261018) -> list[str]:
     ids=repr,
 )
 def test_scanner_matches_reference_on_corner_cases(text):
-    assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+    assert _outcome(scan, text) == _outcome(reference_tokenize, text)
 
 
 def test_scanner_matches_reference_on_models_stanzas_and_families():
     texts = _model_texts() + _stanza_texts() + _family_texts()
     assert len(texts) > 40
     for text in texts:
-        assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text), text
+        assert _outcome(scan, text) == _outcome(reference_tokenize, text), text
 
 
 def test_scanner_matches_reference_on_fuzzed_text():
@@ -210,13 +212,13 @@ def test_scanner_matches_reference_on_fuzzed_text():
     for text in inputs:
         expected = _outcome(reference_tokenize, text)
         errors += expected[0] == "error"
-        assert _outcome(_tokenize, text) == expected, text
+        assert _outcome(scan, text) == expected, text
     # both outcomes must be well represented, or the fuzzing proves little
     assert 0.2 * len(inputs) < errors < 0.8 * len(inputs)
 
 
 # ---------------------------------------------------------------------------
-# the string scan against the positional scan
+# the string scan against the reference, and the calls to the positions
 
 _CORNER_CASES = [
     "",
@@ -262,6 +264,15 @@ def _kind(t: str) -> str:
     return "punct"
 
 
+def scan(text: str) -> list[Token]:
+    """The scanner's tokens with their kinds and positions, ending with ``eof``."""
+    tokens = dsl._strings(text)
+    return [
+        Token(_kind(t) if t else "eof", dsl._value(t), line, column)
+        for t, (line, column) in zip(tokens, dsl._positions(text, tokens))
+    ]
+
+
 def _string_outcome(text: str):
     try:
         tokens = dsl._strings(text)
@@ -271,9 +282,9 @@ def _string_outcome(text: str):
     return [(_kind(t), t[1:-1] if _kind(t) == "string" else t) for t in tokens[:-1]] + [("eof", "")]
 
 
-def _positional_outcome(text: str):
+def _reference_outcome(text: str):
     try:
-        return [(t.kind, t.value) for t in _tokenize(text)]
+        return [(t.kind, t.value) for t in reference_tokenize(text)]
     except DslError:
         return "error"
 
@@ -281,17 +292,19 @@ def _positional_outcome(text: str):
 def test_string_scan_matches_positional_scan():
     texts = _CORNER_CASES + _model_texts() + _stanza_texts() + _family_texts() + _fuzzed_inputs(20_000)
     for text in texts:
-        assert _string_outcome(text) == _positional_outcome(text), text
+        assert _string_outcome(text) == _reference_outcome(text), text
 
 
 def test_positions_are_computed_only_for_diagnostics(monkeypatch, micro_doc):
     calls = []
 
-    def counted(text):
-        calls.append(text)
-        return _tokenize(text)
+    positions = dsl._positions
 
-    monkeypatch.setattr(dsl, "_tokenize", counted)
+    def counted(text, tokens):
+        calls.append(text)
+        return positions(text, tokens)
+
+    monkeypatch.setattr(dsl, "_positions", counted)
     text = (MODELS / "microservice.model").read_text(encoding="utf-8")
     doc = dsl.parse_model(text)
     assert doc == micro_doc
