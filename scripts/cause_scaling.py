@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Scaling curve of the cause search: ``find_causes`` milliseconds and
-effect searches for the benchmark's pipelines (n stages, with and without a
-fault at the source) and fan-in trees (one or two faulty leaves), then
-``find_causal_chains`` milliseconds and effect searches on the microservice
-model from f1 to f2 for max-len 3 to 12.  A chain query's links share their
-clamped variants and verdicts, so each search it counts is one the query
-had not run before.
+"""Scaling curve of the cause search: ``find_causes`` milliseconds, effect
+searches and states expanded for the benchmark's pipelines (n stages, with
+and without a fault at the source) and fan-in trees (one or two faulty
+leaves), then ``find_causal_chains`` milliseconds, effect searches and
+states expanded on the microservice model from f1 to f2 for max-len 3 to
+12.  A chain query's links share their clamped variants and verdicts, so
+each search it counts is one the query had not run before.  The counts are
+the work of one run and do not depend on the machine, so a faster kernel
+shows as fewer milliseconds at the same counts.
 
 Only the answers are checked, not the times: a spontaneous pipeline and a
 tree with two faulty leaves have no cause, a faulty source is the one cause
@@ -21,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from causalmc import causality
+from causalmc import causality, kernel
 from causalmc.causality import CauseQuery, find_causal_chains, find_causes
 from causalmc.dsl import parse_model
 
@@ -33,53 +35,59 @@ import families  # noqa: E402
 
 
 def timed(prepare, repeat: int):
-    """Best milliseconds of ``repeat`` runs, the effect searches of one run,
-    and what the last run returned; ``prepare`` parses the model afresh and
-    returns the run, so the time leaves the parse out."""
-    searches = []
-    search = causality._first_effect_reachable
+    """Best milliseconds of ``repeat`` runs, the effect searches and states
+    expanded of one run, and what the last run returned; ``prepare`` parses
+    the model afresh and returns the run, so the time leaves the parse out."""
+    searches, expanded = [], []
+    search, expand = causality._first_effect_reachable, kernel.Kernel._expand
 
     def counted(k, start, goal, options):
         searches.append(start)
         return search(k, start, goal, options)
 
+    def expanding(k, s, self_loops):
+        expanded.append(s)
+        return expand(k, s, self_loops)
+
     best = float("inf")
-    causality._first_effect_reachable = counted
+    causality._first_effect_reachable, kernel.Kernel._expand = counted, expanding
     try:
         for _ in range(repeat):
             run = prepare()
             searches.clear()
+            expanded.clear()
             started = time.perf_counter()
             found = run()
             best = min(best, time.perf_counter() - started)
     finally:
-        causality._first_effect_reachable = search
-    return 1000 * best, len(searches), found
+        causality._first_effect_reachable, kernel.Kernel._expand = search, expand
+    return 1000 * best, len(searches), len(expanded), found
 
 
 def measure(text: str, names: dict, effect: str, repeat: int):
-    """Best milliseconds, effect searches of one run, and the cause sets found."""
+    """Best milliseconds, effect searches and states expanded of one run, and
+    the cause sets found."""
 
     def prepare():
         doc = parse_model(text)
         q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (effect,))
         return lambda: find_causes(doc.model, q)
 
-    ms, searches, certs = timed(prepare, repeat)
-    return ms, searches, [c.cause_set for c in certs]
+    ms, searches, expanded, certs = timed(prepare, repeat)
+    return ms, searches, expanded, [c.cause_set for c in certs]
 
 
 def measure_chains(text: str, max_len: int, repeat: int):
-    """Best milliseconds and effect searches of micro's f1-to-f2 chain
-    search, and the chains found."""
+    """Best milliseconds, effect searches and states expanded of micro's
+    f1-to-f2 chain search, and the chains found."""
 
     def prepare():
         doc = parse_model(text)
         f1, f2 = doc.configuration("f1"), doc.configuration("f2")
         return lambda: find_causal_chains(doc.model, f1, f2, max_len=max_len)
 
-    ms, searches, chains = timed(prepare, repeat)
-    return ms, searches, [c.configurations for c in chains]
+    ms, searches, expanded, chains = timed(prepare, repeat)
+    return ms, searches, expanded, [c.configurations for c in chains]
 
 
 def main() -> int:
@@ -89,24 +97,25 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    print(f"{'family':<24}{'ms':>10}{'searches':>10}  causes")
+    print(f"{'family':<24}{'ms':>10}{'searches':>10}{'expanded':>10}  causes")
     for n in range(4, args.max_n + 1):
         for fault in (False, True):
             text, names = families.pipeline(random.Random(args.seed), n, fault)
-            ms, searches, causes = measure(text, names, names["comps"][-1], args.repeat)
-            print(f"{f'pipeline n={n} ' + ('fault' if fault else 'spontaneous'):<24}{ms:>10.1f}{searches:>10}  {causes}")
+            ms, searches, expanded, causes = measure(text, names, names["comps"][-1], args.repeat)
+            label = f"pipeline n={n} " + ("fault" if fault else "spontaneous")
+            print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}  {causes}")
             assert causes == ([(names["comps"][0],)] if fault else []), causes
     for leaves in (3, 4, 5):
         for faulty in (1, 2):
             text, names = families.fanin(random.Random(args.seed), leaves, faulty)
-            ms, searches, causes = measure(text, names, names["comps"][-1], args.repeat)
-            print(f"{f'fan-in {leaves} leaves, {faulty} faulty':<24}{ms:>10.1f}{searches:>10}  {causes}")
+            ms, searches, expanded, causes = measure(text, names, names["comps"][-1], args.repeat)
+            print(f"{f'fan-in {leaves} leaves, {faulty} faulty':<24}{ms:>10.1f}{searches:>10}{expanded:>10}  {causes}")
             assert causes == ([(names["comps"][0],)] if faulty == 1 else []), causes
     micro = (REPO / "models" / "microservice.model").read_text(encoding="utf-8")
-    _, _, longest = measure_chains(micro, 12, 1)
+    *_, longest = measure_chains(micro, 12, 1)
     for max_len in range(3, 13):
-        ms, searches, chains = measure_chains(micro, max_len, args.repeat)
-        print(f"{f'micro chain max-len {max_len}':<24}{ms:>10.1f}{searches:>10}  {len(chains)} chains")
+        ms, searches, expanded, chains = measure_chains(micro, max_len, args.repeat)
+        print(f"{f'micro chain max-len {max_len}':<24}{ms:>10.1f}{searches:>10}{expanded:>10}  {len(chains)} chains")
         assert chains == [c for c in longest if len(c) <= max_len], chains
     return 0
 

@@ -318,11 +318,14 @@ def _first_effect_reachable(k, start: int, effect, options) -> int | None:
     (weight, radix, code) place of ``effect`` holds its code; ``start``
     itself counts only as its own successor (a self-loop), not at the end of
     a longer cycle."""
-    for g in k.search(start, options, "counterfactual reachability"):
-        if all(g // w % r == b for w, r, b in effect):
-            if g != start or start in k.successors(start, options.self_loops):
-                return g
-    return None
+
+    def goal(g: int) -> bool:
+        for w, r, b in effect:
+            if g // w % r != b:
+                return False
+        return g != start or start in k.successors(start, options.self_loops)
+
+    return k.search(start, options, "counterfactual reachability", goal)[1]
 
 
 def _ac2(e: _Episode, cause):

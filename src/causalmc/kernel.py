@@ -18,9 +18,7 @@ model; its caller keeps it as long as it needs its memos.
 
 from __future__ import annotations
 
-import copy
 import weakref
-from itertools import product
 from math import prod
 
 from .model import Configuration, ModelError, UnknownNameError, apply_intervention, exceeded
@@ -113,14 +111,19 @@ class Kernel:
         self.weights = tuple(prod(self.radices[i + 1 :]) for i in range(len(self.radices)))
         self.size = prod(self.radices)
         self.places = tuple(zip(self.weights, self.radices))
-        # (context component, multiplier) pairs: a table key is own + sum(code * multiplier)
-        self.contexts = []
-        for i, c in enumerate(model.components):
-            ctx, m = [], self.radices[i]
-            for j in map(self.position, c.context):
-                ctx.append((j, m))
+        # per component: its context positions, and its place (i, weight,
+        # radix, context triples); a table key is the component's own code
+        # plus, for each context triple (weight, radix, multiplier), that
+        # component's code times the multiplier
+        self.contexts = tuple(tuple(map(self.position, c.context)) for c in model.components)
+        layout = []
+        for i, ctx in enumerate(self.contexts):
+            triples, m = [], self.radices[i]
+            for j in ctx:
+                triples.append(self.places[j] + (m,))
                 m *= self.radices[j]
-            self.contexts.append(tuple(ctx))
+            layout.append((i, *self.places[i], tuple(triples)))
+        self.layout = tuple(layout)
         # per component: None (free), an int (clamped), or (lazily filled table, rule table)
         self.rules = [None if c.free else ({}, c.rule) for c in model.components]
         self.tests: dict = {}  # atom predicates, shared with intervened variants
@@ -168,47 +171,59 @@ class Kernel:
             out = memo[s] = self._expand(s, self_loops)
         return out
 
-    def _next(self, i: int, digits: list[int]):
-        rule = self.rules[i]
-        if rule is None or rule.__class__ is int:
-            return rule
-        table, rows = rule
-        key = digits[i]
-        for j, m in self.contexts[i]:
-            key += digits[j] * m
-        code = table.get(key)
-        if code is None:
-            dom = self.domains
-            out = rows.apply(dom[i][digits[i]], tuple(dom[j][digits[j]] for j, _ in self.contexts[i]))
-            code = self.codes[i].get(out)
-            if code is None:
-                raise ModelError(f"behaviour {out!r} not in domain of {self.names[i]!r}")
-            table[key] = code
-        return code
-
     def _expand(self, s: int, self_loops: bool) -> tuple[int, ...]:
-        digits = self.digits(s)
-        nexts = [self._next(i, digits) for i in range(len(digits))]
-        if self.mode == "async":
-            out, stays = [], False
-            for d, b, (w, r) in zip(digits, nexts, self.places):
-                if b is None:  # free: every other behaviour of the domain
+        """``s``'s one-step successors in canonical order, in one pass over
+        the components: each reads its code and its table key from ``s``
+        through its place, and a table hit is one dictionary lookup.  Async
+        moves one component; sync moves every component at once, so its
+        successors are the product of the choices in component order."""
+        sync = self.mode == "sync"
+        if not sync and self.mode != "async":
+            raise ModelError(f"unknown transition mode {self.mode!r}")
+        out, stays = [], False  # async: the moves so far, and whether s is one
+        shift, free = 0, [0]  # sync: the ruled components' move, and the free ones' combinations
+        for (i, w, r, ctx), rule in zip(self.layout, self.rules):
+            d = s // w % r
+            if rule is None:  # free: any behaviour of the domain
+                if sync:
+                    free = [t + (c - d) * w for t in free for c in range(r)]
+                else:
                     out.extend(s + (c - d) * w for c in range(r) if c != d)
                     stays = True
-                elif b == d:
-                    stays = True
-                else:
-                    out.append(s + (b - d) * w)
-            if self_loops and stays:
-                out.append(s)
-            return tuple(out)
-        if self.mode == "sync":
-            choices = [range(r) if b is None else (b,) for b, r in zip(nexts, self.radices)]
-            found = dict.fromkeys(sum(map(int.__mul__, combo, self.weights)) for combo in product(*choices))
-            if not self_loops:
-                found.pop(s, None)
-            return tuple(found)
-        raise ModelError(f"unknown transition mode {self.mode!r}")
+                continue
+            if rule.__class__ is int:
+                b = rule
+            else:
+                key = d
+                for v, q, m in ctx:
+                    key += s // v % q * m
+                b = rule[0].get(key)
+                if b is None:
+                    b = self._fill(i, s, key)
+            if b == d:
+                stays = True
+            elif sync:
+                shift += (b - d) * w
+            else:
+                out.append(s + (b - d) * w)
+        if sync:
+            moved = [s + shift + t for t in free]
+            return tuple(moved) if self_loops else tuple(g for g in moved if g != s)
+        if self_loops and stays:
+            out.append(s)
+        return tuple(out)
+
+    def _fill(self, i: int, s: int, key: int) -> int:
+        """Component i's next code in ``s`` from its rule table, entered in
+        its lazily filled table under ``key``."""
+        table, rows = self.rules[i]
+        digits, dom = self.digits(s), self.domains
+        out = rows.apply(dom[i][digits[i]], tuple(dom[j][digits[j]] for j in self.contexts[i]))
+        code = self.codes[i].get(out)
+        if code is None:
+            raise ModelError(f"behaviour {out!r} not in domain of {self.names[i]!r}")
+        table[key] = code
+        return code
 
     def reachable(self, s: int, options) -> list[int]:
         """States strictly reachable from ``s``, breadth-first, memoized with
@@ -217,32 +232,39 @@ class Kernel:
         memo = self.reach_memo[options.self_loops]
         found = memo.get(s)
         if found is None:
-            queue = list(self.search(s, options, "reachable set"))
+            queue = self.search(s, options, "reachable set")[0]
             found = memo[s] = (queue, len(queue) + (s not in queue))
         if found[1] > options.max_states:
             exceeded(options.max_states, "reachable set")
         return found[0]
 
-    def search(self, s: int, options, what: str):
-        """The states strictly reachable from ``s``, breadth-first, each
-        yielded when it is dequeued, so a caller may stop early.  The search
-        holds ``s`` and every state it has queued, and raises ``what``'s
-        overrun when they are more than the cap."""
-        succ, loops, cap = self.successors, options.self_loops, options.max_states
+    def search(self, s: int, options, what: str, goal=None) -> tuple[list[int], int | None]:
+        """Breadth-first search from ``s``: the states strictly reachable
+        from it, in the order they were queued, and the first dequeued state
+        for which ``goal`` is true, or None.  The search stops at that state,
+        and runs to the end without a goal.  It holds ``s`` and every state
+        it has queued, and raises ``what``'s overrun when, after an
+        expansion, they are more than the cap."""
+        loops, cap = options.self_loops, options.max_states
+        memo = self.succ_memo[loops]
         queue, seen, i = [], set(), 0
         g = s
         while True:
-            for h in succ(g, loops):
+            out = memo.get(g)
+            if out is None:
+                out = memo[g] = self._expand(g, loops)
+            for h in out:
                 if h not in seen:
                     seen.add(h)
                     queue.append(h)
             if len(seen) + (s not in seen) > cap:
                 exceeded(cap, what)
             if i == len(queue):
-                return
+                return queue, None
             g = queue[i]
             i += 1
-            yield g
+            if goal is not None and goal(g):
+                return queue, g
 
     def pinned(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
         """Variant pinning each (component, code) pair's component to that code;
@@ -263,7 +285,8 @@ class Kernel:
         return model.__dict__["_kernel"]
 
     def _variant(self, model, replaced: dict) -> "Kernel":
-        out = copy.copy(self)
+        out = Kernel.__new__(Kernel)
+        out.__dict__.update(self.__dict__)
         if model is None:
             out.is_pinned = True
         else:

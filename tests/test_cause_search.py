@@ -21,6 +21,7 @@ import random
 import sys
 from dataclasses import replace
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -387,7 +388,7 @@ def test_microservice_matches_reference(micro, micro_f1, micro_f2, mode):
 def test_check_cause_matches_reference_per_candidate():
     verdicts = set()
     for model, q, mode, options in CASES[::2] + STRUCTURED[::3]:
-        for k in (1, 2):
+        for k in (1, 2, 3):
             for cand in combinations(model.component_order, k):
                 want = _outcome(lambda: [ref_check_cause(model, q, cand, mode, options)])
                 assert _outcome(lambda: [check_cause(model, q, cand, mode, options)]) == want
@@ -478,6 +479,34 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
     eager = sum(3**size - 1 for size, _ in made)
     assert eager == 4**5 - 2**5  # every candidate reaches AC2
     assert sum(len(devs.offsets) for _, devs in made) == 62
+
+
+@pytest.mark.parametrize("query, expanded, searched", [("pipeline", 198, 67), ("micro chain", 383, 251)])
+def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, micro_f1, micro_f2, query, expanded, searched):
+    """The work of a spontaneous six-stage benchmark pipeline's cause query
+    and of micro's f1-to-f2 chain query with max-len 3: the states expanded
+    and the effect searches run are pinned, so a faster kernel shows it does
+    the same work at a lower cost, and no state of a kernel is expanded
+    twice for one self-loops setting."""
+    expansions, searches = [], []
+    expand, search = kernel.Kernel._expand, causality._first_effect_reachable
+    monkeypatch.setattr(kernel.Kernel, "_expand", lambda k, s, loops: expansions.append((k, s, loops)) or expand(k, s, loops))
+    monkeypatch.setattr(causality, "_first_effect_reachable", lambda *args: searches.append(args[:2]) or search(*args))
+    if query == "pipeline":
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import families
+        finally:
+            sys.path.pop(0)
+        text, names = families.pipeline(random.Random(5), 6, False)
+        doc = parse_model(text)
+        q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (names["comps"][-1],))
+        assert find_causes(doc.model, q) == []
+    else:
+        chains = causality.find_causal_chains(replace(micro), micro_f1, micro_f2, 3)  # a copy, compiled afresh
+        assert len(chains) == 4
+    assert len(expansions) == len(set(expansions)) == expanded
+    assert len(searches) == searched
 
 
 def test_clamped_variants_go_with_the_query(micro, micro_f1, micro_f2):
