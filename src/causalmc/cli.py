@@ -24,15 +24,27 @@ def _absolute(path: str) -> str:
     return str(Path(path).resolve())
 
 
-def _common_flags(sp: argparse.ArgumentParser, report: bool = True) -> None:
+def _common_flags(sp: argparse.ArgumentParser, report: bool = True, engine: bool = True, transitions: bool = True) -> None:
+    """The model file and the flags ``sp``'s command reads: with
+    ``transitions`` the mode, self-loop and state-cap flags of a command
+    that walks the state space, with ``engine`` the cause and split flags,
+    and with ``report`` the report file.  A flag a command does not read
+    is not defined for it, so giving one exits 2; its field keeps the
+    default, so every command's arguments have the same fields."""
     sp.add_argument("model", help="model file")
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--sync", action="store_true", help="force synchronous transitions")
-    mode.add_argument("--async", dest="force_async", action="store_true", help="force asynchronous transitions")
-    sp.add_argument("--self-loops", action="store_true", help="include fixpoint self-loops")
-    sp.add_argument("--allow-trivial-split", action="store_true", help="admit non-proper interface splits")
-    sp.add_argument("--strict-ac1", action="store_true", help="literal start-equals-end actuality clause")
-    sp.add_argument("--max-states", type=int, default=Options.max_states, metavar="N", help="states one search may hold")
+    if transitions:
+        mode = sp.add_mutually_exclusive_group()
+        mode.add_argument("--sync", action="store_true", help="force synchronous transitions")
+        mode.add_argument("--async", dest="force_async", action="store_true", help="force asynchronous transitions")
+        sp.add_argument("--self-loops", action="store_true", help="include fixpoint self-loops")
+        sp.add_argument("--max-states", type=int, metavar="N", help=f"states one search may hold (default {Options.max_states})")
+    else:
+        sp.set_defaults(sync=False, force_async=False, self_loops=False, max_states=None)
+    if engine:
+        sp.add_argument("--allow-trivial-split", action="store_true", help="admit non-proper interface splits")
+        sp.add_argument("--strict-ac1", action="store_true", help="literal start-equals-end actuality clause")
+    else:
+        sp.set_defaults(allow_trivial_split=False, strict_ac1=False)
     if report:
         sp.add_argument("--report", metavar="PATH", help="write the JSON report here")
 
@@ -85,13 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("formula")
 
     sp = sub.add_parser("export-dot", help="transition graph or variant graph as DOT")
-    _common_flags(sp, report=False)
-    sp.add_argument("--variants", action="store_true", help="export the intervention variant graph")
+    _common_flags(sp, report=False, engine=False)
+    sp.add_argument("--variants", action="store_true", help="export the intervention variant graph; takes no transition flag")
     sp.add_argument("--reachable-from", metavar="CONFIG", help="restrict to configurations reachable from here")
     sp.add_argument("-o", "--output", metavar="PATH")
 
     sp = sub.add_parser("export-hp", help="structural-equations export")
-    _common_flags(sp, report=False)
+    _common_flags(sp, report=False, engine=False, transitions=False)
     sp.add_argument("--init", required=True, metavar="CONFIG")
     sp.add_argument("-o", "--output", metavar="PATH")
 
@@ -106,7 +118,7 @@ def _load(args):
     options = Options(
         self_loops=args.self_loops,
         allow_trivial_split=args.allow_trivial_split,
-        max_states=args.max_states,
+        max_states=Options.max_states if args.max_states is None else args.max_states,
         mode="sync" if args.sync else "async" if args.force_async else None,
     )
     return replace(doc, model=options.forced(doc.model)), options
@@ -125,6 +137,17 @@ def _emit(reports, payload, path: str | None) -> int:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    if args.command == "export-dot" and args.variants:  # the variant graph reads no transition flag
+        given = (
+            ("--sync", args.sync),
+            ("--async", args.force_async),
+            ("--self-loops", args.self_loops),
+            ("--max-states", args.max_states is not None),
+            ("--reachable-from", args.reachable_from is not None),
+        )
+        ignored = [flag for flag, on in given if on]
+        if ignored:
+            ap.error("export-dot --variants does not read " + " ".join(ignored))
     try:
         doc, options = _load(args)
         if args.command == "run":

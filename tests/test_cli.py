@@ -451,3 +451,43 @@ def test_export_commands_take_no_report_flag(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --report" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["export-hp", EX1, "--init", "start"], ["--max-states", "1"]),
+        (["export-hp", EX1, "--init", "start"], ["--strict-ac1"]),
+        (["export-hp", EX1, "--init", "start"], ["--allow-trivial-split"]),
+        (["export-hp", EX1, "--init", "start"], ["--self-loops"]),
+        (["export-hp", EX1, "--init", "start"], ["--sync"]),
+        (["export-dot", EX1], ["--strict-ac1"]),
+        (["export-dot", EX1], ["--allow-trivial-split"]),
+        (["export-dot", EX1, "--variants"], ["--max-states", "1"]),
+        (["export-dot", EX1, "--variants"], ["--max-states", "0"]),
+        (["export-dot", EX1, "--variants"], ["--self-loops"]),
+        (["export-dot", EX1, "--variants"], ["--async"]),
+        (["export-dot", EX1, "--variants"], ["--reachable-from", "start"]),
+    ],
+    ids=lambda part: " ".join(a for a in part if a != EX1),
+)
+def test_export_commands_reject_flags_they_would_ignore(argv, flags, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags + ["-o", str(out)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]  # after the usage lines
+    assert last.startswith("causalmc: error:") and flags[0] in last
+    assert not out.exists()
+
+
+def test_export_help_lists_only_the_flags_read(capsys):
+    helps = {}
+    for command in ("export-hp", "export-dot"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps[command] = capsys.readouterr().out
+    engine = ("--strict-ac1", "--allow-trivial-split", "--report")
+    assert not any(flag in helps["export-hp"] for flag in engine + ("--sync", "--async", "--self-loops", "--max-states"))
+    assert not any(flag in helps["export-dot"] for flag in engine)
+    assert all(flag in helps["export-dot"] for flag in ("--sync", "--async", "--self-loops", "--max-states"))
