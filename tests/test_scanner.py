@@ -10,9 +10,10 @@ inside a ``"..."`` string does not advance the line, the ``eof`` column
 after a trailing comment with no final newline is the column of the ``#``,
 and ``\\d`` in the number rule matches non-ASCII digits.
 
-The parser reads ``dsl._strings``, the tokens as plain strings, and runs
-``_positions`` only to place a diagnostic; the last tests check the string
-scan's tokens against the reference and count the calls to ``_positions``.
+The parser reads ``dsl._strings``, the tokens as plain strings, ending with
+one empty string, the end marker, which ``scan`` checks; the parser runs
+``_positions`` only to place a diagnostic, and the last test counts its
+calls.
 """
 
 import json
@@ -109,6 +110,32 @@ def reference_tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
+# the scanner's side
+
+
+def _kind(t: str) -> str:
+    """A string token's kind, by its first character."""
+    c = t[:1]
+    if c in string.ascii_letters + "_":
+        return "name"
+    if c == '"':
+        return "string"
+    if c.isdecimal():
+        return "number"
+    return "punct"
+
+
+def scan(text: str) -> list[Token]:
+    """The scanner's tokens with their kinds and positions, ending with ``eof``."""
+    tokens = dsl._strings(text)
+    assert tokens[-1] == "" and "" not in tokens[:-1], tokens  # the end marker, and only there
+    return [
+        Token(_kind(t) if t else "eof", dsl._value(t), line, column)
+        for t, (line, column) in zip(tokens, dsl._positions(text, tokens))
+    ]
+
+
+# ---------------------------------------------------------------------------
 # inputs
 
 
@@ -192,6 +219,21 @@ def _fuzzed_inputs(count: int, seed: int = 20261018) -> list[str]:
         "a\r\nb\t c",
         "[]+<>+<?>->|=[]<>[]<|",
         "café",
+        # non-ASCII digits are numbers, a superscript and a non-ASCII letter are not
+        "٣",
+        "x٣.٤y",
+        "３",
+        "a ３.５ b",
+        "²",
+        "a²",
+        "é",
+        "é x",
+        '"é²" ٣',
+        # blanks, newlines and comments before the first token and after the last
+        "  \n# c\n\t x # d\n\r\n  ",
+        " # only a comment",
+        '""',
+        '"" "',
     ],
     ids=repr,
 )
@@ -218,81 +260,7 @@ def test_scanner_matches_reference_on_fuzzed_text():
 
 
 # ---------------------------------------------------------------------------
-# the string scan against the reference, and the calls to the positions
-
-_CORNER_CASES = [
-    "",
-    "a",
-    '"a\nb" x',
-    'x "unterminated\n y',
-    "a # trailing comment",
-    "a # comment\n",
-    "#",
-    "٣٤ x",
-    "1.5 2. 3.x",
-    "a\x0cb",
-    "a\r\nb\t c",
-    "[]+<>+<?>->|=[]<>[]<|",
-    "café",
-    # non-ASCII digits are numbers, a superscript and a non-ASCII letter are not
-    "٣",
-    "x٣.٤y",
-    "３",
-    "a ３.５ b",
-    "²",
-    "a²",
-    "é",
-    "é x",
-    '"é²" ٣',
-    # blanks, newlines and comments before the first token and after the last
-    "  \n# c\n\t x # d\n\r\n  ",
-    " # only a comment",
-    '""',
-    '"" "',
-]
-
-
-def _kind(t: str) -> str:
-    """A string token's kind, by its first character."""
-    c = t[:1]
-    if c in string.ascii_letters + "_":
-        return "name"
-    if c == '"':
-        return "string"
-    if c.isdecimal():
-        return "number"
-    return "punct"
-
-
-def scan(text: str) -> list[Token]:
-    """The scanner's tokens with their kinds and positions, ending with ``eof``."""
-    tokens = dsl._strings(text)
-    return [
-        Token(_kind(t) if t else "eof", dsl._value(t), line, column)
-        for t, (line, column) in zip(tokens, dsl._positions(text, tokens))
-    ]
-
-
-def _string_outcome(text: str):
-    try:
-        tokens = dsl._strings(text)
-    except DslError:
-        return "error"
-    assert tokens[-1] == "" and "" not in tokens[:-1], tokens
-    return [(_kind(t), t[1:-1] if _kind(t) == "string" else t) for t in tokens[:-1]] + [("eof", "")]
-
-
-def _reference_outcome(text: str):
-    try:
-        return [(t.kind, t.value) for t in reference_tokenize(text)]
-    except DslError:
-        return "error"
-
-
-def test_string_scan_matches_positional_scan():
-    texts = _CORNER_CASES + _model_texts() + _stanza_texts() + _family_texts() + _fuzzed_inputs(20_000)
-    for text in texts:
-        assert _string_outcome(text) == _reference_outcome(text), text
+# the calls to the positions
 
 
 def test_positions_are_computed_only_for_diagnostics(monkeypatch, micro_doc):
