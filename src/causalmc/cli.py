@@ -24,12 +24,15 @@ def _absolute(path: str) -> str:
     return str(Path(path).resolve())
 
 
-def _common_flags(sp: argparse.ArgumentParser, report: bool = True, engine: bool = True, transitions: bool = True) -> None:
+def _common_flags(
+    sp: argparse.ArgumentParser, transitions: bool = False, split: bool = False, strict: bool = False, report: bool = False
+) -> None:
     """The model file and the flags ``sp``'s command reads: with
     ``transitions`` the mode, self-loop and state-cap flags of a command
-    that walks the state space, with ``engine`` the cause and split flags,
-    and with ``report`` the report file.  A flag a command does not read
-    is not defined for it, so giving one exits 2; its field keeps the
+    that walks the state space, with ``split`` the trivial-split flag of
+    one that splits the model, with ``strict`` the actuality flag of cause
+    search, and with ``report`` the report file.  A flag a command does not
+    read is not defined for it, so giving one exits 2; its field keeps the
     default, so every command's arguments have the same fields."""
     sp.add_argument("model", help="model file")
     if transitions:
@@ -40,11 +43,14 @@ def _common_flags(sp: argparse.ArgumentParser, report: bool = True, engine: bool
         sp.add_argument("--max-states", type=int, metavar="N", help=f"states one search may hold (default {Options.max_states})")
     else:
         sp.set_defaults(sync=False, force_async=False, self_loops=False, max_states=None)
-    if engine:
+    if split:
         sp.add_argument("--allow-trivial-split", action="store_true", help="admit non-proper interface splits")
+    else:
+        sp.set_defaults(allow_trivial_split=False)
+    if strict:
         sp.add_argument("--strict-ac1", action="store_true", help="literal start-equals-end actuality clause")
     else:
-        sp.set_defaults(allow_trivial_split=False, strict_ac1=False)
+        sp.set_defaults(strict_ac1=False)
     if report:
         sp.add_argument("--report", metavar="PATH", help="write the JSON report here")
 
@@ -57,18 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="evaluate a formula at a configuration")
-    _common_flags(sp)
+    _common_flags(sp, transitions=True, split=True, report=True)
     sp.add_argument("config")
     sp.add_argument("formula")
 
     sp = sub.add_parser("cause", help="minimal actual causes of an outcome")
-    _common_flags(sp)
+    _common_flags(sp, transitions=True, strict=True, report=True)
     sp.add_argument("--from", dest="start", required=True)
     sp.add_argument("--to", dest="end", required=True)
     sp.add_argument("--effect", nargs="+", required=True)
 
     sp = sub.add_parser("chain", help="minimal causal chains between configurations")
-    _common_flags(sp)
+    _common_flags(sp, transitions=True, strict=True, report=True)
     sp.add_argument("--from", dest="start", required=True)
     sp.add_argument("--to", dest="end", required=True)
     sp.add_argument("--effect", nargs="+")
@@ -76,13 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dot", metavar="PATH", help="write the causal projection as DOT")
 
     sp = sub.add_parser("bisim", help="bisimulation under intervention between two pointed models")
-    _common_flags(sp)
+    _common_flags(sp, transitions=True, report=True)
     sp.add_argument("config")
     sp.add_argument("other_model", type=_absolute)
     sp.add_argument("other_config")
 
     sp = sub.add_parser("decompose", help="check an interface split and decompose")
-    _common_flags(sp)
+    _common_flags(sp, split=True, report=True)
     sp.add_argument("--left", nargs="+", required=True)
     sp.add_argument("--right", nargs="+", required=True)
 
@@ -92,23 +98,23 @@ def _build_parser() -> argparse.ArgumentParser:
         ("utility", "qualifying intervention with the best cost-penalty trade-off"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        _common_flags(sp)
+        _common_flags(sp, transitions=True, split=True, report=True)
         sp.add_argument("config")
         sp.add_argument("formula")
 
     sp = sub.add_parser("export-dot", help="transition graph or variant graph as DOT")
-    _common_flags(sp, report=False, engine=False)
+    _common_flags(sp, transitions=True)
     sp.add_argument("--variants", action="store_true", help="export the intervention variant graph; takes no transition flag")
     sp.add_argument("--reachable-from", metavar="CONFIG", help="restrict to configurations reachable from here")
     sp.add_argument("-o", "--output", metavar="PATH")
 
     sp = sub.add_parser("export-hp", help="structural-equations export")
-    _common_flags(sp, report=False, engine=False, transitions=False)
+    _common_flags(sp)
     sp.add_argument("--init", required=True, metavar="CONFIG")
     sp.add_argument("-o", "--output", metavar="PATH")
 
     sp = sub.add_parser("run", help="run every query stanza in the model file")
-    _common_flags(sp)
+    _common_flags(sp, transitions=True, split=True, strict=True, report=True)
     return ap
 
 

@@ -81,57 +81,32 @@ def rename_component_behaviours(model: SystemModel, component: str, suffix: str 
     target = model.component(component)
     mapping = {b: b + suffix for b in target.domain}
 
-    def map_own(comp: ComponentDecl, value):
-        if value is None:
-            return None
-        return mapping.get(value, value) if comp.name == component else value
+    def at(name: str, value):
+        """``value``, a behaviour of component ``name`` or a wildcard, renamed."""
+        return mapping.get(value, value) if name == component else value
 
-    def map_ctx(comp: ComponentDecl, i, value):
-        if value is None:
-            return None
-        return mapping.get(value, value) if comp.context[i] == component else value
-
-    comps = []
-    for c in model.components:
-        domain = tuple(mapping[b] for b in c.domain) if c.name == component else c.domain
-        rows = tuple(
-            RuleRow(
-                own=map_own(c, r.own),
-                context=tuple(map_ctx(c, i, v) for i, v in enumerate(r.context)),
-                output=mapping[r.output] if c.name == component else r.output,
-            )
-            for r in c.rule.rows
+    def rewrite(decl: ComponentDecl, table: RuleTable) -> RuleTable:
+        """A rule table of ``decl``, its own or an intervention's, over the renamed behaviours."""
+        rows = (
+            RuleRow(at(decl.name, r.own), tuple(map(at, decl.context, r.context)), at(decl.name, r.output))
+            for r in table.rows
         )
-        comps.append(replace(c, domain=domain, rule=RuleTable(rows)))
+        return RuleTable(tuple(rows))
+
+    comps = tuple(
+        replace(c, domain=tuple(at(c.name, b) for b in c.domain), rule=rewrite(c, c.rule)) for c in model.components
+    )
     atoms = tuple(
-        replace(a, behaviour=mapping.get(a.behaviour, a.behaviour))
-        if a.is_predicate and a.component == component
-        else a
-        for a in model.atoms
+        replace(a, behaviour=at(a.component, a.behaviour)) if a.is_predicate else a for a in model.atoms
     )
-    ivs = []
-    for iv in model.interventions:
-        tables = []
-        for t, table in iv.rules:
-            decl = model.component(t)
-            rows = tuple(
-                RuleRow(
-                    own=map_own(decl, r.own),
-                    context=tuple(map_ctx(decl, i, v) for i, v in enumerate(r.context)),
-                    output=mapping[r.output] if t == component else r.output,
-                )
-                for r in table.rows
-            )
-            tables.append((t, RuleTable(rows)))
-        ivs.append(replace(iv, rules=tuple(tables)))
-    renamed = SystemModel(
-        components=tuple(comps), atoms=atoms, interventions=tuple(ivs), mode=model.mode
+    ivs = tuple(
+        replace(iv, rules=tuple((t, rewrite(model.component(t), table)) for t, table in iv.rules))
+        for iv in model.interventions
     )
+    renamed = SystemModel(components=comps, atoms=atoms, interventions=ivs, mode=model.mode)
 
     def rename_config(f: Configuration) -> Configuration:
-        return Configuration(
-            tuple((c, mapping[b] if c == component else b) for c, b in f.pairs)
-        )
+        return Configuration(tuple((c, at(c, b)) for c, b in f.pairs))
 
     return renamed, rename_config
 

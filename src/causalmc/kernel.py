@@ -133,7 +133,8 @@ class Kernel:
         self.succ_memo: tuple[dict, dict] = ({}, {})  # indexed by options.self_loops
         self.reach_memo: tuple[dict, dict] = ({}, {})
         self.variants: dict = {}  # intervened models, by intervention
-        self.splits: dict = {}  # semantics' decompositions, by allow_trivial_split
+        self.splits: dict = {}  # semantics' candidate splits, by allow_trivial_split
+        self.sides: dict = {}  # semantics' side models with their positions here, by component names
 
     @property
     def model(self):

@@ -25,8 +25,8 @@ from .model import (
     Intervention,
     ModelError,
     Options,
+    _restrict_model,
     check_interface,
-    conjugate_decompose,
     interface_violations,
 )
 from .semantics import evaluate
@@ -173,9 +173,9 @@ def _decompose(doc, options, mode, left, right):
     split = check_interface(model, left, right, allow_trivial=options.allow_trivial_split)
     if split is None:
         return False, {"violations": interface_violations(model, left, right) or ["cover is not a proper split"]}
-    sides = conjugate_decompose(model, split)
     payload = {"interface": list(split.interface)}
-    for side, m in zip(("left", "right"), sides):
+    for side, names in (("left", split.left), ("right", split.right)):
+        m = _restrict_model(model, names)  # check_interface validated the split
         payload[side] = {
             "components": list(m.component_order),
             "free": [c.name for c in m.components if c.free],

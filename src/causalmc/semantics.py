@@ -37,7 +37,7 @@ from .model import (
     PartialConfiguration,
     SystemModel,
     UnknownNameError,
-    conjugate_decompose,
+    _restrict_model,
     local,
 )
 
@@ -392,27 +392,27 @@ _BUILDERS = {
 
 def _decompositions(k: kernel.Kernel, s: int, options: Options):
     """Each candidate split of k's model with its two compiled sides and the
-    projections of ``s`` onto them.  Splits and side models are built on
-    first use and kept on ``k``, keyed by the trivial-split flag; a side over
-    every component is k's own model, kept as None, so k holds no model
-    that owns it."""
-    entries = k.splits.get(options.allow_trivial_split)
-    if entries is None:
-        splits = candidate_splits(k.model, options)
-        entries = k.splits[options.allow_trivial_split] = [[split, None] for split in splits]
-    digits = k.digits(s)
-    for entry in entries:
-        split, sides = entry
-        if sides is None:
-            model = k.model
-            sides = entry[1] = [
-                (None if m is model else m, [k.index[c] for c in m.component_order])
-                for m in conjugate_decompose(model, split)
-            ]
+    projections of ``s`` onto them.  Built on first use and kept on ``k``:
+    the splits by the trivial-split flag, and one side model per component
+    subset, with its components' positions in k, by its names.  A side over
+    every component is k itself, never kept, so k holds no model that owns
+    it."""
+    splits = k.splits.get(options.allow_trivial_split)
+    if splits is None:
+        splits = k.splits[options.allow_trivial_split] = candidate_splits(k.model, options)
+    digits, sides = k.digits(s), k.sides
+    for split in splits:
         found = [split]
-        for m, idx in sides:
-            side = k if m is None else kernel.compile(m)
-            found.append((side, sum(digits[j] * w for j, w in zip(idx, side.weights))))
+        for names in (split.left, split.right):
+            if len(names) == len(digits):
+                found.append((k, s))
+                continue
+            side = sides.get(names)
+            if side is None:  # candidate_splits validated the split
+                side = sides[names] = (_restrict_model(k.model, names), [k.index[c] for c in names])
+            m, idx = side
+            sk = kernel.compile(m)
+            found.append((sk, sum(digits[j] * w for j, w in zip(idx, sk.weights))))
         yield found
 
 

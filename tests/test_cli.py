@@ -453,6 +453,11 @@ def test_export_commands_take_no_report_flag(argv, tmp_path, capsys):
     assert not report.exists()
 
 
+_CHECK = ["check", EX1, "start", "true"]
+_BISIM = ["bisim", EX1, "start", EX1, "mid"]
+_DECOMPOSE = ["decompose", EX1, "--left", "c1", "c2", "--right", "c2", "c3"]
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [
@@ -468,26 +473,60 @@ def test_export_commands_take_no_report_flag(argv, tmp_path, capsys):
         (["export-dot", EX1, "--variants"], ["--self-loops"]),
         (["export-dot", EX1, "--variants"], ["--async"]),
         (["export-dot", EX1, "--variants"], ["--reachable-from", "start"]),
+        (_CHECK, ["--strict-ac1"]),
+        (["recover", MICRO, "f2", "phi_fail"], ["--strict-ac1"]),
+        (["mincost", MICRO, "f2", "phi_fail"], ["--strict-ac1"]),
+        (["utility", MICRO, "f2", "phi_fail"], ["--strict-ac1"]),
+        (["cause", EX1, "--from", "start", "--to", "mid", "--effect", "c3"], ["--allow-trivial-split"]),
+        (["chain", EX1, "--from", "start", "--to", "mid"], ["--allow-trivial-split"]),
+        (_BISIM, ["--strict-ac1"]),
+        (_BISIM, ["--allow-trivial-split"]),
+        (_DECOMPOSE, ["--strict-ac1"]),
+        (_DECOMPOSE, ["--sync"]),
+        (_DECOMPOSE, ["--async"]),
+        (_DECOMPOSE, ["--self-loops"]),
+        (_DECOMPOSE, ["--max-states", "1"]),
     ],
-    ids=lambda part: " ".join(a for a in part if a != EX1),
+    ids=lambda part: " ".join(a for a in part if a not in (EX1, MICRO)),
 )
 def test_export_commands_reject_flags_they_would_ignore(argv, flags, tmp_path, capsys):
+    """Every subcommand but ``run``, the export commands and the queries
+    alike, exits 2 on a flag it would ignore, and writes nothing."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(argv + flags + ["-o", str(out)])
+        main(argv + flags + ["-o" if argv[0].startswith("export-") else "--report", str(out)])
     assert exc.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]  # after the usage lines
     assert last.startswith("causalmc: error:") and flags[0] in last
     assert not out.exists()
 
 
+_TRANSITIONS = ("--sync", "--async", "--self-loops", "--max-states")
+_QUERY = _TRANSITIONS + ("--allow-trivial-split", "--report")
+_CAUSE = _TRANSITIONS + ("--strict-ac1", "--report")
+# the optional flags each subcommand reads
+_READS = {
+    "check": _QUERY,
+    "recover": _QUERY,
+    "mincost": _QUERY,
+    "utility": _QUERY,
+    "cause": _CAUSE,
+    "chain": _CAUSE,
+    "bisim": _TRANSITIONS + ("--report",),
+    "decompose": ("--allow-trivial-split", "--report"),
+    "run": _QUERY + ("--strict-ac1",),
+    "export-dot": _TRANSITIONS,
+    "export-hp": (),
+}
+
+
 def test_export_help_lists_only_the_flags_read(capsys):
-    helps = {}
-    for command in ("export-hp", "export-dot"):
+    """Each subcommand's ``--help``, not only the export commands', lists
+    exactly the optional flags it reads."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_READS)
+    for command, reads in _READS.items():
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        helps[command] = capsys.readouterr().out
-    engine = ("--strict-ac1", "--allow-trivial-split", "--report")
-    assert not any(flag in helps["export-hp"] for flag in engine + ("--sync", "--async", "--self-loops", "--max-states"))
-    assert not any(flag in helps["export-dot"] for flag in engine)
-    assert all(flag in helps["export-dot"] for flag in ("--sync", "--async", "--self-loops", "--max-states"))
+        shown = capsys.readouterr().out
+        assert {flag for flag in _READS["run"] if flag in shown} == set(reads), command

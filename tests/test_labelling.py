@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from causalmc import formulas as F
-from causalmc import kernel
+from causalmc import kernel, semantics
 from causalmc.dsl import parse_model
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import (
@@ -407,6 +407,41 @@ def test_ring_closure_labels_from_one_search(monkeypatch):
     phi = F.DiamondPlus(F.DiamondPlus(F.FALSE))
     assert evaluate(doc.model, doc.configuration(names["failing"]), phi) is False
     assert calls == {"walks": 1, "searches": 0}
+
+
+def test_false_star_builds_one_side_model_per_component_subset(monkeypatch):
+    """``(true) * (false)`` at the failing state of a six-node ring tries all
+    72 splits.  Their 144 sides cover 24 proper component subsets, and each
+    subset's side model is built once."""
+    doc, names = _ring(6)
+    built = []
+    restrict = semantics._restrict_model
+
+    def counted(model, side):
+        built.append(side)
+        return restrict(model, side)
+
+    monkeypatch.setattr(semantics, "_restrict_model", counted)
+    assert evaluate(doc.model, doc.configuration(names["failing"]), F.Star(F.TRUE, F.FALSE)) is False
+    assert len(built) == len(set(built)) == 24
+
+
+def test_star_under_an_intervention_builds_its_own_sides():
+    """A ``*`` on a ring fills the kernel's side models; a ``*`` under
+    ``<pin>``, which pins the last node up, then runs on the intervened
+    variant, whose sides must keep the pinned rule.  ``(true) * ([]+
+    last_up)`` holds at no state of the four-node ring, and under ``<pin>``
+    at 23 of its 24.  Every state agrees with the reference evaluator."""
+    doc, names = _ring(4)
+    pin, up = names["ivs"][1], F.Atom(names["last_up"])
+    star = F.Star(F.TRUE, F.BoxPlus(up))
+    tally = {"witnessed": 0, "cap": 0, "true": 0}
+    for phi in (F.Or(star, F.Intervene(pin, star)), F.And(F.Not(star), F.Intervene(pin, star))):
+        model = replace(doc.model)  # a fresh instance: no sides from an earlier formula
+        k = kernel.compile(model)
+        for s in k.configurations(Options()):
+            _agree(model, k.decode(s), phi, Options(), tally)
+    assert tally["true"] > 0 and tally["witnessed"] > 0
 
 
 def test_long_chain_needs_no_recursion():

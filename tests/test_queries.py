@@ -122,8 +122,7 @@ def test_decompose_stanza_reports_sides(ex1_doc):
 
 
 def test_decompose_runs_the_locality_check_once_per_use(monkeypatch, ex1_doc):
-    # on success: once to validate the split, once in conjugate_decompose's guard;
-    # on failure: once more, for the message
+    # on success: once, to validate the split; on failure: once more, for the message
     calls = []
     check = model.interface_violations
 
@@ -134,7 +133,7 @@ def test_decompose_runs_the_locality_check_once_per_use(monkeypatch, ex1_doc):
     monkeypatch.setattr(model, "interface_violations", counted)
     monkeypatch.setattr(queries, "interface_violations", counted)
     assert run_query(ex1_doc, parse_query_text("decompose {c1 c2} {c2 c3}", ex1_doc)).verdict
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     report = run_query(ex1_doc, parse_query_text("decompose {c1} {c2 c3}", ex1_doc))
     assert not report.verdict and report.witnesses["violations"]
