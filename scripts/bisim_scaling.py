@@ -4,9 +4,12 @@ milliseconds and state counts for the benchmark's pipelines (n = 3 to 7
 stages, a fault at the source) and rings (n = 3 to 5 nodes, one node
 down), each against a copy with one component's behaviours renamed and
 against a perturbed copy.  Each row also shows the left model's
-intervention closure size (``variants``), and for both sides together the
+intervention closure size (``variants``), for both sides together the
 distinct successor lists the checker builds (``lists``) against the
-(state, label) moves that share them (``moves``).
+(state, label) moves that share them (``moves``), and the refinement rounds
+computed (``rounds``).  Refinement stops at the round that splits the two
+points, so a perturbed row's rounds are its distinguishing depth, and a
+renamed row's are the fixpoint round plus the one that confirmed it.
 
 Only the answers are checked, not the times: a renamed copy is bisimilar,
 and the distinguishing formula found against a perturbed copy holds at the
@@ -23,7 +26,7 @@ import time
 from pathlib import Path
 
 from causalmc import formulas as F
-from causalmc.bisim import STEP, PointedModel, _Lts, check_bisim
+from causalmc.bisim import STEP, PointedModel, _Lts, _refine, check_bisim
 from causalmc.dsl import parse_model
 from causalmc.generate import perturb_model, rename_component_behaviours
 from causalmc.model import DEFAULT_OPTIONS
@@ -53,13 +56,18 @@ def measure(text: str, point: str, other, repeat: int):
 
 
 def shape(a: PointedModel, b: PointedModel) -> str:
-    """Variants of the left closure, then distinct successor lists and
-    (state, label) moves over both sides, as table columns."""
+    """Variants of the left closure, then distinct successor lists,
+    (state, label) moves and refinement rounds over both sides, as table
+    columns."""
     labels = [STEP] + sorted(a.model.intervention_map)
-    sides = [_Lts(p.model, p.point, labels, DEFAULT_OPTIONS) for p in (a, b)]
-    lists = sum(len(lts.lists) for lts in sides)
-    moves = sum(len(lts.atoms) for lts in sides) * len(labels)
-    return f"{len(sides[0].kernels):>9}{lists:>7}{moves:>7}"
+    left, right = (_Lts(p.model, p.point, labels, DEFAULT_OPTIONS) for p in (a, b))
+    n, m = len(left.atoms), len(left.lists)
+    lists = left.lists + [[n + t for t in dests] for dests in right.lists]
+    moves = (n + len(right.atoms)) * len(labels)
+    history = _refine(left.atoms + right.atoms, left.rows + [[m + d for d in row] for row in right.rows], lists, n)
+    # every round computed is kept but the one that confirms a fixpoint
+    rounds = len(history) - 1 + (history[-1][0] == history[-1][n])
+    return f"{len(left.kernels):>9}{len(lists):>7}{moves:>7}{rounds:>7}"
 
 
 def renamed(component: str):
@@ -89,6 +97,7 @@ def main() -> int:
         cases.append((f"ring n={n}", text, names["failing"], names["comps"][1]))
     print(
         f"{'family':<16}{'copy':<12}{'ms':>10}{'left':>8}{'right':>8}{'variants':>9}{'lists':>7}{'moves':>7}"
+        f"{'rounds':>7}"
         "  distinguishing depth"
     )
     for label, text, point, component in cases:

@@ -155,7 +155,9 @@ class _Lts:
         self.kernels = [kernel.compile(m) for m in graph.models]
         edge = {(a, name): b for a, name, b in graph.edges}
         targets = [[v if l == STEP else edge[(v, l)] for l in labels] for v in range(len(self.kernels))]
-        tests = [[atom_test(k, a) for a in sorted(model.atom_map)] for k in self.kernels]
+        # every variant shares ``Kernel.tests``, so a valuation depends on the configuration alone
+        tests = [atom_test(self.kernels[0], a) for a in sorted(model.atom_map)]
+        valued: dict[int, tuple[bool, ...]] = {}  # configuration -> valuation
         size = self.size = self.kernels[0].size
         root = self.kernels[0].encode(point)
         number: dict[int, int | None] = {root: None}  # key -> state number, given on expansion
@@ -173,7 +175,10 @@ class _Lts:
             number[key] = len(self.keys)
             self.keys.append(key)
             variant, f = divmod(key, size)
-            self.atoms.append(tuple(t(f) for t in tests[variant]))
+            atoms = valued.get(f)
+            if atoms is None:
+                atoms = valued[f] = tuple(t(f) for t in tests)
+            self.atoms.append(atoms)
             row = []
             for v in targets[variant]:
                 at = v * size + f
@@ -227,7 +232,7 @@ def check_bisim(
     atoms = lts_a.atoms + lts_b.atoms
     lists = lts_a.lists + [[n + t for t in dests] for dests in lts_b.lists]
     rows = lts_a.rows + [[m + d for d in row] for row in lts_b.rows]
-    history = _refine(atoms, rows, lists)
+    history = _refine(atoms, rows, lists, n)
     colour = history[-1]
 
     if colour[0] == colour[n]:
@@ -265,15 +270,16 @@ def check_bisim(
     )
 
 
-def _refine(atoms: list, rows: list[list[int]], lists: list[list[int]]) -> list[list[int]]:
-    """The colouring of every round, round 0 being the atom valuations.  A
-    round signs each distinct successor list by the set of its colours,
-    numbered in first-appearance order, and a state by its colour and the
-    numbers of its lists; equal sets get equal numbers, so the blocks are
-    those of signing each state by its colour sets themselves."""
+def _refine(atoms: list, rows: list[list[int]], lists: list[list[int]], n: int) -> list[list[int]]:
+    """The colouring of every round, round 0 being the atom valuations, to
+    the first that splits states 0 and ``n`` (no formula reads past it) or
+    else to the fixpoint.  A round signs each distinct successor list by the
+    set of its colours, numbered in first-appearance order, and a state by
+    its colour and the numbers of its lists; equal sets get equal numbers,
+    so the blocks are those of signing each state by its colour sets."""
     colour = _number_blocks(atoms)
     history = [colour]
-    while True:
+    while colour[0] == colour[n]:
         sets = _number_blocks([frozenset(map(colour.__getitem__, dests)) for dests in lists])
         fresh = _number_blocks([(c, tuple(map(sets.__getitem__, row))) for c, row in zip(colour, rows)])
         # refinement only splits blocks, so an unchanged block count is a fixpoint
@@ -281,6 +287,7 @@ def _refine(atoms: list, rows: list[list[int]], lists: list[list[int]]) -> list[
             return history
         colour = fresh
         history.append(colour)
+    return history
 
 
 def _number_blocks(signatures: list) -> list[int]:

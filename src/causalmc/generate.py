@@ -74,9 +74,9 @@ def random_configuration(rng: random.Random, model: SystemModel) -> Configuratio
 def rename_component_behaviours(model: SystemModel, component: str, suffix: str = "_r") -> tuple:
     """Model with one component's behaviours bijectively renamed, plus the mapping.
 
-    Rule rows, atoms, and intervention tables referencing the renamed
-    behaviours are rewritten; atom names stay fixed, so the renamed model
-    shares the original's vocabulary.
+    Rule rows, atoms, extension atoms' configurations and intervention
+    tables referencing the renamed behaviours are rewritten; atom names stay
+    fixed, so the renamed model shares the original's vocabulary.
     """
     target = model.component(component)
     mapping = {b: b + suffix for b in target.domain}
@@ -84,6 +84,9 @@ def rename_component_behaviours(model: SystemModel, component: str, suffix: str 
     def at(name: str, value):
         """``value``, a behaviour of component ``name`` or a wildcard, renamed."""
         return mapping.get(value, value) if name == component else value
+
+    def rename_config(f: Configuration) -> Configuration:
+        return Configuration(tuple((c, at(c, b)) for c, b in f.pairs))
 
     def rewrite(decl: ComponentDecl, table: RuleTable) -> RuleTable:
         """A rule table of ``decl``, its own or an intervention's, over the renamed behaviours."""
@@ -97,17 +100,15 @@ def rename_component_behaviours(model: SystemModel, component: str, suffix: str 
         replace(c, domain=tuple(at(c.name, b) for b in c.domain), rule=rewrite(c, c.rule)) for c in model.components
     )
     atoms = tuple(
-        replace(a, behaviour=at(a.component, a.behaviour)) if a.is_predicate else a for a in model.atoms
+        replace(a, behaviour=at(a.component, a.behaviour)) if a.is_predicate
+        else replace(a, extension=a.extension and tuple(map(rename_config, a.extension)))
+        for a in model.atoms
     )
     ivs = tuple(
         replace(iv, rules=tuple((t, rewrite(model.component(t), table)) for t, table in iv.rules))
         for iv in model.interventions
     )
     renamed = SystemModel(components=comps, atoms=atoms, interventions=ivs, mode=model.mode)
-
-    def rename_config(f: Configuration) -> Configuration:
-        return Configuration(tuple((c, at(c, b)) for c, b in f.pairs))
-
     return renamed, rename_config
 
 

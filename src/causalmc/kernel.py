@@ -216,10 +216,16 @@ class Kernel:
 
     def _fill(self, i: int, s: int, key: int) -> int:
         """Component i's next code in ``s`` from its rule table, entered in
-        its lazily filled table under ``key``."""
+        its lazily filled table under ``key``, reading from ``s`` only its own
+        digit and its context digits."""
         table, rows = self.rules[i]
-        digits, dom = self.digits(s), self.domains
-        out = rows.apply(dom[i][digits[i]], tuple(dom[j][digits[j]] for j in self.contexts[i]))
+        dom, places = self.domains, self.places
+        context = []
+        for j in self.contexts[i]:  # a plain loop: a generator here costs more than the reads
+            w, r = places[j]
+            context.append(dom[j][s // w % r])
+        w, r = places[i]
+        out = rows.apply(dom[i][s // w % r], tuple(context))
         code = self.codes[i].get(out)
         if code is None:
             raise ModelError(f"behaviour {out!r} not in domain of {self.names[i]!r}")

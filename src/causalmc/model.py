@@ -100,7 +100,10 @@ class RuleRow:
     def matches(self, own: str, context_values: tuple[str, ...]) -> bool:
         if self.own is not None and self.own != own:
             return False
-        return all(p is None or p == v for p, v in zip(self.context, context_values))
+        for p, v in zip(self.context, context_values):
+            if p is not None and p != v:
+                return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from dataclasses import replace
@@ -88,6 +89,16 @@ def test_renamed_inert_component_bisimilar(ex1, ex1_doc):
     renamed, rencfg = rename_component_behaviours(ex1, "c3")
     r = check_bisim(PointedModel(ex1, start), PointedModel(renamed, rencfg(start)))
     assert r.bisimilar
+
+
+def test_renamed_extension_atom_bisimilar():
+    """An extension atom's configurations are renamed with the behaviours."""
+    text = (Path(__file__).resolve().parents[1] / "models" / "ex1.model").read_text(encoding="utf-8")
+    doc = parse_model(text + "atom at_mid = {mid}\n")
+    start = doc.configuration("start")
+    renamed, rencfg = rename_component_behaviours(doc.model, "c1")
+    r = check_bisim(PointedModel(doc.model, start), PointedModel(renamed, rencfg(start)))
+    assert r.bisimilar and (r.left_states, r.right_states) == (9, 9)
 
 
 def test_vocabulary_mismatch_raises(ex1, ex1_doc):
@@ -617,10 +628,35 @@ def test_refinement_rounds_match_reference(monkeypatch, ex1, ex1_doc, micro, mic
         n = len(left.atoms)
         atoms = left.atoms + right.atoms
         moves = left.moves + [[[n + t for t in dests] for dests in row] for row in right.moves]
-        assert rounds == [ref_refine(atoms, moves)]
+        want = ref_refine(atoms, moves)
+        assert len(rounds) == 1 and rounds[0] == want[: len(rounds[0])]
+        # a distinguished pair stops at the first round that splits the
+        # roots, a bisimilar one at the reference fixpoint
+        splits = [k for k, colour in enumerate(want) if colour[0] != colour[n]]
+        assert len(rounds[0]) == (splits[0] + 1 if splits else len(want))
+        assert result.bisimilar == (not splits)
         refined += len(rounds[0]) > 2
         distinguished += not result.bisimilar
     assert refined > 100 and distinguished > 150, (refined, distinguished)
+
+
+def test_refinement_stops_at_the_distinguishing_depth(monkeypatch, ex1, ex1_doc):
+    """For each distinguished pair of ``bisim_perturbed.json``, refinement
+    computes as many rounds as the distinguishing formula's modal depth."""
+    histories = []
+    real = bisim._refine
+    monkeypatch.setattr(bisim, "_refine", lambda *args: histories.append(real(*args)) or histories[-1])
+    start = ex1_doc.configuration("start")
+    golden = json.loads((Path(__file__).parent / "golden" / "bisim_perturbed.json").read_text(encoding="utf-8"))
+    distinguished = [entry for entry in golden if not entry["bisimilar"]]
+    assert len(distinguished) == 14
+    for entry in distinguished:
+        histories.clear()
+        other = perturb_model(random.Random(entry["k"]), ex1)
+        result = check_bisim(PointedModel(ex1, start), PointedModel(other, start))
+        assert F.pretty(result.distinguishing) == entry["distinguishing"]
+        (history,) = histories
+        assert len(history) - 1 == F.modal_depth(result.distinguishing), entry
 
 
 def test_successor_lists_are_shared(micro, micro_f1):
