@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Scaling curve of the cause search: ``find_causes`` milliseconds, effect
-searches and states expanded for the benchmark's pipelines (n stages, with
-and without a fault at the source) and fan-in trees (one or two faulty
-leaves), then ``find_causal_chains`` milliseconds, effect searches and
-states expanded on the microservice model from f1 to f2 for max-len 3 to
-12.  A chain query's links share their clamped variants and verdicts, so
-each search it counts is one the query had not run before.  The counts are
-the work of one run and do not depend on the machine, so a faster kernel
-shows as fewer milliseconds at the same counts.
+searches, states expanded and certificates built for the benchmark's
+pipelines (n stages, with and without a fault at the source) and fan-in
+trees (one or two faulty leaves), then the same for ``find_causal_chains``
+on the microservice model from f1 to f2 for max-len 3 to 12.  A chain
+query's links share their clamped variants and verdicts, so each search it
+counts is one the query had not run before.  The counts are the work of one
+run and do not depend on the machine, so a faster kernel shows as fewer
+milliseconds at the same counts.
 
-Only the answers are checked, not the times: a spontaneous pipeline and a
-tree with two faulty leaves have no cause, a faulty source is the one cause
-of its pipeline's sink error, and a single faulty leaf that of its tree's
-root error.  The chains found under a max-len are those of max-len 12 with
+Only the answers and the certificates are checked, not the times: a
+spontaneous pipeline and a tree with two faulty leaves have no cause, a
+faulty source is the one cause of its pipeline's sink error, and a single
+faulty leaf that of its tree's root error; cause search builds one
+certificate per cause it returns and no other.  The chains found under a max-len are those of max-len 12 with
 at most that many waypoints.  Times are best of ``--repeat`` runs, each
 parsing the model afresh, and vary with the machine.
 """
@@ -35,11 +36,12 @@ import families  # noqa: E402
 
 
 def timed(prepare, repeat: int):
-    """Best milliseconds of ``repeat`` runs, the effect searches and states
-    expanded of one run, and what the last run returned; ``prepare`` parses
-    the model afresh and returns the run, so the time leaves the parse out."""
-    searches, expanded = [], []
-    search, expand = causality._first_effect_reachable, kernel.Kernel._expand
+    """Best milliseconds of ``repeat`` runs, the effect searches, states
+    expanded and certificates built of one run, and what the last run
+    returned; ``prepare`` parses the model afresh and returns the run, so the
+    time leaves the parse out."""
+    searches, expanded, built = [], [], []
+    search, expand, certificate = causality._first_effect_reachable, kernel.Kernel._expand, causality._certificate
 
     def counted(k, start, goal, options):
         searches.append(start)
@@ -49,45 +51,50 @@ def timed(prepare, repeat: int):
         expanded.append(s)
         return expand(k, s, self_loops)
 
+    def certifying(e, cause):
+        built.append(cause)
+        return certificate(e, cause)
+
     best = float("inf")
-    causality._first_effect_reachable, kernel.Kernel._expand = counted, expanding
+    causality._first_effect_reachable, kernel.Kernel._expand, causality._certificate = counted, expanding, certifying
     try:
         for _ in range(repeat):
             run = prepare()
             searches.clear()
             expanded.clear()
+            built.clear()
             started = time.perf_counter()
             found = run()
             best = min(best, time.perf_counter() - started)
     finally:
-        causality._first_effect_reachable, kernel.Kernel._expand = search, expand
-    return 1000 * best, len(searches), len(expanded), found
+        causality._first_effect_reachable, kernel.Kernel._expand, causality._certificate = search, expand, certificate
+    return 1000 * best, len(searches), len(expanded), len(built), found
 
 
 def measure(text: str, names: dict, effect: str, repeat: int):
-    """Best milliseconds, effect searches and states expanded of one run, and
-    the cause sets found."""
+    """Best milliseconds, effect searches, states expanded and certificates
+    built of one run, and the cause sets found."""
 
     def prepare():
         doc = parse_model(text)
         q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (effect,))
         return lambda: find_causes(doc.model, q)
 
-    ms, searches, expanded, certs = timed(prepare, repeat)
-    return ms, searches, expanded, [c.cause_set for c in certs]
+    *counts, found = timed(prepare, repeat)
+    return (*counts, [c.cause_set for c in found])
 
 
 def measure_chains(text: str, max_len: int, repeat: int):
-    """Best milliseconds, effect searches and states expanded of micro's
-    f1-to-f2 chain search, and the chains found."""
+    """Best milliseconds, effect searches, states expanded and certificates
+    built of micro's f1-to-f2 chain search, and the chains found."""
 
     def prepare():
         doc = parse_model(text)
         f1, f2 = doc.configuration("f1"), doc.configuration("f2")
         return lambda: find_causal_chains(doc.model, f1, f2, max_len=max_len)
 
-    ms, searches, expanded, chains = timed(prepare, repeat)
-    return ms, searches, expanded, [c.configurations for c in chains]
+    *counts, chains = timed(prepare, repeat)
+    return (*counts, [c.configurations for c in chains])
 
 
 def main() -> int:
@@ -97,25 +104,29 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    print(f"{'family':<24}{'ms':>10}{'searches':>10}{'expanded':>10}  causes")
+    print(f"{'family':<24}{'ms':>10}{'searches':>10}{'expanded':>10}{'certs':>7}  causes")
     for n in range(4, args.max_n + 1):
         for fault in (False, True):
             text, names = families.pipeline(random.Random(args.seed), n, fault)
-            ms, searches, expanded, causes = measure(text, names, names["comps"][-1], args.repeat)
+            ms, searches, expanded, certs, causes = measure(text, names, names["comps"][-1], args.repeat)
             label = f"pipeline n={n} " + ("fault" if fault else "spontaneous")
-            print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}  {causes}")
+            print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {causes}")
             assert causes == ([(names["comps"][0],)] if fault else []), causes
+            assert certs == len(causes), certs
     for leaves in (3, 4, 5):
         for faulty in (1, 2):
             text, names = families.fanin(random.Random(args.seed), leaves, faulty)
-            ms, searches, expanded, causes = measure(text, names, names["comps"][-1], args.repeat)
-            print(f"{f'fan-in {leaves} leaves, {faulty} faulty':<24}{ms:>10.1f}{searches:>10}{expanded:>10}  {causes}")
+            ms, searches, expanded, certs, causes = measure(text, names, names["comps"][-1], args.repeat)
+            label = f"fan-in {leaves} leaves, {faulty} faulty"
+            print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {causes}")
             assert causes == ([(names["comps"][0],)] if faulty == 1 else []), causes
+            assert certs == len(causes), certs
     micro = (REPO / "models" / "microservice.model").read_text(encoding="utf-8")
     *_, longest = measure_chains(micro, 12, 1)
     for max_len in range(3, 13):
-        ms, searches, expanded, chains = measure_chains(micro, max_len, args.repeat)
-        print(f"{f'micro chain max-len {max_len}':<24}{ms:>10.1f}{searches:>10}{expanded:>10}  {len(chains)} chains")
+        ms, searches, expanded, certs, chains = measure_chains(micro, max_len, args.repeat)
+        label = f"micro chain max-len {max_len}"
+        print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {len(chains)} chains")
         assert chains == [c for c in longest if len(c) <= max_len], chains
     return 0
 

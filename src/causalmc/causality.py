@@ -135,30 +135,29 @@ class CauseCertificate:
 
 
 class _Shared:
-    """One query's mode and options, and the work a chain's links share:
-    clamped variants by (kernel, pins); their ``_Verdicts`` by (kernel,
-    pins, effect places); and the end marks and AC1 edges of states by
-    (kernel, end state, effect places).  A verdict depends only on its
-    variant, start, effect and the query's options, and a search that
-    overran ended the query, so a shared verdict only stands in for a
-    search that finished."""
+    """One query's mode (checked here, once per query) and options, and the
+    work a chain's links share: clamped variants by (kernel, pins), which
+    links with different effects share; their ``_Verdicts`` by (kernel, pins,
+    effect places); and the end marks and AC1 edges of states by (kernel,
+    end state, effect places).  A verdict depends only on its variant,
+    start, effect and the query's options, and a search that overran ended
+    the query, so a shared verdict only stands in for a search that finished."""
 
     def __init__(self, mode: str, options: Options):
+        if mode not in ("example", "strict"):
+            raise ModelError(f"unknown cause-check mode {mode!r}")
         self.mode, self.options = mode, options
         self.variants: dict = {}
         self.verdicts: dict = {}
         self.ac1: dict = {}
 
-    def variant(self, k, pins):
-        found = self.variants.get((k, pins))
-        if found is None:
-            found = self.variants[k, pins] = k.pinned(pins) if pins else k
-        return found
-
     def verdicts_of(self, k, pins, effect) -> _Verdicts:
         found = self.verdicts.get((k, pins, effect))
         if found is None:
-            found = self.verdicts[k, pins, effect] = _Verdicts(self.variant(k, pins), effect, self.options)
+            variant = self.variants.get((k, pins))
+            if variant is None:
+                variant = self.variants[k, pins] = k.pinned(pins) if pins else k
+            found = self.verdicts[k, pins, effect] = _Verdicts(variant, effect, self.options)
         return found
 
 
@@ -178,20 +177,18 @@ class _Episode:
     """One cause query on kernel ``k``, from state ``start`` to state ``end``
     (both already validated): the effect as (weight, radix, code) places of
     the effect components, and what every candidate checked against the
-    query shares: clause verdicts per subset, the marks and AC1 edges of each
-    state, and each witness set's ``_Verdicts`` and base, found by
-    ``witness``.  The mode, options, clamped variants and verdicts live in
-    the query's ``_Shared`` table, so they go with the query."""
+    query shares: the clause verdicts of each subset, found by ``clauses``,
+    the marks and AC1 edges of each state, and each witness set's
+    ``_Verdicts`` and base, found by ``witness``.  The mode, options, clamped
+    variants and verdicts live in the query's ``_Shared`` table, so they go
+    with the query."""
 
     def __init__(self, k, start: int, end: int, effect_components, shared: _Shared):
         self.k, self.start, self.end, self.shared = k, start, end, shared
         self.verdicts: dict = {}
         self.witnesses: dict = {}  # witness set -> its _Verdicts and base state
-        self.configurations: dict = {}  # state -> decoded configuration
         self.start_digits, self.end_digits = k.digits(start), k.digits(end)
         self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, effect_components))
-        if shared.mode not in ("example", "strict"):
-            raise ModelError(f"unknown cause-check mode {shared.mode!r}")
         # state -> (end mask, effect key); state -> AC1 edge triples
         self.state_marks, self.state_edges = shared.ac1.setdefault((k, self.end, self.effect), ({}, {}))
 
@@ -217,11 +214,14 @@ class _Episode:
             )
         return found
 
-    def decode(self, s: int) -> Configuration:
-        """``k.decode(s)``, once per state: AC1 paths of many candidates share states."""
-        found = self.configurations.get(s)
+    def clauses(self, subset) -> tuple:
+        """A candidate's AC1 path, raw contrast and certifying witness, as
+        ``_ac1`` and ``_ac2`` give them, once per subset, in its first order."""
+        key = tuple(sorted(subset))
+        found = self.verdicts.get(key)
         if found is None:
-            found = self.configurations[s] = self.k.decode(s)
+            path = _ac1(self, subset)
+            found = self.verdicts[key] = (path, *(_ac2(self, subset) if path else (None, None)))
         return found
 
     def witness(self, names: tuple[str, ...]) -> tuple[_Verdicts, int]:
@@ -352,62 +352,54 @@ def _ac2(e: _Episode, cause):
     return contrast, None
 
 
+def _certificate(e: _Episode, cause) -> CauseCertificate:
+    """The certificate of candidate ``cause`` in episode ``e``, with all three
+    clause verdicts; its states become configurations, behaviours and a
+    clamp only here."""
+    path, contrast, witness = e.clauses(cause)
+    refutations = []
+    if path and witness:
+        for size in range(1, len(cause)):
+            for sub in combinations(cause, size):
+                sub_path, _, sub_witness = e.clauses(sub)
+                failed = "AC1" if sub_path is None else "AC2" if sub_witness is None else "none"
+                refutations.append(SubsetRefutation(subset=sub, failed_clause=failed))
+    k, (names, blocked) = e.k, witness or (None, ())
+    return CauseCertificate(
+        cause_set=cause,
+        witness_set=names,
+        clamp=clamping_intervention(k.model, names, e.deviation(names, e.end)) if names else None,
+        ac1=path is not None,
+        ac2=witness is not None,
+        ac3=all(r.failed_clause != "none" for r in refutations),
+        mode=e.shared.mode,
+        ac1_path=None if path is None else tuple(map(k.decode, path)),
+        contrast_deviation=None if contrast is None else e.deviation(cause, contrast),
+        ac2_checks=tuple(DeviationCheck(deviation=e.deviation(cause, s), start=k.decode(s), ok=True) for s in blocked),
+        ac3_refutations=tuple(refutations),
+    )
+
+
 def check_cause(
     model: SystemModel,
     q: CauseQuery,
     cause,
     mode: str = "example",
     options: Options = DEFAULT_OPTIONS,
-    _episode: _Episode | None = None,
 ) -> CauseCertificate:
     """Certificate for one candidate cause, with all three clause verdicts.
 
     ``mode`` is "example" (default) or "strict"; strict adds the literal
-    start-equals-end requirement to AC1.  A call inside an episode checks a
-    candidate its query has validated, under the query's mode and options.
+    start-equals-end requirement to AC1.
     """
     cause = tuple(dict.fromkeys(cause))
-    e = _episode
-    if e is None:
-        if not cause:
-            raise ModelError("empty candidate cause set")
-        for c in cause:
-            model.component(c)
-        k = kernel.compile(model)
-        e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode, options))
-    memo = e.verdicts  # subset -> (AC1 path, contrast, witness) on state numbers
-
-    def core(subset):
-        key = tuple(sorted(subset))
-        found = memo.get(key)
-        if found is None:
-            path = _ac1(e, subset)
-            found = memo[key] = (path, *(_ac2(e, subset) if path else (None, None)))
-        return found
-
-    path, contrast, witness = core(cause)
-    refutations = []
-    if path and witness:
-        for size in range(1, len(cause)):
-            for sub in combinations(cause, size):
-                sub_path, _, sub_witness = core(sub)
-                failed = "AC1" if sub_path is None else "AC2" if sub_witness is None else "none"
-                refutations.append(SubsetRefutation(subset=sub, failed_clause=failed))
-    # states become configurations, behaviours and a clamp only here, once per candidate
-    names, blocked = witness or (None, ())
-    return CauseCertificate(
-        cause_set=cause,
-        witness_set=names,
-        clamp=clamping_intervention(e.k.model, names, e.deviation(names, e.end)) if names else None,
-        ac1=path is not None,
-        ac2=witness is not None,
-        ac3=all(r.failed_clause != "none" for r in refutations),
-        mode=e.shared.mode,
-        ac1_path=None if path is None else tuple(map(e.decode, path)),
-        contrast_deviation=None if contrast is None else e.deviation(cause, contrast),
-        ac2_checks=tuple(DeviationCheck(deviation=e.deviation(cause, s), start=e.decode(s), ok=True) for s in blocked),
-        ac3_refutations=tuple(refutations),
-    )
+    if not cause:
+        raise ModelError("empty candidate cause set")
+    for c in cause:
+        model.component(c)
+    k = kernel.compile(model)
+    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode, options))
+    return _certificate(e, cause)
 
 
 def find_causes(
@@ -428,15 +420,18 @@ def find_causes(
 
 def _certified_causes(k, start: int, end: int, effect_components, shared: _Shared):
     """Inclusion-minimal certified causes from state ``start`` to ``end`` of ``k``, in canonical order, lazily."""
-    episode = _Episode(k, start, end, effect_components, shared)
+    e = _Episode(k, start, end, effect_components, shared)
     names = tuple(n for n in k.names if n not in effect_components)
     certified: list[CauseCertificate] = []
     for size in range(1, len(names) + 1):
         for cand in combinations(names, size):
             if any(set(c.cause_set) < set(cand) for c in certified):
                 continue
-            cert = check_cause(k.model, None, cand, _episode=episode)
-            if cert.is_cause:
+            path, _, witness = e.clauses(cand)
+            if path and witness:
+                # AC3 holds: a proper subset that passed would be a cause found earlier,
+                # and this superset skipped; the certificate's refutations are memo hits
+                cert = _certificate(e, cand)
                 certified.append(cert)
                 yield cert
 
@@ -547,10 +542,10 @@ def find_causal_chains(
         raise ModelError("max_len must be at least 2")
     k = kernel.compile(model)
     start, end = k.encode(f_start), k.encode(f_end)  # encoding validates them
+    links = _Links(k, _Shared(mode, options))  # every link reuses the variants and verdicts of the others
     if start == end:
         return []
     final_effect = tuple(effect_components) if effect_components else None
-    links = _Links(k, _Shared(mode, options))  # every link reuses the variants and verdicts of the others
 
     def link(a: int, b: int) -> ChainLink | None:
         # waypoints are distinct, so only the final link ends at ``end``

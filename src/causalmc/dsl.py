@@ -13,7 +13,8 @@ A document declares, in any order after the optional mode line:
                                      rule TARGET: OWN (P...) -> OUT ... }
     formula NAME = FORMULA
 
-and query stanzas, whose grammar is the ``QUERIES`` table below, e.g.
+and query stanzas, whose grammar is the ``QUERIES`` table below; optional
+clauses, bracketed here, come in any order, each at most once, e.g.
 
     check CONFIG |= FORMULA
     chain from CONFIG to CONFIG [effect { C1 C2 ... }] [maxlen N]
@@ -750,6 +751,8 @@ def _parse_stanza(p: _Parser) -> tuple[str, list]:
             p.expect_punct(item)
     while p.peek() in clauses:
         i, slot = clauses[p.next()]
+        if raw[i] is not None:
+            p.error(f"clause {slot.keyword!r} given twice", p.pos - 1)
         raw[i] = slot.type.parse(p, slot)
     return head, raw
 

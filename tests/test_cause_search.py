@@ -509,6 +509,61 @@ def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, 
     assert len(searches) == searched
 
 
+def _family_queries(micro, micro_f1, micro_f2):
+    """Benchmark pipelines of six stages with and without a fault, fan-in
+    trees with one and two faulty leaves, and micro from f1 to f2."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import families
+    finally:
+        sys.path.pop(0)
+    texts = [families.pipeline(random.Random(5), 6, fault) for fault in (False, True)]
+    texts += [families.fanin(random.Random(5), 3, faulty) for faulty in (1, 2)]
+    out = []
+    for text, names in texts:
+        doc = parse_model(text)
+        q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (names["comps"][-1],))
+        out.append((doc.model, q))
+    return out + [(micro, CauseQuery(micro_f1, micro_f2, ("FrontEnd",)))]
+
+
+def test_cause_search_builds_a_certificate_only_for_a_cause_it_returns(monkeypatch, micro, micro_f1, micro_f2):
+    """AC3 needs no certificate of a candidate: a candidate the search
+    reaches that passes AC1 and AC2 is minimal, and its certificate is the
+    one ``check_cause`` gives for its cause set."""
+    built = []
+    certificate = causality._certificate
+    monkeypatch.setattr(causality, "_certificate", lambda e, cause: built.append(cause) or certificate(e, cause))
+    returned = []
+    for model, q in _family_queries(micro, micro_f1, micro_f2):
+        built.clear()
+        certs = find_causes(model, q)
+        assert built == [c.cause_set for c in certs]
+        for cert in certs:
+            assert cert.to_dict() == check_cause(model, q, cert.cause_set).to_dict()
+        returned.append(len(certs))
+    assert returned == [0, 1, 1, 0, 1]
+
+
+def test_an_unknown_mode_is_rejected_when_the_query_starts():
+    model, q = pipeline(3, fault=True)
+    assert q.start not in reachable(model, q.end)  # the sink's error is a deadlock
+    chain = causality.find_causal_chains(model, q.start, q.end, 2)[0]
+    clamp = clamping_intervention(model, ("s1",), {"s1": "ok"})
+    calls = [
+        lambda: find_causes(model, q, "loose"),
+        lambda: check_cause(model, q, ("s0",), "loose"),
+        lambda: causality.find_causal_chains(model, q.start, q.end, 2, mode="loose"),
+        # an unreachable end and equal endpoints end the search before any link
+        lambda: causality.find_causal_chains(model, q.end, q.start, 2, mode="loose"),
+        lambda: causality.find_causal_chains(model, q.start, q.start, 2, mode="loose"),
+        lambda: causality.classify_intervention_effect(model, chain, clamp, "loose"),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError, match="unknown cause-check mode 'loose'"):
+            call()
+
+
 def test_clamped_variants_go_with_the_query(micro, micro_f1, micro_f2):
     model, q = pipeline(4, fault=False)
     other = CauseQuery(q.start, model.configuration({"s0": "err", "s1": "err", "s2": "idle", "s3": "idle"}), ("s1",))

@@ -125,6 +125,12 @@ def test_chain_max_len_is_passed_through(capsys):
     assert "maxlen 4" in capsys.readouterr().out
 
 
+def test_a_clause_rendered_twice_exits_two(capsys):
+    # the query text ends with the flag's own maxlen, so one in --to gives it twice
+    assert main(["chain", MICRO, "--from", "f1", "--to", "f2 maxlen 2", "--effect", "FrontEnd"]) == 2
+    assert capsys.readouterr().err == f"{MICRO}:1:48: clause 'maxlen' given twice\n"
+
+
 def test_decimal_maxlen_in_document_is_a_positioned_diagnostic(tmp_path, capsys):
     text = Path(EX1).read_text(encoding="utf-8")
     doc = tmp_path / "ex1.model"

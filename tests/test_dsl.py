@@ -196,6 +196,23 @@ def test_trailing_input_is_reported(ex1_doc):
     assert str(exc.value) == "1:7: trailing input after configuration"
 
 
+@pytest.mark.parametrize(
+    "stanza, column, keyword",
+    [
+        ("chain from f to f maxlen 2 effect {a} maxlen 3", 39, "maxlen"),
+        ("chain from f to f effect {a} maxlen 3 effect {a}", 39, "effect"),
+    ],
+)
+def test_optional_clause_given_twice_is_reported_at_the_second(stanza, column, keyword):
+    text = "component a { domain x }\nconfig f = (a=x)\n"
+    with pytest.raises(DslError) as exc:
+        parse_model(text + stanza + "\n")
+    assert str(exc.value) == f"3:{column}: clause {keyword!r} given twice"
+    with pytest.raises(DslError) as exc:
+        parse_query_text(stanza, parse_model(text))
+    assert str(exc.value) == f"1:{column}: clause {keyword!r} given twice"
+
+
 def test_named_formulas_inline():
     text = (
         "component a { domain x y }\n"

@@ -189,11 +189,14 @@ def _first_error(parse) -> str:
 
 
 def _document_stanza(model: str, stanza: str) -> dict:
+    """The echo and replay key of a stanza appended to its model, or the
+    parse diagnostic or run error that stops it."""
     path = MODELS / model
-    doc = parse_model(_model_text(model) + stanza + "\n", path=str(path))
-    q = doc.queries[-1]
-    out = {"model": model, "stanza": stanza, "echo": q.echo()}
+    out = {"model": model, "stanza": stanza}
     try:
+        doc = parse_model(_model_text(model) + stanza + "\n", path=str(path))
+        q = doc.queries[-1]
+        out["echo"] = q.echo()
         out["replay_key"] = run_query(doc, q).replay_key()
     except Exception as exc:  # noqa: BLE001
         out["error"] = f"{type(exc).__name__}: {exc}"
