@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, kernel
-from .dsl import DslError, parse_config_text, parse_model, parse_query_text, render
+from .dsl import DslError, parse_arguments, parse_config_text, parse_model
 from .model import CapExceeded, ModelError, Options
 from .queries import run_document, run_query
 
@@ -154,11 +154,13 @@ def main(argv=None) -> int:
         ignored = [flag for flag, on in given if on]
         if ignored:
             ap.error("export-dot --variants does not read " + " ".join(ignored))
+    source = args.model  # the text a diagnostic without a file of its own points into
     try:
         doc, options = _load(args)
         if args.command == "run":
             reports = run_document(doc, options, strict_ac1=args.strict_ac1)
             return _emit(reports, [r.to_dict() for r in reports], args.report)
+        source = "<command line>"  # every text read from here on is an argument
         if args.command == "export-dot":
             if args.variants:
                 from .bisim import intervention_closure
@@ -176,7 +178,7 @@ def main(argv=None) -> int:
             _write_or_print(hp.to_json(), args.output)
             return 0
         # a query subcommand's argument names are the slot fields of its stanza
-        stanza = parse_query_text(render(args.command, vars(args)), doc)
+        stanza = parse_arguments(args.command, vars(args), doc)
         report = run_query(doc, stanza, options, strict_ac1=args.strict_ac1)
         if args.command == "chain" and args.dot:
             from .causality import projection_dot
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
         return _emit([report], report.to_dict(), args.report)
     except DslError as exc:
         for d in exc.diagnostics:
-            print(f"{exc.path or args.model}:{d}", file=sys.stderr)
+            print(f"{exc.path or source}:{d}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

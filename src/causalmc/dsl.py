@@ -615,7 +615,17 @@ class Stanza:
     values: tuple
 
     def echo(self) -> str:
-        return render(self.kind, {s.field: label for s, label in zip(_slots(self.kind), self.labels)})
+        """The stanza's query text; an absent optional clause is left out."""
+        labels = iter(self.labels)
+        parts = [self.kind]
+        for item in QUERIES[self.kind]:
+            if isinstance(item, str):
+                parts.append(item)
+            elif (label := next(labels)) is not None:
+                if item.keyword:
+                    parts.append(item.keyword)
+                parts.append(item.type.render(label))
+        return " ".join(parts)
 
 
 class _Scope(NamedTuple):
@@ -628,9 +638,10 @@ class _Scope(NamedTuple):
 
 @dataclass(frozen=True)
 class _Type:
-    """How a slot is read (``parse(parser, slot)``), resolved to a (label,
-    value) pair (``resolve(raw, scope)``), and printed from its label."""
+    """What a slot holds, how it is read (``parse(parser, slot)``), resolved to
+    a (label, value) pair (``resolve(raw, scope)``), and printed from its label."""
 
+    what: str
     parse: Callable
     resolve: Callable
     render: Callable = str
@@ -702,14 +713,14 @@ def _unresolved(raw, scope: _Scope):
     return raw, raw
 
 
-CONFIG = _Type(lambda p, slot: _parse_config_ref(p), _resolve_config_ref)
-FORMULA = _Type(lambda p, slot: p.parse_formula(), _resolve_formula_slot)
+CONFIG = _Type("configuration", lambda p, slot: _parse_config_ref(p), _resolve_config_ref)
+FORMULA = _Type("formula", lambda p, slot: p.parse_formula(), _resolve_formula_slot)
 COMPONENTS = _Type(
-    lambda p, slot: tuple(_parse_braced_names(p)), _resolve_components, lambda names: f"{{{' '.join(names)}}}"
+    "component list", lambda p, slot: tuple(_parse_braced_names(p)), _resolve_components, lambda names: f"{{{' '.join(names)}}}"
 )
-PATH = _Type(lambda p, slot: _parse_path(p), _unresolved, lambda path: f'"{path}"')
-NAME = _Type(lambda p, slot: p.expect_name("configuration name"), _unresolved)
-NUMBER = _Type(_parse_count, _unresolved)
+PATH = _Type("path", lambda p, slot: _parse_path(p), _unresolved, lambda path: f'"{path}"')
+NAME = _Type("configuration name", lambda p, slot: p.expect_name("configuration name"), _unresolved)
+NUMBER = _Type("number", _parse_count, _unresolved)
 
 # every query kind: literals (keywords and punctuation) and slots, in order;
 # slot fields are also the argument names of the command line and of the
@@ -735,6 +746,8 @@ def _slots(kind: str) -> list[Slot]:
 
 def _parse_stanza(p: _Parser) -> tuple[str, list]:
     """The head of the stanza at the parser and one raw value per slot."""
+    if p.peek() not in QUERIES:
+        p.error(f"expected a query stanza, found {_value(p.peek())!r}")
     head = p.next()
     raw: list = []
     clauses: dict[str, tuple[int, Slot]] = {}
@@ -761,20 +774,6 @@ def _resolve_stanza(head: str, raw: list, scope: _Scope) -> Stanza:
     resolved = [(None, None) if r is None else s.type.resolve(r, scope) for s, r in zip(_slots(head), raw)]
     labels, values = zip(*resolved)
     return Stanza(head, labels, values)
-
-
-def render(kind: str, labels: Mapping) -> str:
-    """Query text of a ``kind`` stanza from a mapping of its slot fields to
-    labels; an optional clause whose label is None is left out."""
-    parts = [kind]
-    for item in QUERIES[kind]:
-        if isinstance(item, str):
-            parts.append(item)
-        elif labels[item.field] is not None:
-            if item.keyword:
-                parts.append(item.keyword)
-            parts.append(item.type.render(labels[item.field]))
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -831,37 +830,46 @@ def _resolve_formula(phi: F.Formula, formula_map, model: SystemModel) -> F.Formu
 
 
 # ---------------------------------------------------------------------------
-# single-item parsing for the command line and for report replay
+# text read alone: single items for report replay, and command-line arguments
 
 
-def parse_formula_text(text: str, doc: ModelDocument) -> F.Formula:
+def _read_alone(text: str, read: Callable, what: str):
+    """What ``read(parser)`` reads from ``text``; anything left over is an error."""
     p = _Parser(text)
-    phi = p.parse_formula()
+    out = read(p)
     if p.peek():
-        p.error("trailing input after formula")
-    return _resolve_formula(phi, dict(doc.formulas), doc.model)
+        p.error(f"trailing input after {what}")
+    return out
 
 
 def _scope_of(doc: ModelDocument) -> _Scope:
     return _Scope(doc.model, dict(doc.configurations), dict(doc.formulas))
 
 
+def parse_formula_text(text: str, doc: ModelDocument) -> F.Formula:
+    phi = _read_alone(text, _Parser.parse_formula, "formula")
+    return _resolve_formula(phi, dict(doc.formulas), doc.model)
+
+
 def parse_config_text(text: str, doc: ModelDocument) -> Configuration:
-    p = _Parser(text)
-    ref = _parse_config_ref(p)
-    if p.peek():
-        p.error("trailing input after configuration")
+    ref = _read_alone(text, _parse_config_ref, "configuration")
     return _resolve_config_ref(ref, _scope_of(doc))[1]
 
 
 def parse_query_text(text: str, doc: ModelDocument) -> Stanza:
-    p = _Parser(text)
-    if p.peek() not in QUERIES:
-        p.error(f"expected a query stanza, found {_value(p.peek())!r}")
-    head, raw = _parse_stanza(p)
-    if p.peek():
-        p.error("trailing input after query")
-    return _resolve_stanza(head, raw, _scope_of(doc))
+    return _resolve_stanza(*_read_alone(text, _parse_stanza, "query"), _scope_of(doc))
+
+
+def parse_arguments(kind: str, values: Mapping, doc: ModelDocument) -> Stanza:
+    """The ``kind`` stanza whose slots hold ``values`` by field (None leaves a
+    clause out).  Each value is printed as its slot's label is and read back
+    alone, so it fills its own slot only, and a diagnostic's column is in it."""
+    raw = [
+        None if values[s.field] is None
+        else _read_alone(s.type.render(values[s.field]), partial(s.type.parse, slot=s), s.type.what)
+        for s in _slots(kind)
+    ]
+    return _resolve_stanza(kind, raw, _scope_of(doc))
 
 
 # ---------------------------------------------------------------------------

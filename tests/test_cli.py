@@ -3,6 +3,8 @@ import contextlib
 import gc
 import io
 import json
+import shlex
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalmc.cli import _build_parser, main
-from causalmc.dsl import QUERIES, _slots
+from causalmc.dsl import QUERIES, _slots, parse_model, parse_query_text
 from causalmc.queries import HANDLERS
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -100,7 +102,7 @@ def test_chain_with_projection_dot(tmp_path):
 
 def test_effect_named_twice_exit_two(capsys):
     assert main(["cause", MICRO, "--from", "f1", "--to", "f2", "--effect", "FrontEnd", "FrontEnd"]) == 2
-    assert capsys.readouterr().err == f"{MICRO}:0:0: component 'FrontEnd' named twice\n"
+    assert capsys.readouterr().err == "<command line>:0:0: component 'FrontEnd' named twice\n"
 
 
 def test_bisim_subcommand(capsys):
@@ -126,9 +128,29 @@ def test_chain_max_len_is_passed_through(capsys):
 
 
 def test_a_clause_rendered_twice_exits_two(capsys):
-    # the query text ends with the flag's own maxlen, so one in --to gives it twice
+    # --to is read as one configuration, so a clause after it is left over
     assert main(["chain", MICRO, "--from", "f1", "--to", "f2 maxlen 2", "--effect", "FrontEnd"]) == 2
-    assert capsys.readouterr().err == f"{MICRO}:1:48: clause 'maxlen' given twice\n"
+    assert capsys.readouterr().err == "<command line>:1:4: trailing input after configuration\n"
+
+
+@pytest.mark.parametrize(
+    "argv, diagnostic",
+    [
+        (["check", EX1, "start", "true &"], "1:7: expected a formula, found 'end of input'"),
+        (["check", EX1, "start", "true\n&"], "2:2: expected a formula, found 'end of input'"),
+        # without --effect, an effect clause in --to once ran as the chain's effect
+        (["chain", MICRO, "--from", "f1", "--to", "f2 effect {Logger}"], "1:4: trailing input after configuration"),
+        (["chain", MICRO, "--from", "f1", "--to", "f2", "--max-len", "-1"], "1:1: unexpected character '-'"),
+        (["export-hp", MICRO, "--init", "f1 f2"], "1:4: trailing input after configuration"),
+        (["export-dot", MICRO, "--reachable-from", "(Auth=idle"], "1:11: expected component name, found 'end of input'"),
+    ],
+    ids=["formula", "second-line", "effect-in-to", "max-len", "init", "reachable-from"],
+)
+def test_argument_diagnostics_name_the_command_line(capsys, argv, diagnostic):
+    """A diagnostic in an argument's text is at a line and column of that
+    argument, not of the model file, and an argument fills only its own slot."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"<command line>:{diagnostic}\n"
 
 
 def test_decimal_maxlen_in_document_is_a_positioned_diagnostic(tmp_path, capsys):
@@ -292,7 +314,7 @@ def _too_deep_to_parse(err: str, path: str, line: int, text: str) -> None:
 def test_parenthesis_nesting_past_the_limit_is_a_parse_error(capsys):
     formula = "(" * 3000 + "true" + ")" * 3000
     assert main(["check", EX1, "start", formula]) == 2
-    _too_deep_to_parse(capsys.readouterr().err, EX1, 1, f"check start |= {formula}")
+    _too_deep_to_parse(capsys.readouterr().err, "<command line>", 1, formula)
 
 
 def test_parenthesis_nesting_in_a_model_file_names_its_line(tmp_path, capsys):
@@ -337,7 +359,7 @@ def test_unreadable_input_exit_two_without_traceback(tmp_path, capsys, argv):
 
 
 def test_query_subcommands_carry_their_stanza_slots():
-    # a query subcommand's text is rendered from its arguments by slot field
+    # a query subcommand's arguments fill its stanza's slots by field, one argument per slot
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(QUERIES) == set(HANDLERS)
     for kind in QUERIES:
@@ -408,6 +430,65 @@ def test_generated_input_keeps_exit_code_contract(model, formula, command, flags
                 code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+MICRO_DOC = parse_model(MICRO_TEXT, path=MICRO)
+_token_text = st.lists(st.sampled_from(DSL_TOKENS), max_size=6).map(" ".join)
+_config_text = st.one_of(
+    st.sampled_from(["f1", "f2", "(Auth=idle, UserDB=idle, ProfileSvc=idle, Logger=idle, FrontEnd=idle)"]), _token_text
+)
+_name_text = st.one_of(st.sampled_from(["f1", "f2"]), _token_text)
+_component_texts = st.lists(st.one_of(st.sampled_from(["FrontEnd", "UserDB", "Logger"]), _token_text), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["cause", "chain", "bisim", "export-hp"]),
+    start=_config_text,
+    end=_config_text,
+    name=_name_text,
+    effect=_component_texts,
+)
+def test_generated_arguments_keep_exit_code_contract(command, start, end, name, effect):
+    """Configuration, name and component-list arguments made of model-text
+    tokens keep the exit-code contract, and an answered query echoes text
+    that reads back to itself, with no clause an argument did not give."""
+    args = {
+        "cause": ["--from", start, "--to", end, "--effect", *effect],
+        "chain": ["--from", start, "--to", end, "--max-len", "2"],
+        "bisim": [start, MICRO, name],
+        "export-hp": ["--init", start],
+    }[command]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main([command, MICRO, *args])
+        except SystemExit as exc:  # argparse rejects a command line this way
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1) and command != "export-hp":
+        query = out.getvalue().splitlines()[-1].split("  (", 1)[1][:-1]
+        stanza = parse_query_text(query, MICRO_DOC)
+        assert stanza.echo() == query
+        if command == "chain":
+            assert dict(zip((s.field for s in _slots("chain")), stanza.labels))["effect"] is None
+
+
+def _readme_commands() -> list[str]:
+    """The ``causalmc`` lines of the README's "Command line" code block."""
+    text = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("causalmc ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_line_examples_run(line, tmp_path, monkeypatch, capsys):
+    """Each README example runs cleanly in a directory holding a copy of the
+    bundled models, so its output files land there."""
+    shutil.copytree(MODELS, tmp_path / "models")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 # one call of each command on the bundled models
