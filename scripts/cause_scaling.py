@@ -3,18 +3,21 @@
 searches, states expanded and certificates built for the benchmark's
 pipelines (n stages, with and without a fault at the source) and fan-in
 trees (one or two faulty leaves), then the same for ``find_causal_chains``
-on the microservice model from f1 to f2 for max-len 3 to 12.  A chain
-query's links share their clamped variants and verdicts, so each search it
-counts is one the query had not run before.  The counts are the work of one
-run and do not depend on the machine, so a faster kernel shows as fewer
-milliseconds at the same counts.
+on the microservice model from f1 to f2 for max-len 3 to 12, and on
+faulted pipelines of 6 to 9 stages, with the sink as the effect, for
+max-len 3 and 4.  A chain query's links share their clamped variants and
+verdicts, so each search it counts is one the query had not run before.
+The counts are the work of one run and do not depend on the machine, so a
+faster kernel shows as fewer milliseconds at the same counts.
 
 Only the answers and the certificates are checked, not the times: a
 spontaneous pipeline and a tree with two faulty leaves have no cause, a
 faulty source is the one cause of its pipeline's sink error, and a single
 faulty leaf that of its tree's root error; cause search builds one
-certificate per cause it returns and no other.  The chains found under a max-len are those of max-len 12 with
-at most that many waypoints.  Times are best of ``--repeat`` runs, each
+certificate per cause it returns and no other.  The chains found under a
+max-len are those of max-len 12 with at most that many waypoints, and a
+faulted pipeline's one chain is its direct link, whose certificate makes
+every longer chain non-minimal.  Times are best of ``--repeat`` runs, each
 parsing the model afresh, and vary with the machine.
 """
 
@@ -84,14 +87,15 @@ def measure(text: str, names: dict, effect: str, repeat: int):
     return (*counts, [c.cause_set for c in found])
 
 
-def measure_chains(text: str, max_len: int, repeat: int):
+def measure_chains(text: str, start: str, end: str, max_len: int, repeat: int, effect=None):
     """Best milliseconds, effect searches, states expanded and certificates
-    built of micro's f1-to-f2 chain search, and the chains found."""
+    built of the chain search between two named configurations, and the
+    waypoints of the chains found."""
 
     def prepare():
         doc = parse_model(text)
-        f1, f2 = doc.configuration("f1"), doc.configuration("f2")
-        return lambda: find_causal_chains(doc.model, f1, f2, max_len=max_len)
+        f1, f2 = doc.configuration(start), doc.configuration(end)
+        return lambda: find_causal_chains(doc.model, f1, f2, max_len, effect)
 
     *counts, chains = timed(prepare, repeat)
     return (*counts, [c.configurations for c in chains])
@@ -104,13 +108,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    print(f"{'family':<24}{'ms':>10}{'searches':>10}{'expanded':>10}{'certs':>7}  causes")
+    print(f"{'family':<26}{'ms':>10}{'searches':>10}{'expanded':>10}{'certs':>7}  causes")
     for n in range(4, args.max_n + 1):
         for fault in (False, True):
             text, names = families.pipeline(random.Random(args.seed), n, fault)
             ms, searches, expanded, certs, causes = measure(text, names, names["comps"][-1], args.repeat)
             label = f"pipeline n={n} " + ("fault" if fault else "spontaneous")
-            print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {causes}")
+            print(f"{label:<26}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {causes}")
             assert causes == ([(names["comps"][0],)] if fault else []), causes
             assert certs == len(causes), certs
     for leaves in (3, 4, 5):
@@ -118,16 +122,27 @@ def main() -> int:
             text, names = families.fanin(random.Random(args.seed), leaves, faulty)
             ms, searches, expanded, certs, causes = measure(text, names, names["comps"][-1], args.repeat)
             label = f"fan-in {leaves} leaves, {faulty} faulty"
-            print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {causes}")
+            print(f"{label:<26}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {causes}")
             assert causes == ([(names["comps"][0],)] if faulty == 1 else []), causes
             assert certs == len(causes), certs
     micro = (REPO / "models" / "microservice.model").read_text(encoding="utf-8")
-    *_, longest = measure_chains(micro, 12, 1)
+    *_, longest = measure_chains(micro, "f1", "f2", 12, 1)
     for max_len in range(3, 13):
-        ms, searches, expanded, certs, chains = measure_chains(micro, max_len, args.repeat)
+        ms, searches, expanded, certs, chains = measure_chains(micro, "f1", "f2", max_len, args.repeat)
         label = f"micro chain max-len {max_len}"
-        print(f"{label:<24}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {len(chains)} chains")
+        print(f"{label:<26}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {len(chains)} chains")
         assert chains == [c for c in longest if len(c) <= max_len], chains
+    for n in range(6, 10):
+        text, names = families.pipeline(random.Random(args.seed), n, True)
+        doc = parse_model(text)
+        direct = [(doc.configuration(names["start"]), doc.configuration(names["end"]))]
+        for max_len in (3, 4):
+            ms, searches, expanded, certs, chains = measure_chains(
+                text, names["start"], names["end"], max_len, args.repeat, (names["comps"][-1],)
+            )
+            label = f"fault chain n={n} max-len {max_len}"
+            print(f"{label:<26}{ms:>10.1f}{searches:>10}{expanded:>10}{certs:>7}  {len(chains)} chains")
+            assert chains == direct, chains
     return 0
 
 

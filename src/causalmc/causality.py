@@ -449,7 +449,8 @@ class ChainLink:
 @dataclass(frozen=True)
 class CausalChain:
     """Waypoint sequence where every consecutive pair is causally certified
-    and no waypoint can be dropped without breaking certification."""
+    and no waypoint can be dropped without breaking certification: no
+    interior waypoint's two neighbours have a certified link of their own."""
 
     configurations: tuple[Configuration, ...]
     links: tuple[ChainLink, ...]
@@ -522,6 +523,12 @@ class _Links(dict):
         return found
 
 
+def check_max_len(max_len: int) -> None:
+    """Reject a waypoint bound that leaves no room for a chain's two endpoints."""
+    if max_len < 2:
+        raise ModelError("max_len must be at least 2")
+
+
 def find_causal_chains(
     model: SystemModel,
     f_start: Configuration,
@@ -537,9 +544,16 @@ def find_causal_chains(
     interior links use the components changed across the link.  Chains with
     equal endpoints are empty by definition (at least two distinct
     waypoints are required).
+
+    Dropping an interior waypoint b between neighbours a and c replaces only
+    the links (a, b) and (b, c) by (a, c), and a link depends on its two
+    states alone (the explicit effect applies when its end is f_end), so a
+    chain is minimal exactly when no such shortcut (a, c) is certified.
+    The search extends a prefix ending in a, b by c, or closes it with the
+    end, only when that shortcut fails; the chains and their order are those
+    of trying every permutation and keeping the minimal ones.
     """
-    if max_len < 2:
-        raise ModelError("max_len must be at least 2")
+    check_max_len(max_len)
     k = kernel.compile(model)
     start, end = k.encode(f_start), k.encode(f_end)  # encoding validates them
     links = _Links(k, _Shared(mode, options))  # every link reuses the variants and verdicts of the others
@@ -551,11 +565,9 @@ def find_causal_chains(
         # waypoints are distinct, so only the final link ends at ``end``
         return links[a, b, final_effect if b == end else None]
 
-    def is_chain(seq) -> bool:
-        return all(link(a, b) is not None for a, b in zip(seq, seq[1:]))
-
-    def minimal(seq) -> bool:
-        return not any(is_chain(seq[:i] + seq[i + 1 :]) for i in range(1, len(seq) - 1))
+    def shortcut(prefix, g) -> bool:
+        # the link left if ``g`` followed the prefix without its last waypoint
+        return len(prefix) > 1 and link(prefix[-2], g) is not None
 
     if not links.realizable(start, end):
         return []
@@ -567,19 +579,20 @@ def find_causal_chains(
     for n in range(2, min(max_len, len(middles) + 2) + 1):
         # prefixes of the chains with n waypoints, depth first in permutation
         # order, each with the middles it has yet to try; a waypoint whose
-        # link fails ends its extensions
+        # link fails, or whose shortcut certifies, is skipped with every
+        # extension of it
         stack = [((start,), iter(middles))]
         while stack:
             prefix, todo = stack[-1]
             if len(prefix) == n - 1:
                 stack.pop()
-                seq = prefix + (end,)
-                if link(prefix[-1], end) is not None and minimal(seq):
+                if not shortcut(prefix, end) and link(prefix[-1], end) is not None:
+                    seq = prefix + (end,)
                     chain_links = tuple(map(link, seq, seq[1:]))
                     out.append(CausalChain(configurations=tuple(map(k.decode, seq)), links=chain_links))
                 continue
             for g in todo:
-                if g not in prefix and link(prefix[-1], g) is not None:
+                if g not in prefix and not shortcut(prefix, g) and link(prefix[-1], g) is not None:
                     stack.append((prefix + (g,), iter(middles)))
                     break
             else:

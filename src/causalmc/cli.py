@@ -177,6 +177,11 @@ def main(argv=None) -> int:
             hp = export_hp(doc.model, init)
             _write_or_print(hp.to_json(), args.output)
             return 0
+        if args.command == "chain":
+            from .causality import check_max_len
+
+            # before the slot reads it: a negative count has no stanza text
+            check_max_len(args.max_len)
         # a query subcommand's argument names are the slot fields of its stanza
         stanza = parse_arguments(args.command, vars(args), doc)
         report = run_query(doc, stanza, options, strict_ac1=args.strict_ac1)

@@ -13,13 +13,16 @@ Certificates, their order and cap overruns (cap, size, phase) must agree
 exactly.  ``_changed_components``, ``_certify_link`` and
 ``ref_classify_intervention_effect`` are copies of the link rule and of
 intervention classification as they were on configurations, before links
-became one table on state numbers; chains, the order of link
-certifications and classifications must agree with them.
+became one table on state numbers; chains and classifications must agree
+with them.  ``ref_find_causal_chains`` tries every permutation and keeps no
+prune; the engine's chain search may only remove link certifications and
+cap overruns from its work (``assert_prune_only_removes_work``).
 """
 
 import random
 import sys
 from dataclasses import replace
+from collections import Counter
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -481,30 +484,40 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
     assert sum(len(devs.offsets) for _, devs in made) == 62
 
 
-@pytest.mark.parametrize("query, expanded, searched", [("pipeline", 198, 67), ("micro chain", 383, 251)])
+@pytest.mark.parametrize(
+    "query, expanded, searched", [("pipeline", 198, 67), ("micro chain", 383, 251), ("faulted chain", 19, 16)]
+)
 def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, micro_f1, micro_f2, query, expanded, searched):
-    """The work of a spontaneous six-stage benchmark pipeline's cause query
-    and of micro's f1-to-f2 chain query with max-len 3: the states expanded
-    and the effect searches run are pinned, so a faster kernel shows it does
-    the same work at a lower cost, and no state of a kernel is expanded
-    twice for one self-loops setting."""
+    """The work of a spontaneous six-stage benchmark pipeline's cause query,
+    of micro's f1-to-f2 chain query with max-len 3, and of a faulted
+    nine-stage benchmark pipeline's chain query with max-len 4: the states
+    expanded and the effect searches run are pinned, so a faster kernel
+    shows it does the same work at a lower cost, and no state of a kernel is
+    expanded twice for one self-loops setting.  The faulted chain's direct
+    link is certified, so every longer chain has a certified shortcut and
+    is pruned; without the prune the query ran 74,455 effect searches."""
     expansions, searches = [], []
     expand, search = kernel.Kernel._expand, causality._first_effect_reachable
     monkeypatch.setattr(kernel.Kernel, "_expand", lambda k, s, loops: expansions.append((k, s, loops)) or expand(k, s, loops))
     monkeypatch.setattr(causality, "_first_effect_reachable", lambda *args: searches.append(args[:2]) or search(*args))
-    if query == "pipeline":
+    if query == "micro chain":
+        chains = causality.find_causal_chains(replace(micro), micro_f1, micro_f2, 3)  # a copy, compiled afresh
+        assert len(chains) == 4
+    else:
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
         try:
             import families
         finally:
             sys.path.pop(0)
-        text, names = families.pipeline(random.Random(5), 6, False)
+        fault = query == "faulted chain"
+        text, names = families.pipeline(random.Random(7 if fault else 5), 9 if fault else 6, fault)
         doc = parse_model(text)
         q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (names["comps"][-1],))
-        assert find_causes(doc.model, q) == []
-    else:
-        chains = causality.find_causal_chains(replace(micro), micro_f1, micro_f2, 3)  # a copy, compiled afresh
-        assert len(chains) == 4
+        if fault:
+            chains = causality.find_causal_chains(doc.model, q.start, q.end, 4, q.effect_components)
+            assert [c.configurations for c in chains] == [(q.start, q.end)]
+        else:
+            assert find_causes(doc.model, q) == []
     assert len(expansions) == len(set(expansions)) == expanded
     assert len(searches) == searched
 
@@ -600,7 +613,7 @@ def test_chain_links_share_clamped_variants_and_verdicts(monkeypatch, micro, mic
     monkeypatch.setattr(kernel.Kernel, "pinned", lambda k, pins: pinned.append(pins) or pin(k, pins))
     chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 3, ("FrontEnd",))
     assert [c.configurations for c in chains] == [(micro_f1, micro_f2)]
-    assert len(searched) == len(set(searched)) == 336
+    assert len(searched) == len(set(searched)) == 244
     assert len(pinned) == len(set(pinned)) == 55
 
 
@@ -710,22 +723,49 @@ def certify_calls(monkeypatch):
     return calls
 
 
-def _chains_and_calls(calls, search, *args, **kwargs):
+def _chains_and_calls(calls, search, *args):
     calls.clear()
     try:
-        found = [c.to_dict() for c in search(*args, **kwargs)]
+        found = [c.to_dict() for c in search(*args)]
     except CapExceeded as err:
         found = ("cap", err.cap, err.size, err.what)
     return found, list(calls)
 
 
+def assert_prune_only_removes_work(calls, args):
+    """Chain search ``args`` run by the engine and by the unpruned reference.
+    Without a cap the chains are identical, and the engine's link lookups
+    (the ``certify_calls`` keys) are a sub-multiset of the reference's link
+    certifications.  On a ladder of caps from 0 up to the reference's
+    uncapped peak, the first cap at which it answers, the engine overruns
+    only where the reference overruns, and anywhere else gives the uncapped
+    chains.  Returns the chains, the engine's link lookups, the reference's
+    certifications, and for each cap below the peak whether the engine
+    answered."""
+
+    def run(search, cap):
+        return _chains_and_calls(calls, search, *args[:6], replace(args[6], max_states=cap))
+
+    want, certified = run(ref_find_causal_chains, Options().max_states)
+    found, looked_up = run(causality.find_causal_chains, Options().max_states)
+    assert found == want and not isinstance(want, tuple)
+    assert not Counter(looked_up) - Counter(certified), Counter(looked_up) - Counter(certified)
+    answered = []
+    for cap in range(Options().max_states + 1):
+        reference, engine = run(ref_find_causal_chains, cap)[0], run(causality.find_causal_chains, cap)[0]
+        if not isinstance(reference, tuple):
+            assert engine == reference == want, cap
+            return want, looked_up, certified, answered
+        answered.append(not isinstance(engine, tuple))
+        assert isinstance(engine, tuple) or engine == want, cap
+
+
 @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6])
 def test_micro_chain_search_matches_permutations(certify_calls, micro, micro_f1, micro_f2, max_len):
     for effect in (None, ("FrontEnd",)):
-        args = (micro, micro_f1, micro_f2, max_len, effect)
-        want = _chains_and_calls(certify_calls, ref_find_causal_chains, *args)
-        assert _chains_and_calls(certify_calls, causality.find_causal_chains, *args) == want
-        assert want[0] or (max_len, effect) == (2, None)
+        args = (micro, micro_f1, micro_f2, max_len, effect, "example", Options())
+        want, *_ = assert_prune_only_removes_work(certify_calls, args)
+        assert want or (max_len, effect) == (2, None)
 
 
 def _chain_cases(count):
@@ -745,22 +785,22 @@ def _chain_cases(count):
 
 
 def test_chain_search_matches_permutations_on_generated_models(certify_calls):
-    """Chains, the order of link certifications and cap overruns agree."""
-    searches = [(m, q.start, q.end, 4, q.effect_components, mode, o) for m, q, mode, o in CASES]
+    """Chains agree with the unpruned reference, and the prune only removes
+    link certifications and cap overruns."""
+    searches = [(m, q.start, q.end, 4, q.effect_components, mode, o) for m, q, mode, o in CASES + STRUCTURED]
     searches += [(m, f1, f2, 5, None, "example", o) for m, f1, f2, o in _chain_cases(200)]
-    searches += [args[:6] + (replace(args[6], max_states=3),) for args in searches[::5]]
-    tally = {"calls": 0, "chains": 0, "long": 0, "caps": 0}
+    tally = {"certified": 0, "looked up": 0, "chains": 0, "long": 0, "caps": 0, "answered": 0}
     for args in searches:
-        want = _chains_and_calls(certify_calls, ref_find_causal_chains, *args)
-        assert _chains_and_calls(certify_calls, causality.find_causal_chains, *args) == want
-        found, calls = want
-        tally["calls"] += len(calls)
-        if isinstance(found, tuple):
-            tally["caps"] += 1
-        else:
-            tally["chains"] += len(found)
-            tally["long"] += sum(len(c["configurations"]) > 2 for c in found)
-    assert tally["calls"] > 500 and tally["chains"] > 30 and tally["long"] > 0 and tally["caps"] > 0, tally
+        found, looked_up, certified, answered = assert_prune_only_removes_work(certify_calls, args)
+        tally["certified"] += len(certified)
+        tally["looked up"] += len(looked_up)
+        tally["chains"] += len(found)
+        tally["long"] += sum(len(c["configurations"]) > 2 for c in found)
+        tally["caps"] += len(answered)
+        tally["answered"] += sum(answered)
+    assert tally["certified"] > 800 and tally["chains"] > 60 and tally["long"] > 0 and tally["caps"] > 0, tally
+    # the prune removes link certifications, and with them some overruns
+    assert tally["looked up"] < tally["certified"] and tally["answered"] > 0, tally
 
 
 # ---------------------------------------------------------------------------
