@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Mutation check of the engine's fast paths, starting with chain search.
+
+Each entry of ``MUTANTS`` is one edit of one source file (its old text,
+which must occur exactly once, and its new text) and the tests that must
+fail once the edit is made.  The script copies the checkout to a temporary
+directory, runs every entry's tests there unmutated (they must pass), then
+applies each edit in turn and runs its tests with ``pytest -x -q`` under a
+per-mutant timeout.  A mutant is killed when its tests fail or time out.
+The exit status is 1 if the unmutated copy fails or any mutant survives,
+else 0.
+
+    PYTHONPATH=src python3 scripts/mutants.py
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no bytecode cache in the benchmark's directory
+TIMEOUT_S = 60  # per pytest run; each mutant's tests take a few seconds
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CHAINS = "src/causalmc/causality.py"
+PINNED = "tests/test_cause_search.py::test_the_states_expanded_and_effect_searches_are_pinned"
+MICRO = "tests/test_cause_search.py::test_micro_chain_search_matches_permutations"
+STAGED = "tests/test_cause_search.py::test_chain_search_matches_permutations_on_staged_models"
+
+MUTANTS = (
+    Mutant(
+        "last-middle prune looks (a, end) up",
+        CHAINS,
+        "links.get((prefix[-1], end, final_effect)) is not None",
+        "link(prefix[-1], end) is not None",
+        (PINNED + "[faulted chain-19-16]",),
+    ),
+    Mutant(
+        "last-middle prune one waypoint early",
+        CHAINS,
+        "if len(prefix) == n - 2 and links.get(",
+        "if len(prefix) == n - 3 and links.get(",
+        (STAGED,),
+    ),
+    Mutant(
+        "last-middle prune ignores the explicit effect",
+        CHAINS,
+        "links.get((prefix[-1], end, final_effect))",
+        "links.get((prefix[-1], end, None))",
+        (PINNED + "[micro effect chain-72-27]",),
+    ),
+    Mutant(
+        "link lookup bypasses the table's memo",
+        CHAINS,
+        "return links[a, b, final_effect if b == end else None]",
+        "return links.__missing__((a, b, final_effect if b == end else None))",
+        (MICRO + "[3]",),
+    ),
+    Mutant(
+        "extension skips no certified shortcut",
+        CHAINS,
+        "if g not in prefix and not shortcut(prefix, g) and link(prefix[-1], g) is not None:",
+        "if g not in prefix and link(prefix[-1], g) is not None:",
+        (STAGED,),  # micro's chains hide it: no longer micro chain has only an interior shortcut
+    ),
+    Mutant(
+        "close skips no certified shortcut",
+        CHAINS,
+        "if not shortcut(prefix, end) and link(prefix[-1], end) is not None:",
+        "if link(prefix[-1], end) is not None:",
+        (STAGED,),
+    ),
+    Mutant(
+        "middles need not reach the end",
+        CHAINS,
+        "if g not in (start, end) and links.realizable(g, end)]",
+        "if g not in (start, end)]",
+        (MICRO + "[3]",),
+    ),
+)
+
+
+def pytest(copy: Path, tests, timeout: float = TIMEOUT_S) -> str:
+    """"passed", "failed" or "timeout" for ``tests`` run in the copy."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if done.returncode not in (0, 1):  # a collection or usage error kills no mutant
+        raise SystemExit(f"pytest exited {done.returncode} on {' '.join(tests)}:\n{done.stdout}{done.stderr}")
+    return "passed" if done.returncode == 0 else "failed"
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "checkout"
+        skip = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
+        shutil.copytree(REPO, copy, ignore=skip)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        if pytest(copy, tests, TIMEOUT_S * len(MUTANTS)) != "passed":
+            print("the unmutated copy fails its mutants' tests")
+            return 1
+        survived = 0
+        for m in MUTANTS:
+            path = copy / m.path
+            source = path.read_text(encoding="utf-8")
+            if source.count(m.old) != 1:
+                raise SystemExit(f"{m.name}: the old text occurs {source.count(m.old)} times in {m.path}")
+            path.write_text(source.replace(m.old, m.new), encoding="utf-8")
+            started = time.perf_counter()
+            try:
+                outcome = pytest(copy, m.tests)
+            finally:
+                path.write_text(source, encoding="utf-8")
+            survived += outcome == "passed"
+            verdict = "SURVIVED" if outcome == "passed" else "killed"
+            print(f"{m.name:<48}{outcome:>8}{time.perf_counter() - started:>7.1f} s  {verdict}")
+    print(f"{len(MUTANTS)} mutants, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -551,7 +551,12 @@ def find_causal_chains(
     chain is minimal exactly when no such shortcut (a, c) is certified.
     The search extends a prefix ending in a, b by c, or closes it with the
     end, only when that shortcut fails; the chains and their order are those
-    of trying every permutation and keeping the minimal ones.
+    of trying every permutation and keeping the minimal ones.  The shortcut
+    (a, end) of a close does not depend on the last middle, so a prefix
+    ending in a that is one waypoint short of its pass takes no last middle
+    once the link table holds (a, end) certified.  That test reads the table
+    without a lookup, and is made again each time the prefix resumes: the
+    first middle to pass its own checks looks (a, end) up at its close.
     """
     check_max_len(max_len)
     k = kernel.compile(model)
@@ -590,6 +595,10 @@ def find_causal_chains(
                     seq = prefix + (end,)
                     chain_links = tuple(map(link, seq, seq[1:]))
                     out.append(CausalChain(configurations=tuple(map(k.decode, seq)), links=chain_links))
+                continue
+            if len(prefix) == n - 2 and links.get((prefix[-1], end, final_effect)) is not None:
+                # every close (…, a, g, end) has the certified shortcut (a, end), whatever g
+                stack.pop()
                 continue
             for g in todo:
                 if g not in prefix and not shortcut(prefix, g) and link(prefix[-1], g) is not None:

@@ -16,7 +16,8 @@ intervention classification as they were on configurations, before links
 became one table on state numbers; chains and classifications must agree
 with them.  ``ref_find_causal_chains`` tries every permutation and keeps no
 prune; the engine's chain search may only remove link certifications and
-cap overruns from its work (``assert_prune_only_removes_work``).
+cap overruns from its work (``assert_prune_only_removes_work``), on random
+models and on ``staged`` runs, whose chains pass several waypoints.
 """
 
 import random
@@ -485,39 +486,55 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "query, expanded, searched", [("pipeline", 198, 67), ("micro chain", 383, 251), ("faulted chain", 19, 16)]
+    "query, expanded, searched",
+    [
+        ("pipeline", 198, 67),
+        ("micro chain", 383, 251),
+        ("micro effect chain", 72, 27),
+        ("faulted chain", 19, 16),
+        ("fan-in chain", 82, 2),
+    ],
 )
 def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, micro_f1, micro_f2, query, expanded, searched):
     """The work of a spontaneous six-stage benchmark pipeline's cause query,
-    of micro's f1-to-f2 chain query with max-len 3, and of a faulted
-    nine-stage benchmark pipeline's chain query with max-len 4: the states
-    expanded and the effect searches run are pinned, so a faster kernel
-    shows it does the same work at a lower cost, and no state of a kernel is
-    expanded twice for one self-loops setting.  The faulted chain's direct
-    link is certified, so every longer chain has a certified shortcut and
-    is pruned; without the prune the query ran 74,455 effect searches."""
+    of micro's f1-to-f2 chain query with max-len 3 without and with the
+    effect ``{FrontEnd}``, of a faulted nine-stage benchmark pipeline's
+    chain query with max-len 4, and of a five-leaf benchmark fan-in's chain
+    query with max-len 3: the states expanded and the effect searches run
+    are pinned, so a faster kernel shows it does the same work at a lower
+    cost, and no state of a kernel is expanded twice for one self-loops
+    setting.  The faulted chain's direct link is certified, so every longer
+    chain has a certified shortcut and is pruned; without the prune the
+    query ran 74,455 effect searches.  With ``{FrontEnd}``, and on the
+    fan-in, the direct link is certified too, so the three-waypoint pass
+    takes no last middle; before that rule they ran 244 and 4,774."""
     expansions, searches = [], []
     expand, search = kernel.Kernel._expand, causality._first_effect_reachable
     monkeypatch.setattr(kernel.Kernel, "_expand", lambda k, s, loops: expansions.append((k, s, loops)) or expand(k, s, loops))
     monkeypatch.setattr(causality, "_first_effect_reachable", lambda *args: searches.append(args[:2]) or search(*args))
-    if query == "micro chain":
-        chains = causality.find_causal_chains(replace(micro), micro_f1, micro_f2, 3)  # a copy, compiled afresh
-        assert len(chains) == 4
+    if query.startswith("micro"):
+        effect = ("FrontEnd",) if query == "micro effect chain" else None
+        chains = causality.find_causal_chains(replace(micro), micro_f1, micro_f2, 3, effect)  # a copy, compiled afresh
+        assert len(chains) == (1 if effect else 4)
     else:
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
         try:
             import families
         finally:
             sys.path.pop(0)
-        fault = query == "faulted chain"
-        text, names = families.pipeline(random.Random(7 if fault else 5), 9 if fault else 6, fault)
+        if query == "fan-in chain":
+            text, names = families.fanin(random.Random(7), 5, 1)
+        else:
+            fault = query == "faulted chain"
+            text, names = families.pipeline(random.Random(7 if fault else 5), 9 if fault else 6, fault)
         doc = parse_model(text)
         q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (names["comps"][-1],))
-        if fault:
-            chains = causality.find_causal_chains(doc.model, q.start, q.end, 4, q.effect_components)
-            assert [c.configurations for c in chains] == [(q.start, q.end)]
-        else:
+        if query == "pipeline":
             assert find_causes(doc.model, q) == []
+        else:
+            max_len = 4 if query == "faulted chain" else 3
+            chains = causality.find_causal_chains(doc.model, q.start, q.end, max_len, q.effect_components)
+            assert [c.configurations for c in chains] == [(q.start, q.end)]
     assert len(expansions) == len(set(expansions)) == expanded
     assert len(searches) == searched
 
@@ -600,8 +617,9 @@ def test_clamped_variants_go_with_the_query(micro, micro_f1, micro_f2):
 
 def test_chain_links_share_clamped_variants_and_verdicts(monkeypatch, micro, micro_f1, micro_f2):
     """Each (clamp, start, effect) is searched once per chain query, however
-    many of its links meet it."""
-    searched, pinned = [], []
+    many of its links meet it: with max-len 4 and ``{FrontEnd}`` the query
+    looks up 40 links, which meet 69 clamped variants between them."""
+    searched, pinned, looked_up = [], [], []
     search, pin = causality._first_effect_reachable, kernel.Kernel.pinned
 
     def counted(k, start, effect, options):
@@ -611,10 +629,13 @@ def test_chain_links_share_clamped_variants_and_verdicts(monkeypatch, micro, mic
 
     monkeypatch.setattr(causality, "_first_effect_reachable", counted)
     monkeypatch.setattr(kernel.Kernel, "pinned", lambda k, pins: pinned.append(pins) or pin(k, pins))
-    chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 3, ("FrontEnd",))
+    missing = causality._Links.__missing__
+    monkeypatch.setattr(causality._Links, "__missing__", lambda links, key: looked_up.append(key) or missing(links, key))
+    chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 4, ("FrontEnd",))
     assert [c.configurations for c in chains] == [(micro_f1, micro_f2)]
-    assert len(searched) == len(set(searched)) == 244
-    assert len(pinned) == len(set(pinned)) == 55
+    assert len(looked_up) == len(set(looked_up)) == 40
+    assert len(searched) == len(set(searched)) == 464
+    assert len(pinned) == len(set(pinned)) == 69
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +726,13 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
 def certify_calls(monkeypatch):
     """The (start, end, effect) of every link certification, in order: each
     call of the reference's ``_certify_link``, and each engine ``_Links``
-    lookup that misses, its states decoded to configurations."""
+    lookup that misses, its states decoded to configurations.  Each prune of
+    the engine is recorded in the same list as ("prune", kind): an
+    "extension" or a "close" skipped because ``shortcut`` found a certified
+    link, or a prefix that took no "last middle" because the table already
+    held its close's shortcut certified."""
     calls = []
-    certify, missing = _certify_link, causality._Links.__missing__
+    certify, missing, getitem = _certify_link, causality._Links.__missing__, dict.__getitem__
 
     def recorded(model, a, b, effect, mode, options, *rest):
         calls.append((a, b, effect))
@@ -718,8 +743,23 @@ def certify_calls(monkeypatch):
         calls.append((links.k.decode(a), links.k.decode(b), effect))
         return missing(links, key)
 
+    def read(links, key):
+        found = getitem(links, key)
+        caller = sys._getframe(2)  # the caller of the engine's ``link``
+        if found is not None and caller.f_code.co_name == "shortcut":
+            calls.append(("prune", "close" if caller.f_locals["g"] == caller.f_back.f_locals["end"] else "extension"))
+        return found
+
+    def peeked(links, key, default=None):
+        found = dict.get(links, key, default)
+        if found is not None:
+            calls.append(("prune", "last middle"))
+        return found
+
     monkeypatch.setattr(sys.modules[__name__], "_certify_link", recorded)
     monkeypatch.setattr(causality._Links, "__missing__", looked_up)
+    monkeypatch.setattr(causality._Links, "__getitem__", read)
+    monkeypatch.setattr(causality._Links, "get", peeked)
     return calls
 
 
@@ -740,14 +780,16 @@ def assert_prune_only_removes_work(calls, args):
     uncapped peak, the first cap at which it answers, the engine overruns
     only where the reference overruns, and anywhere else gives the uncapped
     chains.  Returns the chains, the engine's link lookups, the reference's
-    certifications, and for each cap below the peak whether the engine
-    answered."""
+    certifications, for each cap below the peak whether the engine
+    answered, and the engine's uncapped prunes by kind."""
 
     def run(search, cap):
         return _chains_and_calls(calls, search, *args[:6], replace(args[6], max_states=cap))
 
     want, certified = run(ref_find_causal_chains, Options().max_states)
-    found, looked_up = run(causality.find_causal_chains, Options().max_states)
+    found, engine = run(causality.find_causal_chains, Options().max_states)
+    looked_up = [call for call in engine if call[0] != "prune"]
+    fired = Counter(call[1] for call in engine if call[0] == "prune")
     assert found == want and not isinstance(want, tuple)
     assert not Counter(looked_up) - Counter(certified), Counter(looked_up) - Counter(certified)
     answered = []
@@ -755,9 +797,23 @@ def assert_prune_only_removes_work(calls, args):
         reference, engine = run(ref_find_causal_chains, cap)[0], run(causality.find_causal_chains, cap)[0]
         if not isinstance(reference, tuple):
             assert engine == reference == want, cap
-            return want, looked_up, certified, answered
+            return want, looked_up, certified, answered, fired
         answered.append(not isinstance(engine, tuple))
         assert isinstance(engine, tuple) or engine == want, cap
+
+
+def _tally(calls, searches):
+    """``assert_prune_only_removes_work`` over ``searches``, summed: link
+    certifications and lookups, chains by waypoint count, caps below the
+    peak and those the engine answered, and the prunes that fired by kind."""
+    tally = Counter()
+    for args in searches:
+        found, looked_up, certified, answered, fired = assert_prune_only_removes_work(calls, args)
+        tally.update(certified=len(certified), looked_up=len(looked_up), chains=len(found))
+        tally.update(f"{len(c['configurations'])} waypoints" for c in found)
+        tally.update(caps=len(answered), answered=sum(answered))
+        tally.update(fired)
+    return tally
 
 
 @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6])
@@ -789,18 +845,66 @@ def test_chain_search_matches_permutations_on_generated_models(certify_calls):
     link certifications and cap overruns."""
     searches = [(m, q.start, q.end, 4, q.effect_components, mode, o) for m, q, mode, o in CASES + STRUCTURED]
     searches += [(m, f1, f2, 5, None, "example", o) for m, f1, f2, o in _chain_cases(200)]
-    tally = {"certified": 0, "looked up": 0, "chains": 0, "long": 0, "caps": 0, "answered": 0}
-    for args in searches:
-        found, looked_up, certified, answered = assert_prune_only_removes_work(certify_calls, args)
-        tally["certified"] += len(certified)
-        tally["looked up"] += len(looked_up)
-        tally["chains"] += len(found)
-        tally["long"] += sum(len(c["configurations"]) > 2 for c in found)
-        tally["caps"] += len(answered)
-        tally["answered"] += sum(answered)
-    assert tally["certified"] > 800 and tally["chains"] > 60 and tally["long"] > 0 and tally["caps"] > 0, tally
+    tally = _tally(certify_calls, searches)
+    assert tally["certified"] > 800 and tally["chains"] > 60 and tally["3 waypoints"] > 0 and tally["caps"] > 0, tally
     # the prune removes link certifications, and with them some overruns
-    assert tally["looked up"] < tally["certified"] and tally["answered"] > 0, tally
+    assert tally["looked_up"] < tally["certified"] and tally["answered"] > 0, tally
+
+
+def staged(rng):
+    """A random run of 4 to 7 steps over 3 or 4 components, as a model whose
+    only transitions are those steps.  Each component counts its steps, v0,
+    v1, ...; a step is enabled by the component that stepped just before, at
+    its new behaviour, and guarded by the component that steps next, at its
+    old one, and no component takes two of any three steps in a row.  So
+    a step's link has a cause where a longer link may have none, and chains
+    pass several waypoints.  Returns the model, the start (every component
+    at v0) and the end, the state before the last step, which only guards
+    the step before it."""
+    names = [f"s{i}" for i in range(rng.randint(3, 4))]
+    steps = [rng.randrange(len(names))]
+    for _ in range(rng.randint(3, 6)):
+        steps.append(rng.choice([i for i in range(len(names)) if i not in steps[-2:]]))
+    count = [0] * len(names)
+    rows = [[] for _ in names]
+    for t, i in enumerate(steps):
+        end = list(count)
+        # the components of the steps just before and just after, at their behaviours in between
+        need = {j: count[j] for j in steps[max(0, t - 1) : t + 2] if j != i}
+        rows[i].append((count[i], need))
+        count[i] += 1
+    lines = [rng.choice(("async", "sync"))]
+    for i, name in enumerate(names):
+        context = sorted({j for _, need in rows[i] for j in need})
+        lines += [f"component {name} {{", "  domain " + " ".join(f"v{k}" for k in range(count[i] + 1))]
+        lines += [f"  context {' '.join(names[j] for j in context)}"] if context else []
+        for k, need in rows[i]:
+            pattern = f" ({', '.join(f'v{need[j]}' if j in need else '_' for j in context)})" if context else ""
+            lines.append(f"  rule v{k}{pattern} -> v{k + 1}")
+        lines.append("}")
+    model = parse_model("\n".join(lines) + "\n").model
+    return model, model.configuration({n: "v0" for n in names}), model.configuration({n: f"v{c}" for n, c in zip(names, end)})
+
+
+def test_chain_search_matches_permutations_on_staged_models(certify_calls):
+    """On staged runs, whose chains pass several waypoints, chains agree
+    with the unpruned reference and every prune fires.  The searches run to
+    the run's end or to a random reachable state, with the default effect
+    or one changed component, at max-len 3 to 5."""
+    searches = []
+    for seed in range(120):
+        rng = random.Random(seed)
+        model, start, end = staged(rng)
+        options = Options(self_loops=bool(seed % 2))
+        if seed % 4 == 1:
+            end = rng.choice(reachable(model, start, options) or [end])
+        changed = [c for c in model.component_order if start[c] != end[c]]
+        effect = (rng.choice(changed),) if seed % 4 == 2 and changed else None
+        searches.append((model, start, end, 3 + seed % 3, effect, "example", options))
+    tally = _tally(certify_calls, searches)
+    assert tally["3 waypoints"] > 50 and tally["4 waypoints"] > 40, tally
+    assert tally["extension"] > 0 and tally["close"] > 0 and tally["last middle"] > 0, tally
+    assert tally["looked_up"] < tally["certified"], tally
 
 
 # ---------------------------------------------------------------------------
