@@ -109,7 +109,7 @@ def measure_chains(text: str, start: str, end: str, max_len: int, repeat: int, e
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=10, help="longest pipeline (default 10)")
+    ap.add_argument("--max-n", type=int, default=12, help="longest pipeline (default 12)")
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the engine's fast paths, starting with chain search.
+"""Mutation check of the engine's fast paths: chain search and cause search.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -36,60 +36,97 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-CHAINS = "src/causalmc/causality.py"
+CAUSALITY = "src/causalmc/causality.py"
 PINNED = "tests/test_cause_search.py::test_the_states_expanded_and_effect_searches_are_pinned"
 MICRO = "tests/test_cause_search.py::test_micro_chain_search_matches_permutations"
 STAGED = "tests/test_cause_search.py::test_chain_search_matches_permutations_on_staged_models"
+ORDER = "tests/test_cause_search.py::test_cause_searches_run_in_the_reference_order"
+COUNTS = "tests/test_cause_search.py::test_search_counts_on_a_spontaneous_pipeline"
 
 MUTANTS = (
     Mutant(
         "last-middle prune looks (a, end) up",
-        CHAINS,
+        CAUSALITY,
         "links.get((prefix[-1], end, final_effect)) is not None",
         "link(prefix[-1], end) is not None",
         (PINNED + "[faulted chain-19-16]",),
     ),
     Mutant(
         "last-middle prune one waypoint early",
-        CHAINS,
+        CAUSALITY,
         "if len(prefix) == n - 2 and links.get(",
         "if len(prefix) == n - 3 and links.get(",
         (STAGED,),
     ),
     Mutant(
         "last-middle prune ignores the explicit effect",
-        CHAINS,
+        CAUSALITY,
         "links.get((prefix[-1], end, final_effect))",
         "links.get((prefix[-1], end, None))",
         (PINNED + "[micro effect chain-72-27]",),
     ),
     Mutant(
         "link lookup bypasses the table's memo",
-        CHAINS,
+        CAUSALITY,
         "return links[a, b, final_effect if b == end else None]",
         "return links.__missing__((a, b, final_effect if b == end else None))",
         (MICRO + "[3]",),
     ),
     Mutant(
         "extension skips no certified shortcut",
-        CHAINS,
+        CAUSALITY,
         "if g not in prefix and not shortcut(prefix, g) and link(prefix[-1], g) is not None:",
         "if g not in prefix and link(prefix[-1], g) is not None:",
         (STAGED,),  # micro's chains hide it: no longer micro chain has only an interior shortcut
     ),
     Mutant(
         "close skips no certified shortcut",
-        CHAINS,
+        CAUSALITY,
         "if not shortcut(prefix, end) and link(prefix[-1], end) is not None:",
         "if link(prefix[-1], end) is not None:",
         (STAGED,),
     ),
     Mutant(
         "middles need not reach the end",
-        CHAINS,
+        CAUSALITY,
         "if g not in (start, end) and links.realizable(g, end)]",
         "if g not in (start, end)]",
         (MICRO + "[3]",),
+    ),
+    Mutant(
+        "witness walk ignores the candidate's mask",
+        CAUSALITY,
+        "if mask & held:",
+        "if False:",
+        (ORDER,),
+    ),
+    Mutant(
+        "witness dropped on failing at a later deviation",
+        CAUSALITY,
+        "if table[base + first]:",
+        "if any(map(table.__getitem__, map(base.__add__, devs))):",
+        (ORDER,),
+    ),
+    Mutant(
+        "one untried list per episode, not per offset",
+        CAUSALITY,
+        "untried = e.untried(first)",
+        "untried = e.untried(0)",
+        (ORDER,),
+    ),
+    Mutant(
+        "certifying walk keeps nothing after its witness",
+        CAUSALITY,
+        "untried.sets = kept + walked[i + 1 :]",
+        "untried.sets = kept",
+        (ORDER,),
+    ),
+    Mutant(
+        "witness failing at the first deviation is kept",
+        CAUSALITY,
+        "continue  # fails at the first deviation",
+        "kept.append(mask)\n            continue  # fails at the first deviation",
+        (COUNTS,),
     ),
 )
 

@@ -36,7 +36,7 @@ Certificates carry replayable evidence for all three clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 
 from . import kernel
 from .model import (
@@ -178,15 +178,17 @@ class _Episode:
     (both already validated): the effect as (weight, radix, code) places of
     the effect components, and what every candidate checked against the
     query shares: the clause verdicts of each subset, found by ``clauses``,
-    the marks and AC1 edges of each state, and each witness set's
-    ``_Verdicts`` and base, found by ``witness``.  The mode, options, clamped
-    variants and verdicts live in the query's ``_Shared`` table, so they go
-    with the query."""
+    the marks and AC1 edges of each state, each witness set's ``_Verdicts``
+    and base, found by ``witness``, and by first-deviation offset the
+    witness sets not yet known to fail there, found by ``untried``.  The
+    mode, options, clamped variants and verdicts live in the query's
+    ``_Shared`` table, so they go with the query."""
 
     def __init__(self, k, start: int, end: int, effect_components, shared: _Shared):
         self.k, self.start, self.end, self.shared = k, start, end, shared
         self.verdicts: dict = {}
-        self.witnesses: dict = {}  # witness set -> its _Verdicts and base state
+        self.witnesses: dict = {}  # witness set's component mask -> its _Verdicts and base state
+        self.untried_sets: dict = {}  # first-deviation offset -> its _Untried
         self.start_digits, self.end_digits = k.digits(start), k.digits(end)
         self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, effect_components))
         # state -> (end mask, effect key); state -> AC1 edge triples
@@ -224,15 +226,23 @@ class _Episode:
             found = self.verdicts[key] = (path, *(_ac2(self, subset) if path else (None, None)))
         return found
 
-    def witness(self, names: tuple[str, ...]) -> tuple[_Verdicts, int]:
+    def witness(self, mask: int) -> tuple[_Verdicts, int]:
         """A witness set's effect verdicts under its clamp, and its base: the
-        start state moved by the clamp, to which a deviation's offset adds."""
-        found = self.witnesses.get(names)
+        start state moved by the clamp, to which a deviation's offset adds.
+        The set is given as its component mask, bit i for component i."""
+        found = self.witnesses.get(mask)
         if found is None:
             k = self.k
-            pins = tuple((i, self.end_digits[i]) for i in map(k.index.get, names))
+            pins = tuple((i, b) for i, b in enumerate(self.end_digits) if mask >> i & 1)
             base = self.start + sum((b - self.start_digits[i]) * k.weights[i] for i, b in pins)
-            found = self.witnesses[names] = (self.shared.verdicts_of(k, pins, self.effect), base)
+            found = self.witnesses[mask] = (self.shared.verdicts_of(k, pins, self.effect), base)
+        return found
+
+    def untried(self, offset: int) -> _Untried:
+        """The witness sets not yet known to fail at deviation ``offset``."""
+        found = self.untried_sets.get(offset)
+        if found is None:
+            found = self.untried_sets[offset] = _Untried(len(self.k.names))
         return found
 
     def deviation(self, cause, s: int) -> tuple[tuple[str, str], ...]:
@@ -262,6 +272,28 @@ class _Deviations:
         for offset in self._rest:
             self.offsets.append(offset)
             yield offset
+
+
+class _Untried:
+    """The witness sets not yet known to fail at one first-deviation offset,
+    as component masks in witness order: by size, then lexicographic in the
+    component order, which restricted to the sets disjoint from a candidate
+    is the order of ``combinations`` over the rest.  They are made on demand
+    and kept; a walk that ends replaces ``sets`` with what it kept, so a
+    walk cut short by an overrun drops nothing."""
+
+    def __init__(self, count: int):
+        self.sets: list[int] = []
+        bits = [1 << i for i in range(count)]
+        self._rest = chain.from_iterable(map(sum, combinations(bits, n)) for n in range(count + 1))
+
+    def __iter__(self):
+        return chain(self.sets, self._more())
+
+    def _more(self):
+        for mask in self._rest:
+            self.sets.append(mask)
+            yield mask
 
 
 def _ac1(e: _Episode, cause):
@@ -334,21 +366,39 @@ def _ac2(e: _Episode, cause):
     certifying witness, the first witness set under which no deviated start
     reaches the effect, with those starts; either is None when there is
     none.  Deviations are made as the checks need them, and each (witness
-    set, deviated start) effect search runs at most once per query."""
+    set, deviated start) effect search runs at most once per query.
+
+    Witness sets are walked from the episode's ``untried`` list for the
+    candidate's first deviation.  Whether a set fails there depends only on
+    the set and that start, not on the candidate, so a set found to fail
+    there leaves the list; every other candidate with the same first
+    deviation would find that verdict in the table and fail at once.  So
+    the same effect searches run, in the same order, as walking every set."""
     devs = _Deviations(e, cause)
-    (unclamped, _), goal = e.witness(()), e.marks(e.end)[1]
+    (unclamped, _), goal = e.witness(0), e.marks(e.end)[1]
     starts = (e.start + o for o in devs)
     contrast = next((s for s in starts if e.marks(s)[1] != goal and not unclamped[s]), None)
     if contrast is None:
         return None, None
-    # witnesses are disjoint from the candidate, mirroring the clamp-versus-
-    # deviate partition of the counterfactual test
-    others = [n for n in e.k.names if n not in cause]
-    for witness in chain.from_iterable(combinations(others, k) for k in range(len(others) + 1)):
+    first, held = devs.offsets[0], sum(1 << e.k.index[c] for c in cause)
+    untried = e.untried(first)
+    walked, kept = untried.sets, []
+    for i, mask in enumerate(untried):
+        # witnesses are disjoint from the candidate, mirroring the clamp-versus-
+        # deviate partition of the counterfactual test
+        if mask & held:
+            kept.append(mask)
+            continue
+        table, base = e.witness(mask)
+        if table[base + first]:
+            continue  # fails at the first deviation, for every candidate that deviates so first
+        kept.append(mask)
         # a witness fails at its first deviation from which the effect is reachable
-        table, base = e.witness(witness)
-        if not any(map(table.__getitem__, map(base.__add__, devs))):
-            return contrast, (witness, [base + o for o in devs.offsets])
+        if not any(map(table.__getitem__, map(base.__add__, islice(devs, 1, None)))):
+            untried.sets = kept + walked[i + 1 :]
+            names = tuple(n for j, n in enumerate(e.k.names) if mask >> j & 1)
+            return contrast, (names, [base + o for o in devs.offsets])
+    untried.sets = kept
     return contrast, None
 
 

@@ -10,11 +10,13 @@ per-component closures, and run each counterfactual search with its own
 queue.  ``_ac1`` and ``ref_first_effect_reachable`` check the state cap as
 each configuration is added, the start included.
 Certificates, their order and cap overruns (cap, size, phase) must agree
-exactly.  ``_changed_components``, ``_certify_link`` and
-``ref_classify_intervention_effect`` are copies of the link rule and of
-intervention classification as they were on configurations, before links
-became one table on state numbers; chains and classifications must agree
-with them.  ``ref_find_causal_chains`` tries every permutation and keeps no
+exactly, and so must the sequence of effect searches, as (witness pins,
+start state) keys (``assert_same_searches``), though the engine skips the
+witness sets it already knows to fail.  ``_changed_components``,
+``_certify_link`` and ``ref_classify_intervention_effect`` are copies of
+the link rule and of intervention classification as they were on
+configurations, before links became one table on state numbers; chains and
+classifications must agree with them.  ``ref_find_causal_chains`` tries every permutation and keeps no
 prune; the engine's chain search may only remove link certifications and
 cap overruns from its work (``assert_prune_only_removes_work``), on random
 models and on ``staged`` runs, whose chains pass several waypoints.
@@ -277,17 +279,17 @@ def _outcome(fn):
         return ("cap", err.cap, err.size, err.what)
 
 
-def _queries(count):
-    """``count`` (model, query, mode, options) cases on 3- to 5-component
-    models, cycling through both AC1 modes, async and sync transitions, and
-    self-loops off and on."""
+def _queries(count, fewest=3, most=5):
+    """``count`` (model, query, mode, options) cases on models of ``fewest``
+    to ``most`` components, cycling through both AC1 modes, async and sync
+    transitions, and self-loops off and on."""
     settings = list(product(("example", "strict"), ("async", "sync"), (False, True)))
     out, seed = [], 0
     while len(out) < count:
         rng = random.Random(seed)
         seed += 1
-        model = random_system_model(rng, max_components=5, max_behaviours=3)
-        if len(model.components) < 3:
+        model = random_system_model(rng, max_components=most, max_behaviours=3)
+        if len(model.components) < fewest:
             continue
         mode, transitions, loops = settings[len(out) % len(settings)]
         model = replace(model, mode=transitions)
@@ -354,6 +356,51 @@ def _structured():
         for mode, transitions, loops in product(("example", "strict"), ("async", "sync"), (False, True)):
             out.append((replace(model, mode=transitions), q, mode, Options(self_loops=loops)))
     return out
+
+
+def cause_between_walks():
+    """Five components that all start at their first behaviour, so every
+    candidate's first deviation is the start itself and every candidate
+    walks one list of untried witness sets.  E moves to e1 once B is b1, or
+    A is a2, or C is c0 while D is d1, unless A is a3, B is b2 or C is c2.
+    A, whose deviation a2 reaches E under every witness set, walks them all
+    and certifies none; B is the cause, under the witness set {C, D}; C
+    then walks past {C, D} to sets such as {A, B, D} that only A's walk
+    listed, and searches them at the start."""
+    text = """async
+component A {
+  domain a0 a1 a2 a3
+  rule a0 -> a1
+}
+component B {
+  domain b0 b1 b2
+  context A D
+  rule b0 (a0, d0) -> b1
+  rule b0 (a1, d0) -> b1
+}
+component C {
+  domain c0 c1 c2
+  rule c0 -> c1
+}
+component D {
+  domain d0 d1
+  rule d0 -> d1
+}
+component E {
+  domain e0 e1
+  context A B C D
+  rule e0 (a3, _, _, _) -> e0
+  rule e0 (_, b2, _, _) -> e0
+  rule e0 (_, _, c2, _) -> e0
+  rule e0 (_, b1, _, _) -> e1
+  rule e0 (a2, _, _, _) -> e1
+  rule e0 (_, _, c0, d1) -> e1
+}
+config start = (A=a0, B=b0, C=c0, D=d0, E=e0)
+config end = (A=a1, B=b1, C=c1, D=d1, E=e1)
+"""
+    doc = parse_model(text)
+    return doc.model, CauseQuery(doc.configuration("start"), doc.configuration("end"), ("E",))
 
 
 CASES = _queries(200)
@@ -456,14 +503,106 @@ def test_counterfactual_search_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# the order of effect searches
+
+
+@pytest.fixture
+def search_keys(monkeypatch):
+    """Every effect search of the engine and of the reference, in order, as
+    a key: the witness set's pins as ``Kernel.pinned`` took them (empty for
+    the unclamped kernel), and the start state."""
+    keys = {"engine": [], "reference": []}
+    pin = kernel.Kernel.pinned
+
+    def pinned(k, pins):
+        variant = pin(k, pins)
+        variant.witness_pins = pins
+        return variant
+
+    def recorded(who, search):
+        def run(k, start, effect, options):
+            keys[who].append((getattr(k, "witness_pins", ()), start))
+            return search(k, start, effect, options)
+
+        return run
+
+    monkeypatch.setattr(kernel.Kernel, "pinned", pinned)
+    monkeypatch.setattr(causality, "_first_effect_reachable", recorded("engine", causality._first_effect_reachable))
+    monkeypatch.setattr(sys.modules[__name__], "ref_first_effect_reachable", recorded("reference", ref_first_effect_reachable))
+    return keys
+
+
+def assert_same_searches(keys, case):
+    """``find_causes`` on ``case`` by the engine and by the reference, which
+    walks every witness set of every candidate: the same certificates, or
+    the same overrun, and the same effect searches in the same order.  This
+    holds without a cap, and on a ladder of caps 0, 1, 3, 7, … up to the
+    first that answers, then bisected down to the uncapped peak, the least
+    cap at which the query answers.  Returns the certificates and the
+    searches of the uncapped query, and the caps of the ladder that overran."""
+    model, q, mode, options = case
+
+    def both(cap):
+        out = {}
+        for who, find in (("engine", find_causes), ("reference", ref_find_causes)):
+            keys[who].clear()
+            outcome = _outcome(lambda: find(model, q, mode, replace(options, max_states=cap)))
+            out[who] = outcome, list(keys[who])
+        assert out["engine"] == out["reference"], cap
+        return out["reference"]
+
+    want, searched = both(Options().max_states)
+    assert not isinstance(want, tuple)
+
+    overran = []
+
+    def answers(cap) -> bool:
+        outcome, _ = both(cap)
+        assert isinstance(outcome, tuple) or outcome == want, cap
+        if isinstance(outcome, tuple):
+            overran.append(cap)
+        return not isinstance(outcome, tuple)
+
+    below, peak = -1, 0
+    while not answers(peak):
+        below, peak = peak, 2 * peak + 1
+    while peak - below > 1:
+        mid = (below + peak) // 2
+        below, peak = (below, mid) if answers(mid) else (mid, peak)
+    return want, searched, overran
+
+
+def test_cause_searches_run_in_the_reference_order(search_keys, micro, micro_f1, micro_f2):
+    """On generated models of 4 to 6 components, on the structured
+    pipelines and fan-ins, on micro from f1 to f2 with each component as the
+    effect, and on ``cause_between_walks``, in both modes, the engine runs
+    the reference's effect searches in its order and overruns at the same
+    caps, though it skips the witness sets already known to fail at a
+    candidate's first deviation."""
+    queries = [(micro, CauseQuery(micro_f1, micro_f2, (effect,))) for effect in micro.component_order]
+    queries.append(cause_between_walks())
+    handmade = [(model, q, mode, Options()) for model, q in queries for mode in ("example", "strict")]
+    tally = Counter()
+    for case in _queries(100, 4, 6) + STRUCTURED + handmade:
+        certificates, searched, overran = assert_same_searches(search_keys, case)
+        tally.update(searches=len(searched), clamped=sum(1 for pins, _ in searched if pins), overran=len(overran))
+        tally.update(causes=len(certificates), witnessed=sum(1 for c in certificates if c["witness_set"]))
+        tally[f"{len(case[0].components)} components"] += 1
+    assert {f"{n} components" for n in (4, 5, 6)} <= set(tally), tally
+    assert tally["clamped"] > 400 and tally["witnessed"] > 4 and tally["overran"] > 300, tally
+
+
+# ---------------------------------------------------------------------------
 # what one query builds
 
 
 def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
-    # nothing is a cause, so every candidate with a contrast tries every witness set
+    # nothing is a cause, so every candidate with a contrast tries every witness set; the
+    # engine looks up only those not yet known to fail at the candidate's first deviation,
+    # 93 where walking every set looked up 453
     model, q = pipeline(6, fault=False)
     searched = {"engine": [], "reference": []}
-    made = []
+    made, looked_up = [], []
 
     def counted(who, search):
         return lambda k, start, effect, options: searched[who].append(start) or search(k, start, effect, options)
@@ -473,11 +612,13 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
             super().__init__(e, cause)
             made.append((len(cause), self))
 
-    engine, reference = causality._first_effect_reachable, ref_first_effect_reachable
+    engine, reference, witness = causality._first_effect_reachable, ref_first_effect_reachable, causality._Episode.witness
     monkeypatch.setattr(causality, "_first_effect_reachable", counted("engine", engine))
     monkeypatch.setattr(causality, "_Deviations", Deviations)
+    monkeypatch.setattr(causality._Episode, "witness", lambda e, mask: looked_up.append(mask) or witness(e, mask))
     monkeypatch.setattr(sys.modules[__name__], "ref_first_effect_reachable", counted("reference", reference))
     assert find_causes(model, q) == [] == ref_find_causes(model, q)
+    assert len(looked_up) == 93
     assert len(searched["engine"]) == 67
     assert searched["engine"] == searched["reference"]
     eager = sum(3**size - 1 for size, _ in made)
