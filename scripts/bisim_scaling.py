@@ -60,14 +60,12 @@ def shape(a: PointedModel, b: PointedModel) -> str:
     (state, label) moves and refinement rounds over both sides, as table
     columns."""
     labels = [STEP] + sorted(a.model.intervention_map)
-    left, right = (_Lts(p.model, p.point, labels, DEFAULT_OPTIONS) for p in (a, b))
-    n, m = len(left.atoms), len(left.lists)
-    lists = left.lists + [[n + t for t in dests] for dests in right.lists]
-    moves = (n + len(right.atoms)) * len(labels)
-    history = _refine(left.atoms + right.atoms, left.rows + [[m + d for d in row] for row in right.rows], lists, n)
+    lts = _Lts(a, b, labels, DEFAULT_OPTIONS)
+    n = lts.roots[1]
+    history = _refine(lts.atoms, lts.rows, lts.lists, n)
     # every round computed is kept but the one that confirms a fixpoint
     rounds = len(history) - 1 + (history[-1][0] == history[-1][n])
-    return f"{len(left.kernels):>9}{len(lists):>7}{moves:>7}{rounds:>7}"
+    return f"{len(lts.kernels[0]):>9}{len(lts.lists):>7}{len(lts.atoms) * len(labels):>7}{rounds:>7}"
 
 
 def renamed(component: str):

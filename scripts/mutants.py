@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the engine's fast paths: chain search and cause search.
+"""Mutation check of the engine's fast paths: chain search, cause search,
+bisimulation and the document lookups stanzas resolve against.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -37,11 +38,14 @@ class Mutant(NamedTuple):
 
 
 CAUSALITY = "src/causalmc/causality.py"
+BISIM = "src/causalmc/bisim.py"
+DSL = "src/causalmc/dsl.py"
 PINNED = "tests/test_cause_search.py::test_the_states_expanded_and_effect_searches_are_pinned"
 MICRO = "tests/test_cause_search.py::test_micro_chain_search_matches_permutations"
 STAGED = "tests/test_cause_search.py::test_chain_search_matches_permutations_on_staged_models"
 ORDER = "tests/test_cause_search.py::test_cause_searches_run_in_the_reference_order"
 COUNTS = "tests/test_cause_search.py::test_search_counts_on_a_spontaneous_pipeline"
+BISIM_REFERENCE = "tests/test_bisim.py::test_check_bisim_matches_tuple_keyed_reference"
 
 MUTANTS = (
     Mutant(
@@ -117,8 +121,8 @@ MUTANTS = (
     Mutant(
         "certifying walk keeps nothing after its witness",
         CAUSALITY,
-        "untried.sets = kept + walked[i + 1 :]",
-        "untried.sets = kept",
+        "untried.items = kept + walked[i + 1 :]",
+        "untried.items = kept",
         (ORDER,),
     ),
     Mutant(
@@ -127,6 +131,48 @@ MUTANTS = (
         "continue  # fails at the first deviation",
         "kept.append(mask)\n            continue  # fails at the first deviation",
         (COUNTS,),
+    ),
+    Mutant(
+        "kept sequence keeps nothing it draws",
+        CAUSALITY,
+        "self.items.append(item)",
+        "pass",
+        (COUNTS,),
+    ),
+    Mutant(
+        "right side's lists numbered from 0",
+        BISIM,
+        "d = listed[at] = first + len(lists)",
+        "d = listed[at] = len(lists)",
+        (BISIM_REFERENCE,),
+    ),
+    Mutant(
+        "right side's root numbered 0",
+        BISIM,
+        "self.roots.append(len(self.keys))",
+        "self.roots.append(0)",
+        (BISIM_REFERENCE,),
+    ),
+    Mutant(
+        "refinement round forgets each state's own colour",
+        BISIM,
+        "fresh = _number_blocks([(c, tuple(map(sets.__getitem__, row))) for c, row in zip(colour, rows)])",
+        "fresh = _number_blocks([tuple(map(sets.__getitem__, row)) for row in rows])",
+        (BISIM_REFERENCE,),
+    ),
+    Mutant(
+        "right-only move's parts left unnegated",
+        BISIM,
+        "_wrap(label, F.conj(_dedup([F.Not(p) for p in parts])))",
+        "_wrap(label, F.conj(_dedup(parts)))",
+        (BISIM_REFERENCE,),
+    ),
+    Mutant(
+        "stanza formula reads the configuration map",
+        DSL,
+        "resolved = _resolve_formula(phi, doc.formula_map, doc.model)",
+        "resolved = _resolve_formula(phi, doc.config_map, doc.model)",
+        ("tests/test_dsl.py::test_stanzas_and_arguments_read_the_documents_names",),
     ),
 )
 

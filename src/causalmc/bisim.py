@@ -140,60 +140,62 @@ class BisimResult:
 
 
 class _Lts:
-    """Reachable labelled transition system of one pointed model.
-
-    States are numbered 0, 1, ... in expansion order, state 0 being the
-    point.  ``keys[i]`` is ``variant * size + state``, a state being a
-    configuration encoded by the variant's compiled kernel, and ``atoms[i]``
-    is the valuation of the sorted atoms.  A successor list depends only on
+    """Reachable labelled transition system of two pointed models, numbered in
+    one space: each side's states in expansion order, the left's first, so
+    ``roots`` is [0, n] for n left states.  ``kernels[side]`` are a side's
+    variants, ``keys[i]`` is ``variant * size + state``, a state being a
+    configuration encoded by its side's kernels, and ``atoms[i]`` is the
+    valuation of the sorted atoms.  A successor list depends only on the side,
     the variant a label leads to and the configuration, so ``lists`` holds
     each distinct list once, as state numbers, and ``rows[i][l]`` is the
-    index there of state i's successors under the l-th label."""
+    index there of state i's successors under the l-th label.  Each side's
+    state cap counts from its own root."""
 
-    def __init__(self, model: SystemModel, point: Configuration, labels, options: Options):
-        graph = intervention_closure(model)
-        self.kernels = [kernel.compile(m) for m in graph.models]
-        edge = {(a, name): b for a, name, b in graph.edges}
-        targets = [[v if l == STEP else edge[(v, l)] for l in labels] for v in range(len(self.kernels))]
-        # every variant shares ``Kernel.tests``, so a valuation depends on the configuration alone
-        tests = [atom_test(self.kernels[0], a) for a in sorted(model.atom_map)]
-        valued: dict[int, tuple[bool, ...]] = {}  # configuration -> valuation
-        size = self.size = self.kernels[0].size
-        root = self.kernels[0].encode(point)
-        number: dict[int, int | None] = {root: None}  # key -> state number, given on expansion
-        listed: dict[int, int] = {}  # variant * size + configuration -> index in lists
-        self.keys: list[int] = []
-        self.atoms: list[tuple[bool, ...]] = []
-        self.rows: list[list[int]] = []
-        lists = []
-        frontier = [root]
+    def __init__(self, a: PointedModel, b: PointedModel, labels, options: Options):
+        self.keys, self.atoms, self.rows, self.lists = [], [], [], []
+        self.roots, self.kernels = [], []
         loops = options.self_loops
-        while frontier:  # every state numbered is on the frontier until expanded
-            if len(number) > options.max_states:
-                exceeded(options.max_states, "bisimulation state space")
-            key = frontier.pop()
-            number[key] = len(self.keys)
-            self.keys.append(key)
-            variant, f = divmod(key, size)
-            atoms = valued.get(f)
-            if atoms is None:
-                atoms = valued[f] = tuple(t(f) for t in tests)
-            self.atoms.append(atoms)
-            row = []
-            for v in targets[variant]:
-                at = v * size + f
-                d = listed.get(at)
-                if d is None:  # a list met before holds no state not numbered yet
-                    d = listed[at] = len(lists)
-                    dests = [v * size + g for g in self.kernels[v].successors(f, loops)]
-                    lists.append(dests)
-                    for s in dests:
-                        if s not in number:
-                            number[s] = None
-                            frontier.append(s)
-                row.append(d)
-            self.rows.append(row)
-        self.lists = [[number[s] for s in dests] for dests in lists]
+        for model, point in ((a.model, a.point), (b.model, b.point)):
+            graph = intervention_closure(model)
+            kernels = [kernel.compile(m) for m in graph.models]
+            edge = {(a, name): b for a, name, b in graph.edges}
+            targets = [[v if l == STEP else edge[(v, l)] for l in labels] for v in range(len(kernels))]
+            # every variant shares ``Kernel.tests``, so a valuation depends on the configuration alone
+            tests = [atom_test(kernels[0], a) for a in sorted(model.atom_map)]
+            valued: dict[int, tuple[bool, ...]] = {}  # configuration -> valuation
+            size, root = kernels[0].size, kernels[0].encode(point)
+            number: dict[int, int | None] = {root: None}  # key -> state number, given on expansion
+            listed: dict[int, int] = {}  # variant * size + configuration -> index in lists
+            lists, first = [], len(self.lists)
+            self.kernels.append(kernels)
+            self.roots.append(len(self.keys))
+            frontier = [root]
+            while frontier:  # every state numbered is on the frontier until expanded
+                if len(number) > options.max_states:
+                    exceeded(options.max_states, "bisimulation state space")
+                key = frontier.pop()
+                number[key] = len(self.keys)
+                self.keys.append(key)
+                variant, f = divmod(key, size)
+                atoms = valued.get(f)
+                if atoms is None:
+                    atoms = valued[f] = tuple(t(f) for t in tests)
+                self.atoms.append(atoms)
+                row = []
+                for v in targets[variant]:
+                    at = v * size + f
+                    d = listed.get(at)
+                    if d is None:  # a list met before holds no state not numbered yet
+                        d = listed[at] = first + len(lists)
+                        dests = [v * size + g for g in kernels[v].successors(f, loops)]
+                        lists.append(dests)
+                        for s in dests:
+                            if s not in number:
+                                number[s] = None
+                                frontier.append(s)
+                    row.append(d)
+                self.rows.append(row)
+            self.lists += [[number[s] for s in dests] for dests in lists]
 
     @property
     def moves(self) -> list[list[list[int]]]:
@@ -201,8 +203,9 @@ class _Lts:
         return [[self.lists[d] for d in row] for row in self.rows]
 
     def point(self, i: int) -> tuple[int, Configuration]:
-        variant, s = divmod(self.keys[i], self.size)
-        return variant, self.kernels[variant].decode(s)
+        kernels = self.kernels[i >= self.roots[1]]
+        variant, s = divmod(self.keys[i], kernels[0].size)
+        return variant, kernels[variant].decode(s)
 
 
 def check_bisim(
@@ -223,16 +226,9 @@ def check_bisim(
             f"declared intervention names differ: {left_ivs} vs {right_ivs}"
         )
     labels = [STEP] + left_ivs
-    lts_a = _Lts(a.model, a.point, labels, options)
-    lts_b = _Lts(b.model, b.point, labels, options)
-
-    # one numbering of both sides: the right side's states and lists follow
-    # the left's, so the roots are 0 and n
-    n, m = len(lts_a.atoms), len(lts_a.lists)
-    atoms = lts_a.atoms + lts_b.atoms
-    lists = lts_a.lists + [[n + t for t in dests] for dests in lts_b.lists]
-    rows = lts_a.rows + [[m + d for d in row] for row in lts_b.rows]
-    history = _refine(atoms, rows, lists, n)
+    lts = _Lts(a, b, labels, options)
+    n = lts.roots[1]
+    history = _refine(lts.atoms, lts.rows, lts.lists, n)
     colour = history[-1]
 
     if colour[0] == colour[n]:
@@ -243,12 +239,12 @@ def check_bisim(
             # right states grouped by colour, in state order: the pairs in
             # (left, right) state order, in time linear in the relation
             by_colour: dict[int, list] = {}
-            for i, c in enumerate(colour[n:]):
-                by_colour.setdefault(c, []).append(lts_b.point(i))
+            for i, c in enumerate(colour[n:], n):
+                by_colour.setdefault(c, []).append(lts.point(i))
             pairs = []
             for i, c in enumerate(colour[:n]):
                 if c in by_colour:
-                    pa = lts_a.point(i)
+                    pa = lts.point(i)
                     pairs.extend((pa, pb) for pb in by_colour[c])
             return tuple(pairs)
 
@@ -257,16 +253,15 @@ def check_bisim(
             relation=BisimRelation(sum(right[c] for c in colour[:n]), listing),
             distinguishing=None,
             left_states=n,
-            right_states=len(lts_b.atoms),
+            right_states=len(lts.atoms) - n,
         )
-    moves = [[lists[d] for d in row] for row in rows]
-    phi = _distinguish(atoms, moves, history, labels, left_atoms, 0, n)
+    phi = _distinguish(lts.atoms, lts.moves, history, labels, left_atoms, *lts.roots)
     return BisimResult(
         bisimilar=False,
         relation=None,
         distinguishing=phi,
         left_states=n,
-        right_states=len(lts_b.atoms),
+        right_states=len(lts.atoms) - n,
     )
 
 

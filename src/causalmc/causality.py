@@ -40,6 +40,7 @@ from itertools import chain, combinations, islice, product
 
 from . import kernel
 from .model import (
+    CHAIN_MAX_LEN,
     DEFAULT_OPTIONS,
     Configuration,
     Intervention,
@@ -188,7 +189,7 @@ class _Episode:
         self.k, self.start, self.end, self.shared = k, start, end, shared
         self.verdicts: dict = {}
         self.witnesses: dict = {}  # witness set's component mask -> its _Verdicts and base state
-        self.untried_sets: dict = {}  # first-deviation offset -> its _Untried
+        self.untried_sets: dict = {}  # first-deviation offset -> its kept witness masks
         self.start_digits, self.end_digits = k.digits(start), k.digits(end)
         self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, effect_components))
         # state -> (end mask, effect key); state -> AC1 edge triples
@@ -238,11 +239,17 @@ class _Episode:
             found = self.witnesses[mask] = (self.shared.verdicts_of(k, pins, self.effect), base)
         return found
 
-    def untried(self, offset: int) -> _Untried:
-        """The witness sets not yet known to fail at deviation ``offset``."""
+    def untried(self, offset: int) -> _Kept:
+        """The witness sets not yet known to fail at deviation ``offset``, as
+        component masks by size, then lexicographic in the component order: on
+        the sets disjoint from a candidate, the order of ``combinations`` over
+        the rest.  A walk that ends replaces the kept masks with those it kept,
+        so a walk cut short by an overrun drops nothing."""
         found = self.untried_sets.get(offset)
         if found is None:
-            found = self.untried_sets[offset] = _Untried(len(self.k.names))
+            bits = [1 << i for i in range(len(self.k.names))]
+            masks = chain.from_iterable(map(sum, combinations(bits, n)) for n in range(len(bits) + 1))
+            found = self.untried_sets[offset] = _Kept(masks)
         return found
 
     def deviation(self, cause, s: int) -> tuple[tuple[str, str], ...]:
@@ -252,48 +259,34 @@ class _Episode:
         return tuple((c, k.domains[i][s // k.weights[i] % k.radices[i]]) for c, i in places)
 
 
-class _Deviations:
+class _Kept:
+    """A sequence drawn from the iterator ``rest`` on demand and kept in
+    ``items``: iterating yields the kept items, then draws and keeps the rest."""
+
+    def __init__(self, rest):
+        self.items: list = []
+        self._rest = rest
+
+    def __iter__(self):
+        return chain(self.items, self._more())
+
+    def _more(self):
+        for item in self._rest:
+            self.items.append(item)
+            yield item
+
+
+def _deviation_offsets(e: _Episode, cause):
     """Assignments to the candidate components with at least one component off
     its end-state behaviour, as offsets from the start state (a deviation's
-    behaviours are read back from its state when evidence names them).  They
-    are made on demand, in the product order of the domains, and kept."""
-
-    def __init__(self, e: _Episode, cause):
-        k, positions = e.k, [e.k.index[c] for c in cause]
-        parts = [[(c - e.start_digits[i]) * k.weights[i] for c in range(k.radices[i])] for i in positions]
-        at_end = tuple(p[e.end_digits[i]] for p, i in zip(parts, positions))
-        self.offsets: list[int] = []
-        self._rest = (sum(combo) for combo in product(*parts) if combo != at_end)
-
-    def __iter__(self):
-        return chain(self.offsets, self._more())
-
-    def _more(self):
-        for offset in self._rest:
-            self.offsets.append(offset)
-            yield offset
-
-
-class _Untried:
-    """The witness sets not yet known to fail at one first-deviation offset,
-    as component masks in witness order: by size, then lexicographic in the
-    component order, which restricted to the sets disjoint from a candidate
-    is the order of ``combinations`` over the rest.  They are made on demand
-    and kept; a walk that ends replaces ``sets`` with what it kept, so a
-    walk cut short by an overrun drops nothing."""
-
-    def __init__(self, count: int):
-        self.sets: list[int] = []
-        bits = [1 << i for i in range(count)]
-        self._rest = chain.from_iterable(map(sum, combinations(bits, n)) for n in range(count + 1))
-
-    def __iter__(self):
-        return chain(self.sets, self._more())
-
-    def _more(self):
-        for mask in self._rest:
-            self.sets.append(mask)
-            yield mask
+    behaviours are read back from its state when evidence names them), in
+    the product order of the domains."""
+    k, positions = e.k, [e.k.index[c] for c in cause]
+    parts = [[(c - e.start_digits[i]) * k.weights[i] for c in range(k.radices[i])] for i in positions]
+    at_end = tuple(p[e.end_digits[i]] for p, i in zip(parts, positions))
+    for combo in product(*parts):
+        if combo != at_end:
+            yield sum(combo)
 
 
 def _ac1(e: _Episode, cause):
@@ -374,15 +367,15 @@ def _ac2(e: _Episode, cause):
     there leaves the list; every other candidate with the same first
     deviation would find that verdict in the table and fail at once.  So
     the same effect searches run, in the same order, as walking every set."""
-    devs = _Deviations(e, cause)
+    devs = _Kept(_deviation_offsets(e, cause))
     (unclamped, _), goal = e.witness(0), e.marks(e.end)[1]
     starts = (e.start + o for o in devs)
     contrast = next((s for s in starts if e.marks(s)[1] != goal and not unclamped[s]), None)
     if contrast is None:
         return None, None
-    first, held = devs.offsets[0], sum(1 << e.k.index[c] for c in cause)
+    first, held = devs.items[0], sum(1 << e.k.index[c] for c in cause)
     untried = e.untried(first)
-    walked, kept = untried.sets, []
+    walked, kept = untried.items, []
     for i, mask in enumerate(untried):
         # witnesses are disjoint from the candidate, mirroring the clamp-versus-
         # deviate partition of the counterfactual test
@@ -395,10 +388,10 @@ def _ac2(e: _Episode, cause):
         kept.append(mask)
         # a witness fails at its first deviation from which the effect is reachable
         if not any(map(table.__getitem__, map(base.__add__, islice(devs, 1, None)))):
-            untried.sets = kept + walked[i + 1 :]
+            untried.items = kept + walked[i + 1 :]
             names = tuple(n for j, n in enumerate(e.k.names) if mask >> j & 1)
-            return contrast, (names, [base + o for o in devs.offsets])
-    untried.sets = kept
+            return contrast, (names, [base + o for o in devs.items])
+    untried.items = kept
     return contrast, None
 
 
@@ -583,7 +576,7 @@ def find_causal_chains(
     model: SystemModel,
     f_start: Configuration,
     f_end: Configuration,
-    max_len: int = 4,
+    max_len: int = CHAIN_MAX_LEN,
     effect_components=None,
     mode: str = "example",
     options: Options = DEFAULT_OPTIONS,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__, kernel
 from .dsl import DslError, parse_arguments, parse_config_text, parse_model
-from .model import CapExceeded, ModelError, Options
+from .model import CHAIN_MAX_LEN, CapExceeded, ModelError, Options
 from .queries import run_document, run_query
 
 
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="start", required=True)
     sp.add_argument("--to", dest="end", required=True)
     sp.add_argument("--effect", nargs="+")
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--max-len", type=int, default=CHAIN_MAX_LEN)
     sp.add_argument("--dot", metavar="PATH", help="write the causal projection as DOT")
 
     sp = sub.add_parser("bisim", help="bisimulation under intervention between two pointed models")

@@ -30,9 +30,8 @@ from __future__ import annotations
 import re
 import string
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import NamedTuple
 
 from . import formulas as F
 from .model import (
@@ -77,11 +76,19 @@ class ModelDocument:
     queries: tuple = ()
     path: str | None = field(default=None, compare=False)
 
+    @cached_property
+    def config_map(self) -> dict[str, Configuration]:
+        return dict(self.configurations)
+
+    @cached_property
+    def formula_map(self) -> dict[str, F.Formula]:
+        return dict(self.formulas)
+
     def configuration(self, name: str) -> Configuration:
-        return _lookup(dict(self.configurations), name, "configuration")
+        return _lookup(self.config_map, name, "configuration")
 
     def formula(self, name: str) -> F.Formula:
-        return _lookup(dict(self.formulas), name, "formula")
+        return _lookup(self.formula_map, name, "formula")
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -386,8 +393,7 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
 
     domains = {c.name: c.domain for c in components}
 
-    # configurations
-    configurations: list[tuple[str, Configuration]] = []
+    # configurations, in declaration order
     config_map: dict[str, Configuration] = {}
     order = [c.name for c in components]
     for at, name, pairs in configs_raw:
@@ -406,9 +412,7 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
         if msg:
             diags.append(p.diagnostic(at, f"configuration {name!r}: " + ", ".join(msg)))
             continue
-        f = Configuration(tuple((c, mapping[c]) for c in order))
-        config_map[name] = f
-        configurations.append((name, f))
+        config_map[name] = Configuration(tuple((c, mapping[c]) for c in order))
 
     # atoms
     atoms: list[AtomDecl] = []
@@ -462,37 +466,28 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
 
     # named formulas resolve against atoms and earlier formulas
     formula_map: dict[str, F.Formula] = {}
-    formulas: list[tuple[str, F.Formula]] = []
     for at, name, phi in formulas_raw:
         if name in formula_map or name in atom_names:
             diags.append(p.diagnostic(at, f"duplicate formula name {name!r}"))
             continue
         try:
-            resolved = _resolve_formula(phi, formula_map, model)
+            formula_map[name] = _resolve_formula(phi, formula_map, model)
         except DslError as exc:
             diags.extend(p.diagnostic(at, d.message) for d in exc.diagnostics)
-            continue
-        formula_map[name] = resolved
-        formulas.append((name, resolved))
     if diags:
         raise DslError(diags)
 
-    scope = _Scope(model, config_map, formula_map)
+    # stanzas resolve against the document they belong to
+    doc = ModelDocument(model, tuple(config_map.items()), tuple(formula_map.items()), path=path)
     queries = []
     for at, (head, raw) in queries_raw:
         try:
-            queries.append(_resolve_stanza(head, raw, scope))
+            queries.append(_resolve_stanza(head, raw, doc))
         except DslError as exc:
             diags.extend(p.diagnostic(at, d.message) for d in exc.diagnostics)
     if diags:
         raise DslError(diags)
-    return ModelDocument(
-        model=model,
-        configurations=tuple(configurations),
-        formulas=tuple(formulas),
-        queries=tuple(queries),
-        path=path,
-    )
+    return replace(doc, queries=tuple(queries))
 
 
 def _parse_component(p: _Parser) -> ComponentDecl:
@@ -628,18 +623,10 @@ class Stanza:
         return " ".join(parts)
 
 
-class _Scope(NamedTuple):
-    """What a stanza resolves against: the model and its named configurations and formulas."""
-
-    model: SystemModel
-    configs: dict
-    formulas: dict
-
-
 @dataclass(frozen=True)
 class _Type:
     """What a slot holds, how it is read (``parse(parser, slot)``), resolved to
-    a (label, value) pair (``resolve(raw, scope)``), and printed from its label."""
+    a (label, value) pair (``resolve(raw, doc)``), and printed from its label."""
 
     what: str
     parse: Callable
@@ -661,10 +648,16 @@ def _parse_config_ref(p: _Parser) -> tuple[str, object]:
     """A configuration reference: a declared name or an inline literal."""
     if p.peek() == "(":
         pairs = _parse_config_literal(p)
-        label = "(" + ", ".join(f"{c}={b}" for c, b in pairs) + ")"
-        return label, pairs
+        return str(Configuration(tuple(pairs))), pairs
     name = p.expect_name("configuration name")
     return name, name
+
+
+def _quoted(path: str) -> str:
+    """The path as stanza text, which has no way to hold a double quote."""
+    if '"' in path:
+        raise DslError([Diagnostic(0, 0, "the other model's path cannot hold a double quote")])
+    return f'"{path}"'
 
 
 def _parse_path(p: _Parser) -> str:
@@ -673,30 +666,30 @@ def _parse_path(p: _Parser) -> str:
     return p.next()[1:-1]
 
 
-def _resolve_config_ref(ref, scope: _Scope) -> tuple[str, Configuration]:
+def _resolve_config_ref(ref, doc: ModelDocument) -> tuple[str, Configuration]:
     label, body = ref
     if isinstance(body, str):
-        return label, _lookup(scope.configs, body, "configuration")
+        return label, doc.configuration(body)
     twice = repeated(c for c, _ in body)
     if twice:
         raise DslError([Diagnostic(0, 0, f"component {c!r} assigned twice") for c in twice])
     try:
-        return label, scope.model.configuration(dict(body))
+        return label, doc.model.configuration(dict(body))
     except ModelError as exc:
         raise DslError([Diagnostic(0, 0, str(exc))]) from None
 
 
-def _resolve_formula_slot(phi, scope: _Scope) -> tuple[str, F.Formula]:
-    resolved = _resolve_formula(phi, scope.formulas, scope.model)
+def _resolve_formula_slot(phi, doc: ModelDocument) -> tuple[str, F.Formula]:
+    resolved = _resolve_formula(phi, doc.formula_map, doc.model)
     return F.pretty(resolved), resolved
 
 
-def _resolve_components(names, scope: _Scope) -> tuple[tuple, tuple]:
+def _resolve_components(names, doc: ModelDocument) -> tuple[tuple, tuple]:
     twice = repeated(names)
     if twice:
         raise DslError([Diagnostic(0, 0, f"component {c!r} named twice") for c in twice])
     for c in names:
-        if c not in scope.model.component_map:
+        if c not in doc.model.component_map:
             raise DslError([Diagnostic(0, 0, f"unknown component {c!r}")])
     return names, names
 
@@ -709,7 +702,7 @@ def _parse_count(p: _Parser, slot: Slot) -> int:
     return int(t)
 
 
-def _unresolved(raw, scope: _Scope):
+def _unresolved(raw, doc: ModelDocument):
     return raw, raw
 
 
@@ -718,7 +711,7 @@ FORMULA = _Type("formula", lambda p, slot: p.parse_formula(), _resolve_formula_s
 COMPONENTS = _Type(
     "component list", lambda p, slot: tuple(_parse_braced_names(p)), _resolve_components, lambda names: f"{{{' '.join(names)}}}"
 )
-PATH = _Type("path", lambda p, slot: _parse_path(p), _unresolved, lambda path: f'"{path}"')
+PATH = _Type("path", lambda p, slot: _parse_path(p), _unresolved, _quoted)
 NAME = _Type("configuration name", lambda p, slot: p.expect_name("configuration name"), _unresolved)
 NUMBER = _Type("number", _parse_count, _unresolved)
 
@@ -770,8 +763,8 @@ def _parse_stanza(p: _Parser) -> tuple[str, list]:
     return head, raw
 
 
-def _resolve_stanza(head: str, raw: list, scope: _Scope) -> Stanza:
-    resolved = [(None, None) if r is None else s.type.resolve(r, scope) for s, r in zip(_slots(head), raw)]
+def _resolve_stanza(head: str, raw: list, doc: ModelDocument) -> Stanza:
+    resolved = [(None, None) if r is None else s.type.resolve(r, doc) for s, r in zip(_slots(head), raw)]
     labels, values = zip(*resolved)
     return Stanza(head, labels, values)
 
@@ -842,22 +835,18 @@ def _read_alone(text: str, read: Callable, what: str):
     return out
 
 
-def _scope_of(doc: ModelDocument) -> _Scope:
-    return _Scope(doc.model, dict(doc.configurations), dict(doc.formulas))
-
-
 def parse_formula_text(text: str, doc: ModelDocument) -> F.Formula:
     phi = _read_alone(text, _Parser.parse_formula, "formula")
-    return _resolve_formula(phi, dict(doc.formulas), doc.model)
+    return _resolve_formula(phi, doc.formula_map, doc.model)
 
 
 def parse_config_text(text: str, doc: ModelDocument) -> Configuration:
     ref = _read_alone(text, _parse_config_ref, "configuration")
-    return _resolve_config_ref(ref, _scope_of(doc))[1]
+    return _resolve_config_ref(ref, doc)[1]
 
 
 def parse_query_text(text: str, doc: ModelDocument) -> Stanza:
-    return _resolve_stanza(*_read_alone(text, _parse_stanza, "query"), _scope_of(doc))
+    return _resolve_stanza(*_read_alone(text, _parse_stanza, "query"), doc)
 
 
 def parse_arguments(kind: str, values: Mapping, doc: ModelDocument) -> Stanza:
@@ -869,7 +858,7 @@ def parse_arguments(kind: str, values: Mapping, doc: ModelDocument) -> Stanza:
         else _read_alone(s.type.render(values[s.field]), partial(s.type.parse, slot=s), s.type.what)
         for s in _slots(kind)
     ]
-    return _resolve_stanza(kind, raw, _scope_of(doc))
+    return _resolve_stanza(kind, raw, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -895,20 +884,15 @@ def pretty_document(doc: ModelDocument) -> str:
             lines.append("  " + _print_row(row))
         lines.append("}")
     lines.append("")
+    named = {f: n for n, f in reversed(doc.configurations)}  # each configuration's first name
     for a in doc.model.atoms:
         if a.is_predicate:
             lines.append(f"atom {a.name} = {a.component} = {a.behaviour}")
         else:
-            names = []
-            for g in a.extension or ():
-                for n, f in doc.configurations:
-                    if f == g:
-                        names.append(n)
-                        break
+            names = [named[g] for g in a.extension or () if g in named]
             lines.append(f"atom {a.name} = {{ " + " ".join(names) + " }")
     for name, f in doc.configurations:
-        inner = ", ".join(f"{c}={b}" for c, b in f.pairs)
-        lines.append(f"config {name} = ({inner})")
+        lines.append(f"config {name} = {f}")
     for iv in doc.model.interventions:
         lines.append(f"intervention {iv.name} on " + " ".join(iv.targets) + " {")
         if iv.cost is not None:

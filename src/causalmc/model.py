@@ -26,6 +26,8 @@ WILDCARD = "_"
 
 MODES = ("async", "sync")
 
+CHAIN_MAX_LEN = 4  # waypoints a causal chain may hold when its query gives no maxlen
+
 
 class ModelError(Exception):
     """Malformed model, configuration, or intervention."""

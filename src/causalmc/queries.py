@@ -20,6 +20,7 @@ from . import __version__
 from . import formulas as F
 from .dsl import DslError, ModelDocument, Stanza, parse_model
 from .model import (
+    CHAIN_MAX_LEN,
     DEFAULT_OPTIONS,
     Configuration,
     Intervention,
@@ -155,10 +156,9 @@ def _cause(doc, options, mode, start, end, effect):
 def _chain(doc, options, mode, start, end, effect, max_len):
     from .causality import causal_projection, find_causal_chains
 
-    if max_len is None:
-        max_len = 4
     chains = find_causal_chains(
-        doc.model, start, end, max_len=max_len, effect_components=effect, mode=mode, options=options
+        doc.model, start, end, max_len=CHAIN_MAX_LEN if max_len is None else max_len,
+        effect_components=effect, mode=mode, options=options,
     )
     projection = causal_projection(doc.model, chains, options)
     return bool(chains), {

@@ -163,26 +163,17 @@ def _brute_force_pairs(a: PointedModel, b: PointedModel) -> tuple:
     coarsest stable partition of both sides agrees, by naive refinement and
     a comparison of every pair."""
     labels = [STEP] + sorted(a.model.intervention_map)
-    sides = [_Lts(p.model, p.point, labels, DEFAULT_OPTIONS) for p in (a, b)]
-    block = {(i, s): atoms for i, lts in enumerate(sides) for s, atoms in enumerate(lts.atoms)}
+    lts = _Lts(a, b, labels, DEFAULT_OPTIONS)
+    n, states = lts.roots[1], range(len(lts.atoms))
+    block = list(lts.atoms)
     while True:
-        signature = {
-            (i, s): (block[(i, s)], tuple(frozenset(block[(i, t)] for t in dests) for dests in row))
-            for i, lts in enumerate(sides)
-            for s, row in enumerate(lts.moves)
-        }
+        signature = [(block[s], tuple(frozenset(block[t] for t in dests) for dests in row)) for s, row in enumerate(lts.moves)]
         ids: dict = {}
-        refined = {key: ids.setdefault(sig, len(ids)) for key, sig in signature.items()}
-        if len(ids) == len(set(block.values())):
+        refined = [ids.setdefault(sig, len(ids)) for sig in signature]
+        if len(ids) == len(set(block)):
             break
         block = refined
-    left, right = sides
-    return tuple(
-        (left.point(sa), right.point(sb))
-        for sa in range(len(left.atoms))
-        for sb in range(len(right.atoms))
-        if block[(0, sa)] == block[(1, sb)]
-    )
+    return tuple((lts.point(sa), lts.point(sb)) for sa in states[:n] for sb in states[n:] if block[sa] == block[sb])
 
 
 def test_relation_size_decodes_no_state(monkeypatch, ex1, ex1_doc):
@@ -354,8 +345,10 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
         # each variant after the root is the kernel its first edge built
         built = {j for i, name, j in graph.edges if kernels[i].intervened(model.intervention_map[name]) is kernels[j]}
         assert built == set(range(1, len(kernels)))
-    lts = _Lts(micro, micro_f1, [STEP] + sorted(micro.intervention_map), DEFAULT_OPTIONS)
-    assert all(a is compile(m) for a, m in zip(lts.kernels, intervention_closure(micro).models))
+    point = PointedModel(micro, micro_f1)
+    lts = _Lts(point, point, [STEP] + sorted(micro.intervention_map), DEFAULT_OPTIONS)
+    for kernels in lts.kernels:
+        assert all(a is compile(m) for a, m in zip(kernels, intervention_closure(micro).models))
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +617,9 @@ def test_refinement_rounds_match_reference(monkeypatch, ex1, ex1_doc, micro, mic
             assert rounds == []
             continue
         labels = [STEP] + sorted(a.model.intervention_map)
-        left, right = (_Lts(p.model, p.point, labels, options) for p in (a, b))
-        n = len(left.atoms)
-        atoms = left.atoms + right.atoms
-        moves = left.moves + [[[n + t for t in dests] for dests in row] for row in right.moves]
-        want = ref_refine(atoms, moves)
+        lts = _Lts(a, b, labels, options)
+        n = lts.roots[1]
+        want = ref_refine(lts.atoms, lts.moves)
         assert len(rounds) == 1 and rounds[0] == want[: len(rounds[0])]
         # a distinguished pair stops at the first round that splits the
         # roots, a bisimilar one at the reference fixpoint
@@ -663,8 +654,8 @@ def test_successor_lists_are_shared(micro, micro_f1):
     text, names = families.ring(random.Random(0), 4)
     doc = parse_model(text)
     for model, point in ((micro, micro_f1), (doc.model, doc.configuration(names["failing"]))):
-        labels = [STEP] + sorted(model.intervention_map)
-        lts = _Lts(model, point, labels, DEFAULT_OPTIONS)
+        labels, side = [STEP] + sorted(model.intervention_map), PointedModel(model, point)
+        lts = _Lts(side, side, labels, DEFAULT_OPTIONS)
         assert len(lts.lists) < len(lts.atoms) * len(labels) / 2, (len(lts.lists), len(lts.atoms))
         # each state's moves are views onto the shared lists
         assert all(m is lts.lists[d] for moves, row in zip(lts.moves, lts.rows) for m, d in zip(moves, row))

@@ -403,8 +403,55 @@ config end = (A=a1, B=b1, C=c1, D=d1, E=e1)
     return doc.model, CauseQuery(doc.configuration("start"), doc.configuration("end"), ("E",))
 
 
+def backup(rng):
+    """A primary p, and at times a second q that the effect e also needs,
+    with up to two backups that fire when p fails and stand down once it
+    fires, so p's deviation to fail restores the effect through a backup
+    unless the witness set clamps the backups at standing down.  The
+    primaries start fired, or ready to fire; then only a gate, which shuts
+    once e is on, keeps their start from reaching e, and is the witness.  A
+    component a may short e whatever the witnesses.  Declaration and domain
+    orders are shuffled, so the first deviations and witness orders vary."""
+    parts = {}  # name -> domain, context, rules, start, end
+    fired, gate, second, short = (rng.random() < 0.5 for _ in range(4))
+    backups = [f"b{i}" for i in range(rng.randint(0, 2))]
+    for name in ["p", "q"] if second else ["p"]:
+        parts[name] = ["ready idle fire fail", [], [] if fired else ["ready -> fire"], "fire" if fired else "ready", "fire"]
+    for name in backups:
+        parts[name] = ["armed fire down", ["p"], ["armed (fail) -> fire", "armed (fire) -> down"], "armed", "down"]
+    if gate:
+        parts["g"] = ["open shut", ["e"], ["open (on) -> shut"], "open", "shut"]
+    if short:
+        parts["a"] = ["a0 a1 short", [], ["a0 -> a1"], "a0", "a1"]
+    context = list(parts)
+
+    def turns_on(**held):
+        return "off (" + ", ".join(held.get(c, "_") for c in context) + ") -> on"
+
+    needed = dict(q="fire" if second else "_", g="open" if gate else "_")
+    rules = [turns_on(**needed, **{route: "fire"}) for route in ["p"] + backups]
+    parts["e"] = ["off on", context, rules + ([turns_on(a="short")] if short else []), "off", "on"]
+    order = rng.sample(list(parts), len(parts))
+    lines = [rng.choice(["async", "sync"])]
+    for name in order:
+        domain, inputs, rows = parts[name][:3]
+        lines += [f"component {name} {{", "  domain " + " ".join(rng.sample(domain.split(), len(domain.split())))]
+        lines += ["  context " + " ".join(inputs)] if inputs else []
+        lines += [f"  rule {r}" for r in rows] + ["}"]
+    for config, at in (("start", 3), ("end", 4)):
+        lines.append(f"config {config} = (" + ", ".join(f"{n}={parts[n][at]}" for n in order) + ")")
+    doc = parse_model("\n".join(lines) + "\n")
+    return doc.model, CauseQuery(doc.configuration("start"), doc.configuration("end"), ("e",))
+
+
 CASES = _queries(200)
 STRUCTURED = _structured()
+BACKUPS = [
+    (model, q, mode, Options(self_loops=seed % 2 == 1))
+    for seed in range(24)
+    for model, q in [backup(random.Random(seed))]
+    for mode in ("example", "strict")
+]
 
 
 def test_cases_cover_every_setting():
@@ -575,21 +622,26 @@ def assert_same_searches(keys, case):
 def test_cause_searches_run_in_the_reference_order(search_keys, micro, micro_f1, micro_f2):
     """On generated models of 4 to 6 components, on the structured
     pipelines and fan-ins, on micro from f1 to f2 with each component as the
-    effect, and on ``cause_between_walks``, in both modes, the engine runs
-    the reference's effect searches in its order and overruns at the same
-    caps, though it skips the witness sets already known to fail at a
-    candidate's first deviation."""
+    effect, on ``cause_between_walks`` and on the ``backup`` shapes, whose
+    causes often hold only under a witness set, in both modes, the engine runs the
+    reference's effect searches in its order and overruns at the same caps,
+    though it skips the witness sets already known to fail at a candidate's
+    first deviation."""
     queries = [(micro, CauseQuery(micro_f1, micro_f2, (effect,))) for effect in micro.component_order]
     queries.append(cause_between_walks())
     handmade = [(model, q, mode, Options()) for model, q in queries for mode in ("example", "strict")]
+    generated = _queries(100, 4, 6) + STRUCTURED + handmade
     tally = Counter()
-    for case in _queries(100, 4, 6) + STRUCTURED + handmade:
+    for i, case in enumerate(generated + BACKUPS):
         certificates, searched, overran = assert_same_searches(search_keys, case)
+        witnessed = sum(1 for c in certificates if c["witness_set"])
         tally.update(searches=len(searched), clamped=sum(1 for pins, _ in searched if pins), overran=len(overran))
-        tally.update(causes=len(certificates), witnessed=sum(1 for c in certificates if c["witness_set"]))
+        tally.update(causes=len(certificates), witnessed=witnessed)
+        tally["backup witnessed"] += witnessed if i >= len(generated) else 0
         tally[f"{len(case[0].components)} components"] += 1
     assert {f"{n} components" for n in (4, 5, 6)} <= set(tally), tally
-    assert tally["clamped"] > 400 and tally["witnessed"] > 4 and tally["overran"] > 300, tally
+    assert tally["clamped"] > 400 and tally["witnessed"] > 20 and tally["overran"] > 300, tally
+    assert tally["backup witnessed"] >= 15, tally
 
 
 # ---------------------------------------------------------------------------
@@ -607,23 +659,24 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
     def counted(who, search):
         return lambda k, start, effect, options: searched[who].append(start) or search(k, start, effect, options)
 
-    class Deviations(causality._Deviations):
-        def __init__(self, e, cause):
-            super().__init__(e, cause)
-            made.append((len(cause), self))
+    class Kept(causality._Kept):
+        def __init__(self, rest):
+            super().__init__(rest)
+            made.append((getattr(rest, "__name__", None), self))
 
     engine, reference, witness = causality._first_effect_reachable, ref_first_effect_reachable, causality._Episode.witness
     monkeypatch.setattr(causality, "_first_effect_reachable", counted("engine", engine))
-    monkeypatch.setattr(causality, "_Deviations", Deviations)
+    monkeypatch.setattr(causality, "_Kept", Kept)
     monkeypatch.setattr(causality._Episode, "witness", lambda e, mask: looked_up.append(mask) or witness(e, mask))
     monkeypatch.setattr(sys.modules[__name__], "ref_first_effect_reachable", counted("reference", reference))
     assert find_causes(model, q) == [] == ref_find_causes(model, q)
     assert len(looked_up) == 93
     assert len(searched["engine"]) == 67
     assert searched["engine"] == searched["reference"]
-    eager = sum(3**size - 1 for size, _ in made)
-    assert eager == 4**5 - 2**5  # every candidate reaches AC2
-    assert sum(len(devs.offsets) for _, devs in made) == 62
+    # every candidate reaches AC2, where making each one's deviations up front makes 4**5 - 2**5
+    devs = [kept for name, kept in made if name == "_deviation_offsets"]
+    assert len(devs) == 2**5 - 1
+    assert sum(len(kept.items) for kept in devs) == 62
 
 
 @pytest.mark.parametrize(

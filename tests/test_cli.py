@@ -119,6 +119,14 @@ def test_bisim_diagnostics_name_the_other_model(tmp_path, capsys):
     assert capsys.readouterr().err == f"{EX1}:0:0: unknown configuration 'nope'\n"
 
 
+def test_bisim_path_holding_a_double_quote_exit_two(tmp_path, capsys):
+    # the other model's path is read back as a quoted stanza string, which cannot hold one
+    other = tmp_path / 'a"b.model'
+    other.write_text(Path(EX1).read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["bisim", EX1, "start", str(other), "start"]) == 2
+    assert capsys.readouterr().err == "<command line>:0:0: the other model's path cannot hold a double quote\n"
+
+
 def test_chain_max_len_is_passed_through(capsys):
     for max_len in ("-1", "0", "1"):
         assert main(["chain", EX1, "--from", "start", "--to", "flipped", "--max-len", max_len]) == 2

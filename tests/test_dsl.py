@@ -9,6 +9,7 @@ from causalmc import formulas as F
 from causalmc.cli import main
 from causalmc.dsl import (
     DslError,
+    parse_arguments,
     parse_config_text,
     parse_formula_text,
     parse_model,
@@ -222,6 +223,16 @@ def test_named_formulas_inline():
     )
     doc = parse_model(text)
     assert doc.formula("f1") == F.Box(F.Not(F.Atom("p0")))
+
+
+def test_stanzas_and_arguments_read_the_documents_names():
+    # a stanza in the file, a query text and command-line arguments read the same names
+    doc = parse_model(EX1_TEXT + "formula moved = <>+ c2_flipped\ncheck mid |= moved\n")
+    stanza = doc.queries[-1]
+    assert stanza.values == (doc.configuration("mid"), F.DiamondPlus(F.Atom("c2_flipped")))
+    assert parse_query_text("check mid |= moved", doc) == stanza
+    assert parse_arguments("check", {"config": "mid", "formula": "moved"}, doc) == stanza
+    assert (parse_config_text("mid", doc), parse_formula_text("moved", doc)) == stanza.values
 
 
 def test_query_stanza_round_trip(micro_doc):
