@@ -7,8 +7,9 @@ import random
 import time
 
 from causalmc import formulas as F
-from causalmc.bisim import PointedModel, check_bisim, generate_formula_suite
+from causalmc.bisim import PointedModel, check_bisim
 from causalmc.generate import (
+    generate_formula_suite,
     perturb_model,
     random_configuration,
     random_system_model,
@@ -50,7 +51,7 @@ def main() -> int:
         model = random_system_model(rng, max_components=3, max_behaviours=3)
         point = random_configuration(rng, model)
         other = perturb_model(rng, model)
-        if other.canonical_json() == model.canonical_json():
+        if other == model:
             continue
         result = check_bisim(PointedModel(model, point), PointedModel(other, point))
         if result.bisimilar:

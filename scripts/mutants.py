@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Mutation check of the engine's fast paths: chain search, cause search,
-bisimulation and the document lookups stanzas resolve against.
+"""Mutation check of the engine's fast paths: the token scan, successor
+expansion and the state cap, closure labelling and interface splits, chain
+search, cause search, bisimulation and the document lookups stanzas
+resolve against.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -40,6 +42,8 @@ class Mutant(NamedTuple):
 CAUSALITY = "src/causalmc/causality.py"
 BISIM = "src/causalmc/bisim.py"
 DSL = "src/causalmc/dsl.py"
+KERNEL = "src/causalmc/kernel.py"
+SEMANTICS = "src/causalmc/semantics.py"
 PINNED = "tests/test_cause_search.py::test_the_states_expanded_and_effect_searches_are_pinned"
 MICRO = "tests/test_cause_search.py::test_micro_chain_search_matches_permutations"
 STAGED = "tests/test_cause_search.py::test_chain_search_matches_permutations_on_staged_models"
@@ -173,6 +177,42 @@ MUTANTS = (
         "resolved = _resolve_formula(phi, doc.formula_map, doc.model)",
         "resolved = _resolve_formula(phi, doc.config_map, doc.model)",
         ("tests/test_dsl.py::test_stanzas_and_arguments_read_the_documents_names",),
+    ),
+    Mutant(
+        "scan takes a non-decimal digit for a number",
+        DSL,
+        "return len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal()",
+        "return len(t) == 1 and t not in _ONE_CHAR and not t.isdigit()",
+        ("tests/test_scanner.py::test_scanner_matches_reference_on_corner_cases",),
+    ),
+    Mutant(
+        "async self-loop on every state",
+        KERNEL,
+        "if self_loops and stays:",
+        "if self_loops:",
+        ("tests/test_kernel.py::test_kernel_matches_reference_on_random_models",),
+    ),
+    Mutant(
+        "state cap leaves the start uncounted",
+        KERNEL,
+        "if len(seen) + (s not in seen) > cap:",
+        "if len(seen) > cap:",
+        # Kernel.reachable counts the start again after the search, so only a goal search shows it
+        ("tests/test_cause_search.py::test_counterfactual_search_matches_reference",),
+    ),
+    Mutant(
+        "one-state component with a self-loop is acyclic",
+        SEMANTICS,
+        "return len(members) > 1 or members[0] in self.successors(members[0])",
+        "return len(members) > 1",
+        ("tests/test_labelling.py::test_evaluate_matches_reference_on_random_models",),
+    ),
+    Mutant(
+        "splits need only one side of their own",
+        SEMANTICS,
+        "left & ~right and right & ~left",
+        "left & ~right or right & ~left",
+        ("tests/test_labelling.py::test_candidate_splits_match_reference",),
     ),
 )
 

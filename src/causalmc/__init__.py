@@ -58,7 +58,6 @@ _EXPORTS = {
         "VariantGraph",
         "VocabularyMismatch",
         "check_bisim",
-        "generate_formula_suite",
         "intervention_closure",
     ),
     "dsl": ("DslError", "ModelDocument", "parse_model", "parse_query_text"),

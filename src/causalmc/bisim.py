@@ -365,49 +365,3 @@ def _wrap(label: str, body: F.Formula) -> F.Formula:
     if label == STEP:
         return F.Diamond(body)
     return F.Intervene(label, body)
-
-
-# ---------------------------------------------------------------------------
-# formula suite used by the metatheory tests
-
-
-def generate_formula_suite(
-    atom_names, intervention_names, depth: int = 3, include_star: bool = True
-) -> list[F.Formula]:
-    """Canonical finite suite of formulas up to the given modal depth.
-
-    Literals over the shared atoms, all modal prefixes applied levelwise,
-    capped pairwise conjunctions and disjunctions at each level, and
-    separating conjunctions of literal pairs when requested.
-    """
-    atoms = sorted(atom_names)
-    ivs = sorted(intervention_names)
-    level: list[F.Formula] = []
-    for a in atoms:
-        level.append(F.Atom(a))
-        level.append(F.Not(F.Atom(a)))
-    suite: list[F.Formula] = list(level)
-    if include_star:
-        for a in atoms:
-            for b in atoms:
-                suite.append(F.Star(F.Atom(a), F.Atom(b)))
-    for _ in range(depth):
-        nxt: list[F.Formula] = []
-        for phi in level:
-            nxt.append(F.Diamond(phi))
-            nxt.append(F.Box(phi))
-            for name in ivs:
-                nxt.append(F.Intervene(name, phi))
-        # closure modalities and booleans are sampled rather than closed over,
-        # to keep the suite finite and quick
-        for phi in level[:4]:
-            nxt.append(F.DiamondPlus(phi))
-            nxt.append(F.BoxPlus(phi))
-            if ivs:
-                nxt.append(F.InterveneExists(phi))
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(F.And(level[i], level[i + 1]))
-            nxt.append(F.Or(level[i], level[i + 1]))
-        suite.extend(nxt)
-        level = nxt
-    return suite

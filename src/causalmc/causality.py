@@ -66,9 +66,6 @@ class CauseQuery:
     end: Configuration
     effect_components: tuple[str, ...]
 
-    def effect_values(self) -> dict[str, str]:
-        return {c: self.end[c] for c in self.effect_components}
-
 
 @dataclass(frozen=True)
 class DeviationCheck:
@@ -522,9 +519,6 @@ class CausalProjection:
             "atoms": {name: [g.as_dict() for g in ext] for name, ext in self.atom_restriction},
             "acyclic": self.acyclic,
         }
-
-    def to_dot(self) -> str:
-        return projection_dot(self.to_dict())
 
 
 def projection_dot(projection: dict) -> str:

@@ -32,6 +32,7 @@ import string
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from math import isfinite
 
 from . import formulas as F
 from .model import (
@@ -192,6 +193,8 @@ PREFIX = {
     "<?>": F.InterveneExists,
     "<": F.Intervene,
 }
+# the words a formula reads as constants, so no atom or formula can be named by one
+CONSTANTS = {"true": F.TRUE, "false": F.FALSE}
 
 
 class _Parser:
@@ -316,10 +319,8 @@ class _Parser:
         t = self.tokens[self.pos]
         if t[:1] in _NAME_START:
             self.pos += 1
-            if t == "true":
-                return F.TRUE
-            if t == "false":
-                return F.FALSE
+            if t in CONSTANTS:
+                return CONSTANTS[t]
             if t == "p" and self.eat("["):
                 comp = self.expect_name("component name")
                 self.expect_punct("=")
@@ -421,6 +422,9 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
         if name in atom_names:
             diags.append(p.diagnostic(at, f"duplicate atom name {name!r}"))
             continue
+        if name in CONSTANTS:
+            diags.append(p.diagnostic(at, f"atom name {name!r} is a formula constant"))
+            continue
         atom_names.add(name)
         if isinstance(body, tuple):
             comp, beh = body
@@ -469,6 +473,9 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
     for at, name, phi in formulas_raw:
         if name in formula_map or name in atom_names:
             diags.append(p.diagnostic(at, f"duplicate formula name {name!r}"))
+            continue
+        if name in CONSTANTS:
+            diags.append(p.diagnostic(at, f"formula name {name!r} is a formula constant"))
             continue
         try:
             formula_map[name] = _resolve_formula(phi, formula_map, model)
@@ -577,21 +584,22 @@ def _parse_intervention(p: _Parser):
         p.error("expected 'on' and a target list")
     targets = p.parse_name_list(())
     p.expect_punct("{")
-    cost = penalty = None
+    amounts: dict[str, float] = {}
     rules = []
     while not p.eat("}"):
         at = p.pos
-        if p.eat("cost"):
-            cost = float(p.expect_number("cost"))
-        elif p.eat("penalty"):
-            penalty = float(p.expect_number("penalty"))
+        if p.peek() in ("cost", "penalty"):
+            word = p.next()
+            amount = amounts[word] = float(p.expect_number(word))
+            if not isfinite(amount):
+                p.error(f"{word} too large for a float", p.pos - 1)
         elif p.eat("rule"):
             target = p.expect_name("target component")
             p.expect_punct(":")
             rules.append((at, target, _parse_rule_row(p)))
         else:
             p.error(f"expected cost, penalty, rule or '}}', found {_value(p.peek())!r}")
-    return (name, targets, cost, penalty, rules)
+    return (name, targets, amounts.get("cost"), amounts.get("penalty"), rules)
 
 
 # ---------------------------------------------------------------------------

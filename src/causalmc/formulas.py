@@ -163,16 +163,6 @@ def conj(parts) -> Formula:
     return out
 
 
-def disj(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
 def chi(config) -> Formula:
     """Characteristic formula: holds exactly at ``config``."""
     return conj(BehaviourAtom(c, b) for c, b in config.pairs)

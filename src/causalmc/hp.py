@@ -122,16 +122,6 @@ class HPVerdict:
     def is_cause(self) -> bool:
         return self.ac1 and self.ac2 and self.ac3
 
-    def to_dict(self) -> dict:
-        return {
-            "ac1": self.ac1,
-            "ac2": self.ac2,
-            "ac3": self.ac3,
-            "witness": list(self.witness) if self.witness else None,
-            "witness_mode": self.witness_mode,
-            "alternate": dict(self.alternate) if self.alternate else None,
-        }
-
 
 def export_hp(model: SystemModel, initial: Configuration) -> HPModel:
     """Structural-equation export of a system model at a designated initial

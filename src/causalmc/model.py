@@ -16,13 +16,10 @@ so independent queries can run concurrently without coordination.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import prod
-
-WILDCARD = "_"
 
 MODES = ("async", "sync")
 
@@ -376,49 +373,6 @@ class SystemModel:
         if mode not in MODES:
             raise ModelError(f"unknown transition mode {mode!r}")
         return replace(self, mode=mode)
-
-    # canonical serialization: field-by-field, declaration order preserved
-    def canonical_form(self) -> dict:
-        def row_form(row: RuleRow) -> dict:
-            return {
-                "own": row.own if row.own is not None else WILDCARD,
-                "context": [p if p is not None else WILDCARD for p in row.context],
-                "output": row.output,
-            }
-
-        def atom_form(a: AtomDecl) -> dict:
-            if a.is_predicate:
-                return {"name": a.name, "component": a.component, "behaviour": a.behaviour}
-            return {"name": a.name, "extension": [dict(f.pairs) for f in a.extension or ()]}
-
-        return {
-            "mode": self.mode,
-            "partial": self.partial,
-            "components": [
-                {
-                    "name": c.name,
-                    "domain": list(c.domain),
-                    "context": list(c.context),
-                    "free": c.free,
-                    "rules": [row_form(r) for r in c.rule.rows],
-                }
-                for c in self.components
-            ],
-            "atoms": [atom_form(a) for a in self.atoms],
-            "interventions": [
-                {
-                    "name": i.name,
-                    "targets": list(i.targets),
-                    "cost": i.cost,
-                    "penalty": i.penalty,
-                    "rules": {t: [row_form(r) for r in tab.rows] for t, tab in i.rules},
-                }
-                for i in self.interventions
-            ],
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.canonical_form(), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,6 @@ class QueryReport:
             "timing_ms": self.timing_ms,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def replay_key(self) -> str:
         """Verdict and witnesses, serialized without timing, for replay checks."""
         d = self.to_dict()

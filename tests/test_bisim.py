@@ -20,11 +20,11 @@ from causalmc.bisim import (
     VocabularyMismatch,
     _Lts,
     check_bisim,
-    generate_formula_suite,
     intervention_closure,
 )
 from causalmc.dsl import parse_model
 from causalmc.generate import (
+    generate_formula_suite,
     perturb_model,
     random_configuration,
     random_system_model,
@@ -207,13 +207,13 @@ def test_relation_pairs_match_brute_force(ex1, ex1_doc, micro, micro_f1):
 
 
 # ---------------------------------------------------------------------------
-# the intervention closure against the canonical-serialization closure it replaced
+# the intervention closure against a reference that keys each variant by its value
 
 
 def ref_intervention_closure(model, cap=4096):
     names = [iv.name for iv in model.interventions]
     models = [model]
-    index = {model.canonical_json(): 0}
+    index = {model: 0}
     edges = []
     frontier = [0]
     while frontier:
@@ -222,13 +222,12 @@ def ref_intervention_closure(model, cap=4096):
             for name in names:
                 iv = models[i].intervention_map[name]
                 variant = apply_intervention(models[i], iv)
-                key = variant.canonical_json()
-                j = index.get(key)
+                j = index.get(variant)
                 if j is None:
                     if len(models) >= cap:
                         raise CapExceeded(cap, len(models) + 1, "intervention closure")
                     j = len(models)
-                    index[key] = j
+                    index[variant] = j
                     models.append(variant)
                     nxt.append(j)
                 edges.append((i, name, j))
@@ -264,17 +263,12 @@ def _closure_models(count):
     return out
 
 
-def _canonical(graph):
-    return [m.canonical_json() for m in graph.models], graph.edges
-
-
-def test_closure_matches_canonical_serialization(ex1, micro):
+def test_closure_matches_value_keyed_reference(ex1, micro):
     sizes = []
     for model in [ex1, micro] + _closure_models(400):
         want = ref_intervention_closure(model)
         got = intervention_closure(model)
-        assert _canonical(got) == _canonical(want)
-        assert got.models == want.models
+        assert got == want
         sizes.append(len(got.models))
     assert max(sizes) > 8 and sizes.count(1) > 20
     # a variant can equal its source: some edge loops without a repeated intervention
@@ -308,7 +302,7 @@ def test_closure_builds_each_new_variant_once(monkeypatch, ex1, micro):
         # the root row builds every intervention's variant; later rows build only new ones
         assert len(calls) <= len(model.interventions) + len(got.models) - 1
         assert calls[: len(model.interventions)] == [iv.name for iv in model.interventions]
-        assert _canonical(got) == _canonical(ref_intervention_closure(model))
+        assert got == ref_intervention_closure(model)
         built, edges = built + len(calls), edges + len(got.edges)
     assert built < edges / 2, (built, edges)
 

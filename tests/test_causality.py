@@ -17,6 +17,7 @@ from causalmc.causality import (
     classify_intervention_effect,
     find_causal_chains,
     find_causes,
+    projection_dot,
 )
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.kernel import compile
@@ -114,7 +115,7 @@ def test_certificate_evidence_replays(micro, micro_query):
 
     cert = check_cause(micro, micro_query, ("UserDB",))
     clamped = apply_iv(micro, cert.clamp)
-    effect = micro_query.effect_values()
+    effect = {c: micro_query.end[c] for c in micro_query.effect_components}
     for chk in cert.ac2_checks:
         hit = any(
             all(g[c] == b for c, b in effect.items()) for g in reachable(clamped, chk.start)
@@ -276,7 +277,7 @@ def test_acyclicity_of_long_graphs_needs_no_recursion():
 
 def test_projection_dot_output(micro, micro_f1, micro_f2):
     chains = find_causal_chains(micro, micro_f1, micro_f2, max_len=2, effect_components=("FrontEnd",))
-    dot = causal_projection(micro, chains).to_dot()
+    dot = projection_dot(causal_projection(micro, chains).to_dict())
     assert dot.startswith("digraph") and "->" not in dot.splitlines()[0]
 
 

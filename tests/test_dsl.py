@@ -79,6 +79,7 @@ def test_stanza_name_errors_are_positioned_and_collected():
         ("formula g = nothing", "38:1: unresolved name 'nothing' in formula"),
         ("formula g = p[c1=zz]", "38:1: behaviour atom names unknown behaviour 'zz' of 'c1'"),
         ("formula f = true\nformula f = false", "39:1: duplicate formula name 'f'"),
+        ("formula true = false", "38:1: formula name 'true' is a formula constant"),
     ],
 )
 def test_named_formula_errors_are_reported_at_their_declaration(lines, expected):
@@ -86,6 +87,42 @@ def test_named_formula_errors_are_reported_at_their_declaration(lines, expected)
     with pytest.raises(DslError) as exc:
         parse_model(EX1_TEXT + lines + "\n")
     assert [str(d) for d in exc.value.diagnostics] == [expected]
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("atom false = a = x", "2:1: atom name 'false' is a formula constant"),
+        ("atom true = {s}", "2:1: atom name 'true' is a formula constant"),
+    ],
+)
+def test_atoms_cannot_take_a_constants_name(line, expected, tmp_path, capsys):
+    # a formula reads `true` and `false` only as constants, so an atom of
+    # either name could never be referenced
+    text = f"component a {{ domain x y }}\n{line}\nconfig s = (a=x)\n"
+    with pytest.raises(DslError) as exc:
+        parse_model(text)
+    assert [str(d) for d in exc.value.diagnostics] == [expected]
+    doc = tmp_path / "doc.model"
+    doc.write_text(text, encoding="utf-8")
+    assert main(["check", str(doc), "s", "false"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"{doc}:{expected}"
+
+
+@pytest.mark.parametrize("word", ["cost", "penalty"])
+def test_a_cost_or_penalty_too_large_for_a_float_is_positioned(word, tmp_path, capsys):
+    def text(digits):
+        head = "component a { domain x y }\natom p = a = y\nconfig s = (a=x)\n"
+        return head + f"intervention t on a {{ {word} {digits} }}\n"
+
+    assert parse_model(text("9" * 300)).model.intervention_map["t"]  # 1e300 is finite
+    doc = tmp_path / "doc.model"
+    doc.write_text(text("9" * 400), encoding="utf-8")
+    column = len(f"intervention t on a {{ {word} ") + 1
+    report = tmp_path / "r.json"
+    assert main(["utility", str(doc), "s", "p", "--self-loops", "--report", str(report)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"{doc}:4:{column}: {word} too large for a float"
+    assert not report.exists()
 
 
 def test_domain_violations_delegated_to_validation():

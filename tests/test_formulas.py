@@ -39,7 +39,6 @@ def test_star_freedom():
 
 def test_conj_disj_empty():
     assert F.conj([]) == F.TRUE
-    assert F.disj([]) == F.FALSE
 
 
 def test_canonical_key_orders_by_depth_first():

@@ -20,10 +20,10 @@ from pathlib import Path
 import pytest
 
 from causalmc import formulas as F
-from causalmc.bisim import PointedModel, check_bisim, generate_formula_suite
+from causalmc.bisim import PointedModel, check_bisim
 from causalmc.cli import main
 from causalmc.dsl import DslError, parse_formula_text, parse_model, parse_query_text, pretty_document
-from causalmc.generate import perturb_model
+from causalmc.generate import generate_formula_suite, perturb_model
 from causalmc.queries import run_query
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -64,6 +64,7 @@ def test_command_loads_only_its_engine_modules(argv, engines):
     loaded = command_modules(argv)
     assert {"cli", "dsl", "model", "queries"} <= loaded
     assert loaded & ENGINES == engines
+    assert "generate" not in loaded
 
 
 def test_bare_import_loads_no_engine_module():
@@ -89,7 +90,7 @@ EXPORTED = {
     "hp": ["HPCauseQuery", "HPModel", "export_hp", "hp_check_actual_cause", "solve"],
     "bisim": [
         "BisimRelation", "BisimResult", "PointedModel", "VariantGraph", "VocabularyMismatch", "check_bisim",
-        "generate_formula_suite", "intervention_closure",
+        "intervention_closure",
     ],
     "dsl": ["DslError", "ModelDocument", "parse_model", "parse_query_text"],
     "queries": ["QueryReport", "best_utility", "min_cost_recovery", "run_document", "run_query"],
