@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check of the engine's fast paths: the token scan, successor
-expansion and the state cap, closure labelling and interface splits, chain
-search, cause search, bisimulation and the document lookups stanzas
-resolve against.
+expansion and the state cap, the rule-table lookup, intervened variants,
+closure labelling and interface splits with their sides, chain search,
+cause search, bisimulation and the document lookups stanzas resolve
+against.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -43,6 +44,7 @@ CAUSALITY = "src/causalmc/causality.py"
 BISIM = "src/causalmc/bisim.py"
 DSL = "src/causalmc/dsl.py"
 KERNEL = "src/causalmc/kernel.py"
+MODEL = "src/causalmc/model.py"
 SEMANTICS = "src/causalmc/semantics.py"
 PINNED = "tests/test_cause_search.py::test_the_states_expanded_and_effect_searches_are_pinned"
 MICRO = "tests/test_cause_search.py::test_micro_chain_search_matches_permutations"
@@ -186,6 +188,20 @@ MUTANTS = (
         ("tests/test_scanner.py::test_scanner_matches_reference_on_corner_cases",),
     ),
     Mutant(
+        "text read alone may have trailing input",
+        DSL,
+        "    if p.peek():\n        p.error(f\"trailing input after {what}\")",
+        "    if False:\n        p.error(f\"trailing input after {what}\")",
+        ("tests/test_dsl.py::test_trailing_input_is_reported",),
+    ),
+    Mutant(
+        "rule lookup tries wildcard rows last",
+        MODEL,
+        "for row in index.get(own, index[None]):",
+        "for row in sorted(index.get(own, index[None]), key=lambda row: row.own is None):",
+        ("tests/test_model.py::test_rule_index_matches_linear_scan",),
+    ),
+    Mutant(
         "async self-loop on every state",
         KERNEL,
         "if self_loops and stays:",
@@ -201,6 +217,13 @@ MUTANTS = (
         ("tests/test_cause_search.py::test_counterfactual_search_matches_reference",),
     ),
     Mutant(
+        "intervened variant left unvalidated",
+        KERNEL,
+        "check_intervention(self.model, iv)",
+        "pass",
+        ("tests/test_bisim.py::test_closure_rejects_an_invalid_intervention_as_before",),
+    ),
+    Mutant(
         "one-state component with a self-loop is acyclic",
         SEMANTICS,
         "return len(members) > 1 or members[0] in self.successors(members[0])",
@@ -213,6 +236,13 @@ MUTANTS = (
         "left & ~right and right & ~left",
         "left & ~right or right & ~left",
         ("tests/test_labelling.py::test_candidate_splits_match_reference",),
+    ),
+    Mutant(
+        "side of a variant runs the declared rules",
+        SEMANTICS,
+        "side = sides[names] = (m, k.side(m),",
+        "side = sides[names] = (m, kernel.Kernel(m),",
+        ("tests/test_labelling.py::test_star_under_an_intervention_builds_its_own_sides",),
     ),
 )
 

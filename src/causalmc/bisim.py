@@ -51,29 +51,28 @@ class PointedModel:
 
 @dataclass(frozen=True)
 class VariantGraph:
-    """Model variants reachable through declared interventions.
+    """Model variants reachable through declared interventions, as kernels.
 
-    Node 0 is the original model; edges are labelled with intervention
-    names, and variants are deduplicated by their rule tables, so the graph
-    is finite whenever the declared set is.
+    Node 0 is the original model's kernel; edges are labelled with
+    intervention names, and variants are deduplicated by their rule tables,
+    so the graph is finite whenever the declared set is.
     """
 
-    models: tuple[SystemModel, ...]
+    kernels: tuple[kernel.Kernel, ...]
     edges: tuple[tuple[int, str, int], ...]
 
     def to_dot(self) -> str:
-        labels = ["original"] + [f"variant {i}" for i in range(1, len(self.models))]
+        labels = ["original"] + [f"variant {i}" for i in range(1, len(self.kernels))]
         return kernel.digraph("variants", labels, [(a, b, name) for a, name, b in self.edges], node="v")
 
 
 def intervention_closure(model: SystemModel) -> VariantGraph:
     """All variants reachable by applying declared interventions in sequence,
-    each built by ``Kernel.intervened``, so compiling a variant returns its kernel.
+    each the one ``Kernel.intervened`` keeps on the variant it was made from.
 
     A variant's key is its source's rule tables with the targets' replaced,
     so a variant is built only for a key not met before.  The root row builds
-    every intervention's variant, which validates it; validation reads only
-    names, domains and contexts, the same in every variant."""
+    every intervention's variant, which validates it."""
     ivs = [model.intervention_map[iv.name] for iv in model.interventions]  # as `<name>` resolves a name
     root = kernel.compile(model)
     kernels = [root]
@@ -102,7 +101,7 @@ def intervention_closure(model: SystemModel) -> VariantGraph:
                     nxt.append(j)
                 edges.append((i, iv.name, j))
         frontier = nxt
-    return VariantGraph(models=tuple(k.model for k in kernels), edges=tuple(edges))
+    return VariantGraph(kernels=tuple(kernels), edges=tuple(edges))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +156,7 @@ class _Lts:
         loops = options.self_loops
         for model, point in ((a.model, a.point), (b.model, b.point)):
             graph = intervention_closure(model)
-            kernels = [kernel.compile(m) for m in graph.models]
+            kernels = graph.kernels
             edge = {(a, name): b for a, name, b in graph.edges}
             targets = [[v if l == STEP else edge[(v, l)] for l in labels] for v in range(len(kernels))]
             # every variant shares ``Kernel.tests``, so a valuation depends on the configuration alone

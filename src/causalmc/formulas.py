@@ -163,11 +163,6 @@ def conj(parts) -> Formula:
     return out
 
 
-def chi(config) -> Formula:
-    """Characteristic formula: holds exactly at ``config``."""
-    return conj(BehaviourAtom(c, b) for c, b in config.pairs)
-
-
 def fold(phi: Formula, combine: Callable[[Formula, list[T]], T]) -> T:
     """Post-order fold: ``combine(node, values)`` receives the folded values
     of the node's subformulas, left to right.  Iterative, so nesting depth is

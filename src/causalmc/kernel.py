@@ -7,13 +7,15 @@ rule table becomes a map from the integer (own, context) code to the next
 behaviour's code, filled on first lookup; a clamped component is a constant
 code and a free one ranges over its domain.
 
+A variant, intervened or pinned, is a kernel alone: it reads the model of
+the kernel it was made from, only its rule entries are its own, and it
+shares every entry it does not replace, filled tables included.
+
 Ownership runs one way, so reference counting frees a query's kernels,
 memos and models together.  ``compile(model)`` keeps the kernel on the
 model instance, and the kernel reaches its model only through a weak
-reference.  Variants share every rule table they do not replace.  A kernel
-keeps its intervened models, each of which owns its own kernel, so
-compiling such a model returns that variant.  A pinned variant has no
-model; its caller keeps it as long as it needs its memos.
+reference.  A kernel keeps its intervened variants; a pinned variant is
+built afresh, and its caller keeps it as long as it needs its memos.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import weakref
 from math import prod
 
-from .model import Configuration, ModelError, UnknownNameError, apply_intervention, exceeded
+from .model import Configuration, ModelError, UnknownNameError, check_intervention, exceeded
 
 
 _COMPLETE = float("inf")  # the preorder number of a node whose component is complete
@@ -100,8 +102,7 @@ def compile(model) -> "Kernel":
 
 class Kernel:
     def __init__(self, model):
-        self._model = weakref.ref(model)  # a pinned variant's is the model it was pinned from
-        self.is_pinned = False
+        self._model = weakref.ref(model)  # a variant's is the model of the kernel it was made from
         self.mode = model.mode
         self.names = model.component_order
         self.index = {n: i for i, n in enumerate(self.names)}
@@ -126,20 +127,20 @@ class Kernel:
         self.layout = tuple(layout)
         # per component: None (free), an int (clamped), or (lazily filled table, rule table)
         self.rules = [None if c.free else ({}, c.rule) for c in model.components]
-        self.tests: dict = {}  # atom predicates, shared with intervened variants
+        self.tests: dict = {}  # atom predicates, shared with every variant
+        self.splits: dict = {}  # semantics' candidate splits, by allow_trivial_split; shared likewise
         self._fresh()
 
     def _fresh(self) -> None:
         self.succ_memo: tuple[dict, dict] = ({}, {})  # indexed by options.self_loops
         self.reach_memo: tuple[dict, dict] = ({}, {})
-        self.variants: dict = {}  # intervened models, by intervention
-        self.splits: dict = {}  # semantics' candidate splits, by allow_trivial_split
-        self.sides: dict = {}  # semantics' side models with their positions here, by component names
+        self.variants: dict = {}  # intervened variants, by intervention
+        self.sides: dict = {}  # semantics' side models with their kernels and positions here, by component names
 
     @property
     def model(self):
-        """The model compiled here; None for a pinned variant."""
-        return None if self.is_pinned else self._model()
+        """The model compiled here, or that of the kernel a variant was made from."""
+        return self._model()
 
     def position(self, name: str) -> int:
         try:
@@ -148,7 +149,7 @@ class Kernel:
             raise UnknownNameError(f"configuration has no component {name!r}") from None
 
     def encode(self, f: Configuration) -> int:
-        self._model().validate_configuration(f)  # variants share components and domains
+        self.model.validate_configuration(f)
         return sum(codes[b] * w for codes, (_, b), w in zip(self.codes, f.pairs, self.weights))
 
     def decode(self, s: int) -> Configuration:
@@ -276,28 +277,31 @@ class Kernel:
     def pinned(self, pins: tuple[tuple[int, int], ...]) -> "Kernel":
         """Variant pinning each (component, code) pair's component to that code;
         a free component stays free, as under ``apply_intervention``.  Built
-        afresh: the caller keeps it as long as it needs its memos.  It has no
-        model, and ``encode`` validates against the model it was pinned from."""
-        return self._variant(None, {i: code for i, code in pins if self.rules[i] is not None})
+        afresh: the caller keeps it as long as it needs its memos."""
+        return self._variant({i: code for i, code in pins if self.rules[i] is not None})
 
     def intervened(self, iv) -> "Kernel":
-        """Kernel of ``apply_intervention(self.model, iv)``.  The intervened model
-        is kept here and owns the kernel, so ``compile`` returns it; only the
-        targets' tables are new."""
-        model = self.variants.get(iv)
-        if model is None:
-            model = self.variants[iv] = apply_intervention(self.model, iv)
+        """Variant replacing the rule tables of ``iv``'s targets, as
+        ``apply_intervention`` does, after the same validation; it is kept
+        here, by intervention."""
+        out = self.variants.get(iv)
+        if out is None:
+            check_intervention(self.model, iv)
             tables = {i: ({}, iv.rule_for(t)) for t in iv.targets if self.rules[i := self.index[t]] is not None}
-            model.__dict__["_kernel"] = self._variant(model, tables)
-        return model.__dict__["_kernel"]
+            out = self.variants[iv] = self._variant(tables)
+        return out
 
-    def _variant(self, model, replaced: dict) -> "Kernel":
+    def _variant(self, replaced: dict) -> "Kernel":
         out = Kernel.__new__(Kernel)
         out.__dict__.update(self.__dict__)
-        if model is None:
-            out.is_pinned = True
-        else:
-            out._model = weakref.ref(model)
         out.rules = [replaced.get(i, rule) for i, rule in enumerate(self.rules)]
         out._fresh()
+        return out
+
+    def side(self, model) -> "Kernel":
+        """Kernel of ``model``, restricted from this kernel's model: a component
+        keeping its rule there keeps its entry here, filled table and all, so
+        the side of a variant runs the variant's rules."""
+        out = Kernel(model)
+        out.rules = [None if rule is None else self.rules[self.index[c]] for c, rule in zip(out.names, out.rules)]
         return out

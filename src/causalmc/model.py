@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import prod
+from math import isfinite
 
 MODES = ("async", "sync")
 
@@ -361,14 +361,6 @@ class SystemModel:
             if beh not in self.component_map[comp].domain:
                 raise ModelError(f"behaviour {beh!r} not in domain of {comp!r}")
 
-    def configuration_count(self) -> int:
-        return prod(len(c.domain) for c in self.components)
-
-    def enumerate_configurations(self, options: Options = DEFAULT_OPTIONS) -> list[Configuration]:
-        """All configurations, domains varying fastest on the right."""
-        k = kernel.compile(self)
-        return [k.decode(s) for s in k.configurations(options)]
-
     def with_mode(self, mode: str) -> "SystemModel":
         if mode not in MODES:
             raise ModelError(f"unknown transition mode {mode!r}")
@@ -445,10 +437,11 @@ def _intervention_violations(model: SystemModel, iv: Intervention) -> list[Viola
     if not iv.targets:
         out.append(Violation(site, "empty target set"))
     out += [Violation(site, f"target {t!r} named twice") for t in repeated(iv.targets)]
-    if iv.cost is not None and iv.cost < 0:
-        out.append(Violation(site, "negative cost"))
-    if iv.penalty is not None and iv.penalty < 0:
-        out.append(Violation(site, "negative penalty"))
+    for word, amount in (("cost", iv.cost), ("penalty", iv.penalty)):
+        if amount is not None and not isfinite(amount):
+            out.append(Violation(site, f"{word} {amount} is not finite"))
+        elif amount is not None and amount < 0:
+            out.append(Violation(site, f"negative {word}"))
     table_names = {t for t, _ in iv.rules}
     for t in iv.targets:
         decl = model.component_map.get(t)
@@ -525,11 +518,16 @@ def reachable(
 # interventions
 
 
-def apply_intervention(model: SystemModel, iv: Intervention) -> SystemModel:
-    """The intervened model: target rule tables replaced, everything else intact."""
+def check_intervention(model: SystemModel, iv: Intervention) -> None:
+    """Raise the defects of ``iv`` as an intervention on ``model``, if it has any."""
     problems = _intervention_violations(model, iv)
     if problems:
         raise ModelError("; ".join(str(p) for p in problems))
+
+
+def apply_intervention(model: SystemModel, iv: Intervention) -> SystemModel:
+    """The intervened model: target rule tables replaced, everything else intact."""
+    check_intervention(model, iv)
     new_components = tuple(
         replace(c, rule=iv.rule_for(c.name)) if c.name in iv.targets else c for c in model.components
     )

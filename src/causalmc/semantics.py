@@ -393,10 +393,10 @@ _BUILDERS = {
 def _decompositions(k: kernel.Kernel, s: int, options: Options):
     """Each candidate split of k's model with its two compiled sides and the
     projections of ``s`` onto them.  Built on first use and kept on ``k``:
-    the splits by the trivial-split flag, and one side model per component
-    subset, with its components' positions in k, by its names.  A side over
-    every component is k itself, never kept, so k holds no model that owns
-    it."""
+    the splits by the trivial-split flag, and per component subset, by its
+    names, the side model, its kernel running k's rules (``Kernel.side``)
+    and its components' positions in k.  A side over every component is k
+    itself, never kept, so k holds no kernel that holds k."""
     splits = k.splits.get(options.allow_trivial_split)
     if splits is None:
         splits = k.splits[options.allow_trivial_split] = candidate_splits(k.model, options)
@@ -409,9 +409,9 @@ def _decompositions(k: kernel.Kernel, s: int, options: Options):
                 continue
             side = sides.get(names)
             if side is None:  # candidate_splits validated the split
-                side = sides[names] = (_restrict_model(k.model, names), [k.index[c] for c in names])
-            m, idx = side
-            sk = kernel.compile(m)
+                m = _restrict_model(k.model, names)  # kept here: its kernel holds it weakly
+                side = sides[names] = (m, k.side(m), [k.index[c] for c in names])
+            _, sk, idx = side
             found.append((sk, sum(digits[j] * w for j, w in zip(idx, sk.weights))))
         yield found
 

@@ -16,7 +16,6 @@ from causalmc.bisim import (
     BisimRelation,
     BisimResult,
     PointedModel,
-    VariantGraph,
     VocabularyMismatch,
     _Lts,
     check_bisim,
@@ -53,12 +52,12 @@ finally:
 def test_closure_without_interventions_is_single_node(ex1):
     bare = replace(ex1, interventions=())
     vg = intervention_closure(bare)
-    assert len(vg.models) == 1 and vg.edges == ()
+    assert len(vg.kernels) == 1 and vg.edges == ()
 
 
 def test_closure_reset_idempotent(ex1):
     vg = intervention_closure(ex1)
-    assert len(vg.models) == 2
+    assert len(vg.kernels) == 2
     assert (0, "theta_reset", 1) in vg.edges
     assert (1, "theta_reset", 1) in vg.edges
 
@@ -68,7 +67,7 @@ def test_closure_three_disjoint_interventions(micro):
         micro, interventions=tuple(iv for iv in micro.interventions if iv.name != "thetaLog")
     )
     vg = intervention_closure(stripped)
-    assert len(vg.models) == 8
+    assert len(vg.kernels) == 8
 
 
 def test_closure_dot_export(ex1):
@@ -211,6 +210,7 @@ def test_relation_pairs_match_brute_force(ex1, ex1_doc, micro, micro_f1):
 
 
 def ref_intervention_closure(model, cap=4096):
+    """The intervened models of the closure of ``model``, and its edges."""
     names = [iv.name for iv in model.interventions]
     models = [model]
     index = {model: 0}
@@ -232,7 +232,16 @@ def ref_intervention_closure(model, cap=4096):
                     nxt.append(j)
                 edges.append((i, name, j))
         frontier = nxt
-    return VariantGraph(models=tuple(models), edges=tuple(edges))
+    return tuple(models), tuple(edges)
+
+
+def assert_same_closure(got, want):
+    """The engine's closure ``got`` has the reference's edges, and each of its
+    variant kernels runs the rule tables of the reference's model there."""
+    models, edges = want
+    assert got.edges == edges
+    tables = [tuple(None if rule is None else rule[1] for rule in k.rules) for k in got.kernels]
+    assert tables == [tuple(None if c.free else c.rule for c in m.components) for m in models]
 
 
 def _random_table(rng, model, decl):
@@ -266,10 +275,9 @@ def _closure_models(count):
 def test_closure_matches_value_keyed_reference(ex1, micro):
     sizes = []
     for model in [ex1, micro] + _closure_models(400):
-        want = ref_intervention_closure(model)
         got = intervention_closure(model)
-        assert got == want
-        sizes.append(len(got.models))
+        assert_same_closure(got, ref_intervention_closure(model))
+        sizes.append(len(got.kernels))
     assert max(sizes) > 8 and sizes.count(1) > 20
     # a variant can equal its source: some edge loops without a repeated intervention
     assert any(i == j for model in _closure_models(40) for i, _, j in intervention_closure(model).edges)
@@ -284,25 +292,23 @@ def test_closure_cap_overrun_matches(monkeypatch, micro):
     assert str(got.value) == str(want.value) == "intervention closure size 6 exceeds configured cap 5"
 
 
-def _count_builds(monkeypatch):
-    """A list that gets one entry per ``apply_intervention`` call a kernel makes."""
-    calls = []
-    real = kernel_module.apply_intervention
-    monkeypatch.setattr(kernel_module, "apply_intervention", lambda model, iv: calls.append(iv.name) or real(model, iv))
-    return calls
+def _count_builds(graph):
+    """The intervention of each variant the kernels of ``graph`` built: every
+    kernel keeps the variants it built, in the order it built them, and only
+    the graph's kernels build any."""
+    return [iv.name for k in graph.kernels for iv in k.variants]
 
 
-def test_closure_builds_each_new_variant_once(monkeypatch, ex1, micro):
-    calls = _count_builds(monkeypatch)
+def test_closure_builds_each_new_variant_once(ex1, micro):
     built = edges = 0
     for model in [ex1, micro] + _closure_models(400):
         model = replace(model)  # a fresh instance, with no kernel or variants yet
-        calls.clear()
         got = intervention_closure(model)
+        calls = _count_builds(got)
         # the root row builds every intervention's variant; later rows build only new ones
-        assert len(calls) <= len(model.interventions) + len(got.models) - 1
+        assert len(calls) <= len(model.interventions) + len(got.kernels) - 1
         assert calls[: len(model.interventions)] == [iv.name for iv in model.interventions]
-        assert got == ref_intervention_closure(model)
+        assert_same_closure(got, ref_intervention_closure(model))
         built, edges = built + len(calls), edges + len(got.edges)
     assert built < edges / 2, (built, edges)
 
@@ -329,12 +335,12 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
     for model in [micro] + _closure_models(100):
         root = compile(model)
         graph = intervention_closure(model)
-        kernels = [compile(m) for m in graph.models]
+        kernels = graph.kernels
         assert kernels[0] is root
         # a component no intervention targets keeps the root's table in every variant
         untouched = [i for i, c in enumerate(model.components) if not any(c.name in iv.targets for iv in model.interventions)]
-        for k, m in zip(kernels, graph.models):
-            assert k.model is m and k.tests is root.tests
+        for k in kernels:
+            assert k.model is model and k.tests is root.tests
             assert all(k.rules[i] is root.rules[i] for i in untouched)
         # each variant after the root is the kernel its first edge built
         built = {j for i, name, j in graph.edges if kernels[i].intervened(model.intervention_map[name]) is kernels[j]}
@@ -342,7 +348,7 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
     point = PointedModel(micro, micro_f1)
     lts = _Lts(point, point, [STEP] + sorted(micro.intervention_map), DEFAULT_OPTIONS)
     for kernels in lts.kernels:
-        assert all(a is compile(m) for a, m in zip(kernels, intervention_closure(micro).models))
+        assert kernels == intervention_closure(micro).kernels
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +362,7 @@ class ref_Lts:
     def __init__(self, model, point, labels, options):
         self.graph = intervention_closure(model)
         edge_map = {(a, name): b for a, name, b in self.graph.edges}
-        self.kernels = [compile(m) for m in self.graph.models]
+        self.kernels = self.graph.kernels
         self.labels = labels
         self.root = (0, self.kernels[0].encode(point))
         self.moves = {}

@@ -3,8 +3,8 @@ import pytest
 from causalmc import formulas as F
 
 
-def test_chi_builds_behaviour_conjunction(micro_f1):
-    phi = F.chi(micro_f1)
+def test_conj_nests_behaviour_atoms_left(micro_f1):
+    phi = F.conj(F.BehaviourAtom(c, b) for c, b in micro_f1.pairs)
     leaves = []
 
     def walk(x):

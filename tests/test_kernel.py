@@ -192,11 +192,22 @@ def test_intervened_variants_share_untouched_tables(micro, micro_f1):
     iv = micro.intervention_map["theta1"]
     variant = kernel.intervened(iv)
     assert variant is kernel.intervened(iv)
-    assert compile(variant.model) is variant
+    assert variant.model is micro
     target = kernel.index["UserDB"]
     for i, (a, b) in enumerate(zip(kernel.rules, variant.rules)):
         assert (a is b) == (i != target)
     _agree(apply_intervention(micro, iv), variant, [micro_f1], random.Random(0))
+
+
+def test_a_variant_is_a_kernel_over_the_model_it_was_made_from(micro):
+    """An intervened or pinned variant builds no model: it reads the model of
+    the kernel it was made from, and so does a variant of a variant."""
+    k = compile(micro)
+    intervened = k.intervened(micro.intervention_map["theta1"])
+    pinned = k.pinned(((0, 1),))
+    assert intervened.model is pinned.model is micro
+    assert intervened.intervened(micro.intervention_map["thetaLog"]).model is micro
+    assert intervened.pinned(((1, 0),)).model is micro
 
 
 def test_state_cap_counts_the_start_as_the_oracle_does():
@@ -235,7 +246,9 @@ def test_state_cap_counts_the_start_as_the_oracle_does():
 def test_enumeration_order_is_state_order():
     for _, model in _models(40):
         kernel = compile(model)
-        configs = model.enumerate_configurations()
+        # the domains' product, the last component varying fastest
+        domains = [c.domain for c in model.components]
+        configs = [model.configuration(zip(model.component_order, v)) for v in product(*domains)]
         assert [kernel.encode(f) for f in configs] == list(range(kernel.size))
         assert [kernel.decode(s) for s in range(kernel.size)] == configs
 

@@ -4,7 +4,9 @@ top-down evaluator and the 3^n split filter they replaced.
 ``ref_eval`` and ``ref_candidate_splits`` are copies of the engine's
 earlier bodies, kept here as the reference: ``ref_eval`` evaluates every
 subformula afresh on every path that reaches it, with the one addition
-that it tracks which states the engine's closure walks hold, and
+that it tracks which states the engine's closure walks hold, and builds
+each intervened model itself with ``apply_intervention``, so a fault in
+the engine's variants shows; and
 ``ref_candidate_splits`` filters all 3^n placements with ``ref_local``, a
 copy of the set-based locality rule ``interface_violations`` once spelled
 out, so the engine's one shared rule is not checked against itself.
@@ -31,6 +33,7 @@ from causalmc.model import (
     ModelError,
     Options,
     UnknownNameError,
+    apply_intervention,
     check_interface,
     conjugate_decompose,
 )
@@ -95,7 +98,8 @@ def ref_closure(k, s, phi, options, walked):
     one is answered from walks: ``walked`` holds, per variant, the states
     every walk of the call has entered, and asked at a state outside them it
     walks that state and all it reaches, raising when they hold more than
-    the cap.  Any other closure searches from ``s`` alone."""
+    the cap.  Any other closure searches from ``s`` alone.  (``walked`` also
+    keeps the call's intervened models, by kernel and intervention.)"""
     if not witness_free(phi):
         return k.reachable(s, options)
     states = k.reachable(s, replace(options, max_states=sys.maxsize))
@@ -158,7 +162,13 @@ def ref_eval(k, s, phi, options, witnesses, walked) -> bool:
             if k.model.partial:
                 return False
             raise UnknownNameError(f"unresolved intervention name {phi.name!r}")
-        intervened = k.intervened(iv)
+        # the intervened model, built here rather than by the engine's
+        # variants, once per (kernel, intervention) in the call, so that the
+        # walks of its kernel are the call's
+        model = walked.get((k, iv))
+        if model is None:
+            model = walked[k, iv] = apply_intervention(k.model, iv)
+        intervened = kernel.compile(model)
         for g in intervened.successors(s, options.self_loops):
             if ref_eval(intervened, g, phi.sub, options, witnesses, walked):
                 if witnesses is not None:

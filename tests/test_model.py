@@ -91,6 +91,15 @@ def test_duplicate_intervention_names_reported():
     assert [str(v) for v in report] == ["intervention fix: duplicate intervention name"]
 
 
+def test_non_finite_amounts_reported(micro):
+    # the model-file reader rejects them, but a model built in Python reached the reports
+    for word in ("cost", "penalty"):
+        for amount in (float("inf"), float("-inf"), float("nan")):
+            iv = replace(micro.interventions[0], **{word: amount})
+            report = validate_model(replace(micro, interventions=(iv,) + micro.interventions[1:]))
+            assert [str(v) for v in report] == [f"intervention {iv.name}: {word} {amount} is not finite"]
+
+
 # ---------------------------------------------------------------------------
 # successors
 

@@ -27,7 +27,7 @@ def test_check_stanza_report(micro_doc):
 
 
 def test_characteristic_check_stanza(micro_doc, micro_f1):
-    chi_text = F.pretty(F.chi(micro_f1))
+    chi_text = F.pretty(F.conj(F.BehaviourAtom(c, b) for c, b in micro_f1.pairs))
     stanza = parse_query_text(f"check f1 |= {chi_text}", micro_doc)
     assert run_query(micro_doc, stanza).verdict
 
@@ -167,3 +167,14 @@ def test_recovery_choice_evaluates_interventions_once(micro_doc, monkeypatch, he
     report = run_query(micro_doc, parse_query_text(f"{head} f2 avoiding phi_fail", micro_doc))
     assert report.witnesses["chosen"] == "theta2"
     assert len(calls) == 1
+
+
+def test_recovery_rejects_a_non_finite_amount(micro_doc):
+    """An infinite cost would reach the report as ``Infinity``, which is not
+    JSON: applying the intervention rejects it, as the model-file reader does."""
+    from dataclasses import replace
+
+    iv = replace(micro_doc.model.interventions[0], cost=float("inf"))
+    doc = replace(micro_doc, model=replace(micro_doc.model, interventions=(iv,) + micro_doc.model.interventions[1:]))
+    with pytest.raises(ModelError, match=f"intervention {iv.name}: cost inf is not finite"):
+        run_query(doc, parse_query_text("utility f2 avoiding phi_fail", doc))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalmc import formulas as F
+from causalmc import kernel
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import CapExceeded, Options, UnknownNameError
 from causalmc.semantics import evaluate, sat_set
@@ -18,6 +19,12 @@ def seeded(seed, **kw):
     return rng, m
 
 
+def configurations(m):
+    """Every configuration of ``m``, in enumeration order."""
+    k = kernel.compile(m)
+    return [k.decode(s) for s in k.configurations(Options())]
+
+
 # ---------------------------------------------------------------------------
 # clause behaviour on the fixtures
 
@@ -28,8 +35,9 @@ def test_behaviour_atom_at_failure(micro, micro_f2):
 
 
 def test_characteristic_formula_identifies_configuration(micro, micro_f1, micro_f2):
-    assert evaluate(micro, micro_f2, F.chi(micro_f2))
-    assert not evaluate(micro, micro_f1, F.chi(micro_f2))
+    chi = F.conj(F.BehaviourAtom(c, b) for c, b in micro_f2.pairs)
+    assert evaluate(micro, micro_f2, chi)
+    assert not evaluate(micro, micro_f1, chi)
 
 
 def test_named_atom_resolution(micro, micro_f2):
@@ -128,7 +136,7 @@ def test_star_degeneracy_under_trivial_flag(seed):
 def test_diamond_box_duality(seed):
     rng, m = seeded(seed)
     phi = F.Atom(rng.choice(list(m.atom_map)))
-    for f in m.enumerate_configurations():
+    for f in configurations(m):
         assert evaluate(m, f, F.Diamond(phi)) == evaluate(m, f, F.Not(F.Box(F.Not(phi))))
 
 
@@ -138,7 +146,7 @@ def test_diamond_plus_unfolding(seed):
     rng, m = seeded(seed)
     phi = F.Atom(rng.choice(list(m.atom_map)))
     unfolded = F.Diamond(F.Or(phi, F.DiamondPlus(phi)))
-    for f in m.enumerate_configurations():
+    for f in configurations(m):
         assert evaluate(m, f, F.DiamondPlus(phi)) == evaluate(m, f, unfolded)
 
 
@@ -154,7 +162,7 @@ def test_sat_set_counts(ex1):
 
 def test_sat_set_matches_atom_extension(micro):
     got = sat_set(micro, F.Atom("phi_fail"))
-    assert got == [f for f in micro.enumerate_configurations() if f["FrontEnd"] == "error"]
+    assert got == [f for f in configurations(micro) if f["FrontEnd"] == "error"]
 
 
 def test_sat_set_cap(micro):
