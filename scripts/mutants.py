@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Mutation check of the engine's fast paths: the token scan, successor
-expansion and the state cap, the rule-table lookup, intervened variants,
-closure labelling and interface splits with their sides, chain search,
-cause search, bisimulation and the document lookups stanzas resolve
-against.
+"""Mutation check of the engine's fast paths: the token scan and token
+positions, successor expansion and the state cap, the rule-table lookup,
+intervened variants, closure labelling and interface splits with their
+sides, chain search, cause search, bisimulation, the document lookups
+stanzas resolve against, and the methods ``records`` writes for the value
+classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -45,6 +46,7 @@ BISIM = "src/causalmc/bisim.py"
 DSL = "src/causalmc/dsl.py"
 KERNEL = "src/causalmc/kernel.py"
 MODEL = "src/causalmc/model.py"
+RECORDS = "src/causalmc/records.py"
 SEMANTICS = "src/causalmc/semantics.py"
 PINNED = "tests/test_cause_search.py::test_the_states_expanded_and_effect_searches_are_pinned"
 MICRO = "tests/test_cause_search.py::test_micro_chain_search_matches_permutations"
@@ -52,6 +54,7 @@ STAGED = "tests/test_cause_search.py::test_chain_search_matches_permutations_on_
 ORDER = "tests/test_cause_search.py::test_cause_searches_run_in_the_reference_order"
 COUNTS = "tests/test_cause_search.py::test_search_counts_on_a_spontaneous_pipeline"
 BISIM_REFERENCE = "tests/test_bisim.py::test_check_bisim_matches_tuple_keyed_reference"
+RECORD_MIRRORS = "tests/test_records.py::test_record_behaves_as_its_dataclass_mirror"
 
 MUTANTS = (
     Mutant(
@@ -188,6 +191,13 @@ MUTANTS = (
         ("tests/test_scanner.py::test_scanner_matches_reference_on_corner_cases",),
     ),
     Mutant(
+        "end of input ignores a trailing comment",
+        DSL,
+        'comment = text.find("#", max(gap, line_start))',
+        "comment = -1",
+        ("tests/test_scanner.py::test_scanner_matches_reference_on_corner_cases",),
+    ),
+    Mutant(
         "text read alone may have trailing input",
         DSL,
         "    if p.peek():\n        p.error(f\"trailing input after {what}\")",
@@ -243,6 +253,34 @@ MUTANTS = (
         "side = sides[names] = (m, k.side(m),",
         "side = sides[names] = (m, kernel.Kernel(m),",
         ("tests/test_labelling.py::test_star_under_an_intervention_builds_its_own_sides",),
+    ),
+    Mutant(
+        "record equality ignores the class",
+        RECORDS,
+        'lines.append("    if other.__class__ is self.__class__:")',
+        'lines.append("    if True:")',
+        ("tests/test_records.py::test_records_of_two_classes_never_compare_equal",),
+    ),
+    Mutant(
+        "record hash skips the last field",
+        RECORDS,
+        'lines.append(f"    return hash(({mine}))")',
+        "lines.append(f\"    return hash(({mine.rsplit('self.', 1)[0]}))\")",
+        (RECORD_MIRRORS,),
+    ),
+    Mutant(
+        "record assignment allowed",
+        RECORDS,
+        '("__setattr__", _assign), ',
+        "",
+        ("tests/test_records.py::test_record_is_frozen",),
+    ),
+    Mutant(
+        "record compares a compare=False field",
+        RECORDS,
+        "compared = [n for n, f in fields.items() if f.compare]",
+        "compared = list(fields)",
+        ("tests/test_records.py::test_model_document_path_is_not_compared",),
     ),
 )
 

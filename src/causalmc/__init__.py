@@ -62,6 +62,7 @@ _EXPORTS = {
     ),
     "dsl": ("DslError", "ModelDocument", "parse_model", "parse_query_text"),
     "queries": ("QueryReport", "best_utility", "min_cost_recovery", "run_document", "run_query"),
+    "records": ("replace",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import formulas as F
@@ -30,6 +29,7 @@ from .model import (
     SystemModel,
     exceeded,
 )
+from .records import field, record
 from .semantics import atom_test
 
 STEP = "step"
@@ -40,7 +40,7 @@ class VocabularyMismatch(ModelError):
     """The two models disagree on atom names or declared intervention names."""
 
 
-@dataclass(frozen=True)
+@record
 class PointedModel:
     model: SystemModel
     point: Configuration
@@ -49,7 +49,7 @@ class PointedModel:
         self.model.validate_configuration(self.point)
 
 
-@dataclass(frozen=True)
+@record
 class VariantGraph:
     """Model variants reachable through declared interventions, as kernels.
 
@@ -104,7 +104,7 @@ def intervention_closure(model: SystemModel) -> VariantGraph:
     return VariantGraph(kernels=tuple(kernels), edges=tuple(edges))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BisimRelation:
     """Pairs of (variant index, configuration) states related across the two
     sides, in (left, right) state order: ``size`` of them, which ``listing``
@@ -129,7 +129,7 @@ class BisimRelation:
         return self.size
 
 
-@dataclass(frozen=True)
+@record
 class BisimResult:
     bisimilar: bool
     relation: BisimRelation | None

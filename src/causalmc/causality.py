@@ -35,7 +35,6 @@ Certificates carry replayable evidence for all three clauses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, islice, product
 
 from . import kernel
@@ -50,10 +49,11 @@ from .model import (
     clamping_intervention,
     exceeded,
 )
+from .records import record
 from .semantics import atom_test
 
 
-@dataclass(frozen=True)
+@record
 class CauseQuery:
     """Start and end configurations plus the effect components.
 
@@ -67,7 +67,7 @@ class CauseQuery:
     effect_components: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class DeviationCheck:
     """Evidence for one counterfactual deviation under a witness set."""
 
@@ -77,13 +77,13 @@ class DeviationCheck:
     counterexample: Configuration | None = None
 
 
-@dataclass(frozen=True)
+@record
 class SubsetRefutation:
     subset: tuple[str, ...]
     failed_clause: str
 
 
-@dataclass(frozen=True)
+@record
 class CauseCertificate:
     cause_set: tuple[str, ...]
     witness_set: tuple[str, ...] | None
@@ -480,13 +480,13 @@ def _certified_causes(k, start: int, end: int, effect_components, shared: _Share
 # causal chains and projections
 
 
-@dataclass(frozen=True)
+@record
 class ChainLink:
     effect_components: tuple[str, ...]
     certificate: CauseCertificate
 
 
-@dataclass(frozen=True)
+@record
 class CausalChain:
     """Waypoint sequence where every consecutive pair is causally certified
     and no waypoint can be dropped without breaking certification: no
@@ -505,7 +505,7 @@ class CausalChain:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CausalProjection:
     configurations: tuple[Configuration, ...]
     edges: tuple[tuple[Configuration, Configuration], ...]
@@ -690,7 +690,7 @@ def _is_acyclic(nodes, edges) -> bool:
 # intervention effect on chains
 
 
-@dataclass(frozen=True)
+@record
 class ChainClassification:
     verdict: str  # preserved | disrupted | indeterminate
     detail: str

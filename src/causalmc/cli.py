@@ -11,13 +11,13 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, kernel
 from .dsl import DslError, parse_arguments, parse_config_text, parse_model
 from .model import CHAIN_MAX_LEN, CapExceeded, ModelError, Options
 from .queries import run_document, run_query
+from .records import replace
 
 
 def _absolute(path: str) -> str:

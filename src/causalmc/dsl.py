@@ -28,9 +28,7 @@ parenthesized.
 from __future__ import annotations
 
 import re
-import string
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from math import isfinite
 
@@ -47,9 +45,10 @@ from .model import (
     repeated,
     validate_model,
 )
+from .records import field, record, replace
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     line: int
     column: int
@@ -69,7 +68,7 @@ class DslError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
+@record
 class ModelDocument:
     model: SystemModel
     configurations: tuple[tuple[str, Configuration], ...]
@@ -102,7 +101,7 @@ def _lookup(table: dict, name: str, what: str):
 # tokenizer
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 # operators of two and three characters, tried before the single characters they start with
 _OPERATORS = ("[]+", "<>+", "<?>", "->", "|=", "[]", "<>")
@@ -607,7 +606,7 @@ def _parse_intervention(p: _Parser):
 # one walker each
 
 
-@dataclass(frozen=True)
+@record
 class Stanza:
     """A resolved query stanza: its kind (the head word) and, per slot of its
     grammar entry, the label it is echoed with and the value it resolved to;
@@ -631,7 +630,7 @@ class Stanza:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class _Type:
     """What a slot holds, how it is read (``parse(parser, slot)``), resolved to
     a (label, value) pair (``resolve(raw, doc)``), and printed from its label."""
@@ -642,7 +641,7 @@ class _Type:
     render: Callable = str
 
 
-@dataclass(frozen=True)
+@record
 class Slot:
     """A typed value of a stanza; with a keyword it is the optional clause
     ``KEYWORD value``, and such clauses follow the fixed part in any order."""

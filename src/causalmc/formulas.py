@@ -15,24 +15,22 @@ folds a formula into one function per node before it evaluates it.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, TypeVar
+from collections.abc import Callable
 
-T = TypeVar("T")
+from .records import record, replace
 
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses."""
+    """Base class; every node is an immutable ``record``."""
 
-    syntax: ClassVar[str]
-    modal: ClassVar[bool] = False
+    syntax: str
+    modal: bool = False
     # names of the fields holding subformulas, left to right
-    sub_fields: ClassVar[tuple[str, ...]] = ()
+    sub_fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = inspect.get_annotations(cls)
+        own = cls.__dict__.get("__annotations__", {})
         cls.sub_fields = tuple(name for name, ann in own.items() if ann == "Formula")
 
     @property
@@ -43,85 +41,85 @@ class Formula:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+@record
 class Top(Formula):
     syntax = "true"
 
 
-@dataclass(frozen=True)
+@record
 class Bot(Formula):
     syntax = "false"
 
 
-@dataclass(frozen=True)
+@record
 class Atom(Formula):
     syntax = "{name}"
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class BehaviourAtom(Formula):
     syntax = "p[{component}={behaviour}]"
     component: str
     behaviour: str
 
 
-@dataclass(frozen=True)
+@record
 class Not(Formula):
     syntax = "! {0}"
     sub: Formula
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     syntax = "({0} & {1})"
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     syntax = "({0} | {1})"
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Implies(Formula):
     syntax = "({0} -> {1})"
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Box(Formula):
     syntax = "[] {0}"
     modal = True
     sub: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Diamond(Formula):
     syntax = "<> {0}"
     modal = True
     sub: Formula
 
 
-@dataclass(frozen=True)
+@record
 class BoxPlus(Formula):
     syntax = "[]+ {0}"
     modal = True
     sub: Formula
 
 
-@dataclass(frozen=True)
+@record
 class DiamondPlus(Formula):
     syntax = "<>+ {0}"
     modal = True
     sub: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Intervene(Formula):
     """After applying the named intervention and taking one step, the body holds."""
 
@@ -131,7 +129,7 @@ class Intervene(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@record
 class InterveneExists(Formula):
     """Some declared intervention, applied with one step, makes the body hold."""
 
@@ -140,7 +138,7 @@ class InterveneExists(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Star(Formula):
     """Separating conjunction across an interface-admitting split."""
 
@@ -163,7 +161,7 @@ def conj(parts) -> Formula:
     return out
 
 
-def fold(phi: Formula, combine: Callable[[Formula, list[T]], T]) -> T:
+def fold(phi: Formula, combine: Callable[[Formula, list], object]) -> object:
     """Post-order fold: ``combine(node, values)`` receives the folded values
     of the node's subformulas, left to right.  Iterative, so nesting depth is
     bounded by memory rather than by the interpreter's recursion limit."""

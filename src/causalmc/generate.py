@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from . import formulas as F
 from .model import (
@@ -16,6 +15,7 @@ from .model import (
     SystemModel,
     constant_table,
 )
+from .records import replace
 
 
 def random_system_model(

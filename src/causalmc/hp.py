@@ -20,13 +20,13 @@ directly in topological order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .model import Configuration, ModelError, SystemModel, UnknownNameError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class HPVariable:
     """One endogenous variable with an enumerated equation table.
 
@@ -49,7 +49,7 @@ class HPVariable:
             ) from None
 
 
-@dataclass(frozen=True)
+@record
 class HPModel:
     variables: tuple[HPVariable, ...]
     context: tuple[tuple[str, str], ...]
@@ -86,7 +86,7 @@ class HPModel:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
+@record
 class HPCauseQuery:
     """Candidate assignment, effect formula, optional unrolling path.
 
@@ -109,7 +109,7 @@ class HPCauseQuery:
         )
 
 
-@dataclass(frozen=True)
+@record
 class HPVerdict:
     ac1: bool
     ac2: bool

@@ -139,8 +139,12 @@ class Kernel:
 
     @property
     def model(self):
-        """The model compiled here, or that of the kernel a variant was made from."""
-        return self._model()
+        """The model compiled here, or that of the kernel a variant was made
+        from; held weakly, so a kernel that outlives it raises ``ModelError``."""
+        model = self._model()
+        if model is None:
+            raise ModelError("the model this kernel was compiled from is gone")
+        return model
 
     def position(self, name: str) -> int:
         try:

@@ -17,9 +17,10 @@ so independent queries can run concurrently without coordination.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isfinite
+
+from .records import record, replace
 
 MODES = ("async", "sync")
 
@@ -50,7 +51,7 @@ def exceeded(cap: int, what: str, size: int | None = None):
     raise CapExceeded(cap, max(cap, 0) + 1 if size is None else size, what)
 
 
-@dataclass(frozen=True)
+@record
 class Options:
     """Evaluation switches shared across the engine.
 
@@ -84,7 +85,7 @@ DEFAULT_OPTIONS = Options()
 # rule tables
 
 
-@dataclass(frozen=True)
+@record
 class RuleRow:
     """One ordered row of an influence rule table.
 
@@ -105,7 +106,7 @@ class RuleRow:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class RuleTable:
     """Ordered rule rows, first match wins, implicit identity default.
 
@@ -145,7 +146,7 @@ def constant_table(arity: int, output: str) -> RuleTable:
 # components, configurations
 
 
-@dataclass(frozen=True)
+@record
 class ComponentDecl:
     """A component: behaviour domain, influence context, rule table.
 
@@ -161,7 +162,7 @@ class ComponentDecl:
     free: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class _Assignment:
     pairs: tuple[tuple[str, str], ...]
 
@@ -192,12 +193,12 @@ class _Assignment:
         return f"({inner})"
 
 
-@dataclass(frozen=True)
+@record
 class Configuration(_Assignment):
     """Total assignment of behaviours to components, in declaration order."""
 
 
-@dataclass(frozen=True)
+@record
 class PartialConfiguration(_Assignment):
     """Assignment of behaviours to a subset of the components."""
 
@@ -218,7 +219,7 @@ def restrict(f: Configuration, subset) -> PartialConfiguration:
 # atoms, interventions, splits
 
 
-@dataclass(frozen=True)
+@record
 class AtomDecl:
     """Named atomic proposition.
 
@@ -236,7 +237,7 @@ class AtomDecl:
         return self.component is not None
 
 
-@dataclass(frozen=True)
+@record
 class Intervention:
     """Atomic, irreversible replacement of the rule tables of its targets.
 
@@ -264,7 +265,7 @@ class Intervention:
         return -self.cost - self.penalty
 
 
-@dataclass(frozen=True)
+@record
 class InterfaceSplit:
     """A validated cover (left, right) of the component set."""
 
@@ -282,7 +283,7 @@ class InterfaceSplit:
         return bool(ls - rs) and bool(rs - ls)
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One well-formedness defect, naming the site at fault."""
 
@@ -297,7 +298,7 @@ class Violation:
 # the system model
 
 
-@dataclass(frozen=True)
+@record
 class SystemModel:
     """Components, atoms, and declared interventions; the single source of truth.
 

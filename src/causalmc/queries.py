@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -30,12 +29,13 @@ from .model import (
     check_interface,
     interface_violations,
 )
+from .records import record
 from .semantics import evaluate
 
 SCHEMA_VERSION = "1.0"
 
 
-@dataclass(frozen=True)
+@record
 class QueryReport:
     query: str
     kind: str

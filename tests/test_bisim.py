@@ -1,14 +1,13 @@
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalmc import bisim
+from causalmc import bisim, replace
 from causalmc import formulas as F
 from causalmc import kernel as kernel_module
 from causalmc.bisim import (

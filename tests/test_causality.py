@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracle import oracle_find_causes
 
+from causalmc import replace
 from causalmc.dsl import parse_model
 from causalmc.causality import (
     CauseQuery,

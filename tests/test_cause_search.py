@@ -24,14 +24,13 @@ models and on ``staged`` runs, whose chains pass several waypoints.
 
 import random
 import sys
-from dataclasses import replace
 from collections import Counter
 from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
 
-from causalmc import causality, kernel
+from causalmc import causality, kernel, replace
 from causalmc.causality import (
     CauseCertificate,
     CauseQuery,

@@ -9,7 +9,6 @@ state cap as each configuration is added, the start included.
 
 import ast
 import random
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import oracle
 import pytest
 
 from causalmc import formulas as F
+from causalmc import replace
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.kernel import compile
 from causalmc.model import (
@@ -208,6 +208,16 @@ def test_a_variant_is_a_kernel_over_the_model_it_was_made_from(micro):
     assert intervened.model is pinned.model is micro
     assert intervened.intervened(micro.intervention_map["thetaLog"]).model is micro
     assert intervened.pinned(((1, 0),)).model is micro
+
+
+def test_a_kernel_whose_model_is_gone_raises_model_error(micro_doc):
+    """A kernel holds its model weakly, so a kernel outliving a model built
+    for one expression says the model is gone instead of failing inside."""
+    k = compile(replace(micro_doc.model))
+    with pytest.raises(ModelError, match="model this kernel was compiled from is gone"):
+        k.encode(micro_doc.configuration("f1"))
+    with pytest.raises(ModelError, match="is gone"):
+        k.intervened(micro_doc.model.intervention_map["theta1"])
 
 
 def test_state_cap_counts_the_start_as_the_oracle_does():

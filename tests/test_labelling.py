@@ -16,7 +16,6 @@ Verdicts, witness lists, cap overruns and split lists must agree exactly.
 import random
 import sys
 import time
-from dataclasses import replace
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from causalmc import formulas as F
-from causalmc import kernel, semantics
+from causalmc import kernel, replace, semantics
 from causalmc.dsl import parse_model
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import (

@@ -1,10 +1,10 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalmc import replace
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import (
     ComponentDecl,

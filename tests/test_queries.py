@@ -3,7 +3,7 @@ import json
 import pytest
 
 from causalmc import formulas as F
-from causalmc import model, queries
+from causalmc import model, queries, replace
 from causalmc.dsl import parse_query_text
 from causalmc.model import ModelError
 from causalmc.queries import (
@@ -65,16 +65,12 @@ def test_min_cost_selects_cheapest(micro_doc, micro_f2):
 
 
 def test_min_cost_empty_intervention_set(micro_doc, micro_f2):
-    from dataclasses import replace
-
     bare_model = replace(micro_doc.model, interventions=())
     bare = replace(micro_doc, model=bare_model)
     assert min_cost_recovery(bare, micro_f2, F.Atom("phi_fail")) is None
 
 
 def test_min_cost_requires_annotations(micro_doc, micro_f2):
-    from dataclasses import replace
-
     stripped_ivs = tuple(replace(iv, cost=None) for iv in micro_doc.model.interventions)
     doc = replace(micro_doc, model=replace(micro_doc.model, interventions=stripped_ivs))
     with pytest.raises(ModelError):
@@ -82,8 +78,6 @@ def test_min_cost_requires_annotations(micro_doc, micro_f2):
 
 
 def test_min_cost_tie_broken_by_declaration_order(micro_doc, micro_f2):
-    from dataclasses import replace
-
     flat = tuple(replace(iv, cost=1.0) for iv in micro_doc.model.interventions)
     doc = replace(micro_doc, model=replace(micro_doc.model, interventions=flat))
     chosen = min_cost_recovery(doc, micro_f2, F.Atom("phi_fail"))
@@ -98,16 +92,12 @@ def test_best_utility_argmax(micro_doc, micro_f2):
 
 
 def test_best_utility_single_qualifier(micro_doc, micro_f2):
-    from dataclasses import replace
-
     only = tuple(iv for iv in micro_doc.model.interventions if iv.name == "theta1")
     doc = replace(micro_doc, model=replace(micro_doc.model, interventions=only))
     assert best_utility(doc, micro_f2, F.Atom("phi_fail")).name == "theta1"
 
 
 def test_best_utility_none_when_nothing_qualifies(micro_doc, micro_f2):
-    from dataclasses import replace
-
     only = tuple(iv for iv in micro_doc.model.interventions if iv.name == "theta3")
     doc = replace(micro_doc, model=replace(micro_doc.model, interventions=only))
     assert best_utility(doc, micro_f2, F.Atom("phi_fail")) is None
@@ -172,8 +162,6 @@ def test_recovery_choice_evaluates_interventions_once(micro_doc, monkeypatch, he
 def test_recovery_rejects_a_non_finite_amount(micro_doc):
     """An infinite cost would reach the report as ``Infinity``, which is not
     JSON: applying the intervention rejects it, as the model-file reader does."""
-    from dataclasses import replace
-
     iv = replace(micro_doc.model.interventions[0], cost=float("inf"))
     doc = replace(micro_doc, model=replace(micro_doc.model, interventions=(iv,) + micro_doc.model.interventions[1:]))
     with pytest.raises(ModelError, match=f"intervention {iv.name}: cost inf is not finite"):

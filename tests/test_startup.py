@@ -1,10 +1,13 @@
 """Each command loads only the engine modules it runs.
 
 Every subcommand runs on a bundled model in a fresh interpreter, which then
-reports the ``causalmc`` modules it loaded.  The package's public names
-resolve on first access, so a bare ``import causalmc`` loads none.
+reports the modules it loaded.  The package's public names resolve on first
+access, so a bare ``import causalmc`` loads none, and no command loads
+``dataclasses`` or ``inspect``: the value classes are ``records``.
 """
 
+import ast
+import functools
 import importlib
 import json
 import os
@@ -19,32 +22,36 @@ from conftest import MODELS, REPO
 MICRO = str(MODELS / "microservice.model")
 EX1 = str(MODELS / "ex1.model")
 
-# the causalmc modules a fresh interpreter loaded after running the given code
+# every module a fresh interpreter loaded after running the given code
 _LOADED = """
 import json, sys
 {code}
-print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("causalmc."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_modules(code: str) -> list[str]:
+@functools.cache
+def all_modules(code: str) -> frozenset[str]:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run(
         [sys.executable, "-c", _LOADED.format(code=code)], capture_output=True, text=True, env=env, check=True
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    return frozenset(json.loads(done.stdout.splitlines()[-1]))
 
 
-def command_modules(argv: list[str]) -> set[str]:
-    """The modules ``causalmc`` loaded running ``argv``, which must exit 0 or 1."""
-    code = f"from causalmc.cli import main\nassert main({argv!r}) in (0, 1)"
-    return set(loaded_modules(code))
+def loaded_modules(code: str) -> list[str]:
+    """The ``causalmc`` modules loaded running ``code``, without the package prefix."""
+    return sorted(m.split(".", 1)[1] for m in all_modules(code) if m.startswith("causalmc."))
+
+
+def command_code(argv: list[str]) -> str:
+    """Code running ``argv``, which must exit 0 or 1."""
+    return f"from causalmc.cli import main\nassert main({argv!r}) in (0, 1)"
 
 
 ENGINES = {"causality", "bisim", "hp"}
 
-
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "argv, engines",
     [
         pytest.param(["check", MICRO, "f2", "<theta1> [] ! phi_fail"], set(), id="check"),
@@ -60,18 +67,40 @@ ENGINES = {"causality", "bisim", "hp"}
         pytest.param(["export-hp", EX1, "--init", "start"], {"hp"}, id="export-hp"),
     ],
 )
+
+
+@COMMANDS
 def test_command_loads_only_its_engine_modules(argv, engines):
-    loaded = command_modules(argv)
-    assert {"cli", "dsl", "model", "queries"} <= loaded
+    loaded = set(loaded_modules(command_code(argv)))
+    assert {"cli", "dsl", "model", "queries", "records"} <= loaded
     assert loaded & ENGINES == engines
     assert "generate" not in loaded
+
+
+@COMMANDS
+def test_command_loads_neither_dataclasses_nor_inspect(argv, engines):
+    loaded = all_modules(command_code(argv))
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_package_imports_no_dataclasses_inspect_typing_or_string():
+    banned = {"dataclasses", "inspect", "typing", "string"}
+    for path in sorted((REPO / "src" / "causalmc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            assert not names & banned, f"{path.name}:{node.lineno} imports {sorted(names & banned)}"
 
 
 def test_bare_import_loads_no_engine_module():
     assert loaded_modules("import causalmc") == []
     assert loaded_modules("import causalmc\nassert causalmc.__version__") == []
-    assert loaded_modules("from causalmc import formulas") == ["formulas"]
-    assert loaded_modules("from causalmc import evaluate") == ["formulas", "kernel", "model", "semantics"]
+    assert loaded_modules("from causalmc import formulas") == ["formulas", "records"]
+    assert loaded_modules("from causalmc import evaluate") == ["formulas", "kernel", "model", "records", "semantics"]
 
 
 # every public name of the package, by defining module
@@ -94,6 +123,7 @@ EXPORTED = {
     ],
     "dsl": ["DslError", "ModelDocument", "parse_model", "parse_query_text"],
     "queries": ["QueryReport", "best_utility", "min_cost_recovery", "run_document", "run_query"],
+    "records": ["replace"],
 }  # fmt: skip
 
 
