@@ -52,13 +52,13 @@ def timed(prepare, repeat: int):
     searches, expanded, built = [], [], []
     search, expand, certificate = causality._first_effect_reachable, kernel.Kernel._expand, causality._certificate
 
-    def counted(k, start, goal, options):
+    def counted(k, start, goal):
         searches.append(start)
-        return search(k, start, goal, options)
+        return search(k, start, goal)
 
-    def expanding(k, s, self_loops):
+    def expanding(k, s):
         expanded.append(s)
-        return expand(k, s, self_loops)
+        return expand(k, s)
 
     def certifying(e, cause):
         built.append(cause)

@@ -43,9 +43,9 @@ def _walked(*args):
     return _components(*args)
 
 
-def _searched(self, s, options):
+def _searched(self, s):
     calls["searches"] += 1
-    return _reachable(self, s, options)
+    return _reachable(self, s)
 
 
 kernel.components, kernel.Kernel.reachable = _walked, _searched

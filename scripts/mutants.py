@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Mutation check of the engine's fast paths: the token scan and token
-positions, successor expansion and the state cap, the rule-table lookup,
-intervened variants, closure labelling and interface splits with their
-sides, chain search, cause search, bisimulation, the document lookups
-stanzas resolve against, and the methods ``records`` writes for the value
-classes.
+positions, successor expansion and the state cap, the one kernel a model
+keeps for its options, the rule-table lookup, intervened variants, closure
+labelling and interface splits with their sides and side atoms, chain
+search, cause search, bisimulation, the document lookups stanzas resolve
+against, and the methods ``records`` writes for the value classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -214,8 +214,8 @@ MUTANTS = (
     Mutant(
         "async self-loop on every state",
         KERNEL,
-        "if self_loops and stays:",
-        "if self_loops:",
+        "if self.options.self_loops and stays:",
+        "if self.options.self_loops:",
         ("tests/test_kernel.py::test_kernel_matches_reference_on_random_models",),
     ),
     Mutant(
@@ -223,8 +223,16 @@ MUTANTS = (
         KERNEL,
         "if len(seen) + (s not in seen) > cap:",
         "if len(seen) > cap:",
-        # Kernel.reachable counts the start again after the search, so only a goal search shows it
+        # a goal search holds its start too, and may find its goal there only through a self-loop
         ("tests/test_cause_search.py::test_counterfactual_search_matches_reference",),
+    ),
+    Mutant(
+        "compile keeps a kernel built under other options",
+        KERNEL,
+        "if found is None or found.options != options:",
+        "if found is None:",
+        # its cap ladder runs the same generated models under caps 0 to 3 in turn
+        ("tests/test_cause_search.py::test_cap_overruns_match_reference",),
     ),
     Mutant(
         "intervened variant left unvalidated",
@@ -236,7 +244,7 @@ MUTANTS = (
     Mutant(
         "one-state component with a self-loop is acyclic",
         SEMANTICS,
-        "return len(members) > 1 or members[0] in self.successors(members[0])",
+        "return len(members) > 1 or members[0] in self.k.successors(members[0])",
         "return len(members) > 1",
         ("tests/test_labelling.py::test_evaluate_matches_reference_on_random_models",),
     ),
@@ -251,8 +259,15 @@ MUTANTS = (
         "side of a variant runs the declared rules",
         SEMANTICS,
         "side = sides[names] = (m, k.side(m),",
-        "side = sides[names] = (m, kernel.Kernel(m),",
+        "side = sides[names] = (m, kernel.Kernel(m, k.options),",
         ("tests/test_labelling.py::test_star_under_an_intervention_builds_its_own_sides",),
+    ),
+    Mutant(
+        "side atom keeps its unprojected configurations",
+        MODEL,
+        "g = Configuration(tuple(p for p in f.pairs if p[0] in kept))",
+        "g = f",
+        ("tests/test_semantics.py::test_extension_atom_holds_at_its_projections_on_a_side",),
     ),
     Mutant(
         "record equality ignores the class",

@@ -29,7 +29,7 @@ from .model import (
     SystemModel,
     exceeded,
 )
-from .records import field, record
+from .records import record
 from .semantics import atom_test
 
 STEP = "step"
@@ -66,15 +66,16 @@ class VariantGraph:
         return kernel.digraph("variants", labels, [(a, b, name) for a, name, b in self.edges], node="v")
 
 
-def intervention_closure(model: SystemModel) -> VariantGraph:
+def intervention_closure(model: SystemModel, options: Options = DEFAULT_OPTIONS) -> VariantGraph:
     """All variants reachable by applying declared interventions in sequence,
-    each the one ``Kernel.intervened`` keeps on the variant it was made from.
+    from the model compiled under ``options``, each the one
+    ``Kernel.intervened`` keeps on the variant it was made from.
 
     A variant's key is its source's rule tables with the targets' replaced,
     so a variant is built only for a key not met before.  The root row builds
     every intervention's variant, which validates it."""
     ivs = [model.intervention_map[iv.name] for iv in model.interventions]  # as `<name>` resolves a name
-    root = kernel.compile(model)
+    root = kernel.compile(model, options)
     kernels = [root]
     keys = [tuple(c.rule for c in model.components)]  # variants differ in rule tables only
     index = {keys[0]: 0}
@@ -104,15 +105,18 @@ def intervention_closure(model: SystemModel) -> VariantGraph:
     return VariantGraph(kernels=tuple(kernels), edges=tuple(edges))
 
 
-@record(eq=False)
 class BisimRelation:
     """Pairs of (variant index, configuration) states related across the two
     sides, in (left, right) state order: ``size`` of them, which ``listing``
     returns.  ``pairs`` calls it on first use, so a caller that needs only
-    the number of pairs decodes no state."""
+    the number of pairs decodes no state.  Two relations are equal only
+    when they are the same object."""
 
-    size: int
-    listing: Callable[[], tuple] = field(repr=False)
+    def __init__(self, size: int, listing: Callable[[], tuple]):
+        self.size, self.listing = size, listing
+
+    def __repr__(self) -> str:
+        return f"BisimRelation(size={self.size})"
 
     @cached_property
     def pairs(self) -> tuple[tuple[tuple[int, Configuration], tuple[int, Configuration]], ...]:
@@ -153,9 +157,8 @@ class _Lts:
     def __init__(self, a: PointedModel, b: PointedModel, labels, options: Options):
         self.keys, self.atoms, self.rows, self.lists = [], [], [], []
         self.roots, self.kernels = [], []
-        loops = options.self_loops
         for model, point in ((a.model, a.point), (b.model, b.point)):
-            graph = intervention_closure(model)
+            graph = intervention_closure(model, options)
             kernels = graph.kernels
             edge = {(a, name): b for a, name, b in graph.edges}
             targets = [[v if l == STEP else edge[(v, l)] for l in labels] for v in range(len(kernels))]
@@ -186,7 +189,7 @@ class _Lts:
                     d = listed.get(at)
                     if d is None:  # a list met before holds no state not numbered yet
                         d = listed[at] = first + len(lists)
-                        dests = [v * size + g for g in kernels[v].successors(f, loops)]
+                        dests = [v * size + g for g in kernels[v].successors(f)]
                         lists.append(dests)
                         for s in dests:
                             if s not in number:

@@ -133,18 +133,19 @@ class CauseCertificate:
 
 
 class _Shared:
-    """One query's mode (checked here, once per query) and options, and the
-    work a chain's links share: clamped variants by (kernel, pins), which
-    links with different effects share; their ``_Verdicts`` by (kernel, pins,
+    """One query's mode (checked here, once per query), and the work a
+    chain's links share: clamped variants by (kernel, pins), which links
+    with different effects share; their ``_Verdicts`` by (kernel, pins,
     effect places); and the end marks and AC1 edges of states by (kernel,
-    end state, effect places).  A verdict depends only on its variant,
-    start, effect and the query's options, and a search that overran ended
-    the query, so a shared verdict only stands in for a search that finished."""
+    end state, effect places).  A verdict depends only on its variant, whose
+    options are the query's, its start and its effect, and a search that
+    overran ended the query, so a shared verdict only stands in for a search
+    that finished."""
 
-    def __init__(self, mode: str, options: Options):
+    def __init__(self, mode: str):
         if mode not in ("example", "strict"):
             raise ModelError(f"unknown cause-check mode {mode!r}")
-        self.mode, self.options = mode, options
+        self.mode = mode
         self.variants: dict = {}
         self.verdicts: dict = {}
         self.ac1: dict = {}
@@ -155,7 +156,7 @@ class _Shared:
             variant = self.variants.get((k, pins))
             if variant is None:
                 variant = self.variants[k, pins] = k.pinned(pins) if pins else k
-            found = self.verdicts[k, pins, effect] = _Verdicts(variant, effect, self.options)
+            found = self.verdicts[k, pins, effect] = _Verdicts(variant, effect)
         return found
 
 
@@ -163,11 +164,11 @@ class _Verdicts(dict):
     """Whether the effect is reachable under a clamped variant, by start
     state; each start is searched on its first lookup, so once per query."""
 
-    def __init__(self, variant, effect, options: Options):
-        self.variant, self.effect, self.options = variant, effect, options
+    def __init__(self, variant, effect):
+        self.variant, self.effect = variant, effect
 
     def __missing__(self, start: int) -> bool:
-        reached = self[start] = _first_effect_reachable(self.variant, start, self.effect, self.options) is not None
+        reached = self[start] = _first_effect_reachable(self.variant, start, self.effect) is not None
         return reached
 
 
@@ -179,8 +180,8 @@ class _Episode:
     the marks and AC1 edges of each state, each witness set's ``_Verdicts``
     and base, found by ``witness``, and by first-deviation offset the
     witness sets not yet known to fail there, found by ``untried``.  The
-    mode, options, clamped variants and verdicts live in the query's
-    ``_Shared`` table, so they go with the query."""
+    mode, clamped variants and verdicts live in the query's ``_Shared``
+    table, so they go with the query."""
 
     def __init__(self, k, start: int, end: int, effect_components, shared: _Shared):
         self.k, self.start, self.end, self.shared = k, start, end, shared
@@ -209,7 +210,7 @@ class _Episode:
             mask, key = self.marks(s)
             found = self.state_edges[s] = tuple(
                 (g, mask & ~to_mask, key != to_key)
-                for g in self.k.successors(s, self.shared.options.self_loops)
+                for g in self.k.successors(s)
                 for to_mask, to_key in (self.marks(g),)
             )
         return found
@@ -305,7 +306,7 @@ def _ac1(e: _Episode, cause):
     parent: dict = {}
     queue: list = []
     visited = {e.start}  # configurations met: the cap counts these, not pairs
-    edges, cap = e.edges, e.shared.options.max_states
+    edges, cap = e.edges, e.k.options.max_states
 
     def expand(f: int, got_effect: bool, via) -> None:
         for g, lost, changed in edges(f):
@@ -335,7 +336,7 @@ def _ac1(e: _Episode, cause):
     return None
 
 
-def _first_effect_reachable(k, start: int, effect, options) -> int | None:
+def _first_effect_reachable(k, start: int, effect) -> int | None:
     """First state strictly reachable from ``start`` in which every
     (weight, radix, code) place of ``effect`` holds its code; ``start``
     itself counts only as its own successor (a self-loop), not at the end of
@@ -345,9 +346,9 @@ def _first_effect_reachable(k, start: int, effect, options) -> int | None:
         for w, r, b in effect:
             if g // w % r != b:
                 return False
-        return g != start or start in k.successors(start, options.self_loops)
+        return g != start or start in k.successors(start)
 
-    return k.search(start, options, "counterfactual reachability", goal)[1]
+    return k.search(start, "counterfactual reachability", goal)[1]
 
 
 def _ac2(e: _Episode, cause):
@@ -437,8 +438,8 @@ def check_cause(
         raise ModelError("empty candidate cause set")
     for c in cause:
         model.component(c)
-    k = kernel.compile(model)
-    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode, options))
+    k = kernel.compile(model, options)
+    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode))
     return _certificate(e, cause)
 
 
@@ -454,8 +455,8 @@ def find_causes(
     of the effect would witness counterfactual dependence of the effect on
     itself, which certifies nothing.
     """
-    k = kernel.compile(model)
-    return list(_certified_causes(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode, options)))
+    k = kernel.compile(model, options)
+    return list(_certified_causes(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode)))
 
 
 def _certified_causes(k, start: int, end: int, effect_components, shared: _Shared):
@@ -545,7 +546,7 @@ class _Links(dict):
         self.k, self.shared = k, shared
 
     def realizable(self, a: int, b: int) -> bool:
-        return b in self.k.reachable(a, self.shared.options)
+        return b in self.k.reachable(a)
 
     def __missing__(self, key: tuple[int, int, tuple[str, ...] | None]) -> ChainLink | None:
         a, b, effect = key
@@ -596,9 +597,9 @@ def find_causal_chains(
     first middle to pass its own checks looks (a, end) up at its close.
     """
     check_max_len(max_len)
-    k = kernel.compile(model)
+    k = kernel.compile(model, options)
     start, end = k.encode(f_start), k.encode(f_end)  # encoding validates them
-    links = _Links(k, _Shared(mode, options))  # every link reuses the variants and verdicts of the others
+    links = _Links(k, _Shared(mode))  # every link reuses the variants and verdicts of the others
     if start == end:
         return []
     final_effect = tuple(effect_components) if effect_components else None
@@ -615,7 +616,7 @@ def find_causal_chains(
         return []
     out: list[CausalChain] = []
     # waypoint middles must sit between the endpoints in the closure
-    middles = [g for g in k.reachable(start, options) if g not in (start, end) and links.realizable(g, end)]
+    middles = [g for g in k.reachable(start) if g not in (start, end) and links.realizable(g, end)]
 
     # waypoints are distinct, so no chain is longer than every middle plus the endpoints
     for n in range(2, min(max_len, len(middles) + 2) + 1):
@@ -655,11 +656,11 @@ def causal_projection(
         for g in chain.configurations:
             configs[g] = None
     ordered = tuple(configs)
-    k = kernel.compile(model)
+    k = kernel.compile(model, options)
     members = {k.encode(g): g for g in ordered}
     edges = []
     for s, g in members.items():
-        for h in k.successors(s, options.self_loops):
+        for h in k.successors(s):
             if h in members:
                 edges.append((g, members[h]))
     atoms = tuple(
@@ -698,15 +699,6 @@ class ChainClassification:
     recertified: tuple[CauseCertificate, ...] = ()
     broken_link: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "detail": self.detail,
-            "link_causes": [list(c) for c in self.link_causes],
-            "recertified": [c.to_dict() for c in self.recertified],
-            "broken_link": self.broken_link,
-        }
-
 
 def classify_intervention_effect(
     model: SystemModel,
@@ -723,11 +715,11 @@ def classify_intervention_effect(
     overlapping link whose closure transition disappears, and anything in
     between is reported as indeterminate rather than guessed.
     """
-    k = kernel.compile(model)
+    k = kernel.compile(model, options)
     seq = chain.configurations
     states = [k.encode(g) for g in seq]  # encoding validates them
     effects = [tuple(l.effect_components) for l in chain.links]
-    shared = _Shared(mode, options)
+    shared = _Shared(mode)
     link_cause_union: list[tuple[str, ...]] = []
     for i in range(len(seq) - 1):
         union: dict[str, None] = {}

@@ -206,14 +206,14 @@ def main(argv=None) -> int:
 
 
 def _transition_dot(doc, options, reachable_from: str | None) -> str:
-    k = kernel.compile(doc.model)
+    k = kernel.compile(doc.model, options)
     if reachable_from:
         start = k.encode(parse_config_text(reachable_from, doc))
-        nodes = [start] + [g for g in k.reachable(start, options) if g != start]
+        nodes = [start] + [g for g in k.reachable(start) if g != start]
     else:
-        nodes = k.configurations(options)
+        nodes = k.configurations()
     idx = {g: i for i, g in enumerate(nodes)}
-    edges = [(i, idx[h]) for g, i in idx.items() for h in k.successors(g, options.self_loops) if h in idx]
+    edges = [(i, idx[h]) for g, i in idx.items() for h in k.successors(g) if h in idx]
     return kernel.digraph("transitions", [str(k.decode(g)) for g in nodes], edges)
 
 

@@ -7,15 +7,19 @@ rule table becomes a map from the integer (own, context) code to the next
 behaviour's code, filled on first lookup; a clamped component is a constant
 code and a free one ranges over its domain.
 
-A variant, intervened or pinned, is a kernel alone: it reads the model of
-the kernel it was made from, only its rule entries are its own, and it
-shares every entry it does not replace, filled tables included.
+A kernel belongs to one model under one ``Options`` value: its successor
+lists, reachable sets and caps are those options', so no memo depends on
+any other.  A variant, intervened or pinned, is a kernel alone under the
+same options: it reads the model of the kernel it was made from, only its
+rule entries are its own, and it shares every entry it does not replace,
+filled tables included.
 
 Ownership runs one way, so reference counting frees a query's kernels,
-memos and models together.  ``compile(model)`` keeps the kernel on the
-model instance, and the kernel reaches its model only through a weak
-reference.  A kernel keeps its intervened variants; a pinned variant is
-built afresh, and its caller keeps it as long as it needs its memos.
+memos and models together.  ``compile(model, options)`` keeps one kernel
+on the model instance, that of the options it was last compiled under,
+and the kernel reaches its model only through a weak reference.  A kernel
+keeps its intervened variants; a pinned variant is built afresh, and its
+caller keeps it as long as it needs its memos.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import weakref
 from math import prod
 
-from .model import Configuration, ModelError, UnknownNameError, check_intervention, exceeded
+from .model import DEFAULT_OPTIONS, Configuration, ModelError, UnknownNameError, check_intervention, exceeded
 
 
 _COMPLETE = float("inf")  # the preorder number of a node whose component is complete
@@ -92,17 +96,20 @@ def digraph(name: str, labels, edges, node: str = "n") -> str:
     return "\n".join(lines)
 
 
-def compile(model) -> "Kernel":
-    """The compiled state space of ``model``, built on first use and kept on the instance."""
+def compile(model, options=DEFAULT_OPTIONS) -> "Kernel":
+    """The compiled state space of ``model`` under ``options``, kept on the
+    instance: a model holds one kernel, built afresh when the options differ
+    from those of the kernel it holds."""
     found = model.__dict__.get("_kernel")
-    if found is None:
-        found = model.__dict__["_kernel"] = Kernel(model)
+    if found is None or found.options != options:
+        found = model.__dict__["_kernel"] = Kernel(model, options)
     return found
 
 
 class Kernel:
-    def __init__(self, model):
+    def __init__(self, model, options):
         self._model = weakref.ref(model)  # a variant's is the model of the kernel it was made from
+        self.options = options
         self.mode = model.mode
         self.names = model.component_order
         self.index = {n: i for i, n in enumerate(self.names)}
@@ -128,12 +135,12 @@ class Kernel:
         # per component: None (free), an int (clamped), or (lazily filled table, rule table)
         self.rules = [None if c.free else ({}, c.rule) for c in model.components]
         self.tests: dict = {}  # atom predicates, shared with every variant
-        self.splits: dict = {}  # semantics' candidate splits, by allow_trivial_split; shared likewise
+        self.splits: list = []  # semantics' candidate splits once listed, as its one item; shared likewise
         self._fresh()
 
     def _fresh(self) -> None:
-        self.succ_memo: tuple[dict, dict] = ({}, {})  # indexed by options.self_loops
-        self.reach_memo: tuple[dict, dict] = ({}, {})
+        self.succ_memo: dict = {}
+        self.reach_memo: dict = {}
         self.variants: dict = {}  # intervened variants, by intervention
         self.sides: dict = {}  # semantics' side models with their kernels and positions here, by component names
 
@@ -163,21 +170,21 @@ class Kernel:
     def digits(self, s: int) -> list[int]:
         return [s // w % r for w, r in self.places]
 
-    def configurations(self, options) -> range:
+    def configurations(self) -> range:
         """Every state, in enumeration order."""
-        if self.size > options.max_states:
-            exceeded(options.max_states, "configuration space", self.size)
+        cap = self.options.max_states
+        if self.size > cap:
+            exceeded(cap, "configuration space", self.size)
         return range(self.size)
 
-    def successors(self, s: int, self_loops: bool) -> tuple[int, ...]:
-        """One-step successors in canonical order, memoized per self_loops value."""
-        memo = self.succ_memo[self_loops]
-        out = memo.get(s)
+    def successors(self, s: int) -> tuple[int, ...]:
+        """One-step successors in canonical order, memoized."""
+        out = self.succ_memo.get(s)
         if out is None:
-            out = memo[s] = self._expand(s, self_loops)
+            out = self.succ_memo[s] = self._expand(s)
         return out
 
-    def _expand(self, s: int, self_loops: bool) -> tuple[int, ...]:
+    def _expand(self, s: int) -> tuple[int, ...]:
         """``s``'s one-step successors in canonical order, in one pass over
         the components: each reads its code and its table key from ``s``
         through its place, and a table hit is one dictionary lookup.  Async
@@ -214,8 +221,8 @@ class Kernel:
                 out.append(s + (b - d) * w)
         if sync:
             moved = [s + shift + t for t in free]
-            return tuple(moved) if self_loops else tuple(g for g in moved if g != s)
-        if self_loops and stays:
+            return tuple(moved) if self.options.self_loops else tuple(g for g in moved if g != s)
+        if self.options.self_loops and stays:
             out.append(s)
         return tuple(out)
 
@@ -237,34 +244,27 @@ class Kernel:
         table[key] = code
         return code
 
-    def reachable(self, s: int, options) -> list[int]:
-        """States strictly reachable from ``s``, breadth-first, memoized with
-        how many states the search held; a memoized set that held more than
-        the cap raises as its search would have."""
-        memo = self.reach_memo[options.self_loops]
-        found = memo.get(s)
+    def reachable(self, s: int) -> list[int]:
+        """States strictly reachable from ``s``, breadth-first, memoized."""
+        found = self.reach_memo.get(s)
         if found is None:
-            queue = self.search(s, options, "reachable set")[0]
-            found = memo[s] = (queue, len(queue) + (s not in queue))
-        if found[1] > options.max_states:
-            exceeded(options.max_states, "reachable set")
-        return found[0]
+            found = self.reach_memo[s] = self.search(s, "reachable set")[0]
+        return found
 
-    def search(self, s: int, options, what: str, goal=None) -> tuple[list[int], int | None]:
+    def search(self, s: int, what: str, goal=None) -> tuple[list[int], int | None]:
         """Breadth-first search from ``s``: the states strictly reachable
         from it, in the order they were queued, and the first dequeued state
         for which ``goal`` is true, or None.  The search stops at that state,
         and runs to the end without a goal.  It holds ``s`` and every state
         it has queued, and raises ``what``'s overrun when, after an
         expansion, they are more than the cap."""
-        loops, cap = options.self_loops, options.max_states
-        memo = self.succ_memo[loops]
+        memo, cap = self.succ_memo, self.options.max_states
         queue, seen, i = [], set(), 0
         g = s
         while True:
             out = memo.get(g)
             if out is None:
-                out = memo[g] = self._expand(g, loops)
+                out = memo[g] = self._expand(g)
             for h in out:
                 if h not in seen:
                     seen.add(h)
@@ -306,6 +306,6 @@ class Kernel:
         """Kernel of ``model``, restricted from this kernel's model: a component
         keeping its rule there keeps its entry here, filled table and all, so
         the side of a variant runs the variant's rules."""
-        out = Kernel(model)
+        out = Kernel(model, self.options)
         out.rules = [None if rule is None else self.rules[self.index[c]] for c, rule in zip(out.names, out.rules)]
         return out

@@ -9,9 +9,10 @@ either asynchronously (one component updates per step) or synchronously
 (all components update together).
 
 All values in this module are immutable and hashable; every operation is a
-pure function of its inputs.  A model instance keeps its compiled state
-space (``kernel``) as a cache that is only ever filled with the same values,
-so independent queries can run concurrently without coordination.
+pure function of its inputs.  A model instance keeps as a cache the state
+space compiled under the options it was last read under (``kernel``); a
+query holds the kernel it compiled to its end, so another query under other
+options replaces the cache without changing any answer.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ def exceeded(cap: int, what: str, size: int | None = None):
 
 @record
 class Options:
-    """Evaluation switches shared across the engine.
+    """Evaluation switches shared across the engine.  A query runs under one
+    value, and compiles the model under it (``kernel.compile``): every
+    kernel, memo and cap the query reaches is that value's.
 
     self_loops: include transitions f -> f arising from rule fixpoints.
     allow_trivial_split: let separation queries use non-proper covers,
@@ -498,8 +501,8 @@ def successors(
     mode: the simultaneous rewrite of all components.  Fixpoint self-loops
     are excluded unless ``options.self_loops`` is set.
     """
-    k = kernel.compile(model)
-    return [k.decode(g) for g in k.successors(k.encode(f), options.self_loops)]
+    k = kernel.compile(model, options)
+    return [k.decode(g) for g in k.successors(k.encode(f))]
 
 
 def reachable(
@@ -511,8 +514,8 @@ def reachable(
     and the configurations reachable from it are more than
     ``options.max_states``.
     """
-    k = kernel.compile(model)
-    return [k.decode(g) for g in k.reachable(k.encode(f), options)]
+    k = kernel.compile(model, options)
+    return [k.decode(g) for g in k.reachable(k.encode(f))]
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +538,7 @@ def apply_intervention(model: SystemModel, iv: Intervention) -> SystemModel:
     return replace(model, components=new_components)
 
 
-def clamping_intervention(model: SystemModel, targets, values, name: str | None = None) -> Intervention:
+def clamping_intervention(model: SystemModel, targets, values) -> Intervention:
     """Intervention pinning each target to a constant behaviour, immediately and stably."""
     targets = tuple(targets)
     values = dict(values)
@@ -543,7 +546,7 @@ def clamping_intervention(model: SystemModel, targets, values, name: str | None 
     for t in targets:
         decl = model.component(t)
         rules.append((t, constant_table(len(decl.context), values[t])))
-    label = name or "clamp[" + ",".join(f"{t}={values[t]}" for t in targets) + "]"
+    label = "clamp[" + ",".join(f"{t}={values[t]}" for t in targets) + "]"
     return Intervention(name=label, targets=targets, rules=tuple(rules))
 
 

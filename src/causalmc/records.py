@@ -8,13 +8,12 @@ has:
   included, and calling ``__post_init__`` when the class has one;
 - ``__eq__``, true only between instances of the same class whose compared
   fields are equal as a tuple, and ``__hash__``, the hash of that tuple;
-- ``__repr__``, ``Name(field=value, ...)`` over the fields shown;
+- ``__repr__``, ``Name(field=value, ...)`` over the fields;
 - assignment and deletion of attributes raising ``AttributeError``.  The
   instance ``__dict__`` stays writable, so ``cached_property`` works.
 
-A method the class defines itself is kept.  ``@record(eq=False)`` leaves
-``==`` and ``hash`` to identity.  Every annotation of the class body is a
-field, so a record declares its class constants without one.
+A method the class defines itself is kept.  Every annotation of the class
+body is a field, so a record declares its class constants without one.
 
 ``__init__``, ``__eq__`` and ``__hash__``, which the engine calls in its
 inner loops, come from one generated source per class, compiled once per
@@ -28,27 +27,19 @@ _MISSING = object()
 
 class Field:
     """A field of a record: ``name``, ``default`` (``_MISSING`` when
-    required), and whether ``==``/``hash`` and ``repr`` read it."""
+    required), and whether ``==`` and ``hash`` read it."""
 
-    __slots__ = ("name", "default", "compare", "repr")
+    __slots__ = ("name", "default", "compare")
 
-    def __init__(self, name, default=_MISSING, compare=True, repr=True):
+    def __init__(self, name, default=_MISSING, compare=True):
         self.name = name
         self.default = default
         self.compare = compare
-        self.repr = repr
 
 
-def field(*, default=_MISSING, compare: bool = True, repr: bool = True) -> Field:
-    """A field's default and flags, given as its class attribute."""
-    return Field(None, default, compare, repr)
-
-
-def record(cls=None, /, *, eq: bool = True):
-    """Class decorator: ``@record`` or ``@record(eq=False)``."""
-    if cls is None:
-        return lambda cls: _build(cls, eq)
-    return _build(cls, eq)
+def field(*, default=_MISSING, compare: bool = True) -> Field:
+    """A field's default and flag, given as its class attribute."""
+    return Field(None, default, compare)
 
 
 def replace(obj, /, **changes):
@@ -64,7 +55,7 @@ def replace(obj, /, **changes):
 
 
 def _repr(self) -> str:
-    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.__record_fields__ if f.repr)
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.__record_fields__)
     return f"{self.__class__.__qualname__}({shown})"
 
 
@@ -79,12 +70,13 @@ def _delete(self, name):
 _CODE: dict = {}  # compiled method sources, by source text
 
 
-def _build(cls, eq: bool):
+def record(cls):
+    """Class decorator: ``cls`` as a record."""
     fields = {f.name: f for f in getattr(cls, "__record_fields__", ())}
     for name in cls.__dict__.get("__annotations__", {}):
         value = cls.__dict__.get(name, _MISSING)
         if isinstance(value, Field):
-            fields[name] = Field(name, value.default, value.compare, value.repr)
+            fields[name] = Field(name, value.default, value.compare)
             if value.default is _MISSING:
                 delattr(cls, name)
             else:
@@ -103,12 +95,12 @@ def _build(cls, eq: bool):
         lines += [f"def __init__(self{params}):", *(body or ["    pass"])]
     compared = [n for n, f in fields.items() if f.compare]
     mine, theirs = ("".join(f"{who}.{n}," for n in compared) for who in ("self", "other"))
-    if eq and "__eq__" not in own:
+    if "__eq__" not in own:
         lines.append("def __eq__(self, other):")
         lines.append("    if other.__class__ is self.__class__:")
         lines.append(f"        return ({mine}) == ({theirs})")
         lines.append("    return NotImplemented")
-    if eq and own.get("__hash__") is None:  # a class defining __eq__ alone has __hash__ None
+    if own.get("__hash__") is None:  # a class defining __eq__ alone has __hash__ None
         lines.append("def __hash__(self):")
         lines.append(f"    return hash(({mine}))")
 

@@ -58,9 +58,9 @@ def evaluate(
     """
     if isinstance(f, PartialConfiguration):
         f = model.configuration(f.as_dict())
-    k = kernel.compile(model)
+    k = kernel.compile(model, options)
     s = k.encode(f)
-    return _compile(phi, options, witnesses)(k, s)
+    return _compile(phi, witnesses)(k, s)
 
 
 def atom_test(k: kernel.Kernel, key):
@@ -99,14 +99,11 @@ class _Walk:
     so far in a call, and the components each one steps to, listed on first
     use."""
 
-    def __init__(self, k: kernel.Kernel, options: Options):
-        self.k, self.options = k, options
+    def __init__(self, k: kernel.Kernel):
+        self.k = k
         self.comp: dict = {}  # state -> component
         self.members: list = []  # component -> its states
         self._after: dict = {}
-
-    def successors(self, g: int):
-        return self.k.successors(g, self.options.self_loops)
 
     def cover(self, s: int) -> int:
         """The component of ``s``, walked from ``s`` if no earlier walk reached
@@ -114,22 +111,23 @@ class _Walk:
         have entered."""
         c = self.comp.get(s)
         if c is None:
-            kernel.components((s,), self.successors, self.comp, self.members, self.options.max_states)
+            k = self.k
+            kernel.components((s,), k.successors, self.comp, self.members, k.options.max_states)
             c = self.comp[s]
         return c
 
     def cyclic(self, c: int) -> bool:
         """Whether component ``c`` has two or more states, or a self-loop."""
         members = self.members[c]
-        return len(members) > 1 or members[0] in self.successors(members[0])
+        return len(members) > 1 or members[0] in self.k.successors(members[0])
 
     def after(self, c: int) -> tuple[int, ...]:
         """The other components that the states of ``c`` step to."""
         out = self._after.get(c)
         if out is None:
-            comp, found = self.comp, {}
+            comp, found, successors = self.comp, {}, self.k.successors
             for g in self.members[c]:
-                for h in self.successors(g):
+                for h in successors(g):
                     found[comp[h]] = None
             found.pop(c, None)
             out = self._after[c] = tuple(found)
@@ -197,26 +195,26 @@ class _Closure:
 
 
 class _Call:
-    """What the closures of one call share: its options, its witness list,
-    and one ``_Walk`` per kernel, shared by every closure subformula."""
+    """What the closures of one call share: its witness list, and one
+    ``_Walk`` per kernel, shared by every closure subformula."""
 
-    def __init__(self, options: Options, witnesses: list | None):
-        self.options, self.witnesses = options, witnesses
+    def __init__(self, witnesses: list | None):
+        self.witnesses = witnesses
         self.walks: dict = {}
 
     def walk(self, k: kernel.Kernel) -> _Walk:
         found = self.walks.get(k)
         if found is None:
-            found = self.walks[k] = _Walk(k, self.options)
+            found = self.walks[k] = _Walk(k)
         return found
 
 
-def _compile(phi: F.Formula, options: Options, witnesses: list | None):
+def _compile(phi: F.Formula, witnesses: list | None):
     """``phi`` as a function ``run(k, s)``: whether state ``s`` of kernel ``k``
     satisfies it.  One fold builds each node's function over its
     subformulas' functions, by the builder of the node's class, and decides
     whether the node is free of witnessing operators."""
-    call = _Call(options, witnesses)
+    call = _Call(witnesses)
 
     def build(node, subs):
         builder = _BUILDERS.get(node.__class__)
@@ -282,12 +280,10 @@ def _search(closure: bool, quantifier):
     ``<>+``.  Any other node searches afresh every time."""
 
     def build(node, call, free, sub):
-        options = call.options
-        loops = options.self_loops
         if not free:
             if closure:
-                return (lambda k, s: quantifier(sub(k, g) for g in k.reachable(s, options))), False
-            return (lambda k, s: quantifier(sub(k, g) for g in k.successors(s, loops))), False
+                return (lambda k, s: quantifier(sub(k, g) for g in k.reachable(s))), False
+            return (lambda k, s: quantifier(sub(k, g) for g in k.successors(s))), False
         table: dict = {}
         if closure:
             box = quantifier is all
@@ -303,7 +299,7 @@ def _search(closure: bool, quantifier):
         def run(k, s):
             found = table.get((k, s))
             if found is None:
-                found = table[k, s] = quantifier(sub(k, g) for g in k.successors(s, loops))
+                found = table[k, s] = quantifier(sub(k, g) for g in k.successors(s))
             return found
 
         return run, True
@@ -316,7 +312,7 @@ def _step(call: _Call, sub, name: str | None = None):
     the variant of ``k`` intervened by ``iv``; the first successor found is
     a witness entry.  Without ``iv``, the step resolves ``name`` in k's
     model, so it is the function of ``<name> sub``."""
-    loops, witnesses = call.options.self_loops, call.witnesses
+    witnesses = call.witnesses
 
     def step(k, s, iv=None) -> bool:
         if iv is None:
@@ -326,7 +322,7 @@ def _step(call: _Call, sub, name: str | None = None):
                     return False
                 raise UnknownNameError(f"unresolved intervention name {name!r}")
         intervened = k.intervened(iv)
-        for g in intervened.successors(s, loops):
+        for g in intervened.successors(s):
             if sub(intervened, g):
                 if witnesses is not None:
                     successor = intervened.decode(g).as_dict()
@@ -358,10 +354,10 @@ def _intervene_exists(node, call, free, sub):
 
 
 def _star(node, call, free, left, right):
-    options, witnesses = call.options, call.witnesses
+    witnesses = call.witnesses
 
     def run(k, s):
-        for split, (lk, ls), (rk, rs) in _decompositions(k, s, options):
+        for split, (lk, ls), (rk, rs) in _decompositions(k, s):
             if left(lk, ls) and right(rk, rs):
                 if witnesses is not None:
                     witnesses.append({"op": "star", "left": list(split.left), "right": list(split.right)})
@@ -390,18 +386,17 @@ _BUILDERS = {
 }
 
 
-def _decompositions(k: kernel.Kernel, s: int, options: Options):
+def _decompositions(k: kernel.Kernel, s: int):
     """Each candidate split of k's model with its two compiled sides and the
     projections of ``s`` onto them.  Built on first use and kept on ``k``:
-    the splits by the trivial-split flag, and per component subset, by its
-    names, the side model, its kernel running k's rules (``Kernel.side``)
-    and its components' positions in k.  A side over every component is k
-    itself, never kept, so k holds no kernel that holds k."""
-    splits = k.splits.get(options.allow_trivial_split)
-    if splits is None:
-        splits = k.splits[options.allow_trivial_split] = candidate_splits(k.model, options)
+    the splits under k's options, and per component subset, by its names,
+    the side model, its kernel running k's rules (``Kernel.side``) and its
+    components' positions in k.  A side over every component is k itself,
+    never kept, so k holds no kernel that holds k."""
+    if not k.splits:
+        k.splits.append(candidate_splits(k.model, k.options))
     digits, sides = k.digits(s), k.sides
-    for split in splits:
+    for split in k.splits[0]:
         found = [split]
         for names in (split.left, split.right):
             if len(names) == len(digits):
@@ -456,6 +451,6 @@ def sat_set(
     model: SystemModel, phi: F.Formula, options: Options = DEFAULT_OPTIONS
 ) -> list[Configuration]:
     """All configurations satisfying ``phi``, enumerated from the domain product."""
-    k = kernel.compile(model)
-    run = _compile(phi, options, None)
-    return [k.decode(s) for s in k.configurations(options) if run(k, s)]
+    k = kernel.compile(model, options)
+    run = _compile(phi, None)
+    return [k.decode(s) for s in k.configurations() if run(k, s)]

@@ -34,6 +34,7 @@ from causalmc.model import (
     CapExceeded,
     Intervention,
     ModelError,
+    Options,
     RuleRow,
     RuleTable,
     apply_intervention,
@@ -348,6 +349,10 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
     lts = _Lts(point, point, [STEP] + sorted(micro.intervention_map), DEFAULT_OPTIONS)
     for kernels in lts.kernels:
         assert kernels == intervention_closure(micro).kernels
+    # the closure's root is the model compiled under the query's options
+    loops = Options(self_loops=True)
+    graph = intervention_closure(micro, loops)
+    assert graph.kernels[0] is compile(micro, loops) and {k.options for k in graph.kernels} == {loops}
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
 
 class ref_Lts:
     def __init__(self, model, point, labels, options):
-        self.graph = intervention_closure(model)
+        self.graph = intervention_closure(model, options)
         edge_map = {(a, name): b for a, name, b in self.graph.edges}
         self.kernels = self.graph.kernels
         self.labels = labels
@@ -369,7 +374,6 @@ class ref_Lts:
         self.atoms = {}
         frontier = [self.root]
         seen = set()
-        loops = options.self_loops
 
         def hold(state):  # the root and every state queued, counted as each is added
             seen.add(state)
@@ -382,12 +386,12 @@ class ref_Lts:
             variant, f = state
             self.atoms[state] = tuple(t(f) for t in tests[variant])
             row = {}
-            row[STEP] = [(variant, g) for g in self.kernels[variant].successors(f, loops)]
+            row[STEP] = [(variant, g) for g in self.kernels[variant].successors(f)]
             for name in labels:
                 if name == STEP:
                     continue
                 tgt = edge_map[(variant, name)]
-                row[name] = [(tgt, g) for g in self.kernels[tgt].successors(f, loops)]
+                row[name] = [(tgt, g) for g in self.kernels[tgt].successors(f)]
             self.moves[state] = row
             for dests in row.values():
                 for s in dests:

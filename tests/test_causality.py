@@ -45,12 +45,12 @@ def micro_query(micro_f1, micro_f2):
 
 
 def test_counterfactual_reachability_cap_names_phase(micro, micro_f1):
-    k = compile(micro)
+    k = compile(micro, Options(max_states=3))
     front = k.index["FrontEnd"]
     # FrontEnd=servingCache is set only by an intervention, never by a step
     effect = [k.places[front] + (k.codes[front]["servingCache"],)]
     with pytest.raises(CapExceeded) as err:
-        _first_effect_reachable(k, k.encode(micro_f1), effect, Options(max_states=3))
+        _first_effect_reachable(k, k.encode(micro_f1), effect)
     assert err.value.what == "counterfactual reachability"
 
 

@@ -49,7 +49,7 @@ class RefEpisode:
         self.model, self.q, self.mode, self.options = model, q, mode, options
         self.verdicts: dict = {}
         self.searches: dict = {}
-        self.k = k = kernel.compile(model)
+        self.k = k = kernel.compile(model, options)
         self.start, self.end = k.encode(q.start), k.encode(q.end)
         self.start_digits, self.end_digits = k.digits(self.start), k.digits(self.end)
         self.effect = [self.place(c) for c in q.effect_components]
@@ -73,7 +73,7 @@ def _ac1(e, cause):
 
     parent: dict = {}
     queue: list = []
-    k, loops, cap = e.k, e.options.self_loops, e.options.max_states
+    k, cap = e.k, e.options.max_states
     counted = set()  # the start and every configuration queued, counted as each is added
 
     def hold(f):
@@ -88,7 +88,7 @@ def _ac1(e, cause):
             hold(state[0])
 
     hold(e.start)
-    for g in k.successors(e.start, loops):
+    for g in k.successors(e.start):
         if admissible(e.start, g):
             push((g, touches_effect(e.start, g)), None)
     i = 0
@@ -103,18 +103,18 @@ def _ac1(e, cause):
                 cursor = parent[cursor]
                 path.append(cursor[0])
             return True, (e.q.start,) + tuple(k.decode(g) for g in reversed(path))
-        for g in k.successors(f, loops):
+        for g in k.successors(f):
             if admissible(f, g):
                 push((g, got_effect or touches_effect(f, g)), state)
     return False, None
 
 
-def ref_first_effect_reachable(k, start, effect, options):
+def ref_first_effect_reachable(k, start, effect):
     """The first state in which every place of ``effect`` holds its code, in
     breadth-first order from the successors of ``start``.  ``start`` is
     marked visited before the search, so it is tested only when it is its
     own successor."""
-    loops, cap = options.self_loops, options.max_states
+    cap = k.options.max_states
     visited: set = set()
 
     def hold(h):
@@ -123,7 +123,7 @@ def ref_first_effect_reachable(k, start, effect, options):
             raise CapExceeded(cap, len(visited), "counterfactual reachability")
 
     hold(start)
-    queue = list(k.successors(start, loops))
+    queue = list(k.successors(start))
     for h in queue:
         hold(h)
     i = 0
@@ -132,7 +132,7 @@ def ref_first_effect_reachable(k, start, effect, options):
         i += 1
         if all(g // w % r == b for w, r, b in effect):
             return g
-        for h in k.successors(g, loops):
+        for h in k.successors(g):
             if h not in visited:
                 queue.append(h)
                 hold(h)
@@ -166,7 +166,7 @@ def _ac2(e, cause):
     def blocked(witness, variant, start: int) -> bool:
         key = (witness, start)
         if key not in e.searches:
-            e.searches[key] = ref_first_effect_reachable(variant, start, e.effect, e.options)
+            e.searches[key] = ref_first_effect_reachable(variant, start, e.effect)
         return e.searches[key] is None
 
     contrast = _raw_contrast(e, devs, blocked)
@@ -527,15 +527,15 @@ def test_counterfactual_search_matches_reference():
         model = random_system_model(rng, max_components=4, max_behaviours=3).with_mode(("async", "sync")[seed % 2])
         k = kernel.compile(model)
         pins = tuple((i, rng.randrange(r)) for i, r in enumerate(k.radices) if rng.random() < 0.5)
-        variant = k.pinned(pins) if pins else k
         for loops, cap in product((False, True), (-1, 0, 1, 2, 3, 5, 100_000)):
-            options = Options(self_loops=loops, max_states=cap)
+            k = kernel.compile(model, Options(self_loops=loops, max_states=cap))
+            variant = k.pinned(pins) if pins else k
             for start in range(k.size):
                 places = rng.sample(range(len(k.radices)), rng.randint(1, len(k.radices)))
                 at_start = rng.random() < 0.6
                 effect = [(w, r, start // w % r if at_start else rng.randrange(r)) for w, r in map(k.places.__getitem__, places)]
-                want = outcome(ref_first_effect_reachable, variant, start, effect, options)
-                assert outcome(engine, variant, start, effect, options) == want
+                want = outcome(ref_first_effect_reachable, variant, start, effect)
+                assert outcome(engine, variant, start, effect) == want
                 if isinstance(want, tuple):
                     outcomes["cap"] += 1
                 elif want is None:
@@ -566,9 +566,9 @@ def search_keys(monkeypatch):
         return variant
 
     def recorded(who, search):
-        def run(k, start, effect, options):
+        def run(k, start, effect):
             keys[who].append((getattr(k, "witness_pins", ()), start))
-            return search(k, start, effect, options)
+            return search(k, start, effect)
 
         return run
 
@@ -656,7 +656,7 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
     made, looked_up = [], []
 
     def counted(who, search):
-        return lambda k, start, effect, options: searched[who].append(start) or search(k, start, effect, options)
+        return lambda k, start, effect: searched[who].append(start) or search(k, start, effect)
 
     class Kept(causality._Kept):
         def __init__(self, rest):
@@ -695,15 +695,15 @@ def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, 
     chain query with max-len 4, and of a five-leaf benchmark fan-in's chain
     query with max-len 3: the states expanded and the effect searches run
     are pinned, so a faster kernel shows it does the same work at a lower
-    cost, and no state of a kernel is expanded twice for one self-loops
-    setting.  The faulted chain's direct link is certified, so every longer
-    chain has a certified shortcut and is pruned; without the prune the
-    query ran 74,455 effect searches.  With ``{FrontEnd}``, and on the
+    cost, and no state of a kernel is expanded twice.  The faulted chain's
+    direct link is certified, so every longer chain has a certified
+    shortcut and is pruned; without the prune the query ran 74,455 effect
+    searches.  With ``{FrontEnd}``, and on the
     fan-in, the direct link is certified too, so the three-waypoint pass
     takes no last middle; before that rule they ran 244 and 4,774."""
     expansions, searches = [], []
     expand, search = kernel.Kernel._expand, causality._first_effect_reachable
-    monkeypatch.setattr(kernel.Kernel, "_expand", lambda k, s, loops: expansions.append((k, s, loops)) or expand(k, s, loops))
+    monkeypatch.setattr(kernel.Kernel, "_expand", lambda k, s: expansions.append((k, s)) or expand(k, s))
     monkeypatch.setattr(causality, "_first_effect_reachable", lambda *args: searches.append(args[:2]) or search(*args))
     if query.startswith("micro"):
         effect = ("FrontEnd",) if query == "micro effect chain" else None
@@ -815,10 +815,10 @@ def test_chain_links_share_clamped_variants_and_verdicts(monkeypatch, micro, mic
     searched, pinned, looked_up = [], [], []
     search, pin = causality._first_effect_reachable, kernel.Kernel.pinned
 
-    def counted(k, start, effect, options):
+    def counted(k, start, effect):
         clamp = tuple((i, rule) for i, rule in enumerate(k.rules) if rule.__class__ is int)
         searched.append((clamp, start, tuple(effect)))
-        return search(k, start, effect, options)
+        return search(k, start, effect)
 
     monkeypatch.setattr(causality, "_first_effect_reachable", counted)
     monkeypatch.setattr(kernel.Kernel, "pinned", lambda k, pins: pinned.append(pins) or pin(k, pins))
@@ -842,13 +842,13 @@ def _changed_components(a, b):
 def _certify_link(model, a, b, effect_components, mode, options, shared=None):
     """First (canonically smallest) certified cause of b from a, or None;
     the link's episode shares ``shared``, or a fresh table, with the query."""
-    k = kernel.compile(model)
-    if a == b or k.encode(b) not in k.reachable(k.encode(a), options):
+    k = kernel.compile(model, options)
+    if a == b or k.encode(b) not in k.reachable(k.encode(a)):
         return None
     effect = effect_components or _changed_components(a, b)
     if not effect:
         return None
-    shared = shared or causality._Shared(mode, options)
+    shared = shared or causality._Shared(mode)
     return next(causality._certified_causes(k, k.encode(a), k.encode(b), tuple(effect), shared), None)
 
 
@@ -879,14 +879,14 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
                 return False
         return True
 
-    k = kernel.compile(model)
+    k = kernel.compile(model, options)
     start, end = k.encode(f_start), k.encode(f_end)
-    forward = k.reachable(start, options)
+    forward = k.reachable(start)
     if end not in forward:
         return []
 
     out = []
-    middles = [k.decode(g) for g in forward if g not in (start, end) and end in k.reachable(g, options)]
+    middles = [k.decode(g) for g in forward if g not in (start, end) and end in k.reachable(g)]
 
     def emit(seq):
         links = tuple(
@@ -1108,9 +1108,9 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
     seq = chain.configurations
     for g in seq:
         model.validate_configuration(g)
-    shared = causality._Shared(mode, options)
+    shared = causality._Shared(mode)
     link_cause_union = []
-    k = kernel.compile(model)
+    k = kernel.compile(model, options)
     for i in range(len(seq) - 1):
         union = {}
         a, b = k.encode(seq[i]), k.encode(seq[i + 1])
@@ -1125,7 +1125,7 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
     if not overlaps:
         recerts = []
         for i in range(len(seq) - 1):
-            if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
+            if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i])):
                 return causality.ChainClassification(
                     verdict="indeterminate",
                     detail=f"no cause overlap, but link {i} is no longer realizable after {iv.name}",
@@ -1149,7 +1149,7 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
         )
 
     for i in overlaps:
-        if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i]), options):
+        if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i])):
             return causality.ChainClassification(
                 verdict="disrupted",
                 detail=f"link {i} overlaps targets of {iv.name} and is invalidated",
@@ -1178,7 +1178,7 @@ def _classification_cases(model, chains, options):
 
 def _verdict(classify, model, chain, iv, options):
     try:
-        return classify(model, chain, iv, options=options).to_dict()
+        return classify(model, chain, iv, options=options)
     except CapExceeded as err:
         return ("cap", err.cap, err.size, err.what)
 
@@ -1197,7 +1197,7 @@ def test_classification_matches_reference(micro, micro_f1, micro_f2):
     for case in cases:
         got = _verdict(causality.classify_intervention_effect, *case)
         assert got == _verdict(ref_classify_intervention_effect, *case)
-        kind = "cap" if isinstance(got, tuple) else got["verdict"]
+        kind = "cap" if isinstance(got, tuple) else got.verdict
         tally[kind] = tally.get(kind, 0) + 1
         if case[0] is micro and case[2].name == "thetaLog" and case[3].max_states > 3:
             log.add(kind)

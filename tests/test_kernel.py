@@ -121,23 +121,26 @@ def _outcome(search):
         return ("cap", exc.cap, exc.size, exc.what, str(exc))
 
 
-def _agree(ref_model, kernel, starts, rng):
+def _agree(ref_model, make, starts, rng):
     """Successor and reachable lists in identical order, and the same cap
-    overrun, also when the capped search is a memo hit."""
+    overrun, also when the capped search is asked again of the same kernel.
+    ``make(options)`` is the kernel under test, compiled under ``options``."""
     for self_loops in (False, True):
         options = Options(self_loops=self_loops)
+        kernel = make(options)
         for f in starts:
             s = kernel.encode(f)
-            got = [kernel.decode(g) for g in kernel.successors(s, self_loops)]
+            got = [kernel.decode(g) for g in kernel.successors(s)]
             assert got == ref_successors(ref_model, f, options)
             want = ref_reachable(ref_model, f, options)
-            assert [kernel.decode(g) for g in kernel.reachable(s, options)] == want
+            assert [kernel.decode(g) for g in kernel.reachable(s)] == want
             held = len(want) + (f not in want)  # the start counts towards the cap
             for cap in {-1, held - 1, held, rng.randrange(held + 1)}:
-                capped = Options(self_loops=self_loops, max_states=cap)
-                assert _outcome(lambda: [kernel.decode(g) for g in kernel.reachable(s, capped)]) == _outcome(
-                    lambda: ref_reachable(ref_model, f, capped)
-                )
+                capped = make(Options(self_loops=self_loops, max_states=cap))
+                for _ in range(2):  # the second search is a memo hit when the first fitted
+                    assert _outcome(lambda: [capped.decode(g) for g in capped.reachable(s)]) == _outcome(
+                        lambda: ref_reachable(ref_model, f, capped.options)
+                    )
 
 
 def _models(count):
@@ -153,7 +156,7 @@ def _starts(rng, model, n=4):
 
 def test_kernel_matches_reference_on_random_models():
     for rng, model in _models(240):
-        _agree(model, compile(model), _starts(rng, model), rng)
+        _agree(model, lambda options: compile(model, options), _starts(rng, model), rng)
 
 
 def test_public_functions_match_reference():
@@ -172,7 +175,7 @@ def test_partial_models_with_free_components_match_reference():
             for side in conjugate_decompose(model, split):
                 if side.partial:
                     sides += 1
-                    _agree(side, compile(side), _starts(rng, side, 2), rng)
+                    _agree(side, lambda options: compile(side, options), _starts(rng, side, 2), rng)
     assert sides > 100
 
 
@@ -184,7 +187,7 @@ def test_clamped_variants_match_apply_intervention():
         kernel = compile(model)
         pins = tuple((kernel.index[t], kernel.codes[kernel.index[t]][values[t]]) for t in targets)
         ref_model = apply_intervention(model, clamping_intervention(model, targets, values))
-        _agree(ref_model, kernel.pinned(pins), _starts(rng, model, 3), rng)
+        _agree(ref_model, lambda options: compile(model, options).pinned(pins), _starts(rng, model, 3), rng)
 
 
 def test_intervened_variants_share_untouched_tables(micro, micro_f1):
@@ -196,7 +199,11 @@ def test_intervened_variants_share_untouched_tables(micro, micro_f1):
     target = kernel.index["UserDB"]
     for i, (a, b) in enumerate(zip(kernel.rules, variant.rules)):
         assert (a is b) == (i != target)
-    _agree(apply_intervention(micro, iv), variant, [micro_f1], random.Random(0))
+
+    def intervened(options):
+        return compile(micro, options).intervened(iv)
+
+    _agree(apply_intervention(micro, iv), intervened, [micro_f1], random.Random(0))
 
 
 def test_a_variant_is_a_kernel_over_the_model_it_was_made_from(micro):
@@ -264,8 +271,32 @@ def test_enumeration_order_is_state_order():
 
 
 def test_compile_is_cached_per_instance(micro):
-    assert compile(micro) is compile(micro)
+    """A model holds one kernel, that of the options it was last compiled
+    under; its variants run under the same options."""
+    k = compile(micro)
+    assert compile(micro, Options()) is k
+    loops = compile(micro, Options(self_loops=True))
+    assert loops is not k and loops.options == Options(self_loops=True)
+    assert compile(micro, Options(self_loops=True)) is loops
+    assert loops.intervened(micro.intervention_map["theta1"]).options is loops.options
+    assert loops.pinned(((0, 1),)).options is loops.options
+    assert compile(micro) is not k and compile(micro) is compile(micro)
     assert compile(micro.with_mode("sync")) is not compile(micro)
+
+
+def test_answers_do_not_depend_on_the_options_compiled_before(micro, micro_f1):
+    """Alternating options on one model instance recompiles its kernel each
+    time; every answer equals that of a fresh instance, and a kernel a
+    caller still holds keeps its own options and memos."""
+    loops = Options(self_loops=True)
+    held = compile(micro, loops)
+    phi = F.DiamondPlus(F.Atom("phi_fail"))
+    for options in (Options(), loops, Options(max_states=3), Options(), loops):
+        fresh = replace(micro)
+        for run in (lambda m: reachable(m, micro_f1, options), lambda m: evaluate(m, micro_f1, phi, options)):
+            assert _outcome(lambda: run(micro)) == _outcome(lambda: run(fresh))
+    assert held.options == loops
+    assert [held.decode(g) for g in held.successors(held.encode(micro_f1))] == successors(replace(micro), micro_f1, loops)
 
 
 @pytest.mark.parametrize("path", ["src/causalmc/hp.py", "tests/oracle.py"])

@@ -80,7 +80,7 @@ def ref_decompositions(k, s, options):
     digits = k.digits(s)
     for split, models in ref_sides(k.model, options.allow_trivial_split):
         # a side over every component is the model itself, and shares its walks
-        sides = [k if m.component_order == k.names else kernel.compile(m) for m in models]
+        sides = [k if m.component_order == k.names else kernel.compile(m, options) for m in models]
         yield (split,) + tuple(
             (side, sum(digits[k.index[c]] * w for c, w in zip(side.names, side.weights))) for side in sides
         )
@@ -98,10 +98,12 @@ def ref_closure(k, s, phi, options, walked):
     every walk of the call has entered, and asked at a state outside them it
     walks that state and all it reaches, raising when they hold more than
     the cap.  Any other closure searches from ``s`` alone.  (``walked`` also
-    keeps the call's intervened models, by kernel and intervention.)"""
+    keeps the call's intervened models, by kernel and intervention.)  A
+    walk from ``s`` holds every state of the search from ``s``, so where
+    that search overruns the cap, so does the walk, with the same overrun."""
+    states = k.reachable(s)
     if not witness_free(phi):
-        return k.reachable(s, options)
-    states = k.reachable(s, replace(options, max_states=sys.maxsize))
+        return states
     held = walked.setdefault(k, set())
     if s not in held:
         held.add(s)
@@ -111,9 +113,9 @@ def ref_closure(k, s, phi, options, walked):
     return states
 
 
-def ref_sat_set(k, phi, options):
-    walked: dict = {}
-    return [k.decode(s) for s in k.configurations(options) if ref_eval(k, s, phi, options, None, walked)]
+def ref_sat_set(model, phi, options):
+    k, walked = kernel.compile(model, options), {}
+    return [k.decode(s) for s in k.configurations() if ref_eval(k, s, phi, options, None, walked)]
 
 
 def ref_eval(k, s, phi, options, witnesses, walked) -> bool:
@@ -144,10 +146,10 @@ def ref_eval(k, s, phi, options, witnesses, walked) -> bool:
             k, s, phi.right, options, witnesses, walked
         )
     if isinstance(phi, F.Box):
-        states = k.successors(s, options.self_loops)
+        states = k.successors(s)
         return all(ref_eval(k, g, phi.sub, options, witnesses, walked) for g in states)
     if isinstance(phi, F.Diamond):
-        states = k.successors(s, options.self_loops)
+        states = k.successors(s)
         return any(ref_eval(k, g, phi.sub, options, witnesses, walked) for g in states)
     if isinstance(phi, F.BoxPlus):
         states = ref_closure(k, s, phi, options, walked)
@@ -167,8 +169,8 @@ def ref_eval(k, s, phi, options, witnesses, walked) -> bool:
         model = walked.get((k, iv))
         if model is None:
             model = walked[k, iv] = apply_intervention(k.model, iv)
-        intervened = kernel.compile(model)
-        for g in intervened.successors(s, options.self_loops):
+        intervened = kernel.compile(model, options)
+        for g in intervened.successors(s):
             if ref_eval(intervened, g, phi.sub, options, witnesses, walked):
                 if witnesses is not None:
                     successor = intervened.decode(g).as_dict()
@@ -231,7 +233,7 @@ def _outcome(run):
 
 
 def _agree(model, f, phi, options, tally):
-    k = kernel.compile(model)
+    k = kernel.compile(model, options)
     got = _outcome(lambda w: evaluate(model, f, phi, options, w))
     want = _outcome(lambda w: ref_eval(k, k.encode(f), phi, options, w, {}))
     assert got == want, F.pretty(phi)
@@ -266,10 +268,9 @@ def test_evaluate_matches_reference_on_random_models():
 
 def test_sat_set_matches_reference():
     for rng, model, options in _cases(80):
-        k = kernel.compile(model)
         for _ in range(3):
             phi = random_formula(rng, model, 3)
-            want = _outcome(lambda w: ref_sat_set(k, phi, options))
+            want = _outcome(lambda w: ref_sat_set(model, phi, options))
             assert _outcome(lambda w: sat_set(model, phi, options)) == want
 
 
@@ -327,14 +328,13 @@ def test_nested_closures_match_reference():
     tally = {"witnessed": 0, "cap": 0, "true": 0}
     seen = set()
     for rng, model, options in _cases(160):
-        k = kernel.compile(model)
         capped = Options(options.self_loops, options.allow_trivial_split, max_states=rng.choice((0, 1, 2, 3, 5)))
         for _ in range(4):
             phi = nested_closure(rng, model, rng.randint(3, 6))
             f = random_configuration(rng, model)
             for opts in (options, capped):
                 _agree(model, f, phi, opts, tally)
-                want = _outcome(lambda w: ref_sat_set(k, phi, opts))
+                want = _outcome(lambda w: ref_sat_set(model, phi, opts))
                 assert _outcome(lambda w: sat_set(model, phi, opts)) == want, F.pretty(phi)
             seen.add(options.self_loops)
     assert seen == {False, True}
@@ -365,9 +365,9 @@ def _count_walks(monkeypatch) -> dict:
         calls["walks"] += 1
         return walk(*args)
 
-    def searched(self, s, options):
+    def searched(self, s):
         calls["searches"] += 1
-        return search(self, s, options)
+        return search(self, s)
 
     monkeypatch.setattr(kernel, "components", walked)
     monkeypatch.setattr(kernel.Kernel, "reachable", searched)
@@ -448,7 +448,7 @@ def test_star_under_an_intervention_builds_its_own_sides():
     for phi in (F.Or(star, F.Intervene(pin, star)), F.And(F.Not(star), F.Intervene(pin, star))):
         model = replace(doc.model)  # a fresh instance: no sides from an earlier formula
         k = kernel.compile(model)
-        for s in k.configurations(Options()):
+        for s in k.configurations():
             _agree(model, k.decode(s), phi, Options(), tally)
     assert tally["true"] > 0 and tally["witnessed"] > 0
 

@@ -2,7 +2,7 @@
 
 Every record class of the package is compared with a frozen dataclass
 mirror built by ``dataclasses.make_dataclass``, with the same field names,
-defaults and ``compare``/``repr`` flags (and the same ``__post_init__``).
+defaults and ``compare`` flags (and the same ``__post_init__``).
 On sample values the two must give the same ``==`` results, hashes,
 ``repr`` text and ``replace`` results.  The package itself never imports
 ``dataclasses``; ``test_startup.py`` checks that.
@@ -45,7 +45,7 @@ def mirror(cls: type) -> type:
     """A frozen dataclass with ``cls``'s fields, flags and ``__post_init__``."""
     specs = []
     for f in cls.__record_fields__:
-        flags = dict(compare=f.compare, repr=f.repr)
+        flags = dict(compare=f.compare)
         if f.default is not records._MISSING:
             flags["default"] = f.default
         specs.append((f.name, object, dataclasses.field(**flags)))
@@ -166,7 +166,7 @@ def test_methods_a_class_defines_are_kept():
     class Point:
         x: int
         y: int = 0
-        scale: int = records.field(default=1, compare=False, repr=False)
+        scale: int = records.field(default=1, compare=False)
 
         def __repr__(self):
             return f"<{self.x}, {self.y}>"

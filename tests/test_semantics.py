@@ -22,7 +22,7 @@ def seeded(seed, **kw):
 def configurations(m):
     """Every configuration of ``m``, in enumeration order."""
     k = kernel.compile(m)
-    return [k.decode(s) for s in k.configurations(Options())]
+    return [k.decode(s) for s in k.configurations()]
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,55 @@ def test_out_of_domain_atom_false_on_partial_model(ex1, ex1_doc):
     f = left.configuration({"c1": "b12", "c2": "b22"})
     assert not evaluate(left, f, F.BehaviourAtom("c3", "b31"))
     assert evaluate(left, f, F.BehaviourAtom("c2", "b22"))
+
+
+SIDES = """async
+component p {
+  domain x y
+  rule x -> y
+}
+component q {
+  domain u v
+  context p
+  rule u (y) -> v
+}
+component r {
+  domain m n
+  rule m -> n
+}
+config f = (p=x, q=u, r=m)
+config g = (p=y, q=v, r=m)
+config h = (p=x, q=u, r=n)
+atom a = { f g }
+"""
+
+
+def test_extension_atom_holds_at_its_projections_on_a_side():
+    """On a side of a split, ``atom a = { f g }`` holds at the projections of
+    f and g there: on the sides of {p q} | {r}, at (p=x, q=u) and (p=y, q=v)
+    on the left, and at (r=m), the projection of both, on the right.  That
+    split comes first in canonical order, so it is the witness of a ``*``
+    whose left side reads ``a`` at f.  At h, ``a`` fails in the whole model
+    and holds on the left side only."""
+    from causalmc.dsl import parse_model
+    from causalmc.model import InterfaceSplit, conjugate_decompose
+
+    doc = parse_model(SIDES)
+    model, a = doc.model, F.Atom("a")
+    left, right = conjugate_decompose(model, InterfaceSplit(("p", "q"), ("r",)))
+    on_left = (left.configuration({"p": "x", "q": "u"}), left.configuration({"p": "y", "q": "v"}))
+    assert left.atom_map["a"].extension == on_left
+    assert right.atom_map["a"].extension == (right.configuration({"r": "m"}),)
+    assert [evaluate(left, g, a) for g in on_left] == [True, True]
+    assert not evaluate(left, left.configuration({"p": "y", "q": "u"}), a)
+    assert [evaluate(right, right.configuration({"r": b}), a) for b in ("m", "n")] == [True, False]
+    f, h = doc.configuration("f"), doc.configuration("h")
+    witnesses: list = []
+    assert evaluate(model, f, F.Star(a, F.TRUE), witnesses=witnesses)
+    assert witnesses == [{"op": "star", "left": ["p", "q"], "right": ["r"]}]
+    assert not evaluate(model, h, a)
+    assert evaluate(model, h, F.Star(a, F.Not(a)))
+    assert not evaluate(model, h, F.Star(a, a))
 
 
 @settings(max_examples=25, deadline=None)
