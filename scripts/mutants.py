@@ -3,7 +3,8 @@
 positions, successor expansion and the state cap, the one kernel a model
 keeps for its options, the rule-table lookup, intervened variants, closure
 labelling and interface splits with their sides and side atoms, chain
-search, cause search, bisimulation, the document lookups stanzas resolve
+search, cause search and its shared AC1 searches, intervention
+classification, bisimulation, the document lookups stanzas resolve
 against, and the methods ``records`` writes for the value classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
@@ -55,6 +56,8 @@ ORDER = "tests/test_cause_search.py::test_cause_searches_run_in_the_reference_or
 COUNTS = "tests/test_cause_search.py::test_search_counts_on_a_spontaneous_pipeline"
 BISIM_REFERENCE = "tests/test_bisim.py::test_check_bisim_matches_tuple_keyed_reference"
 RECORD_MIRRORS = "tests/test_records.py::test_record_behaves_as_its_dataclass_mirror"
+AC1_REUSE = "tests/test_cause_search.py::test_ac1_reuses_a_search_only_where_it_would_run_alike"
+CLASSIFY = "tests/test_cause_search.py::test_classification_matches_reference"
 
 MUTANTS = (
     Mutant(
@@ -147,6 +150,27 @@ MUTANTS = (
         "self.items.append(item)",
         "pass",
         (COUNTS,),
+    ),
+    Mutant(
+        "AC1 reuses a search whatever the held bits",
+        CAUSALITY,
+        "if held & seen == kept:",
+        "if True:",
+        (AC1_REUSE,),
+    ),
+    Mutant(
+        "AC1's lost bits skip the start state",
+        CAUSALITY,
+        "seen |= lost_here",
+        "seen |= lost_here if f != e.start else 0",
+        (AC1_REUSE,),
+    ),
+    Mutant(
+        "preserved chain re-certified on the model",
+        CAUSALITY,
+        "found = links[states[i], states[i + 1], effects[i]]",
+        "found = _Links(k, shared)[states[i], states[i + 1], effects[i]]",
+        (CLASSIFY,),
     ),
     Mutant(
         "right side's lists numbered from 0",

@@ -175,22 +175,26 @@ class _Verdicts(dict):
 class _Episode:
     """One cause query on kernel ``k``, from state ``start`` to state ``end``
     (both already validated): the effect as (weight, radix, code) places of
-    the effect components, and what every candidate checked against the
-    query shares: the clause verdicts of each subset, found by ``clauses``,
-    the marks and AC1 edges of each state, each witness set's ``_Verdicts``
-    and base, found by ``witness``, and by first-deviation offset the
-    witness sets not yet known to fail there, found by ``untried``.  The
-    mode, clamped variants and verdicts live in the query's ``_Shared``
-    table, so they go with the query."""
+    the effect components, the components a cause is drawn from, those
+    outside the effect, and what every candidate checked against the query
+    shares: the clause verdicts of each subset, found by ``clauses``, the
+    marks and AC1 edges of each state, the AC1 path searches run, kept in
+    ``runs`` by ``_ac1``, each witness set's ``_Verdicts`` and base, found by
+    ``witness``, and by first-deviation offset the witness sets not yet
+    known to fail there, found by ``untried``.  The mode, clamped variants
+    and verdicts live in the query's ``_Shared`` table, so they go with the
+    query."""
 
     def __init__(self, k, start: int, end: int, effect_components, shared: _Shared):
         self.k, self.start, self.end, self.shared = k, start, end, shared
+        self.candidates = tuple(n for n in k.names if n not in effect_components)
         self.verdicts: dict = {}
+        self.runs: list = []  # AC1 searches: (end-mask bits their edges lose, held & those bits, path or None)
         self.witnesses: dict = {}  # witness set's component mask -> its _Verdicts and base state
         self.untried_sets: dict = {}  # first-deviation offset -> its kept witness masks
         self.start_digits, self.end_digits = k.digits(start), k.digits(end)
         self.effect = tuple(k.places[i] + (self.end_digits[i],) for i in map(k.position, effect_components))
-        # state -> (end mask, effect key); state -> AC1 edge triples
+        # state -> (end mask, effect key); state -> (bits its edges lose, AC1 edge triples)
         self.state_marks, self.state_edges = shared.ac1.setdefault((k, self.end, self.effect), ({}, {}))
 
     def marks(self, s: int) -> tuple[int, int]:
@@ -202,17 +206,22 @@ class _Episode:
             found = self.state_marks[s] = (mask, sum(s // w % r * w for w, r, _ in self.effect))
         return found
 
-    def edges(self, s: int) -> tuple[tuple[int, int, bool], ...]:
-        """``s``'s successors, each with the end-mask bits the edge loses and
-        whether it changes the effect key."""
+    def edges(self, s: int) -> tuple[int, tuple[tuple[int, int, bool], ...]]:
+        """The union of the end-mask bits ``s``'s edges lose, and ``s``'s
+        successors, each with the end-mask bits the edge loses and whether
+        it changes the effect key."""
         found = self.state_edges.get(s)
         if found is None:
             mask, key = self.marks(s)
-            found = self.state_edges[s] = tuple(
+            triples = tuple(
                 (g, mask & ~to_mask, key != to_key)
                 for g in self.k.successors(s)
                 for to_mask, to_key in (self.marks(g),)
             )
+            lost = 0
+            for _, bits, _ in triples:
+                lost |= bits
+            found = self.state_edges[s] = (lost, triples)
         return found
 
     def clauses(self, subset) -> tuple:
@@ -298,42 +307,53 @@ def _ac1(e: _Episode, cause):
     contains an effect-component update.  Both tests read the edge's
     triple: the end-mask bits it loses and whether it changes the effect.
     The path is returned as states, start first; None when there is none.
+
+    A search reads the candidate's held mask only through ``held & lost``,
+    so it is fixed by the held bits among those lost by the edges of the
+    states it expands.  The episode keeps each search that finished with
+    that union of lost bits, the held bits among them and its path; a
+    candidate whose held mask agrees with a kept search on its bits takes
+    that search's path, since its own search would test every edge alike,
+    expand the same states, count the same configurations against the cap
+    and return the same path.  A search that overruns the cap ends the
+    query, so it is never kept.  So AC1 runs one search per episode on the
+    benchmark's fan-in trees and pipelines, where it ran one per candidate.
     """
     held = sum(1 << e.k.index[c] for c in cause)
     if e.shared.mode == "strict" and held & ~e.marks(e.start)[0]:
         return None
+    for seen, kept, path in e.runs:
+        if held & seen == kept:
+            return path
 
-    parent: dict = {}
-    queue: list = []
+    start = (e.start, False)
+    parent: dict = {start: None}
+    queue = [start]
     visited = {e.start}  # configurations met: the cap counts these, not pairs
-    edges, cap = e.edges, e.k.options.max_states
-
-    def expand(f: int, got_effect: bool, via) -> None:
-        for g, lost, changed in edges(f):
+    seen, path, edges, cap = 0, None, e.edges, e.k.options.max_states
+    for state in queue:  # grows as it is walked
+        f, got_effect = state
+        if f == e.end and got_effect:
+            path = []
+            while state is not None:
+                path.append(state[0])
+                state = parent[state]
+            path = tuple(reversed(path))
+            break
+        lost_here, out = edges(f)
+        seen |= lost_here
+        for g, lost, changed in out:
             if held & lost:  # a candidate at its end behaviour in f must keep it
                 continue
-            state = (g, got_effect or changed)
-            if state not in parent:
-                parent[state] = via
-                queue.append(state)
+            reached = (g, got_effect or changed)
+            if reached not in parent:
+                parent[reached] = state
+                queue.append(reached)
                 visited.add(g)
         if len(visited) > cap:
             exceeded(cap, "AC1 path search")
-
-    expand(e.start, False, None)
-    i = 0
-    while i < len(queue):
-        state = queue[i]
-        f, got_effect = state
-        i += 1
-        if f == e.end and got_effect:
-            path = [f]
-            while parent[state] is not None:
-                state = parent[state]
-                path.append(state[0])
-            return (e.start,) + tuple(reversed(path))
-        expand(f, got_effect, state)
-    return None
+    e.runs.append((seen, held & seen, path))
+    return path
 
 
 def _first_effect_reachable(k, start: int, effect) -> int | None:
@@ -456,16 +476,15 @@ def find_causes(
     itself, which certifies nothing.
     """
     k = kernel.compile(model, options)
-    return list(_certified_causes(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode)))
+    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode))
+    return list(_certified_causes(e))
 
 
-def _certified_causes(k, start: int, end: int, effect_components, shared: _Shared):
-    """Inclusion-minimal certified causes from state ``start`` to ``end`` of ``k``, in canonical order, lazily."""
-    e = _Episode(k, start, end, effect_components, shared)
-    names = tuple(n for n in k.names if n not in effect_components)
+def _certified_causes(e: _Episode):
+    """Inclusion-minimal certified causes of episode ``e``, in canonical order, lazily."""
     certified: list[CauseCertificate] = []
-    for size in range(1, len(names) + 1):
-        for cand in combinations(names, size):
+    for size in range(1, len(e.candidates) + 1):
+        for cand in combinations(e.candidates, size):
             if any(set(c.cause_set) < set(cand) for c in certified):
                 continue
             path, _, witness = e.clauses(cand)
@@ -554,7 +573,7 @@ class _Links(dict):
         if a != b and self.realizable(a, b):
             k = self.k
             effect = effect or tuple(n for n, x, y in zip(k.names, k.digits(a), k.digits(b)) if x != y)
-            cert = next(_certified_causes(k, a, b, effect, self.shared), None)
+            cert = next(_certified_causes(_Episode(k, a, b, effect, self.shared)), None)
             if cert is not None:
                 found = ChainLink(effect_components=effect, certificate=cert)
         self[key] = found
@@ -723,7 +742,7 @@ def classify_intervention_effect(
     link_cause_union: list[tuple[str, ...]] = []
     for i in range(len(seq) - 1):
         union: dict[str, None] = {}
-        for cert in _certified_causes(k, states[i], states[i + 1], effects[i], shared):
+        for cert in _certified_causes(_Episode(k, states[i], states[i + 1], effects[i], shared)):
             for c in cert.cause_set:
                 union[c] = None
         link_cause_union.append(tuple(union))

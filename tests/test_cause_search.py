@@ -12,14 +12,20 @@ each configuration is added, the start included.
 Certificates, their order and cap overruns (cap, size, phase) must agree
 exactly, and so must the sequence of effect searches, as (witness pins,
 start state) keys (``assert_same_searches``), though the engine skips the
-witness sets it already knows to fail.  ``_changed_components``,
-``_certify_link`` and ``ref_classify_intervention_effect`` are copies of
-the link rule and of intervention classification as they were on
-configurations, before links became one table on state numbers; chains and
-classifications must agree with them.  ``ref_find_causal_chains`` tries every permutation and keeps no
-prune; the engine's chain search may only remove link certifications and
-cap overruns from its work (``assert_prune_only_removes_work``), on random
-models and on ``staged`` runs, whose chains pass several waypoints.
+witness sets it already knows to fail.  The AC1 path of every candidate
+subset of an episode, visited in the search's order and in a shuffled
+one, must equal ``_ac1``'s, though the engine runs one path search for
+all the candidates that agree on the end-state bits it examines.
+``_changed_components``, ``_certify_link`` and
+``ref_classify_intervention_effect`` are copies of the link rule and of
+intervention classification as they were on configurations, before links
+became one table on state numbers; the reference re-certifies a
+preserved chain on the intervened model.  Chains and classifications
+must agree with them.  ``ref_find_causal_chains`` tries every
+permutation and keeps no prune; the engine's chain search may only
+remove link certifications and cap overruns from its work
+(``assert_prune_only_removes_work``), on random models and on ``staged``
+runs, whose chains pass several waypoints.
 """
 
 import random
@@ -41,7 +47,21 @@ from causalmc.causality import (
 )
 from causalmc.dsl import parse_model
 from causalmc.generate import random_configuration, random_system_model
-from causalmc.model import CapExceeded, Configuration, ModelError, Options, clamping_intervention, reachable
+from causalmc.model import (
+    CapExceeded,
+    Configuration,
+    ModelError,
+    Options,
+    apply_intervention,
+    clamping_intervention,
+    reachable,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+try:
+    import families
+finally:
+    sys.path.pop(0)
 
 
 class RefEpisode:
@@ -548,6 +568,31 @@ def test_counterfactual_search_matches_reference():
     assert min(outcomes.values()) > 20, outcomes
 
 
+def test_ac1_reuses_a_search_only_where_it_would_run_alike():
+    """AC1 paths of every candidate subset of an episode, against the
+    reference's search run afresh for each: first the subsets of the
+    components outside the effect, in the order ``_certified_causes`` meets
+    them, then, on a new episode, every subset in a seeded shuffled order,
+    so a search is reused by candidates of other sizes and orders.  Most
+    candidates reuse a kept search, and some episodes keep several."""
+    tally = Counter()
+    rng = random.Random(0)
+    for model, q, mode, options in CASES + STRUCTURED:
+        ref = RefEpisode(model, q, mode, options)
+        names = model.component_order
+        everything = [c for n in range(1, len(names) + 1) for c in combinations(names, n)]
+        outside = [c for c in everything if not set(c) & set(q.effect_components)]
+        for order in (outside, rng.sample(everything, len(everything))):
+            e = causality._Episode(ref.k, ref.start, ref.end, q.effect_components, causality._Shared(mode))
+            for cand in order:
+                path = e.clauses(cand)[0]
+                assert (None if path is None else tuple(map(ref.k.decode, path))) == _ac1(ref, cand)[1], cand
+            tally.update(candidates=len(order), runs=len(e.runs))
+            tally[model.mode, "several"] += len(e.runs) > 1
+    assert tally["runs"] * 4 < tally["candidates"], tally
+    assert tally["async", "several"] > 20 and tally["sync", "several"] > 20, tally
+
+
 # ---------------------------------------------------------------------------
 # the order of effect searches
 
@@ -710,11 +755,6 @@ def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, 
         chains = causality.find_causal_chains(replace(micro), micro_f1, micro_f2, 3, effect)  # a copy, compiled afresh
         assert len(chains) == (1 if effect else 4)
     else:
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-        try:
-            import families
-        finally:
-            sys.path.pop(0)
         if query == "fan-in chain":
             text, names = families.fanin(random.Random(7), 5, 1)
         else:
@@ -732,14 +772,26 @@ def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, 
     assert len(searches) == searched
 
 
+def test_ac1_searches_are_pinned(micro, micro_f1, micro_f2):
+    """A cause query's AC1 path searches, counted from its episode's kept
+    searches: the benchmark's five-leaf fan-in tree with one faulty leaf
+    checks 32 candidates on one search, and micro from f1 to f2 with effect
+    ``{FrontEnd}`` checks 8 on two."""
+    text, names = families.fanin(random.Random(7), 5, 1)
+    doc = parse_model(text)
+    fanin_q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (names["comps"][-1],))
+    micro_q = CauseQuery(micro_f1, micro_f2, ("FrontEnd",))
+    for model, q, candidates, runs in ((doc.model, fanin_q, 32, 1), (micro, micro_q, 8, 2)):
+        k = kernel.compile(model)
+        e = causality._Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, causality._Shared("example"))
+        certs = list(causality._certified_causes(e))
+        assert [c.to_dict() for c in certs] == [c.to_dict() for c in find_causes(model, q)] != []
+        assert (len(e.verdicts), len(e.runs)) == (candidates, runs)
+
+
 def _family_queries(micro, micro_f1, micro_f2):
     """Benchmark pipelines of six stages with and without a fault, fan-in
     trees with one and two faulty leaves, and micro from f1 to f2."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import families
-    finally:
-        sys.path.pop(0)
     texts = [families.pipeline(random.Random(5), 6, fault) for fault in (False, True)]
     texts += [families.fanin(random.Random(5), 3, faulty) for faulty in (1, 2)]
     out = []
@@ -849,7 +901,8 @@ def _certify_link(model, a, b, effect_components, mode, options, shared=None):
     if not effect:
         return None
     shared = shared or causality._Shared(mode)
-    return next(causality._certified_causes(k, k.encode(a), k.encode(b), tuple(effect), shared), None)
+    e = causality._Episode(k, k.encode(a), k.encode(b), tuple(effect), shared)
+    return next(causality._certified_causes(e), None)
 
 
 def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=None, mode="example", options=Options()):
@@ -1114,7 +1167,8 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
     for i in range(len(seq) - 1):
         union = {}
         a, b = k.encode(seq[i]), k.encode(seq[i + 1])
-        for cert in causality._certified_causes(k, a, b, chain.links[i].effect_components, shared):
+        e = causality._Episode(k, a, b, chain.links[i].effect_components, shared)
+        for cert in causality._certified_causes(e):
             for c in cert.cause_set:
                 union[c] = None
         link_cause_union.append(tuple(union))
@@ -1123,7 +1177,7 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
     k = k.intervened(iv)
 
     if not overlaps:
-        recerts = []
+        intervened, recerts = apply_intervention(model, iv), []
         for i in range(len(seq) - 1):
             if k.encode(seq[i + 1]) not in k.reachable(k.encode(seq[i])):
                 return causality.ChainClassification(
@@ -1132,7 +1186,7 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
                     link_causes=tuple(link_cause_union),
                     broken_link=i,
                 )
-            cert = _certify_link(k.model, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options, shared)
+            cert = _certify_link(intervened, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options, shared)
             if cert is None:
                 return causality.ChainClassification(
                     verdict="indeterminate",
@@ -1163,6 +1217,36 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
     )
 
 
+def skipping():
+    """X stands at x1, which E needs, while Y steps from y0 through y1 to
+    y2; E then moves to e1.  X is the cause of E's move, and Y is not.
+    The intervention ``skip`` lets Y jump to y2, so re-certified on the
+    intervened model, X's AC1 path is one step shorter than on the model."""
+    text = """async
+component X {
+  domain x0 x1
+}
+component Y {
+  domain y0 y1 y2
+  rule y0 -> y1
+  rule y1 -> y2
+}
+component E {
+  domain e0 e1
+  context X Y
+  rule e0 (x1, y2) -> e1
+}
+config start = (X=x1, Y=y0, E=e0)
+config end = (X=x1, Y=y2, E=e1)
+intervention skip on Y {
+  rule Y: y0 -> y2
+  rule Y: y1 -> y2
+}
+"""
+    doc = parse_model(text)
+    return doc.model, doc.configuration("start"), doc.configuration("end")
+
+
 def _classification_cases(model, chains, options):
     """(model, chain, intervention, options) for each chain under every
     declared intervention and under a clamp of each link's cause to its
@@ -1185,15 +1269,19 @@ def _verdict(classify, model, chain, iv, options):
 
 def test_classification_matches_reference(micro, micro_f1, micro_f2):
     """Verdicts, their evidence and cap overruns agree with the earlier
-    function, on micro and on the chains of generated models."""
+    function, on micro, on ``skipping``, whose preserved chain re-certifies
+    with other evidence on the intervened model than on the model, and on
+    the chains of generated models."""
     cases = []
-    for effect in (None, ("FrontEnd",)):
-        chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 3, effect)
-        cases += _classification_cases(micro, chains, Options())
+    skip_model, skip_start, skip_end = skipping()
+    for model, f1, f2 in ((micro, micro_f1, micro_f2), (skip_model, skip_start, skip_end)):
+        for effect in (None, ("FrontEnd",) if model is micro else ("E",)):
+            chains = causality.find_causal_chains(model, f1, f2, 3, effect)
+            cases += _classification_cases(model, chains, Options())
     for model, f1, f2, options in _chain_cases(200):
         cases += _classification_cases(model, causality.find_causal_chains(model, f1, f2, 5, options=options), options)
     cases += [case[:3] + (replace(case[3], max_states=3),) for case in cases]
-    tally, log = {}, set()
+    tally, log, skips = {}, set(), 0
     for case in cases:
         got = _verdict(causality.classify_intervention_effect, *case)
         assert got == _verdict(ref_classify_intervention_effect, *case)
@@ -1201,8 +1289,13 @@ def test_classification_matches_reference(micro, micro_f1, micro_f2):
         tally[kind] = tally.get(kind, 0) + 1
         if case[0] is micro and case[2].name == "thetaLog" and case[3].max_states > 3:
             log.add(kind)
+        if case[0] is skip_model and case[2].name == "skip" and case[3].max_states > 3:
+            # the chain's own certificates are those of the model
+            assert got.verdict == "preserved" and got.recertified != tuple(l.certificate for l in case[1].links)
+            skips += 1
     assert set(tally) == {"preserved", "disrupted", "indeterminate", "cap"}, tally
     assert "preserved" in log, log
+    assert skips == 2
 
 
 def test_invalid_endpoints_raise_before_any_search(monkeypatch, micro, micro_f1, micro_f2):
