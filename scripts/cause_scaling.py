@@ -31,9 +31,10 @@ import argparse
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
-from causalmc import causality, kernel
+from causalmc import kernel
 from causalmc.causality import CauseQuery, find_causal_chains, find_causes
 from causalmc.dsl import parse_model
 
@@ -48,36 +49,16 @@ def timed(prepare, repeat: int):
     """Best milliseconds of ``repeat`` runs, the effect searches, states
     expanded and certificates built of one run, and what the last run
     returned; ``prepare`` parses the model afresh and returns the run, so the
-    time leaves the parse out."""
-    searches, expanded, built = [], [], []
-    search, expand, certificate = causality._first_effect_reachable, kernel.Kernel._expand, causality._certificate
-
-    def counted(k, start, goal):
-        searches.append(start)
-        return search(k, start, goal)
-
-    def expanding(k, s):
-        expanded.append(s)
-        return expand(k, s)
-
-    def certifying(e, cause):
-        built.append(cause)
-        return certificate(e, cause)
-
+    time leaves the parse out.  Each run is recorded, as the counts are."""
     best = float("inf")
-    causality._first_effect_reachable, kernel.Kernel._expand, causality._certificate = counted, expanding, certifying
-    try:
-        for _ in range(repeat):
-            run = prepare()
-            searches.clear()
-            expanded.clear()
-            built.clear()
+    for _ in range(repeat):
+        run = prepare()
+        with kernel.recording() as events:
             started = time.perf_counter()
             found = run()
             best = min(best, time.perf_counter() - started)
-    finally:
-        causality._first_effect_reachable, kernel.Kernel._expand, causality._certificate = search, expand, certificate
-    return 1000 * best, len(searches), len(expanded), len(built), found
+    kinds = Counter(event[0] for event in events)
+    return 1000 * best, kinds["effect search"], kinds["expand"], kinds["certificate"], found
 
 
 def measure(text: str, names: dict, effect: str, repeat: int):

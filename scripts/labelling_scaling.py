@@ -19,6 +19,7 @@ import argparse
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from causalmc import formulas as F
@@ -33,23 +34,6 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import families  # noqa: E402
 
 QUERIES = ("<>+ <>+ false", "[]+ []+ <>+ {down}", "<>+ <>+ <>+ {down}")
-
-calls = {"walks": 0, "searches": 0}
-_components, _reachable = kernel.components, kernel.Kernel.reachable
-
-
-def _walked(*args):
-    calls["walks"] += 1
-    return _components(*args)
-
-
-def _searched(self, s):
-    calls["searches"] += 1
-    return _reachable(self, s)
-
-
-kernel.components, kernel.Kernel.reachable = _walked, _searched
-
 
 def dual(phi: F.Formula) -> F.Formula:
     """``phi`` with every closure written through the other one."""
@@ -73,11 +57,12 @@ def measure(text: str, point: str, formula: str, repeat: int):
         doc = parse_model(text)
         phi = parse_formula_text(formula, doc)
         f = doc.configuration(point)
-        calls.update(walks=0, searches=0)
-        started = time.perf_counter()
-        verdict = evaluate(doc.model, f, phi)
-        best = min(best, time.perf_counter() - started)
-    return 1000 * best, verdict, dict(calls), doc, phi, f
+        with kernel.recording() as events:
+            started = time.perf_counter()
+            verdict = evaluate(doc.model, f, phi)
+            best = min(best, time.perf_counter() - started)
+    kinds = Counter(event[0] for event in events)
+    return 1000 * best, verdict, {"walks": kinds["walk"], "searches": kinds["reachable"]}, doc, phi, f
 
 
 def main() -> int:

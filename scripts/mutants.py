@@ -243,6 +243,13 @@ MUTANTS = (
         ("tests/test_kernel.py::test_kernel_matches_reference_on_random_models",),
     ),
     Mutant(
+        "expansion recorded on every successor lookup",
+        KERNEL,
+        "out = self.succ_memo.get(s)",
+        'out = self.succ_memo.get(s)\n        if (log := recorder()) is not None:\n            log.append(("expand", self, s))',
+        (PINNED,),  # the work pins read the record: a memo hit recorded as an expansion shows
+    ),
+    Mutant(
         "state cap leaves the start uncounted",
         KERNEL,
         "if len(seen) + (s not in seen) > cap:",

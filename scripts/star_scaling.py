@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Scaling curve of the separating conjunction: ``evaluate`` milliseconds
-and side models built (``model._restrict_model`` calls) for a false and a
+and side models built (``side`` events of ``kernel.recording``) for a false and a
 true ``*`` on the benchmark's rings (n = 6 to 8 nodes, at the state with
 node 0 down).
 
@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from causalmc import semantics
+from causalmc import kernel
 from causalmc.dsl import parse_formula_text, parse_model
 from causalmc.semantics import candidate_splits, evaluate
 
@@ -31,18 +31,6 @@ import families  # noqa: E402
 
 QUERIES = (("(true) * (false)", False), ("(true) * ([]+ <>+ {up})", True))
 
-built = [0]
-_restrict = semantics._restrict_model
-
-
-def _counted(model, side):
-    built[0] += 1
-    return _restrict(model, side)
-
-
-semantics._restrict_model = _counted
-
-
 def measure(text: str, point: str, formula: str, repeat: int):
     """Best milliseconds of one evaluation, with the last run's verdict and
     side models built."""
@@ -51,11 +39,11 @@ def measure(text: str, point: str, formula: str, repeat: int):
         doc = parse_model(text)
         phi = parse_formula_text(formula, doc)
         f = doc.configuration(point)
-        built[0] = 0
-        started = time.perf_counter()
-        verdict = evaluate(doc.model, f, phi)
-        best = min(best, time.perf_counter() - started)
-    return 1000 * best, verdict, built[0], doc
+        with kernel.recording() as events:
+            started = time.perf_counter()
+            verdict = evaluate(doc.model, f, phi)
+            best = min(best, time.perf_counter() - started)
+    return 1000 * best, verdict, sum(kind == "side" for kind, *_ in events), doc
 
 
 def main() -> int:

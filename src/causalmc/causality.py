@@ -238,6 +238,8 @@ class _Episode:
         """A witness set's effect verdicts under its clamp, and its base: the
         start state moved by the clamp, to which a deviation's offset adds.
         The set is given as its component mask, bit i for component i."""
+        if (log := kernel.recorder()) is not None:
+            log.append(("witness", mask))
         found = self.witnesses.get(mask)
         if found is None:
             k = self.k
@@ -293,6 +295,8 @@ def _deviation_offsets(e: _Episode, cause):
     at_end = tuple(p[e.end_digits[i]] for p, i in zip(parts, positions))
     for combo in product(*parts):
         if combo != at_end:
+            if (log := kernel.recorder()) is not None:
+                log.append(("deviation",))
             yield sum(combo)
 
 
@@ -361,6 +365,8 @@ def _first_effect_reachable(k, start: int, effect) -> int | None:
     (weight, radix, code) place of ``effect`` holds its code; ``start``
     itself counts only as its own successor (a self-loop), not at the end of
     a longer cycle."""
+    if (log := kernel.recorder()) is not None:
+        log.append(("effect search", k.pins, start, effect))
 
     def goal(g: int) -> bool:
         for w, r, b in effect:
@@ -385,6 +391,8 @@ def _ac2(e: _Episode, cause):
     there leaves the list; every other candidate with the same first
     deviation would find that verdict in the table and fail at once.  So
     the same effect searches run, in the same order, as walking every set."""
+    if (log := kernel.recorder()) is not None:
+        log.append(("ac2", cause))
     devs = _Kept(_deviation_offsets(e, cause))
     (unclamped, _), goal = e.witness(0), e.marks(e.end)[1]
     starts = (e.start + o for o in devs)
@@ -417,6 +425,8 @@ def _certificate(e: _Episode, cause) -> CauseCertificate:
     """The certificate of candidate ``cause`` in episode ``e``, with all three
     clause verdicts; its states become configurations, behaviours and a
     clamp only here."""
+    if (log := kernel.recorder()) is not None:
+        log.append(("certificate", cause))
     path, contrast, witness = e.clauses(cause)
     refutations = []
     if path and witness:
@@ -569,6 +579,8 @@ class _Links(dict):
 
     def __missing__(self, key: tuple[int, int, tuple[str, ...] | None]) -> ChainLink | None:
         a, b, effect = key
+        if (log := kernel.recorder()) is not None:
+            log.append(("link", a, b, effect))
         found = None
         if a != b and self.realizable(a, b):
             k = self.k
@@ -629,7 +641,10 @@ def find_causal_chains(
 
     def shortcut(prefix, g) -> bool:
         # the link left if ``g`` followed the prefix without its last waypoint
-        return len(prefix) > 1 and link(prefix[-2], g) is not None
+        found = len(prefix) > 1 and link(prefix[-2], g) is not None
+        if found and (log := kernel.recorder()) is not None:
+            log.append(("prune", "close" if g == end else "extension"))
+        return found
 
     if not links.realizable(start, end):
         return []
@@ -655,6 +670,8 @@ def find_causal_chains(
                 continue
             if len(prefix) == n - 2 and links.get((prefix[-1], end, final_effect)) is not None:
                 # every close (…, a, g, end) has the certified shortcut (a, end), whatever g
+                if (log := kernel.recorder()) is not None:
+                    log.append(("prune", "last middle"))
                 stack.pop()
                 continue
             for g in todo:

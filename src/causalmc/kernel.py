@@ -25,12 +25,29 @@ caller keeps it as long as it needs its memos.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import prod
 
 from .model import DEFAULT_OPTIONS, Configuration, ModelError, UnknownNameError, check_intervention, exceeded
 
 
 _COMPLETE = float("inf")  # the preorder number of a node whose component is complete
+_events: ContextVar = ContextVar("causalmc events", default=None)
+recorder = _events.get  # the list ``recording`` collects into in this context, or None
+
+
+@contextmanager
+def recording():
+    """Collect the engine's events in this context, in call order, as
+    ``(kind, *payload)`` tuples in the list it yields.  A site emits only
+    while a recording is on, and no event reaches a report."""
+    events: list = []
+    token = _events.set(events)
+    try:
+        yield events
+    finally:
+        _events.reset(token)
 
 
 def components(roots, successors, comp: dict, found: list, cap=None) -> None:
@@ -42,6 +59,8 @@ def components(roots, successors, comp: dict, found: list, cap=None) -> None:
     successive calls grow one decomposition.  Given a ``cap``, the walk is a
     reachable-set search over the whole decomposition: it raises once
     ``comp`` and the nodes it entered are more than ``cap``."""
+    if (log := recorder()) is not None:
+        log.append(("walk",))
     number: dict = {}  # preorder number of each node entered
     path: list = []  # entered nodes whose component is not complete yet
     room = _COMPLETE if cap is None else cap - len(comp)  # nodes this call may enter
@@ -134,6 +153,7 @@ class Kernel:
         self.layout = tuple(layout)
         # per component: None (free), an int (clamped), or (lazily filled table, rule table)
         self.rules = [None if c.free else ({}, c.rule) for c in model.components]
+        self.pins: tuple = ()  # the (component, code) pairs ``pinned`` made this variant with, if it did
         self.tests: dict = {}  # atom predicates, shared with every variant
         self.splits: list = []  # semantics' candidate splits once listed, as its one item; shared likewise
         self._fresh()
@@ -160,10 +180,14 @@ class Kernel:
             raise UnknownNameError(f"configuration has no component {name!r}") from None
 
     def encode(self, f: Configuration) -> int:
+        if (log := recorder()) is not None:
+            log.append(("encode", f))
         self.model.validate_configuration(f)
         return sum(codes[b] * w for codes, (_, b), w in zip(self.codes, f.pairs, self.weights))
 
     def decode(self, s: int) -> Configuration:
+        if (log := recorder()) is not None:
+            log.append(("decode", s))
         values = (dom[d] for dom, d in zip(self.domains, self.digits(s)))
         return Configuration(tuple(zip(self.names, values)))
 
@@ -190,6 +214,8 @@ class Kernel:
         through its place, and a table hit is one dictionary lookup.  Async
         moves one component; sync moves every component at once, so its
         successors are the product of the choices in component order."""
+        if (log := recorder()) is not None:
+            log.append(("expand", self, s))
         sync = self.mode == "sync"
         if not sync and self.mode != "async":
             raise ModelError(f"unknown transition mode {self.mode!r}")
@@ -246,6 +272,8 @@ class Kernel:
 
     def reachable(self, s: int) -> list[int]:
         """States strictly reachable from ``s``, breadth-first, memoized."""
+        if (log := recorder()) is not None:
+            log.append(("reachable", self, s))
         found = self.reach_memo.get(s)
         if found is None:
             found = self.reach_memo[s] = self.search(s, "reachable set")[0]
@@ -282,7 +310,11 @@ class Kernel:
         """Variant pinning each (component, code) pair's component to that code;
         a free component stays free, as under ``apply_intervention``.  Built
         afresh: the caller keeps it as long as it needs its memos."""
-        return self._variant({i: code for i, code in pins if self.rules[i] is not None})
+        if (log := recorder()) is not None:
+            log.append(("pin", pins))
+        out = self._variant({i: code for i, code in pins if self.rules[i] is not None})
+        out.pins = pins
+        return out
 
     def intervened(self, iv) -> "Kernel":
         """Variant replacing the rule tables of ``iv``'s targets, as

@@ -404,6 +404,8 @@ def _decompositions(k: kernel.Kernel, s: int):
                 continue
             side = sides.get(names)
             if side is None:  # candidate_splits validated the split
+                if (log := kernel.recorder()) is not None:
+                    log.append(("side", names))
                 m = _restrict_model(k.model, names)  # kept here: its kernel holds it weakly
                 side = sides[names] = (m, k.side(m), [k.index[c] for c in names])
             _, sk, idx = side

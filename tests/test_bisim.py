@@ -175,22 +175,15 @@ def _brute_force_pairs(a: PointedModel, b: PointedModel) -> tuple:
     return tuple((lts.point(sa), lts.point(sb)) for sa in states[:n] for sb in states[n:] if block[sa] == block[sb])
 
 
-def test_relation_size_decodes_no_state(monkeypatch, ex1, ex1_doc):
+def test_relation_size_decodes_no_state(ex1, ex1_doc):
     # the report reads only the relation's size: no state is decoded for it
-    decoded = []
-    decode = kernel_module.Kernel.decode
-
-    def counted(self, s):
-        decoded.append(s)
-        return decode(self, s)
-
-    monkeypatch.setattr(kernel_module.Kernel, "decode", counted)
     start = ex1_doc.configuration("start")
     renamed, rencfg = rename_component_behaviours(ex1, "c1")
-    r = check_bisim(PointedModel(ex1, start), PointedModel(renamed, rencfg(start)))
-    assert r.bisimilar and len(r.relation) == 9
-    assert decoded == []
-    assert len(r.relation.pairs) == 9 and decoded
+    with kernel_module.recording() as events:
+        r = check_bisim(PointedModel(ex1, start), PointedModel(renamed, rencfg(start)))
+        assert r.bisimilar and len(r.relation) == 9
+        assert not any(kind == "decode" for kind, *_ in events)
+        assert len(r.relation.pairs) == 9 and any(kind == "decode" for kind, *_ in events)
 
 
 def test_relation_pairs_match_brute_force(ex1, ex1_doc, micro, micro_f1):
@@ -604,52 +597,45 @@ def _bundled_pairs(ex1, ex1_doc, micro, micro_f1):
             yield a, PointedModel(perturb_model(random.Random(k), doc.model), a.point)
 
 
-def test_refinement_rounds_match_reference(monkeypatch, ex1, ex1_doc, micro, micro_f1):
-    rounds = []
-    real = bisim._refine
-    monkeypatch.setattr(bisim, "_refine", lambda *args: rounds.append(real(*args)) or rounds[-1])
+def test_refinement_rounds_match_reference(ex1, ex1_doc, micro, micro_f1):
     cases = [(a, b, options) for a, b, _, options in _bisim_options(_bisim_cases(ex1, ex1_doc, micro, micro_f1, 400))]
     cases += [(a, b, DEFAULT_OPTIONS) for a, b in _bundled_pairs(ex1, ex1_doc, micro, micro_f1)]
     assert len(cases) == 2409 + 42
     refined = distinguished = 0
     for a, b, options in cases:
-        rounds.clear()
         try:
             result = check_bisim(a, b, options)
         except CapExceeded:
-            assert rounds == []
             continue
         labels = [STEP] + sorted(a.model.intervention_map)
         lts = _Lts(a, b, labels, options)
         n = lts.roots[1]
         want = ref_refine(lts.atoms, lts.moves)
-        assert len(rounds) == 1 and rounds[0] == want[: len(rounds[0])]
+        history = bisim._refine(lts.atoms, lts.rows, lts.lists, n)
+        assert history == want[: len(history)]
         # a distinguished pair stops at the first round that splits the
         # roots, a bisimilar one at the reference fixpoint
         splits = [k for k, colour in enumerate(want) if colour[0] != colour[n]]
-        assert len(rounds[0]) == (splits[0] + 1 if splits else len(want))
+        assert len(history) == (splits[0] + 1 if splits else len(want))
         assert result.bisimilar == (not splits)
-        refined += len(rounds[0]) > 2
+        refined += len(history) > 2
         distinguished += not result.bisimilar
     assert refined > 100 and distinguished > 150, (refined, distinguished)
 
 
-def test_refinement_stops_at_the_distinguishing_depth(monkeypatch, ex1, ex1_doc):
+def test_refinement_stops_at_the_distinguishing_depth(ex1, ex1_doc):
     """For each distinguished pair of ``bisim_perturbed.json``, refinement
     computes as many rounds as the distinguishing formula's modal depth."""
-    histories = []
-    real = bisim._refine
-    monkeypatch.setattr(bisim, "_refine", lambda *args: histories.append(real(*args)) or histories[-1])
     start = ex1_doc.configuration("start")
     golden = json.loads((Path(__file__).parent / "golden" / "bisim_perturbed.json").read_text(encoding="utf-8"))
     distinguished = [entry for entry in golden if not entry["bisimilar"]]
     assert len(distinguished) == 14
     for entry in distinguished:
-        histories.clear()
-        other = perturb_model(random.Random(entry["k"]), ex1)
-        result = check_bisim(PointedModel(ex1, start), PointedModel(other, start))
+        a, b = PointedModel(ex1, start), PointedModel(perturb_model(random.Random(entry["k"]), ex1), start)
+        result = check_bisim(a, b)
         assert F.pretty(result.distinguishing) == entry["distinguishing"]
-        (history,) = histories
+        lts = _Lts(a, b, [STEP] + sorted(ex1.intervention_map), DEFAULT_OPTIONS)
+        history = bisim._refine(lts.atoms, lts.rows, lts.lists, lts.roots[1])
         assert len(history) - 1 == F.modal_depth(result.distinguishing), entry
 
 

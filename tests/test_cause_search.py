@@ -11,7 +11,8 @@ queue.  ``_ac1`` and ``ref_first_effect_reachable`` check the state cap as
 each configuration is added, the start included.
 Certificates, their order and cap overruns (cap, size, phase) must agree
 exactly, and so must the sequence of effect searches, as (witness pins,
-start state) keys (``assert_same_searches``), though the engine skips the
+start state) keys read from ``kernel.recording``, to which the reference
+adds its own (``assert_same_searches``), though the engine skips the
 witness sets it already knows to fail.  The AC1 path of every candidate
 subset of an episode, visited in the search's order and in a shuffled
 one, must equal ``_ac1``'s, though the engine runs one path search for
@@ -133,7 +134,9 @@ def ref_first_effect_reachable(k, start, effect):
     """The first state in which every place of ``effect`` holds its code, in
     breadth-first order from the successors of ``start``.  ``start`` is
     marked visited before the search, so it is tested only when it is its
-    own successor."""
+    own successor.  A recording gets the search as the engine's event."""
+    if (log := kernel.recorder()) is not None:
+        log.append(("effect search", k.pins, start, tuple(effect)))
     cap = k.options.max_states
     visited: set = set()
 
@@ -597,33 +600,17 @@ def test_ac1_reuses_a_search_only_where_it_would_run_alike():
 # the order of effect searches
 
 
-@pytest.fixture
-def search_keys(monkeypatch):
-    """Every effect search of the engine and of the reference, in order, as
-    a key: the witness set's pins as ``Kernel.pinned`` took them (empty for
-    the unclamped kernel), and the start state."""
-    keys = {"engine": [], "reference": []}
-    pin = kernel.Kernel.pinned
-
-    def pinned(k, pins):
-        variant = pin(k, pins)
-        variant.witness_pins = pins
-        return variant
-
-    def recorded(who, search):
-        def run(k, start, effect):
-            keys[who].append((getattr(k, "witness_pins", ()), start))
-            return search(k, start, effect)
-
-        return run
-
-    monkeypatch.setattr(kernel.Kernel, "pinned", pinned)
-    monkeypatch.setattr(causality, "_first_effect_reachable", recorded("engine", causality._first_effect_reachable))
-    monkeypatch.setattr(sys.modules[__name__], "ref_first_effect_reachable", recorded("reference", ref_first_effect_reachable))
-    return keys
+def recorded(events, kind: str) -> list:
+    """The payload of each ``kind`` event of a recording, in order."""
+    return [event[1:] for event in events if event[0] == kind]
 
 
-def assert_same_searches(keys, case):
+def search_keys(events) -> list:
+    """Each effect search of a recording, as its (witness pins, start state) key."""
+    return [payload[:2] for payload in recorded(events, "effect search")]
+
+
+def assert_same_searches(case):
     """``find_causes`` on ``case`` by the engine and by the reference, which
     walks every witness set of every candidate: the same certificates, or
     the same overrun, and the same effect searches in the same order.  This
@@ -636,9 +623,9 @@ def assert_same_searches(keys, case):
     def both(cap):
         out = {}
         for who, find in (("engine", find_causes), ("reference", ref_find_causes)):
-            keys[who].clear()
-            outcome = _outcome(lambda: find(model, q, mode, replace(options, max_states=cap)))
-            out[who] = outcome, list(keys[who])
+            with kernel.recording() as events:
+                outcome = _outcome(lambda: find(model, q, mode, replace(options, max_states=cap)))
+            out[who] = outcome, search_keys(events)
         assert out["engine"] == out["reference"], cap
         return out["reference"]
 
@@ -663,7 +650,7 @@ def assert_same_searches(keys, case):
     return want, searched, overran
 
 
-def test_cause_searches_run_in_the_reference_order(search_keys, micro, micro_f1, micro_f2):
+def test_cause_searches_run_in_the_reference_order(micro, micro_f1, micro_f2):
     """On generated models of 4 to 6 components, on the structured
     pipelines and fan-ins, on micro from f1 to f2 with each component as the
     effect, on ``cause_between_walks`` and on the ``backup`` shapes, whose
@@ -677,9 +664,9 @@ def test_cause_searches_run_in_the_reference_order(search_keys, micro, micro_f1,
     generated = _queries(100, 4, 6) + STRUCTURED + handmade
     tally = Counter()
     for i, case in enumerate(generated + BACKUPS):
-        certificates, searched, overran = assert_same_searches(search_keys, case)
+        certificates, keys, overran = assert_same_searches(case)
         witnessed = sum(1 for c in certificates if c["witness_set"])
-        tally.update(searches=len(searched), clamped=sum(1 for pins, _ in searched if pins), overran=len(overran))
+        tally.update(searches=len(keys), clamped=sum(1 for pins, _ in keys if pins), overran=len(overran))
         tally.update(causes=len(certificates), witnessed=witnessed)
         tally["backup witnessed"] += witnessed if i >= len(generated) else 0
         tally[f"{len(case[0].components)} components"] += 1
@@ -692,39 +679,26 @@ def test_cause_searches_run_in_the_reference_order(search_keys, micro, micro_f1,
 # what one query builds
 
 
-def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
+def test_search_counts_on_a_spontaneous_pipeline():
     # nothing is a cause, so every candidate with a contrast tries every witness set; the
     # engine looks up only those not yet known to fail at the candidate's first deviation,
     # 93 where walking every set looked up 453
     model, q = pipeline(6, fault=False)
-    searched = {"engine": [], "reference": []}
-    made, looked_up = [], []
-
-    def counted(who, search):
-        return lambda k, start, effect: searched[who].append(start) or search(k, start, effect)
-
-    class Kept(causality._Kept):
-        def __init__(self, rest):
-            super().__init__(rest)
-            made.append((getattr(rest, "__name__", None), self))
-
-    engine, reference, witness = causality._first_effect_reachable, ref_first_effect_reachable, causality._Episode.witness
-    monkeypatch.setattr(causality, "_first_effect_reachable", counted("engine", engine))
-    monkeypatch.setattr(causality, "_Kept", Kept)
-    monkeypatch.setattr(causality._Episode, "witness", lambda e, mask: looked_up.append(mask) or witness(e, mask))
-    monkeypatch.setattr(sys.modules[__name__], "ref_first_effect_reachable", counted("reference", reference))
-    assert find_causes(model, q) == [] == ref_find_causes(model, q)
-    assert len(looked_up) == 93
-    assert len(searched["engine"]) == 67
-    assert searched["engine"] == searched["reference"]
+    with kernel.recording() as engine:
+        assert find_causes(model, q) == []
+    with kernel.recording() as reference:
+        assert ref_find_causes(model, q) == []
+    kinds = Counter(event[0] for event in engine)
+    assert kinds["witness"] == 93
+    assert kinds["effect search"] == 67
+    assert search_keys(engine) == search_keys(reference)
     # every candidate reaches AC2, where making each one's deviations up front makes 4**5 - 2**5
-    devs = [kept for name, kept in made if name == "_deviation_offsets"]
-    assert len(devs) == 2**5 - 1
-    assert sum(len(kept.items) for kept in devs) == 62
+    assert kinds["ac2"] == 2**5 - 1
+    assert kinds["deviation"] == 62
 
 
 @pytest.mark.parametrize(
-    "query, expanded, searched",
+    "query, expanded, searches",
     [
         ("pipeline", 198, 67),
         ("micro chain", 383, 251),
@@ -733,7 +707,7 @@ def test_search_counts_on_a_spontaneous_pipeline(monkeypatch):
         ("fan-in chain", 82, 2),
     ],
 )
-def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, micro_f1, micro_f2, query, expanded, searched):
+def test_the_states_expanded_and_effect_searches_are_pinned(micro, micro_f1, micro_f2, query, expanded, searches):
     """The work of a spontaneous six-stage benchmark pipeline's cause query,
     of micro's f1-to-f2 chain query with max-len 3 without and with the
     effect ``{FrontEnd}``, of a faulted nine-stage benchmark pipeline's
@@ -746,13 +720,11 @@ def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, 
     searches.  With ``{FrontEnd}``, and on the
     fan-in, the direct link is certified too, so the three-waypoint pass
     takes no last middle; before that rule they ran 244 and 4,774."""
-    expansions, searches = [], []
-    expand, search = kernel.Kernel._expand, causality._first_effect_reachable
-    monkeypatch.setattr(kernel.Kernel, "_expand", lambda k, s: expansions.append((k, s)) or expand(k, s))
-    monkeypatch.setattr(causality, "_first_effect_reachable", lambda *args: searches.append(args[:2]) or search(*args))
     if query.startswith("micro"):
         effect = ("FrontEnd",) if query == "micro effect chain" else None
-        chains = causality.find_causal_chains(replace(micro), micro_f1, micro_f2, 3, effect)  # a copy, compiled afresh
+        model = replace(micro)  # a copy, compiled afresh
+        with kernel.recording() as events:
+            chains = causality.find_causal_chains(model, micro_f1, micro_f2, 3, effect)
         assert len(chains) == (1 if effect else 4)
     else:
         if query == "fan-in chain":
@@ -762,14 +734,16 @@ def test_the_states_expanded_and_effect_searches_are_pinned(monkeypatch, micro, 
             text, names = families.pipeline(random.Random(7 if fault else 5), 9 if fault else 6, fault)
         doc = parse_model(text)
         q = CauseQuery(doc.configuration(names["start"]), doc.configuration(names["end"]), (names["comps"][-1],))
-        if query == "pipeline":
-            assert find_causes(doc.model, q) == []
-        else:
-            max_len = 4 if query == "faulted chain" else 3
-            chains = causality.find_causal_chains(doc.model, q.start, q.end, max_len, q.effect_components)
-            assert [c.configurations for c in chains] == [(q.start, q.end)]
+        with kernel.recording() as events:
+            if query == "pipeline":
+                assert find_causes(doc.model, q) == []
+            else:
+                max_len = 4 if query == "faulted chain" else 3
+                chains = causality.find_causal_chains(doc.model, q.start, q.end, max_len, q.effect_components)
+                assert [c.configurations for c in chains] == [(q.start, q.end)]
+    expansions = recorded(events, "expand")
     assert len(expansions) == len(set(expansions)) == expanded
-    assert len(searches) == searched
+    assert len(search_keys(events)) == searches
 
 
 def test_ac1_searches_are_pinned(micro, micro_f1, micro_f2):
@@ -802,18 +776,15 @@ def _family_queries(micro, micro_f1, micro_f2):
     return out + [(micro, CauseQuery(micro_f1, micro_f2, ("FrontEnd",)))]
 
 
-def test_cause_search_builds_a_certificate_only_for_a_cause_it_returns(monkeypatch, micro, micro_f1, micro_f2):
+def test_cause_search_builds_a_certificate_only_for_a_cause_it_returns(micro, micro_f1, micro_f2):
     """AC3 needs no certificate of a candidate: a candidate the search
     reaches that passes AC1 and AC2 is minimal, and its certificate is the
     one ``check_cause`` gives for its cause set."""
-    built = []
-    certificate = causality._certificate
-    monkeypatch.setattr(causality, "_certificate", lambda e, cause: built.append(cause) or certificate(e, cause))
     returned = []
     for model, q in _family_queries(micro, micro_f1, micro_f2):
-        built.clear()
-        certs = find_causes(model, q)
-        assert built == [c.cause_set for c in certs]
+        with kernel.recording() as events:
+            certs = find_causes(model, q)
+        assert recorded(events, "certificate") == [(c.cause_set,) for c in certs]
         for cert in certs:
             assert cert.to_dict() == check_cause(model, q, cert.cause_set).to_dict()
         returned.append(len(certs))
@@ -860,27 +831,16 @@ def test_clamped_variants_go_with_the_query(micro, micro_f1, micro_f2):
     assert all(variant.variants == {} for variant in k.variants.values())
 
 
-def test_chain_links_share_clamped_variants_and_verdicts(monkeypatch, micro, micro_f1, micro_f2):
+def test_chain_links_share_clamped_variants_and_verdicts(micro, micro_f1, micro_f2):
     """Each (clamp, start, effect) is searched once per chain query, however
     many of its links meet it: with max-len 4 and ``{FrontEnd}`` the query
     looks up 40 links, which meet 69 clamped variants between them."""
-    searched, pinned, looked_up = [], [], []
-    search, pin = causality._first_effect_reachable, kernel.Kernel.pinned
-
-    def counted(k, start, effect):
-        clamp = tuple((i, rule) for i, rule in enumerate(k.rules) if rule.__class__ is int)
-        searched.append((clamp, start, tuple(effect)))
-        return search(k, start, effect)
-
-    monkeypatch.setattr(causality, "_first_effect_reachable", counted)
-    monkeypatch.setattr(kernel.Kernel, "pinned", lambda k, pins: pinned.append(pins) or pin(k, pins))
-    missing = causality._Links.__missing__
-    monkeypatch.setattr(causality._Links, "__missing__", lambda links, key: looked_up.append(key) or missing(links, key))
-    chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 4, ("FrontEnd",))
+    with kernel.recording() as events:
+        chains = causality.find_causal_chains(micro, micro_f1, micro_f2, 4, ("FrontEnd",))
     assert [c.configurations for c in chains] == [(micro_f1, micro_f2)]
-    assert len(looked_up) == len(set(looked_up)) == 40
-    assert len(searched) == len(set(searched)) == 464
-    assert len(pinned) == len(set(pinned)) == 69
+    for kind, count in (("link", 40), ("effect search", 464), ("pin", 69)):
+        found = recorded(events, kind)
+        assert len(found) == len(set(found)) == count, kind
 
 
 # ---------------------------------------------------------------------------
@@ -893,8 +853,11 @@ def _changed_components(a, b):
 
 def _certify_link(model, a, b, effect_components, mode, options, shared=None):
     """First (canonically smallest) certified cause of b from a, or None;
-    the link's episode shares ``shared``, or a fresh table, with the query."""
+    the link's episode shares ``shared``, or a fresh table, with the query.
+    A recording gets the call as the engine's link event, on state numbers."""
     k = kernel.compile(model, options)
+    if (log := kernel.recorder()) is not None:
+        log.append(("link", k.encode(a), k.encode(b), effect_components))
     if a == b or k.encode(b) not in k.reachable(k.encode(a)):
         return None
     effect = effect_components or _changed_components(a, b)
@@ -968,61 +931,24 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
     return out
 
 
-@pytest.fixture
-def certify_calls(monkeypatch):
-    """The (start, end, effect) of every link certification, in order: each
-    call of the reference's ``_certify_link``, and each engine ``_Links``
-    lookup that misses, its states decoded to configurations.  Each prune of
-    the engine is recorded in the same list as ("prune", kind): an
-    "extension" or a "close" skipped because ``shortcut`` found a certified
-    link, or a prefix that took no "last middle" because the table already
-    held its close's shortcut certified."""
-    calls = []
-    certify, missing, getitem = _certify_link, causality._Links.__missing__, dict.__getitem__
-
-    def recorded(model, a, b, effect, mode, options, *rest):
-        calls.append((a, b, effect))
-        return certify(model, a, b, effect, mode, options, *rest)
-
-    def looked_up(links, key):
-        a, b, effect = key
-        calls.append((links.k.decode(a), links.k.decode(b), effect))
-        return missing(links, key)
-
-    def read(links, key):
-        found = getitem(links, key)
-        caller = sys._getframe(2)  # the caller of the engine's ``link``
-        if found is not None and caller.f_code.co_name == "shortcut":
-            calls.append(("prune", "close" if caller.f_locals["g"] == caller.f_back.f_locals["end"] else "extension"))
-        return found
-
-    def peeked(links, key, default=None):
-        found = dict.get(links, key, default)
-        if found is not None:
-            calls.append(("prune", "last middle"))
-        return found
-
-    monkeypatch.setattr(sys.modules[__name__], "_certify_link", recorded)
-    monkeypatch.setattr(causality._Links, "__missing__", looked_up)
-    monkeypatch.setattr(causality._Links, "__getitem__", read)
-    monkeypatch.setattr(causality._Links, "get", peeked)
-    return calls
+def _chains_and_calls(search, *args):
+    """The chains ``search`` finds, or its overrun, and its recorded link
+    certifications, as (start, end, effect) keys on state numbers, and prunes:
+    an "extension" or a "close" skipped because ``shortcut`` found a
+    certified link, or a prefix that took no "last middle" because the table
+    already held its close's shortcut certified."""
+    with kernel.recording() as events:
+        try:
+            found = [c.to_dict() for c in search(*args)]
+        except CapExceeded as err:
+            found = ("cap", err.cap, err.size, err.what)
+    return found, recorded(events, "link"), Counter(kind for kind, in recorded(events, "prune"))
 
 
-def _chains_and_calls(calls, search, *args):
-    calls.clear()
-    try:
-        found = [c.to_dict() for c in search(*args)]
-    except CapExceeded as err:
-        found = ("cap", err.cap, err.size, err.what)
-    return found, list(calls)
-
-
-def assert_prune_only_removes_work(calls, args):
+def assert_prune_only_removes_work(args):
     """Chain search ``args`` run by the engine and by the unpruned reference.
     Without a cap the chains are identical, and the engine's link lookups
-    (the ``certify_calls`` keys) are a sub-multiset of the reference's link
-    certifications.  On a ladder of caps from 0 up to the reference's
+    are a sub-multiset of the reference's link certifications.  On a ladder of caps from 0 up to the reference's
     uncapped peak, the first cap at which it answers, the engine overruns
     only where the reference overruns, and anywhere else gives the uncapped
     chains.  Returns the chains, the engine's link lookups, the reference's
@@ -1030,12 +956,10 @@ def assert_prune_only_removes_work(calls, args):
     answered, and the engine's uncapped prunes by kind."""
 
     def run(search, cap):
-        return _chains_and_calls(calls, search, *args[:6], replace(args[6], max_states=cap))
+        return _chains_and_calls(search, *args[:6], replace(args[6], max_states=cap))
 
-    want, certified = run(ref_find_causal_chains, Options().max_states)
-    found, engine = run(causality.find_causal_chains, Options().max_states)
-    looked_up = [call for call in engine if call[0] != "prune"]
-    fired = Counter(call[1] for call in engine if call[0] == "prune")
+    want, certified, _ = run(ref_find_causal_chains, Options().max_states)
+    found, looked_up, fired = run(causality.find_causal_chains, Options().max_states)
     assert found == want and not isinstance(want, tuple)
     assert not Counter(looked_up) - Counter(certified), Counter(looked_up) - Counter(certified)
     answered = []
@@ -1048,13 +972,13 @@ def assert_prune_only_removes_work(calls, args):
         assert isinstance(engine, tuple) or engine == want, cap
 
 
-def _tally(calls, searches):
+def _tally(searches):
     """``assert_prune_only_removes_work`` over ``searches``, summed: link
     certifications and lookups, chains by waypoint count, caps below the
     peak and those the engine answered, and the prunes that fired by kind."""
     tally = Counter()
     for args in searches:
-        found, looked_up, certified, answered, fired = assert_prune_only_removes_work(calls, args)
+        found, looked_up, certified, answered, fired = assert_prune_only_removes_work(args)
         tally.update(certified=len(certified), looked_up=len(looked_up), chains=len(found))
         tally.update(f"{len(c['configurations'])} waypoints" for c in found)
         tally.update(caps=len(answered), answered=sum(answered))
@@ -1063,10 +987,10 @@ def _tally(calls, searches):
 
 
 @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6])
-def test_micro_chain_search_matches_permutations(certify_calls, micro, micro_f1, micro_f2, max_len):
+def test_micro_chain_search_matches_permutations(micro, micro_f1, micro_f2, max_len):
     for effect in (None, ("FrontEnd",)):
         args = (micro, micro_f1, micro_f2, max_len, effect, "example", Options())
-        want, *_ = assert_prune_only_removes_work(certify_calls, args)
+        want, *_ = assert_prune_only_removes_work(args)
         assert want or (max_len, effect) == (2, None)
 
 
@@ -1086,12 +1010,12 @@ def _chain_cases(count):
     return out
 
 
-def test_chain_search_matches_permutations_on_generated_models(certify_calls):
+def test_chain_search_matches_permutations_on_generated_models():
     """Chains agree with the unpruned reference, and the prune only removes
     link certifications and cap overruns."""
     searches = [(m, q.start, q.end, 4, q.effect_components, mode, o) for m, q, mode, o in CASES + STRUCTURED]
     searches += [(m, f1, f2, 5, None, "example", o) for m, f1, f2, o in _chain_cases(200)]
-    tally = _tally(certify_calls, searches)
+    tally = _tally(searches)
     assert tally["certified"] > 800 and tally["chains"] > 60 and tally["3 waypoints"] > 0 and tally["caps"] > 0, tally
     # the prune removes link certifications, and with them some overruns
     assert tally["looked_up"] < tally["certified"] and tally["answered"] > 0, tally
@@ -1132,7 +1056,7 @@ def staged(rng):
     return model, model.configuration({n: "v0" for n in names}), model.configuration({n: f"v{c}" for n, c in zip(names, end)})
 
 
-def test_chain_search_matches_permutations_on_staged_models(certify_calls):
+def test_chain_search_matches_permutations_on_staged_models():
     """On staged runs, whose chains pass several waypoints, chains agree
     with the unpruned reference and every prune fires.  The searches run to
     the run's end or to a random reachable state, with the default effect
@@ -1147,7 +1071,7 @@ def test_chain_search_matches_permutations_on_staged_models(certify_calls):
         changed = [c for c in model.component_order if start[c] != end[c]]
         effect = (rng.choice(changed),) if seed % 4 == 2 and changed else None
         searches.append((model, start, end, 3 + seed % 3, effect, "example", options))
-    tally = _tally(certify_calls, searches)
+    tally = _tally(searches)
     assert tally["3 waypoints"] > 50 and tally["4 waypoints"] > 40, tally
     assert tally["extension"] > 0 and tally["close"] > 0 and tally["last middle"] > 0, tally
     assert tally["looked_up"] < tally["certified"], tally
@@ -1298,10 +1222,7 @@ def test_classification_matches_reference(micro, micro_f1, micro_f2):
     assert skips == 2
 
 
-def test_invalid_endpoints_raise_before_any_search(monkeypatch, micro, micro_f1, micro_f2):
-    searched = []
-    search = causality._first_effect_reachable
-    monkeypatch.setattr(causality, "_first_effect_reachable", lambda *args: searched.append(args) or search(*args))
+def test_invalid_endpoints_raise_before_any_search(micro, micro_f1, micro_f2):
     bad = Configuration(tuple((c, "nowhere" if c == "Logger" else b) for c, b in micro_f2.pairs))
     message = "behaviour 'nowhere' not in domain of 'Logger'"
     for f_start, f_end in ((micro_f1, bad), (bad, micro_f2), (bad, bad)):
@@ -1309,25 +1230,22 @@ def test_invalid_endpoints_raise_before_any_search(monkeypatch, micro, micro_f1,
             causality.find_causal_chains(micro, f_start, f_end, 3)
     chain = causality.find_causal_chains(micro, micro_f1, micro_f2, 3)[0]
     assert len(chain.configurations) == 3
-    searched.clear()
     # the invalid waypoint ends the chain, so a check made link by link would search its first link
     chain = replace(chain, configurations=chain.configurations[:2] + (bad,))
-    with pytest.raises(ModelError, match=message):
+    with kernel.recording() as events, pytest.raises(ModelError, match=message):
         causality.classify_intervention_effect(micro, chain, micro.interventions[0])
-    assert searched == []
+    assert search_keys(events) == []
 
 
-def test_configurations_are_encoded_where_they_enter(monkeypatch, micro, micro_f1, micro_f2):
+def test_configurations_are_encoded_where_they_enter(micro, micro_f1, micro_f2):
     """A chain query encodes its two endpoints and a classification its
     waypoints; links and their episodes run on state numbers."""
-    encoded = []
-    encode = kernel.Kernel.encode
-    monkeypatch.setattr(kernel.Kernel, "encode", lambda k, f: encoded.append(f) or encode(k, f))
-    chains = causality.find_causal_chains(micro, micro_f1, micro_f2, max_len=5)
-    assert encoded == [micro_f1, micro_f2]
+    with kernel.recording() as events:
+        chains = causality.find_causal_chains(micro, micro_f1, micro_f2, max_len=5)
+    assert recorded(events, "encode") == [(micro_f1,), (micro_f2,)]
     assert len(chains) > 1 and len(micro.interventions) == 4
     for chain in chains:
         for iv in micro.interventions:
-            encoded.clear()
-            causality.classify_intervention_effect(micro, chain, iv)
-            assert encoded == list(chain.configurations)
+            with kernel.recording() as events:
+                causality.classify_intervention_effect(micro, chain, iv)
+            assert recorded(events, "encode") == [(f,) for f in chain.configurations]

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cause_search import BACKUPS, CASES, STRUCTURED
 
 from causalmc import kernel
 from causalmc.causality import CauseQuery, find_causes
@@ -145,3 +147,23 @@ def test_engine_causes_accepted_by_equation_oracle(seed):
             path=cert.ac1_path,
         )
         assert hp_check_actual_cause(hp, hq).is_cause
+
+
+def test_equation_oracle_checks_every_async_certificate():
+    """The oracle reads a path as one component firing per step.  Over the
+    cause search's differential cases it accepts each of the 47 async
+    certificates; of the 53 sync ones, whose steps may move several
+    components at once, it accepts 28 and refuses the other 25 as no such
+    path."""
+    tally = Counter()
+    for model, q, mode, options in CASES + STRUCTURED + BACKUPS:
+        hp = export_hp(model, q.start)
+        for cert in find_causes(model, q, mode, options):
+            effect = {c: q.end[c] for c in q.effect_components}
+            hq = HPCauseQuery.build({c: q.end[c] for c in cert.cause_set}, effect, path=cert.ac1_path)
+            try:
+                tally[model.mode, hp_check_actual_cause(hp, hq).is_cause] += 1
+            except ModelError as err:
+                assert model.mode == "sync" and str(err) == "path is not a one-component-per-step transition sequence"
+                tally[model.mode, "refused"] += 1
+    assert tally == {("async", True): 47, ("sync", True): 28, ("sync", "refused"): 25}

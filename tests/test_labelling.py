@@ -16,6 +16,7 @@ Verdicts, witness lists, cap overruns and split lists must agree exactly.
 import random
 import sys
 import time
+from collections import Counter
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from causalmc import formulas as F
-from causalmc import kernel, replace, semantics
+from causalmc import kernel, replace
 from causalmc.dsl import parse_model
 from causalmc.generate import random_configuration, random_system_model
 from causalmc.model import (
@@ -356,30 +357,20 @@ def test_check_interface_matches_reference_rule(ex1, micro):
     assert 500 < sum(verdicts) < len(verdicts) - 500
 
 
-def _count_walks(monkeypatch) -> dict:
-    """Calls of ``kernel.components``, the closure walk, and of ``Kernel.reachable``."""
-    calls = {"walks": 0, "searches": 0}
-    walk, search = kernel.components, kernel.Kernel.reachable
-
-    def walked(*args):
-        calls["walks"] += 1
-        return walk(*args)
-
-    def searched(self, s):
-        calls["searches"] += 1
-        return search(self, s)
-
-    monkeypatch.setattr(kernel, "components", walked)
-    monkeypatch.setattr(kernel.Kernel, "reachable", searched)
-    return calls
+def _walks(model, f, phi) -> tuple:
+    """``evaluate``'s verdict, and the calls of ``kernel.components``, the
+    closure walk, and of ``Kernel.reachable`` it made."""
+    with kernel.recording() as events:
+        verdict = evaluate(model, f, phi)
+    kinds = Counter(event[0] for event in events)
+    return verdict, (kinds["walk"], kinds["reachable"])
 
 
-def test_nested_reachability_walks_once(monkeypatch, micro_doc):
+def test_nested_reachability_walks_once(micro_doc):
     """``(<>+)^k false`` at micro's f1 runs one component walk for every k,
     and no breadth-first search: the walk from f1 covers every state the
     nested closures ask about and labels them all.  Labels are filled
     lazily, so ``(<>+)^3 true`` stops at its first hit."""
-    calls = _count_walks(monkeypatch)
     f1 = micro_doc.configuration("f1")
     counts = []
     for depth in range(1, 7):
@@ -387,13 +378,11 @@ def test_nested_reachability_walks_once(monkeypatch, micro_doc):
         phi = F.FALSE
         for _ in range(depth):
             phi = F.DiamondPlus(phi)
-        calls.update(walks=0, searches=0)
-        assert evaluate(model, f1, phi) is False
-        counts.append((calls["walks"], calls["searches"]))
+        verdict, walks = _walks(model, f1, phi)
+        assert verdict is False
+        counts.append(walks)
     assert counts == [(1, 0)] * 6
-    calls.update(walks=0, searches=0)
-    assert evaluate(replace(micro_doc.model), f1, F.DiamondPlus(F.DiamondPlus(F.DiamondPlus(F.TRUE))))
-    assert calls == {"walks": 1, "searches": 0}
+    assert _walks(replace(micro_doc.model), f1, F.DiamondPlus(F.DiamondPlus(F.DiamondPlus(F.TRUE)))) == (True, (1, 0))
 
 
 def _ring(n):
@@ -407,31 +396,23 @@ def _ring(n):
     return doc, names
 
 
-def test_ring_closure_labels_from_one_search(monkeypatch):
+def test_ring_closure_labels_from_one_search():
     """``<>+ <>+ false`` at the failing state of a six-node ring labels its
     48 reachable states from one component walk, not one search per state,
     and runs no breadth-first search besides."""
     doc, names = _ring(6)
-    calls = _count_walks(monkeypatch)
     phi = F.DiamondPlus(F.DiamondPlus(F.FALSE))
-    assert evaluate(doc.model, doc.configuration(names["failing"]), phi) is False
-    assert calls == {"walks": 1, "searches": 0}
+    assert _walks(doc.model, doc.configuration(names["failing"]), phi) == (False, (1, 0))
 
 
-def test_false_star_builds_one_side_model_per_component_subset(monkeypatch):
+def test_false_star_builds_one_side_model_per_component_subset():
     """``(true) * (false)`` at the failing state of a six-node ring tries all
     72 splits.  Their 144 sides cover 24 proper component subsets, and each
     subset's side model is built once."""
     doc, names = _ring(6)
-    built = []
-    restrict = semantics._restrict_model
-
-    def counted(model, side):
-        built.append(side)
-        return restrict(model, side)
-
-    monkeypatch.setattr(semantics, "_restrict_model", counted)
-    assert evaluate(doc.model, doc.configuration(names["failing"]), F.Star(F.TRUE, F.FALSE)) is False
+    with kernel.recording() as events:
+        assert evaluate(doc.model, doc.configuration(names["failing"]), F.Star(F.TRUE, F.FALSE)) is False
+    built = [event for event in events if event[0] == "side"]
     assert len(built) == len(set(built)) == 24
 
 
