@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Mutation check of the engine's fast paths: the token scan and token
-positions, successor expansion and the state cap, the one kernel a model
-keeps for its options, the rule-table lookup, intervened variants, closure
-labelling and interface splits with their sides and side atoms, chain
-search, cause search and its shared AC1 searches, intervention
-classification, bisimulation, the document lookups stanzas resolve
-against, and the methods ``records`` writes for the value classes.
+positions, successor expansion and the state cap, the transition mode a
+kernel reads from its options, the one kernel a model keeps for its
+options, the rule-table lookup, intervened variants, closure labelling and
+interface splits with their sides and side atoms, chain search, cause
+search with the AC1 clause its options select and its shared AC1
+searches, intervention classification, bisimulation, the document lookups
+stanzas resolve against, and the methods ``records`` writes for the value
+classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -58,6 +60,7 @@ BISIM_REFERENCE = "tests/test_bisim.py::test_check_bisim_matches_tuple_keyed_ref
 RECORD_MIRRORS = "tests/test_records.py::test_record_behaves_as_its_dataclass_mirror"
 AC1_REUSE = "tests/test_cause_search.py::test_ac1_reuses_a_search_only_where_it_would_run_alike"
 CLASSIFY = "tests/test_cause_search.py::test_classification_matches_reference"
+OPTIONS_MODE = "tests/test_queries.py::test_transition_mode_of_the_options_holds_for_every_model_a_query_reads"
 
 MUTANTS = (
     Mutant(
@@ -166,6 +169,13 @@ MUTANTS = (
         (AC1_REUSE,),
     ),
     Mutant(
+        "cause search ignores the strict AC1 option",
+        CAUSALITY,
+        "self.mode = ac1_mode(options)",
+        "self.mode = ac1_mode(DEFAULT_OPTIONS)",
+        ("tests/test_causality.py::test_strict_mode_requires_start_equals_end",),
+    ),
+    Mutant(
         "preserved chain re-certified on the model",
         CAUSALITY,
         "found = links[states[i], states[i + 1], effects[i]]",
@@ -234,6 +244,13 @@ MUTANTS = (
         "for row in index.get(own, index[None]):",
         "for row in sorted(index.get(own, index[None]), key=lambda row: row.own is None):",
         ("tests/test_model.py::test_rule_index_matches_linear_scan",),
+    ),
+    Mutant(
+        "kernel ignores the options' transition mode",
+        KERNEL,
+        "mode = options.mode or model.mode",
+        "mode = model.mode",
+        (OPTIONS_MODE,),
     ),
     Mutant(
         "async self-loop on every state",

@@ -10,9 +10,9 @@ first reaches its end-state behaviour, keeps it for the rest of the path,
 and at least one effect component updates somewhere along the path: the
 effect must be realized by the run, not merely stand from the start (a
 standing condition has no cause in the episode, and no counterfactual
-replay could ever refute it).  Strict mode additionally requires the
-candidate components to carry the same behaviour in the start and end
-configurations.
+replay could ever refute it).  Strict mode (``Options.strict_ac1``)
+additionally requires the candidate components to carry the same behaviour
+in the start and end configurations.
 
 AC2 (counterfactual dependence).  Two conditions.  First, a raw but-for
 contrast: some deviation of the candidate components away from their
@@ -132,20 +132,23 @@ class CauseCertificate:
 # clause checks
 
 
+def ac1_mode(options: Options) -> str:
+    """The AC1 clause ``options`` select, as certificates and reports name it."""
+    return "strict" if options.strict_ac1 else "example"
+
+
 class _Shared:
-    """One query's mode (checked here, once per query), and the work a
-    chain's links share: clamped variants by (kernel, pins), which links
-    with different effects share; their ``_Verdicts`` by (kernel, pins,
-    effect places); and the end marks and AC1 edges of states by (kernel,
-    end state, effect places).  A verdict depends only on its variant, whose
+    """One query's AC1 mode, read from its options, and the work a chain's
+    links share: clamped variants by (kernel, pins), which links with
+    different effects share; their ``_Verdicts`` by (kernel, pins, effect
+    places); and the end marks and AC1 edges of states by (kernel, end
+    state, effect places).  A verdict depends only on its variant, whose
     options are the query's, its start and its effect, and a search that
     overran ended the query, so a shared verdict only stands in for a search
     that finished."""
 
-    def __init__(self, mode: str):
-        if mode not in ("example", "strict"):
-            raise ModelError(f"unknown cause-check mode {mode!r}")
-        self.mode = mode
+    def __init__(self, options: Options):
+        self.mode = ac1_mode(options)
         self.variants: dict = {}
         self.verdicts: dict = {}
         self.ac1: dict = {}
@@ -455,28 +458,22 @@ def check_cause(
     model: SystemModel,
     q: CauseQuery,
     cause,
-    mode: str = "example",
     options: Options = DEFAULT_OPTIONS,
 ) -> CauseCertificate:
-    """Certificate for one candidate cause, with all three clause verdicts.
-
-    ``mode`` is "example" (default) or "strict"; strict adds the literal
-    start-equals-end requirement to AC1.
-    """
+    """Certificate for one candidate cause, with all three clause verdicts."""
     cause = tuple(dict.fromkeys(cause))
     if not cause:
         raise ModelError("empty candidate cause set")
     for c in cause:
         model.component(c)
     k = kernel.compile(model, options)
-    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode))
+    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(options))
     return _certificate(e, cause)
 
 
 def find_causes(
     model: SystemModel,
     q: CauseQuery,
-    mode: str = "example",
     options: Options = DEFAULT_OPTIONS,
 ) -> list[CauseCertificate]:
     """All inclusion-minimal certified causes, in canonical order.
@@ -486,7 +483,7 @@ def find_causes(
     itself, which certifies nothing.
     """
     k = kernel.compile(model, options)
-    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(mode))
+    e = _Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, _Shared(options))
     return list(_certified_causes(e))
 
 
@@ -604,7 +601,6 @@ def find_causal_chains(
     f_end: Configuration,
     max_len: int = CHAIN_MAX_LEN,
     effect_components=None,
-    mode: str = "example",
     options: Options = DEFAULT_OPTIONS,
 ) -> list[CausalChain]:
     """All minimal certified chains from f_start to f_end with at most max_len waypoints.
@@ -630,7 +626,7 @@ def find_causal_chains(
     check_max_len(max_len)
     k = kernel.compile(model, options)
     start, end = k.encode(f_start), k.encode(f_end)  # encoding validates them
-    links = _Links(k, _Shared(mode))  # every link reuses the variants and verdicts of the others
+    links = _Links(k, _Shared(options))  # every link reuses the variants and verdicts of the others
     if start == end:
         return []
     final_effect = tuple(effect_components) if effect_components else None
@@ -740,7 +736,6 @@ def classify_intervention_effect(
     model: SystemModel,
     chain: CausalChain,
     iv: Intervention,
-    mode: str = "example",
     options: Options = DEFAULT_OPTIONS,
 ) -> ChainClassification:
     """Preserved, disrupted, or indeterminate fate of a chain under an intervention.
@@ -755,7 +750,7 @@ def classify_intervention_effect(
     seq = chain.configurations
     states = [k.encode(g) for g in seq]  # encoding validates them
     effects = [tuple(l.effect_components) for l in chain.links]
-    shared = _Shared(mode)
+    shared = _Shared(options)
     link_cause_union: list[tuple[str, ...]] = []
     for i in range(len(seq) - 1):
         union: dict[str, None] = {}

@@ -17,7 +17,6 @@ from . import __version__, kernel
 from .dsl import DslError, parse_arguments, parse_config_text, parse_model
 from .model import CHAIN_MAX_LEN, CapExceeded, ModelError, Options
 from .queries import run_document, run_query
-from .records import replace
 
 
 def _absolute(path: str) -> str:
@@ -126,8 +125,9 @@ def _load(args):
         allow_trivial_split=args.allow_trivial_split,
         max_states=Options.max_states if args.max_states is None else args.max_states,
         mode="sync" if args.sync else "async" if args.force_async else None,
+        strict_ac1=args.strict_ac1,
     )
-    return replace(doc, model=options.forced(doc.model)), options
+    return doc, options
 
 
 def _emit(reports, payload, path: str | None) -> int:
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     try:
         doc, options = _load(args)
         if args.command == "run":
-            reports = run_document(doc, options, strict_ac1=args.strict_ac1)
+            reports = run_document(doc, options)
             return _emit(reports, [r.to_dict() for r in reports], args.report)
         source = "<command line>"  # every text read from here on is an argument
         if args.command == "export-dot":
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
             check_max_len(args.max_len)
         # a query subcommand's argument names are the slot fields of its stanza
         stanza = parse_arguments(args.command, vars(args), doc)
-        report = run_query(doc, stanza, options, strict_ac1=args.strict_ac1)
+        report = run_query(doc, stanza, options)
         if args.command == "chain" and args.dot:
             from .causality import projection_dot
 

@@ -254,9 +254,24 @@ def hp_check_actual_cause(hp: HPModel, query: HPCauseQuery) -> HPVerdict:
     if not candidate:
         raise ModelError("empty candidate assignment")
 
-    if query.path is not None:
-        return _check_unrolled(hp, query.path, candidate, effect)
-    return _check_static(hp, candidate, effect)
+    if query.path is None:
+        actual = solve(hp)
+
+        def recompute(alt: dict, witness, mode: str) -> dict:
+            return solve(hp, interventions={**alt, **{n: actual[n] for n in witness}})
+
+        return _check(hp, actual, candidate, effect, ("static",), recompute)
+    path = tuple(query.path)
+    if len(path) < 2:
+        raise ModelError("unrolling path needs at least two configurations")
+    fired = _fired_schedule(path)
+    attain = {n: _attainment(path, n) for n in path[0].components}
+
+    def replay(alt: dict, witness, mode: str) -> dict:
+        witness_from = {n: 0 if mode == "full" else attain[n] for n in witness}
+        return _replay(hp, path, fired, alt, attain, set(witness), witness_from)
+
+    return _check(hp, dict(path[-1].pairs), candidate, effect, ("full", "attainment"), replay)
 
 
 def _alternates(hp: HPModel, names):
@@ -265,71 +280,24 @@ def _alternates(hp: HPModel, names):
         yield dict(zip(names, combo))
 
 
-def _check_static(hp, candidate, effect) -> HPVerdict:
-    actual = solve(hp)
-    ac1 = all(actual[n] == v for n, v in candidate.items()) and all(
-        actual[n] == v for n, v in effect.items()
-    )
-    if not ac1:
+def _check(hp, actual: dict, candidate: dict, effect: dict, modes, recompute) -> HPVerdict:
+    """The clauses against the ``actual`` values, static or at the end of the
+    path: ``recompute(alt, witness, mode)`` gives the values with the
+    candidate set to ``alt`` and the witness clamped in witness mode
+    ``mode``.  Witness sets are tried by size, then in each mode, then
+    against each alternate setting of the candidate."""
+    if not all(actual[n] == v for n, v in (*candidate.items(), *effect.items())):
         return HPVerdict(ac1=False, ac2=False, ac3=False)
 
     def ac2_core(cand: dict):
         others = [v.name for v in hp.variables if v.name not in cand]
         for k in range(len(others) + 1):
             for w in combinations(others, k):
-                clamp_w = {n: actual[n] for n in w}
-                for alt in _alternates(hp, sorted(cand)):
-                    if alt == {n: actual[n] for n in cand}:
-                        continue
-                    values = solve(hp, interventions={**alt, **clamp_w})
-                    if any(values[n] != v for n, v in effect.items()):
-                        return w, tuple(sorted(alt.items()))
-        return None
-
-    hit = ac2_core(candidate)
-    if hit is None:
-        return HPVerdict(ac1=True, ac2=False, ac3=True)
-    witness, alternate = hit
-    ac3 = True
-    for k in range(1, len(candidate)):
-        for sub in combinations(sorted(candidate), k):
-            sub_cand = {n: candidate[n] for n in sub}
-            if all(actual[n] == v for n, v in sub_cand.items()) and ac2_core(sub_cand):
-                ac3 = False
-                break
-        if not ac3:
-            break
-    return HPVerdict(
-        ac1=True, ac2=True, ac3=ac3, witness=witness, witness_mode="static", alternate=alternate
-    )
-
-
-def _check_unrolled(hp, path, candidate, effect) -> HPVerdict:
-    path = tuple(path)
-    if len(path) < 2:
-        raise ModelError("unrolling path needs at least two configurations")
-    fired = _fired_schedule(path)
-    final = path[-1]
-    ac1 = all(final[n] == v for n, v in candidate.items()) and all(
-        final[n] == v for n, v in effect.items()
-    )
-    if not ac1:
-        return HPVerdict(ac1=False, ac2=False, ac3=False)
-    names = list(path[0].components)
-
-    def ac2_core(cand: dict):
-        attain = {n: _attainment(path, n) for n in cand}
-        others = [n for n in names if n not in cand]
-        for k in range(len(others) + 1):
-            for w in combinations(others, k):
-                for mode in ("full", "attainment"):
-                    witness_from = {
-                        n: (0 if mode == "full" else _attainment(path, n)) for n in w
-                    }
+                for mode in modes:
                     for alt in _alternates(hp, sorted(cand)):
-                        if alt == {n: final[n] for n in cand}:
+                        if alt == {n: actual[n] for n in cand}:
                             continue
-                        values = _replay(hp, path, fired, alt, attain, set(w), witness_from)
+                        values = recompute(alt, w, mode)
                         if any(values[n] != v for n, v in effect.items()):
                             return w, mode, tuple(sorted(alt.items()))
         return None
@@ -338,15 +306,12 @@ def _check_unrolled(hp, path, candidate, effect) -> HPVerdict:
     if hit is None:
         return HPVerdict(ac1=True, ac2=False, ac3=True)
     witness, mode, alternate = hit
-    ac3 = True
-    for k in range(1, len(candidate)):
-        for sub in combinations(sorted(candidate), k):
-            sub_cand = {n: candidate[n] for n in sub}
-            if ac2_core(sub_cand):
-                ac3 = False
-                break
-        if not ac3:
-            break
+    # a subset of the candidate holds its actual values too, so it passes AC1
+    ac3 = not any(
+        ac2_core({n: candidate[n] for n in sub})
+        for k in range(1, len(candidate))
+        for sub in combinations(sorted(candidate), k)
+    )
     return HPVerdict(
         ac1=True, ac2=True, ac3=ac3, witness=witness, witness_mode=mode, alternate=alternate
     )

@@ -7,12 +7,13 @@ rule table becomes a map from the integer (own, context) code to the next
 behaviour's code, filled on first lookup; a clamped component is a constant
 code and a free one ranges over its domain.
 
-A kernel belongs to one model under one ``Options`` value: its successor
-lists, reachable sets and caps are those options', so no memo depends on
-any other.  A variant, intervened or pinned, is a kernel alone under the
-same options: it reads the model of the kernel it was made from, only its
-rule entries are its own, and it shares every entry it does not replace,
-filled tables included.
+A kernel belongs to one model under one ``Options`` value: it steps in
+the options' transition mode, or in the model's declared one when they set
+none, and its successor lists, reachable sets and caps are those options',
+so no memo depends on any other.  A variant, intervened or pinned, is a
+kernel alone under the same options: it reads the model of the kernel it
+was made from, only its rule entries are its own, and it shares every
+entry it does not replace, filled tables included.
 
 Ownership runs one way, so reference counting frees a query's kernels,
 memos and models together.  ``compile(model, options)`` keeps one kernel
@@ -29,7 +30,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from math import prod
 
-from .model import DEFAULT_OPTIONS, Configuration, ModelError, UnknownNameError, check_intervention, exceeded
+from .model import DEFAULT_OPTIONS, MODES, Configuration, ModelError, UnknownNameError, check_intervention, exceeded
 
 
 _COMPLETE = float("inf")  # the preorder number of a node whose component is complete
@@ -129,7 +130,10 @@ class Kernel:
     def __init__(self, model, options):
         self._model = weakref.ref(model)  # a variant's is the model of the kernel it was made from
         self.options = options
-        self.mode = model.mode
+        mode = options.mode or model.mode  # the query's transition mode, else the model's
+        if mode not in MODES:
+            raise ModelError(f"unknown transition mode {mode!r}")
+        self.sync = mode == "sync"
         self.names = model.component_order
         self.index = {n: i for i, n in enumerate(self.names)}
         self.domains = tuple(c.domain for c in model.components)
@@ -216,9 +220,7 @@ class Kernel:
         successors are the product of the choices in component order."""
         if (log := recorder()) is not None:
             log.append(("expand", self, s))
-        sync = self.mode == "sync"
-        if not sync and self.mode != "async":
-            raise ModelError(f"unknown transition mode {self.mode!r}")
+        sync = self.sync
         out, stays = [], False  # async: the moves so far, and whether s is one
         shift, free = 0, [0]  # sync: the ruled components' move, and the free ones' combinations
         for (i, w, r, ctx), rule in zip(self.layout, self.rules):

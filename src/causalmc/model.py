@@ -54,9 +54,10 @@ def exceeded(cap: int, what: str, size: int | None = None):
 
 @record
 class Options:
-    """Evaluation switches shared across the engine.  A query runs under one
-    value, and compiles the model under it (``kernel.compile``): every
-    kernel, memo and cap the query reaches is that value's.
+    """Every switch of a query, each read by the layer it governs.  A query
+    runs under one value, and compiles the model under it
+    (``kernel.compile``): every kernel, memo and cap the query reaches is
+    that value's.
 
     self_loops: include transitions f -> f arising from rule fixpoints.
     allow_trivial_split: let separation queries use non-proper covers,
@@ -66,19 +67,18 @@ class Options:
         its root included, so the reported size is max_states + 1 (1 when
         negative) whatever the walk order.  The configuration space, whose
         size is known before any walk, is capped by and reports that size.
-    mode: the transition mode forced on every model a query reads from a
-        file, or None to keep each file's declared mode.  It is applied
-        where a file is read (``forced``); the engine itself ignores it.
+    mode: the transition mode of every model the query compiles, or None
+        for each model's declared mode; the kernel reads it when it is built.
+    strict_ac1: add the literal start-equals-end requirement to cause
+        search's actuality clause (certificates name it "strict", else
+        "example").
     """
 
     self_loops: bool = False
     allow_trivial_split: bool = False
     max_states: int = 100_000
     mode: str | None = None
-
-    def forced(self, model: "SystemModel") -> "SystemModel":
-        """``model`` in the forced transition mode, if one is set."""
-        return model if self.mode is None else model.with_mode(self.mode)
+    strict_ac1: bool = False
 
 
 DEFAULT_OPTIONS = Options()
@@ -305,8 +305,9 @@ class Violation:
 class SystemModel:
     """Components, atoms, and declared interventions; the single source of truth.
 
-    ``mode`` selects the transition relation: "async" rewrites exactly one
-    component per step, "sync" rewrites all components simultaneously.
+    ``mode`` selects the transition relation, unless the query's options
+    set one: "async" rewrites exactly one component per step, "sync"
+    rewrites all components simultaneously.
     ``partial`` marks models produced by decomposition; on partial models,
     behaviour atoms over missing components and named interventions the
     model does not keep evaluate to false instead of raising.
@@ -364,11 +365,6 @@ class SystemModel:
         for comp, beh in f.pairs:
             if beh not in self.component_map[comp].domain:
                 raise ModelError(f"behaviour {beh!r} not in domain of {comp!r}")
-
-    def with_mode(self, mode: str) -> "SystemModel":
-        if mode not in MODES:
-            raise ModelError(f"unknown transition mode {mode!r}")
-        return replace(self, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -111,61 +111,53 @@ def _choose(doc, config, fail_formula, options, needs, pick):
     return pick(qualifying, default=None), qualifying
 
 
-def run_query(
-    doc: ModelDocument,
-    stanza: Stanza,
-    options: Options = DEFAULT_OPTIONS,
-    strict_ac1: bool = False,
-) -> QueryReport:
+def run_query(doc: ModelDocument, stanza: Stanza, options: Options = DEFAULT_OPTIONS) -> QueryReport:
     started = time.perf_counter()
-    mode = "strict" if strict_ac1 else "example"
-    verdict, witnesses = HANDLERS[stanza.kind](doc, options, mode, *stanza.values)
+    verdict, witnesses = HANDLERS[stanza.kind](doc, options, *stanza.values)
     elapsed = (time.perf_counter() - started) * 1000.0
     return QueryReport(
         query=stanza.echo(), kind=stanza.kind, verdict=verdict, witnesses=witnesses, timing_ms=elapsed
     )
 
 
-def run_document(
-    doc: ModelDocument, options: Options = DEFAULT_OPTIONS, strict_ac1: bool = False
-) -> list[QueryReport]:
-    return [run_query(doc, q, options, strict_ac1) for q in doc.queries]
+def run_document(doc: ModelDocument, options: Options = DEFAULT_OPTIONS) -> list[QueryReport]:
+    return [run_query(doc, q, options) for q in doc.queries]
 
 
-# one handler per query kind: (doc, options, AC1 mode, *slot values of the
+# one handler per query kind: (doc, options, *slot values of the
 # kind's grammar entry in dsl.QUERIES) -> (verdict, witnesses); the cause,
 # chain and bisim handlers import their engine module when they first run
 
 
-def _check(doc, options, mode, config, formula):
+def _check(doc, options, config, formula):
     collected: list = []
     verdict = evaluate(doc.model, config, formula, options, witnesses=collected)
     return verdict, {"evidence": collected}
 
 
-def _cause(doc, options, mode, start, end, effect):
-    from .causality import CauseQuery, find_causes
+def _cause(doc, options, start, end, effect):
+    from .causality import CauseQuery, ac1_mode, find_causes
 
-    certs = find_causes(doc.model, CauseQuery(start, end, effect), mode=mode, options=options)
-    return bool(certs), {"mode": mode, "certificates": [c.to_dict() for c in certs]}
+    certs = find_causes(doc.model, CauseQuery(start, end, effect), options)
+    return bool(certs), {"mode": ac1_mode(options), "certificates": [c.to_dict() for c in certs]}
 
 
-def _chain(doc, options, mode, start, end, effect, max_len):
-    from .causality import causal_projection, find_causal_chains
+def _chain(doc, options, start, end, effect, max_len):
+    from .causality import ac1_mode, causal_projection, find_causal_chains
 
     chains = find_causal_chains(
         doc.model, start, end, max_len=CHAIN_MAX_LEN if max_len is None else max_len,
-        effect_components=effect, mode=mode, options=options,
+        effect_components=effect, options=options,
     )
     projection = causal_projection(doc.model, chains, options)
     return bool(chains), {
-        "mode": mode,
+        "mode": ac1_mode(options),
         "chains": [c.to_dict() for c in chains],
         "projection": projection.to_dict(),
     }
 
 
-def _decompose(doc, options, mode, left, right):
+def _decompose(doc, options, left, right):
     model = doc.model
     split = check_interface(model, left, right, allow_trivial=options.allow_trivial_split)
     if split is None:
@@ -180,13 +172,13 @@ def _decompose(doc, options, mode, left, right):
     return True, payload
 
 
-def _bisim(doc, options, mode, config, other_model, other_config):
+def _bisim(doc, options, config, other_model, other_config):
     from .bisim import PointedModel, check_bisim
 
     other_path = Path(doc.path or ".").parent / other_model
     try:
         other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path))
-        other = PointedModel(options.forced(other_doc.model), other_doc.configuration(other_config))
+        other = PointedModel(other_doc.model, other_doc.configuration(other_config))
     except DslError as exc:  # the diagnostics point into the other model's file
         raise DslError(exc.diagnostics, path=str(other_path)) from None
     result = check_bisim(PointedModel(doc.model, config), other, options)
@@ -198,7 +190,7 @@ def _bisim(doc, options, mode, config, other_model, other_config):
     return result.bisimilar, payload
 
 
-def _recover(doc, options, mode, config, formula):
+def _recover(doc, options, config, formula):
     qualifying = qualifying_interventions(doc, config, formula, options)
     return bool(qualifying), {"qualifying": [iv.name for iv in qualifying]}
 
@@ -206,7 +198,7 @@ def _recover(doc, options, mode, config, formula):
 def _choice(choice, fields):
     """A handler reporting the chosen intervention and, per qualifying one, ``fields``."""
 
-    def handler(doc, options, mode, config, formula):
+    def handler(doc, options, config, formula):
         chosen, qualifying = _choose(doc, config, formula, options, *choice)
         return chosen is not None, {
             "chosen": chosen.name if chosen else None,

@@ -28,7 +28,7 @@ from causalmc.generate import (
     rename_component_behaviours,
 )
 from causalmc.hp import HPCauseQuery, export_hp, hp_check_actual_cause
-from causalmc.model import apply_intervention, reachable
+from causalmc.model import Options, apply_intervention, reachable
 from causalmc.queries import min_cost_recovery, run_query
 from causalmc.semantics import evaluate
 
@@ -72,9 +72,9 @@ def test_criterion_3_actual_cause(micro, micro_f1, micro_f2):
         assert cert.is_cause
         assert cert.witness_set == ("Auth", "ProfileSvc", "Logger", "FrontEnd")
         # the literal start-equals-end reading rejects the same candidate
-        strict = check_cause(micro, q, ("UserDB",), mode="strict")
+        strict = check_cause(micro, q, ("UserDB",), Options(strict_ac1=True))
         assert not strict.ac1 and not strict.is_cause
-        assert find_causes(micro, q, mode="strict") == []
+        assert find_causes(micro, q, Options(strict_ac1=True)) == []
 
 
 def test_criterion_4_intervention_reset(ex1, ex1_doc):

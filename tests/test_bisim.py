@@ -261,7 +261,7 @@ def _closure_models(count):
                 constant = constant_table(len(c.context), rng.choice(c.domain))
                 rules.append((c.name, rng.choice((c.rule, constant, _random_table(rng, model, c)))))
             ivs.append(Intervention(f"theta{j}", tuple(c.name for c in targets), tuple(rules)))
-        out.append(replace(model, interventions=tuple(ivs)).with_mode(("async", "sync")[seed % 2]))
+        out.append(replace(model, interventions=tuple(ivs), mode=("async", "sync")[seed % 2]))
     return out
 
 
@@ -523,7 +523,7 @@ def _bisim_cases(ex1, ex1_doc, micro, micro_f1, count):
     for seed in range(count):
         rng = random.Random(seed)
         model = random_system_model(rng, max_components=3, max_behaviours=3, n_interventions=3)
-        model = model.with_mode(("async", "sync")[seed % 2])
+        model = replace(model, mode=("async", "sync")[seed % 2])
         point = random_configuration(rng, model)
         renamed, rencfg = rename_component_behaviours(model, rng.choice(model.component_order))
         yield PointedModel(model, point), PointedModel(renamed, rencfg(point)), seed

@@ -74,8 +74,6 @@ def test_standalone_check_cause_validates_its_query(micro, micro_query, micro_f1
     # the candidate checks inside an episode skip validation; the public call must not
     with pytest.raises(ModelError, match="unknown component"):
         check_cause(micro, micro_query, ("UserDB", "Cache"))
-    with pytest.raises(ModelError, match="unknown cause-check mode"):
-        check_cause(micro, micro_query, ("UserDB",), mode="loose")
     bad_behaviour = Configuration(tuple((c, "down" if c == "UserDB" else b) for c, b in micro_f1.pairs))
     missing = Configuration(micro_f1.pairs[:-1])
     for bad in (bad_behaviour, missing):
@@ -94,7 +92,7 @@ def test_unreachable_effect_fails_actuality(micro, micro_f1):
 
 
 def test_strict_mode_requires_start_equals_end(micro, micro_query):
-    cert = check_cause(micro, micro_query, ("UserDB",), mode="strict")
+    cert = check_cause(micro, micro_query, ("UserDB",), Options(strict_ac1=True))
     assert not cert.ac1 and not cert.is_cause
 
 

@@ -66,8 +66,8 @@ finally:
 
 
 class RefEpisode:
-    def __init__(self, model, q, mode, options):
-        self.model, self.q, self.mode, self.options = model, q, mode, options
+    def __init__(self, model, q, options):
+        self.model, self.q, self.options = model, q, options
         self.verdicts: dict = {}
         self.searches: dict = {}
         self.k = k = kernel.compile(model, options)
@@ -82,7 +82,7 @@ class RefEpisode:
 
 def _ac1(e, cause):
     held = [e.place(c) for c in cause]
-    if e.mode == "strict" and any(e.start // w % r != b for w, r, b in held):
+    if e.options.strict_ac1 and any(e.start // w % r != b for w, r, b in held):
         return False, None
     effect = [(w, r) for w, r, _ in e.effect]
 
@@ -226,11 +226,11 @@ def _ac2_for_witness(e, witness, devs, blocked):
     return tuple(DeviationCheck(deviation=dev, start=k.decode(base + delta), ok=True) for dev, delta in devs)
 
 
-def ref_check_cause(model, q, cause, mode="example", options=Options(), _episode=None):
+def ref_check_cause(model, q, cause, options=Options(), _episode=None):
     cause = tuple(dict.fromkeys(cause))
     if not cause:
         raise ModelError("empty candidate cause set")
-    episode = _episode if _episode is not None else RefEpisode(model, q, mode, options)
+    episode = _episode if _episode is not None else RefEpisode(model, q, options)
     memo = episode.verdicts
 
     def core(subset):
@@ -266,7 +266,7 @@ def ref_check_cause(model, q, cause, mode="example", options=Options(), _episode
         ac1=ac1,
         ac2=ac2,
         ac3=ac3,
-        mode=mode,
+        mode="strict" if options.strict_ac1 else "example",
         ac1_path=path,
         contrast_deviation=contrast,
         ac2_checks=evidence,
@@ -274,16 +274,16 @@ def ref_check_cause(model, q, cause, mode="example", options=Options(), _episode
     )
 
 
-def ref_find_causes(model, q, mode="example", options=Options()):
+def ref_find_causes(model, q, options=Options()):
     effect = set(q.effect_components)
     names = tuple(n for n in model.component_order if n not in effect)
-    episode = RefEpisode(model, q, mode, options)
+    episode = RefEpisode(model, q, options)
     certified = []
     for k in range(1, len(names) + 1):
         for cand in combinations(names, k):
             if any(set(c.cause_set) < set(cand) for c in certified):
                 continue
-            cert = ref_check_cause(model, q, cand, mode=mode, options=options, _episode=episode)
+            cert = ref_check_cause(model, q, cand, options=options, _episode=episode)
             if cert.is_cause:
                 certified.append(cert)
     return certified
@@ -302,10 +302,10 @@ def _outcome(fn):
 
 
 def _queries(count, fewest=3, most=5):
-    """``count`` (model, query, mode, options) cases on models of ``fewest``
+    """``count`` (model, query, options) cases on models of ``fewest``
     to ``most`` components, cycling through both AC1 modes, async and sync
     transitions, and self-loops off and on."""
-    settings = list(product(("example", "strict"), ("async", "sync"), (False, True)))
+    settings = list(product((False, True), ("async", "sync"), (False, True)))
     out, seed = [], 0
     while len(out) < count:
         rng = random.Random(seed)
@@ -313,16 +313,16 @@ def _queries(count, fewest=3, most=5):
         model = random_system_model(rng, max_components=most, max_behaviours=3)
         if len(model.components) < fewest:
             continue
-        mode, transitions, loops = settings[len(out) % len(settings)]
+        strict, transitions, loops = settings[len(out) % len(settings)]
         model = replace(model, mode=transitions)
-        options = Options(self_loops=loops)
+        options = Options(self_loops=loops, strict_ac1=strict)
         f1 = random_configuration(rng, model)
         reach = reachable(model, f1, options)
         f2 = rng.choice(reach) if reach else random_configuration(rng, model)
         changed = [c for c in model.component_order if f1[c] != f2[c]]
         pool = changed or list(model.component_order)
         effect = tuple(sorted(rng.sample(pool, rng.randint(1, min(2, len(pool))))))
-        out.append((model, CauseQuery(f1, f2, effect), mode, options))
+        out.append((model, CauseQuery(f1, f2, effect), options))
     return out
 
 
@@ -375,8 +375,8 @@ def _structured():
     bases += [fanin(leaves, faulty) for leaves in (2, 3) for faulty in (1, 2)]
     out = []
     for model, q in bases:
-        for mode, transitions, loops in product(("example", "strict"), ("async", "sync"), (False, True)):
-            out.append((replace(model, mode=transitions), q, mode, Options(self_loops=loops)))
+        for strict, transitions, loops in product((False, True), ("async", "sync"), (False, True)):
+            out.append((replace(model, mode=transitions), q, Options(self_loops=loops, strict_ac1=strict)))
     return out
 
 
@@ -469,24 +469,24 @@ def backup(rng):
 CASES = _queries(200)
 STRUCTURED = _structured()
 BACKUPS = [
-    (model, q, mode, Options(self_loops=seed % 2 == 1))
+    (model, q, Options(self_loops=seed % 2 == 1, strict_ac1=strict))
     for seed in range(24)
     for model, q in [backup(random.Random(seed))]
-    for mode in ("example", "strict")
+    for strict in (False, True)
 ]
 
 
 def test_cases_cover_every_setting():
-    seen = {(mode, m.mode, o.self_loops) for m, _, mode, o in CASES}
+    seen = {(o.strict_ac1, m.mode, o.self_loops) for m, _, o in CASES}
     assert len(seen) == 8
-    assert {len(m.components) for m, _, _, _ in CASES} == {3, 4, 5}
+    assert {len(m.components) for m, _, _ in CASES} == {3, 4, 5}
 
 
 def test_find_causes_matches_reference():
     causes = several = witnessed = 0
-    for model, q, mode, options in CASES + STRUCTURED:
-        want = _outcome(lambda: ref_find_causes(model, q, mode, options))
-        assert _outcome(lambda: find_causes(model, q, mode, options)) == want
+    for model, q, options in CASES + STRUCTURED:
+        want = _outcome(lambda: ref_find_causes(model, q, options))
+        assert _outcome(lambda: find_causes(model, q, options)) == want
         causes += len(want)
         several += sum(1 for c in want if len(c["ac2_checks"]) > 1)
         witnessed += sum(1 for c in want if c["witness_set"])
@@ -497,21 +497,22 @@ def test_find_causes_matches_reference():
 def test_microservice_matches_reference(micro, micro_f1, micro_f2, mode):
     # the database cause is certified only under a four-component witness set
     q = CauseQuery(micro_f1, micro_f2, ("FrontEnd",))
-    want = _outcome(lambda: ref_find_causes(micro, q, mode))
-    assert _outcome(lambda: find_causes(micro, q, mode)) == want
+    options = Options(strict_ac1=mode == "strict")
+    want = _outcome(lambda: ref_find_causes(micro, q, options))
+    assert _outcome(lambda: find_causes(micro, q, options)) == want
     for k in (1, 2):
         for cand in combinations(micro.component_order, k):
-            want = _outcome(lambda: [ref_check_cause(micro, q, cand, mode)])
-            assert _outcome(lambda: [check_cause(micro, q, cand, mode)]) == want
+            want = _outcome(lambda: [ref_check_cause(micro, q, cand, options)])
+            assert _outcome(lambda: [check_cause(micro, q, cand, options)]) == want
 
 
 def test_check_cause_matches_reference_per_candidate():
     verdicts = set()
-    for model, q, mode, options in CASES[::2] + STRUCTURED[::3]:
+    for model, q, options in CASES[::2] + STRUCTURED[::3]:
         for k in (1, 2, 3):
             for cand in combinations(model.component_order, k):
-                want = _outcome(lambda: [ref_check_cause(model, q, cand, mode, options)])
-                assert _outcome(lambda: [check_cause(model, q, cand, mode, options)]) == want
+                want = _outcome(lambda: [ref_check_cause(model, q, cand, options)])
+                assert _outcome(lambda: [check_cause(model, q, cand, options)]) == want
                 verdicts.add((want[0]["ac1"], want[0]["ac2"], want[0]["ac3"]))
     # every clause fails somewhere, and some candidates pass all three
     assert {(False, False, True), (True, False, True), (True, True, False), (True, True, True)} <= verdicts
@@ -520,10 +521,10 @@ def test_check_cause_matches_reference_per_candidate():
 @pytest.mark.parametrize("max_states", [0, 1, 2, 3])
 def test_cap_overruns_match_reference(max_states):
     phases = set()
-    for model, q, mode, options in CASES[:60] + STRUCTURED[::4]:
+    for model, q, options in CASES[:60] + STRUCTURED[::4]:
         options = replace(options, max_states=max_states)
-        want = _outcome(lambda: ref_find_causes(model, q, mode, options))
-        assert _outcome(lambda: find_causes(model, q, mode, options)) == want
+        want = _outcome(lambda: ref_find_causes(model, q, options))
+        assert _outcome(lambda: find_causes(model, q, options)) == want
         if isinstance(want, tuple):
             phases.add(want[3])
     # AC2 runs only once AC1 has found a path, which holds the start and at least one more state
@@ -547,7 +548,7 @@ def test_counterfactual_search_matches_reference():
     outcomes = {"at start": 0, "past start": 0, "elsewhere": 0, "none": 0, "cap": 0}
     for seed in range(80):
         rng = random.Random(seed)
-        model = random_system_model(rng, max_components=4, max_behaviours=3).with_mode(("async", "sync")[seed % 2])
+        model = replace(random_system_model(rng, max_components=4, max_behaviours=3), mode=("async", "sync")[seed % 2])
         k = kernel.compile(model)
         pins = tuple((i, rng.randrange(r)) for i, r in enumerate(k.radices) if rng.random() < 0.5)
         for loops, cap in product((False, True), (-1, 0, 1, 2, 3, 5, 100_000)):
@@ -580,13 +581,13 @@ def test_ac1_reuses_a_search_only_where_it_would_run_alike():
     candidates reuse a kept search, and some episodes keep several."""
     tally = Counter()
     rng = random.Random(0)
-    for model, q, mode, options in CASES + STRUCTURED:
-        ref = RefEpisode(model, q, mode, options)
+    for model, q, options in CASES + STRUCTURED:
+        ref = RefEpisode(model, q, options)
         names = model.component_order
         everything = [c for n in range(1, len(names) + 1) for c in combinations(names, n)]
         outside = [c for c in everything if not set(c) & set(q.effect_components)]
         for order in (outside, rng.sample(everything, len(everything))):
-            e = causality._Episode(ref.k, ref.start, ref.end, q.effect_components, causality._Shared(mode))
+            e = causality._Episode(ref.k, ref.start, ref.end, q.effect_components, causality._Shared(options))
             for cand in order:
                 path = e.clauses(cand)[0]
                 assert (None if path is None else tuple(map(ref.k.decode, path))) == _ac1(ref, cand)[1], cand
@@ -618,13 +619,13 @@ def assert_same_searches(case):
     first that answers, then bisected down to the uncapped peak, the least
     cap at which the query answers.  Returns the certificates and the
     searches of the uncapped query, and the caps of the ladder that overran."""
-    model, q, mode, options = case
+    model, q, options = case
 
     def both(cap):
         out = {}
         for who, find in (("engine", find_causes), ("reference", ref_find_causes)):
             with kernel.recording() as events:
-                outcome = _outcome(lambda: find(model, q, mode, replace(options, max_states=cap)))
+                outcome = _outcome(lambda: find(model, q, replace(options, max_states=cap)))
             out[who] = outcome, search_keys(events)
         assert out["engine"] == out["reference"], cap
         return out["reference"]
@@ -660,7 +661,7 @@ def test_cause_searches_run_in_the_reference_order(micro, micro_f1, micro_f2):
     first deviation."""
     queries = [(micro, CauseQuery(micro_f1, micro_f2, (effect,))) for effect in micro.component_order]
     queries.append(cause_between_walks())
-    handmade = [(model, q, mode, Options()) for model, q in queries for mode in ("example", "strict")]
+    handmade = [(model, q, Options(strict_ac1=strict)) for model, q in queries for strict in (False, True)]
     generated = _queries(100, 4, 6) + STRUCTURED + handmade
     tally = Counter()
     for i, case in enumerate(generated + BACKUPS):
@@ -757,7 +758,7 @@ def test_ac1_searches_are_pinned(micro, micro_f1, micro_f2):
     micro_q = CauseQuery(micro_f1, micro_f2, ("FrontEnd",))
     for model, q, candidates, runs in ((doc.model, fanin_q, 32, 1), (micro, micro_q, 8, 2)):
         k = kernel.compile(model)
-        e = causality._Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, causality._Shared("example"))
+        e = causality._Episode(k, k.encode(q.start), k.encode(q.end), q.effect_components, causality._Shared(k.options))
         certs = list(causality._certified_causes(e))
         assert [c.to_dict() for c in certs] == [c.to_dict() for c in find_causes(model, q)] != []
         assert (len(e.verdicts), len(e.runs)) == (candidates, runs)
@@ -789,25 +790,6 @@ def test_cause_search_builds_a_certificate_only_for_a_cause_it_returns(micro, mi
             assert cert.to_dict() == check_cause(model, q, cert.cause_set).to_dict()
         returned.append(len(certs))
     assert returned == [0, 1, 1, 0, 1]
-
-
-def test_an_unknown_mode_is_rejected_when_the_query_starts():
-    model, q = pipeline(3, fault=True)
-    assert q.start not in reachable(model, q.end)  # the sink's error is a deadlock
-    chain = causality.find_causal_chains(model, q.start, q.end, 2)[0]
-    clamp = clamping_intervention(model, ("s1",), {"s1": "ok"})
-    calls = [
-        lambda: find_causes(model, q, "loose"),
-        lambda: check_cause(model, q, ("s0",), "loose"),
-        lambda: causality.find_causal_chains(model, q.start, q.end, 2, mode="loose"),
-        # an unreachable end and equal endpoints end the search before any link
-        lambda: causality.find_causal_chains(model, q.end, q.start, 2, mode="loose"),
-        lambda: causality.find_causal_chains(model, q.start, q.start, 2, mode="loose"),
-        lambda: causality.classify_intervention_effect(model, chain, clamp, "loose"),
-    ]
-    for call in calls:
-        with pytest.raises(ModelError, match="unknown cause-check mode 'loose'"):
-            call()
 
 
 def test_clamped_variants_go_with_the_query(micro, micro_f1, micro_f2):
@@ -851,7 +833,7 @@ def _changed_components(a, b):
     return tuple(c for c in a.components if a[c] != b[c])
 
 
-def _certify_link(model, a, b, effect_components, mode, options, shared=None):
+def _certify_link(model, a, b, effect_components, options, shared=None):
     """First (canonically smallest) certified cause of b from a, or None;
     the link's episode shares ``shared``, or a fresh table, with the query.
     A recording gets the call as the engine's link event, on state numbers."""
@@ -863,12 +845,12 @@ def _certify_link(model, a, b, effect_components, mode, options, shared=None):
     effect = effect_components or _changed_components(a, b)
     if not effect:
         return None
-    shared = shared or causality._Shared(mode)
+    shared = shared or causality._Shared(options)
     e = causality._Episode(k, k.encode(a), k.encode(b), tuple(effect), shared)
     return next(causality._certified_causes(e), None)
 
 
-def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=None, mode="example", options=Options()):
+def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=None, options=Options()):
     if max_len < 2:
         raise ModelError("max_len must be at least 2")
     model.validate_configuration(f_start)
@@ -883,7 +865,7 @@ def ref_find_causal_chains(model, f_start, f_end, max_len=4, effect_components=N
         key = (a, b, final and effect_components is not None)
         if key not in link_cache:
             eff = effect_components if (final and effect_components is not None) else None
-            link_cache[key] = _certify_link(model, a, b, eff, mode, options)
+            link_cache[key] = _certify_link(model, a, b, eff, options)
         return link_cache[key]
 
     def is_chain(seq):
@@ -956,7 +938,7 @@ def assert_prune_only_removes_work(args):
     answered, and the engine's uncapped prunes by kind."""
 
     def run(search, cap):
-        return _chains_and_calls(search, *args[:6], replace(args[6], max_states=cap))
+        return _chains_and_calls(search, *args[:5], replace(args[5], max_states=cap))
 
     want, certified, _ = run(ref_find_causal_chains, Options().max_states)
     found, looked_up, fired = run(causality.find_causal_chains, Options().max_states)
@@ -989,7 +971,7 @@ def _tally(searches):
 @pytest.mark.parametrize("max_len", [2, 3, 4, 5, 6])
 def test_micro_chain_search_matches_permutations(micro, micro_f1, micro_f2, max_len):
     for effect in (None, ("FrontEnd",)):
-        args = (micro, micro_f1, micro_f2, max_len, effect, "example", Options())
+        args = (micro, micro_f1, micro_f2, max_len, effect, Options())
         want, *_ = assert_prune_only_removes_work(args)
         assert want or (max_len, effect) == (2, None)
 
@@ -1000,7 +982,7 @@ def _chain_cases(count):
     out, seed = [], 0
     while len(out) < count:
         rng = random.Random(seed)
-        model = random_system_model(rng, max_components=5, max_behaviours=3).with_mode(("async", "sync")[seed % 2])
+        model = replace(random_system_model(rng, max_components=5, max_behaviours=3), mode=("async", "sync")[seed % 2])
         options = Options(self_loops=bool(seed // 2 % 2))
         seed += 1
         f1 = random_configuration(rng, model)
@@ -1013,8 +995,8 @@ def _chain_cases(count):
 def test_chain_search_matches_permutations_on_generated_models():
     """Chains agree with the unpruned reference, and the prune only removes
     link certifications and cap overruns."""
-    searches = [(m, q.start, q.end, 4, q.effect_components, mode, o) for m, q, mode, o in CASES + STRUCTURED]
-    searches += [(m, f1, f2, 5, None, "example", o) for m, f1, f2, o in _chain_cases(200)]
+    searches = [(m, q.start, q.end, 4, q.effect_components, o) for m, q, o in CASES + STRUCTURED]
+    searches += [(m, f1, f2, 5, None, o) for m, f1, f2, o in _chain_cases(200)]
     tally = _tally(searches)
     assert tally["certified"] > 800 and tally["chains"] > 60 and tally["3 waypoints"] > 0 and tally["caps"] > 0, tally
     # the prune removes link certifications, and with them some overruns
@@ -1070,7 +1052,7 @@ def test_chain_search_matches_permutations_on_staged_models():
             end = rng.choice(reachable(model, start, options) or [end])
         changed = [c for c in model.component_order if start[c] != end[c]]
         effect = (rng.choice(changed),) if seed % 4 == 2 and changed else None
-        searches.append((model, start, end, 3 + seed % 3, effect, "example", options))
+        searches.append((model, start, end, 3 + seed % 3, effect, options))
     tally = _tally(searches)
     assert tally["3 waypoints"] > 50 and tally["4 waypoints"] > 40, tally
     assert tally["extension"] > 0 and tally["close"] > 0 and tally["last middle"] > 0, tally
@@ -1081,11 +1063,11 @@ def test_chain_search_matches_permutations_on_staged_models():
 # intervention effect classification
 
 
-def ref_classify_intervention_effect(model, chain, iv, mode="example", options=Options()):
+def ref_classify_intervention_effect(model, chain, iv, options=Options()):
     seq = chain.configurations
     for g in seq:
         model.validate_configuration(g)
-    shared = causality._Shared(mode)
+    shared = causality._Shared(options)
     link_cause_union = []
     k = kernel.compile(model, options)
     for i in range(len(seq) - 1):
@@ -1110,7 +1092,7 @@ def ref_classify_intervention_effect(model, chain, iv, mode="example", options=O
                     link_causes=tuple(link_cause_union),
                     broken_link=i,
                 )
-            cert = _certify_link(intervened, seq[i], seq[i + 1], chain.links[i].effect_components, mode, options, shared)
+            cert = _certify_link(intervened, seq[i], seq[i + 1], chain.links[i].effect_components, options, shared)
             if cert is None:
                 return causality.ChainClassification(
                     verdict="indeterminate",

@@ -18,6 +18,7 @@ from test_cause_search import STRUCTURED
 from causalmc import kernel, replace
 from causalmc.causality import find_causes
 from causalmc.dsl import parse_model, parse_query_text
+from causalmc.model import Options
 from causalmc.queries import run_query
 
 KINDS = {
@@ -42,14 +43,14 @@ def _micro_keys() -> list:
     path = MODELS / "microservice.model"
     doc = parse_model(path.read_text(encoding="utf-8"), path=str(path))
     stanzas = list(doc.queries) + [parse_query_text(text, doc) for text in EXTRA]
-    return [run_query(doc, q, strict_ac1=strict).replay_key() for strict in (False, True) for q in stanzas]
+    return [run_query(doc, q, Options(strict_ac1=strict)).replay_key() for strict in (False, True) for q in stanzas]
 
 
 def _cause_keys() -> list:
     """The certificates of each structured cause case as JSON, each on a fresh copy of its model."""
     out = []
-    for model, q, mode, options in STRUCTURED:
-        certs = find_causes(replace(model), q, mode, options)
+    for model, q, options in STRUCTURED:
+        certs = find_causes(replace(model), q, options)
         out.append(json.dumps([c.to_dict() for c in certs], sort_keys=True))
     return out
 

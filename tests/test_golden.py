@@ -24,6 +24,7 @@ from causalmc.bisim import PointedModel, check_bisim
 from causalmc.cli import main
 from causalmc.dsl import DslError, parse_formula_text, parse_model, parse_query_text, pretty_document
 from causalmc.generate import generate_formula_suite, perturb_model
+from causalmc.model import Options
 from causalmc.queries import run_query
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -37,7 +38,7 @@ def replay_keys() -> dict:
     for path in sorted(MODELS.glob("*.model")):
         doc = parse_model(path.read_text(encoding="utf-8"), path=str(path))
         out[path.name] = {
-            mode: [run_query(doc, q, strict_ac1=mode == "strict").replay_key() for q in doc.queries]
+            mode: [run_query(doc, q, Options(strict_ac1=mode == "strict")).replay_key() for q in doc.queries]
             for mode in ("example", "strict")
         }
     return out

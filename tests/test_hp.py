@@ -156,9 +156,9 @@ def test_equation_oracle_checks_every_async_certificate():
     components at once, it accepts 28 and refuses the other 25 as no such
     path."""
     tally = Counter()
-    for model, q, mode, options in CASES + STRUCTURED + BACKUPS:
+    for model, q, options in CASES + STRUCTURED + BACKUPS:
         hp = export_hp(model, q.start)
-        for cert in find_causes(model, q, mode, options):
+        for cert in find_causes(model, q, options):
             effect = {c: q.end[c] for c in q.effect_components}
             hq = HPCauseQuery.build({c: q.end[c] for c in cert.cause_set}, effect, path=cert.ac1_path)
             try:

@@ -147,7 +147,7 @@ def _models(count):
     for seed in range(count):
         rng = random.Random(seed)
         model = random_system_model(rng, max_components=4, max_behaviours=3, max_rows=4, n_interventions=2)
-        yield rng, model.with_mode(("async", "sync")[seed % 2])
+        yield rng, replace(model, mode=("async", "sync")[seed % 2])
 
 
 def _starts(rng, model, n=4):
@@ -281,7 +281,7 @@ def test_compile_is_cached_per_instance(micro):
     assert loops.intervened(micro.intervention_map["theta1"]).options is loops.options
     assert loops.pinned(((0, 1),)).options is loops.options
     assert compile(micro) is not k and compile(micro) is compile(micro)
-    assert compile(micro.with_mode("sync")) is not compile(micro)
+    assert compile(replace(micro, mode="sync")) is not compile(micro)
 
 
 def test_answers_do_not_depend_on_the_options_compiled_before(micro, micro_f1):

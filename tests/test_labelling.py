@@ -251,7 +251,7 @@ def _cases(count, max_components=4):
             rng, max_components=max_components, max_behaviours=3, max_rows=4, n_interventions=2
         )
         options = Options(self_loops=bool(seed // 2 % 2), allow_trivial_split=bool(seed // 4 % 2))
-        yield rng, model.with_mode(("async", "sync")[seed % 2]), options
+        yield rng, replace(model, mode=("async", "sync")[seed % 2]), options
 
 
 def test_evaluate_matches_reference_on_random_models():

@@ -132,7 +132,7 @@ def test_unknown_component_in_configuration_rejected(ex1):
 
 
 def test_sync_mode_single_successor(ex1, ex1_doc):
-    m = ex1.with_mode("sync")
+    m = replace(ex1, mode="sync")
     mid = ex1_doc.configuration("mid")
     succ = successors(m, mid)
     assert len(succ) == 1

@@ -5,7 +5,7 @@ import pytest
 from causalmc import formulas as F
 from causalmc import model, queries, replace
 from causalmc.dsl import parse_query_text
-from causalmc.model import ModelError
+from causalmc.model import ModelError, Options
 from causalmc.queries import (
     SCHEMA_VERSION,
     best_utility,
@@ -14,6 +14,7 @@ from causalmc.queries import (
     run_document,
     run_query,
 )
+from causalmc.semantics import evaluate
 
 
 def test_check_stanza_report(micro_doc):
@@ -134,6 +135,23 @@ def test_bisim_stanza_against_own_file(ex1_doc):
     stanza = parse_query_text('bisim start vs "ex1.model" start', ex1_doc)
     report = run_query(ex1_doc, stanza)
     assert report.verdict and report.witnesses["relation_size"] > 0
+
+
+def test_transition_mode_of_the_options_holds_for_every_model_a_query_reads(ex1_doc, micro, micro_f1):
+    """``Options.mode`` steps both models of a library bisim as ``--sync``
+    does on the command line, a successor query as a model declaring that
+    mode does, and an unknown mode is refused as a declared one is."""
+    sync = Options(mode="sync")
+    report = run_query(ex1_doc, parse_query_text('bisim start vs "ex1.model" start', ex1_doc), sync)
+    assert report.verdict
+    assert report.witnesses == {"left_states": 6, "right_states": 6, "relation_size": 6}
+    found = model.successors(micro, micro_f1, sync)
+    assert found == model.successors(replace(micro, mode="sync"), micro_f1) and len(found) == 1
+    assert len(model.successors(micro, micro_f1)) == 2
+    step = F.Diamond(F.Top())
+    for m, options in ((micro, Options(mode="bogus")), (replace(micro, mode="bogus"), Options())):
+        with pytest.raises(ModelError, match="unknown transition mode 'bogus'"):
+            evaluate(m, micro_f1, step, options)
 
 
 def test_chain_stanza_projection(micro_doc):
