@@ -2,11 +2,12 @@
 """Mutation check of the engine's fast paths: the token scan and token
 positions, successor expansion and the state cap, the transition mode a
 kernel reads from its options, the one kernel a model keeps for its
-options, the rule-table lookup, intervened variants, closure labelling and
-interface splits with their sides and side atoms, chain search, cause
-search with the AC1 clause its options select and its shared AC1
-searches, intervention classification, bisimulation, the document lookups
-stanzas resolve against, and the methods ``records`` writes for the value
+options and the copy of the model it holds, the rule-table lookup,
+intervened variants, closure labelling and interface splits with the
+sides a kernel keeps and their atoms, chain search, cause search with
+the AC1 clause its options select and its shared AC1 searches,
+intervention classification, bisimulation, the document lookups stanzas
+resolve against, and the methods ``records`` writes for the value
 classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
@@ -305,10 +306,24 @@ MUTANTS = (
     ),
     Mutant(
         "side of a variant runs the declared rules",
-        SEMANTICS,
-        "side = sides[names] = (m, k.side(m),",
-        "side = sides[names] = (m, kernel.Kernel(m, k.options),",
+        KERNEL,
+        "out.rules = [None if rule is None else self.rules[self.index[c]] for c, rule in zip(out.names, out.rules)]",
+        "pass",
         ("tests/test_labelling.py::test_star_under_an_intervention_builds_its_own_sides",),
+    ),
+    Mutant(
+        "side kernels are not kept",
+        KERNEL,
+        "out = self.sides[names] = Kernel(",
+        "out = Kernel(",
+        ("tests/test_labelling.py::test_false_star_builds_one_side_model_per_component_subset",),
+    ),
+    Mutant(
+        "compile holds the model itself",
+        KERNEL,
+        "Kernel(replace(model), options)",
+        "Kernel(model, options)",
+        ("tests/test_cli.py::test_a_command_leaves_no_engine_object_in_a_reference_cycle",),
     ),
     Mutant(
         "side atom keeps its unprojected configurations",

@@ -80,28 +80,22 @@ def intervention_closure(model: SystemModel, options: Options = DEFAULT_OPTIONS)
     keys = [tuple(c.rule for c in model.components)]  # variants differ in rule tables only
     index = {keys[0]: 0}
     edges: list[tuple[int, str, int]] = []
-    frontier = [0]
-    while frontier:
-        nxt: list[int] = []
-        for i in frontier:
-            for iv in ivs:
-                if i == 0:
-                    root.intervened(iv)  # validates iv; the variant is kept on the root
-                tables = list(keys[i])
-                for t in iv.targets:
-                    tables[root.index[t]] = iv.rule_for(t)
-                key = tuple(tables)
-                j = index.get(key)
-                if j is None:
-                    if len(kernels) >= CLOSURE_CAP:
-                        exceeded(CLOSURE_CAP, "intervention closure")
-                    j = len(kernels)
-                    index[key] = j
-                    keys.append(key)
-                    kernels.append(kernels[i].intervened(iv))
-                    nxt.append(j)
-                edges.append((i, iv.name, j))
-        frontier = nxt
+    for i, source in enumerate(keys):  # grows as it is walked
+        for iv in ivs:
+            if i == 0:
+                root.intervened(iv)  # validates iv; the variant is kept on the root
+            tables = list(source)
+            for t in iv.targets:
+                tables[root.index[t]] = iv.rule_for(t)
+            key = tuple(tables)
+            j = index.get(key)
+            if j is None:
+                if len(kernels) >= CLOSURE_CAP:
+                    exceeded(CLOSURE_CAP, "intervention closure")
+                j = index[key] = len(kernels)
+                keys.append(key)
+                kernels.append(kernels[i].intervened(iv))
+            edges.append((i, iv.name, j))
     return VariantGraph(kernels=tuple(kernels), edges=tuple(edges))
 
 
@@ -215,24 +209,19 @@ def check_bisim(
 ) -> BisimResult:
     """Relation when the pointed models are bisimilar, otherwise a star-free
     distinguishing formula (left satisfies it, right does not)."""
-    left_atoms = sorted(a.model.atom_map)
-    right_atoms = sorted(b.model.atom_map)
-    if left_atoms != right_atoms:
-        raise VocabularyMismatch(
-            f"atom vocabularies differ: {left_atoms} vs {right_atoms}"
-        )
-    left_ivs = sorted(a.model.intervention_map)
-    right_ivs = sorted(b.model.intervention_map)
-    if left_ivs != right_ivs:
-        raise VocabularyMismatch(
-            f"declared intervention names differ: {left_ivs} vs {right_ivs}"
-        )
-    labels = [STEP] + left_ivs
+    atoms, ivs = sorted(a.model.atom_map), sorted(a.model.intervention_map)
+    for what, left, right in (
+        ("atom vocabularies", atoms, sorted(b.model.atom_map)),
+        ("declared intervention names", ivs, sorted(b.model.intervention_map)),
+    ):
+        if left != right:
+            raise VocabularyMismatch(f"{what} differ: {left} vs {right}")
+    labels = [STEP] + ivs
     lts = _Lts(a, b, labels, options)
     n = lts.roots[1]
     history = _refine(lts.atoms, lts.rows, lts.lists, n)
     colour = history[-1]
-
+    relation = phi = None
     if colour[0] == colour[n]:
         # a left state is related to every right state of its colour
         right = Counter(colour[n:])
@@ -250,17 +239,12 @@ def check_bisim(
                     pairs.extend((pa, pb) for pb in by_colour[c])
             return tuple(pairs)
 
-        return BisimResult(
-            bisimilar=True,
-            relation=BisimRelation(sum(right[c] for c in colour[:n]), listing),
-            distinguishing=None,
-            left_states=n,
-            right_states=len(lts.atoms) - n,
-        )
-    phi = _distinguish(lts.atoms, lts.moves, history, labels, left_atoms, *lts.roots)
+        relation = BisimRelation(sum(right[c] for c in colour[:n]), listing)
+    else:
+        phi = _distinguish(lts.atoms, lts.moves, history, labels, atoms, *lts.roots)
     return BisimResult(
-        bisimilar=False,
-        relation=None,
+        bisimilar=phi is None,
+        relation=relation,
         distinguishing=phi,
         left_states=n,
         right_states=len(lts.atoms) - n,

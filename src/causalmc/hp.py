@@ -143,13 +143,8 @@ def export_hp(model: SystemModel, initial: Configuration) -> HPModel:
     return HPModel(
         variables=tuple(variables),
         context=initial.pairs,
-        acyclic=_parents_acyclic(variables),
+        acyclic=_topological_order(variables) is not None,
     )
-
-
-def _parents_acyclic(variables) -> bool:
-    order = _topological_order(variables)
-    return order is not None
 
 
 def _topological_order(variables) -> list[str] | None:
@@ -209,28 +204,21 @@ def _attainment(path, name: str) -> int:
     return t
 
 
-def _replay(hp: HPModel, path, fired, x_alt: dict, x_attain: dict, witness, witness_from):
+def _replay(hp: HPModel, path, fired, x_alt: dict, attain: dict, witness_from: dict):
     """Recompute the path with candidate and witness clamps applied.
 
-    x_alt: candidate variable -> alternate value, clamped from its
-    attainment step onward.  witness_from: witness variable -> first step
-    clamped to its actual path value.
+    x_alt: candidate variable -> alternate value, clamped from its step in
+    ``attain`` onward.  witness_from: witness variable -> first step
+    clamped to its actual path value, which at step 0 is its start value.
     """
-    values = {}
-    for c, b in path[0].pairs:
-        if c in x_alt and x_attain[c] == 0:
-            values[c] = x_alt[c]
-        elif c in witness and witness_from[c] == 0:
-            values[c] = path[0][c]
-        else:
-            values[c] = b
+    values = {c: x_alt[c] if c in x_alt and attain[c] == 0 else b for c, b in path[0].pairs}
     for t in range(1, len(path)):
         prev = values
         values = dict(prev)
         for c in path[0].components:
-            if c in x_alt and t >= x_attain[c]:
+            if c in x_alt and t >= attain[c]:
                 values[c] = x_alt[c]
-            elif c in witness and t >= witness_from[c]:
+            elif c in witness_from and t >= witness_from[c]:
                 values[c] = path[t][c]
             elif c == fired[t - 1]:
                 v = hp.variable(c)
@@ -269,7 +257,7 @@ def hp_check_actual_cause(hp: HPModel, query: HPCauseQuery) -> HPVerdict:
 
     def replay(alt: dict, witness, mode: str) -> dict:
         witness_from = {n: 0 if mode == "full" else attain[n] for n in witness}
-        return _replay(hp, path, fired, alt, attain, set(witness), witness_from)
+        return _replay(hp, path, fired, alt, attain, witness_from)
 
     return _check(hp, dict(path[-1].pairs), candidate, effect, ("full", "attainment"), replay)
 

@@ -18,19 +18,29 @@ entry it does not replace, filled tables included.
 Ownership runs one way, so reference counting frees a query's kernels,
 memos and models together.  ``compile(model, options)`` keeps one kernel
 on the model instance, that of the options it was last compiled under,
-and the kernel reaches its model only through a weak reference.  A kernel
-keeps its intervened variants; a pinned variant is built afresh, and its
-caller keeps it as long as it needs its memos.
+built from a copy of the model that the kernel holds and that holds no
+kernel.  A kernel keeps its intervened variants and its sides; a pinned
+variant is built afresh, and its caller keeps it as long as it needs its
+memos.
 """
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import prod
 
-from .model import DEFAULT_OPTIONS, MODES, Configuration, ModelError, UnknownNameError, check_intervention, exceeded
+from .model import (
+    DEFAULT_OPTIONS,
+    MODES,
+    Configuration,
+    ModelError,
+    UnknownNameError,
+    _restrict_model,
+    check_intervention,
+    exceeded,
+)
+from .records import replace
 
 
 _COMPLETE = float("inf")  # the preorder number of a node whose component is complete
@@ -119,16 +129,17 @@ def digraph(name: str, labels, edges, node: str = "n") -> str:
 def compile(model, options=DEFAULT_OPTIONS) -> "Kernel":
     """The compiled state space of ``model`` under ``options``, kept on the
     instance: a model holds one kernel, built afresh when the options differ
-    from those of the kernel it holds."""
+    from those of the kernel it holds.  The kernel is built from a copy of
+    the model, so the kernel it keeps holds no reference back to it."""
     found = model.__dict__.get("_kernel")
     if found is None or found.options != options:
-        found = model.__dict__["_kernel"] = Kernel(model, options)
+        found = model.__dict__["_kernel"] = Kernel(replace(model), options)
     return found
 
 
 class Kernel:
     def __init__(self, model, options):
-        self._model = weakref.ref(model)  # a variant's is the model of the kernel it was made from
+        self.model = model  # a variant's is the model of the kernel it was made from
         self.options = options
         mode = options.mode or model.mode  # the query's transition mode, else the model's
         if mode not in MODES:
@@ -158,6 +169,7 @@ class Kernel:
         # per component: None (free), an int (clamped), or (lazily filled table, rule table)
         self.rules = [None if c.free else ({}, c.rule) for c in model.components]
         self.pins: tuple = ()  # the (component, code) pairs ``pinned`` made this variant with, if it did
+        self.projection: tuple = ()  # a side's (position in the kernel it was split from, weight here) pairs
         self.tests: dict = {}  # atom predicates, shared with every variant
         self.splits: list = []  # semantics' candidate splits once listed, as its one item; shared likewise
         self._fresh()
@@ -166,16 +178,7 @@ class Kernel:
         self.succ_memo: dict = {}
         self.reach_memo: dict = {}
         self.variants: dict = {}  # intervened variants, by intervention
-        self.sides: dict = {}  # semantics' side models with their kernels and positions here, by component names
-
-    @property
-    def model(self):
-        """The model compiled here, or that of the kernel a variant was made
-        from; held weakly, so a kernel that outlives it raises ``ModelError``."""
-        model = self._model()
-        if model is None:
-            raise ModelError("the model this kernel was compiled from is gone")
-        return model
+        self.sides: dict = {}  # the side kernels ``side`` built, by component names
 
     def position(self, name: str) -> int:
         try:
@@ -336,10 +339,17 @@ class Kernel:
         out._fresh()
         return out
 
-    def side(self, model) -> "Kernel":
-        """Kernel of ``model``, restricted from this kernel's model: a component
-        keeping its rule there keeps its entry here, filled table and all, so
-        the side of a variant runs the variant's rules."""
-        out = Kernel(model, self.options)
-        out.rules = [None if rule is None else self.rules[self.index[c]] for c, rule in zip(out.names, out.rules)]
+    def side(self, names: tuple[str, ...]) -> "Kernel":
+        """Kernel of this kernel's model restricted to the components
+        ``names``, kept here by names.  A component keeping its rule on the
+        side takes its entry here, filled table and all, so the side of a
+        variant runs the variant's rules; the side's ``projection`` places a
+        state of this kernel in the side."""
+        out = self.sides.get(names)
+        if out is None:
+            if (log := recorder()) is not None:
+                log.append(("side", names))
+            out = self.sides[names] = Kernel(_restrict_model(self.model, names), self.options)
+            out.rules = [None if rule is None else self.rules[self.index[c]] for c, rule in zip(out.names, out.rules)]
+            out.projection = tuple((self.index[c], w) for c, w in zip(out.names, out.weights))
         return out

@@ -37,7 +37,6 @@ from .model import (
     PartialConfiguration,
     SystemModel,
     UnknownNameError,
-    _restrict_model,
     local,
 )
 
@@ -388,28 +387,21 @@ _BUILDERS = {
 
 def _decompositions(k: kernel.Kernel, s: int):
     """Each candidate split of k's model with its two compiled sides and the
-    projections of ``s`` onto them.  Built on first use and kept on ``k``:
-    the splits under k's options, and per component subset, by its names,
-    the side model, its kernel running k's rules (``Kernel.side``) and its
-    components' positions in k.  A side over every component is k itself,
-    never kept, so k holds no kernel that holds k."""
+    projections of ``s`` onto them.  The splits under k's options are listed
+    on first use and kept on ``k``, and each side is the kernel
+    ``Kernel.side`` builds and keeps there.  A side over every component is
+    k itself, never kept, so k holds no kernel that holds k."""
     if not k.splits:
         k.splits.append(candidate_splits(k.model, k.options))
-    digits, sides = k.digits(s), k.sides
+    digits = k.digits(s)
     for split in k.splits[0]:
         found = [split]
         for names in (split.left, split.right):
             if len(names) == len(digits):
                 found.append((k, s))
-                continue
-            side = sides.get(names)
-            if side is None:  # candidate_splits validated the split
-                if (log := kernel.recorder()) is not None:
-                    log.append(("side", names))
-                m = _restrict_model(k.model, names)  # kept here: its kernel holds it weakly
-                side = sides[names] = (m, k.side(m), [k.index[c] for c in names])
-            _, sk, idx = side
-            found.append((sk, sum(digits[j] * w for j, w in zip(idx, sk.weights))))
+            else:  # candidate_splits validated the split
+                sk = k.side(names)
+                found.append((sk, sum(digits[j] * w for j, w in sk.projection)))
         yield found
 
 

@@ -333,7 +333,7 @@ def test_closure_variants_are_the_kernels_that_built_them(micro, micro_f1):
         # a component no intervention targets keeps the root's table in every variant
         untouched = [i for i, c in enumerate(model.components) if not any(c.name in iv.targets for iv in model.interventions)]
         for k in kernels:
-            assert k.model is model and k.tests is root.tests
+            assert k.model is root.model == model and k.tests is root.tests
             assert all(k.rules[i] is root.rules[i] for i in untouched)
         # each variant after the root is the kernel its first edge built
         built = {j for i, name, j in graph.edges if kernels[i].intervened(model.intervention_map[name]) is kernels[j]}

@@ -26,7 +26,9 @@ must agree with them.  ``ref_find_causal_chains`` tries every
 permutation and keeps no prune; the engine's chain search may only
 remove link certifications and cap overruns from its work
 (``assert_prune_only_removes_work``), on random models and on ``staged``
-runs, whose chains pass several waypoints.
+runs, whose chains pass several waypoints.  The cause verdicts of every
+case must also equal those of the brute-force enumerator in
+``tests/oracle.py``, in each of its eight settings.
 """
 
 import random
@@ -36,6 +38,7 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
+from oracle import oracle_find_causes
 
 from causalmc import causality, kernel, replace
 from causalmc.causality import (
@@ -491,6 +494,18 @@ def test_find_causes_matches_reference():
         several += sum(1 for c in want if len(c["ac2_checks"]) > 1)
         witnessed += sum(1 for c in want if c["witness_set"])
     assert causes > 40 and several > 30 and witnessed > 0
+
+
+def test_find_causes_matches_the_oracle_in_every_setting():
+    """The brute-force enumerator decides each case under its options, as
+    the search does: in both AC1 modes, async and sync transitions, and
+    self-loops off and on."""
+    settings = set()
+    for model, q, options in CASES + STRUCTURED + BACKUPS:
+        got = {frozenset(c.cause_set) for c in find_causes(model, q, options)}
+        assert got == oracle_find_causes(model, q.start, q.end, q.effect_components, options=options)
+        settings.add((options.strict_ac1, model.mode, options.self_loops))
+    assert len(CASES + STRUCTURED + BACKUPS) == 328 and len(settings) == 8
 
 
 @pytest.mark.parametrize("mode", ["example", "strict"])
