@@ -215,9 +215,13 @@ class _Parser:
     def error(self, message: str, at: int | None = None):
         raise DslError([self.diagnostic(self.pos if at is None else at, message)])
 
-    def found(self) -> str:
-        """The next token for a message; "end of input" at the end."""
-        return _value(self.tokens[self.pos]) or "end of input"
+    def found(self, at: int | None = None) -> str:
+        """The next token, or token ``at``, for a message; "end of input" at the end."""
+        return _value(self.tokens[self.pos if at is None else at]) or "end of input"
+
+    def expected(self, what: str, at: int):
+        """Raise "expected WHAT, found ..." at token ``at``."""
+        self.error(f"expected {what}, found {self.found(at)!r}", at)
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -230,20 +234,20 @@ class _Parser:
 
     def expect_punct(self, value: str) -> None:
         if self.tokens[self.pos] != value:
-            self.error(f"expected {value!r}, found {self.found()!r}")
+            self.expected(repr(value), self.pos)
         self.pos += 1
 
     def expect_name(self, what: str = "name") -> str:
         t = self.tokens[self.pos]
         if t[:1] not in _NAME_START:
-            self.error(f"expected {what}, found {self.found()!r}")
+            self.expected(what, self.pos)
         self.pos += 1
         return t
 
     def expect_number(self, what: str = "number") -> str:
         t = self.tokens[self.pos]
         if not t[:1].isdecimal():
-            self.error(f"expected {what}, found {self.found()!r}")
+            self.expected(what, self.pos)
         self.pos += 1
         return t
 
@@ -328,19 +332,6 @@ class _Parser:
                 return F.BehaviourAtom(comp, beh)
             return F.Atom(t)
         self.error(f"expected a formula, found {self.found()!r}")
-
-    # ---- shared pieces -------------------------------------------------
-
-    def parse_name_list(self, stop_values) -> list[str]:
-        names: list[str] = []
-        while True:
-            if self.eat(","):
-                continue
-            t = self.tokens[self.pos]
-            if t[:1] not in _NAME_START or t in stop_values:
-                return names
-            self.pos += 1
-            names.append(t)
 
 
 # ---------------------------------------------------------------------------
@@ -496,42 +487,79 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
     return replace(doc, queries=tuple(queries))
 
 
+# The declaration readers below walk ``p.tokens`` by index in a local
+# variable and store the index back once they are done; a failure raises
+# the parser's own "expected ..." diagnostic at the token it stopped at.
+
+_SECTIONS = ("domain", "context", "rule")  # the words that end a component's name list
+
+
+def _parse_name_list(p: _Parser, stop_values=()) -> list[str]:
+    """Names, commas between them skipped, up to a non-name or a stop word."""
+    tokens, i = p.tokens, p.pos
+    names: list[str] = []
+    while True:
+        t = tokens[i]
+        if t != ",":
+            if t[:1] not in _NAME_START or t in stop_values:
+                p.pos = i
+                return names
+            names.append(t)
+        i += 1
+
+
 def _parse_component(p: _Parser) -> ComponentDecl:
-    p.next()  # component
-    name = p.expect_name("component name")
-    p.expect_punct("{")
+    tokens, i = p.tokens, p.pos + 1  # after "component"
+    name = tokens[i]
+    if name[:1] not in _NAME_START:
+        p.expected("component name", i)
+    if tokens[i + 1] != "{":
+        p.expected("'{'", i + 1)
+    i += 2
     domain: list[str] = []
     context: list[str] = []
     rows: list[RuleRow] = []
-    while not p.eat("}"):
-        if p.eat("domain"):
-            domain = p.parse_name_list(("domain", "context", "rule"))
-        elif p.eat("context"):
-            context = p.parse_name_list(("domain", "context", "rule"))
-        elif p.eat("rule"):
+    while (t := tokens[i]) != "}":
+        p.pos = i + 1
+        if t == "domain":
+            domain = _parse_name_list(p, _SECTIONS)
+        elif t == "context":
+            context = _parse_name_list(p, _SECTIONS)
+        elif t == "rule":
             rows.append(_parse_rule_row(p))
         else:
-            p.error(f"expected domain, context, rule or '}}', found {_value(p.peek())!r}")
+            p.error(f"expected domain, context, rule or '}}', found {_value(t)!r}", i)
+        i = p.pos
+    p.pos = i + 1
     return ComponentDecl(
         name=name, domain=tuple(domain), context=tuple(context), rule=RuleTable(tuple(rows))
     )
 
 
-def _parse_pattern(p: _Parser) -> str | None:
-    t = p.expect_name("behaviour or '_'")
-    return None if t == "_" else t
-
-
 def _parse_rule_row(p: _Parser) -> RuleRow:
-    own = _parse_pattern(p)
+    """``own (p, ...) -> out``, each pattern a behaviour or the wildcard ``_``."""
+    tokens, i = p.tokens, p.pos
+    own = tokens[i]
+    if own[:1] not in _NAME_START:
+        p.expected("behaviour or '_'", i)
+    i += 1
     context: list[str | None] = []
-    if p.eat("("):
-        while not p.eat(")"):
-            if not p.eat(","):
-                context.append(_parse_pattern(p))
-    p.expect_punct("->")
-    out = p.expect_name("output behaviour")
-    return RuleRow(own=own, context=tuple(context), output=out)
+    if tokens[i] == "(":
+        i += 1
+        while (t := tokens[i]) != ")":
+            if t != ",":
+                if t[:1] not in _NAME_START:
+                    p.expected("behaviour or '_'", i)
+                context.append(None if t == "_" else t)
+            i += 1
+        i += 1
+    if tokens[i] != "->":
+        p.expected("'->'", i)
+    out = tokens[i + 1]
+    if out[:1] not in _NAME_START:
+        p.expected("output behaviour", i + 1)
+    p.pos = i + 2
+    return RuleRow(None if own == "_" else own, tuple(context), out)
 
 
 def _parse_atom(p: _Parser):
@@ -549,21 +577,32 @@ def _parse_atom(p: _Parser):
 
 def _parse_braced_names(p: _Parser) -> list[str]:
     p.expect_punct("{")
-    names = p.parse_name_list(())
+    names = _parse_name_list(p)
     p.expect_punct("}")
     return names
 
 
 def _parse_config_literal(p: _Parser) -> list[tuple[str, str]]:
-    p.expect_punct("(")
+    """``(C1=B1, C2=B2, ...)``, commas optional."""
+    tokens, i = p.tokens, p.pos
+    if tokens[i] != "(":
+        p.expected("'('", i)
+    i += 1
     pairs: list[tuple[str, str]] = []
-    while not p.eat(")"):
-        if p.eat(","):
+    while (comp := tokens[i]) != ")":
+        if comp == ",":
+            i += 1
             continue
-        comp = p.expect_name("component name")
-        p.expect_punct("=")
-        beh = p.expect_name("behaviour name")
+        if comp[:1] not in _NAME_START:
+            p.expected("component name", i)
+        if tokens[i + 1] != "=":
+            p.expected("'='", i + 1)
+        beh = tokens[i + 2]
+        if beh[:1] not in _NAME_START:
+            p.expected("behaviour name", i + 2)
         pairs.append((comp, beh))
+        i += 3
+    p.pos = i + 1
     return pairs
 
 
@@ -581,7 +620,7 @@ def _parse_intervention(p: _Parser):
     name = p.expect_name("intervention name")
     if not p.eat("on"):
         p.error("expected 'on' and a target list")
-    targets = p.parse_name_list(())
+    targets = _parse_name_list(p)
     p.expect_punct("{")
     amounts: dict[str, float] = {}
     rules = []
