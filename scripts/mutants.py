@@ -7,8 +7,8 @@ intervened variants, closure labelling and interface splits with the
 sides a kernel keeps and their atoms, chain search, cause search with
 the AC1 clause its options select and its shared AC1 searches,
 intervention classification, bisimulation, the document lookups stanzas
-resolve against, and the methods ``records`` writes for the value
-classes.
+resolve against, the splits a kernel draws on demand and keeps, and the
+methods ``records`` writes for the value classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -150,9 +150,9 @@ MUTANTS = (
     ),
     Mutant(
         "kept sequence keeps nothing it draws",
-        CAUSALITY,
-        "self.items.append(item)",
-        "pass",
+        KERNEL,
+        "                items.append(item)\n            yield items[i]",
+        "                yield item\n                continue\n            yield items[i]",
         (COUNTS,),
     ),
     Mutant(
@@ -317,6 +317,26 @@ MUTANTS = (
         "out = self.sides[names] = Kernel(",
         "out = Kernel(",
         ("tests/test_labelling.py::test_false_star_builds_one_side_model_per_component_subset",),
+    ),
+    Mutant(
+        "splits drawn out of order",
+        KERNEL,
+        """        items, i = self.items, 0
+        while True:
+            if i == len(items):
+                item = next(self.rest, _DRAWN)
+                if item is _DRAWN:
+                    return
+                items.append(item)
+            yield items[i]
+            i += 1""",
+        # each iteration draws from the shared iterator itself, so an outer
+        # ``*`` skips the splits an inner one drew while the outer was paused
+        """        yield from self.items
+        for item in self.rest:
+            self.items.append(item)
+            yield item""",
+        ("tests/test_labelling.py::test_nested_stars_match_the_eager_split_list[True-ex1_doc]",),
     ),
     Mutant(
         "compile holds the model itself",

@@ -251,7 +251,7 @@ class _Episode:
             found = self.witnesses[mask] = (self.shared.verdicts_of(k, pins, self.effect), base)
         return found
 
-    def untried(self, offset: int) -> _Kept:
+    def untried(self, offset: int) -> kernel.Kept:
         """The witness sets not yet known to fail at deviation ``offset``, as
         component masks by size, then lexicographic in the component order: on
         the sets disjoint from a candidate, the order of ``combinations`` over
@@ -261,7 +261,7 @@ class _Episode:
         if found is None:
             bits = [1 << i for i in range(len(self.k.names))]
             masks = chain.from_iterable(map(sum, combinations(bits, n)) for n in range(len(bits) + 1))
-            found = self.untried_sets[offset] = _Kept(masks)
+            found = self.untried_sets[offset] = kernel.Kept(masks)
         return found
 
     def deviation(self, cause, s: int) -> tuple[tuple[str, str], ...]:
@@ -269,23 +269,6 @@ class _Episode:
         k = self.k
         places = zip(cause, map(k.index.get, cause))
         return tuple((c, k.domains[i][s // k.weights[i] % k.radices[i]]) for c, i in places)
-
-
-class _Kept:
-    """A sequence drawn from the iterator ``rest`` on demand and kept in
-    ``items``: iterating yields the kept items, then draws and keeps the rest."""
-
-    def __init__(self, rest):
-        self.items: list = []
-        self._rest = rest
-
-    def __iter__(self):
-        return chain(self.items, self._more())
-
-    def _more(self):
-        for item in self._rest:
-            self.items.append(item)
-            yield item
 
 
 def _deviation_offsets(e: _Episode, cause):
@@ -396,7 +379,7 @@ def _ac2(e: _Episode, cause):
     the same effect searches run, in the same order, as walking every set."""
     if (log := kernel.recorder()) is not None:
         log.append(("ac2", cause))
-    devs = _Kept(_deviation_offsets(e, cause))
+    devs = kernel.Kept(_deviation_offsets(e, cause))
     (unclamped, _), goal = e.witness(0), e.marks(e.end)[1]
     starts = (e.start + o for o in devs)
     contrast = next((s for s in starts if e.marks(s)[1] != goal and not unclamped[s]), None)

@@ -19,9 +19,9 @@ Ownership runs one way, so reference counting frees a query's kernels,
 memos and models together.  ``compile(model, options)`` keeps one kernel
 on the model instance, that of the options it was last compiled under,
 built from a copy of the model that the kernel holds and that holds no
-kernel.  A kernel keeps its intervened variants and its sides; a pinned
-variant is built afresh, and its caller keeps it as long as it needs its
-memos.
+kernel.  A kernel keeps its intervened variants, its sides and the
+interface splits drawn for it so far; a pinned variant is built afresh,
+and its caller keeps it as long as it needs its memos.
 """
 
 from __future__ import annotations
@@ -111,6 +111,33 @@ def components(roots, successors, comp: dict, found: list, cap=None) -> None:
                 lv = low
 
 
+class Kept:
+    """A sequence drawn on demand from the iterator ``rest`` and kept in
+    ``items``: iterating yields the kept items, then draws and keeps the
+    rest.  An iteration walks ``items`` by index, so iterations that
+    interleave, as a ``*`` inside an operand of a ``*`` on the same kernel
+    does, each see every item once and in order, whichever of them drew
+    it.  ``rest`` may be given after construction, before the first draw."""
+
+    def __init__(self, rest=None):
+        self.items: list = []
+        self.rest = rest
+
+    def __iter__(self):
+        items, i = self.items, 0
+        while True:
+            if i == len(items):
+                item = next(self.rest, _DRAWN)
+                if item is _DRAWN:
+                    return
+                items.append(item)
+            yield items[i]
+            i += 1
+
+
+_DRAWN = object()  # what ``Kept`` reads from a spent iterator
+
+
 def digraph(name: str, labels, edges, node: str = "n") -> str:
     """The graph ``name`` in the DOT language.  Node i is ``node`` + i,
     labelled ``labels[i]``; an edge is a pair of node indices, or a triple
@@ -171,7 +198,7 @@ class Kernel:
         self.pins: tuple = ()  # the (component, code) pairs ``pinned`` made this variant with, if it did
         self.projection: tuple = ()  # a side's (position in the kernel it was split from, weight here) pairs
         self.tests: dict = {}  # atom predicates, shared with every variant
-        self.splits: list = []  # semantics' candidate splits once listed, as its one item; shared likewise
+        self.splits = Kept()  # semantics' candidate splits, drawn on demand; shared likewise
         self._fresh()
 
     def _fresh(self) -> None:

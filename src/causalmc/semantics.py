@@ -387,26 +387,33 @@ _BUILDERS = {
 
 def _decompositions(k: kernel.Kernel, s: int):
     """Each candidate split of k's model with its two compiled sides and the
-    projections of ``s`` onto them.  The splits under k's options are listed
-    on first use and kept on ``k``, and each side is the kernel
-    ``Kernel.side`` builds and keeps there.  A side over every component is
-    k itself, never kept, so k holds no kernel that holds k."""
-    if not k.splits:
-        k.splits.append(candidate_splits(k.model, k.options))
+    projections of ``s`` onto them.  The splits under k's options are drawn
+    one at a time as the caller asks, and the ones drawn are kept on ``k``,
+    so a ``*`` that holds stops listing at its witness.  Each side is the
+    kernel ``Kernel.side`` builds and keeps there.  A side over every
+    component is k itself, never kept, so k holds no kernel that holds k."""
+    splits = k.splits
+    if splits.rest is None:  # the first draw on k or on a variant sharing its list
+        splits.rest = _splits(k.model, k.options)
     digits = k.digits(s)
-    for split in k.splits[0]:
+    for split in splits:
         found = [split]
         for names in (split.left, split.right):
             if len(names) == len(digits):
                 found.append((k, s))
-            else:  # candidate_splits validated the split
+            else:  # _splits validated the split
                 sk = k.side(names)
                 found.append((sk, sum(digits[j] * w for j, w in sk.projection)))
         yield found
 
 
-def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
-    """Valid interface splits in canonical order.
+def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS) -> list[InterfaceSplit]:
+    """Valid interface splits in canonical order, as a list (see ``_splits``)."""
+    return list(_splits(model, options))
+
+
+def _splits(model: SystemModel, options: Options):
+    """Valid interface splits in canonical order, one at a time.
 
     Each component is placed left, right, or on both sides; placements are
     tried in declaration order, left before right before both, so splits
@@ -414,31 +421,32 @@ def candidate_splits(model: SystemModel, options: Options = DEFAULT_OPTIONS):
     abandoned as soon as a component and its whole context are placed and
     the component breaks the locality rule ``model.local``.
     Non-proper covers are admitted only under the trivial-split flag.
+    Each split emits a ``split`` event when it is drawn.
     """
     names = model.component_order
     bit = {n: 1 << i for i, n in enumerate(names)}
     if any(d not in bit for c in model.components for d in c.context):
-        return []  # an unknown context component lies on neither side of any cover
+        return  # an unknown context component lies on neither side of any cover
     # decided[i]: (component bit, context bits) of each component whose
     # locality is settled once position i is placed
     decided: list[list] = [[] for _ in names]
     for i, c in enumerate(model.components):
         context = sum(bit[d] for d in set(c.context))
         decided[max(context.bit_length() - 1, i)].append((1 << i, context))
-    out: list[InterfaceSplit] = []
     stack = [(0, 0, 0)]  # (position, left bits, right bits) of the partial placements to extend, last first
     while stack:
         i, left, right = stack.pop()
         if i == len(names):
             if left and right and (options.allow_trivial_split or left & ~right and right & ~left):
-                sides = [tuple(n for n in names if bit[n] & side) for side in (left, right)]
-                out.append(InterfaceSplit(*sides))
+                split = InterfaceSplit(*(tuple(n for n in names if bit[n] & side) for side in (left, right)))
+                if (log := kernel.recorder()) is not None:
+                    log.append(("split", split))
+                yield split
             continue
         c = 1 << i
         for to_left, to_right in ((left | c, right | c), (left, right | c), (left | c, right)):
             if all(local(j & to_left, j & to_right, context, to_left, to_right) for j, context in decided[i]):
                 stack.append((i + 1, to_left, to_right))
-    return out
 
 
 def sat_set(

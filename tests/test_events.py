@@ -23,7 +23,7 @@ from causalmc.queries import run_query
 
 KINDS = {
     "expand", "reachable", "walk", "pin", "encode", "decode", "effect search", "witness", "ac2", "deviation",
-    "certificate", "link", "prune", "side",
+    "certificate", "link", "prune", "side", "split",
 }  # fmt: skip
 
 
