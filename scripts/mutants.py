@@ -7,8 +7,8 @@ intervened variants, closure labelling and interface splits with the
 sides a kernel keeps and their atoms, chain search, cause search with
 the AC1 clause its options select and its shared AC1 searches,
 intervention classification, bisimulation, the document lookups stanzas
-resolve against, the splits a kernel draws on demand and keeps, and the
-methods ``records`` writes for the value classes.
+resolve against, the report writer, the splits a kernel draws on demand
+and keeps, and the methods ``records`` writes for the value classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 CAUSALITY = "src/causalmc/causality.py"
+CLI = "src/causalmc/cli.py"
 BISIM = "src/causalmc/bisim.py"
 DSL = "src/causalmc/dsl.py"
 KERNEL = "src/causalmc/kernel.py"
@@ -337,6 +338,13 @@ MUTANTS = (
             self.items.append(item)
             yield item""",
         ("tests/test_labelling.py::test_nested_stars_match_the_eager_split_list[True-ex1_doc]",),
+    ),
+    Mutant(
+        "report writer without its key sort",
+        CLI,
+        "for key, item in sorted(value.items()):",
+        "for key, item in value.items():",
+        ("tests/test_cli.py::test_report_writer_matches_json_dumps_on_generated_payloads",),
     ),
     Mutant(
         "compile holds the model itself",

@@ -3,8 +3,10 @@ import contextlib
 import gc
 import io
 import json
+import random
 import shlex
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalmc.cli import _build_parser, main
+from causalmc.cli import _build_parser, _json, main
 from causalmc.dsl import QUERIES, _slots, parse_model, parse_query_text
 from causalmc.queries import HANDLERS
 
-MODELS = Path(__file__).resolve().parents[1] / "models"
+REPO = Path(__file__).resolve().parents[1]
+MODELS = REPO / "models"
 MICRO = str(MODELS / "microservice.model")
 EX1 = str(MODELS / "ex1.model")
 
@@ -81,6 +84,89 @@ def test_report_replaces_an_existing_file_and_writes_through_a_link(tmp_path):
     assert main(["check", MICRO, "f2", "true", "--report", str(link)]) == 0
     assert link.is_symlink()
     assert json.loads(target.read_text())["verdict"] is True
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _payloads(value):
+    """``value`` and every JSON object held in it as a string, such as a replay key."""
+    yield value
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack += item.values()
+        elif isinstance(item, list):
+            stack += item
+        elif isinstance(item, str) and item.startswith("{"):
+            yield json.loads(item)
+
+
+def test_report_writer_matches_json_dumps_on_golden_and_battery_reports(tmp_path, capsys):
+    """The report writer against ``json.dumps(payload, indent=2,
+    sort_keys=True)``: on every golden file and every payload held in one,
+    and on the report file of every operation of the benchmark's three
+    batteries, which must read back to a payload that ``json.dumps`` writes
+    to the same bytes."""
+    golden = 0
+    for path in sorted((REPO / "tests" / "golden").glob("*.json")):
+        for payload in _payloads(json.loads(path.read_text(encoding="utf-8"))):
+            assert _json(payload) == _dumps(payload), path.name
+            golden += 1
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        from workloads import BUILDERS
+    finally:
+        sys.path.pop(0)
+    reports = 0
+    for workload, build in sorted(BUILDERS.items()):
+        (tmp_path / workload).mkdir()
+        battery = build(1, tmp_path / workload, REPO)
+        for op in battery.declared:
+            assert main(op.argv + ["--report", op.report]) in (0, 1), op.id
+            text = Path(op.report).read_text(encoding="utf-8")
+            assert text == _dumps(json.loads(text)) + "\n", op.id
+            reports += 1
+    capsys.readouterr()
+    assert (golden, reports) == (40, 55)
+
+
+# values whose JSON spelling has corner cases: signed zero, exponents, big
+# integers, escapes, control characters, non-ASCII and astral text
+_ODD = (
+    -0.0, 0.0, 1e-7, 1e16, 1.5e300, -2.5e-300, 0.1, float("inf"), float("-inf"), float("nan"),
+    0, -1, 2**64, -(10**40), True, False, None,
+    "", 'quote " here', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "é ü ß", "\u2028\u2029",
+    "😀 \U0001d11e", "\ud800",
+)  # fmt: skip
+
+
+def _generated(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_ODD)
+    size = rng.choice((0, 1, 2, 4))
+    kind = rng.randrange(3)
+    items = [_generated(rng, depth - 1) for _ in range(size)]
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    keys = [k if isinstance(k, str) else str(k) for k in (rng.choice(_ODD) for _ in range(size))]
+    return dict(zip(keys, items))
+
+
+def test_report_writer_matches_json_dumps_on_generated_payloads():
+    rng = random.Random(0)
+    for _ in range(2000):
+        payload = _generated(rng, 4)
+        assert _json(payload) == _dumps(payload), payload
+    for bad in ({1: "a", "b": 2}, {(1, 2): 3}, {"set": {1}}, object()):
+        with pytest.raises(TypeError):
+            _dumps(bad)
+        with pytest.raises(TypeError):
+            _json(bad)
 
 
 def test_strict_flag_changes_cause_verdict(tmp_path):
