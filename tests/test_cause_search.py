@@ -319,14 +319,20 @@ def _queries(count, fewest=3, most=5):
         strict, transitions, loops = settings[len(out) % len(settings)]
         model = replace(model, mode=transitions)
         options = Options(self_loops=loops, strict_ac1=strict)
-        f1 = random_configuration(rng, model)
-        reach = reachable(model, f1, options)
-        f2 = rng.choice(reach) if reach else random_configuration(rng, model)
-        changed = [c for c in model.component_order if f1[c] != f2[c]]
-        pool = changed or list(model.component_order)
-        effect = tuple(sorted(rng.sample(pool, rng.randint(1, min(2, len(pool))))))
-        out.append((model, CauseQuery(f1, f2, effect), options))
+        out.append((model, _query(rng, model, options), options))
     return out
+
+
+def _query(rng, model, options) -> CauseQuery:
+    """A random start, an end reachable from it under ``options`` when one
+    is, and one or two effect components, among those that changed if any."""
+    f1 = random_configuration(rng, model)
+    reach = reachable(model, f1, options)
+    f2 = rng.choice(reach) if reach else random_configuration(rng, model)
+    changed = [c for c in model.component_order if f1[c] != f2[c]]
+    pool = changed or list(model.component_order)
+    effect = tuple(sorted(rng.sample(pool, rng.randint(1, min(2, len(pool))))))
+    return CauseQuery(f1, f2, effect)
 
 
 def pipeline(n, fault):
@@ -479,6 +485,35 @@ BACKUPS = [
 ]
 
 
+# Cases that one setting decides.  Seeds were scanned in order, and each
+# seed whose case the oracle decides differently once one setting is
+# flipped was kept, until every flip changed the answer on ten cases of
+# the whole differential: random models of three or four components
+# (seed "settings N"), and backup models (seed N), each under the N % 8-th
+# setting of ``_queries``' cycle.
+SETTING_SEEDS = (166, 298, 425, 525, 537, 660, 802, 825, 867, 923, 1069, 1140, 1208, 1309)
+STRICT_SEEDS = (26, 29, 30, 37)
+
+
+def _separating():
+    settings = list(product((False, True), ("async", "sync"), (False, True)))
+    out = []
+    for seed in SETTING_SEEDS:
+        rng = random.Random(f"settings {seed}")
+        model = random_system_model(rng, max_components=4, max_behaviours=3)
+        strict, transitions, loops = settings[seed % 8]
+        model, options = replace(model, mode=transitions), Options(self_loops=loops, strict_ac1=strict)
+        out.append((model, _query(rng, model, options), options))
+    for seed in STRICT_SEEDS:
+        model, q = backup(random.Random(seed))
+        strict, transitions, loops = settings[seed % 8]
+        out.append((replace(model, mode=transitions), q, Options(self_loops=loops, strict_ac1=strict)))
+    return out
+
+
+SEPARATING = _separating()
+
+
 def test_cases_cover_every_setting():
     seen = {(o.strict_ac1, m.mode, o.self_loops) for m, _, o in CASES}
     assert len(seen) == 8
@@ -506,6 +541,32 @@ def test_find_causes_matches_the_oracle_in_every_setting():
         assert got == oracle_find_causes(model, q.start, q.end, q.effect_components, options=options)
         settings.add((options.strict_ac1, model.mode, options.self_loops))
     assert len(CASES + STRUCTURED + BACKUPS) == 328 and len(settings) == 8
+
+
+def _flipped(model, options) -> dict:
+    """``options`` with one setting flipped, by setting: the transition mode
+    the query steps in, self-loops, and the AC1 clause."""
+    mode = options.mode or model.mode
+    return {
+        "mode": replace(options, mode="sync" if mode == "async" else "async"),
+        "self_loops": replace(options, self_loops=not options.self_loops),
+        "strict_ac1": replace(options, strict_ac1=not options.strict_ac1),
+    }
+
+
+def test_each_setting_decides_ten_cases():
+    """The oracle gives the search's causes on the separating cases too, and
+    an oracle with one setting flipped, whatever the query's options say,
+    gives other causes on exactly ten cases per setting, so a search that
+    mishandled one setting on a few models would fail the differential."""
+    changed = Counter()
+    for model, q, options in CASES + STRUCTURED + BACKUPS + SEPARATING:
+        got = {frozenset(c.cause_set) for c in find_causes(model, q, options)}
+        args = (model, q.start, q.end, q.effect_components)
+        assert got == oracle_find_causes(*args, options=options)
+        for setting, flipped in _flipped(model, options).items():
+            changed[setting] += oracle_find_causes(*args, options=flipped) != got
+    assert changed == {"mode": 10, "self_loops": 10, "strict_ac1": 10}
 
 
 @pytest.mark.parametrize("mode", ["example", "strict"])
