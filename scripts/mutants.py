@@ -7,8 +7,9 @@ intervened variants, closure labelling and interface splits with the
 sides a kernel keeps and their atoms, chain search, cause search with
 the AC1 clause its options select and its shared AC1 searches,
 intervention classification, bisimulation, the document lookups stanzas
-resolve against, the report writer, the splits a kernel draws on demand
-and keeps, and the methods ``records`` writes for the value classes.
+resolve against and the commands that resolve them, the report writer,
+the splits a kernel draws on demand and keeps, and the methods
+``records`` writes for the value classes.
 
 Each entry of ``MUTANTS`` is one edit of one source file (its old text,
 which must occur exactly once, and its new text) and the tests that must
@@ -345,6 +346,13 @@ MUTANTS = (
         "for key, item in sorted(value.items()):",
         "for key, item in value.items():",
         ("tests/test_cli.py::test_report_writer_matches_json_dumps_on_generated_payloads",),
+    ),
+    Mutant(
+        "run skips stanza resolution",
+        CLI,
+        'stanzas=args.command == "run"',
+        "stanzas=False",
+        ("tests/test_cli.py::test_only_run_resolves_the_stanzas_of_a_file",),
     ),
     Mutant(
         "compile holds the model itself",

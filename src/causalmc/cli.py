@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     text = Path(args.model).read_text(encoding="utf-8")
-    doc = parse_model(text, path=args.model)
+    doc = parse_model(text, path=args.model, stanzas=args.command == "run")  # only run reads the stanzas
     options = Options(
         self_loops=args.self_loops,
         allow_trivial_split=args.allow_trivial_split,

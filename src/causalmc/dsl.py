@@ -338,8 +338,13 @@ class _Parser:
 # document parsing
 
 
-def parse_model(text: str, path: str | None = None) -> ModelDocument:
-    """Parse and validate a model document; raises DslError with diagnostics."""
+def parse_model(text: str, path: str | None = None, stanzas: bool = True) -> ModelDocument:
+    """Parse and validate a model document; raises DslError with diagnostics.
+
+    Every stanza's syntax is read.  Only with ``stanzas`` are the stanzas
+    resolved against the document and kept in ``queries``; without it, a
+    stanza that names nothing the document declares is not reported, and
+    ``queries`` is empty."""
     p = _Parser(text)
     mode = "async"
     components: list[ComponentDecl] = []
@@ -476,6 +481,8 @@ def parse_model(text: str, path: str | None = None) -> ModelDocument:
 
     # stanzas resolve against the document they belong to
     doc = ModelDocument(model, tuple(config_map.items()), tuple(formula_map.items()), path=path)
+    if not stanzas:
+        return doc
     queries = []
     for at, (head, raw) in queries_raw:
         try:

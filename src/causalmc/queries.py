@@ -177,7 +177,7 @@ def _bisim(doc, options, config, other_model, other_config):
 
     other_path = Path(doc.path or ".").parent / other_model
     try:
-        other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path))
+        other_doc = parse_model(other_path.read_text(encoding="utf-8"), path=str(other_path), stanzas=False)
         other = PointedModel(other_doc.model, other_doc.configuration(other_config))
     except DslError as exc:  # the diagnostics point into the other model's file
         raise DslError(exc.diagnostics, path=str(other_path)) from None

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import random
+import re
 import shlex
 import shutil
 import sys
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalmc.cli import _build_parser, _json, main
-from causalmc.dsl import QUERIES, _slots, parse_model, parse_query_text
+from causalmc.dsl import QUERIES, DslError, _slots, parse_model, parse_query_text
 from causalmc.queries import HANDLERS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -167,6 +168,28 @@ def test_report_writer_matches_json_dumps_on_generated_payloads():
             _dumps(bad)
         with pytest.raises(TypeError):
             _json(bad)
+
+
+def test_only_run_resolves_the_stanzas_of_a_file(tmp_path, capsys):
+    """A stanza naming a configuration the file does not declare stops only
+    what runs the stanzas.  On micro with ``check nowhere |= true``
+    appended, ``check`` writes the same report as on micro, timing aside,
+    and ``bisim`` against it answers; ``run`` exits 2 at the stanza, and
+    the library's ``parse_model`` still reports it."""
+    bad = tmp_path / "micro.model"
+    bad.write_text(Path(MICRO).read_text(encoding="utf-8") + "check nowhere |= true\n", encoding="utf-8")
+    reports = []
+    for model in (MICRO, str(bad)):
+        out = tmp_path / f"report{len(reports)}.json"
+        assert main(["check", model, "f2", "<theta1> [] ! phi_fail", "--report", str(out)]) == 0
+        reports.append(re.sub(r'"timing_ms": [^\n]*\n', "", out.read_text(encoding="utf-8")))
+    assert reports[0] == reports[1]
+    assert main(["bisim", MICRO, "f1", str(bad), "f1"]) == 0
+    capsys.readouterr()
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:96:1: unknown configuration 'nowhere'\n"
+    with pytest.raises(DslError, match="unknown configuration 'nowhere'"):
+        parse_model(bad.read_text(encoding="utf-8"))
 
 
 def test_strict_flag_changes_cause_verdict(tmp_path):
