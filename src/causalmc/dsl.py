@@ -100,7 +100,7 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*+")
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 # operators of two and three characters, tried before the single characters they start with
@@ -108,16 +108,19 @@ _OPERATORS = ("[]+", "<>+", "<?>", "->", "|=", "[]", "<>")
 _PUNCT_CHARS = "{}()=,:*&|!<>[]"
 _BLANKS = r" \t\r"
 _NEWLINE = r"\n"
-_COMMENT = r"#[^\n]*"
+_COMMENT = r"#[^\n]*+"
 
 # The token classes.  Each but the last has first characters of its own, so
 # at most one of them matches at a position; the last, tried last, takes any
 # other character but a blank, which is an error.  Numbers use \d, which also
-# matches non-ASCII digits.
+# matches non-ASCII digits.  The repeats of names, strings, blanks and
+# comments are possessive (``*+``): nothing after one can match what it
+# would give back, so each matches what the greedy repeat did, without
+# keeping the positions to backtrack to.
 _CLASSES = (
     _NAME_RE.pattern,
     "|".join(map(re.escape, _OPERATORS)) + f"|[{re.escape(_PUNCT_CHARS)}]",
-    r'"[^"]*"',
+    r'"[^"]*+"',
     r"\d+(?:\.\d+)?",
     f"[^{_BLANKS}]",
 )
@@ -125,11 +128,13 @@ _CLASSES = (
 # The scan starts after the blanks, newlines and comments that open the text;
 # each match is one token, or the empty end marker, and the blanks, newlines
 # and comments after it.  A match never starts at a blank, newline or "#".
-_SPACE = f"[{_BLANKS}{_NEWLINE}]*"
-_SKIP = re.compile(f"{_SPACE}(?:{_COMMENT}{_SPACE})*")
+_SPACE = f"[{_BLANKS}{_NEWLINE}]*+"
+_SKIP = re.compile(f"{_SPACE}(?:{_COMMENT}{_SPACE})*+")
 _STRINGS = re.compile("(" + "|".join(_CLASSES) + r"|\Z)" + _SKIP.pattern)
 # the one-character tokens that are not an error; any decimal digit is a number
 _ONE_CHAR = frozenset(_PUNCT_CHARS) | _NAME_START
+# tokens that are no error, whatever their length: the ASCII ones among them, and the end marker
+_PLAIN = _ONE_CHAR | frozenset("0123456789") | {""}
 
 
 def _strings(text: str) -> list[str]:
@@ -137,7 +142,8 @@ def _strings(text: str) -> list[str]:
     ending with the empty string.  A stray character or a lone quote raises
     an error at the first one."""
     tokens = _STRINGS.findall(text, _SKIP.match(text).end())
-    if any(map(_stray, set(tokens))):
+    unsure = set(tokens).difference(_PLAIN)  # names, numbers, strings, operators and strays
+    if 1 in set(map(len, unsure)) and any(map(_stray, unsure)):
         at = [*map(_stray, tokens)].index(True)
         message = "unterminated string" if tokens[at] == '"' else f"unexpected character {tokens[at]!r}"
         raise DslError([Diagnostic(*_positions(text, tokens)[at], message)])
@@ -494,7 +500,8 @@ def parse_model(text: str, path: str | None = None, stanzas: bool = True) -> Mod
     return replace(doc, queries=tuple(queries))
 
 
-# The declaration readers below walk ``p.tokens`` by index in a local
+# The declaration readers below (components, rule rows, name lists,
+# configuration literals and interventions) walk ``p.tokens`` by index in a local
 # variable and store the index back once they are done; a failure raises
 # the parser's own "expected ..." diagnostic at the token it stopped at.
 
@@ -623,27 +630,41 @@ def _parse_config_decl(p: _Parser):
 
 
 def _parse_intervention(p: _Parser):
-    p.next()  # intervention
-    name = p.expect_name("intervention name")
-    if not p.eat("on"):
-        p.error("expected 'on' and a target list")
+    tokens, i = p.tokens, p.pos + 1  # after "intervention"
+    name = tokens[i]
+    if name[:1] not in _NAME_START:
+        p.expected("intervention name", i)
+    if tokens[i + 1] != "on":
+        p.error("expected 'on' and a target list", i + 1)
+    p.pos = i + 2
     targets = _parse_name_list(p)
-    p.expect_punct("{")
+    i = p.pos
+    if tokens[i] != "{":
+        p.expected("'{'", i)
+    i += 1
     amounts: dict[str, float] = {}
     rules = []
-    while not p.eat("}"):
-        at = p.pos
-        if p.peek() in ("cost", "penalty"):
-            word = p.next()
-            amount = amounts[word] = float(p.expect_number(word))
+    while (t := tokens[i]) != "}":
+        if t == "cost" or t == "penalty":
+            number = tokens[i + 1]
+            if not number[:1].isdecimal():
+                p.expected(t, i + 1)
+            amount = amounts[t] = float(number)
             if not isfinite(amount):
-                p.error(f"{word} too large for a float", p.pos - 1)
-        elif p.eat("rule"):
-            target = p.expect_name("target component")
-            p.expect_punct(":")
-            rules.append((at, target, _parse_rule_row(p)))
+                p.error(f"{t} too large for a float", i + 1)
+            i += 2
+        elif t == "rule":
+            target = tokens[i + 1]
+            if target[:1] not in _NAME_START:
+                p.expected("target component", i + 1)
+            if tokens[i + 2] != ":":
+                p.expected("':'", i + 2)
+            p.pos = i + 3
+            rules.append((i, target, _parse_rule_row(p)))
+            i = p.pos
         else:
-            p.error(f"expected cost, penalty, rule or '}}', found {_value(p.peek())!r}")
+            p.error(f"expected cost, penalty, rule or '}}', found {_value(t)!r}", i)
+    p.pos = i + 1
     return (name, targets, amounts.get("cost"), amounts.get("penalty"), rules)
 
 
