@@ -100,7 +100,7 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*+")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 # operators of two and three characters, tried before the single characters they start with
@@ -108,19 +108,16 @@ _OPERATORS = ("[]+", "<>+", "<?>", "->", "|=", "[]", "<>")
 _PUNCT_CHARS = "{}()=,:*&|!<>[]"
 _BLANKS = r" \t\r"
 _NEWLINE = r"\n"
-_COMMENT = r"#[^\n]*+"
+_COMMENT = r"#[^\n]*"
 
 # The token classes.  Each but the last has first characters of its own, so
 # at most one of them matches at a position; the last, tried last, takes any
 # other character but a blank, which is an error.  Numbers use \d, which also
-# matches non-ASCII digits.  The repeats of names, strings, blanks and
-# comments are possessive (``*+``): nothing after one can match what it
-# would give back, so each matches what the greedy repeat did, without
-# keeping the positions to backtrack to.
+# matches non-ASCII digits.
 _CLASSES = (
     _NAME_RE.pattern,
     "|".join(map(re.escape, _OPERATORS)) + f"|[{re.escape(_PUNCT_CHARS)}]",
-    r'"[^"]*+"',
+    r'"[^"]*"',
     r"\d+(?:\.\d+)?",
     f"[^{_BLANKS}]",
 )
@@ -128,13 +125,11 @@ _CLASSES = (
 # The scan starts after the blanks, newlines and comments that open the text;
 # each match is one token, or the empty end marker, and the blanks, newlines
 # and comments after it.  A match never starts at a blank, newline or "#".
-_SPACE = f"[{_BLANKS}{_NEWLINE}]*+"
-_SKIP = re.compile(f"{_SPACE}(?:{_COMMENT}{_SPACE})*+")
+_SPACE = f"[{_BLANKS}{_NEWLINE}]*"
+_SKIP = re.compile(f"{_SPACE}(?:{_COMMENT}{_SPACE})*")
 _STRINGS = re.compile("(" + "|".join(_CLASSES) + r"|\Z)" + _SKIP.pattern)
 # the one-character tokens that are not an error; any decimal digit is a number
 _ONE_CHAR = frozenset(_PUNCT_CHARS) | _NAME_START
-# tokens that are no error, whatever their length: the ASCII ones among them, and the end marker
-_PLAIN = _ONE_CHAR | frozenset("0123456789") | {""}
 
 
 def _strings(text: str) -> list[str]:
@@ -142,8 +137,7 @@ def _strings(text: str) -> list[str]:
     ending with the empty string.  A stray character or a lone quote raises
     an error at the first one."""
     tokens = _STRINGS.findall(text, _SKIP.match(text).end())
-    unsure = set(tokens).difference(_PLAIN)  # names, numbers, strings, operators and strays
-    if 1 in set(map(len, unsure)) and any(map(_stray, unsure)):
+    if any(map(_stray, set(tokens))):
         at = [*map(_stray, tokens)].index(True)
         message = "unterminated string" if tokens[at] == '"' else f"unexpected character {tokens[at]!r}"
         raise DslError([Diagnostic(*_positions(text, tokens)[at], message)])
@@ -221,13 +215,9 @@ class _Parser:
     def error(self, message: str, at: int | None = None):
         raise DslError([self.diagnostic(self.pos if at is None else at, message)])
 
-    def found(self, at: int | None = None) -> str:
-        """The next token, or token ``at``, for a message; "end of input" at the end."""
-        return _value(self.tokens[self.pos if at is None else at]) or "end of input"
-
-    def expected(self, what: str, at: int):
-        """Raise "expected WHAT, found ..." at token ``at``."""
-        self.error(f"expected {what}, found {self.found(at)!r}", at)
+    def found(self) -> str:
+        """The next token for a message; "end of input" at the end."""
+        return _value(self.tokens[self.pos]) or "end of input"
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -240,20 +230,20 @@ class _Parser:
 
     def expect_punct(self, value: str) -> None:
         if self.tokens[self.pos] != value:
-            self.expected(repr(value), self.pos)
+            self.error(f"expected {value!r}, found {self.found()!r}")
         self.pos += 1
 
     def expect_name(self, what: str = "name") -> str:
         t = self.tokens[self.pos]
         if t[:1] not in _NAME_START:
-            self.expected(what, self.pos)
+            self.error(f"expected {what}, found {self.found()!r}")
         self.pos += 1
         return t
 
     def expect_number(self, what: str = "number") -> str:
         t = self.tokens[self.pos]
         if not t[:1].isdecimal():
-            self.expected(what, self.pos)
+            self.error(f"expected {what}, found {self.found()!r}")
         self.pos += 1
         return t
 
@@ -338,6 +328,19 @@ class _Parser:
                 return F.BehaviourAtom(comp, beh)
             return F.Atom(t)
         self.error(f"expected a formula, found {self.found()!r}")
+
+    # ---- shared pieces -------------------------------------------------
+
+    def parse_name_list(self, stop_values) -> list[str]:
+        names: list[str] = []
+        while True:
+            if self.eat(","):
+                continue
+            t = self.tokens[self.pos]
+            if t[:1] not in _NAME_START or t in stop_values:
+                return names
+            self.pos += 1
+            names.append(t)
 
 
 # ---------------------------------------------------------------------------
@@ -500,80 +503,42 @@ def parse_model(text: str, path: str | None = None, stanzas: bool = True) -> Mod
     return replace(doc, queries=tuple(queries))
 
 
-# The declaration readers below (components, rule rows, name lists,
-# configuration literals and interventions) walk ``p.tokens`` by index in a local
-# variable and store the index back once they are done; a failure raises
-# the parser's own "expected ..." diagnostic at the token it stopped at.
-
-_SECTIONS = ("domain", "context", "rule")  # the words that end a component's name list
-
-
-def _parse_name_list(p: _Parser, stop_values=()) -> list[str]:
-    """Names, commas between them skipped, up to a non-name or a stop word."""
-    tokens, i = p.tokens, p.pos
-    names: list[str] = []
-    while True:
-        t = tokens[i]
-        if t != ",":
-            if t[:1] not in _NAME_START or t in stop_values:
-                p.pos = i
-                return names
-            names.append(t)
-        i += 1
-
-
 def _parse_component(p: _Parser) -> ComponentDecl:
-    tokens, i = p.tokens, p.pos + 1  # after "component"
-    name = tokens[i]
-    if name[:1] not in _NAME_START:
-        p.expected("component name", i)
-    if tokens[i + 1] != "{":
-        p.expected("'{'", i + 1)
-    i += 2
+    p.next()  # component
+    name = p.expect_name("component name")
+    p.expect_punct("{")
     domain: list[str] = []
     context: list[str] = []
     rows: list[RuleRow] = []
-    while (t := tokens[i]) != "}":
-        p.pos = i + 1
-        if t == "domain":
-            domain = _parse_name_list(p, _SECTIONS)
-        elif t == "context":
-            context = _parse_name_list(p, _SECTIONS)
-        elif t == "rule":
+    while not p.eat("}"):
+        if p.eat("domain"):
+            domain = p.parse_name_list(("domain", "context", "rule"))
+        elif p.eat("context"):
+            context = p.parse_name_list(("domain", "context", "rule"))
+        elif p.eat("rule"):
             rows.append(_parse_rule_row(p))
         else:
-            p.error(f"expected domain, context, rule or '}}', found {_value(t)!r}", i)
-        i = p.pos
-    p.pos = i + 1
+            p.error(f"expected domain, context, rule or '}}', found {_value(p.peek())!r}")
     return ComponentDecl(
         name=name, domain=tuple(domain), context=tuple(context), rule=RuleTable(tuple(rows))
     )
 
 
+def _parse_pattern(p: _Parser) -> str | None:
+    t = p.expect_name("behaviour or '_'")
+    return None if t == "_" else t
+
+
 def _parse_rule_row(p: _Parser) -> RuleRow:
-    """``own (p, ...) -> out``, each pattern a behaviour or the wildcard ``_``."""
-    tokens, i = p.tokens, p.pos
-    own = tokens[i]
-    if own[:1] not in _NAME_START:
-        p.expected("behaviour or '_'", i)
-    i += 1
+    own = _parse_pattern(p)
     context: list[str | None] = []
-    if tokens[i] == "(":
-        i += 1
-        while (t := tokens[i]) != ")":
-            if t != ",":
-                if t[:1] not in _NAME_START:
-                    p.expected("behaviour or '_'", i)
-                context.append(None if t == "_" else t)
-            i += 1
-        i += 1
-    if tokens[i] != "->":
-        p.expected("'->'", i)
-    out = tokens[i + 1]
-    if out[:1] not in _NAME_START:
-        p.expected("output behaviour", i + 1)
-    p.pos = i + 2
-    return RuleRow(None if own == "_" else own, tuple(context), out)
+    if p.eat("("):
+        while not p.eat(")"):
+            if not p.eat(","):
+                context.append(_parse_pattern(p))
+    p.expect_punct("->")
+    out = p.expect_name("output behaviour")
+    return RuleRow(own=own, context=tuple(context), output=out)
 
 
 def _parse_atom(p: _Parser):
@@ -591,32 +556,21 @@ def _parse_atom(p: _Parser):
 
 def _parse_braced_names(p: _Parser) -> list[str]:
     p.expect_punct("{")
-    names = _parse_name_list(p)
+    names = p.parse_name_list(())
     p.expect_punct("}")
     return names
 
 
 def _parse_config_literal(p: _Parser) -> list[tuple[str, str]]:
-    """``(C1=B1, C2=B2, ...)``, commas optional."""
-    tokens, i = p.tokens, p.pos
-    if tokens[i] != "(":
-        p.expected("'('", i)
-    i += 1
+    p.expect_punct("(")
     pairs: list[tuple[str, str]] = []
-    while (comp := tokens[i]) != ")":
-        if comp == ",":
-            i += 1
+    while not p.eat(")"):
+        if p.eat(","):
             continue
-        if comp[:1] not in _NAME_START:
-            p.expected("component name", i)
-        if tokens[i + 1] != "=":
-            p.expected("'='", i + 1)
-        beh = tokens[i + 2]
-        if beh[:1] not in _NAME_START:
-            p.expected("behaviour name", i + 2)
+        comp = p.expect_name("component name")
+        p.expect_punct("=")
+        beh = p.expect_name("behaviour name")
         pairs.append((comp, beh))
-        i += 3
-    p.pos = i + 1
     return pairs
 
 
@@ -630,41 +584,27 @@ def _parse_config_decl(p: _Parser):
 
 
 def _parse_intervention(p: _Parser):
-    tokens, i = p.tokens, p.pos + 1  # after "intervention"
-    name = tokens[i]
-    if name[:1] not in _NAME_START:
-        p.expected("intervention name", i)
-    if tokens[i + 1] != "on":
-        p.error("expected 'on' and a target list", i + 1)
-    p.pos = i + 2
-    targets = _parse_name_list(p)
-    i = p.pos
-    if tokens[i] != "{":
-        p.expected("'{'", i)
-    i += 1
+    p.next()  # intervention
+    name = p.expect_name("intervention name")
+    if not p.eat("on"):
+        p.error("expected 'on' and a target list")
+    targets = p.parse_name_list(())
+    p.expect_punct("{")
     amounts: dict[str, float] = {}
     rules = []
-    while (t := tokens[i]) != "}":
-        if t == "cost" or t == "penalty":
-            number = tokens[i + 1]
-            if not number[:1].isdecimal():
-                p.expected(t, i + 1)
-            amount = amounts[t] = float(number)
+    while not p.eat("}"):
+        at = p.pos
+        if p.peek() in ("cost", "penalty"):
+            word = p.next()
+            amount = amounts[word] = float(p.expect_number(word))
             if not isfinite(amount):
-                p.error(f"{t} too large for a float", i + 1)
-            i += 2
-        elif t == "rule":
-            target = tokens[i + 1]
-            if target[:1] not in _NAME_START:
-                p.expected("target component", i + 1)
-            if tokens[i + 2] != ":":
-                p.expected("':'", i + 2)
-            p.pos = i + 3
-            rules.append((i, target, _parse_rule_row(p)))
-            i = p.pos
+                p.error(f"{word} too large for a float", p.pos - 1)
+        elif p.eat("rule"):
+            target = p.expect_name("target component")
+            p.expect_punct(":")
+            rules.append((at, target, _parse_rule_row(p)))
         else:
-            p.error(f"expected cost, penalty, rule or '}}', found {_value(t)!r}", i)
-    p.pos = i + 1
+            p.error(f"expected cost, penalty, rule or '}}', found {_value(p.peek())!r}")
     return (name, targets, amounts.get("cost"), amounts.get("penalty"), rules)
 
 
