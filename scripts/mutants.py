@@ -326,7 +326,7 @@ MUTANTS = (
         """        items, i = self.items, 0
         while True:
             if i == len(items):
-                item = next(self.rest, _DRAWN)
+                item = next(self._rest, _DRAWN)
                 if item is _DRAWN:
                     return
                 items.append(item)
@@ -335,7 +335,7 @@ MUTANTS = (
         # each iteration draws from the shared iterator itself, so an outer
         # ``*`` skips the splits an inner one drew while the outer was paused
         """        yield from self.items
-        for item in self.rest:
+        for item in self._rest:
             self.items.append(item)
             yield item""",
         ("tests/test_labelling.py::test_nested_stars_match_the_eager_split_list[True-ex1_doc]",),

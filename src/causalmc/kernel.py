@@ -117,17 +117,17 @@ class Kept:
     rest.  An iteration walks ``items`` by index, so iterations that
     interleave, as a ``*`` inside an operand of a ``*`` on the same kernel
     does, each see every item once and in order, whichever of them drew
-    it.  ``rest`` may be given after construction, before the first draw."""
+    it."""
 
-    def __init__(self, rest=None):
+    def __init__(self, rest):
         self.items: list = []
-        self.rest = rest
+        self._rest = rest
 
     def __iter__(self):
         items, i = self.items, 0
         while True:
             if i == len(items):
-                item = next(self.rest, _DRAWN)
+                item = next(self._rest, _DRAWN)
                 if item is _DRAWN:
                     return
                 items.append(item)
@@ -136,6 +136,14 @@ class Kept:
 
 
 _DRAWN = object()  # what ``Kept`` reads from a spent iterator
+
+
+def _drawn_splits(model, options):
+    """semantics' candidate splits of ``model`` under ``options``, drawn one
+    at a time once a ``*`` first asks."""
+    from .semantics import _splits  # semantics imports this module
+
+    yield from _splits(model, options)
 
 
 def digraph(name: str, labels, edges, node: str = "n") -> str:
@@ -198,7 +206,7 @@ class Kernel:
         self.pins: tuple = ()  # the (component, code) pairs ``pinned`` made this variant with, if it did
         self.projection: tuple = ()  # a side's (position in the kernel it was split from, weight here) pairs
         self.tests: dict = {}  # atom predicates, shared with every variant
-        self.splits = Kept()  # semantics' candidate splits, drawn on demand; shared likewise
+        self.splits = Kept(_drawn_splits(model, options))  # candidate splits, drawn on demand; shared likewise
         self._fresh()
 
     def _fresh(self) -> None:

@@ -392,11 +392,8 @@ def _decompositions(k: kernel.Kernel, s: int):
     so a ``*`` that holds stops listing at its witness.  Each side is the
     kernel ``Kernel.side`` builds and keeps there.  A side over every
     component is k itself, never kept, so k holds no kernel that holds k."""
-    splits = k.splits
-    if splits.rest is None:  # the first draw on k or on a variant sharing its list
-        splits.rest = _splits(k.model, k.options)
     digits = k.digits(s)
-    for split in splits:
+    for split in k.splits:
         found = [split]
         for names in (split.left, split.right):
             if len(names) == len(digits):
