@@ -303,13 +303,8 @@ def _write_file(path: str, text: str) -> None:
     if not os.path.islink(path):
         with contextlib.suppress(OSError):
             os.unlink(path)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        data = memoryview(text.encode("utf-8"))
-        while data:
-            data = data[os.write(fd, data) :]
-    finally:
-        os.close(fd)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 if __name__ == "__main__":
