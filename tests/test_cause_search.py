@@ -531,18 +531,6 @@ def test_find_causes_matches_reference():
     assert causes > 40 and several > 30 and witnessed > 0
 
 
-def test_find_causes_matches_the_oracle_in_every_setting():
-    """The brute-force enumerator decides each case under its options, as
-    the search does: in both AC1 modes, async and sync transitions, and
-    self-loops off and on."""
-    settings = set()
-    for model, q, options in CASES + STRUCTURED + BACKUPS:
-        got = {frozenset(c.cause_set) for c in find_causes(model, q, options)}
-        assert got == oracle_find_causes(model, q.start, q.end, q.effect_components, options=options)
-        settings.add((options.strict_ac1, model.mode, options.self_loops))
-    assert len(CASES + STRUCTURED + BACKUPS) == 328 and len(settings) == 8
-
-
 def _flipped(model, options) -> dict:
     """``options`` with one setting flipped, by setting: the transition mode
     the query steps in, self-loops, and the AC1 clause."""
@@ -554,18 +542,22 @@ def _flipped(model, options) -> dict:
     }
 
 
-def test_each_setting_decides_ten_cases():
-    """The oracle gives the search's causes on the separating cases too, and
-    an oracle with one setting flipped, whatever the query's options say,
-    gives other causes on exactly ten cases per setting, so a search that
-    mishandled one setting on a few models would fail the differential."""
-    changed = Counter()
+def test_find_causes_matches_the_oracle_in_every_setting():
+    """The brute-force enumerator decides each case under its options, as
+    the search does: in both AC1 modes, async and sync transitions, and
+    self-loops off and on.  An oracle with one setting flipped, whatever the
+    query's options say, gives other causes on exactly ten cases per
+    setting, so a search that mishandled one setting on a few models would
+    fail here."""
+    settings, changed = set(), Counter()
     for model, q, options in CASES + STRUCTURED + BACKUPS + SEPARATING:
         got = {frozenset(c.cause_set) for c in find_causes(model, q, options)}
         args = (model, q.start, q.end, q.effect_components)
         assert got == oracle_find_causes(*args, options=options)
+        settings.add((options.strict_ac1, model.mode, options.self_loops))
         for setting, flipped in _flipped(model, options).items():
             changed[setting] += oracle_find_causes(*args, options=flipped) != got
+    assert len(CASES + STRUCTURED + BACKUPS + SEPARATING) == 346 and len(settings) == 8
     assert changed == {"mode": 10, "self_loops": 10, "strict_ac1": 10}
 
 
